@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use xoar_analysis::overpriv;
+use xoar_analysis::overpriv::{self, Usage};
 use xoar_analysis::reach::Reachability;
 use xoar_analysis::rules;
 use xoar_analysis::snapshot::{DomainInfo, GrantEdge, ModelSnapshot, SharedFrame};
@@ -39,8 +39,8 @@ fn main() -> ExitCode {
     }
     let selftest = std::env::args().any(|a| a == "--selftest");
 
-    let mut platform = match overpriv::traced_scenario() {
-        Ok(p) => p,
+    let (mut platform, usage) = match overpriv::traced_scenario() {
+        Ok(traced) => traced,
         Err(e) => {
             eprintln!("xoar-analyzer: scenario failed: {e}");
             return ExitCode::from(2);
@@ -49,12 +49,12 @@ fn main() -> ExitCode {
     let snap = ModelSnapshot::capture(&mut platform);
 
     if selftest {
-        return run_selftest(&mut platform, snap);
+        return run_selftest(&mut platform, &usage, snap);
     }
 
     let reach = Reachability::compute(&snap);
     let violations = rules::check(&snap, &reach);
-    let over = overpriv::report(&mut platform);
+    let over = overpriv::report(&platform, &usage);
 
     print!("{}", snap.render());
     print!("{}", reach.render(&snap));
@@ -147,7 +147,7 @@ fn run_spec_selftest() -> ExitCode {
 /// fire; also probes the live platform with a smuggled privileged
 /// sub-call inside a Multicall batch. Success means the analyzer (and
 /// the hypercall gate it audits) detects what it claims to detect.
-fn run_selftest(platform: &mut Platform, mut snap: ModelSnapshot) -> ExitCode {
+fn run_selftest(platform: &mut Platform, usage: &Usage, mut snap: ModelSnapshot) -> ExitCode {
     let fabric = snap
         .live_domains()
         .find(|d| d.kind == "fabric")
@@ -236,9 +236,10 @@ fn run_selftest(platform: &mut Platform, mut snap: ModelSnapshot) -> ExitCode {
     // Injection 4 (live platform): a shard abuses the unprivileged
     // Multicall to smuggle a privileged sub-call it is not whitelisted
     // for. The gate must deny the entry per-Xen-semantics (no batch
-    // abort) AND the attempt must land in the trace, where the
+    // abort) AND the usage observer must record the refusal, where the
     // privilege-flow audit sees it — batching must not launder calls.
     let nb = platform.services.netbacks[0];
+    let refused_before = usage.of(nb).refused.contains(HypercallId::SysctlPhysinfo);
     let ret = platform.hv.hypercall(
         nb,
         Hypercall::Multicall {
@@ -251,11 +252,8 @@ fn run_selftest(platform: &mut Platform, mut snap: ModelSnapshot) -> ExitCode {
             if entries.len() == 1
                 && matches!(entries[0], Err(HvError::PermissionDenied { .. }))
     );
-    let smuggle_traced = platform
-        .hv
-        .take_trace()
-        .iter()
-        .any(|t| t.caller == nb && t.id == HypercallId::SysctlPhysinfo && !t.allowed);
+    let smuggle_traced =
+        !refused_before && usage.of(nb).refused.contains(HypercallId::SysctlPhysinfo);
 
     let reach = Reachability::compute(&snap);
     let violations = rules::check(&snap, &reach);

@@ -1,13 +1,16 @@
 //! Static-versus-used privilege diffing.
 //!
 //! The paper sizes each shard's whitelist by need; this module *checks*
-//! that sizing. [`traced_scenario`] boots a Xoar platform with hypercall
-//! tracing enabled from the very first boot-time call and drives one
-//! representative pass over every management and data-path operation the
-//! platform supports (guest creation — PV and HVM —, toolstack
-//! pause/resume/resize, device-model DMA, network and block I/O,
-//! template capture and snapshot-fork cloning, a driver microreboot,
-//! guest destruction). [`report`] then diffs every
+//! that sizing. [`Usage`] is a gate observer that keeps, per domain,
+//! the hypercalls that succeeded and the ones the gate refused, with
+//! Multicall entries unpacked from the batch's per-entry results.
+//! [`traced_scenario`] attaches it to a fresh hypervisor before the Xoar
+//! platform boots on it, so the Bootstrapper's first call is seen, and
+//! drives one representative pass over every management and data-path
+//! operation the platform supports (guest creation — PV and HVM —,
+//! toolstack pause/resume/resize, device-model DMA, network and block
+//! I/O, template capture and snapshot-fork cloning, a driver
+//! microreboot, guest destruction). [`report`] then diffs every
 //! domain's *static* privileged-hypercall whitelist against the calls it
 //! *actually issued*: whatever remains unused is over-privilege the
 //! whitelist could shed.
@@ -16,11 +19,65 @@
 //! so the resulting table is stable across runs and is committed to
 //! EXPERIMENTS.md.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_hypervisor::memory::Pfn;
-use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall, HypercallId};
+use xoar_hypervisor::privilege::HypercallSet;
+use xoar_hypervisor::{
+    DomId, GateObserver, HvError, HvResult, Hypercall, HypercallId, HypercallRet, Hypervisor,
+};
+
+/// One domain's hypercalls as the gate decided them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Calls {
+    /// Calls that succeeded.
+    pub used: HypercallSet,
+    /// Calls refused with a permission denial (whitelist or argument
+    /// check).
+    pub refused: HypercallSet,
+}
+
+/// Per-domain hypercall usage, recorded at the gate.
+///
+/// Clones share one record: the clone attached to the gate writes it,
+/// the one the driver keeps reads it.
+#[derive(Clone, Default)]
+pub struct Usage(Rc<RefCell<BTreeMap<DomId, Calls>>>);
+
+impl Usage {
+    /// What `dom` has issued so far.
+    pub fn of(&self, dom: DomId) -> Calls {
+        self.0.borrow().get(&dom).copied().unwrap_or_default()
+    }
+}
+
+impl GateObserver for Usage {
+    fn observe(
+        &mut self,
+        hv: &Hypervisor,
+        caller: DomId,
+        call: &Hypercall,
+        result: &HvResult<HypercallRet>,
+    ) {
+        if let (Hypercall::Multicall { calls }, Ok(HypercallRet::Multi(results))) = (call, result) {
+            for (sub, r) in calls.iter().zip(results) {
+                self.observe(hv, caller, sub, r);
+            }
+        }
+        let Ok(mut usage) = self.0.try_borrow_mut() else {
+            return;
+        };
+        let calls = usage.entry(caller).or_default();
+        match result {
+            Ok(_) => calls.used.insert(call.id()),
+            Err(HvError::PermissionDenied { .. }) => calls.refused.insert(call.id()),
+            Err(_) => false,
+        };
+    }
+}
 
 /// One row of the over-privilege table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,21 +88,21 @@ pub struct OverprivEntry {
     pub name: String,
     /// Statically whitelisted privileged calls, `Ord` order.
     pub declared: Vec<HypercallId>,
-    /// Privileged calls actually issued (and allowed) in the trace.
+    /// Privileged calls actually issued (and successful).
     pub used: Vec<HypercallId>,
     /// `declared - used`: the shedding candidates.
     pub unused: Vec<HypercallId>,
 }
 
-/// Boots a traced platform and drives the representative workload.
+/// Boots an observed platform and drives the representative workload.
 ///
-/// Returns the platform with the full trace (boot included) still
-/// buffered inside the hypervisor; pass it to [`report`].
-pub fn traced_scenario() -> HvResult<Platform> {
-    let mut p = Platform::xoar(XoarConfig {
-        trace_hypercalls: true,
-        ..Default::default()
-    });
+/// Returns the platform with its [`Usage`] observer (boot included)
+/// still attached; pass both to [`report`].
+pub fn traced_scenario() -> HvResult<(Platform, Usage)> {
+    let usage = Usage::default();
+    let mut hv = Hypervisor::with_default_host();
+    hv.attach_observer(Box::new(usage.clone()));
+    let mut p = Platform::xoar_on(hv, XoarConfig::default());
     let ts = p.services.toolstacks[0];
 
     // Guest lifecycle: one PV guest, one HVM guest (exercises the
@@ -115,42 +172,40 @@ pub fn traced_scenario() -> HvResult<Platform> {
 
     // Teardown of the HVM guest (toolstack destroy + stub reclamation).
     p.destroy_guest(ts, hvm)?;
-    Ok(p)
+    Ok((p, usage))
 }
 
-/// Drains the platform's trace and produces the per-domain diff.
+/// Diffs each domain's whitelist against its recorded usage.
 ///
 /// Rows appear for every domain that either declares or used at least
 /// one privileged call — including domains already destroyed (the
 /// Bootstrapper's boot-time activity is the most interesting row).
-pub fn report(p: &mut Platform) -> Vec<OverprivEntry> {
-    let trace = p.hv.take_trace();
-    let mut used: BTreeMap<DomId, BTreeSet<HypercallId>> = BTreeMap::new();
-    for t in &trace {
-        if t.allowed && t.id.is_privileged() {
-            used.entry(t.caller).or_default().insert(t.id);
-        }
-    }
+pub fn report(p: &Platform, usage: &Usage) -> Vec<OverprivEntry> {
     let mut ids: BTreeSet<DomId> = p.hv.domain_ids().into_iter().collect();
-    ids.extend(used.keys().copied());
+    ids.extend(usage.0.borrow().keys());
     let mut rows = Vec::new();
     for dom in ids {
         let Ok(d) = p.hv.domain(dom) else { continue };
         let declared: Vec<HypercallId> = d.privileges.hypercalls.iter().collect();
-        let used_set = used.remove(&dom).unwrap_or_default();
-        if declared.is_empty() && used_set.is_empty() {
+        let used: Vec<HypercallId> = usage
+            .of(dom)
+            .used
+            .iter()
+            .filter(|id| id.is_privileged())
+            .collect();
+        if declared.is_empty() && used.is_empty() {
             continue;
         }
         let unused: Vec<HypercallId> = declared
             .iter()
             .copied()
-            .filter(|id| !used_set.contains(id))
+            .filter(|id| !used.contains(id))
             .collect();
         rows.push(OverprivEntry {
             dom,
             name: d.name.clone(),
             declared,
-            used: used_set.into_iter().collect(),
+            used,
             unused,
         });
     }
@@ -180,11 +235,11 @@ mod tests {
 
     #[test]
     fn scenario_runs_and_traces_boot() {
-        let mut p = traced_scenario().unwrap();
-        let rows = report(&mut p);
+        let (p, usage) = traced_scenario().unwrap();
+        let rows = report(&p, &usage);
         // The Bootstrapper (dom0, long destroyed) has a row: its
-        // boot-time activity was traced because tracing starts before
-        // the first shard is created.
+        // boot-time activity was seen because the observer is attached
+        // before the first shard is created.
         let boot = rows.iter().find(|r| r.dom == DomId(0)).unwrap();
         assert_eq!(boot.name, "bootstrapper");
         assert!(boot.used.contains(&HypercallId::DomctlCreateDomain));
@@ -193,10 +248,10 @@ mod tests {
 
     #[test]
     fn tightened_shards_show_no_dead_weight_on_core_rows() {
-        let mut p = traced_scenario().unwrap();
+        let (p, usage) = traced_scenario().unwrap();
         let ts = p.services.toolstacks[0];
         let builder = p.services.builder;
-        let rows = report(&mut p);
+        let rows = report(&p, &usage);
         // Satellite check for the shard.rs tightening: the scenario
         // exercises the toolstack's and bootstrapper's whitelists
         // completely — every declared call is observed in use.
@@ -224,8 +279,8 @@ mod tests {
     #[test]
     fn report_is_deterministic() {
         let render_once = || {
-            let mut p = traced_scenario().unwrap();
-            render(&report(&mut p))
+            let (p, usage) = traced_scenario().unwrap();
+            render(&report(&p, &usage))
         };
         assert_eq!(render_once(), render_once());
     }

@@ -1,13 +1,13 @@
 //! The differential refinement checker.
 //!
 //! [`SpecCore`] holds a [`SpecState`] and advances it in lockstep with
-//! the real hypervisor: the dispatch hook delivers every hypercall
-//! (post-state, call, and result), the core applies the spec-level
-//! semantics of the op, and then *diffs* the real state against the
-//! model. Any difference outside the op's permitted footprint is a
-//! divergence — recorded sticky with the op trace that produced it,
-//! never panicking (the hook runs inside the hypervisor's no-panic
-//! gate).
+//! the real hypervisor: as a gate observer it sees every hypercall
+//! (post-state, call, and result) — whitelist denials included, which
+//! must change no state — the core applies the spec-level semantics of
+//! the op, and then *diffs* the real state against the model. Any
+//! difference outside the op's permitted footprint is a divergence —
+//! recorded sticky with the op trace that produced it, never panicking
+//! (observers run inside the hypervisor's no-panic gate).
 //!
 //! Checked refinement obligations, in order:
 //!
@@ -40,7 +40,7 @@ use std::rc::Rc;
 
 use xoar_hypervisor::grant::GrantAccess;
 use xoar_hypervisor::hypercall::{Hypercall, HypercallRet};
-use xoar_hypervisor::{DispatchHook, DomId, HvResult, Hypervisor};
+use xoar_hypervisor::{DomId, GateObserver, HvResult, Hypervisor};
 
 use super::model::{GrantFact, SpecState};
 
@@ -60,7 +60,7 @@ pub struct Divergence {
     pub op_index: usize,
 }
 
-/// The checker state behind the hook.
+/// The checker state behind the observer.
 pub struct SpecCore {
     spec: SpecState,
     divergence: Option<Divergence>,
@@ -597,17 +597,17 @@ impl SpecCore {
     }
 }
 
-/// The [`DispatchHook`] installed on the hypercall gate.
+/// The [`GateObserver`] attached to the hypercall gate.
 ///
 /// Thin wrapper: the state lives behind an `Rc<RefCell<_>>` shared with
 /// the driver-side [`SpecHandle`], so divergences and the op trace stay
-/// readable while the hypervisor owns the hook.
+/// readable while the hypervisor owns the observer.
 pub struct SpecChecker {
     core: Rc<RefCell<SpecCore>>,
 }
 
-impl DispatchHook for SpecChecker {
-    fn after_hypercall(
+impl GateObserver for SpecChecker {
+    fn observe(
         &mut self,
         hv: &Hypervisor,
         caller: DomId,
@@ -618,14 +618,6 @@ impl DispatchHook for SpecChecker {
             core.step(hv, caller, call, result);
         }
     }
-
-    fn divergence(&self) -> Option<String> {
-        self.core.try_borrow().ok().and_then(|c| {
-            c.divergence
-                .as_ref()
-                .map(|d| format!("{}: {}", d.rule, d.detail))
-        })
-    }
 }
 
 /// Driver-side handle to an attached checker.
@@ -634,12 +626,12 @@ pub struct SpecHandle {
 }
 
 impl SpecHandle {
-    /// Captures the abstraction of `hv` and installs the lockstep
-    /// checker on its dispatch path. From this point every hypercall is
-    /// checked; the returned handle reads results out.
+    /// Captures the abstraction of `hv` and attaches the lockstep
+    /// checker to its gate. From this point every hypercall is checked;
+    /// the returned handle reads results out.
     pub fn attach(hv: &mut Hypervisor) -> SpecHandle {
         let core = Rc::new(RefCell::new(SpecCore::new(SpecState::capture(hv))));
-        hv.set_dispatch_hook(Box::new(SpecChecker { core: core.clone() }));
+        hv.attach_observer(Box::new(SpecChecker { core: core.clone() }));
         SpecHandle { core }
     }
 

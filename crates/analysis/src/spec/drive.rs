@@ -489,6 +489,7 @@ fn decode_and_render(name: &str, minimal: &[u64], inject: Option<usize>) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xoar_hypervisor::HvError;
 
     #[test]
     fn clean_world_runs_a_rich_sequence_without_divergence() {
@@ -507,6 +508,32 @@ mod tests {
         assert!(h.checks() >= 14, "every hypercall must be checked");
         let s = h.state();
         assert!(s.clone_of.contains_key(&w.clones[0]));
+    }
+
+    #[test]
+    fn whitelist_denied_calls_are_checked_and_change_nothing() {
+        let mut w = small_world();
+        let h = SpecHandle::attach(&mut w.hv);
+        let (a, b) = (w.a, w.b);
+        // Guest A holds no privileged calls: the gate refuses both
+        // before dispatch, and the checker still verifies each left the
+        // real state equal to the model.
+        for call in [
+            Hypercall::SysctlPhysinfo,
+            Hypercall::DomctlDestroyDomain { target: b },
+        ] {
+            let before = h.checks();
+            let r = w.hv.hypercall(a, call);
+            assert!(matches!(r, Err(HvError::PermissionDenied { .. })));
+            assert_eq!(h.checks(), before + 1, "denied call must be checked");
+        }
+        assert!(
+            h.divergence().is_none(),
+            "{}",
+            h.report().unwrap_or_default()
+        );
+        assert!(h.ops().iter().all(|op| op.ends_with("-> err")));
+        assert!(h.state().live.contains(&b));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! *while the hypervisor runs*. A tiny high-level model of machine
 //! memory ([`model::SpecState`]: per-frame owner, declared-sharing
 //! edges, privilege relation) is advanced in lockstep with the real
-//! hypervisor on every hypercall, via the dispatch hook
-//! ([`xoar_hypervisor::DispatchHook`]) the gate exposes — one untaken
-//! branch when no checker is attached, so bench and production paths
-//! are unaffected.
+//! hypervisor on every hypercall, as one of the gate's observers
+//! ([`xoar_hypervisor::GateObserver`]). It sees denied calls too, and
+//! checks that they changed nothing. With no observer attached the gate
+//! pays one untaken branch, so bench and production paths are
+//! unaffected.
 //!
 //! After each step the checker ([`checker::SpecCore`]) asserts the
 //! refinement relation: every real grant entry, frame-ownership change,

@@ -35,10 +35,10 @@ fn bench_hypercalls(h: &mut Harness) {
     h.bench_function("hypercall/denied_privileged", || {
         let _ = p.hv.hypercall(black_box(g), Hypercall::SysctlPhysinfo);
     });
-    // The dispatch path with the isolation-spec checker *absent*: the
-    // hook gate must cost one untaken branch, nothing more. bench-gate
+    // The dispatch path with no gate observer attached: the observer
+    // check must cost one untaken branch, nothing more. bench-gate
     // holds this within 1.05x of the plain sched_yield number above.
-    debug_assert!(p.hv.dispatch_hook().is_none());
+    assert!(p.hv.take_observers().is_empty());
     h.bench_function("hypercall/dispatch_spec_off", || {
         p.hv.hypercall(black_box(g), Hypercall::SchedYield).unwrap();
     });
@@ -50,7 +50,7 @@ fn bench_hypercalls(h: &mut Harness) {
     h.bench_function("hypercall/dispatch_spec_on", || {
         p.hv.hypercall(black_box(g), Hypercall::SchedYield).unwrap();
     });
-    p.hv.take_dispatch_hook();
+    p.hv.take_observers();
 }
 
 fn bench_events(h: &mut Harness) {

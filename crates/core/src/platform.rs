@@ -60,10 +60,6 @@ pub struct XoarConfig {
     /// Default restart interval for restartable driver shards, seconds
     /// (None = no timer restarts).
     pub restart_interval_s: Option<u64>,
-    /// Enable hypercall tracing from the first boot-time call (used by the
-    /// xoar-analysis over-privilege report, which diffs static whitelists
-    /// against the recorded trace — including the Bootstrapper's).
-    pub trace_hypercalls: bool,
 }
 
 impl Default for XoarConfig {
@@ -73,7 +69,6 @@ impl Default for XoarConfig {
             keep_pciback: false,
             toolstacks: 1,
             restart_interval_s: None,
-            trace_hypercalls: false,
         }
     }
 }
@@ -296,8 +291,13 @@ impl Platform {
 
     /// Builds the Xoar platform, executing the boot sequence of §5.2.
     pub fn xoar(cfg: XoarConfig) -> Self {
-        let mut hv = Hypervisor::with_default_host();
-        hv.set_tracing(cfg.trace_hypercalls);
+        Self::xoar_on(Hypervisor::with_default_host(), cfg)
+    }
+
+    /// [`Self::xoar`] on a caller-supplied fresh hypervisor, so gate
+    /// observers attached beforehand see the boot sequence from the
+    /// Bootstrapper's first call.
+    pub fn xoar_on(mut hv: Hypervisor, cfg: XoarConfig) -> Self {
         // §5.8: the hypervisor no longer treats a DomId-0 failure as
         // fatal, "to allow the Bootstrapper to complete execution and
         // quit".

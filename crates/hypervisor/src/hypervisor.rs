@@ -44,43 +44,25 @@ pub type DeclaredOps = BTreeSet<(&'static str, DomId, DomId)>;
 
 /// An observer attached to the hypercall gate.
 ///
-/// This is the seam the executable isolation spec hangs off: a hook
-/// sees every *permitted* hypercall immediately after dispatch, with
-/// the call as issued and the result it produced, and may read (never
-/// mutate) the hypervisor to compare real state against its own model.
-/// Whitelist denials never reach the hook — a denied call changes no
-/// state, so there is nothing to keep in lockstep.
+/// The gate's one observation seam: every top-level hypercall is
+/// observed exactly once, after the gate has decided it — whitelist
+/// denials included — with the call as issued and its result. A
+/// Multicall is observed once, its per-entry outcomes carried in the
+/// [`HypercallRet::Multi`] result. Observers may read (never mutate)
+/// the hypervisor, so `hv` shows the post-state of the call.
 ///
-/// A hook must not panic: the gate is TCB code and the no-panic lint
-/// covers the call path. Divergence is recorded and surfaced through
-/// [`DispatchHook::divergence`]; the driver (a test, the analyzer's
-/// small-scope enumerator) asserts on it outside the gate.
-pub trait DispatchHook {
-    /// Observes one completed hypercall. Runs after the operation's
-    /// state changes have committed, so `hv` shows the post-state.
-    fn after_hypercall(
+/// An observer must not panic: the gate is TCB code and the no-panic
+/// lint covers the call path. Observers that accumulate findings keep
+/// them behind their own handle; the driver reads them outside the gate.
+pub trait GateObserver {
+    /// Observes one completed (or denied) top-level hypercall.
+    fn observe(
         &mut self,
         hv: &Hypervisor,
         caller: DomId,
         call: &Hypercall,
         result: &HvResult<HypercallRet>,
     );
-
-    /// The first divergence this hook has observed, if any.
-    fn divergence(&self) -> Option<String>;
-}
-
-/// A record of one hypercall, for the audit log (§3.2.2).
-#[derive(Debug, Clone)]
-pub struct HypercallTrace {
-    /// Simulated time of the call.
-    pub at_ns: u64,
-    /// Issuing domain.
-    pub caller: DomId,
-    /// Hypercall class.
-    pub id: HypercallId,
-    /// Whether it was permitted.
-    pub allowed: bool,
 }
 
 /// Host hardware description.
@@ -126,12 +108,10 @@ pub struct Hypervisor {
     /// first clone of each sealed template and replayed thereafter.
     stamp_plans: FastMap<DomId, xregion::StampPlan>,
     snapshots: SnapshotManager,
-    /// Lockstep spec-checker hook, if attached. `None` on every bench
-    /// and production path: the gate pays one branch for the check.
-    hook: Option<Box<dyn DispatchHook>>,
+    /// Gate observers, in attach order. Empty on every bench and
+    /// production path: the gate pays one branch for the check.
+    observers: Vec<Box<dyn GateObserver>>,
     now_ns: u64,
-    tracing: bool,
-    trace: Vec<HypercallTrace>,
     /// If set, a Dom0 crash reboots the whole host (stock Xen behaviour,
     /// §5.8); Xoar clears it so Bootstrapper may exit after boot.
     pub dom0_failure_is_fatal: bool,
@@ -152,10 +132,8 @@ impl Hypervisor {
             declared: FastSet::default(),
             stamp_plans: FastMap::default(),
             snapshots: SnapshotManager::new(),
-            hook: None,
+            observers: Vec::new(),
             now_ns: 0,
-            tracing: false,
-            trace: Vec::new(),
             dom0_failure_is_fatal: true,
             host_reboots: 0,
         }
@@ -379,29 +357,6 @@ impl Hypervisor {
         self.config
     }
 
-    // ----- tracing -----
-
-    /// Enables or disables hypercall tracing.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Drains the accumulated trace records.
-    pub fn take_trace(&mut self) -> Vec<HypercallTrace> {
-        std::mem::take(&mut self.trace)
-    }
-
-    fn record(&mut self, caller: DomId, id: HypercallId, allowed: bool) {
-        if self.tracing {
-            self.trace.push(HypercallTrace {
-                at_ns: self.now_ns,
-                caller,
-                id,
-                allowed,
-            });
-        }
-    }
-
     // ----- access-control helpers -----
 
     fn check_whitelist(&self, caller: DomId, id: HypercallId) -> HvResult<()> {
@@ -480,51 +435,43 @@ impl Hypervisor {
     /// This is the single trap gate of the platform: whitelist check
     /// first, then per-argument access control, then the operation.
     pub fn hypercall(&mut self, caller: DomId, call: Hypercall) -> HvResult<HypercallRet> {
-        let id = call.id();
-        if let Err(e) = self.check_whitelist(caller, id) {
-            self.record(caller, id, false);
-            return Err(e);
-        }
-        if self.hook.is_some() {
+        if !self.observers.is_empty() {
             return self.hypercall_observed(caller, call);
         }
-        let result = self.dispatch(caller, call);
-        self.record(caller, id, result.is_ok());
-        result
+        self.check_whitelist(caller, call.id())?;
+        self.dispatch(caller, call)
     }
 
-    /// The observed slow path of the gate: clone the call (the hook
-    /// needs it after dispatch consumes it), dispatch, then let the
-    /// detached hook read the post-state. Outlined so the common
-    /// hook-less dispatch pays exactly one predicted-not-taken branch.
+    /// The observed slow path of the gate: decide the call as the fast
+    /// path does, keeping a copy for the observers (dispatch consumes
+    /// it), then let each observer read the post-state. Outlined so the
+    /// common observer-less dispatch pays exactly one predicted-not-taken
+    /// branch.
     #[inline(never)]
     fn hypercall_observed(&mut self, caller: DomId, call: Hypercall) -> HvResult<HypercallRet> {
-        let id = call.id();
-        let observed = call.clone();
-        let result = self.dispatch(caller, call);
-        self.record(caller, id, result.is_ok());
-        // Take/put-back: the hook borrows `self` immutably while it is
-        // not reachable through `self`, so no aliasing.
-        if let Some(mut hook) = self.hook.take() {
-            hook.after_hypercall(self, caller, &observed, &result);
-            self.hook = Some(hook);
+        let result = match self.check_whitelist(caller, call.id()) {
+            Ok(()) => self.dispatch(caller, call.clone()),
+            Err(e) => Err(e),
+        };
+        // Take/put-back: observers borrow `self` immutably while they
+        // are not reachable through `self`, so no aliasing.
+        let mut observers = std::mem::take(&mut self.observers);
+        for o in &mut observers {
+            o.observe(self, caller, &call, &result);
         }
+        self.observers = observers;
         result
     }
 
-    /// Attaches a lockstep dispatch hook (replacing any previous one).
-    pub fn set_dispatch_hook(&mut self, hook: Box<dyn DispatchHook>) {
-        self.hook = Some(hook);
+    /// Attaches a gate observer; it sees every hypercall from now on,
+    /// after those attached before it.
+    pub fn attach_observer(&mut self, observer: Box<dyn GateObserver>) {
+        self.observers.push(observer);
     }
 
-    /// Detaches and returns the dispatch hook, if one is attached.
-    pub fn take_dispatch_hook(&mut self) -> Option<Box<dyn DispatchHook>> {
-        self.hook.take()
-    }
-
-    /// Read-only view of the attached dispatch hook.
-    pub fn dispatch_hook(&self) -> Option<&dyn DispatchHook> {
-        self.hook.as_deref()
+    /// Detaches and returns every attached observer, in attach order.
+    pub fn take_observers(&mut self) -> Vec<Box<dyn GateObserver>> {
+        std::mem::take(&mut self.observers)
     }
 
     fn dispatch(&mut self, caller: DomId, call: Hypercall) -> HvResult<HypercallRet> {
@@ -908,19 +855,16 @@ impl Hypervisor {
             }
             // Per-entry whitelist screen: a multicall must not
             // smuggle a call the caller could not issue directly.
-            // Denials are recorded in the trace like direct calls
-            // so the over-privilege audit sees them.
+            // The denial lands in the entry's result, which gate
+            // observers see like a direct denial.
             if sub_id.is_privileged() && !permitted.contains(sub_id) {
-                self.record(caller, sub_id, false);
                 results.push(Err(HvError::PermissionDenied {
                     caller,
                     privilege: format!("hypercall {}", sub_id.name()),
                 }));
                 continue;
             }
-            let r = self.dispatch(caller, sub);
-            self.record(caller, sub_id, r.is_ok());
-            results.push(r);
+            results.push(self.dispatch(caller, sub));
         }
         Ok(HypercallRet::Multi(results))
     }
@@ -1065,6 +1009,35 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::memory::PAGE_SIZE;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// What a [`Recorder`] saw: `(caller, call id, result)` per call.
+    pub(super) type Log = Rc<RefCell<Vec<(DomId, HypercallId, HvResult<HypercallRet>)>>>;
+
+    /// Test observer appending every observed call to a shared log.
+    struct Recorder(Log);
+
+    impl GateObserver for Recorder {
+        fn observe(
+            &mut self,
+            _hv: &Hypervisor,
+            caller: DomId,
+            call: &Hypercall,
+            result: &HvResult<HypercallRet>,
+        ) {
+            self.0
+                .borrow_mut()
+                .push((caller, call.id(), result.clone()));
+        }
+    }
+
+    /// Attaches a fresh [`Recorder`] and returns its log.
+    pub(super) fn record(hv: &mut Hypervisor) -> Log {
+        let log = Log::default();
+        hv.attach_observer(Box::new(Recorder(Rc::clone(&log))));
+        log
+    }
 
     /// Builds a hypervisor with a Dom0-style control VM.
     pub(super) fn xen_like() -> (Hypervisor, DomId) {
@@ -1466,15 +1439,16 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_denied_calls() {
+    fn observer_sees_denied_calls() {
         let (mut hv, dom0) = xen_like();
         let g = build_guest(&mut hv, dom0, "g");
-        hv.set_tracing(true);
+        let log = record(&mut hv);
         let _ = hv.hypercall(g, Hypercall::SysctlPhysinfo);
-        let trace = hv.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert!(!trace[0].allowed);
-        assert_eq!(trace[0].caller, g);
+        let log = log.borrow();
+        assert_eq!(log.len(), 1);
+        let (caller, id, result) = &log[0];
+        assert_eq!((*caller, *id), (g, HypercallId::SysctlPhysinfo));
+        assert!(matches!(result, Err(HvError::PermissionDenied { .. })));
     }
 
     #[test]
@@ -1646,6 +1620,7 @@ mod transfer_hypercall_tests {
 
 #[cfg(test)]
 mod multicall_tests {
+    use super::tests::record;
     use super::*;
     use crate::error::{EventError, GrantError};
     use crate::grant::{GrantAccess, GrantOpStatus};
@@ -1718,7 +1693,7 @@ mod multicall_tests {
     #[test]
     fn multicall_cannot_smuggle_unwhitelisted_subcall() {
         let (mut hv, _dom0, _g, nb) = platform();
-        hv.set_tracing(true);
+        let log = record(&mut hv);
         let ret = hv
             .hypercall(
                 nb,
@@ -1731,15 +1706,53 @@ mod multicall_tests {
             .unwrap();
         assert_eq!(ret[0], Ok(HypercallRet::Ok));
         assert!(matches!(ret[1], Err(HvError::PermissionDenied { .. })));
-        // The denied sub-call must be visible to the over-privilege
-        // audit, exactly as a direct denied call would be.
-        let trace = hv.take_trace();
-        assert!(trace
-            .iter()
-            .any(|t| t.caller == nb && t.id == HypercallId::SysctlPhysinfo && !t.allowed));
-        assert!(trace
-            .iter()
-            .any(|t| t.caller == nb && t.id == HypercallId::Multicall && t.allowed));
+        // The batch is observed once, as permitted, and the denied
+        // sub-call is visible to observers in its per-entry result,
+        // exactly as a direct denied call would be.
+        let log = log.borrow();
+        assert_eq!(log.len(), 1);
+        let (caller, id, result) = &log[0];
+        assert_eq!((*caller, *id), (nb, HypercallId::Multicall));
+        assert_eq!(result, &Ok(HypercallRet::Multi(ret)));
+    }
+
+    #[test]
+    fn two_observers_see_the_same_sequence() {
+        let (mut hv, _dom0, g, nb) = platform();
+        let first = record(&mut hv);
+        let second = record(&mut hv);
+        hv.hypercall(g, Hypercall::SchedYield).unwrap();
+        // Whitelist-denied direct call, then the same call smuggled
+        // inside a batch.
+        let _ = hv.hypercall(nb, Hypercall::SysctlPhysinfo);
+        hv.hypercall(
+            nb,
+            Hypercall::Multicall {
+                calls: vec![Hypercall::SchedYield, Hypercall::SysctlPhysinfo],
+            },
+        )
+        .unwrap();
+        let seen = first.borrow().clone();
+        assert_eq!(seen, *second.borrow());
+        let ids: Vec<_> = seen.iter().map(|(c, id, _)| (*c, *id)).collect();
+        assert_eq!(
+            ids,
+            vec![
+                (g, HypercallId::SchedOp),
+                (nb, HypercallId::SysctlPhysinfo),
+                (nb, HypercallId::Multicall),
+            ]
+        );
+        assert_eq!(seen[0].2, Ok(HypercallRet::Ok));
+        assert!(matches!(seen[1].2, Err(HvError::PermissionDenied { .. })));
+        let entries = seen[2].2.clone().unwrap().multi().unwrap();
+        assert_eq!(entries[0], Ok(HypercallRet::Ok));
+        assert!(matches!(entries[1], Err(HvError::PermissionDenied { .. })));
+        // Detached observers see nothing further.
+        assert_eq!(hv.take_observers().len(), 2);
+        hv.hypercall(g, Hypercall::SchedYield).unwrap();
+        assert_eq!(first.borrow().len(), 3);
+        assert_eq!(second.borrow().len(), 3);
     }
 
     #[test]

@@ -11,6 +11,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --workspace --offline
 
+# The end-to-end benchmark (perfbench/) is a workspace of its own, so the
+# build above never compiles it; build it here so an API change in
+# crates/ cannot break the benchmark unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Bench gate: run the deterministic harnesses and keep their
 # machine-readable tails (the harness prints one JSON document as the
 # last stdout line) as committed perf baselines at the repo root. Each
