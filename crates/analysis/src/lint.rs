@@ -372,16 +372,10 @@ const BOUNDARY_TYPE_ALLOW: [&str; 9] = [
     "GrantError",
 ];
 
-/// Read-side `hv.mem` helpers that do not bypass access control (they
-/// operate on caller-visible state; every mutation of ownership or
-/// mappings must travel through `Hypervisor::hypercall`).
-const MEM_METHOD_ALLOW: [&str; 5] = [
-    "read",
-    "write",
-    "take_dirty",
-    "p2m_entries",
-    "share_identical",
-];
+/// The read-only `hv.mem` helpers: they change no state, so they need
+/// no gate. Every mutation — page contents, ownership, mappings, dirty
+/// logs, dedup — must travel through `Hypervisor::hypercall`.
+const MEM_METHOD_ALLOW: [&str; 2] = ["read", "p2m_entries"];
 
 fn rule_boundary(file: &SourceFile, stripped: &str, out: &mut Vec<LintFinding>) {
     if !(file.path.starts_with("crates/devices/src/") || file.path.starts_with("crates/core/src/"))
@@ -896,9 +890,22 @@ mod tests {
     fn boundary_allows_read_side_mem_helpers() {
         let ok = file(
             "crates/core/src/x.rs",
-            "fn f(p: &mut P) { p.hv.mem.read(g, Pfn(1)); p.hv.mem.share_identical(); }",
+            "fn f(p: &mut P) { p.hv.mem.read(g, Pfn(1)); p.hv.mem.p2m_entries(g); }",
         );
         assert_eq!(lint_sources(&[ok]), vec![]);
+    }
+
+    #[test]
+    fn boundary_flags_mem_mutators_in_core() {
+        let bad = file(
+            "crates/core/src/x.rs",
+            "fn f(p: &mut P) { p.hv.mem.take_dirty(g); p.hv.mem.share_identical(); }",
+        );
+        let v = lint_sources(&[bad]);
+        let msgs: Vec<&str> = v.iter().map(|f| f.msg.as_str()).collect();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(msgs.iter().any(|m| m.contains(".mem.take_dirty")));
+        assert!(msgs.iter().any(|m| m.contains(".mem.share_identical")));
     }
 
     #[test]

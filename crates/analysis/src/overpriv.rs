@@ -8,9 +8,10 @@
 //! platform boots on it, so the Bootstrapper's first call is seen, and
 //! drives one representative pass over every management and data-path
 //! operation the platform supports (guest creation — PV and HVM —,
-//! toolstack pause/resume/resize, device-model DMA, network and block
-//! I/O, template capture and snapshot-fork cloning, a driver
-//! microreboot, guest destruction). [`report`] then diffs every
+//! toolstack pause/resume/resize, a log-dirty replication cursor and a
+//! dedup pass, device-model DMA, network and block I/O, template
+//! capture and snapshot-fork cloning, a driver microreboot, guest
+//! destruction). [`report`] then diffs every
 //! domain's *static* privileged-hypercall whitelist against the calls it
 //! *actually issued*: whatever remains unused is over-privilege the
 //! whitelist could shed.
@@ -28,6 +29,7 @@ use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::privilege::HypercallSet;
 use xoar_hypervisor::{
     DomId, GateObserver, HvError, HvResult, Hypercall, HypercallId, HypercallRet, Hypervisor,
+    ShadowOp,
 };
 
 /// One domain's hypercalls as the gate decided them.
@@ -130,6 +132,14 @@ pub fn traced_scenario() -> HvResult<(Platform, Usage)> {
         },
     )?;
     p.hv.hypercall(ts, Hypercall::SysctlPhysinfo)?;
+
+    // Replication surface: a log-dirty cursor over the PV guest (the
+    // migration/HA engine's drain), then one host-wide dedup pass.
+    let shadow_op = |op| Hypercall::DomctlShadowOp { target: pv, op };
+    let cursor = p.hv.hypercall(ts, shadow_op(ShadowOp::Enable))?.cursor()?;
+    p.hv.hypercall(ts, shadow_op(ShadowOp::Clean(cursor)))?;
+    p.hv.hypercall(ts, shadow_op(ShadowOp::Off(cursor)))?;
+    p.dedup_memory();
 
     // Device-model DMA into its guest (MmuWriteForeign under the
     // privileged_for edge).

@@ -291,6 +291,9 @@ impl SpecCore {
             | SysctlPhysinfo
             | SchedYield
             | ConsoleWrite { .. } => {}
+            // Ownership-neutral: a log-dirty cursor only records writes,
+            // and a dedup merge keeps every mapping's bytes and owner.
+            DomctlShadowOp { .. } | SysctlDedup => {}
             VmRollback { .. } => {
                 // The spec of rollback: page *contents* revert, nothing
                 // else. No ownership delta, no grant-table delta — a

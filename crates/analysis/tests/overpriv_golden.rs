@@ -11,7 +11,7 @@ use xoar_hypervisor::HypercallId;
 const GOLDEN: &str = "\
 overpriv dom0 bootstrapper declared=9 used=9 unused=[]
 overpriv dom4 Builder declared=11 used=11 unused=[]
-overpriv dom8 Toolstack declared=7 used=7 unused=[]
+overpriv dom8 Toolstack declared=9 used=9 unused=[]
 overpriv dom11 qemu-10 declared=2 used=1 unused=[mmu.map_foreign]
 ";
 
@@ -80,6 +80,8 @@ fn overpriv_used_lists_match_golden() {
                     "domctl.set_vcpus",
                     "sysctl.physinfo",
                     "domctl.clone",
+                    "domctl.shadow_op",
+                    "sysctl.dedup",
                 ],
             ),
             expect("dom11", &["mmu.write_foreign"]),

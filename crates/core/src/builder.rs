@@ -185,7 +185,7 @@ impl Builder {
             Hypercall::MmuWriteForeign {
                 target: guest,
                 pfn: kernel_pfn,
-                data: format!("kernel:{}", image.name).into_bytes(),
+                data: format!("kernel:{}", image.name).into_bytes().into(),
             },
         )?;
         hv.hypercall(
@@ -197,7 +197,8 @@ impl Builder {
                     "start-info: nr_pages={frames} store_pfn={} console_pfn={}",
                     xenstore_ring_pfn.0, console_ring_pfn.0
                 )
-                .into_bytes(),
+                .into_bytes()
+                .into(),
             },
         )?;
         // §5.6: "The Builder adds a step to the regular VM creation code —

@@ -8,15 +8,16 @@
 //! must not sacrifice.
 //!
 //! [`HaSession`] keeps a paused shadow of a protected guest on a backup
-//! host and periodically replicates the primary's dirty pages into it
-//! (the same hypervisor dirty tracking the snapshot and migration
-//! machinery uses). On primary failure, [`HaSession::failover`] resumes
-//! the shadow from the last committed checkpoint — bounded state loss,
-//! zero shared storage.
+//! host and periodically replicates the primary's dirty pages into it,
+//! on the same engine live migration uses ([`crate::migration`]: one
+//! log-dirty cursor of its own, pages shipped through the gate). On
+//! primary failure, [`HaSession::failover`] resumes the shadow from the
+//! last committed checkpoint — bounded state loss, zero shared storage.
 
 use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall};
 
-use crate::platform::{GuestConfig, Platform};
+use crate::migration::Replica;
+use crate::platform::Platform;
 
 /// A protection session for one guest.
 #[derive(Debug)]
@@ -27,6 +28,8 @@ pub struct HaSession {
     pub shadow: DomId,
     /// The managing toolstack on the backup host.
     backup_toolstack: DomId,
+    /// The engine feeding the shadow.
+    replica: Replica,
     /// Committed checkpoint epochs.
     pub epochs: u64,
     /// Pages replicated across all epochs.
@@ -35,55 +38,29 @@ pub struct HaSession {
 }
 
 impl HaSession {
-    /// Starts protecting `guest`: builds the shadow on `backup` (paused,
-    /// devices negotiated) and takes the initial full checkpoint.
+    /// Starts protecting `guest`: builds the shadow on `backup` (devices
+    /// negotiated), takes the initial full checkpoint, and pauses it.
     pub fn protect(
         primary: &mut Platform,
         backup: &mut Platform,
         guest: DomId,
         backup_toolstack: DomId,
     ) -> HvResult<HaSession> {
-        let handle = primary.guest(guest).ok_or(HvError::NoSuchDomain(guest))?;
-        let name = format!("{}-shadow", handle.name);
-        let constraint = handle.constraint.clone();
-        let d = primary.hv.domain(guest)?;
-        let mut cfg = GuestConfig::evaluation_guest(&name);
-        cfg.memory_mib = d.memory_mib;
-        cfg.vcpus = d.vcpus.len() as u32;
-        cfg.constraint = constraint;
-        let shadow = backup.create_guest(backup_toolstack, cfg)?;
+        let (replica, _, shipped) =
+            Replica::start(primary, backup, guest, backup_toolstack, "-shadow")?;
+        let shadow = replica.shell;
         // The shadow must not execute until failover.
-        backup.hv.hypercall(
-            backup_toolstack,
-            Hypercall::DomctlPauseDomain { target: shadow },
-        )?;
-        let mut session = HaSession {
+        let pause = Hypercall::DomctlPauseDomain { target: shadow };
+        backup.hv.hypercall(backup_toolstack, pause)?;
+        Ok(HaSession {
             guest,
             shadow,
             backup_toolstack,
-            epochs: 0,
-            pages_replicated: 0,
+            replica,
+            epochs: 1,
+            pages_replicated: shipped,
             failed_over: false,
-        };
-        // Epoch 0: full copy.
-        let _ = primary.hv.mem.take_dirty(guest);
-        let builder = backup.services.builder;
-        for (pfn, _) in primary.hv.mem.p2m_entries(guest) {
-            let data = primary.hv.mem.read(guest, pfn)?;
-            if !data.is_empty() {
-                backup.hv.hypercall(
-                    builder,
-                    Hypercall::MmuWriteForeign {
-                        target: shadow,
-                        pfn,
-                        data: data.to_vec(),
-                    },
-                )?;
-                session.pages_replicated += 1;
-            }
-        }
-        session.epochs = 1;
-        Ok(session)
+        })
     }
 
     /// Commits one checkpoint epoch: the primary's dirty pages since the
@@ -96,21 +73,8 @@ impl HaSession {
                 expected: "not yet failed over",
             });
         }
-        let dirty = primary.hv.mem.take_dirty(self.guest);
-        let builder = backup.services.builder;
-        let mut shipped = 0;
-        for (pfn, _) in dirty {
-            let data = primary.hv.mem.read(self.guest, pfn)?;
-            backup.hv.hypercall(
-                builder,
-                Hypercall::MmuWriteForeign {
-                    target: self.shadow,
-                    pfn,
-                    data: data.to_vec(),
-                },
-            )?;
-            shipped += 1;
-        }
+        let dirty = self.replica.dirty(primary)?;
+        let shipped = self.replica.ship(primary, backup, &dirty, false)?;
         self.epochs += 1;
         self.pages_replicated += shipped;
         Ok(shipped)
@@ -119,12 +83,9 @@ impl HaSession {
     /// Fails over after the primary died: the shadow resumes from the
     /// last committed epoch.
     pub fn failover(&mut self, backup: &mut Platform) -> HvResult<DomId> {
-        backup.hv.hypercall(
-            self.backup_toolstack,
-            Hypercall::DomctlUnpauseDomain {
-                target: self.shadow,
-            },
-        )?;
+        let target = self.shadow;
+        let unpause = Hypercall::DomctlUnpauseDomain { target };
+        backup.hv.hypercall(self.backup_toolstack, unpause)?;
         self.failed_over = true;
         Ok(self.shadow)
     }
@@ -138,7 +99,7 @@ impl HaSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::XoarConfig;
+    use crate::platform::{GuestConfig, XoarConfig};
     use xoar_devices::blk::BlkOp;
     use xoar_hypervisor::memory::Pfn;
     use xoar_hypervisor::DomainState;

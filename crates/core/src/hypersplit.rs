@@ -45,6 +45,8 @@ pub fn classify(id: HypercallId) -> SplitSide {
         | DomctlAssignDevice
         | VmSnapshot
         | VmRollback
+        | DomctlShadowOp
+        | SysctlDedup
         | PlatformReboot => SplitSide::Ring0,
         // "Operations like domain management, profiling and tracing and
         // so on function correctly even when run in a lower privileged

@@ -1,4 +1,4 @@
-//! Live migration: pre-copy VM relocation between hosts.
+//! Live migration, and the page-replication engine it shares with HA.
 //!
 //! The paper leans on live migration repeatedly: it is one of the
 //! enterprise features a security redesign must not sacrifice ("the
@@ -8,23 +8,20 @@
 //! machine protocols frequently deal with disconnection and renegotiation
 //! of connections during live migration".
 //!
-//! This module implements the classic pre-copy algorithm of Clark et al.
-//! \[12\] on top of the model's real mechanisms:
-//!
-//! 1. a guest shell is built on the destination host (through its
-//!    Builder, with devices negotiated as usual);
-//! 2. **pre-copy rounds**: all pages are copied, then only the pages the
-//!    still-running guest dirtied since the previous round (the
-//!    hypervisor's dirty tracking — the same machinery the snapshot
-//!    subsystem uses);
-//! 3. **stop-and-copy**: when the dirty set stops shrinking (or a round
-//!    budget is reached) the guest pauses, the residue is copied, and the
-//!    guest resumes on the destination;
-//! 4. the source domain is destroyed and the audit logs of both hosts
-//!    record the move.
+//! `Replica` is the one engine: a guest shell on the destination (built
+//! by its Builder, devices negotiated), a log-dirty cursor of its own on
+//! the source (`DomctlShadowOp` through the gate, issued by the guest's
+//! toolstack), and pages shipped as `MmuWriteForeign` page handles.
+//! [`migrate`] drives it through the pre-copy algorithm of Clark et al.
+//! \[12\]: (1) round 0 copies every page; (2) pre-copy rounds ship what
+//! the still-running guest dirtied since the previous round; (3) when the
+//! dirty set stops shrinking (or a round budget is reached) the guest
+//! pauses and the residue is copied; (4) the cursor closes, the source is
+//! destroyed and both hosts' audit logs record the move.
+//! [`crate::ha::HaSession`] drives it forever instead (Remus).
 
-use xoar_hypervisor::memory::PAGE_SIZE;
-use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall};
+use xoar_hypervisor::memory::{Pfn, PAGE_SIZE};
+use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall, HypercallRet, ShadowOp};
 
 use crate::audit::AuditEvent;
 use crate::platform::{GuestConfig, Platform};
@@ -70,6 +67,82 @@ fn transfer_ns(pages: u64, wire_bps: u64) -> u64 {
     (pages as u128 * PAGE_SIZE as u128 * 1_000_000_000 / wire_bps.max(1) as u128) as u64
 }
 
+/// A guest replicated page by page into a shell on another host.
+#[derive(Debug)]
+pub(crate) struct Replica {
+    /// The guest, and its toolstack (which drives the cursor), on the
+    /// source host.
+    guest: DomId,
+    toolstack: DomId,
+    cursor: u64,
+    /// The shell on the destination host.
+    pub(crate) shell: DomId,
+}
+
+impl Replica {
+    /// Builds a shell for `guest` on `dst` (named after it plus
+    /// `suffix`), opens the cursor, and ships every written page.
+    /// Returns the replica, the pages mapped and the pages shipped.
+    pub(crate) fn start(
+        src: &mut Platform,
+        dst: &mut Platform,
+        guest: DomId,
+        dst_toolstack: DomId,
+        suffix: &str,
+    ) -> HvResult<(Replica, u64, u64)> {
+        let handle = src.guest(guest).ok_or(HvError::NoSuchDomain(guest))?;
+        let mut cfg = GuestConfig::evaluation_guest(&format!("{}{suffix}", handle.name));
+        cfg.constraint = handle.constraint.clone();
+        let d = src.hv.domain(guest)?;
+        (cfg.memory_mib, cfg.vcpus) = (d.memory_mib, d.vcpus.len() as u32);
+        let mut rep = Replica {
+            guest,
+            toolstack: handle.toolstack,
+            cursor: 0,
+            shell: dst.create_guest(dst_toolstack, cfg)?,
+        };
+        rep.cursor = rep.shadow(src, ShadowOp::Enable)?.cursor()?;
+        let pfns: Vec<Pfn> = src.hv.mem.p2m_entries(guest).iter().map(|e| e.0).collect();
+        let shipped = rep.ship(src, dst, &pfns, true)?;
+        Ok((rep, pfns.len() as u64, shipped))
+    }
+
+    /// Issues a log-dirty op on the guest, as its toolstack.
+    fn shadow(&self, src: &mut Platform, op: ShadowOp) -> HvResult<HypercallRet> {
+        let target = self.guest;
+        src.hv
+            .hypercall(self.toolstack, Hypercall::DomctlShadowOp { target, op })
+    }
+
+    /// Drains the cursor: the pages written since the last drain.
+    pub(crate) fn dirty(&self, src: &mut Platform) -> HvResult<Vec<Pfn>> {
+        self.shadow(src, ShadowOp::Clean(self.cursor))?.pfns()
+    }
+
+    /// Ships `pfns` to the shell, skipping never-written pages if
+    /// `skip_empty` (a fresh shell reads them empty already). Returns the
+    /// pages shipped.
+    pub(crate) fn ship(
+        &self,
+        src: &Platform,
+        dst: &mut Platform,
+        pfns: &[Pfn],
+        skip_empty: bool,
+    ) -> HvResult<u64> {
+        let (builder, target) = (dst.services.builder, self.shell);
+        let mut shipped = 0;
+        for &pfn in pfns {
+            let data = src.hv.mem.read(self.guest, pfn)?;
+            if !(skip_empty && data.is_empty()) {
+                let write = Hypercall::MmuWriteForeign { target, pfn, data };
+                dst.hv.hypercall(builder, write)?;
+                shipped += 1;
+            }
+        }
+        Ok(shipped)
+    }
+}
+
 /// Live-migrates `guest` from `src` to `dst`.
 ///
 /// # Examples
@@ -102,107 +175,50 @@ pub fn migrate(
     cfg: MigrationConfig,
     mut workload: impl FnMut(&mut Platform, DomId),
 ) -> HvResult<MigrationReport> {
-    let handle = src.guest(guest).ok_or(HvError::NoSuchDomain(guest))?;
-    let name = handle.name.clone();
-    let constraint = handle.constraint.clone();
-    let src_toolstack = handle.toolstack;
-    let d = src.hv.domain(guest)?;
-    let memory_mib = d.memory_mib;
-    let vcpus = d.vcpus.len() as u32;
-
-    // 1. Build the destination shell with devices.
-    let mut gcfg = GuestConfig::evaluation_guest(&name);
-    gcfg.memory_mib = memory_mib;
-    gcfg.vcpus = vcpus;
-    gcfg.constraint = constraint;
-    let new_dom = dst.create_guest(dst_toolstack, gcfg)?;
-    let dst_builder = dst.services.builder;
-
-    // 2. Pre-copy: round 0 moves everything; later rounds move the dirty
-    //    residue. Reset dirty tracking first so rounds see fresh writes.
-    let _ = src.hv.mem.take_dirty(guest);
-    let entries = src.hv.mem.p2m_entries(guest);
-    let mut pages_total = 0u64;
-    for (pfn, _) in &entries {
-        let data = src.hv.mem.read(guest, *pfn)?;
-        if !data.is_empty() {
-            dst.hv.hypercall(
-                dst_builder,
-                Hypercall::MmuWriteForeign {
-                    target: new_dom,
-                    pfn: *pfn,
-                    data: data.to_vec(),
-                },
-            )?;
-        }
-        pages_total += 1;
-    }
-    let mut rounds = 0u32;
-    loop {
-        // The guest keeps running between rounds.
-        workload(src, guest);
-        let dirty = src.hv.mem.take_dirty(guest);
-        if dirty.len() <= cfg.dirty_threshold || rounds >= cfg.max_rounds {
-            // 3. Stop-and-copy.
-            src.hv.hypercall(
-                src_toolstack,
-                Hypercall::DomctlPauseDomain { target: guest },
-            )?;
-            let residue = {
-                let mut residue = dirty;
-                residue.extend(src.hv.mem.take_dirty(guest));
-                residue
-            };
-            for (pfn, _) in &residue {
-                let data = src.hv.mem.read(guest, *pfn)?;
-                dst.hv.hypercall(
-                    dst_builder,
-                    Hypercall::MmuWriteForeign {
-                        target: new_dom,
-                        pfn: *pfn,
-                        data: data.to_vec(),
-                    },
-                )?;
+    let (rep, mapped, _) = Replica::start(src, dst, guest, dst_toolstack, "")?;
+    let copied: HvResult<_> = (|| {
+        let (mut rounds, mut pages_total) = (0u32, mapped);
+        loop {
+            // The guest keeps running between rounds.
+            workload(src, guest);
+            let mut dirty = rep.dirty(src)?;
+            if dirty.len() <= cfg.dirty_threshold || rounds >= cfg.max_rounds {
+                // Stop-and-copy.
+                let pause = Hypercall::DomctlPauseDomain { target: guest };
+                src.hv.hypercall(rep.toolstack, pause)?;
+                dirty.extend(rep.dirty(src)?);
+                let pages_final = rep.ship(src, dst, &dirty, false)?;
+                return Ok((rounds, pages_total + pages_final, pages_final));
             }
-            let pages_final = residue.len() as u64;
-            pages_total += pages_final;
-            let downtime_ns = transfer_ns(pages_final, cfg.wire_bps) + 2_000_000; // + handover.
-
-            // 4. Tear down the source, record on both hosts.
-            src.destroy_guest(src_toolstack, guest)?;
-            let now_src = src.now_ns();
-            src.audit.append(now_src, AuditEvent::VmDestroyed { guest });
-            let now_dst = dst.now_ns();
-            dst.audit.append(
-                now_dst,
-                AuditEvent::VmCreated {
-                    guest: new_dom,
-                    name: format!("{name} (migrated in)"),
-                    toolstack: dst_toolstack,
-                },
-            );
-            return Ok(MigrationReport {
-                new_dom,
-                rounds,
-                pages_total,
-                pages_final,
-                downtime_ns,
-            });
+            pages_total += rep.ship(src, dst, &dirty, false)?;
+            rounds += 1;
         }
-        for (pfn, _) in &dirty {
-            let data = src.hv.mem.read(guest, *pfn)?;
-            dst.hv.hypercall(
-                dst_builder,
-                Hypercall::MmuWriteForeign {
-                    target: new_dom,
-                    pfn: *pfn,
-                    data: data.to_vec(),
-                },
-            )?;
-        }
-        pages_total += dirty.len() as u64;
-        rounds += 1;
-    }
+    })();
+    // The cursor closes whether or not the copy finished.
+    let stopped = rep.shadow(src, ShadowOp::Off(rep.cursor));
+    let (rounds, pages_total, pages_final) = copied?;
+    stopped?;
+    let downtime_ns = transfer_ns(pages_final, cfg.wire_bps) + 2_000_000; // + handover.
+    let name = format!("{} (migrated in)", src.guest(guest).map_or("", |h| &h.name));
+    src.destroy_guest(rep.toolstack, guest)?;
+    let now_src = src.now_ns();
+    src.audit.append(now_src, AuditEvent::VmDestroyed { guest });
+    let now_dst = dst.now_ns();
+    dst.audit.append(
+        now_dst,
+        AuditEvent::VmCreated {
+            guest: rep.shell,
+            name,
+            toolstack: dst_toolstack,
+        },
+    );
+    Ok(MigrationReport {
+        new_dom: rep.shell,
+        rounds,
+        pages_total,
+        pages_final,
+        downtime_ns,
+    })
 }
 
 #[cfg(test)]

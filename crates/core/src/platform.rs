@@ -28,7 +28,9 @@ use xoar_devices::xenbus::{self, DeviceKind};
 use xoar_devices::{BlkBack, NetBack};
 use xoar_hypervisor::domain::DomainRole;
 use xoar_hypervisor::memory::Pfn;
-use xoar_hypervisor::{DomId, DomainState, HvError, HvResult, Hypercall, Hypervisor, PrivilegeSet};
+use xoar_hypervisor::{
+    DomId, DomainState, HvError, HvResult, Hypercall, HypercallRet, Hypervisor, PrivilegeSet,
+};
 use xoar_xenstore::XenStore;
 
 use crate::audit::{AuditEvent, AuditLog};
@@ -1520,9 +1522,14 @@ impl Platform {
     /// Runs one content-based page-deduplication pass over the whole
     /// host (the memory-density feature of the paper's introduction:
     /// "further packing density is achieved by sharing identical pages of
-    /// memory between VMs"). Returns the number of frames reclaimed.
+    /// memory between VMs"). Issued through the gate by the first
+    /// toolstack; returns the number of frames reclaimed (0 if refused).
     pub fn dedup_memory(&mut self) -> u64 {
-        self.hv.mem.share_identical()
+        let ts = self.services.toolstacks[0];
+        match self.hv.hypercall(ts, Hypercall::SysctlDedup) {
+            Ok(HypercallRet::Count(freed)) => freed,
+            _ => 0,
+        }
     }
 
     // ================= hypervisor replacement (§7.1) =================

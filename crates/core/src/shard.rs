@@ -321,7 +321,7 @@ impl ShardSpec {
             // hypercalls at all: their authority is the PCI passthrough.
             ShardKind::NetBack | ShardKind::BlkBack => vec![],
             // Microreboots (VmRollback) go through the Builder, not the
-            // toolstack.
+            // toolstack; migration/HA cursors and dedup are its to drive.
             ShardKind::Toolstack => vec![
                 DomctlPauseDomain,
                 DomctlUnpauseDomain,
@@ -330,6 +330,8 @@ impl ShardSpec {
                 DomctlDestroyDomain,
                 DomctlCloneDomain,
                 SysctlPhysinfo,
+                DomctlShadowOp,
+                SysctlDedup,
             ],
             ShardKind::QemuVm => vec![MmuMapForeign, MmuWriteForeign],
             ShardKind::XenStoreLogic | ShardKind::XenStoreState | ShardKind::ConsoleManager => {
@@ -588,6 +590,8 @@ mod tests {
                 DomctlDestroyDomain,
                 DomctlCloneDomain,
                 SysctlPhysinfo,
+                DomctlShadowOp,
+                SysctlDedup,
             ],
         );
         pin(

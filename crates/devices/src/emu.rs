@@ -17,7 +17,7 @@
 //! tiny emulated-device state machines, and DMA is performed with real
 //! foreign-mapping hypercalls so the privilege boundary is exercised.
 
-use xoar_hypervisor::memory::Pfn;
+use xoar_hypervisor::memory::{PageRef, Pfn};
 use xoar_hypervisor::{DomId, HvError, Hypercall, Hypervisor};
 
 /// Emulated device selected by the trapped I/O port.
@@ -146,7 +146,7 @@ impl QemuDeviceModel {
             Hypercall::MmuWriteForeign {
                 target: self.guest,
                 pfn,
-                data: data.to_vec(),
+                data: PageRef::new(data),
             },
         )?;
         self.stats.dma_ops += 1;

@@ -15,7 +15,7 @@ use crate::domain::DomId;
 use crate::error::{HvError, HvResult};
 use crate::event::VirqKind;
 use crate::grant::{GrantAccess, GrantCopyOp, GrantOpStatus, GrantRef};
-use crate::memory::{Mfn, Pfn};
+use crate::memory::{Mfn, PageRef, Pfn};
 use crate::privilege::{IoPortRange, MmioRange, PciAddress};
 
 /// Identifier of a hypercall class, used for privilege whitelisting.
@@ -113,6 +113,11 @@ pub enum HypercallId {
     /// cloning): the clone aliases every template frame copy-on-write,
     /// so creation copies no pages and reserves no frames up front.
     DomctlCloneDomain,
+    /// Log-dirty control over a domain (`XEN_DOMCTL_shadow_op`): the
+    /// page-tracking cursors migration and HA replicate through.
+    DomctlShadowOp,
+    /// Host-wide content-based page deduplication.
+    SysctlDedup,
 }
 
 xoar_codec::impl_json_enum!(HypercallId {
@@ -151,10 +156,12 @@ xoar_codec::impl_json_enum!(HypercallId {
     PlatformReboot,
     Multicall,
     DomctlCloneDomain,
+    DomctlShadowOp,
+    SysctlDedup,
 });
 
 /// Number of defined hypercall IDs — the width of the whitelist bitset.
-pub const HYPERCALL_COUNT: usize = 35;
+pub const HYPERCALL_COUNT: usize = 37;
 
 impl HypercallId {
     /// Every ID in declaration (= `Ord`) order. The whitelist bitset
@@ -196,6 +203,8 @@ impl HypercallId {
         HypercallId::PlatformReboot,
         HypercallId::Multicall,
         HypercallId::DomctlCloneDomain,
+        HypercallId::DomctlShadowOp,
+        HypercallId::SysctlDedup,
     ];
 
     /// Dense index of this ID (declaration order) — the bit position in
@@ -251,6 +260,8 @@ impl HypercallId {
             SysctlPhysinfo,
             PlatformReboot,
             DomctlCloneDomain,
+            DomctlShadowOp,
+            SysctlDedup,
         ]
     }
 
@@ -289,7 +300,7 @@ impl HypercallId {
             | DomctlMmioPermission => 6,
             PlatformReboot => 6,
             DomctlPauseDomain | DomctlUnpauseDomain | DomctlSetMaxMem | DomctlSetVcpus
-            | VmRollback => 4,
+            | VmRollback | DomctlShadowOp | SysctlDedup => 4,
             GnttabMapGrantRef => 3,
             SysctlPhysinfo => 1,
             _ => 0,
@@ -335,6 +346,8 @@ impl HypercallId {
             PlatformReboot => "platform.reboot",
             Multicall => "multicall",
             DomctlCloneDomain => "domctl.clone",
+            DomctlShadowOp => "domctl.shadow_op",
+            SysctlDedup => "sysctl.dedup",
         }
     }
 }
@@ -566,14 +579,15 @@ pub enum Hypercall {
         /// Target-local frame.
         pfn: Pfn,
     },
-    /// Write bytes into a foreign domain's frame (builder path).
+    /// Write a page body into a foreign domain's frame (builder path,
+    /// page replication).
     MmuWriteForeign {
         /// Domain whose memory is written.
         target: DomId,
         /// Target-local frame.
         pfn: Pfn,
-        /// Payload (at most one page).
-        data: Vec<u8>,
+        /// Payload (at most one page), installed as a shared handle.
+        data: PageRef,
     },
     /// Snapshot the calling domain (returns nothing; image kept hypervisor-side).
     VmSnapshot,
@@ -584,6 +598,16 @@ pub enum Hypercall {
     },
     /// Query host physical info.
     SysctlPhysinfo,
+    /// Merge identical page bodies across the host; returns the frames
+    /// freed.
+    SysctlDedup,
+    /// Drive `target`'s log-dirty cursors.
+    DomctlShadowOp {
+        /// Domain whose writes are tracked.
+        target: DomId,
+        /// What to do.
+        op: ShadowOp,
+    },
     /// Yield the CPU.
     SchedYield,
     /// Write a line to the caller's console.
@@ -653,11 +677,25 @@ impl Hypercall {
             VmSnapshot => HypercallId::VmSnapshot,
             VmRollback { .. } => HypercallId::VmRollback,
             SysctlPhysinfo => HypercallId::SysctlPhysinfo,
+            SysctlDedup => HypercallId::SysctlDedup,
+            DomctlShadowOp { .. } => HypercallId::DomctlShadowOp,
             SchedYield => HypercallId::SchedOp,
             ConsoleWrite { .. } => HypercallId::ConsoleIo,
             Multicall { .. } => HypercallId::Multicall,
         }
     }
+}
+
+/// A log-dirty sub-operation of [`Hypercall::DomctlShadowOp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShadowOp {
+    /// Open a cursor; returns [`HypercallRet::Cursor`].
+    Enable,
+    /// Drain a cursor; returns [`HypercallRet::Pfns`], the PFNs written
+    /// since it was opened or last drained.
+    Clean(u64),
+    /// Close a cursor.
+    Off(u64),
 }
 
 /// The result value of a successful hypercall.
@@ -677,6 +715,10 @@ pub enum HypercallRet {
     Pfn(Pfn),
     /// A count (e.g. pages restored by a rollback).
     Count(u64),
+    /// A log-dirty cursor id.
+    Cursor(u64),
+    /// Pseudo-physical frame numbers (a drained log-dirty cursor).
+    Pfns(Vec<Pfn>),
     /// Host physical info: (total frames, free frames, nr cpus).
     Physinfo {
         /// Total machine frames.
@@ -695,14 +737,19 @@ pub enum HypercallRet {
 }
 
 impl HypercallRet {
+    /// The error an extractor returns for the wrong variant.
+    fn mismatch<T>(self, want: &str) -> HvResult<T> {
+        Err(HvError::InvalidArgument(format!(
+            "expected {want}, got {self:?}"
+        )))
+    }
+
     /// Extracts a port number, or [`HvError::InvalidArgument`] if the
     /// variant does not match (a caller-side typing mistake).
     pub fn port(self) -> HvResult<u32> {
         match self {
             HypercallRet::Port(p) => Ok(p),
-            other => Err(HvError::InvalidArgument(format!(
-                "expected Port, got {other:?}"
-            ))),
+            other => other.mismatch("Port"),
         }
     }
 
@@ -710,9 +757,7 @@ impl HypercallRet {
     pub fn grant_ref(self) -> HvResult<GrantRef> {
         match self {
             HypercallRet::GrantRef(g) => Ok(g),
-            other => Err(HvError::InvalidArgument(format!(
-                "expected GrantRef, got {other:?}"
-            ))),
+            other => other.mismatch("GrantRef"),
         }
     }
 
@@ -720,9 +765,7 @@ impl HypercallRet {
     pub fn pfn(self) -> HvResult<Pfn> {
         match self {
             HypercallRet::Pfn(p) => Ok(p),
-            other => Err(HvError::InvalidArgument(format!(
-                "expected Pfn, got {other:?}"
-            ))),
+            other => other.mismatch("Pfn"),
         }
     }
 
@@ -730,9 +773,23 @@ impl HypercallRet {
     pub fn dom_id(self) -> HvResult<DomId> {
         match self {
             HypercallRet::DomId(d) => Ok(d),
-            other => Err(HvError::InvalidArgument(format!(
-                "expected DomId, got {other:?}"
-            ))),
+            other => other.mismatch("DomId"),
+        }
+    }
+
+    /// Extracts a log-dirty cursor id.
+    pub fn cursor(self) -> HvResult<u64> {
+        match self {
+            HypercallRet::Cursor(c) => Ok(c),
+            other => other.mismatch("Cursor"),
+        }
+    }
+
+    /// Extracts the PFNs of a drained log-dirty cursor.
+    pub fn pfns(self) -> HvResult<Vec<Pfn>> {
+        match self {
+            HypercallRet::Pfns(v) => Ok(v),
+            other => other.mismatch("Pfns"),
         }
     }
 
@@ -740,9 +797,7 @@ impl HypercallRet {
     pub fn multi(self) -> HvResult<Vec<HvResult<HypercallRet>>> {
         match self {
             HypercallRet::Multi(v) => Ok(v),
-            other => Err(HvError::InvalidArgument(format!(
-                "expected Multi, got {other:?}"
-            ))),
+            other => other.mismatch("Multi"),
         }
     }
 
@@ -750,9 +805,7 @@ impl HypercallRet {
     pub fn grant_batch(self) -> HvResult<Vec<GrantOpStatus>> {
         match self {
             HypercallRet::GrantBatch(v) => Ok(v),
-            other => Err(HvError::InvalidArgument(format!(
-                "expected GrantBatch, got {other:?}"
-            ))),
+            other => other.mismatch("GrantBatch"),
         }
     }
 }
@@ -829,6 +882,8 @@ mod tests {
         assert!(HypercallRet::Ok.dom_id().is_err());
         assert!(HypercallRet::Ok.multi().is_err());
         assert!(HypercallRet::Ok.grant_batch().is_err());
+        assert!(HypercallRet::Ok.cursor().is_err());
+        assert!(HypercallRet::Ok.pfns().is_err());
         // Matching variants extract cleanly.
         assert_eq!(HypercallRet::Port(7).port().unwrap(), 7);
         assert_eq!(HypercallRet::DomId(DomId(3)).dom_id().unwrap(), DomId(3));

@@ -802,8 +802,12 @@ impl Hypervisor {
             }
             MmuWriteForeign { target, pfn, data } => {
                 self.check_foreign_access(caller, target)?;
-                xregion::foreign_write(&mut self.mem, caller, target, pfn, &data)?;
+                xregion::foreign_write(&mut self.mem, caller, target, pfn, data)?;
                 Ok(HypercallRet::Ok)
+            }
+            DomctlShadowOp { target, op } => {
+                self.check_management(caller, target)?;
+                self.mem.shadow_op(target, op)
             }
             VmSnapshot => {
                 let now = self.now_ns;
@@ -818,6 +822,7 @@ impl Hypervisor {
                 d.restart_count += 1;
                 Ok(HypercallRet::Count(restored))
             }
+            SysctlDedup => Ok(HypercallRet::Count(self.mem.share_identical())),
             SysctlPhysinfo => Ok(HypercallRet::Physinfo {
                 total_frames: self.mem.total_frames(),
                 free_frames: self.mem.free_frames(),
@@ -1008,7 +1013,8 @@ impl Hypervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::PAGE_SIZE;
+    use crate::hypercall::ShadowOp;
+    use crate::memory::{PageRef, PAGE_SIZE};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1100,6 +1106,30 @@ mod tests {
     }
 
     #[test]
+    fn shadow_op_is_whitelisted_and_management_checked() {
+        let (mut hv, dom0) = xen_like();
+        let a = build_guest(&mut hv, dom0, "a");
+        let b = build_guest(&mut hv, dom0, "b");
+        let enable = |target| Hypercall::DomctlShadowOp {
+            target,
+            op: ShadowOp::Enable,
+        };
+        let err = hv.hypercall(a, enable(b)).unwrap_err();
+        assert!(matches!(err, HvError::PermissionDenied { .. }));
+        let cursor = hv.hypercall(dom0, enable(b)).unwrap().cursor().unwrap();
+        hv.mem.write(b, Pfn(1), b"dirty").unwrap();
+        let clean = Hypercall::DomctlShadowOp {
+            target: b,
+            op: ShadowOp::Clean(cursor),
+        };
+        let drained = hv.hypercall(dom0, clean).unwrap().pfns().unwrap();
+        assert_eq!(drained, vec![Pfn(1)]);
+        let freed = hv.hypercall(dom0, Hypercall::SysctlDedup).unwrap();
+        assert_eq!(freed, HypercallRet::Count(0));
+        assert!(hv.hypercall(a, Hypercall::SysctlDedup).is_err());
+    }
+
+    #[test]
     fn guest_cannot_map_foreign_memory() {
         let (mut hv, dom0) = xen_like();
         let a = build_guest(&mut hv, dom0, "a");
@@ -1125,7 +1155,7 @@ mod tests {
             Hypercall::MmuWriteForeign {
                 target: g,
                 pfn: Pfn(0),
-                data: b"start-info".to_vec(),
+                data: PageRef::new(b"start-info"),
             },
         )
         .unwrap();
@@ -1475,7 +1505,7 @@ mod tests {
                 Hypercall::MmuWriteForeign {
                     target: g,
                     pfn: Pfn(0),
-                    data: vec![0; PAGE_SIZE + 1],
+                    data: vec![0; PAGE_SIZE + 1].into(),
                 },
             )
             .unwrap_err();

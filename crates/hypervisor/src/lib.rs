@@ -76,7 +76,7 @@ pub mod xregion;
 
 pub use domain::{DomId, Domain, DomainRole, DomainState};
 pub use error::{HvError, HvResult};
-pub use hypercall::{Hypercall, HypercallId, HypercallRet};
+pub use hypercall::{Hypercall, HypercallId, HypercallRet, ShadowOp};
 pub use hypervisor::{GateObserver, HostConfig, Hypervisor};
 pub use privilege::{PciAddress, PrivilegeSet};
 pub use region::Region;

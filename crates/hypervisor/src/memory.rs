@@ -2,8 +2,8 @@
 //!
 //! The hypervisor owns all machine memory and accounts for every 4 KiB
 //! frame: which domain owns it, whether it is currently granted or foreign
-//! mapped, and (for the snapshot subsystem) whether it has been written
-//! since the last snapshot.
+//! mapped, and which consumers (snapshot, migration, HA) still have to
+//! see the pages written since they last looked.
 //!
 //! Guests see *pseudo-physical* frame numbers ([`Pfn`]) which the
 //! hypervisor translates to *machine* frame numbers ([`Mfn`]); Xoar's
@@ -49,18 +49,22 @@
 //!    [`EMPTY_HASH`]), so the dominant page bodies at density scale are
 //!    never hashed at all. `share_identical` confirms hash groups with
 //!    byte equality over a sharded sweep of the dense frame table.
-//! 4. **Dirty bitmap + frozen baselines.** Dirty-page candidates live in
-//!    a two-level bitmap per domain (the event-channel `PendingBitmap`
-//!    construction applied to PFNs), so [`MemoryManager::take_dirty`]
-//!    walks only set words. [`MemoryManager::freeze`] arms a lazy
-//!    copy-on-write snapshot: nothing is copied at freeze time, and the
-//!    first post-freeze mutation of a page records its pre-image handle
-//!    (an `Rc` clone, not bytes) in the domain's [`FrozenImage`] so
-//!    [`MemoryManager::rollback_frozen`] can restore exactly the dirty
+//! 4. **Per-consumer dirty bitmaps + frozen baselines.** Each open
+//!    dirty-page consumer of a domain — its snapshot
+//!    ([`MemoryManager::freeze`]) or a log-dirty cursor of migration or
+//!    HA ([`MemoryManager::shadow_op`]) — owns an exact two-level
+//!    PFN bitmap (the event-channel `PendingBitmap` construction). A
+//!    change to a page body sets its bit in every open bitmap of every
+//!    mapper; draining one bitmap leaves the others alone; a remap that
+//!    keeps the bytes (dedup, CoW break) marks nothing; and a domain with
+//!    no open consumer does no dirty bookkeeping. Freezing copies nothing:
+//!    the first post-freeze mutation of a page records its pre-image
+//!    handle in the domain's [`FrozenImage`], and
+//!    [`MemoryManager::rollback_frozen`] restores the snapshot bitmap's
 //!    pages.
 //!
-//! All four are redundant views of the p2m + frame tables; they carry
-//! no independent state, so determinism is unaffected (the canonical
+//! The first three are redundant views of the p2m + frame tables; they
+//! carry no independent state, so determinism is unaffected (the canonical
 //! frame of a dedup group is still the lowest MFN, and all per-group
 //! merges commute). [`MemoryManager::check_consistency`] recomputes the
 //! shadow model from scratch and is exercised by the interleaving
@@ -75,6 +79,7 @@ use std::rc::Rc;
 
 use crate::domain::DomId;
 use crate::error::{HvResult, MemError};
+use crate::hypercall::{HypercallRet, ShadowOp};
 
 /// Size of a page in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -417,52 +422,26 @@ impl RefList {
 ///
 /// Guest PFNs are dense and allocated from zero, so the word vector
 /// stays proportional to the domain's address-space size; clearing via
-/// [`DirtyBitmap::drain_set_bits`] keeps the allocation for the next
-/// snapshot epoch (no per-rollback reallocation).
+/// [`DirtyBitmap::drain_set_bits`] keeps the allocation for the
+/// consumer's next drain.
 #[derive(Debug, Clone, Default)]
 struct DirtyBitmap {
     /// Level 2: bit `pfn % 64` of `words[pfn / 64]` ⇔ pfn dirty.
     words: Vec<u64>,
     /// Level 1: bit `w % 64` of `selectors[w / 64]` ⇔ `words[w] != 0`.
     selectors: Vec<u64>,
-    /// Cached popcount over `words`.
-    count: usize,
 }
 
 impl DirtyBitmap {
-    /// Sets the bit for `pfn`; returns whether it was previously clear.
-    fn set(&mut self, pfn: u64) -> bool {
+    /// Sets the bit for `pfn`.
+    fn set(&mut self, pfn: u64) {
         let w = (pfn / 64) as usize;
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
+            self.selectors.resize(w / 64 + 1, 0);
         }
-        let bit = 1u64 << (pfn % 64);
-        if self.words[w] & bit != 0 {
-            return false;
-        }
-        self.words[w] |= bit;
-        let s = w / 64;
-        if s >= self.selectors.len() {
-            self.selectors.resize(s + 1, 0);
-        }
-        self.selectors[s] |= 1u64 << (w % 64);
-        self.count += 1;
-        true
-    }
-
-    /// Whether the bit for `pfn` is set.
-    fn contains(&self, pfn: u64) -> bool {
-        self.words
-            .get((pfn / 64) as usize)
-            .is_some_and(|w| w & (1u64 << (pfn % 64)) != 0)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    fn len(&self) -> usize {
-        self.count
+        self.words[w] |= 1u64 << (pfn % 64);
+        self.selectors[w / 64] |= 1u64 << (w % 64);
     }
 
     /// Clears every set bit in ascending PFN order, invoking `f` per
@@ -481,7 +460,6 @@ impl DirtyBitmap {
                 self.selectors[s] &= self.selectors[s] - 1;
             }
         }
-        self.count = 0;
     }
 }
 
@@ -490,8 +468,8 @@ impl DirtyBitmap {
 /// [`MemoryManager::freeze`] records only the address-space watermark;
 /// page pre-images are captured copy-on-write by the first mutation that
 /// would change the domain's view of a page ([`MemoryManager`] capture
-/// choke points: frame-body replacement, dedup remap, CoW break, dedup
-/// merge onto a dirty canonical frame). A captured entry is an `Rc`
+/// choke points: frame-body replacement, write-time dedup remap, bulk
+/// dedup merge). A captured entry is an `Rc`
 /// handle clone — freezing and capturing never copy page bytes.
 #[derive(Debug, Clone, Default)]
 struct FrozenImage {
@@ -506,6 +484,10 @@ struct FrozenImage {
     page_count: u64,
 }
 
+/// The id of a frozen domain's own dirty log (the PFNs its rollback
+/// restores); log-dirty cursors never get it.
+const SNAPSHOT_LOG: u64 = 0;
+
 /// Per-frame metadata.
 #[derive(Debug, Clone)]
 struct FrameInfo {
@@ -514,8 +496,6 @@ struct FrameInfo {
     grant_mappings: u32,
     /// Number of active foreign mappings of this frame.
     foreign_mappings: u32,
-    /// Dirty since the owner's last snapshot (CoW tracking).
-    dirty_since_snapshot: bool,
     /// Logical contents (at most one page; empty means zero-filled).
     data: PageRef,
     /// FNV-1a hash of `data` — valid only while `hash_ok` is set.
@@ -754,10 +734,11 @@ pub struct MemoryManager {
     free_count: u64,
     /// Content-hash index over non-empty frames: `hash -> mfns`.
     by_hash: FastMap<u64, Vec<u64>>,
-    /// Dirty-page candidates per domain: a superset of the PFNs whose
-    /// mapped frame carries a set dirty bit, so `take_dirty` is
-    /// proportional to pages touched, not to domain size.
-    dirty: FastMap<DomId, DirtyBitmap>,
+    /// Open dirty logs per domain: `(id, bitmap)`, one per consumer
+    /// (snapshot, log-dirty cursor). No entry ⇔ no consumer.
+    dirty: FastMap<DomId, Vec<(u64, DirtyBitmap)>>,
+    /// Next dirty-log id (ids are never reused).
+    next_log: u64,
     /// Lazy CoW snapshot baselines of frozen domains.
     frozen: FastMap<DomId, FrozenImage>,
     /// Sealed clone templates (snapshot-fork creation).
@@ -796,6 +777,7 @@ impl MemoryManager {
             free_count: total_frames,
             by_hash: FastMap::default(),
             dirty: FastMap::default(),
+            next_log: 0,
             frozen: FastMap::default(),
             templates: FastMap::default(),
             clone_of: FastMap::default(),
@@ -976,19 +958,29 @@ impl MemoryManager {
         self.frames.get(raw).map_or(0, |f| f.refs.len())
     }
 
-    /// Sets a frame's dirty bit and records every current mapper as a
-    /// dirty-page candidate.
+    /// Records that (`dom`, `pfn`)'s bytes changed, in every dirty log
+    /// open on `dom`.
+    fn log_write(&mut self, dom: DomId, pfn: u64) {
+        if let Some(logs) = self.dirty.get_mut(&dom) {
+            for (_, bits) in logs {
+                bits.set(pfn);
+            }
+        }
+    }
+
+    /// [`Self::log_write`] for every mapper of `mfn`, whose body just
+    /// changed. Free when no domain has a consumer open.
     fn mark_dirty(&mut self, mfn: Mfn) {
-        let Some(f) = self.frames.get_mut(mfn.0) else {
+        if self.dirty.is_empty() {
+            return;
+        }
+        // Cloning the RefList is allocation-free in the dominant
+        // single-mapper (inline) case.
+        let Some(l) = self.frames.get(mfn.0).map(|f| f.refs.clone()) else {
             return;
         };
-        f.dirty_since_snapshot = true;
-        // Cloning the RefList is allocation-free in the dominant
-        // single-mapper (inline) case — the old `to_vec()` here was the
-        // per-write heap allocation behind the restart fast-path tail.
-        let l = f.refs.clone();
         for &(d, p) in l.as_slice() {
-            self.dirty.entry(d).or_default().set(p);
+            self.log_write(d, p);
         }
     }
 
@@ -1005,10 +997,8 @@ impl MemoryManager {
     }
 
     /// CoW-captures the current body of `mfn` for every frozen mapper
-    /// about to observe a change. `skip` suppresses capture for the
-    /// domain being rolled back: its restores must not pollute its own
-    /// baseline with pre-restore contents.
-    fn capture_frozen(&mut self, mfn: Mfn, skip: Option<DomId>) {
+    /// about to observe a change.
+    fn capture_frozen(&mut self, mfn: Mfn) {
         if self.frozen.is_empty() {
             return;
         }
@@ -1020,9 +1010,6 @@ impl MemoryManager {
             return;
         };
         for &(d, p) in l.as_slice() {
-            if skip == Some(d) {
-                continue;
-            }
             self.capture_frozen_one(d, p, &data);
         }
     }
@@ -1031,19 +1018,7 @@ impl MemoryManager {
     /// sync via the lazy dirty-epoch discipline.
     fn set_frame_data(&mut self, mfn: Mfn, page: PageRef) -> HvResult<()> {
         let known = Self::classify_page(&page);
-        self.set_frame_data_classified(mfn, page, known, None)
-    }
-
-    /// [`Self::set_frame_data`] with frozen-capture suppression for one
-    /// domain (the rollback restore path).
-    fn set_frame_data_skip(
-        &mut self,
-        mfn: Mfn,
-        page: PageRef,
-        skip: Option<DomId>,
-    ) -> HvResult<()> {
-        let known = Self::classify_page(&page);
-        self.set_frame_data_classified(mfn, page, known, skip)
+        self.set_frame_data_classified(mfn, page, known)
     }
 
     /// The frame-body store: installs `page`, with `known` carrying its
@@ -1056,11 +1031,10 @@ impl MemoryManager {
         mfn: Mfn,
         page: PageRef,
         known: Option<u64>,
-        skip: Option<DomId>,
     ) -> HvResult<()> {
         // Capture before replacement: the frozen pre-image is the body
         // this store is about to overwrite.
-        self.capture_frozen(mfn, skip);
+        self.capture_frozen(mfn);
         let (old_hash, old_ok, old_nonempty) = {
             let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
             (f.hash, f.hash_ok, !f.data.is_empty())
@@ -1121,7 +1095,6 @@ impl MemoryManager {
                     owner: dom,
                     grant_mappings: 0,
                     foreign_mappings: 0,
-                    dirty_since_snapshot: false,
                     data: PageRef::empty(),
                     hash: EMPTY_HASH,
                     hash_ok: true,
@@ -1191,6 +1164,25 @@ impl MemoryManager {
     /// copy-on-write, so the other domains mapping the frame are never
     /// affected. Writes longer than [`PAGE_SIZE`] are rejected.
     pub fn write(&mut self, dom: DomId, pfn: Pfn, data: &[u8]) -> HvResult<()> {
+        self.write_body(dom, pfn, data, || Self::classify_bytes(data))
+    }
+
+    /// [`Self::write`] of a shared page body: the frame takes the handle
+    /// itself, so shipping a page costs a refcount bump, not a copy.
+    pub(crate) fn write_page(&mut self, dom: DomId, pfn: Pfn, page: PageRef) -> HvResult<()> {
+        let (bytes, known) = (page.clone(), Self::classify_page(&page));
+        self.write_body(dom, pfn, &bytes, move || (page, known))
+    }
+
+    /// The write path shared by [`Self::write`] and [`Self::write_page`]:
+    /// `body` yields the page to store and its hash, if known.
+    fn write_body(
+        &mut self,
+        dom: DomId,
+        pfn: Pfn,
+        data: &[u8],
+        body: impl FnOnce() -> (PageRef, Option<u64>),
+    ) -> HvResult<()> {
         if data.len() > PAGE_SIZE {
             return Err(crate::error::HvError::InvalidArgument(format!(
                 "write of {} bytes exceeds page size",
@@ -1208,9 +1200,9 @@ impl MemoryManager {
         if self.dedup_on_write && !data.is_empty() && self.try_dedup_write(dom, pfn, data)? {
             return Ok(());
         }
-        let (page, known) = Self::classify_bytes(data);
+        let (page, known) = body();
         let mfn = self.exclusive_mfn(dom, pfn)?;
-        self.set_frame_data_classified(mfn, page, known, None)?;
+        self.set_frame_data_classified(mfn, page, known)?;
         self.mark_dirty(mfn);
         Ok(())
     }
@@ -1278,18 +1270,14 @@ impl MemoryManager {
                 self.dedup_write_freed += 1;
             }
         }
-        // Attach to the canonical frame.
+        // Attach to the canonical frame: (dom, pfn) now reads `data`.
         if let Some(m) = self.p2m.get_mut(&dom) {
             m.insert(pfn.0, Mfn(canon));
         }
-        let mut canon_dirty = false;
         if let Some(f) = self.frames.get_mut(canon) {
             f.refs.push(dom, pfn.0);
-            canon_dirty = f.dirty_since_snapshot;
         }
-        if canon_dirty {
-            self.dirty.entry(dom).or_default().set(pfn.0);
-        }
+        self.log_write(dom, pfn.0);
         Ok(true)
     }
 
@@ -1301,30 +1289,25 @@ impl MemoryManager {
     /// frame must never be granted or foreign-mapped, or the grantee
     /// would reach other domains' memory.
     pub fn exclusive_mfn(&mut self, dom: DomId, pfn: Pfn) -> HvResult<Mfn> {
-        // A clone PFN still backed by the template must be privatised
-        // first — and must never take the rmap-length fast path below:
-        // the template's frame is rmap-single (the template is its only
-        // p2m mapper) yet aliased by every clone.
-        if self.clone_of.contains_key(&dom) && !self.own_mapping(dom, pfn) {
-            return self.clone_break(dom, pfn);
-        }
         let mfn = self.translate(dom, pfn)?;
-        if self.rmap_len(mfn.0) <= 1 {
+        // A clone PFN still backed by the template must be privatised —
+        // and must never take the rmap-length fast path: the template's
+        // frame is rmap-single (the template is its only p2m mapper) yet
+        // aliased by every clone.
+        let backed = self.clone_of.contains_key(&dom) && !self.own_mapping(dom, pfn);
+        if !backed && self.rmap_len(mfn.0) <= 1 {
             return Ok(mfn);
         }
         if self.free_count == 0 {
             return Err(MemError::OutOfFrames.into());
         }
         // Allocate a private copy (of the handle, not the bytes) and
-        // remap this domain's PFN to it.
+        // remap this domain's PFN to it. A template frame keeps its rmap:
+        // clones never appear in it.
         let (data, hash, hash_ok) = {
             let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
             (f.data.clone(), f.hash, f.hash_ok)
         };
-        // The break marks the private frame dirty without changing the
-        // bytes; a frozen domain that is never written again must still
-        // roll back to these contents, so capture them now.
-        self.capture_frozen_one(dom, pfn.0, &data);
         let new_mfn = Mfn(self.next_mfn);
         self.next_mfn += 1;
         self.free_count -= 1;
@@ -1335,7 +1318,6 @@ impl MemoryManager {
                 owner: dom,
                 grant_mappings: 0,
                 foreign_mappings: 0,
-                dirty_since_snapshot: true,
                 data,
                 hash,
                 hash_ok,
@@ -1352,56 +1334,6 @@ impl MemoryManager {
         self.rmap_remove(mfn.0, dom, pfn.0);
         let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(pfn.0))?;
         p2m.insert(pfn.0, new_mfn);
-        self.dirty.entry(dom).or_default().set(pfn.0);
-        Ok(new_mfn)
-    }
-
-    /// Privatises a template-backed clone page: allocates a fresh frame
-    /// holding a *handle clone* of the template's page body (no byte
-    /// copy) and installs it in the clone's own p2m. The template's
-    /// frame and rmap are untouched — clones never appear in the rmap
-    /// of template frames.
-    fn clone_break(&mut self, dom: DomId, pfn: Pfn) -> HvResult<Mfn> {
-        let tpl = *self.clone_of.get(&dom).ok_or(MemError::BadPfn(pfn.0))?;
-        let mfn = self.translate(tpl, pfn)?;
-        if self.free_count == 0 {
-            return Err(MemError::OutOfFrames.into());
-        }
-        let (data, hash, hash_ok) = {
-            let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-            (f.data.clone(), f.hash, f.hash_ok)
-        };
-        // If the clone is itself frozen (microreboot snapshot), the
-        // template's bytes are the pre-image this break diverges from.
-        self.capture_frozen_one(dom, pfn.0, &data);
-        let new_mfn = Mfn(self.next_mfn);
-        self.next_mfn += 1;
-        self.free_count -= 1;
-        let nonempty = !data.is_empty();
-        self.frames.insert(
-            new_mfn.0,
-            FrameInfo {
-                owner: dom,
-                grant_mappings: 0,
-                foreign_mappings: 0,
-                dirty_since_snapshot: true,
-                data,
-                hash,
-                hash_ok,
-                refs: RefList::one(dom, pfn.0),
-            },
-        );
-        if hash_ok && nonempty {
-            self.hash_index_add(hash, new_mfn.0);
-        } else if !hash_ok {
-            // Template frames are materialized at seal time, so this
-            // only fires for exotic re-break interleavings — but the
-            // invariant (stale ⇒ queued) must hold regardless.
-            self.stale_hashes.push(new_mfn.0);
-        }
-        let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(pfn.0))?;
-        p2m.insert(pfn.0, new_mfn);
-        self.dirty.entry(dom).or_default().set(pfn.0);
         Ok(new_mfn)
     }
 
@@ -1410,13 +1342,14 @@ impl MemoryManager {
     ///
     /// The region stamp uses this for the I/O ring pages it re-grants:
     /// ring contents are re-initialised when the backend connects, so
-    /// the stamp need not pay what per-page [`Self::clone_break`]s would
-    /// — the fall-through translates into the template, the page-handle
-    /// clones and the content-hash inserts (an all-zero frame is never a
-    /// dedup candidate) — and the clone's p2m and dirty tables are
-    /// resolved once for the whole batch. A PFN the clone already
-    /// privatised yields its existing frame. Appends one [`Mfn`] per
-    /// PFN, in order, to `mfns`.
+    /// the stamp need not pay what per-page [`Self::exclusive_mfn`]
+    /// breaks would — the fall-through translates into the template, the
+    /// page-handle clones and the content-hash inserts (an all-zero frame
+    /// is never a dedup candidate) — and the clone's p2m is resolved
+    /// once for the whole batch. It runs at clone birth, before any dirty
+    /// log can be open on the clone, so it marks none. A PFN the clone
+    /// already privatised yields its existing frame. Appends one [`Mfn`]
+    /// per PFN, in order, to `mfns`.
     pub fn stamp_private_zero_batch(
         &mut self,
         dom: DomId,
@@ -1430,7 +1363,6 @@ impl MemoryManager {
         }
         mfns.reserve(pfns.len());
         let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(0))?;
-        let dirty = self.dirty.entry(dom).or_default();
         for &pfn in pfns {
             // One probe decides hit-or-stamp (the hot path stamps: a
             // fresh clone's own p2m starts empty).
@@ -1450,7 +1382,6 @@ impl MemoryManager {
                     owner: dom,
                     grant_mappings: 0,
                     foreign_mappings: 0,
-                    dirty_since_snapshot: true,
                     data: PageRef::empty(),
                     hash: EMPTY_HASH,
                     hash_ok: true,
@@ -1458,7 +1389,6 @@ impl MemoryManager {
                 },
             );
             p2m.insert(pfn.0, new_mfn);
-            dirty.set(pfn.0);
             mfns.push(new_mfn);
         }
         Ok(())
@@ -1712,14 +1642,10 @@ impl MemoryManager {
     /// duplicate — this is the inner loop of the fleet-scale sweep.
     fn merge_bucket(&mut self, hash: u64, bucket: &[u64]) -> u64 {
         let canonical = bucket[0];
-        let canon_dirty = self
-            .frames
-            .get(canonical)
-            .is_some_and(|f| f.dirty_since_snapshot);
-        // A mapper moved onto a dirty canonical frame becomes dirty with
-        // its bytes unchanged (the merge is content-identical); a frozen
-        // mapper must capture those bytes or rollback would wipe them.
-        let canon_data = if canon_dirty && !self.frozen.is_empty() {
+        // The merge is content-identical, so it marks no dirty log. A
+        // frozen mapper still records the bytes it keeps seeing as its
+        // pre-image (first touch wins, so an earlier capture stands).
+        let canon_data = if !self.frozen.is_empty() {
             self.frames.get(canonical).map(|f| f.data.clone())
         } else {
             None
@@ -1742,11 +1668,8 @@ impl MemoryManager {
             if let Some(m) = self.p2m.get_mut(&d) {
                 m.insert(p, Mfn(canonical));
             }
-            if canon_dirty {
-                self.dirty.entry(d).or_default().set(p);
-                if let Some(ref data) = canon_data {
-                    self.capture_frozen_one(d, p, data);
-                }
+            if let Some(ref data) = canon_data {
+                self.capture_frozen_one(d, p, data);
             }
         }
         if let Some(f) = self.frames.get_mut(canonical) {
@@ -1965,63 +1888,83 @@ impl MemoryManager {
         freed
     }
 
-    /// Lists the dirty frames of `dom` and clears their dirty bits
-    /// (snapshot support). Walks only the set words of the domain's
-    /// dirty bitmap — proportional to the number of pages written since
-    /// the last call, not to the domain's total memory.
-    pub fn take_dirty(&mut self, dom: DomId) -> Vec<(Pfn, Mfn)> {
-        let Some(bm) = self.dirty.get_mut(&dom) else {
-            return Vec::new();
-        };
-        if bm.is_empty() {
-            return Vec::new();
-        }
-        let mut dirty = Vec::with_capacity(bm.len());
-        let Some(p2m) = self.p2m.get(&dom) else {
-            // No address space left: discard the stale candidates.
-            bm.drain_set_bits(|_| {});
-            return dirty;
-        };
-        // Manual two-level walk (ascending PFN, the order the previous
-        // sorted-scan implementation produced), filtering stale
-        // candidates and clearing frame dirty bits in the same pass.
-        for s in 0..bm.selectors.len() {
-            while bm.selectors[s] != 0 {
-                let w = s * 64 + bm.selectors[s].trailing_zeros() as usize;
-                let mut word = bm.words[w];
-                while word != 0 {
-                    let pfn = w as u64 * 64 + word.trailing_zeros() as u64;
-                    word &= word - 1;
-                    // Stale candidate: the PFN was remapped away or its
-                    // frame went clean under it.
-                    let Some(mfn) = p2m.get(pfn) else {
-                        continue;
-                    };
-                    let Some(f) = self.frames.get_mut(mfn.0) else {
-                        continue;
-                    };
-                    if f.dirty_since_snapshot {
-                        f.dirty_since_snapshot = false;
-                        dirty.push((Pfn(pfn), mfn));
-                    }
-                }
-                bm.words[w] = 0;
-                bm.selectors[s] &= bm.selectors[s] - 1;
+    /// `DomctlShadowOp` on `dom`: `Enable` opens a log-dirty cursor
+    /// and returns its id, `Clean` drains it (the PFNs written since it
+    /// was opened or last drained, ascending), `Off` closes it. Each
+    /// cursor owns its own bitmap, so migration, HA and the snapshot
+    /// never drain each other's; cursor ids start at 1, and the
+    /// snapshot's log (`SNAPSHOT_LOG`) is out of their reach.
+    pub fn shadow_op(&mut self, dom: DomId, op: ShadowOp) -> HvResult<HypercallRet> {
+        let done = match op {
+            ShadowOp::Enable if self.p2m.contains_key(&dom) => {
+                self.next_log += 1;
+                self.open_log(dom, self.next_log);
+                Some(HypercallRet::Cursor(self.next_log))
             }
+            ShadowOp::Clean(id) if id != SNAPSHOT_LOG => {
+                self.drain_log(dom, id).map(HypercallRet::Pfns)
+            }
+            ShadowOp::Off(id) if id != SNAPSHOT_LOG => {
+                self.close_log(dom, id).then_some(HypercallRet::Ok)
+            }
+            _ => None,
+        };
+        done.ok_or_else(|| {
+            crate::error::HvError::InvalidArgument(format!("{op:?} on {dom}: no such dirty log"))
+        })
+    }
+
+    /// Opens dirty log `id` on `dom`: every later change to one of its
+    /// pages sets the PFN's bit until the log is drained.
+    fn open_log(&mut self, dom: DomId, id: u64) {
+        self.dirty
+            .entry(dom)
+            .or_default()
+            .push((id, DirtyBitmap::default()));
+    }
+
+    /// Drains dirty log `id` of `dom` (`None` if it is not open),
+    /// walking only the set words; every other log keeps its bits.
+    fn drain_log(&mut self, dom: DomId, id: u64) -> Option<Vec<Pfn>> {
+        let bits = self.log_mut(dom, id)?;
+        let mut pfns = Vec::new();
+        bits.drain_set_bits(|p| pfns.push(Pfn(p)));
+        // A PFN page-flipped away since its write has nothing to copy.
+        pfns.retain(|&p| self.translate(dom, p).is_ok());
+        Some(pfns)
+    }
+
+    /// Dirty log `id` of `dom`, if open.
+    fn log_mut(&mut self, dom: DomId, id: u64) -> Option<&mut DirtyBitmap> {
+        let logs = self.dirty.get_mut(&dom)?;
+        logs.iter_mut()
+            .find(|(i, _)| *i == id)
+            .map(|(_, bits)| bits)
+    }
+
+    /// Closes dirty log `id` of `dom`; returns whether it was open.
+    fn close_log(&mut self, dom: DomId, id: u64) -> bool {
+        let Some(logs) = self.dirty.get_mut(&dom) else {
+            return false;
+        };
+        let open = logs.len();
+        logs.retain(|(i, _)| *i != id);
+        let closed = logs.len() < open;
+        if logs.is_empty() {
+            self.dirty.remove(&dom);
         }
-        bm.count = 0;
-        dirty
+        closed
     }
 
     /// Freezes `dom`'s memory as a lazy copy-on-write snapshot and
     /// returns the number of pages covered.
     ///
     /// Nothing is copied here: the call records the address-space
-    /// watermark, clears the domain's dirty state (the new snapshot
-    /// epoch), and empties the baseline. Pre-images are captured by the
-    /// first post-freeze mutation of each page, so the cost is
-    /// independent of how many pages the domain owns or how clean they
-    /// are. Freezing an already-frozen domain replaces the snapshot.
+    /// watermark, opens (or drains) the snapshot's own dirty log — the
+    /// new snapshot epoch — and empties the baseline. Pre-images are
+    /// captured by the first post-freeze mutation of each page, so the
+    /// cost is independent of how many pages the domain owns or how clean
+    /// they are. Freezing an already-frozen domain replaces the snapshot.
     pub fn freeze(&mut self, dom: DomId) -> u64 {
         // Snapshot seal: materialize pending hashes so every frame the
         // frozen image can reach carries a valid content hash. O(1)
@@ -2032,19 +1975,22 @@ impl MemoryManager {
             .get(&dom)
             .map_or((0, 0), |m| (m.len() as u64, m.next_pfn));
         // A clone also sees every template page it has not privatised:
-        // those are snapshot-covered too (a post-freeze CoW break
+        // those are snapshot-covered too (the first post-freeze write
         // captures the template body as the pre-image).
         if let Some(&tpl) = self.clone_of.get(&dom) {
             if let Some(tinfo) = self.templates.get(&tpl) {
                 count += tinfo.page_count - self.clone_broken_pages(dom);
             }
         }
-        // Open the new epoch: pre-freeze dirt must not be restored.
-        let _ = self.take_dirty(dom);
         let img = self.frozen.entry(dom).or_default();
         img.baseline.clear();
         img.watermark = watermark;
         img.page_count = count;
+        // Open the new epoch: pre-freeze writes must not be restored.
+        match self.log_mut(dom, SNAPSHOT_LOG) {
+            Some(bits) => bits.drain_set_bits(|_| {}),
+            None => self.open_log(dom, SNAPSHOT_LOG),
+        }
         count
     }
 
@@ -2065,13 +2011,16 @@ impl MemoryManager {
         self.frozen.get(&dom).map(|i| i.baseline.len())
     }
 
-    /// Drops `dom`'s frozen snapshot without restoring anything.
+    /// Drops `dom`'s frozen snapshot (and its dirty log) without
+    /// restoring anything.
     pub fn discard_frozen(&mut self, dom: DomId) {
-        self.frozen.remove(&dom);
+        if self.frozen.remove(&dom).is_some() {
+            self.close_log(dom, SNAPSHOT_LOG);
+        }
     }
 
-    /// Rolls `dom` back to its frozen snapshot: every page dirtied since
-    /// [`Self::freeze`] is restored to its captured pre-image (or the
+    /// Rolls `dom` back to its frozen snapshot: every page in the
+    /// snapshot's dirty log is restored to its captured pre-image (or the
     /// empty page for PFNs younger than the freeze), except pages for
     /// which `in_box` returns true (recovery boxes, §3.3). Returns the
     /// number of pages restored.
@@ -2088,28 +2037,30 @@ impl MemoryManager {
                 "{dom} has no frozen snapshot to roll back to"
             )));
         }
-        let dirty = self.take_dirty(dom);
         let mut restored = 0u64;
-        for (pfn, mfn) in dirty {
+        for pfn in self.drain_log(dom, SNAPSHOT_LOG).unwrap_or_default() {
             if in_box(pfn) {
                 continue;
             }
-            let page = match self.frozen.get(&dom) {
+            // Pinning the restored body as the baseline (first touch wins)
+            // keeps the restore's own capture from recording pre-restore
+            // contents. A page deduplicated since its write is shared, so
+            // the restore goes into a private frame.
+            let page = match self.frozen.get_mut(&dom) {
                 Some(img) if pfn.0 < img.watermark => {
-                    img.baseline.get(&pfn.0).cloned().unwrap_or_default()
+                    img.baseline.entry(pfn.0).or_default().clone()
                 }
                 _ => PageRef::empty(),
             };
-            // Suppress capture for `dom` itself: the restore must not
-            // record pre-restore contents as the frozen baseline. Other
-            // frozen domains sharing the frame still capture normally.
-            self.set_frame_data_skip(mfn, page, Some(dom))?;
-            self.mark_dirty(mfn);
+            let mfn = self.exclusive_mfn(dom, pfn)?;
+            self.set_frame_data(mfn, page)?;
+            // Every other consumer sees the restore: it is a real change.
+            let logs = self.dirty.get_mut(&dom).into_iter().flatten();
+            for (_, bits) in logs.filter(|(i, _)| *i != SNAPSHOT_LOG) {
+                bits.set(pfn.0);
+            }
             restored += 1;
         }
-        // The restores themselves re-dirtied the pages; clear that so
-        // the next rollback starts from a clean epoch.
-        let _ = self.take_dirty(dom);
         Ok(restored)
     }
 
@@ -2125,7 +2076,7 @@ impl MemoryManager {
 
     /// Recomputes the shadow model from the p2m tables and asserts that
     /// every derived structure (reverse index, share accounting, free
-    /// count, content-hash index, dirty candidates) agrees with it.
+    /// count, content-hash index) agrees with it.
     ///
     /// Test support: exercised by the interleaving property tests.
     pub fn check_consistency(&self) -> Result<(), String> {
@@ -2193,21 +2144,6 @@ impl MemoryManager {
                     .is_some_and(|f| f.hash_ok && f.hash == h && !f.data.is_empty());
                 if !ok {
                     return Err(format!("hash index lists stale mfn {raw:#x}"));
-                }
-            }
-        }
-        // Dirty candidates are a superset of actually-dirty mappings.
-        for (&dom, p2m) in &self.p2m {
-            for (pfn, mfn) in p2m.entries() {
-                let is_dirty = self
-                    .frames
-                    .get(mfn.0)
-                    .is_some_and(|f| f.dirty_since_snapshot);
-                if is_dirty && !self.dirty.get(&dom).is_some_and(|s| s.contains(pfn)) {
-                    return Err(format!(
-                        "dirty frame mfn {:#x} mapped at {dom} pfn {pfn} has no candidate",
-                        mfn.0
-                    ));
                 }
             }
         }
@@ -2346,17 +2282,55 @@ mod tests {
         assert!(m.write(d, Pfn(0), &big).is_err());
     }
 
+    fn enable(m: &mut MemoryManager, d: DomId) -> u64 {
+        m.shadow_op(d, ShadowOp::Enable).unwrap().cursor().unwrap()
+    }
+
+    fn clean(m: &mut MemoryManager, d: DomId, cursor: u64) -> Vec<Pfn> {
+        let drained = m.shadow_op(d, ShadowOp::Clean(cursor)).unwrap();
+        drained.pfns().unwrap()
+    }
+
     #[test]
-    fn write_sets_dirty_and_take_dirty_clears() {
+    fn write_sets_dirty_and_clean_drains() {
         let mut m = mm();
         let d = DomId(1);
         m.populate(d, 3).unwrap();
+        let log = enable(&mut m, d);
         m.write(d, Pfn(1), b"x").unwrap();
         m.write(d, Pfn(2), b"y").unwrap();
-        let dirty = m.take_dirty(d);
-        assert_eq!(dirty.len(), 2);
-        assert_eq!(dirty[0].0, Pfn(1));
-        assert!(m.take_dirty(d).is_empty(), "dirty bits cleared");
+        assert_eq!(clean(&mut m, d, log), vec![Pfn(1), Pfn(2)]);
+        assert!(clean(&mut m, d, log).is_empty(), "bits drained");
+    }
+
+    #[test]
+    fn each_dirty_log_drains_independently() {
+        let mut m = mm();
+        let d = DomId(1);
+        m.populate(d, 3).unwrap();
+        let (a, b) = (enable(&mut m, d), enable(&mut m, d));
+        m.write(d, Pfn(1), b"x").unwrap();
+        assert_eq!(clean(&mut m, d, a), vec![Pfn(1)]);
+        assert_eq!(clean(&mut m, d, b), vec![Pfn(1)], "a's drain left b alone");
+        m.shadow_op(d, ShadowOp::Off(a)).unwrap();
+        assert!(m.shadow_op(d, ShadowOp::Clean(a)).is_err(), "closed");
+        m.shadow_op(d, ShadowOp::Off(b)).unwrap();
+        assert!(m.dirty.is_empty(), "no consumer, no bookkeeping");
+        m.write(d, Pfn(2), b"y").unwrap();
+        assert!(m.dirty.is_empty());
+    }
+
+    #[test]
+    fn cursors_cannot_reach_the_snapshot_log() {
+        let mut m = mm();
+        let d = DomId(1);
+        m.populate(d, 2).unwrap();
+        m.freeze(d);
+        m.write(d, Pfn(0), b"x").unwrap();
+        assert!(m.shadow_op(d, ShadowOp::Clean(SNAPSHOT_LOG)).is_err());
+        assert!(m.shadow_op(d, ShadowOp::Off(SNAPSHOT_LOG)).is_err());
+        assert_eq!(m.rollback_frozen(d, |_| false).unwrap(), 1);
+        assert_eq!(m.read(d, Pfn(0)).unwrap(), b"");
     }
 
     #[test]
@@ -2731,9 +2705,9 @@ mod sharing_proptests {
 
     /// Random interleavings of populate/write/transfer/dedup/release/
     /// rollback-style operations keep every derived structure (reverse
-    /// index, share accounting, content-hash index, dirty candidates)
-    /// in agreement with the naively recomputed shadow model, and every
-    /// read in agreement with a per-(dom, pfn) content shadow.
+    /// index, share accounting, content-hash index) in agreement with
+    /// the naively recomputed shadow model, and every read in agreement
+    /// with a per-(dom, pfn) content shadow.
     #[test]
     fn interleaved_ops_agree_with_shadow_model() {
         Runner::cases(96).run("interleaved ops vs shadow model", |g| {
@@ -2792,12 +2766,27 @@ mod sharing_proptests {
                             }
                         }
                     }
-                    // Rollback-style: drain dirty pages and rewrite one
-                    // of them by MFN (a bulk body, so the mfn write
+                    // Rollback-style: drain a dirty log and rewrite one
+                    // of its pages by MFN (a bulk body, so the mfn write
                     // path defers its hash).
                     75..=84 => {
-                        let dirty = m.take_dirty(dom);
-                        if let Some(&(dpfn, mfn)) = dirty.first() {
+                        let log = m
+                            .shadow_op(dom, ShadowOp::Enable)
+                            .unwrap()
+                            .cursor()
+                            .unwrap();
+                        if shadow.contains_key(&(dom, pfn)) {
+                            m.write(dom, Pfn(pfn), &[val]).unwrap();
+                            shadow.insert((dom, pfn), vec![val]);
+                        }
+                        let dirty = m
+                            .shadow_op(dom, ShadowOp::Clean(log))
+                            .unwrap()
+                            .pfns()
+                            .unwrap();
+                        m.shadow_op(dom, ShadowOp::Off(log)).unwrap();
+                        if let Some(&dpfn) = dirty.first() {
+                            let mfn = m.translate(dom, dpfn).unwrap();
                             let body = vec![val ^ 0x5a; 120];
                             m.write_mfn(mfn, &body).unwrap();
                             // write_mfn edits the frame in place: every
@@ -2805,7 +2794,6 @@ mod sharing_proptests {
                             for (d, p) in m.mappers(mfn) {
                                 shadow.insert((d, p.0), body.clone());
                             }
-                            let _ = dpfn;
                         }
                     }
                     // Release and repopulate a domain.

@@ -25,7 +25,7 @@ use crate::domain::DomId;
 use crate::error::{EventError, HvError, HvResult, MemError};
 use crate::event::{PendingEvent, PortState};
 use crate::grant::{GrantAccess, GrantCopyDir, GrantCopyOp, GrantOpStatus, GrantRef};
-use crate::memory::{MemoryManager, Mfn, Pfn};
+use crate::memory::{MemoryManager, Mfn, PageRef, Pfn};
 use crate::region::Region;
 use crate::snapshot::SnapshotManager;
 
@@ -616,10 +616,10 @@ pub(crate) fn foreign_write(
     accessor: DomId,
     owner: DomId,
     pfn: Pfn,
-    data: &[u8],
+    data: PageRef,
 ) -> HvResult<()> {
     let op = CrossRegionOp::ForeignMap { accessor, owner };
-    mem.write(op.object(), pfn, data)
+    mem.write_page(op.object(), pfn, data)
 }
 
 /// Rolls the target domain's memory back to its snapshot image

@@ -16,6 +16,19 @@ cargo test -q --workspace --offline
 # crates/ cannot break the benchmark unseen.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# Benchmark smoke: migrate_dirty and clone_churn are the only workloads
+# that drive the replication engine, the gated log-dirty drain and gated
+# dedup, so run each for two seconds and fail unless its last line
+# reports a correct run with no failed operation.
+for workload in migrate_dirty clone_churn; do
+    last="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0,'* ]]; then
+        echo "perfbench $workload smoke failed: $last" >&2
+        exit 1
+    fi
+done
+
 # Bench gate: run the deterministic harnesses and keep their
 # machine-readable tails (the harness prints one JSON document as the
 # last stdout line) as committed perf baselines at the repo root. Each

@@ -13,7 +13,7 @@
 use xoar_analysis::snapshot::ModelSnapshot;
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_hypervisor::memory::{MemoryManager, Pfn};
-use xoar_hypervisor::DomId;
+use xoar_hypervisor::{DomId, ShadowOp};
 use xoar_sim::prop::{Gen, Runner};
 
 const DOMS: [DomId; 3] = [DomId(1), DomId(2), DomId(3)];
@@ -41,8 +41,8 @@ enum Op {
     ToggleDedupOnWrite(bool),
     /// Freeze a domain (microreboot baseline — a materialize seam).
     Freeze { dom: u8 },
-    /// Drain a domain's dirty set (migration round).
-    TakeDirty { dom: u8 },
+    /// Drain a domain's log-dirty cursor (migration round).
+    Clean { dom: u8 },
 }
 
 fn any_op(g: &mut Gen) -> Op {
@@ -80,24 +80,30 @@ fn any_op(g: &mut Gen) -> Op {
             if g.bool() {
                 Op::Freeze { dom: g.u8(0..3) }
             } else {
-                Op::TakeDirty { dom: g.u8(0..3) }
+                Op::Clean { dom: g.u8(0..3) }
             }
         }
     }
 }
 
-fn fleet() -> MemoryManager {
+/// The fleet, with one open log-dirty cursor per domain (a migration
+/// in flight), in `DOMS` order.
+fn fleet() -> (MemoryManager, Vec<u64>) {
     let mut m = MemoryManager::new(DOMS.len() as u64 * PAGES_PER_DOM + 16);
     for &d in &DOMS {
         m.populate(d, PAGES_PER_DOM).unwrap();
     }
-    m
+    let cursors = DOMS
+        .iter()
+        .map(|&d| m.shadow_op(d, ShadowOp::Enable).unwrap().cursor().unwrap())
+        .collect();
+    (m, cursors)
 }
 
 /// Applies one op to a manager. Returns the op's numeric observable
 /// (freed count, dirty-set length, …) so the twins can be compared on
 /// return values too, not just end state.
-fn apply(m: &mut MemoryManager, op: &Op) -> u64 {
+fn apply(m: &mut MemoryManager, cursors: &[u64], op: &Op) -> u64 {
     let dom = |i: u8| DOMS[i as usize % DOMS.len()];
     match *op {
         Op::WriteSmall { dom: d, pfn, byte } => {
@@ -135,7 +141,11 @@ fn apply(m: &mut MemoryManager, op: &Op) -> u64 {
             0
         }
         Op::Freeze { dom: d } => m.freeze(dom(d)),
-        Op::TakeDirty { dom: d } => m.take_dirty(dom(d)).len() as u64,
+        Op::Clean { dom: d } => {
+            let cursor = cursors[d as usize % DOMS.len()];
+            let drained = m.shadow_op(dom(d), ShadowOp::Clean(cursor)).unwrap();
+            drained.pfns().unwrap().len() as u64
+        }
     }
 }
 
@@ -175,12 +185,12 @@ fn observe(m: &mut MemoryManager) -> (u64, u64, Vec<u64>, Vec<Vec<(u64, u64)>>, 
 fn lazy_hashing_equals_eager_hashing_under_random_interleavings() {
     Runner::cases(48).run("lazy hashing ≡ eager hashing", |g| {
         let ops = g.vec(1..80, any_op);
-        let mut lazy = fleet();
-        let mut eager = fleet();
+        let (mut lazy, lazy_cursors) = fleet();
+        let (mut eager, eager_cursors) = fleet();
         eager.materialize_hashes();
         for (i, op) in ops.iter().enumerate() {
-            let a = apply(&mut lazy, op);
-            let b = apply(&mut eager, op);
+            let a = apply(&mut lazy, &lazy_cursors, op);
+            let b = apply(&mut eager, &eager_cursors, op);
             // The eager twin re-hashes after *every* op; the lazy twin
             // only at the seams baked into dedup/freeze/verify.
             eager.materialize_hashes();
@@ -207,7 +217,7 @@ fn lazy_hashing_equals_eager_hashing_under_random_interleavings() {
 /// from a match does not.
 #[test]
 fn dedup_sees_rewritten_content_not_stale_hashes() {
-    let mut m = fleet();
+    let (mut m, _) = fleet();
     m.write(DomId(1), Pfn(0), &[7u8; 4096]).unwrap();
     m.write(DomId(2), Pfn(0), &[9u8; 4096]).unwrap();
     // Rewrite dom2's page to match dom1 — without materializing.

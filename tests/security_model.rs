@@ -5,7 +5,7 @@
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_core::shard::ConstraintTag;
 use xoar_hypervisor::grant::GrantAccess;
-use xoar_hypervisor::memory::Pfn;
+use xoar_hypervisor::memory::{PageRef, Pfn};
 use xoar_hypervisor::{DomId, HvError, Hypercall, HypercallId};
 use xoar_security::containment::{blast_radius, Verdict};
 use xoar_security::{corpus, evaluate, tcb_of_guest};
@@ -179,7 +179,7 @@ fn compromised_toolstack_cannot_escalate_to_builder_powers() {
             Hypercall::MmuWriteForeign {
                 target: a,
                 pfn: Pfn(0),
-                data: b"x".to_vec()
+                data: PageRef::new(b"x")
             }
         )
         .is_err());
