@@ -324,6 +324,39 @@ fn bench_xenstore(h: &mut Harness) {
     });
     // The cost of a XenStore-Logic microreboot (recover from State).
     h.bench_function("xenstore/logic_restart", || xs.restart_logic());
+
+    // Creating a node: a new 8-component leaf under an existing parent,
+    // in a store the size of a clone_churn host's (~2.7k nodes: 104
+    // guests' device trees). Only the write is timed; the untimed setup
+    // removes the previous iteration's leaf, so the store stays the same
+    // size.
+    let xs = std::cell::RefCell::new(XenStore::new());
+    xs.borrow_mut().set_privileged(dom0, true);
+    for d in 0..104 {
+        for kind in ["vif", "vbd"] {
+            for k in 0..10 {
+                let key = format!("/local/domain/{d}/device/{kind}/0/k{k}");
+                xs.borrow_mut().write_str(dom0, &key, "v").unwrap();
+            }
+        }
+    }
+    xs.borrow_mut()
+        .write_str(dom0, "/local/domain/7/device/vif/0/backend", "")
+        .unwrap();
+    const LEAF: &str = "/local/domain/7/device/vif/0/backend/state";
+    let mut group = h.group("xenstore");
+    group.bench_function_prepared(
+        "create_deep",
+        || {
+            let _ = xs.borrow_mut().rm(dom0, LEAF);
+        },
+        |()| {
+            xs.borrow_mut()
+                .write_str(black_box(dom0), black_box(LEAF), "4")
+                .unwrap();
+        },
+    );
+    group.finish();
 }
 
 fn bench_snapshot(h: &mut Harness) {

@@ -15,6 +15,7 @@
 //! through the same API, so every measured difference is attributable to
 //! the decomposition.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use xoar_devices::blk::{BlkFront, BlkRingHub};
@@ -224,10 +225,47 @@ pub struct GuestTemplate {
     pub netback: Option<DomId>,
     /// Serving BlkBack for the template's vbd.
     pub blkback: Option<DomId>,
-    /// Captured `/local/domain/<id>` subtree as (relative path, value).
+    /// Captured `/local/domain/<id>` subtree as (relative path, value),
+    /// less the `name` node: each clone writes its own.
     guest_nodes: Vec<(String, String)>,
     /// Captured backend rows: (backend, kind, index, relative key, value).
     backend_nodes: Vec<(DomId, DeviceKind, u32, String, String)>,
+}
+
+/// Rewrites captured XenStore text for one clone: the template's domain
+/// ID is retargeted wherever the xenbus conventions embed it. The ID and
+/// pattern strings are built once per clone.
+struct Retarget {
+    from: String,
+    to: String,
+    /// (template pattern, clone pattern), one per xenbus convention.
+    patterns: [(String, String); 3],
+}
+
+impl Retarget {
+    fn new(from: DomId, to: DomId) -> Self {
+        let pair = |kind: &str| (format!("/{kind}/{}/", from.0), format!("/{kind}/{}/", to.0));
+        Retarget {
+            from: from.0.to_string(),
+            to: to.0.to_string(),
+            patterns: [pair("domain"), pair("vif"), pair("vbd")],
+        }
+    }
+
+    /// `value` for the clone, byte-identical to replacing each pattern in
+    /// turn with `str::replace`; borrowed when no pattern occurs.
+    fn apply<'a>(&'a self, value: &'a str) -> Cow<'a, str> {
+        if value == self.from {
+            return Cow::Borrowed(&self.to);
+        }
+        let mut out = Cow::Borrowed(value);
+        for (pattern, replacement) in &self.patterns {
+            if out.contains(pattern.as_str()) {
+                out = Cow::Owned(out.replace(pattern.as_str(), replacement));
+            }
+        }
+        out
+    }
 }
 
 /// Software releases recorded in the audit log at link time.
@@ -544,9 +582,14 @@ impl Platform {
 
     /// The guest handles, sorted by domain ID.
     pub fn guests(&self) -> Vec<&GuestHandle> {
-        let mut v: Vec<&GuestHandle> = self.guests.values().collect();
+        let mut v: Vec<&GuestHandle> = self.guest_handles().collect();
         v.sort_by_key(|g| g.dom.0);
         v
+    }
+
+    /// Every guest's handle, in no particular order (no listing is built).
+    pub(crate) fn guest_handles(&self) -> impl Iterator<Item = &GuestHandle> {
+        self.guests.values()
     }
 
     /// One guest's handle.
@@ -928,6 +971,7 @@ impl Platform {
         let root = format!("/local/domain/{}", guest.0);
         let mut guest_nodes = Vec::new();
         self.walk_subtree(toolstack, &root, "", &mut guest_nodes);
+        guest_nodes.retain(|(suffix, _)| suffix != "name");
         let mut backend_nodes = Vec::new();
         for (backend, kind) in [(netback, DeviceKind::Vif), (blkback, DeviceKind::Vbd)] {
             let Some(backend) = backend else { continue };
@@ -989,21 +1033,6 @@ impl Platform {
         }
     }
 
-    /// Rewrites captured XenStore text for a clone: the template's domain
-    /// ID is retargeted wherever the xenbus conventions embed it.
-    fn retarget(value: &str, from: DomId, to: DomId) -> String {
-        if value == from.0.to_string() {
-            return to.0.to_string();
-        }
-        value
-            .replace(
-                &format!("/domain/{}/", from.0),
-                &format!("/domain/{}/", to.0),
-            )
-            .replace(&format!("/vif/{}/", from.0), &format!("/vif/{}/", to.0))
-            .replace(&format!("/vbd/{}/", from.0), &format!("/vbd/{}/", to.0))
-    }
-
     /// Snapshot-fork fast path: stamps a new guest from a sealed template.
     ///
     /// No Builder round-trip and no page copies: the hypervisor forks the
@@ -1054,42 +1083,34 @@ impl Platform {
             },
         );
 
-        // Stamp the captured XenStore subtree under the clone's home.
+        // Stamp the captured XenStore subtree under the clone's home,
+        // then the clone's own name.
+        let xs_err = |e| HvError::InvalidArgument(format!("xenstore: {e}"));
         self.xs
             .create_domain_home(toolstack, clone)
-            .map_err(|e| HvError::InvalidArgument(format!("xenstore: {e}")))?;
+            .map_err(xs_err)?;
         let tpl = &self.templates[&template];
-        let home = format!("/local/domain/{}", clone.0);
-        let guest_writes: Vec<(String, String)> = tpl
-            .guest_nodes
-            .iter()
-            .map(|(suffix, value)| {
-                (
-                    format!("{home}/{suffix}"),
-                    Self::retarget(value, template, clone),
-                )
-            })
-            .collect();
-        let backend_writes: Vec<(String, String)> = tpl
-            .backend_nodes
-            .iter()
-            .map(|(backend, kind, index, suffix, value)| {
-                (
-                    format!(
-                        "{}/{}",
-                        xenbus::backend_path(*backend, *kind, clone, *index),
-                        suffix
-                    ),
-                    Self::retarget(value, template, clone),
-                )
-            })
-            .collect();
-        for (path, value) in guest_writes.iter().chain(backend_writes.iter()) {
+        let retarget = Retarget::new(template, clone);
+        let mut path = format!("/local/domain/{}/", clone.0);
+        let home = path.len();
+        for (suffix, value) in &tpl.guest_nodes {
+            path.truncate(home);
+            path.push_str(suffix);
             self.xs
-                .write_str(toolstack, path, value)
-                .map_err(|e| HvError::InvalidArgument(format!("xenstore: {e}")))?;
+                .write_str(toolstack, &path, &retarget.apply(value))
+                .map_err(xs_err)?;
         }
-        let _ = self.xs.write_str(toolstack, &format!("{home}/name"), name);
+        for (backend, kind, index, suffix, value) in &tpl.backend_nodes {
+            let mut path = xenbus::backend_path(*backend, *kind, clone, *index);
+            path.push('/');
+            path.push_str(suffix);
+            self.xs
+                .write_str(toolstack, &path, &retarget.apply(value))
+                .map_err(xs_err)?;
+        }
+        path.truncate(home);
+        path.push_str("name");
+        let _ = self.xs.write_str(toolstack, &path, name);
 
         // Wire the split devices against the grants `DomctlCloneDomain`
         // stamped: fresh event channels, same backends, no renegotiation.
@@ -1673,6 +1694,82 @@ mod tests {
 
     fn xoar() -> Platform {
         Platform::xoar(XoarConfig::default())
+    }
+
+    /// The rewrite `retarget` must stay byte-identical to: three
+    /// sequential `str::replace`s, each non-overlapping left to right.
+    fn sequential_retarget(value: &str, from: DomId, to: DomId) -> String {
+        if value == from.0.to_string() {
+            return to.0.to_string();
+        }
+        let (f, t) = (from.0, to.0);
+        value
+            .replace(&format!("/domain/{f}/"), &format!("/domain/{t}/"))
+            .replace(&format!("/vif/{f}/"), &format!("/vif/{t}/"))
+            .replace(&format!("/vbd/{f}/"), &format!("/vbd/{t}/"))
+    }
+
+    #[test]
+    fn retarget_rewrites_the_template_id_only_where_xenbus_embeds_it() {
+        let retarget = |v: &str, from: u32, to: u32| {
+            Retarget::new(DomId(from), DomId(to)).apply(v).into_owned()
+        };
+        for (value, want) in [
+            // A value that is the template id itself.
+            ("9", "42"),
+            // Both conventions in one path, and adjacent patterns that
+            // share a slash.
+            (
+                "/local/domain/9/backend/vif/9/0",
+                "/local/domain/42/backend/vif/42/0",
+            ),
+            (
+                "/local/domain/9/vbd/9/vif/9/",
+                "/local/domain/42/vbd/42/vif/42/",
+            ),
+            // One pattern twice over a shared slash: replaced once, as a
+            // non-overlapping left-to-right `replace` does.
+            ("/domain/9/domain/9/", "/domain/42/domain/9/"),
+            // Values that never mention the id come back unchanged.
+            ("", ""),
+            ("4", "4"),
+            ("xenbus-state", "xenbus-state"),
+            (
+                "/local/domain/0/backend/vif/2/0",
+                "/local/domain/0/backend/vif/2/0",
+            ),
+            ("/local/domain/9", "/local/domain/9"),
+            ("99", "99"),
+        ] {
+            assert_eq!(retarget(value, 9, 42), want, "{value}");
+        }
+        // Id-prefix collisions: template 1 must not touch domain 12 or
+        // device 19.
+        for (value, want) in [
+            ("1", "5"),
+            ("12", "12"),
+            ("/local/domain/12/device", "/local/domain/12/device"),
+            (
+                "/local/domain/1/backend/vbd/19/0",
+                "/local/domain/5/backend/vbd/19/0",
+            ),
+            ("/backend/vbd/19/0", "/backend/vbd/19/0"),
+            ("/backend/vif/1/0", "/backend/vif/5/0"),
+        ] {
+            assert_eq!(retarget(value, 1, 5), want, "{value}");
+        }
+        // And byte-identical to the sequential replaces on arbitrary
+        // mixes of the three patterns, ids and separators.
+        let pieces = ["/domain/", "/vif/", "/vbd/", "/", "1", "12", "9", "x", "0"];
+        xoar_sim::prop::Runner::cases(512).run("retarget matches sequential replaces", |g| {
+            let value: String = g.vec(0..12, |g| *g.choose(&pieces)).concat();
+            let (from, to) = (DomId(*g.choose(&[1, 9, 12])), DomId(g.u32(0..200)));
+            assert_eq!(
+                Retarget::new(from, to).apply(&value),
+                sequential_retarget(&value, from, to),
+                "{value:?} {from:?}->{to:?}"
+            );
+        });
     }
 
     #[test]

@@ -15,9 +15,10 @@
 
 use std::collections::HashMap;
 
+use xoar_hypervisor::domain::Domain;
 use xoar_hypervisor::{DomId, DomainState, HvError, HvResult, Hypercall};
 
-use crate::platform::{GuestConfig, Platform};
+use crate::platform::{GuestConfig, GuestHandle, Platform};
 
 /// Per-toolstack resource quotas (private-cloud slices, §3.4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +115,7 @@ impl Toolstack {
     /// `xl create` — requests a build from the Builder, after checking
     /// this toolstack's resource quota.
     pub fn create(&mut self, platform: &mut Platform, cfg: GuestConfig) -> HvResult<DomId> {
-        let running = self.list(platform).len();
-        if running >= self.quota.max_vms {
+        if self.running(platform) >= self.quota.max_vms {
             return Err(HvError::LimitExceeded("toolstack VM quota"));
         }
         if self.used_memory_mib.saturating_add(cfg.memory_mib) > self.quota.max_memory_mib {
@@ -148,7 +148,7 @@ impl Toolstack {
         template: DomId,
         name: &str,
     ) -> HvResult<DomId> {
-        if self.list(platform).len() >= self.quota.max_vms {
+        if self.running(platform) >= self.quota.max_vms {
             return Err(HvError::LimitExceeded("toolstack VM quota"));
         }
         let mem = platform
@@ -228,25 +228,40 @@ impl Toolstack {
 
     /// `xl list` — only the VMs this toolstack manages.
     pub fn list(&self, platform: &Platform) -> Vec<VmInfo> {
+        let mut rows: Vec<VmInfo> = self
+            .managed(platform)
+            .map(|(g, d)| VmInfo {
+                dom: g.dom,
+                name: g.name.clone(),
+                state: d.state,
+                memory_mib: d.memory_mib,
+                vcpus: d.vcpus.len(),
+                restarts: d.restart_count,
+            })
+            .collect();
+        rows.sort_by_key(|r| r.dom.0);
+        rows
+    }
+
+    /// How many VMs `list` would show, counted without building it: the
+    /// quota check on every create and clone.
+    fn running(&self, platform: &Platform) -> usize {
+        self.managed(platform).count()
+    }
+
+    /// The live (not `Dead`) guests this toolstack manages, unordered.
+    fn managed<'p>(
+        &self,
+        platform: &'p Platform,
+    ) -> impl Iterator<Item = (&'p GuestHandle, &'p Domain)> + 'p {
+        let dom = self.dom;
         platform
-            .guests()
-            .into_iter()
-            .filter(|g| g.toolstack == self.dom)
+            .guest_handles()
+            .filter(move |g| g.toolstack == dom)
             .filter_map(|g| {
                 let d = platform.hv.domain(g.dom).ok()?;
-                if d.state == DomainState::Dead {
-                    return None;
-                }
-                Some(VmInfo {
-                    dom: g.dom,
-                    name: g.name.clone(),
-                    state: d.state,
-                    memory_mib: d.memory_mib,
-                    vcpus: d.vcpus.len(),
-                    restarts: d.restart_count,
-                })
+                (d.state != DomainState::Dead).then_some((g, d))
             })
-            .collect()
     }
 
     /// Proxy to BlkBack's image daemon (§5.4): "administrators create new

@@ -173,36 +173,24 @@ impl XenStoreLogic {
 
     // ----- helpers -----
 
-    fn get_record(state: &mut XenStoreState, key: &str) -> Option<NodeRecord> {
-        match state.serve(KvRequest::Get(key.to_string())) {
-            KvReply::Record(r) => r,
-            _ => None,
-        }
-    }
-
-    fn can_read(&self, dom: DomId, rec: &NodeRecord) -> bool {
-        self.is_privileged(dom) || rec.perms.can_read(dom)
-    }
-
-    fn can_write(&self, dom: DomId, rec: &NodeRecord) -> bool {
-        self.is_privileged(dom) || rec.perms.can_write(dom)
-    }
-
-    /// Resolves a read within an optional transaction overlay.
-    fn txn_read(
-        &mut self,
-        state: &mut XenStoreState,
+    /// Resolves `key` in the view of transaction `txn` (its overlay over
+    /// State, or State alone outside one), recording the read for
+    /// conflict detection. State answers through the counted narrow
+    /// protocol and lends the record: nothing is cloned.
+    fn txn_read<'a>(
+        txns: &'a mut FastMap<u32, Txn>,
+        state: &'a mut XenStoreState,
         txn: Option<u32>,
         key: &str,
-    ) -> XsResult<Option<NodeRecord>> {
+    ) -> XsResult<Option<&'a NodeRecord>> {
         if let Some(id) = txn {
-            let t = self.txns.get_mut(&id).ok_or(XsError::BadTxn(id))?;
+            let t = txns.get_mut(&id).ok_or(XsError::BadTxn(id))?;
             t.reads.insert(key.to_string());
             if let Some(overlay) = t.writes.get(key) {
-                return Ok(overlay.clone());
+                return Ok(overlay.as_ref());
             }
         }
-        Ok(Self::get_record(state, key))
+        Ok(state.get(key))
     }
 
     /// Charges one node to `owner`'s quota.
@@ -236,16 +224,13 @@ impl XenStoreLogic {
         path: &XsPath,
     ) -> XsResult<Vec<u8>> {
         self.requests_this_epoch += 1;
-        let rec = self
-            .txn_read(state, txn, path.as_str())?
+        let privileged = self.is_privileged(dom);
+        let rec = Self::txn_read(&mut self.txns, state, txn, path.as_str())?
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-        if !self.can_read(dom, &rec) {
-            return Err(XsError::Acc {
-                caller: dom,
-                path: path.to_string(),
-            });
+        if !(privileged || rec.perms.can_read(dom)) {
+            return Err(acc(dom, path));
         }
-        Ok(rec.value)
+        Ok(rec.value.clone())
     }
 
     /// Writes a node, creating it (and missing ancestors) if necessary.
@@ -261,58 +246,42 @@ impl XenStoreLogic {
         value: &[u8],
     ) -> XsResult<()> {
         self.requests_this_epoch += 1;
-        if path.as_str().starts_with(WATCH_JOURNAL) {
+        let key = path.as_str();
+        if key.starts_with(WATCH_JOURNAL) {
             return Err(XsError::Inval("reserved namespace".into()));
         }
-        let existing = self.txn_read(state, txn, path.as_str())?;
-        match existing {
-            Some(mut rec) => {
-                if !self.can_write(dom, &rec) {
-                    return Err(XsError::Acc {
-                        caller: dom,
-                        path: path.to_string(),
-                    });
-                }
-                rec.value = value.to_vec();
-                self.apply_write(state, txn, path.as_str().to_string(), Some(rec))?;
+        let privileged = self.is_privileged(dom);
+        if let Some(rec) = Self::txn_read(&mut self.txns, state, txn, key)? {
+            if !(privileged || rec.perms.can_write(dom)) {
+                return Err(acc(dom, path));
             }
-            None => {
-                self.check_create(state, txn, dom, path)?;
-                // Create missing ancestors; each new node is owned by the
-                // writer.
-                let mut to_create: Vec<XsPath> = Vec::new();
-                for anc in path.ancestors() {
-                    if anc.as_str() == "/" {
-                        continue;
-                    }
-                    if self.txn_read(state, txn, anc.as_str())?.is_none() {
-                        to_create.push(anc);
-                    }
-                }
-                for anc in to_create {
-                    self.charge_node(dom)?;
-                    self.apply_write(
-                        state,
-                        txn,
-                        anc.as_str().to_string(),
-                        Some(NodeRecord {
-                            value: Vec::new(),
-                            perms: NodePerms::owner_only(dom),
-                            generation: 0,
-                        }),
-                    )?;
-                }
+            let rec = NodeRecord {
+                value: value.to_vec(),
+                perms: rec.perms.clone(),
+                generation: rec.generation,
+            };
+            self.apply_write(state, txn, key.to_string(), Some(rec))?;
+        } else {
+            // Everything below the nearest existing ancestor is missing:
+            // create it root-first, then the node, each owned by and
+            // charged to the writer.
+            let base = self.nearest_existing(state, txn, dom, path)?;
+            let ends = key[base + 1..]
+                .match_indices('/')
+                .map(|(i, _)| base + 1 + i)
+                .chain([key.len()]);
+            for end in ends {
                 self.charge_node(dom)?;
-                self.apply_write(
-                    state,
-                    txn,
-                    path.as_str().to_string(),
-                    Some(NodeRecord {
-                        value: value.to_vec(),
-                        perms: NodePerms::owner_only(dom),
-                        generation: 0,
-                    }),
-                )?;
+                let rec = NodeRecord {
+                    value: if end == key.len() {
+                        value.to_vec()
+                    } else {
+                        Vec::new()
+                    },
+                    perms: NodePerms::owner_only(dom),
+                    generation: 0,
+                };
+                self.apply_write(state, txn, key[..end].to_string(), Some(rec))?;
             }
         }
         if txn.is_none() {
@@ -321,43 +290,46 @@ impl XenStoreLogic {
         Ok(())
     }
 
-    /// Permission check for creating `path`: write access to the nearest
-    /// existing ancestor.
-    fn check_create(
+    /// The one upward walk of a create: from `path`'s parent to the
+    /// nearest existing node, which must grant `dom` write access (the
+    /// root is writable only by privileged connections). Returns that
+    /// node's length as a prefix of `path`, 0 for the root.
+    ///
+    /// Stopping at the first node found is exact because every stored
+    /// node's parent is stored: `write` creates ancestors root-first,
+    /// `rm` removes whole subtrees, and a commit that would orphan a node
+    /// is refused (see [`Self::txn_end`]).
+    fn nearest_existing(
         &mut self,
         state: &mut XenStoreState,
         txn: Option<u32>,
         dom: DomId,
         path: &XsPath,
-    ) -> XsResult<()> {
-        if self.is_privileged(dom) {
-            return Ok(());
-        }
-        let mut cur = path.parent();
-        while let Some(p) = cur {
-            if p.as_str() == "/" {
-                // Root is writable only by privileged connections.
-                return Err(XsError::Acc {
-                    caller: dom,
-                    path: path.to_string(),
-                });
+    ) -> XsResult<usize> {
+        let key = path.as_str();
+        let privileged = self.is_privileged(dom);
+        let mut end = key.len();
+        while let Some(i) = key[..end].rfind('/').filter(|&i| i > 0) {
+            if let Some(rec) = Self::txn_read(&mut self.txns, state, txn, &key[..i])? {
+                if !(privileged || rec.perms.can_write(dom)) {
+                    return Err(acc(dom, path));
+                }
+                // A transaction still depends on the ancestors above,
+                // which it never needed to look up.
+                if let Some(t) = txn.and_then(|id| self.txns.get_mut(&id)) {
+                    for (j, _) in key[1..i].match_indices('/') {
+                        t.reads.insert(key[..j + 1].to_string());
+                    }
+                }
+                return Ok(i);
             }
-            if let Some(rec) = self.txn_read(state, txn, p.as_str())? {
-                return if rec.perms.can_write(dom) {
-                    Ok(())
-                } else {
-                    Err(XsError::Acc {
-                        caller: dom,
-                        path: path.to_string(),
-                    })
-                };
-            }
-            cur = p.parent();
+            end = i;
         }
-        Err(XsError::Acc {
-            caller: dom,
-            path: path.to_string(),
-        })
+        if privileged {
+            Ok(0)
+        } else {
+            Err(acc(dom, path))
+        }
     }
 
     fn apply_write(
@@ -393,7 +365,7 @@ impl XenStoreLogic {
         txn: Option<u32>,
         path: &XsPath,
     ) -> XsResult<()> {
-        if self.txn_read(state, txn, path.as_str())?.is_some() {
+        if Self::txn_read(&mut self.txns, state, txn, path.as_str())?.is_some() {
             return Ok(());
         }
         self.write(state, dom, txn, path, b"")
@@ -408,14 +380,11 @@ impl XenStoreLogic {
         path: &XsPath,
     ) -> XsResult<()> {
         self.requests_this_epoch += 1;
-        let rec = self
-            .txn_read(state, txn, path.as_str())?
+        let privileged = self.is_privileged(dom);
+        let rec = Self::txn_read(&mut self.txns, state, txn, path.as_str())?
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-        if !self.can_write(dom, &rec) {
-            return Err(XsError::Acc {
-                caller: dom,
-                path: path.to_string(),
-            });
+        if !(privileged || rec.perms.can_write(dom)) {
+            return Err(acc(dom, path));
         }
         // Collect subtree keys from State plus transaction overlay.
         let mut keys: BTreeSet<String> =
@@ -437,8 +406,9 @@ impl XenStoreLogic {
             }
         }
         for key in keys {
-            if let Some(rec) = self.txn_read(state, txn, &key)? {
-                self.uncharge_node(rec.perms.owner);
+            let owner = Self::txn_read(&mut self.txns, state, txn, &key)?.map(|r| r.perms.owner);
+            if let Some(owner) = owner {
+                self.uncharge_node(owner);
             }
             self.apply_write(state, txn, key, None)?;
         }
@@ -458,14 +428,11 @@ impl XenStoreLogic {
     ) -> XsResult<Vec<String>> {
         self.requests_this_epoch += 1;
         if path.as_str() != "/" {
-            let rec = self
-                .txn_read(state, txn, path.as_str())?
+            let privileged = self.is_privileged(dom);
+            let rec = Self::txn_read(&mut self.txns, state, txn, path.as_str())?
                 .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-            if !self.can_read(dom, &rec) {
-                return Err(XsError::Acc {
-                    caller: dom,
-                    path: path.to_string(),
-                });
+            if !(privileged || rec.perms.can_read(dom)) {
+                return Err(acc(dom, path));
             }
         }
         let mut keys: BTreeSet<String> =
@@ -505,15 +472,14 @@ impl XenStoreLogic {
         dom: DomId,
         path: &XsPath,
     ) -> XsResult<NodePerms> {
-        let rec = Self::get_record(state, path.as_str())
+        let privileged = self.is_privileged(dom);
+        let rec = state
+            .get(path.as_str())
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-        if !self.can_read(dom, &rec) {
-            return Err(XsError::Acc {
-                caller: dom,
-                path: path.to_string(),
-            });
+        if !(privileged || rec.perms.can_read(dom)) {
+            return Err(acc(dom, path));
         }
-        Ok(rec.perms)
+        Ok(rec.perms.clone())
     }
 
     /// Replaces a node's permissions; only the owner or a privileged
@@ -525,17 +491,20 @@ impl XenStoreLogic {
         path: &XsPath,
         perms: NodePerms,
     ) -> XsResult<()> {
-        let mut rec = Self::get_record(state, path.as_str())
+        let privileged = self.is_privileged(dom);
+        let rec = state
+            .get(path.as_str())
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-        if rec.perms.owner != dom && !self.is_privileged(dom) {
-            return Err(XsError::Acc {
-                caller: dom,
-                path: path.to_string(),
-            });
-        }
         let old_owner = rec.perms.owner;
+        if old_owner != dom && !privileged {
+            return Err(acc(dom, path));
+        }
         let new_owner = perms.owner;
-        rec.perms = perms;
+        let rec = NodeRecord {
+            value: rec.value.clone(),
+            perms,
+            generation: rec.generation,
+        };
         state.serve(KvRequest::Put(path.as_str().to_string(), rec));
         if old_owner != new_owner {
             self.uncharge_node(old_owner);
@@ -648,10 +617,36 @@ impl XenStoreLogic {
         // Conflict detection: any touched key mutated after base?
         let touched: BTreeSet<&String> = txn.reads.iter().chain(txn.writes.keys()).collect();
         for key in touched {
-            if let Some(rec) = Self::get_record(state, key) {
-                if rec.generation > txn.base_generation {
-                    return Err(XsError::Again);
+            if state
+                .get(key)
+                .is_some_and(|rec| rec.generation > txn.base_generation)
+            {
+                return Err(XsError::Again);
+            }
+        }
+        // A removal leaves no generation behind, so the check above cannot
+        // see a parent removed, or a child created under a node this
+        // transaction removes, since it started. Either would leave a
+        // stored node without its parent: retry instead.
+        for (key, rec) in &txn.writes {
+            let deleted_in_txn = |k: &str| matches!(txn.writes.get(k), Some(None));
+            let orphans = match (rec, parent_key(key)) {
+                (Some(_), Some(parent)) => match txn.writes.get(parent) {
+                    Some(overlay) => overlay.is_none(),
+                    None => state.get(parent).is_none(),
+                },
+                (Some(_), None) => false,
+                // A subtree root: every stored node beneath it must go too.
+                (None, parent) if !parent.is_some_and(deleted_in_txn) => {
+                    match state.serve(KvRequest::ListSubtree(key.clone())) {
+                        KvReply::Keys(keys) => keys.iter().any(|k| !txn.writes.contains_key(k)),
+                        _ => false,
+                    }
                 }
+                (None, _) => false,
+            };
+            if orphans {
+                return Err(XsError::Again);
             }
         }
         // Apply and fire.
@@ -705,6 +700,19 @@ impl Default for XenStoreLogic {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The permission error for `dom` on `path`.
+fn acc(dom: DomId, path: &XsPath) -> XsError {
+    XsError::Acc {
+        caller: dom,
+        path: path.to_string(),
+    }
+}
+
+/// The parent of a stored key, or `None` under the root.
+fn parent_key(key: &str) -> Option<&str> {
+    key.rfind('/').filter(|&i| i > 0).map(|i| &key[..i])
 }
 
 fn sanitize_token(token: &str) -> String {
@@ -824,6 +832,105 @@ mod tests {
         assert_eq!(perms.owner, guest);
         // 4 new nodes: device, vif, 0, mac.
         assert_eq!(l.node_count(guest), 1 + 4, "home dir + four created nodes");
+    }
+
+    fn generation_of(s: &XenStoreState, key: &str) -> u64 {
+        s.peek(key).expect("node present").generation
+    }
+
+    #[test]
+    fn deep_write_creates_exactly_the_missing_ancestors_root_first() {
+        let (mut l, mut s, _dom0, guest) = setup();
+        l.write(&mut s, guest, None, &p("/local/domain/7/device"), b"d")
+            .unwrap();
+        let home_gen = generation_of(&s, "/local/domain/7");
+        let device_gen = generation_of(&s, "/local/domain/7/device");
+        let (count, gen) = (l.node_count(guest), s.generation());
+        let leaf = "/local/domain/7/device/vif/0/backend/state";
+        l.write(&mut s, guest, None, &p(leaf), b"4").unwrap();
+        // Existing ancestors are untouched: no Put, same generation.
+        assert_eq!(generation_of(&s, "/local/domain/7"), home_gen);
+        assert_eq!(generation_of(&s, "/local/domain/7/device"), device_gen);
+        // Exactly the four missing nodes were Put, root-first, each owned
+        // by and charged to the writer.
+        let created = [
+            "/local/domain/7/device/vif",
+            "/local/domain/7/device/vif/0",
+            "/local/domain/7/device/vif/0/backend",
+            leaf,
+        ];
+        for (i, key) in created.iter().enumerate() {
+            let rec = s.peek(key).unwrap();
+            assert_eq!(rec.generation, gen + 1 + i as u64, "{key} Put in order");
+            assert_eq!(rec.perms, NodePerms::owner_only(guest));
+            let want: &[u8] = if *key == leaf { b"4" } else { b"" };
+            assert_eq!(rec.value, want);
+        }
+        assert_eq!(s.generation(), gen + 4, "one Put per created node");
+        assert_eq!(l.node_count(guest), count + 4);
+    }
+
+    #[test]
+    fn deep_write_checks_the_nearest_existing_ancestor() {
+        let (mut l, mut s, dom0, guest) = setup();
+        // A dom0-owned node inside the guest's home: the guest may not
+        // create beneath it, although the home above it is its own.
+        l.write(&mut s, dom0, None, &p("/local/domain/7/ro"), b"")
+            .unwrap();
+        let gen = s.generation();
+        assert!(matches!(
+            l.write(&mut s, guest, None, &p("/local/domain/7/ro/a/b"), b"x"),
+            Err(XsError::Acc { caller, ref path })
+                if caller == guest && path == "/local/domain/7/ro/a/b"
+        ));
+        assert_eq!(s.generation(), gen, "a denied write Puts nothing");
+        assert!(s.peek("/local/domain/7/ro/a").is_none());
+        // A node that grants the guest write access lets it create
+        // beneath, even though everything above is closed to it.
+        l.write(&mut s, dom0, None, &p("/shared/open"), b"")
+            .unwrap();
+        let mut perms = NodePerms::owner_only(dom0);
+        perms.default = crate::perm::PermLevel::Write;
+        l.set_perms(&mut s, dom0, &p("/shared/open"), perms)
+            .unwrap();
+        l.write(&mut s, guest, None, &p("/shared/open/a/b"), b"x")
+            .unwrap();
+        assert_eq!(
+            s.peek("/shared/open/a").unwrap().perms,
+            NodePerms::owner_only(guest)
+        );
+        // With no existing ancestor below the root, only privileged
+        // connections may create.
+        assert!(matches!(
+            l.write(&mut s, guest, None, &p("/fresh/a/b"), b"x"),
+            Err(XsError::Acc { .. })
+        ));
+        assert!(s.peek("/fresh").is_none());
+    }
+
+    #[test]
+    fn deep_write_over_quota_keeps_the_ancestors_charged_so_far() {
+        let mut l = XenStoreLogic::with_quotas(Quotas {
+            nodes: 3,
+            ..Quotas::default()
+        });
+        let mut s = XenStoreState::new();
+        let (dom0, guest) = (DomId(0), DomId(7));
+        l.set_privileged(dom0, true);
+        l.write(&mut s, dom0, None, &p("/g"), b"").unwrap();
+        l.set_perms(&mut s, dom0, &p("/g"), NodePerms::owner_only(guest))
+            .unwrap();
+        assert_eq!(l.node_count(guest), 1);
+        // Home + two ancestors fill the quota; the third charge fails
+        // after the first two were created, as node-by-node charging has
+        // always done.
+        assert!(matches!(
+            l.write(&mut s, guest, None, &p("/g/a/b/c/d"), b"v"),
+            Err(XsError::Quota("nodes"))
+        ));
+        assert!(s.peek("/g/a").is_some() && s.peek("/g/a/b").is_some());
+        assert!(s.peek("/g/a/b/c").is_none());
+        assert_eq!(l.node_count(guest), 3);
     }
 
     #[test]
@@ -984,6 +1091,38 @@ mod tests {
     }
 
     #[test]
+    fn commit_that_would_orphan_a_node_gets_eagain() {
+        let (mut l, mut s, dom0, _) = setup();
+        // The parent of a node the transaction creates is removed outside
+        // it: a deleted key has no generation to conflict on.
+        l.write(&mut s, dom0, None, &p("/tool/a"), b"").unwrap();
+        let t = l.txn_start(&mut s, dom0).unwrap();
+        l.write(&mut s, dom0, Some(t), &p("/tool/a/x"), b"v")
+            .unwrap();
+        l.rm(&mut s, dom0, None, &p("/tool/a")).unwrap();
+        assert!(matches!(
+            l.txn_end(&mut s, dom0, t, true),
+            Err(XsError::Again)
+        ));
+        assert!(s.peek("/tool/a/x").is_none());
+        // A child is created outside under a node the transaction removes.
+        l.write(&mut s, dom0, None, &p("/tool/b/y"), b"").unwrap();
+        let t = l.txn_start(&mut s, dom0).unwrap();
+        l.rm(&mut s, dom0, Some(t), &p("/tool/b")).unwrap();
+        l.write(&mut s, dom0, None, &p("/tool/b/z/w"), b"").unwrap();
+        assert!(matches!(
+            l.txn_end(&mut s, dom0, t, true),
+            Err(XsError::Again)
+        ));
+        assert!(s.peek("/tool/b").is_some() && s.peek("/tool/b/z/w").is_some());
+        // The retry sees the whole subtree and commits.
+        let t = l.txn_start(&mut s, dom0).unwrap();
+        l.rm(&mut s, dom0, Some(t), &p("/tool/b")).unwrap();
+        l.txn_end(&mut s, dom0, t, true).unwrap();
+        assert!(s.peek("/tool/b").is_none() && s.peek("/tool/b/z").is_none());
+    }
+
+    #[test]
     fn disjoint_transactions_do_not_conflict() {
         let (mut l, mut s, dom0, _) = setup();
         let t = l.txn_start(&mut s, dom0).unwrap();
@@ -1139,6 +1278,86 @@ mod proptests {
             l.restart(&mut s);
             for (key, value) in shadow {
                 assert_eq!(l.read(&mut s, dom0, None, &p(&key)).unwrap(), value);
+            }
+        });
+    }
+
+    /// Every node in State has its parent in State: the invariant the
+    /// write path's upward walk relies on to stop at the first node it
+    /// finds. Checked after each step of random mixes of plain and
+    /// transactional writes, mkdirs, removals and permission changes by a
+    /// privileged and an unprivileged domain, with commits, aborts and
+    /// `Again` conflicts, Logic restarts, and persist → recover rounds.
+    #[test]
+    fn every_stored_node_has_its_parent() {
+        fn orphans(s: &XenStoreState) -> Vec<String> {
+            s.entries_under("/")
+                .map(|(k, _)| k)
+                .filter(|k| *k != "/" && !k.starts_with("/@"))
+                .filter(|k| {
+                    let parent = &k[..k.rfind('/').expect("absolute key")];
+                    !parent.is_empty() && s.peek(parent).is_none()
+                })
+                .cloned()
+                .collect()
+        }
+        Runner::cases(256).run("every stored node has its parent", |g| {
+            let mut l = XenStoreLogic::new();
+            let mut s = XenStoreState::new();
+            let (dom0, guest) = (DomId(0), DomId(7));
+            l.set_privileged(dom0, true);
+            l.write(&mut s, dom0, None, &p("/g"), b"").unwrap();
+            l.set_perms(&mut s, dom0, &p("/g"), NodePerms::owner_only(guest))
+                .unwrap();
+            let mut txn: Option<(DomId, u32)> = None;
+            for _ in 0..g.usize(1..80) {
+                let top = *g.choose(&["a", "g"]);
+                let depth = g.usize(0..3);
+                let rest: Vec<&str> = (0..depth).map(|_| *g.choose(&["x", "y"])).collect();
+                let path = p(&format!(
+                    "/{top}{}",
+                    rest.iter().map(|c| format!("/{c}")).collect::<String>()
+                ));
+                // While a transaction is open, half the ops go into it;
+                // the rest race it from outside.
+                let (dom, in_txn) = match txn {
+                    Some((owner, id)) if g.bool() => (owner, Some(id)),
+                    _ => (if g.bool() { dom0 } else { guest }, None),
+                };
+                match g.u8(0..20) {
+                    0..=5 | 19 => {
+                        let _ = l.write(&mut s, dom, in_txn, &path, b"v");
+                    }
+                    6 | 7 => {
+                        let _ = l.mkdir(&mut s, dom, in_txn, &path);
+                    }
+                    8..=11 => {
+                        let _ = l.rm(&mut s, dom, in_txn, &path);
+                    }
+                    12 | 13 => {
+                        let owner = if g.bool() { dom0 } else { guest };
+                        let _ = l.set_perms(&mut s, dom, &path, NodePerms::owner_only(owner));
+                    }
+                    14..=16 => match txn.take() {
+                        Some((owner, id)) => {
+                            let _ = l.txn_end(&mut s, owner, id, g.bool());
+                        }
+                        None => {
+                            txn = l.txn_start(&mut s, dom).ok().map(|id| (dom, id));
+                        }
+                    },
+                    17 => {
+                        l.restart(&s);
+                        txn = None;
+                    }
+                    _ => {
+                        s = XenStoreState::recover(&s.persist()).unwrap();
+                        l.restart(&s);
+                        txn = None;
+                    }
+                }
+                let bad = orphans(&s);
+                assert!(bad.is_empty(), "nodes without a parent: {bad:?}");
             }
         });
     }

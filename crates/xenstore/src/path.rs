@@ -90,22 +90,11 @@ impl XsPath {
 
     /// Whether `self` equals `other` or lies beneath it.
     pub fn starts_with(&self, other: &XsPath) -> bool {
-        if other.0 == "/" {
-            return true;
-        }
-        self.0 == other.0 || self.0.starts_with(&format!("{}/", other.0))
-    }
-
-    /// All ancestors from the root down to (excluding) `self`.
-    pub fn ancestors(&self) -> Vec<XsPath> {
-        let mut out = Vec::new();
-        let mut cur = self.parent();
-        while let Some(p) = cur {
-            cur = p.parent();
-            out.push(p);
-        }
-        out.reverse();
-        out
+        other.0 == "/"
+            || self
+                .0
+                .strip_prefix(other.0.as_str())
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
     }
 
     /// The conventional per-domain home directory.
@@ -201,17 +190,6 @@ mod tests {
             "prefix match must respect component boundaries"
         );
         assert!(a.starts_with(&XsPath::parse("/").unwrap()));
-    }
-
-    #[test]
-    fn ancestors_in_order() {
-        let p = XsPath::parse("/a/b/c").unwrap();
-        let anc: Vec<String> = p
-            .ancestors()
-            .iter()
-            .map(|a| a.as_str().to_string())
-            .collect();
-        assert_eq!(anc, vec!["/", "/a", "/a/b"]);
     }
 
     #[test]

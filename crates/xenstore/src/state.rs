@@ -207,6 +207,13 @@ impl XenStoreState {
         }
     }
 
+    /// The borrowed form of [`KvRequest::Get`]: one counted protocol
+    /// operation that lends the record instead of cloning it.
+    pub fn get(&mut self, key: &str) -> Option<&NodeRecord> {
+        self.ops_served += 1;
+        self.map.get(key)
+    }
+
     /// Number of records held.
     pub fn len(&self) -> usize {
         self.map.len()
