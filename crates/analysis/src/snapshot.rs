@@ -91,7 +91,8 @@ pub struct GrantEdge {
 /// genuinely reading each other's writes without a grant.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SharedFrame {
-    /// The shared machine frame.
+    /// The shared machine frame. Frame numbers are reused once freed,
+    /// so the number names this frame only as of the capture.
     pub mfn: u64,
     /// The distinct mapper domains, ascending.
     pub mappers: Vec<DomId>,

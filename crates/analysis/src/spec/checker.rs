@@ -16,15 +16,20 @@
 //!    re-states a revoked capability is diagnosed as
 //!    `revoked-grant-resurrected` (the satellite-2 hole); any other
 //!    unjustified entry as `unjustified-grant-entry`.
-//! 2. **Frame ownership** — owner changes are confined to the op's
+//! 2. **Frame lives** — MFNs are reused, so a frame must be free of
+//!    holders before it is freed: every grant entry names a live frame
+//!    of the generation it recorded, owned by its granter (page-flip
+//!    offers excepted), and every foreign-mapped frame stays live
+//!    (`frame-reused-while-held`).
+//! 3. **Frame ownership** — owner changes are confined to the op's
 //!    write footprint (exact per-mfn diff in small scopes, per-domain
 //!    counts beyond [`super::model::EXACT_OWNER_LIMIT`]).
-//! 3. **Cross-domain visibility** — every multi-domain frame alias
+//! 4. **Cross-domain visibility** — every multi-domain frame alias
 //!    must be justified: refs-backed CoW shares (dedup, snapshot
 //!    baselines) are break-on-write and exempt, clone fall-through
 //!    pairs require a model-side clone link, and injected raw aliases
 //!    require a declared edge.
-//! 4. **Declared-edge ledger** — ops with no declaration footprint must
+//! 5. **Declared-edge ledger** — ops with no declaration footprint must
 //!    leave the ledger byte-identical to the model's copy.
 //!
 //! Direct guest writes to a domain's own memory are not hypercalls;
@@ -40,6 +45,7 @@ use std::rc::Rc;
 
 use xoar_hypervisor::grant::GrantAccess;
 use xoar_hypervisor::hypercall::{Hypercall, HypercallRet};
+use xoar_hypervisor::memory::Mfn;
 use xoar_hypervisor::{DomId, GateObserver, HvResult, Hypervisor};
 
 use super::model::{GrantFact, SpecState};
@@ -50,6 +56,7 @@ use super::model::{GrantFact, SpecState};
 pub struct Divergence {
     /// Stable rule identifier (`revoked-grant-resurrected`,
     /// `unjustified-grant-entry`, `grant-entry-vanished`,
+    /// `frame-reused-while-held`,
     /// `unjustified-ownership-change`, `undeclared-clone-fanthrough`,
     /// `raw-alias-undeclared`, `foreign-map-unjustified`,
     /// `undeclared-sharing-edge`).
@@ -219,6 +226,12 @@ impl SpecCore {
                 if matches!(call, MmuWriteForeign { .. }) {
                     writes.insert(*target);
                 }
+                if let HypercallRet::Mfn(mfn) = ret {
+                    let held = (mfn.0, hv.mem.generation(*mfn));
+                    if !self.spec.foreign_maps.contains(&held) {
+                        self.spec.foreign_maps.push(held);
+                    }
+                }
             }
             MemoryPopulate { target, .. } => {
                 writes.insert(*target);
@@ -240,15 +253,7 @@ impl SpecCore {
                     writes.insert(*c);
                     if let Some(table) = hv.grant_table(*c) {
                         for (gref, e) in table.entries_sorted() {
-                            self.spec.grants.insert(
-                                (*c, gref.0),
-                                GrantFact {
-                                    grantee: e.grantee,
-                                    pfn: e.pfn.0,
-                                    mfn: e.mfn.0,
-                                    access: e.access,
-                                },
-                            );
+                            self.spec.grants.insert((*c, gref.0), GrantFact::of(e));
                         }
                     }
                     *declared = true;
@@ -322,15 +327,15 @@ impl SpecCore {
         pfn: u64,
         access: GrantAccess,
     ) {
-        let mfn = hv
+        let (mfn, gen) = hv
             .grant_table(granter)
             .and_then(|t| t.entry(xoar_hypervisor::grant::GrantRef(gref)))
-            .map(|e| e.mfn.0)
-            .unwrap_or(u64::MAX);
+            .map_or((u64::MAX, 0), |e| (e.mfn.0, e.gen));
         let fact = GrantFact {
             grantee,
             pfn,
             mfn,
+            gen,
             access,
         };
         // A legitimate re-grant clears the revocation: the capability
@@ -371,6 +376,9 @@ impl SpecCore {
         }
         self.check_grant_tables(hv);
         if self.divergence.is_none() {
+            self.check_frame_lives(hv);
+        }
+        if self.divergence.is_none() {
             self.check_ownership(hv, writes);
         }
         if self.divergence.is_none() {
@@ -393,17 +401,7 @@ impl SpecCore {
                 .map(|t| {
                     t.entries_sorted()
                         .into_iter()
-                        .map(|(gref, e)| {
-                            (
-                                gref.0,
-                                GrantFact {
-                                    grantee: e.grantee,
-                                    pfn: e.pfn.0,
-                                    mfn: e.mfn.0,
-                                    access: e.access,
-                                },
-                            )
-                        })
+                        .map(|(gref, e)| (gref.0, GrantFact::of(e)))
                         .collect()
                 })
                 .unwrap_or_default();
@@ -451,6 +449,59 @@ impl SpecCore {
                     return;
                 }
             }
+        }
+    }
+
+    /// A frame is freed only when nothing holds it any more, so a reused
+    /// frame starts its next life clean: every live grant entry names a
+    /// live frame of the generation it recorded (owned by its granter,
+    /// unless the entry is a page-flip offer), and every frame the model
+    /// saw foreign-mapped is still live in the generation it was mapped
+    /// in.
+    fn check_frame_lives(&mut self, hv: &Hypervisor) {
+        // The owner of `mfn` while it is live in generation `gen`.
+        let owner_in = |mfn: u64, gen: u32| {
+            let mfn = Mfn(mfn);
+            (hv.mem.generation(mfn) == gen)
+                .then(|| hv.mem.owner(mfn).ok())
+                .flatten()
+        };
+        let stale_grant = self
+            .spec
+            .grants
+            .iter()
+            .find(|(&(granter, _), f)| match owner_in(f.mfn, f.gen) {
+                // A page-flip offer is never mapped or copied through:
+                // its frame may change hands under a duplicate offer.
+                Some(_) if f.access == GrantAccess::Transfer => false,
+                owner => owner != Some(granter),
+            })
+            .map(|(&(granter, gref), f)| {
+                format!(
+                    "{granter} gref {gref} ({:?} pfn {} to {}) names mfn {} of generation {}, \
+                     which was freed under it (now generation {}, owner {:?})",
+                    f.access,
+                    f.pfn,
+                    f.grantee,
+                    f.mfn,
+                    f.gen,
+                    hv.mem.generation(Mfn(f.mfn)),
+                    hv.mem.owner(Mfn(f.mfn)).ok(),
+                )
+            });
+        let stale_map = || {
+            self.spec
+                .foreign_maps
+                .iter()
+                .find(|&&(mfn, gen)| owner_in(mfn, gen).is_none())
+                .map(|(mfn, gen)| {
+                    format!(
+                        "foreign-mapped mfn {mfn} of generation {gen} was freed under its mapping"
+                    )
+                })
+        };
+        if let Some(detail) = stale_grant.or_else(stale_map) {
+            self.diverge("frame-reused-while-held", detail);
         }
     }
 

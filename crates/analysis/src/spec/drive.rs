@@ -8,11 +8,12 @@
 //! to longer sequences with the in-tree property harness, shrinking any
 //! divergence to a minimal reproducing op trace.
 //!
-//! [`selftest`] proves the oracle itself has teeth: three known
+//! [`selftest`] proves the oracle itself has teeth: four known
 //! violations — a resurrected revoked grant, an undeclared clone
-//! fall-through wired behind the model's back, and a raw frame alias —
-//! are injected and each must fire its distinct rule, reported with a
-//! shrunk counterexample trace and a copy-pasteable regression test.
+//! fall-through wired behind the model's back, a raw frame alias, and a
+//! granted frame freed and reused under its grant — are injected and
+//! each must fire its distinct rule, reported with a shrunk
+//! counterexample trace and a copy-pasteable regression test.
 
 use std::rc::Rc;
 
@@ -343,6 +344,7 @@ pub struct SelftestOutcome {
 const INJECT_RESURRECT: usize = ALPHABET;
 const INJECT_BACKDOOR_CLONE: usize = ALPHABET + 1;
 const INJECT_RAW_ALIAS: usize = ALPHABET + 2;
+const INJECT_REUSE_WHILE_GRANTED: usize = ALPHABET + 3;
 
 /// Applies one injection after the drawn prefix: a known violation the
 /// checker must catch. Returns a description for the decoded trace.
@@ -378,6 +380,26 @@ fn apply_injection(w: &mut SmallWorld, h: &SpecHandle, inject: usize) -> &'stati
             }
             let _ = w.hv.hypercall(mgr, Hypercall::SchedYield);
             "INJECT: backdoor clone_space(tpl -> fresh shell) behind the gate"
+        }
+        INJECT_REUSE_WHILE_GRANTED => {
+            // A dedup sweep that ignores grants (the gated one leaves
+            // granted frames alone) frees A's freshly granted pfn5, a
+            // duplicate of pfn4, and the next populate reuses the frame.
+            let _ = w.hv.hypercall(
+                a,
+                Hypercall::GnttabGrantAccess {
+                    grantee: b,
+                    pfn: Pfn(5),
+                    access: GrantAccess::ReadWrite,
+                },
+            );
+            h.note_write(a);
+            let _ = w.hv.mem.write(a, Pfn(4), b"spec-driver-duplicate");
+            let _ = w.hv.mem.write(a, Pfn(5), b"spec-driver-duplicate");
+            w.hv.mem.share_identical(&[]);
+            let _ = w.hv.mem.populate(b, 1);
+            let _ = w.hv.hypercall(mgr, Hypercall::SchedYield);
+            "INJECT: granted A pfn5 freed by a grant-blind dedup, reused by B"
         }
         _ => {
             // Synthetic raw alias: two guests sharing a frame with no
@@ -425,13 +447,14 @@ fn selftest_rule(rule: &'static str, inject: usize) -> SelftestOutcome {
     }
 }
 
-/// Injects the three known violations and reports whether each fired
+/// Injects the four known violations and reports whether each fired
 /// with its distinct rule and a shrunk counterexample trace.
 pub fn selftest() -> Vec<SelftestOutcome> {
     vec![
         selftest_rule("revoked-grant-resurrected", INJECT_RESURRECT),
         selftest_rule("undeclared-clone-fanthrough", INJECT_BACKDOOR_CLONE),
         selftest_rule("raw-alias-undeclared", INJECT_RAW_ALIAS),
+        selftest_rule("frame-reused-while-held", INJECT_REUSE_WHILE_GRANTED),
     ]
 }
 
@@ -549,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn selftest_fires_all_three_rules() {
+    fn selftest_fires_every_rule() {
         for outcome in selftest() {
             assert!(
                 outcome.fired,

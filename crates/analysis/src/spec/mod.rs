@@ -29,8 +29,9 @@
 //!   enumeration over grant/map/unmap/transfer/copy/snapshot/rollback/
 //!   clone/microreboot sequences (the `--spec-exhaustive` CI gate);
 //! * [`drive::selftest`] — injects known violations (revoked-grant
-//!   resurrection, backdoor clone fall-through, raw alias) and proves
-//!   each fires its rule (`--spec-selftest`).
+//!   resurrection, backdoor clone fall-through, raw alias, a granted
+//!   frame freed and reused) and proves each fires its rule
+//!   (`--spec-selftest`).
 
 pub mod checker;
 pub mod drive;

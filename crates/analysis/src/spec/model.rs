@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xoar_hypervisor::grant::GrantAccess;
+use xoar_hypervisor::grant::{GrantAccess, GrantEntry};
 use xoar_hypervisor::{DomId, Hypervisor};
 
 /// A declared cross-region sharing edge, as recorded by the
@@ -31,7 +31,7 @@ pub type Edge = (&'static str, DomId, DomId);
 pub const EXACT_OWNER_LIMIT: u64 = 16_384;
 
 /// One grant fact: the granter's table says `grantee` may reach the
-/// page at (`pfn` → `mfn`) with `access`.
+/// page at (`pfn` → `mfn`, generation `gen`) with `access`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrantFact {
     /// Domain allowed to map the page.
@@ -40,14 +40,29 @@ pub struct GrantFact {
     pub pfn: u64,
     /// Machine frame the grant resolved to at grant time.
     pub mfn: u64,
+    /// That frame's generation at grant time: MFNs are reused, and the
+    /// pair names one life of one frame.
+    pub gen: u32,
     /// Permitted access mode.
     pub access: GrantAccess,
 }
 
 impl GrantFact {
+    /// The fact a real grant-table entry states.
+    pub fn of(e: &GrantEntry) -> GrantFact {
+        GrantFact {
+            grantee: e.grantee,
+            pfn: e.pfn.0,
+            mfn: e.mfn.0,
+            gen: e.gen,
+            access: e.access,
+        }
+    }
+
     /// Whether `other` re-states this fact (same grantee, page, and
     /// access). Machine frames are ignored: a CoW break may have moved
-    /// the page between revocation and an attempted resurrection.
+    /// the page between revocation and an attempted resurrection, and a
+    /// freed frame number may since belong to someone else.
     pub fn same_capability(&self, other: &GrantFact) -> bool {
         self.grantee == other.grantee && self.pfn == other.pfn && self.access == other.access
     }
@@ -79,6 +94,10 @@ pub struct SpecState {
     pub blanket: BTreeSet<DomId>,
     /// `(subject, object)` pairs of the `privileged_for` relation.
     pub priv_for: BTreeSet<(DomId, DomId)>,
+    /// Frames foreign-mapped through the gate, as `(mfn, generation)`.
+    /// A foreign mapping pins its frame for good, so each must stay
+    /// live in the generation it was mapped in.
+    pub foreign_maps: Vec<(u64, u32)>,
     /// `clone → template` links the model has observed (via
     /// `DomctlCloneDomain` or attach-time capture). A fall-through
     /// alias between a clone and a template is justified only by an
@@ -116,15 +135,7 @@ impl SpecState {
                 continue;
             };
             for (gref, e) in table.entries_sorted() {
-                s.grants.insert(
-                    (granter, gref.0),
-                    GrantFact {
-                        grantee: e.grantee,
-                        pfn: e.pfn.0,
-                        mfn: e.mfn.0,
-                        access: e.access,
-                    },
-                );
+                s.grants.insert((granter, gref.0), GrantFact::of(e));
             }
         }
         s
@@ -281,6 +292,7 @@ mod tests {
                 grantee: d(2),
                 pfn: 4,
                 mfn: 40,
+                gen: 0,
                 access: GrantAccess::ReadWrite,
             },
         );
@@ -307,6 +319,7 @@ mod tests {
             grantee: d(2),
             pfn: 4,
             mfn: 40,
+            gen: 0,
             access: GrantAccess::ReadOnly,
         };
         let b = GrantFact { mfn: 99, ..a };

@@ -303,7 +303,7 @@ fn bench_dedup_scale(h: &mut Harness) {
             label,
             || base.clone(),
             |mut m| {
-                black_box(m.share_identical());
+                black_box(m.share_identical(&[]));
             },
         );
     }

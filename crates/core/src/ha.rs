@@ -74,7 +74,7 @@ impl HaSession {
             });
         }
         let dirty = self.replica.dirty(primary)?;
-        let shipped = self.replica.ship(primary, backup, &dirty, false)?;
+        let shipped = self.replica.ship(primary, backup, dirty, false)?;
         self.epochs += 1;
         self.pages_replicated += shipped;
         Ok(shipped)

@@ -82,7 +82,9 @@ pub(crate) struct Replica {
 impl Replica {
     /// Builds a shell for `guest` on `dst` (named after it plus
     /// `suffix`), opens the cursor, and ships every written page.
-    /// Returns the replica, the pages mapped and the pages shipped.
+    /// Returns the replica, the pages mapped and the pages shipped. A
+    /// start that fails after building the shell leaves nothing behind:
+    /// the cursor is closed and the shell destroyed.
     pub(crate) fn start(
         src: &mut Platform,
         dst: &mut Platform,
@@ -101,10 +103,31 @@ impl Replica {
             cursor: 0,
             shell: dst.create_guest(dst_toolstack, cfg)?,
         };
-        rep.cursor = rep.shadow(src, ShadowOp::Enable)?.cursor()?;
-        let pfns: Vec<Pfn> = src.hv.mem.p2m_entries(guest).iter().map(|e| e.0).collect();
-        let shipped = rep.ship(src, dst, &pfns, true)?;
-        Ok((rep, pfns.len() as u64, shipped))
+        let mapped = src.hv.mem.p2m_entries(guest);
+        let copied = rep
+            .shadow(src, ShadowOp::Enable)
+            .and_then(|ret| ret.cursor())
+            .and_then(|cursor| {
+                rep.cursor = cursor;
+                rep.ship(src, dst, mapped.iter().map(|e| e.0), true)
+            });
+        match copied {
+            Ok(shipped) => Ok((rep, mapped.len() as u64, shipped)),
+            Err(e) => {
+                rep.abandon(src, dst, dst_toolstack);
+                Err(e)
+            }
+        }
+    }
+
+    /// Undoes a replica that will not finish: closes its cursor (if one
+    /// was opened) and destroys the shell. Best effort — the caller is
+    /// already reporting the failure that got here.
+    fn abandon(&self, src: &mut Platform, dst: &mut Platform, dst_toolstack: DomId) {
+        if self.cursor != 0 {
+            let _ = self.shadow(src, ShadowOp::Off(self.cursor));
+        }
+        let _ = dst.destroy_guest(dst_toolstack, self.shell);
     }
 
     /// Issues a log-dirty op on the guest, as its toolstack.
@@ -126,12 +149,12 @@ impl Replica {
         &self,
         src: &Platform,
         dst: &mut Platform,
-        pfns: &[Pfn],
+        pfns: impl IntoIterator<Item = Pfn>,
         skip_empty: bool,
     ) -> HvResult<u64> {
         let (builder, target) = (dst.services.builder, self.shell);
         let mut shipped = 0;
-        for &pfn in pfns {
+        for pfn in pfns {
             let data = src.hv.mem.read(self.guest, pfn)?;
             if !(skip_empty && data.is_empty()) {
                 let write = Hypercall::MmuWriteForeign { target, pfn, data };
@@ -187,17 +210,21 @@ pub fn migrate(
                 let pause = Hypercall::DomctlPauseDomain { target: guest };
                 src.hv.hypercall(rep.toolstack, pause)?;
                 dirty.extend(rep.dirty(src)?);
-                let pages_final = rep.ship(src, dst, &dirty, false)?;
+                let pages_final = rep.ship(src, dst, dirty, false)?;
                 return Ok((rounds, pages_total + pages_final, pages_final));
             }
-            pages_total += rep.ship(src, dst, &dirty, false)?;
+            pages_total += rep.ship(src, dst, dirty, false)?;
             rounds += 1;
         }
     })();
-    // The cursor closes whether or not the copy finished.
-    let stopped = rep.shadow(src, ShadowOp::Off(rep.cursor));
-    let (rounds, pages_total, pages_final) = copied?;
-    stopped?;
+    let (rounds, pages_total, pages_final) = match copied {
+        Ok(done) => done,
+        Err(e) => {
+            rep.abandon(src, dst, dst_toolstack);
+            return Err(e);
+        }
+    };
+    rep.shadow(src, ShadowOp::Off(rep.cursor))?;
     let downtime_ns = transfer_ns(pages_final, cfg.wire_bps) + 2_000_000; // + handover.
     let name = format!("{} (migrated in)", src.guest(guest).map_or("", |h| &h.name));
     src.destroy_guest(rep.toolstack, guest)?;
@@ -365,6 +392,41 @@ mod tests {
         );
         assert!(err.is_err(), "constraint groups hold across hosts");
         // And the source guest is untouched by the failed attempt.
+        assert_eq!(src.hv.domain(g).unwrap().state, DomainState::Running);
+    }
+
+    #[test]
+    fn failed_start_destroys_the_shell_and_closes_the_cursor() {
+        use xoar_hypervisor::error::MemError;
+        let (mut src, mut dst, ts_src, ts_dst) = two_hosts();
+        let g = src
+            .create_guest(ts_src, GuestConfig::evaluation_guest("oversized"))
+            .unwrap();
+        // Eight frames past the guest's configured size: the shell, built
+        // from `memory_mib`, has no PFN to take the first of them.
+        let beyond = src.hv.mem.populate(g, 8).unwrap();
+        src.hv.mem.write(g, beyond, b"past the end").unwrap();
+        let domains = dst.hv.domain_ids();
+        let err = migrate(
+            &mut src,
+            &mut dst,
+            g,
+            ts_dst,
+            MigrationConfig::default(),
+            |_, _| {},
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, HvError::Memory(MemError::BadPfn(p)) if p == beyond.0),
+            "{err:?}"
+        );
+        assert_eq!(dst.hv.domain_ids(), domains, "the shell is destroyed");
+        // The one cursor the attempt opened is closed: draining it fails.
+        let drain = Hypercall::DomctlShadowOp {
+            target: g,
+            op: ShadowOp::Clean(1),
+        };
+        assert!(src.hv.hypercall(ts_src, drain).is_err(), "cursor left open");
         assert_eq!(src.hv.domain(g).unwrap().state, DomainState::Running);
     }
 

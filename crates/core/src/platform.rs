@@ -878,7 +878,11 @@ impl Platform {
                     .position(|d| *d == nb)
                     .unwrap();
                 self.netbacks[idx].detach_guest(guest);
-                self.net_hub.detach_granter(guest);
+                // The dead guest's ring goes with it; the hub holds only
+                // live guests' rings.
+                if let Some(nf) = &handle.netfront {
+                    self.net_hub.destroy(nf.conn.ring);
+                }
                 let _ = self.xs.rm(
                     toolstack,
                     &xenbus::backend_path(nb, DeviceKind::Vif, guest, 0),
@@ -904,7 +908,9 @@ impl Platform {
                     toolstack,
                     &xenbus::backend_path(bb, DeviceKind::Vbd, guest, 0),
                 );
-                self.blk_hub.detach_granter(guest);
+                if let Some(bf) = &handle.blkfront {
+                    self.blk_hub.destroy(bf.conn.ring);
+                }
                 self.audit
                     .append(now, AuditEvent::ShardUnlinked { guest, shard: bb });
                 self.release_tag_if_unused(bb);

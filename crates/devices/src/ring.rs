@@ -283,22 +283,11 @@ impl<Req, Resp> RingHub<Req, Resp> {
         self.rings.get(&id).ok_or(RingError::NotFound)
     }
 
-    /// Destroys a ring entirely (page reclaimed after unmap).
+    /// Destroys a ring entirely (page reclaimed after unmap, or its
+    /// granting frontend died); a backend still holding the id observes
+    /// `NotFound`.
     pub fn destroy(&mut self, id: RingId) -> bool {
         self.rings.remove(&id).is_some()
-    }
-
-    /// Detaches every ring granted by `dom` (frontend death) — backends
-    /// observe `Detached` on next touch.
-    pub fn detach_granter(&mut self, dom: DomId) -> usize {
-        let mut n = 0;
-        for (id, ring) in self.rings.iter_mut() {
-            if id.granter == dom && ring.is_attached() {
-                ring.detach();
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Number of rings present.
@@ -438,19 +427,6 @@ mod tests {
             PageRef::ptr_eq(&page, &back),
             "no byte copy on the response path"
         );
-    }
-
-    #[test]
-    fn detach_granter_hits_all_rings_of_domain() {
-        let mut hub: RingHub<u32, u32> = RingHub::new();
-        hub.create(rid(5, 1));
-        hub.create(rid(5, 2));
-        hub.create(rid(6, 1));
-        assert_eq!(hub.detach_granter(DomId(5)), 2);
-        assert!(!hub.get(rid(5, 1)).unwrap().is_attached());
-        assert!(hub.get(rid(6, 1)).unwrap().is_attached());
-        // Idempotent: already-detached rings are not counted again.
-        assert_eq!(hub.detach_granter(DomId(5)), 0);
     }
 }
 

@@ -110,6 +110,11 @@ pub struct GrantEntry {
     pub pfn: Pfn,
     /// Resolved machine frame at grant time.
     pub mfn: Mfn,
+    /// The frame's generation at grant time
+    /// ([`crate::memory::MemoryManager::generation`]). Once the frame is
+    /// freed, and perhaps reused by another domain, maps and copies
+    /// through this entry are refused.
+    pub gen: u32,
     /// Permitted access mode.
     pub access: GrantAccess,
     /// Number of active mappings through this entry.
@@ -248,12 +253,14 @@ impl GrantTable {
             .ok_or_else(|| GrantError::BadRef(gref.0).into())
     }
 
-    /// Installs a new entry granting `grantee` access to (`pfn`, `mfn`).
+    /// Installs a new entry granting `grantee` access to (`pfn`, `mfn`),
+    /// where `gen` is the frame's current generation.
     pub fn grant(
         &mut self,
         grantee: DomId,
         pfn: Pfn,
         mfn: Mfn,
+        gen: u32,
         access: GrantAccess,
     ) -> HvResult<GrantRef> {
         if self.live >= self.capacity {
@@ -266,6 +273,7 @@ impl GrantTable {
             grantee,
             pfn,
             mfn,
+            gen,
             access,
             map_count: 0,
         }));
@@ -291,6 +299,21 @@ impl GrantTable {
         caller: DomId,
         gref: GrantRef,
     ) -> Result<(Mfn, GrantAccess), GrantError> {
+        let entry = self.mappable(caller, gref)?;
+        entry.map_count += 1;
+        Ok((entry.mfn, entry.access))
+    }
+
+    /// Validates a map attempt by `caller` and returns the entry it
+    /// names without counting the mapping, so the hypervisor can first
+    /// pin the frame (checking its generation) and count only a mapping
+    /// that took.
+    #[inline]
+    pub(crate) fn mappable(
+        &mut self,
+        caller: DomId,
+        gref: GrantRef,
+    ) -> Result<&mut GrantEntry, GrantError> {
         let entry = self
             .entries
             .get_mut(gref.0 as usize)
@@ -303,8 +326,7 @@ impl GrantTable {
             // Transfer grants are accepted, not mapped.
             return Err(GrantError::NotGranted);
         }
-        entry.map_count += 1;
-        Ok((entry.mfn, entry.access))
+        Ok(entry)
     }
 
     /// Releases one mapping by `caller`.
@@ -362,13 +384,14 @@ impl GrantTable {
     /// table (right grantee, not a transfer entry, writable for
     /// [`GrantCopyDir::ToGrant`]) and resolves the granted frame. The
     /// byte copy itself is the hypervisor's job — it owns machine
-    /// memory — so this returns the resolved `(Mfn, op)` pairs.
-    /// Copies leave no mapping behind: `map_count` is untouched.
+    /// memory, and checks the frame's generation — so this returns the
+    /// resolved `(mfn, generation, op)` triples. Copies leave no mapping
+    /// behind: `map_count` is untouched.
     pub fn grant_copy_batch(
         &mut self,
         caller: DomId,
         ops: &[GrantCopyOp],
-    ) -> Vec<Result<(Mfn, GrantCopyOp), GrantError>> {
+    ) -> Vec<Result<(Mfn, u32, GrantCopyOp), GrantError>> {
         ops.iter()
             .map(|&op| {
                 let entry = self
@@ -382,7 +405,7 @@ impl GrantTable {
                 match (entry.access, op.dir) {
                     (GrantAccess::Transfer, _) => Err(GrantError::NotGranted),
                     (GrantAccess::ReadOnly, GrantCopyDir::ToGrant) => Err(GrantError::AccessDenied),
-                    _ => Ok((entry.mfn, op)),
+                    _ => Ok((entry.mfn, entry.gen, op)),
                 }
             })
             .collect()
@@ -392,7 +415,13 @@ impl GrantTable {
     /// entirely rather than share it (the mechanism behind classic
     /// netfront/netback page-flipping). The grantee accepts with
     /// [`GrantTable::accept_transfer`], after which the entry is spent.
-    pub fn grant_transfer(&mut self, grantee: DomId, pfn: Pfn, mfn: Mfn) -> HvResult<GrantRef> {
+    pub fn grant_transfer(
+        &mut self,
+        grantee: DomId,
+        pfn: Pfn,
+        mfn: Mfn,
+        gen: u32,
+    ) -> HvResult<GrantRef> {
         if self.live >= self.capacity {
             return Err(GrantError::TableFull.into());
         }
@@ -403,6 +432,7 @@ impl GrantTable {
             grantee,
             pfn,
             mfn,
+            gen,
             access: GrantAccess::Transfer,
             map_count: 0,
         }));
@@ -456,6 +486,11 @@ impl GrantTable {
     /// Whether the table has no entries.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// The `(mfn, generation)` of every live entry, in ref order.
+    pub fn frames(&self) -> impl Iterator<Item = (Mfn, u32)> + '_ {
+        self.entries.iter().flatten().map(|e| (e.mfn, e.gen))
     }
 
     /// Total active mappings across all entries.
@@ -519,7 +554,7 @@ mod tests {
     fn grant_and_map_round_trip() {
         let mut t = table();
         let gref = t
-            .grant(DomId(2), Pfn(3), Mfn(0x100), GrantAccess::ReadWrite)
+            .grant(DomId(2), Pfn(3), Mfn(0x100), 0, GrantAccess::ReadWrite)
             .unwrap();
         let (mfn, access) = t.map(DomId(2), gref).unwrap();
         assert_eq!(mfn, Mfn(0x100));
@@ -531,7 +566,7 @@ mod tests {
     fn map_by_wrong_domain_denied() {
         let mut t = table();
         let gref = t
-            .grant(DomId(2), Pfn(0), Mfn(0x100), GrantAccess::ReadOnly)
+            .grant(DomId(2), Pfn(0), Mfn(0x100), 0, GrantAccess::ReadOnly)
             .unwrap();
         let err = t.map(DomId(3), gref).unwrap_err();
         assert!(matches!(err, HvError::Grant(GrantError::AccessDenied)));
@@ -550,7 +585,7 @@ mod tests {
     fn unmap_decrements_and_requires_mapping() {
         let mut t = table();
         let gref = t
-            .grant(DomId(2), Pfn(0), Mfn(0x1), GrantAccess::ReadOnly)
+            .grant(DomId(2), Pfn(0), Mfn(0x1), 0, GrantAccess::ReadOnly)
             .unwrap();
         assert!(matches!(
             t.unmap(DomId(2), gref).unwrap_err(),
@@ -565,7 +600,7 @@ mod tests {
     fn end_access_blocked_while_mapped() {
         let mut t = table();
         let gref = t
-            .grant(DomId(2), Pfn(0), Mfn(0x1), GrantAccess::ReadWrite)
+            .grant(DomId(2), Pfn(0), Mfn(0x1), 0, GrantAccess::ReadWrite)
             .unwrap();
         t.map(DomId(2), gref).unwrap();
         assert!(matches!(
@@ -580,12 +615,12 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut t = GrantTable::with_capacity(2);
-        t.grant(DomId(2), Pfn(0), Mfn(1), GrantAccess::ReadOnly)
+        t.grant(DomId(2), Pfn(0), Mfn(1), 0, GrantAccess::ReadOnly)
             .unwrap();
-        t.grant(DomId(2), Pfn(1), Mfn(2), GrantAccess::ReadOnly)
+        t.grant(DomId(2), Pfn(1), Mfn(2), 0, GrantAccess::ReadOnly)
             .unwrap();
         assert!(matches!(
-            t.grant(DomId(2), Pfn(2), Mfn(3), GrantAccess::ReadOnly)
+            t.grant(DomId(2), Pfn(2), Mfn(3), 0, GrantAccess::ReadOnly)
                 .unwrap_err(),
             HvError::Grant(GrantError::TableFull)
         ));
@@ -595,11 +630,11 @@ mod tests {
     fn refs_are_not_reused() {
         let mut t = table();
         let a = t
-            .grant(DomId(2), Pfn(0), Mfn(1), GrantAccess::ReadOnly)
+            .grant(DomId(2), Pfn(0), Mfn(1), 0, GrantAccess::ReadOnly)
             .unwrap();
         t.end_access(a).unwrap();
         let b = t
-            .grant(DomId(2), Pfn(0), Mfn(1), GrantAccess::ReadOnly)
+            .grant(DomId(2), Pfn(0), Mfn(1), 0, GrantAccess::ReadOnly)
             .unwrap();
         assert_ne!(a, b, "grant refs must not be recycled immediately");
     }
@@ -612,9 +647,9 @@ mod tests {
         for i in 0..30u64 {
             let grantee = DomId(2 + (i % 3) as u32);
             let gref = if i % 5 == 4 {
-                t.grant_transfer(grantee, Pfn(i), Mfn(i)).unwrap()
+                t.grant_transfer(grantee, Pfn(i), Mfn(i), 0).unwrap()
             } else {
-                t.grant(grantee, Pfn(i), Mfn(i), GrantAccess::ReadOnly)
+                t.grant(grantee, Pfn(i), Mfn(i), 0, GrantAccess::ReadOnly)
                     .unwrap()
             };
             refs.push((grantee, gref));
@@ -647,10 +682,10 @@ mod tests {
     fn map_batch_reports_per_entry_status() {
         let mut t = table();
         let good = t
-            .grant(DomId(2), Pfn(0), Mfn(0x10), GrantAccess::ReadWrite)
+            .grant(DomId(2), Pfn(0), Mfn(0x10), 0, GrantAccess::ReadWrite)
             .unwrap();
         let foreign = t
-            .grant(DomId(3), Pfn(1), Mfn(0x11), GrantAccess::ReadWrite)
+            .grant(DomId(3), Pfn(1), Mfn(0x11), 0, GrantAccess::ReadWrite)
             .unwrap();
         let results = t.grant_map_batch(DomId(2), &[good, foreign, GrantRef(99)]);
         assert_eq!(results.len(), 3);
@@ -669,12 +704,12 @@ mod tests {
     fn copy_batch_validates_direction_against_access() {
         let mut t = table();
         let ro = t
-            .grant(DomId(2), Pfn(0), Mfn(0x20), GrantAccess::ReadOnly)
+            .grant(DomId(2), Pfn(0), Mfn(0x20), 0, GrantAccess::ReadOnly)
             .unwrap();
         let rw = t
-            .grant(DomId(2), Pfn(1), Mfn(0x21), GrantAccess::ReadWrite)
+            .grant(DomId(2), Pfn(1), Mfn(0x21), 0, GrantAccess::ReadWrite)
             .unwrap();
-        let xfer = t.grant_transfer(DomId(2), Pfn(2), Mfn(0x22)).unwrap();
+        let xfer = t.grant_transfer(DomId(2), Pfn(2), Mfn(0x22), 0).unwrap();
         let op = |gref, dir| GrantCopyOp {
             gref,
             dir,
@@ -689,9 +724,9 @@ mod tests {
                 op(xfer, GrantCopyDir::FromGrant),
             ],
         );
-        assert!(matches!(results[0], Ok((Mfn(0x20), _))));
+        assert!(matches!(results[0], Ok((Mfn(0x20), 0, _))));
         assert_eq!(results[1], Err(GrantError::AccessDenied));
-        assert!(matches!(results[2], Ok((Mfn(0x21), _))));
+        assert!(matches!(results[2], Ok((Mfn(0x21), 0, _))));
         assert_eq!(results[3], Err(GrantError::NotGranted));
         // Copies leave no mappings behind.
         assert_eq!(t.active_mappings(), 0);
@@ -700,11 +735,11 @@ mod tests {
     #[test]
     fn granted_to_filters_by_grantee() {
         let mut t = table();
-        t.grant(DomId(2), Pfn(0), Mfn(1), GrantAccess::ReadOnly)
+        t.grant(DomId(2), Pfn(0), Mfn(1), 0, GrantAccess::ReadOnly)
             .unwrap();
-        t.grant(DomId(3), Pfn(1), Mfn(2), GrantAccess::ReadOnly)
+        t.grant(DomId(3), Pfn(1), Mfn(2), 0, GrantAccess::ReadOnly)
             .unwrap();
-        t.grant(DomId(2), Pfn(2), Mfn(3), GrantAccess::ReadWrite)
+        t.grant(DomId(2), Pfn(2), Mfn(3), 0, GrantAccess::ReadWrite)
             .unwrap();
         assert_eq!(t.granted_to(DomId(2)).len(), 2);
         assert_eq!(t.granted_to(DomId(3)).len(), 1);
@@ -720,7 +755,7 @@ mod transfer_tests {
     #[test]
     fn transfer_round_trip() {
         let mut t = GrantTable::new();
-        let gref = t.grant_transfer(DomId(2), Pfn(5), Mfn(0x77)).unwrap();
+        let gref = t.grant_transfer(DomId(2), Pfn(5), Mfn(0x77), 0).unwrap();
         let (pfn, mfn) = t.accept_transfer(DomId(2), gref).unwrap();
         assert_eq!(pfn, Pfn(5));
         assert_eq!(mfn, Mfn(0x77));
@@ -734,7 +769,7 @@ mod transfer_tests {
     #[test]
     fn transfer_grant_cannot_be_mapped() {
         let mut t = GrantTable::new();
-        let gref = t.grant_transfer(DomId(2), Pfn(0), Mfn(1)).unwrap();
+        let gref = t.grant_transfer(DomId(2), Pfn(0), Mfn(1), 0).unwrap();
         assert!(matches!(
             t.map(DomId(2), gref).unwrap_err(),
             HvError::Grant(GrantError::NotGranted)
@@ -745,7 +780,7 @@ mod transfer_tests {
     fn access_grant_cannot_be_accepted() {
         let mut t = GrantTable::new();
         let gref = t
-            .grant(DomId(2), Pfn(0), Mfn(1), GrantAccess::ReadWrite)
+            .grant(DomId(2), Pfn(0), Mfn(1), 0, GrantAccess::ReadWrite)
             .unwrap();
         assert!(matches!(
             t.accept_transfer(DomId(2), gref).unwrap_err(),
@@ -758,7 +793,7 @@ mod transfer_tests {
     #[test]
     fn only_named_grantee_accepts() {
         let mut t = GrantTable::new();
-        let gref = t.grant_transfer(DomId(2), Pfn(0), Mfn(1)).unwrap();
+        let gref = t.grant_transfer(DomId(2), Pfn(0), Mfn(1), 0).unwrap();
         assert!(matches!(
             t.accept_transfer(DomId(3), gref).unwrap_err(),
             HvError::Grant(GrantError::AccessDenied)
@@ -779,7 +814,7 @@ mod proptests {
             let n = g.usize(1..50);
             let mut t = GrantTable::new();
             let gref = t
-                .grant(DomId(2), Pfn(0), Mfn(7), GrantAccess::ReadWrite)
+                .grant(DomId(2), Pfn(0), Mfn(7), 0, GrantAccess::ReadWrite)
                 .unwrap();
             for _ in 0..n {
                 t.map(DomId(2), gref).unwrap();
@@ -805,6 +840,7 @@ mod proptests {
                     DomId(2),
                     Pfn(i as u64),
                     Mfn(i as u64),
+                    0,
                     GrantAccess::ReadOnly,
                 )
                 .is_ok()
@@ -825,7 +861,7 @@ mod proptests {
             let caller = g.u32(1..10);
             let mut t = GrantTable::new();
             let gref = t
-                .grant(DomId(grantee), Pfn(0), Mfn(1), GrantAccess::ReadOnly)
+                .grant(DomId(grantee), Pfn(0), Mfn(1), 0, GrantAccess::ReadOnly)
                 .unwrap();
             let res = t.map(DomId(caller), gref);
             if caller == grantee {

@@ -599,7 +599,7 @@ pub enum Hypercall {
     /// Query host physical info.
     SysctlPhysinfo,
     /// Merge identical page bodies across the host; returns the frames
-    /// freed.
+    /// freed. Frames behind a live grant entry are left alone.
     SysctlDedup,
     /// Drive `target`'s log-dirty cursors.
     DomctlShadowOp {

@@ -27,7 +27,7 @@ use crate::error::{HvError, HvResult};
 use crate::event::{PendingEvent, VirqKind};
 use crate::grant::{GrantAccess, GrantRef, GrantTable};
 use crate::hypercall::{Hypercall, HypercallId, HypercallRet};
-use crate::memory::{MemoryManager, Pfn};
+use crate::memory::{MemoryManager, Mfn, Pfn};
 use crate::privilege::PrivilegeSet;
 use crate::region::Region;
 use crate::sched::CreditScheduler;
@@ -220,6 +220,20 @@ impl Hypervisor {
     /// Grant table of a domain (read-only, for audit).
     pub fn grant_table(&self, dom: DomId) -> Option<&GrantTable> {
         self.regions.get(&dom).map(|r| r.grant_table())
+    }
+
+    /// The frames named by a live grant entry of their current
+    /// generation, ascending and without repeats: what the dedup sweep
+    /// must leave where it is.
+    fn granted_frames(&self) -> Vec<Mfn> {
+        let entries = self.regions.values().map(|r| r.grants.len()).sum();
+        let mut granted = Vec::with_capacity(entries);
+        let live = |&(mfn, gen): &(Mfn, u32)| self.mem.generation(mfn) == gen;
+        let frames = self.regions.values().flat_map(|r| r.grants.frames());
+        granted.extend(frames.filter(live).map(|(mfn, _)| mfn));
+        granted.sort_unstable();
+        granted.dedup();
+        granted
     }
 
     /// Read-only view of a domain's state region.
@@ -514,10 +528,11 @@ impl Hypervisor {
                 // sharing before granting. Installing the entry in the
                 // caller's own table is intra-region.
                 let mfn = self.mem.exclusive_mfn(caller, pfn)?;
+                let gen = self.mem.generation(mfn);
                 let gref = self
                     .region_mut(caller)?
                     .grants
-                    .grant(grantee, pfn, mfn, access)?;
+                    .grant(grantee, pfn, mfn, gen, access)?;
                 self.declare("grant", grantee, caller);
                 Ok(HypercallRet::GrantRef(gref))
             }
@@ -528,10 +543,11 @@ impl Hypervisor {
             GnttabGrantTransfer { grantee, pfn } => {
                 self.check_ivc(caller, grantee)?;
                 let mfn = self.mem.exclusive_mfn(caller, pfn)?;
+                let gen = self.mem.generation(mfn);
                 let gref = self
                     .region_mut(caller)?
                     .grants
-                    .grant_transfer(grantee, pfn, mfn)?;
+                    .grant_transfer(grantee, pfn, mfn, gen)?;
                 self.declare("grant", grantee, caller);
                 Ok(HypercallRet::GrantRef(gref))
             }
@@ -822,7 +838,10 @@ impl Hypervisor {
                 d.restart_count += 1;
                 Ok(HypercallRet::Count(restored))
             }
-            SysctlDedup => Ok(HypercallRet::Count(self.mem.share_identical())),
+            SysctlDedup => {
+                let granted = self.granted_frames();
+                Ok(HypercallRet::Count(self.mem.share_identical(&granted)))
+            }
             SysctlPhysinfo => Ok(HypercallRet::Physinfo {
                 total_frames: self.mem.total_frames(),
                 free_frames: self.mem.free_frames(),
@@ -1001,10 +1020,11 @@ impl Hypervisor {
         access: GrantAccess,
     ) -> HvResult<GrantRef> {
         let mfn = self.mem.exclusive_mfn(owner, pfn)?;
+        let gen = self.mem.generation(mfn);
         let gref = self
             .region_mut(owner)?
             .grants
-            .grant(grantee, pfn, mfn, access)?;
+            .grant(grantee, pfn, mfn, gen, access)?;
         self.declare("grant", grantee, owner);
         Ok(gref)
     }
@@ -2080,5 +2100,114 @@ mod clone_hypercall_tests {
             )
             .unwrap_err();
         assert!(matches!(err, HvError::InvalidDomainState { .. }));
+    }
+}
+
+#[cfg(test)]
+mod frame_reuse_tests {
+    use super::tests::{build_guest, xen_like};
+    use super::*;
+    use crate::error::MemError;
+    use crate::grant::{GrantCopyDir, GrantCopyOp, GrantOpStatus};
+    use std::rc::Rc;
+
+    /// Guest `a` grants its pfn 1 to Dom0, and `early` — built first, so
+    /// its frames are lower — holds the same bytes: the granted frame is
+    /// the duplicate a dedup sweep would free.
+    fn granted_duplicate(hv: &mut Hypervisor, dom0: DomId) -> (DomId, GrantRef) {
+        let early = build_guest(hv, dom0, "early");
+        let a = build_guest(hv, dom0, "a");
+        hv.mem.write(early, Pfn(0), b"a's ring page").unwrap();
+        hv.mem.write(a, Pfn(1), b"a's ring page").unwrap();
+        let gref = hv
+            .hypercall(
+                a,
+                Hypercall::GnttabGrantAccess {
+                    grantee: dom0,
+                    pfn: Pfn(1),
+                    access: GrantAccess::ReadWrite,
+                },
+            )
+            .unwrap()
+            .grant_ref()
+            .unwrap();
+        (a, gref)
+    }
+
+    #[test]
+    fn live_grant_survives_a_dedup_sweep() {
+        let (mut hv, dom0) = xen_like();
+        let (a, gref) = granted_duplicate(&mut hv, dom0);
+        let granted = hv.mem.translate(a, Pfn(1)).unwrap();
+        hv.hypercall(dom0, Hypercall::SysctlDedup).unwrap();
+        assert_eq!(hv.mem.translate(a, Pfn(1)).unwrap(), granted);
+        let mapped = hv
+            .hypercall(dom0, Hypercall::GnttabMapGrantRef { granter: a, gref })
+            .unwrap();
+        assert_eq!(mapped, HypercallRet::Mfn(granted));
+        assert_eq!(hv.mem.read_mfn(granted).unwrap(), b"a's ring page");
+        // Once the grant ends the page is an ordinary duplicate again.
+        hv.hypercall(dom0, Hypercall::GnttabUnmapGrantRef { granter: a, gref })
+            .unwrap();
+        hv.hypercall(a, Hypercall::GnttabEndAccess { gref })
+            .unwrap();
+        assert_eq!(
+            hv.hypercall(dom0, Hypercall::SysctlDedup).unwrap(),
+            HypercallRet::Count(1)
+        );
+        assert_ne!(hv.mem.translate(a, Pfn(1)).unwrap(), granted);
+    }
+
+    #[test]
+    fn stale_grant_never_reaches_the_frames_next_owner() {
+        let (mut hv, dom0) = xen_like();
+        let (a, gref) = granted_duplicate(&mut hv, dom0);
+        let granted = hv.mem.translate(a, Pfn(1)).unwrap();
+        // A sweep that ignores the grant frees the granted frame, and the
+        // next guest built is handed that frame number.
+        assert_eq!(hv.mem.share_identical(&[]), 1);
+        let c = build_guest(&mut hv, dom0, "c");
+        assert_eq!(hv.mem.translate(c, Pfn(0)).unwrap(), granted);
+        hv.mem.write(c, Pfn(0), b"c's secret").unwrap();
+
+        let map = hv.hypercall(dom0, Hypercall::GnttabMapGrantRef { granter: a, gref });
+        assert!(
+            matches!(map, Err(HvError::Memory(MemError::BadMfn(m))) if m == granted.0),
+            "{map:?}"
+        );
+        let batch = hv
+            .hypercall(
+                dom0,
+                Hypercall::GnttabMapBatch {
+                    granter: a,
+                    refs: Rc::from([gref].as_slice()),
+                },
+            )
+            .unwrap()
+            .grant_batch()
+            .unwrap();
+        assert_eq!(batch, [GrantOpStatus::Memory(MemError::BadMfn(granted.0))]);
+        assert_eq!(hv.mem.mapping_count(granted).unwrap(), 0);
+        assert_eq!(hv.grant_table(a).unwrap().active_mappings(), 0);
+
+        hv.mem.write(dom0, Pfn(0), b"dom0's bytes").unwrap();
+        let copy = |dir| GrantCopyOp {
+            gref,
+            dir,
+            local_pfn: Pfn(0),
+        };
+        let ops: Rc<[GrantCopyOp]> =
+            Rc::from([copy(GrantCopyDir::ToGrant), copy(GrantCopyDir::FromGrant)].as_slice());
+        let copied = hv
+            .hypercall(dom0, Hypercall::GnttabCopyBatch { granter: a, ops })
+            .unwrap()
+            .grant_batch()
+            .unwrap();
+        assert_eq!(
+            copied,
+            [GrantOpStatus::Memory(MemError::BadMfn(granted.0)); 2]
+        );
+        assert_eq!(hv.mem.read(c, Pfn(0)).unwrap(), b"c's secret");
+        assert_eq!(hv.mem.read(dom0, Pfn(0)).unwrap(), b"dom0's bytes");
     }
 }

@@ -69,6 +69,20 @@
 //! merges commute). [`MemoryManager::check_consistency`] recomputes the
 //! shadow model from scratch and is exercised by the interleaving
 //! property tests.
+//!
+//! # Frame reuse
+//!
+//! A freed MFN is reused: every allocation (populate, CoW break, clone
+//! ring stamp) takes the lowest vacant frame-table slot before growing
+//! the table, so memory and per-op cost follow the live frames, not the
+//! platform's history, and numbering stays deterministic. A slot's
+//! generation ([`MemoryManager::generation`]) is bumped on every free;
+//! anything that holds an MFN across hypercalls — a grant entry —
+//! records the generation beside it and is refused with
+//! [`MemError::BadMfn`] once the two disagree, exactly as a freed frame
+//! was refused before reuse existed. Frames still mapped (grant or
+//! foreign) are never freed, and the dedup sweep leaves granted frames
+//! alone.
 
 use std::collections::HashMap;
 
@@ -415,37 +429,47 @@ impl RefList {
     }
 }
 
-/// Two-level dirty bitmap: one bit per PFN plus a selector layer with
-/// one bit per nonzero word — the event-channel `PendingBitmap`
-/// construction applied to dirty-page tracking, so draining the dirty
-/// set walks only the words the selectors say are live.
+/// Two-level bitmap: one bit per index plus a selector layer with one
+/// bit per nonzero word — the event-channel `PendingBitmap`
+/// construction. It backs both the per-consumer dirty-PFN logs and the
+/// frame table's vacant-slot set: draining the set walks only the words
+/// the selectors say are live, and finding the lowest member skips 4,096
+/// indices per selector word.
 ///
-/// Guest PFNs are dense and allocated from zero, so the word vector
-/// stays proportional to the domain's address-space size; clearing via
-/// [`DirtyBitmap::drain_set_bits`] keeps the allocation for the
+/// Guest PFNs and frame-table slots are dense and counted from zero, so
+/// the word vector stays proportional to the highest index ever set;
+/// clearing via [`Bitmap::drain_set_bits`] keeps the allocation for the
 /// consumer's next drain.
 #[derive(Debug, Clone, Default)]
-struct DirtyBitmap {
-    /// Level 2: bit `pfn % 64` of `words[pfn / 64]` ⇔ pfn dirty.
+struct Bitmap {
+    /// Level 2: bit `i % 64` of `words[i / 64]` ⇔ index `i` is set.
     words: Vec<u64>,
     /// Level 1: bit `w % 64` of `selectors[w / 64]` ⇔ `words[w] != 0`.
     selectors: Vec<u64>,
 }
 
-impl DirtyBitmap {
-    /// Sets the bit for `pfn`.
-    fn set(&mut self, pfn: u64) {
-        let w = (pfn / 64) as usize;
+impl Bitmap {
+    /// An empty bitmap with room for indices below `n` without growing.
+    fn with_capacity(n: usize) -> Self {
+        Bitmap {
+            words: Vec::with_capacity(n / 64 + 1),
+            selectors: Vec::with_capacity(n / 4096 + 1),
+        }
+    }
+
+    /// Sets the bit for `i`.
+    fn set(&mut self, i: u64) {
+        let w = (i / 64) as usize;
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
             self.selectors.resize(w / 64 + 1, 0);
         }
-        self.words[w] |= 1u64 << (pfn % 64);
+        self.words[w] |= 1u64 << (i % 64);
         self.selectors[w / 64] |= 1u64 << (w % 64);
     }
 
-    /// Clears every set bit in ascending PFN order, invoking `f` per
-    /// PFN. O(set words), not O(address space).
+    /// Clears every set bit in ascending order, invoking `f` per index.
+    /// O(set words), not O(address space).
     fn drain_set_bits(&mut self, mut f: impl FnMut(u64)) {
         for s in 0..self.selectors.len() {
             while self.selectors[s] != 0 {
@@ -460,6 +484,19 @@ impl DirtyBitmap {
                 self.selectors[s] &= self.selectors[s] - 1;
             }
         }
+    }
+
+    /// Clears and returns the lowest set bit, if any.
+    fn take_lowest(&mut self) -> Option<u64> {
+        let s = self.selectors.iter().position(|&sel| sel != 0)?;
+        let w = s * 64 + self.selectors[s].trailing_zeros() as usize;
+        let word = &mut self.words[w];
+        let b = word.trailing_zeros();
+        *word &= *word - 1;
+        if *word == 0 {
+            self.selectors[s] &= !(1u64 << (w % 64));
+        }
+        Some(w as u64 * 64 + u64::from(b))
     }
 }
 
@@ -492,10 +529,12 @@ const SNAPSHOT_LOG: u64 = 0;
 #[derive(Debug, Clone)]
 struct FrameInfo {
     owner: DomId,
-    /// Number of active grant mappings of this frame.
-    grant_mappings: u32,
-    /// Number of active foreign mappings of this frame.
-    foreign_mappings: u32,
+    /// Number of active grant and foreign mappings of this frame: a
+    /// mapped frame is never freed, deduplicated or transferred.
+    mappings: u32,
+    /// The frame's generation: how many times its slot was freed before
+    /// this allocation.
+    gen: u32,
     /// Logical contents (at most one page; empty means zero-filled).
     data: PageRef,
     /// FNV-1a hash of `data` — valid only while `hash_ok` is set.
@@ -515,7 +554,7 @@ struct FrameInfo {
 }
 
 /// Hole marker in [`P2m::dense`] (never a real MFN — frame numbers are
-/// allocated monotonically from a small base and the model never
+/// frame-table indices offset by a small base, and the model never
 /// approaches `u64::MAX`).
 const NO_MFN: u64 = u64::MAX;
 
@@ -644,59 +683,119 @@ struct TemplateInfo {
 }
 
 /// The dense frame table: per-frame metadata indexed by `mfn - base`,
-/// as in Xen's `frame_table` array. MFNs are allocated monotonically
-/// and never reused, so a frame's slot is a single bounds-checked array
-/// index — the per-entry cost the batched grant path pays, with no
-/// hashing. Freed frames leave a `None` slot behind (the model keeps
-/// MFN allocation monotonic so observable frame numbering is unchanged
-/// from the hash-table implementation).
+/// as in Xen's `frame_table` array, so a frame's slot is a single
+/// bounds-checked array index — the per-entry cost the batched grant
+/// path pays, with no hashing.
+///
+/// Freed slots are recycled lowest-first: [`FrameTable::alloc`] fills
+/// the lowest vacant slot before it grows the table, so the table's
+/// length tracks the peak of live frames rather than their history, and
+/// frame numbering stays a deterministic function of the op sequence.
+/// Each slot has a *generation*, bumped whenever its frame is freed: a
+/// holder that recorded `(mfn, generation)` — a grant entry — can tell
+/// its frame from a later tenant of the same number. The generation
+/// lives in the slot itself, and the vacant set exists only while some
+/// slot is vacant, so a table without vacancies holds nothing for
+/// either.
 #[derive(Debug, Clone, Default)]
 struct FrameTable {
     /// First valid MFN (the "firmware hole" offset).
     base: u64,
-    slots: Vec<Option<FrameInfo>>,
-    /// Number of live (non-`None`) slots.
+    slots: Vec<Slot>,
+    /// Number of live slots.
     live: usize,
+    /// The vacant slots, by index.
+    vacant: Bitmap,
+}
+
+/// One frame-table slot. A vacant slot keeps the generation its next
+/// frame will have, in space the live variant's layout leaves spare.
+#[derive(Debug, Clone)]
+enum Slot {
+    Live(FrameInfo),
+    Vacant { gen: u32 },
 }
 
 impl FrameTable {
     fn new(base: u64) -> Self {
         FrameTable {
             base,
-            slots: Vec::new(),
-            live: 0,
+            ..FrameTable::default()
         }
     }
 
     #[inline]
     fn get(&self, raw: u64) -> Option<&FrameInfo> {
         let i = raw.checked_sub(self.base)? as usize;
-        self.slots.get(i)?.as_ref()
+        match self.slots.get(i)? {
+            Slot::Live(f) => Some(f),
+            Slot::Vacant { .. } => None,
+        }
     }
 
     #[inline]
     fn get_mut(&mut self, raw: u64) -> Option<&mut FrameInfo> {
         let i = raw.checked_sub(self.base)? as usize;
-        self.slots.get_mut(i)?.as_mut()
-    }
-
-    fn insert(&mut self, raw: u64, f: FrameInfo) {
-        let i = (raw - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        if self.slots[i].replace(f).is_none() {
-            self.live += 1;
+        match self.slots.get_mut(i)? {
+            Slot::Live(f) => Some(f),
+            Slot::Vacant { .. } => None,
         }
     }
 
-    fn remove(&mut self, raw: u64) -> Option<FrameInfo> {
+    /// Stores `f` in the lowest vacant slot, or a new one past the end,
+    /// under that slot's generation, and returns its MFN.
+    fn alloc(&mut self, mut f: FrameInfo) -> u64 {
+        self.live += 1;
+        let Some(i) = self.vacant.take_lowest() else {
+            f.gen = 0;
+            self.slots.push(Slot::Live(f));
+            return self.base + self.slots.len() as u64 - 1;
+        };
+        let slot = &mut self.slots[i as usize];
+        if let Slot::Vacant { gen } = *slot {
+            f.gen = gen;
+        }
+        *slot = Slot::Live(f);
+        if self.live == self.slots.len() {
+            // The last vacancy is filled: a table without vacancies holds
+            // no free-set memory.
+            self.vacant = Bitmap::default();
+        }
+        self.base + i
+    }
+
+    /// Frees the frame at `raw`, making its slot the next candidate for
+    /// reuse under the next generation.
+    fn free(&mut self, raw: u64) -> Option<FrameInfo> {
         let i = raw.checked_sub(self.base)? as usize;
-        let f = self.slots.get_mut(i)?.take();
-        if f.is_some() {
-            self.live -= 1;
+        let slot = self.slots.get_mut(i)?;
+        let Slot::Live(f) = slot else {
+            return None;
+        };
+        let gen = f.gen.wrapping_add(1);
+        let Slot::Live(f) = std::mem::replace(slot, Slot::Vacant { gen }) else {
+            return None;
+        };
+        self.live -= 1;
+        if self.vacant.words.capacity() == 0 {
+            // One allocation per level covers the whole table.
+            self.vacant = Bitmap::with_capacity(self.slots.len());
         }
-        f
+        self.vacant.set(i as u64);
+        Some(f)
+    }
+
+    /// The generation of the slot behind `raw`: its live frame's, or the
+    /// one its next frame will get.
+    fn generation(&self, raw: u64) -> u32 {
+        let slot = raw
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get(i as usize));
+        match slot {
+            Some(Slot::Live(f)) => f.gen,
+            Some(&Slot::Vacant { gen }) => gen,
+            None => 0,
+        }
     }
 
     #[inline]
@@ -713,7 +812,10 @@ impl FrameTable {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|f| (self.base + i as u64, f)))
+            .filter_map(move |(i, s)| match s {
+                Slot::Live(f) => Some((self.base + i as u64, f)),
+                Slot::Vacant { .. } => None,
+            })
     }
 }
 
@@ -728,7 +830,6 @@ impl FrameTable {
 #[derive(Debug, Clone)]
 pub struct MemoryManager {
     total_frames: u64,
-    next_mfn: u64,
     frames: FrameTable,
     p2m: FastMap<DomId, P2m>,
     free_count: u64,
@@ -736,7 +837,7 @@ pub struct MemoryManager {
     by_hash: FastMap<u64, Vec<u64>>,
     /// Open dirty logs per domain: `(id, bitmap)`, one per consumer
     /// (snapshot, log-dirty cursor). No entry ⇔ no consumer.
-    dirty: FastMap<DomId, Vec<(u64, DirtyBitmap)>>,
+    dirty: FastMap<DomId, Vec<(u64, Bitmap)>>,
     /// Next dirty-log id (ids are never reused).
     next_log: u64,
     /// Lazy CoW snapshot baselines of frozen domains.
@@ -752,8 +853,10 @@ pub struct MemoryManager {
     dedup_write_freed: u64,
     /// Rehash queue: MFNs whose hash went stale (pushed only on the
     /// valid→stale transition, so one entry covers any number of
-    /// writes). MFNs are never reused, so entries for freed or
-    /// revalidated frames are simply skipped at drain time.
+    /// writes). An entry may outlive its frame: the drain skips MFNs
+    /// that are vacant or already valid, and a reused MFN that went
+    /// stale again may sit in the queue twice — the second entry finds
+    /// it valid.
     stale_hashes: Vec<u64>,
     /// Dirty-epoch generation counter: bumped per materialization pass.
     rehash_epoch: u64,
@@ -771,8 +874,7 @@ impl MemoryManager {
     pub fn new(total_frames: u64) -> Self {
         MemoryManager {
             total_frames,
-            next_mfn: 0x1000, // Leave a hole for "firmware", as real hosts do.
-            frames: FrameTable::new(0x1000),
+            frames: FrameTable::new(0x1000), // Leave a hole for "firmware", as real hosts do.
             p2m: FastMap::default(),
             free_count: total_frames,
             by_hash: FastMap::default(),
@@ -796,9 +898,32 @@ impl MemoryManager {
         self.total_frames
     }
 
-    /// Frames not yet allocated to any domain.
+    /// Frames not allocated to any domain.
     pub fn free_frames(&self) -> u64 {
         self.free_count
+    }
+
+    /// Length of the frame table: the number of MFNs ever in use at
+    /// once. Freed MFNs are reused lowest-first, so a platform that
+    /// creates and destroys domains keeps this flat.
+    pub fn frame_table_len(&self) -> usize {
+        self.frames.slots.len()
+    }
+
+    /// The generation of `mfn`: how many times the frame has been freed.
+    /// A holder that records it beside the MFN can later tell whether
+    /// the number still names the same frame.
+    pub fn generation(&self, mfn: Mfn) -> u32 {
+        self.frames.generation(mfn.0)
+    }
+
+    /// Fails with [`MemError::BadMfn`] unless `mfn` is live and still of
+    /// generation `gen`.
+    pub(crate) fn check_generation(&self, mfn: Mfn, gen: u32) -> Result<(), MemError> {
+        match self.frames.get(mfn.0) {
+            Some(f) if f.gen == gen => Ok(()),
+            _ => Err(MemError::BadMfn(mfn.0)),
+        }
     }
 
     /// Number of frames owned by `dom`.
@@ -829,15 +954,12 @@ impl MemoryManager {
         self.dedup_write_freed
     }
 
-    /// Number of rehash-queue entries still covering a live, stale
-    /// frame — the pending lazy-hash work. Zero after every
-    /// materialization point (dedup, template seal, snapshot freeze,
-    /// [`Self::verify_integrity`]).
+    /// Number of live frames whose hash is stale — the pending
+    /// lazy-hash work, each frame counted once however many queue
+    /// entries its MFN has. Zero after every materialization point
+    /// (dedup, template seal, snapshot freeze, [`Self::verify_integrity`]).
     pub fn pending_rehash(&self) -> usize {
-        self.stale_hashes
-            .iter()
-            .filter(|&&raw| self.frames.get(raw).is_some_and(|f| !f.hash_ok))
-            .count()
+        self.frames.iter().filter(|(_, f)| !f.hash_ok).count()
     }
 
     /// Dirty-epoch generation counter: bumped once per materialization
@@ -864,9 +986,10 @@ impl MemoryManager {
         queue.sort_unstable();
         let mut rehashed = 0u64;
         for raw in queue.drain(..) {
-            // Skip dead entries: freed frames, and frames revalidated
-            // by a later known-hash write. MFNs are never reused, so an
-            // entry can only describe the frame that enqueued it.
+            // Skip dead entries: vacant MFNs, and frames revalidated by
+            // a later known-hash write or an earlier entry. An entry from
+            // a freed frame's previous life that meets a stale reuse
+            // rehashes the reuse, which is the frame that needs it.
             let (h, nonempty) = match self.frames.get_mut(raw) {
                 Some(f) if !f.hash_ok => {
                     let h = content_hash(&f.data);
@@ -1072,6 +1195,19 @@ impl MemoryManager {
         Ok(())
     }
 
+    /// A fresh, never-written frame mapped once, at (`dom`, `pfn`).
+    fn blank_frame(dom: DomId, pfn: u64) -> FrameInfo {
+        FrameInfo {
+            owner: dom,
+            mappings: 0,
+            gen: 0,
+            data: PageRef::empty(),
+            hash: EMPTY_HASH,
+            hash_ok: true,
+            refs: RefList::one(dom, pfn),
+        }
+    }
+
     /// Allocates `count` frames to `dom`, extending its pseudo-physical
     /// space contiguously. Returns the first new [`Pfn`].
     pub fn populate(&mut self, dom: DomId, count: u64) -> HvResult<Pfn> {
@@ -1080,27 +1216,11 @@ impl MemoryManager {
         }
         let p2m = self.p2m.entry(dom).or_default();
         let first = Pfn(p2m.next_pfn);
-        let mut new_frames = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let mfn = Mfn(self.next_mfn);
-            self.next_mfn += 1;
-            p2m.insert(p2m.next_pfn, mfn);
-            new_frames.push((mfn, p2m.next_pfn));
+            let pfn = p2m.next_pfn;
+            let mfn = self.frames.alloc(Self::blank_frame(dom, pfn));
+            p2m.insert(pfn, Mfn(mfn));
             p2m.next_pfn += 1;
-        }
-        for (mfn, pfn) in new_frames {
-            self.frames.insert(
-                mfn.0,
-                FrameInfo {
-                    owner: dom,
-                    grant_mappings: 0,
-                    foreign_mappings: 0,
-                    data: PageRef::empty(),
-                    hash: EMPTY_HASH,
-                    hash_ok: true,
-                    refs: RefList::one(dom, pfn),
-                },
-            );
         }
         self.free_count -= count;
         Ok(first)
@@ -1222,7 +1342,7 @@ impl MemoryManager {
         let cur = self.translate(dom, pfn)?;
         {
             let f = self.frames.get(cur.0).ok_or(MemError::BadMfn(cur.0))?;
-            if f.grant_mappings > 0 || f.foreign_mappings > 0 {
+            if f.mappings > 0 {
                 // Pinned frames keep the plain CoW write path.
                 return Ok(false);
             }
@@ -1234,7 +1354,7 @@ impl MemoryManager {
                 let Some(f) = self.frames.get(raw) else {
                     continue;
                 };
-                if f.grant_mappings > 0 || f.foreign_mappings > 0 {
+                if f.mappings > 0 {
                     continue;
                 }
                 if f.data.as_slice() != data {
@@ -1262,7 +1382,7 @@ impl MemoryManager {
         // Detach (dom, pfn) from its current frame.
         self.rmap_remove(cur.0, dom, pfn.0);
         if self.rmap_len(cur.0) == 0 {
-            if let Some(old) = self.frames.remove(cur.0) {
+            if let Some(old) = self.frames.free(cur.0) {
                 if old.hash_ok && !old.data.is_empty() {
                     self.hash_index_remove(old.hash, cur.0);
                 }
@@ -1308,22 +1428,17 @@ impl MemoryManager {
             let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
             (f.data.clone(), f.hash, f.hash_ok)
         };
-        let new_mfn = Mfn(self.next_mfn);
-        self.next_mfn += 1;
         self.free_count -= 1;
         let nonempty = !data.is_empty();
-        self.frames.insert(
-            new_mfn.0,
-            FrameInfo {
-                owner: dom,
-                grant_mappings: 0,
-                foreign_mappings: 0,
-                data,
-                hash,
-                hash_ok,
-                refs: RefList::one(dom, pfn.0),
-            },
-        );
+        let new_mfn = Mfn(self.frames.alloc(FrameInfo {
+            owner: dom,
+            mappings: 0,
+            gen: 0,
+            data,
+            hash,
+            hash_ok,
+            refs: RefList::one(dom, pfn.0),
+        }));
         if hash_ok && nonempty {
             self.hash_index_add(hash, new_mfn.0);
         } else if !hash_ok {
@@ -1373,21 +1488,8 @@ impl MemoryManager {
             if self.free_count == 0 {
                 return Err(MemError::OutOfFrames.into());
             }
-            let new_mfn = Mfn(self.next_mfn);
-            self.next_mfn += 1;
             self.free_count -= 1;
-            self.frames.insert(
-                new_mfn.0,
-                FrameInfo {
-                    owner: dom,
-                    grant_mappings: 0,
-                    foreign_mappings: 0,
-                    data: PageRef::empty(),
-                    hash: EMPTY_HASH,
-                    hash_ok: true,
-                    refs: RefList::one(dom, pfn.0),
-                },
-            );
+            let new_mfn = Mfn(self.frames.alloc(Self::blank_frame(dom, pfn.0)));
             p2m.insert(pfn.0, new_mfn);
             mfns.push(new_mfn);
         }
@@ -1511,17 +1613,28 @@ impl MemoryManager {
     /// independent of hash-map iteration order); duplicates are freed;
     /// subsequent writes break the sharing via copy-on-write. A
     /// duplicate that is itself already shared moves its *entire*
-    /// mapper set onto the canonical frame. Returns the number of
-    /// frames freed.
-    pub fn share_identical(&mut self) -> u64 {
+    /// mapper set onto the canonical frame. Frames in `granted`
+    /// (ascending) back live grant entries and stay out of the sweep, mapped or not:
+    /// a grantee may map or copy through its entry at any time and must
+    /// reach the page it was granted, and only that page. Returns the
+    /// number of frames freed.
+    pub fn share_identical(&mut self, granted: &[Mfn]) -> u64 {
         self.materialize_hashes();
         // One dense sweep collects candidates; no page bodies are
         // cloned, and no per-hash-bucket heap vectors are walked.
         let mut cands: Vec<(u64, u64)> = Vec::with_capacity(self.frames.len());
         for (raw, f) in self.frames.iter() {
-            if f.grant_mappings == 0 && f.foreign_mappings == 0 && !f.data.is_empty() {
+            if f.mappings == 0 && !f.data.is_empty() {
                 cands.push((f.hash, raw));
             }
+        }
+        if !granted.is_empty() {
+            // Candidates and `granted` both ascend: a merge walk.
+            let mut granted = granted.iter().map(|m| m.0).peekable();
+            cands.retain(|&(_, raw)| {
+                while granted.next_if(|&g| g < raw).is_some() {}
+                granted.peek() != Some(&raw)
+            });
         }
         let bits = (cands.len() / 8)
             .next_power_of_two()
@@ -1658,7 +1771,7 @@ impl MemoryManager {
             // Every dup passed the sweep's candidate filter (alive,
             // non-empty, materialized hash), so it is hash-indexed and
             // its removal below is unconditional.
-            if let Some(f) = self.frames.remove(dup) {
+            if let Some(f) = self.frames.free(dup) {
                 moved.extend_from_slice(f.refs.as_slice());
                 self.free_count += 1;
                 freed += 1;
@@ -1758,7 +1871,7 @@ impl MemoryManager {
         }
         {
             let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-            if self.rmap_len(mfn.0) > 1 || f.grant_mappings > 0 || f.foreign_mappings > 0 {
+            if self.rmap_len(mfn.0) > 1 || f.mappings > 0 {
                 return Err(MemError::FrameBusy(mfn.0).into());
             }
         }
@@ -1816,41 +1929,48 @@ impl MemoryManager {
             .clone())
     }
 
-    /// Increments the grant-mapping count of a frame.
+    /// Increments the grant-mapping count of a frame, which must still
+    /// be of generation `gen` (the one its grant entry recorded): a grant
+    /// whose frame was freed never reaches the frame's next tenant.
     ///
     /// Returns the bare [`MemError`] so batch paths can record a compact
     /// per-entry status without widening to [`crate::error::HvError`].
-    pub(crate) fn inc_grant_mapping(&mut self, mfn: Mfn) -> Result<(), MemError> {
-        let f = self.frames.get_mut(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-        f.grant_mappings += 1;
-        Ok(())
+    pub(crate) fn inc_grant_mapping(&mut self, mfn: Mfn, gen: u32) -> Result<(), MemError> {
+        match self.frames.get_mut(mfn.0) {
+            Some(f) if f.gen == gen => {
+                f.mappings += 1;
+                Ok(())
+            }
+            _ => Err(MemError::BadMfn(mfn.0)),
+        }
     }
 
     /// Decrements the grant-mapping count of a frame.
     pub(crate) fn dec_grant_mapping(&mut self, mfn: Mfn) -> Result<(), MemError> {
         let f = self.frames.get_mut(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-        f.grant_mappings = f.grant_mappings.saturating_sub(1);
+        f.mappings = f.mappings.saturating_sub(1);
         Ok(())
     }
 
     /// Increments the foreign-mapping count of a frame.
     pub(crate) fn inc_foreign_mapping(&mut self, mfn: Mfn) -> HvResult<()> {
         let f = self.frames.get_mut(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-        f.foreign_mappings += 1;
+        f.mappings += 1;
         Ok(())
     }
 
     /// Number of active mappings (grant + foreign) of a frame.
     pub fn mapping_count(&self, mfn: Mfn) -> HvResult<u32> {
         let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-        Ok(f.grant_mappings + f.foreign_mappings)
+        Ok(f.mappings)
     }
 
     /// Releases all frames owned by `dom`.
     ///
     /// Frames with live grant mappings are leaked deliberately (as in Xen,
     /// where a domain's memory cannot be recycled until grants are
-    /// unmapped); returns the number of frames actually freed.
+    /// unmapped); the rest return to the frame table for reuse. Returns
+    /// the number of frames actually freed.
     pub fn release_domain(&mut self, dom: DomId) -> u64 {
         if let Some(tpl) = self.clone_of.remove(&dom) {
             if let Some(info) = self.templates.get_mut(&tpl) {
@@ -1871,12 +1991,9 @@ impl MemoryManager {
                 // away.
                 continue;
             }
-            let unmapped = self
-                .frames
-                .get(mfn.0)
-                .is_some_and(|f| f.grant_mappings == 0 && f.foreign_mappings == 0);
+            let unmapped = self.frames.get(mfn.0).is_some_and(|f| f.mappings == 0);
             if unmapped {
-                if let Some(f) = self.frames.remove(mfn.0) {
+                if let Some(f) = self.frames.free(mfn.0) {
                     if f.hash_ok && !f.data.is_empty() {
                         self.hash_index_remove(f.hash, mfn.0);
                     }
@@ -1920,7 +2037,7 @@ impl MemoryManager {
         self.dirty
             .entry(dom)
             .or_default()
-            .push((id, DirtyBitmap::default()));
+            .push((id, Bitmap::default()));
     }
 
     /// Drains dirty log `id` of `dom` (`None` if it is not open),
@@ -1935,7 +2052,7 @@ impl MemoryManager {
     }
 
     /// Dirty log `id` of `dom`, if open.
-    fn log_mut(&mut self, dom: DomId, id: u64) -> Option<&mut DirtyBitmap> {
+    fn log_mut(&mut self, dom: DomId, id: u64) -> Option<&mut Bitmap> {
         let logs = self.dirty.get_mut(&dom)?;
         logs.iter_mut()
             .find(|(i, _)| *i == id)
@@ -2070,7 +2187,7 @@ impl MemoryManager {
             return Vec::new();
         };
         let mut v: Vec<(Pfn, Mfn)> = p2m.entries().map(|(p, m)| (Pfn(p), m)).collect();
-        v.sort_by_key(|(p, _)| p.0);
+        v.sort_unstable_by_key(|(p, _)| p.0);
         v
     }
 
@@ -2349,7 +2466,7 @@ mod tests {
         let d = DomId(1);
         m.populate(d, 3).unwrap();
         let mfn = m.translate(d, Pfn(0)).unwrap();
-        m.inc_grant_mapping(mfn).unwrap();
+        m.inc_grant_mapping(mfn, m.generation(mfn)).unwrap();
         assert_eq!(m.release_domain(d), 2, "granted frame not reclaimed");
     }
 
@@ -2360,7 +2477,7 @@ mod tests {
         m.populate(d, 1).unwrap();
         let mfn = m.translate(d, Pfn(0)).unwrap();
         assert_eq!(m.mapping_count(mfn).unwrap(), 0);
-        m.inc_grant_mapping(mfn).unwrap();
+        m.inc_grant_mapping(mfn, m.generation(mfn)).unwrap();
         m.inc_foreign_mapping(mfn).unwrap();
         assert_eq!(m.mapping_count(mfn).unwrap(), 2);
         m.dec_grant_mapping(mfn).unwrap();
@@ -2388,7 +2505,7 @@ mod tests {
         m.populate(b, 2).unwrap();
         m.write(a, Pfn(0), b"same").unwrap();
         m.write(b, Pfn(0), b"same").unwrap();
-        m.share_identical();
+        m.share_identical(&[]);
         let mfn = m.translate(a, Pfn(0)).unwrap();
         assert_eq!(m.mappers(mfn), vec![(a, Pfn(0)), (b, Pfn(0))]);
         m.write(b, Pfn(0), b"changed").unwrap();
@@ -2421,7 +2538,7 @@ mod sharing_tests {
     fn share_identical_frees_duplicates() {
         let (mut m, a, b) = twins();
         let free_before = m.free_frames();
-        let freed = m.share_identical();
+        let freed = m.share_identical(&[]);
         // All 8 identical pages (4 per domain) collapse onto 1 canonical
         // frame — dedup merges within a domain as well as across.
         assert_eq!(freed, 7, "eight identical pages merged to one");
@@ -2441,7 +2558,7 @@ mod sharing_tests {
     #[test]
     fn write_breaks_sharing_copy_on_write() {
         let (mut m, a, b) = twins();
-        m.share_identical();
+        m.share_identical(&[]);
         m.write(a, Pfn(0), b"a-modified").unwrap();
         assert_eq!(m.read(a, Pfn(0)).unwrap(), b"a-modified");
         assert_eq!(
@@ -2462,7 +2579,7 @@ mod sharing_tests {
     #[test]
     fn exclusive_mfn_on_shared_frame_allocates() {
         let (mut m, a, b) = twins();
-        m.share_identical();
+        m.share_identical(&[]);
         let shared = m.translate(a, Pfn(1)).unwrap();
         assert_eq!(shared, m.translate(b, Pfn(1)).unwrap());
         let private = m.exclusive_mfn(a, Pfn(1)).unwrap();
@@ -2477,7 +2594,7 @@ mod sharing_tests {
     #[test]
     fn cow_break_shares_the_page_body() {
         let (mut m, a, b) = twins();
-        m.share_identical();
+        m.share_identical(&[]);
         let before = m.read(b, Pfn(1)).unwrap();
         m.exclusive_mfn(a, Pfn(1)).unwrap();
         let a_view = m.read(a, Pfn(1)).unwrap();
@@ -2490,7 +2607,7 @@ mod sharing_tests {
     #[test]
     fn release_domain_keeps_shared_frames_alive() {
         let (mut m, a, b) = twins();
-        m.share_identical();
+        m.share_identical(&[]);
         m.release_domain(a);
         // B still reads its pages (the canonical frame lost only a's
         // four references; b's four remain).
@@ -2510,8 +2627,8 @@ mod sharing_tests {
     fn granted_frames_are_not_dedup_candidates() {
         let (mut m, a, _) = twins();
         let mfn = m.translate(a, Pfn(0)).unwrap();
-        m.inc_grant_mapping(mfn).unwrap();
-        let freed = m.share_identical();
+        m.inc_grant_mapping(mfn, m.generation(mfn)).unwrap();
+        let freed = m.share_identical(&[]);
         // Pfn(0) of a is pinned by the grant; the remaining 7 identical
         // pages still merge onto one canonical frame.
         assert_eq!(freed, 6);
@@ -2523,7 +2640,7 @@ mod sharing_tests {
         m.populate(DomId(1), 4).unwrap();
         m.populate(DomId(2), 4).unwrap();
         assert_eq!(
-            m.share_identical(),
+            m.share_identical(&[]),
             0,
             "zero pages carry no content to merge"
         );
@@ -2532,8 +2649,8 @@ mod sharing_tests {
     #[test]
     fn repeated_dedup_is_idempotent() {
         let (mut m, _, _) = twins();
-        assert_eq!(m.share_identical(), 7);
-        assert_eq!(m.share_identical(), 0);
+        assert_eq!(m.share_identical(&[]), 7);
+        assert_eq!(m.share_identical(&[]), 0);
     }
 
     /// Regression (share-count move semantics): a duplicate that is
@@ -2549,21 +2666,21 @@ mod sharing_tests {
         // First group: a's two copies merge onto canonical S1.
         m.write(a, Pfn(0), b"glibc-text").unwrap();
         m.write(a, Pfn(1), b"glibc-text").unwrap();
-        assert_eq!(m.share_identical(), 1);
+        assert_eq!(m.share_identical(&[]), 1);
         let s1 = m.translate(a, Pfn(0)).unwrap();
         // Pin S1 so the next dedup round cannot touch it, then build a
         // second shared frame S2 with the same content in domain b.
-        m.inc_grant_mapping(s1).unwrap();
+        m.inc_grant_mapping(s1, m.generation(s1)).unwrap();
         m.write(b, Pfn(0), b"glibc-text").unwrap();
         m.write(b, Pfn(1), b"glibc-text").unwrap();
-        assert_eq!(m.share_identical(), 1);
+        assert_eq!(m.share_identical(&[]), 1);
         let s2 = m.translate(b, Pfn(0)).unwrap();
         assert_ne!(s1, s2);
         assert_eq!(m.shared_frames(), 2, "two independent shared frames");
         // Unpin S1: the next dedup merges S2 (share count 2) into S1.
         m.dec_grant_mapping(s1).unwrap();
         let free_before = m.free_frames();
-        assert_eq!(m.share_identical(), 1, "one duplicate frame freed");
+        assert_eq!(m.share_identical(&[]), 1, "one duplicate frame freed");
         assert_eq!(m.free_frames(), free_before + 1);
         assert_eq!(
             m.shared_frames(),
@@ -2601,13 +2718,17 @@ mod dedup_on_write_tests {
                 inc.write(DomId(d), Pfn(pfn), body.as_bytes()).unwrap();
             }
         }
-        let bulk_freed = bulk.share_identical();
+        let bulk_freed = bulk.share_identical(&[]);
         assert_eq!(
             inc.dedup_write_freed(),
             bulk_freed,
             "write-time merging reclaims the same duplicates"
         );
-        assert_eq!(inc.share_identical(), 0, "nothing left for the bulk pass");
+        assert_eq!(
+            inc.share_identical(&[]),
+            0,
+            "nothing left for the bulk pass"
+        );
         assert_eq!(inc.free_frames(), bulk.free_frames());
         assert_eq!(inc.shared_frames(), bulk.shared_frames());
         for d in 1..=4u32 {
@@ -2650,7 +2771,7 @@ mod dedup_on_write_tests {
         m.populate(b, 1).unwrap();
         m.write(a, Pfn(0), b"ring").unwrap();
         let mfn = m.translate(b, Pfn(0)).unwrap();
-        m.inc_grant_mapping(mfn).unwrap();
+        m.inc_grant_mapping(mfn, m.generation(mfn)).unwrap();
         m.write(b, Pfn(0), b"ring").unwrap();
         assert_eq!(m.dedup_write_freed(), 0, "granted frame written in place");
         assert_ne!(
@@ -2682,7 +2803,7 @@ mod sharing_proptests {
                 m.write(a, Pfn(pfn), b"base").unwrap();
                 m.write(b, Pfn(pfn), b"base").unwrap();
             }
-            m.share_identical();
+            m.share_identical(&[]);
             // Shadow state per domain.
             let mut shadow = std::collections::HashMap::new();
             for (who, pfn, val) in writes {
@@ -2751,7 +2872,7 @@ mod sharing_proptests {
                     }
                     // Bulk dedup.
                     50..=59 => {
-                        m.share_identical();
+                        m.share_identical(&[]);
                     }
                     // Page-flip to the next domain (only exclusive,
                     // unpinned frames transfer).
@@ -2871,7 +2992,7 @@ mod lazy_hash_tests {
         assert_eq!(a, [0u8; PAGE_SIZE], "byte-equal to a plain zero body");
         assert_eq!(ZERO_PAGE_HASH, content_hash(&[0u8; PAGE_SIZE]));
         // Zero frames hold real content: they are dedup candidates.
-        assert_eq!(m.share_identical(), 1);
+        assert_eq!(m.share_identical(&[]), 1);
         m.check_consistency().unwrap();
     }
 
@@ -2903,7 +3024,7 @@ mod lazy_hash_tests {
         m.write(b, Pfn(0), &body).unwrap();
         assert_eq!(m.pending_rehash(), 2);
         assert_eq!(
-            m.share_identical(),
+            m.share_identical(&[]),
             1,
             "stale twins materialized and merged"
         );
@@ -2920,7 +3041,7 @@ mod lazy_hash_tests {
         let body = vec![9u8; 700];
         m.write(a, Pfn(0), &body).unwrap();
         m.write(b, Pfn(0), &body).unwrap();
-        m.share_identical();
+        m.share_identical(&[]);
         // Dirty the shared frame in place via the mfn path, then break.
         let mfn = m.translate(a, Pfn(0)).unwrap();
         m.write_mfn(mfn, &[1u8; 700]).unwrap();
@@ -3178,6 +3299,167 @@ mod clone_tests {
             m.write(DomId(100 + i), Pfn(0), b"warm").unwrap();
         }
         assert_eq!(m.free_frames(), free - 100, "one break per clone");
+        m.check_consistency().unwrap();
+    }
+}
+
+#[cfg(test)]
+mod reuse_tests {
+    use super::*;
+    use xoar_sim::prop::Runner;
+
+    #[test]
+    fn a_vacant_slots_generation_costs_no_space() {
+        assert_eq!(
+            std::mem::size_of::<Slot>(),
+            std::mem::size_of::<FrameInfo>()
+        );
+    }
+
+    fn mfns(m: &MemoryManager, dom: DomId) -> Vec<u64> {
+        m.p2m_entries(dom).iter().map(|&(_, mfn)| mfn.0).collect()
+    }
+
+    /// A bulk body: hashed lazily, so a write leaves the frame stale.
+    fn bulk(tag: u8) -> Vec<u8> {
+        vec![tag; PAGE_SIZE]
+    }
+
+    #[test]
+    fn allocation_takes_the_lowest_free_frame_first() {
+        let mut m = MemoryManager::new(64);
+        let (a, b, c) = (DomId(1), DomId(2), DomId(3));
+        m.populate(a, 4).unwrap();
+        m.populate(b, 4).unwrap();
+        assert_eq!(mfns(&m, a), [0x1000, 0x1001, 0x1002, 0x1003]);
+        assert_eq!(m.release_domain(a), 4);
+        assert_eq!(m.frame_table_len(), 8, "freeing never shrinks the table");
+        // Reuse fills the hole from its bottom, then grows the table.
+        m.populate(c, 2).unwrap();
+        assert_eq!(mfns(&m, c), [0x1000, 0x1001]);
+        m.populate(c, 3).unwrap();
+        assert_eq!(mfns(&m, c), [0x1000, 0x1001, 0x1002, 0x1003, 0x1008]);
+        assert_eq!(m.frame_table_len(), 9);
+        // A CoW break allocates through the same path.
+        m.write(b, Pfn(0), b"shared").unwrap();
+        m.write(b, Pfn(1), b"shared").unwrap();
+        assert_eq!(m.share_identical(&[]), 1);
+        assert_eq!(m.translate(b, Pfn(1)).unwrap(), Mfn(0x1004));
+        let broken = m.exclusive_mfn(b, Pfn(1)).unwrap();
+        assert_eq!(broken, Mfn(0x1005), "the merged-away frame comes back");
+        m.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn generations_count_the_frees_of_each_frame() {
+        let mut m = MemoryManager::new(16);
+        let (a, b) = (DomId(1), DomId(2));
+        m.populate(a, 2).unwrap();
+        let first = m.translate(a, Pfn(0)).unwrap();
+        assert_eq!(m.generation(first), 0);
+        assert_eq!(m.check_generation(first, 0), Ok(()));
+        m.release_domain(a);
+        assert_eq!(m.generation(first), 1);
+        assert_eq!(m.check_generation(first, 0), Err(MemError::BadMfn(first.0)));
+        m.populate(b, 1).unwrap();
+        assert_eq!(m.translate(b, Pfn(0)).unwrap(), first);
+        assert_eq!(m.check_generation(first, 1), Ok(()));
+        assert_eq!(
+            m.inc_grant_mapping(first, 0),
+            Err(MemError::BadMfn(first.0)),
+            "a mapping recorded against the old life cannot pin the new one"
+        );
+        assert_eq!(m.mapping_count(first).unwrap(), 0);
+    }
+
+    /// One scripted op against a manager: populate, bulk write, dedup,
+    /// release, or clone-and-write, each from the same draw.
+    fn apply(m: &mut MemoryManager, op: (u8, u32, u64)) {
+        let (kind, d, n) = op;
+        let dom = DomId(d);
+        match kind {
+            0 => {
+                let _ = m.populate(dom, n % 8 + 1);
+            }
+            1 => {
+                let _ = m.write(dom, Pfn(n % 8), &bulk((n % 3) as u8 + 1));
+            }
+            2 => {
+                m.share_identical(&[]);
+            }
+            3 => {
+                m.release_domain(dom);
+            }
+            _ => {
+                let clone = DomId(100 + d);
+                if m.template_arm(DomId(1)).is_ok() && m.clone_space(DomId(1), clone).is_ok() {
+                    let _ = m.write(clone, Pfn(n % 4), &bulk(9));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn identical_ops_give_identical_frame_numbers() {
+        Runner::cases(48).run("frame numbering is deterministic", |g| {
+            let ops: Vec<(u8, u32, u64)> = (0..g.usize(1..60))
+                .map(|_| (g.u32(0..5) as u8, g.u32(2..6), g.u64(0..64)))
+                .collect();
+            let (mut x, mut y) = (MemoryManager::new(96), MemoryManager::new(96));
+            for &op in &ops {
+                apply(&mut x, op);
+                apply(&mut y, op);
+            }
+            for d in (1..6).chain(102..106).map(DomId) {
+                assert_eq!(mfns(&x, d), mfns(&y, d), "{d} diverged");
+            }
+            for raw in 0x1000..0x1000 + x.frame_table_len() as u64 {
+                assert_eq!(x.generation(Mfn(raw)), y.generation(Mfn(raw)));
+            }
+            // Reuse keeps the free count and the table honest.
+            let live = x.frames.len() as u64;
+            assert_eq!(x.free_frames(), x.total_frames() - live);
+            assert!(x.frame_table_len() as u64 <= x.total_frames());
+            x.check_consistency().unwrap();
+        });
+    }
+
+    #[test]
+    fn free_frames_accounting_holds_across_free_and_reuse() {
+        let mut m = MemoryManager::new(32);
+        let (a, b) = (DomId(1), DomId(2));
+        m.populate(a, 20).unwrap();
+        assert_eq!(m.free_frames(), 12);
+        assert_eq!(m.release_domain(a), 20);
+        assert_eq!(m.free_frames(), 32);
+        // Every frame is reusable: the whole host fits again, with no
+        // table growth.
+        m.populate(b, 32).unwrap();
+        assert_eq!(m.free_frames(), 0);
+        assert_eq!(m.frame_table_len(), 32);
+        assert!(m.populate(b, 1).is_err());
+        assert_eq!(m.release_domain(b), 32);
+        assert_eq!(m.free_frames(), 32);
+        m.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn pending_rehash_counts_a_reused_stale_frame_once() {
+        let mut m = MemoryManager::new(8);
+        let (a, b) = (DomId(1), DomId(2));
+        m.populate(a, 1).unwrap();
+        m.write(a, Pfn(0), &bulk(1)).unwrap();
+        assert_eq!(m.pending_rehash(), 1);
+        // Freed while queued: the queue entry outlives the frame.
+        m.release_domain(a);
+        assert_eq!(m.pending_rehash(), 0);
+        m.populate(b, 1).unwrap();
+        m.write(b, Pfn(0), &bulk(2)).unwrap();
+        assert_eq!(m.stale_hashes.len(), 2, "old and new life both queued");
+        assert_eq!(m.pending_rehash(), 1);
+        m.check_consistency().unwrap();
+        assert_eq!(m.materialize_hashes(), 1);
+        assert_eq!(m.pending_rehash(), 0);
         m.check_consistency().unwrap();
     }
 }

@@ -24,7 +24,7 @@ use crate::fasthash::FastMap;
 use crate::domain::DomId;
 use crate::error::{EventError, HvError, HvResult, MemError};
 use crate::event::{PendingEvent, PortState};
-use crate::grant::{GrantAccess, GrantCopyDir, GrantCopyOp, GrantOpStatus, GrantRef};
+use crate::grant::{GrantAccess, GrantCopyDir, GrantCopyOp, GrantOpStatus, GrantRef, GrantTable};
 use crate::memory::{MemoryManager, Mfn, PageRef, Pfn};
 use crate::region::Region;
 use crate::snapshot::SnapshotManager;
@@ -386,9 +386,35 @@ pub(crate) fn grant_map(
     gref: GrantRef,
 ) -> HvResult<Mfn> {
     let op = CrossRegionOp::GrantMap { grantee, granter };
-    let (mfn, _access) = object_region_mut(regions, op, |r| r.grants.map(grantee, gref))??;
-    mem.inc_grant_mapping(mfn)?;
-    Ok(mfn)
+    match object_region_mut(regions, op, |r| map_one(&mut r.grants, mem, grantee, gref))? {
+        GrantOpStatus::Done(mfn) => Ok(mfn),
+        GrantOpStatus::Grant(e) => Err(e.into()),
+        GrantOpStatus::Memory(e) => Err(e.into()),
+    }
+}
+
+/// One map through `table`: pins the granted frame — refused with
+/// `BadMfn` if the frame was freed since the grant, even if its number
+/// now names another domain's frame — and only then counts the mapping
+/// in the entry.
+#[inline]
+fn map_one(
+    table: &mut GrantTable,
+    mem: &mut MemoryManager,
+    grantee: DomId,
+    gref: GrantRef,
+) -> GrantOpStatus {
+    let entry = match table.mappable(grantee, gref) {
+        Ok(entry) => entry,
+        Err(e) => return GrantOpStatus::Grant(e),
+    };
+    match mem.inc_grant_mapping(entry.mfn, entry.gen) {
+        Ok(()) => {
+            entry.map_count += 1;
+            GrantOpStatus::Done(entry.mfn)
+        }
+        Err(e) => GrantOpStatus::Memory(e),
+    }
 }
 
 /// Releases one mapping of `granter`'s grant `gref` by `grantee`.
@@ -422,17 +448,10 @@ pub(crate) fn grant_map_batch(
         .get_mut(&obj)
         .ok_or(HvError::NoSuchDomain(obj))?
         .grants;
-    let mut results = Vec::with_capacity(refs.len());
-    for &gref in refs {
-        results.push(match table.map_compact(grantee, gref) {
-            Ok((mfn, _access)) => match mem.inc_grant_mapping(mfn) {
-                Ok(()) => GrantOpStatus::Done(mfn),
-                Err(e) => GrantOpStatus::Memory(e),
-            },
-            Err(e) => GrantOpStatus::Grant(e),
-        });
-    }
-    Ok(results)
+    Ok(refs
+        .iter()
+        .map(|&gref| map_one(table, mem, grantee, gref))
+        .collect())
 }
 
 /// Batched [`grant_unmap`], mirroring [`grant_map_batch`].
@@ -479,10 +498,15 @@ pub(crate) fn grant_copy_batch(
     let results = resolved
         .into_iter()
         .map(|r| {
-            let (mfn, entry) = match r {
-                Ok(pair) => pair,
+            let (mfn, gen, entry) = match r {
+                Ok(resolved) => resolved,
                 Err(e) => return GrantOpStatus::Grant(e),
             };
+            // A grant whose frame was freed reaches nothing, whoever
+            // holds the frame number now.
+            if let Err(e) = mem.check_generation(mfn, gen) {
+                return GrantOpStatus::Memory(e);
+            }
             let copied = match entry.dir {
                 GrantCopyDir::FromGrant => mem.read_mfn(mfn).and_then(|page| {
                     // The caller's frame may be CoW-shared;
@@ -534,7 +558,10 @@ pub(crate) fn foreign_setup(
 ) -> HvResult<GrantRef> {
     let op = CrossRegionOp::ForeignSetup { builder, owner };
     let mfn = mem.exclusive_mfn(op.object(), pfn)?;
-    object_region_mut(regions, op, |r| r.grants.grant(grantee, pfn, mfn, access))?
+    let gen = mem.generation(mfn);
+    object_region_mut(regions, op, |r| {
+        r.grants.grant(grantee, pfn, mfn, gen, access)
+    })?
 }
 
 /// A sealed template's precompiled stamp plan.
@@ -587,7 +614,8 @@ pub(crate) fn clone_stamp(
     mem.stamp_private_zero_batch(clone, &plan.pfns, &mut mfns)?;
     object_region_mut(regions, op, |r| {
         for (&(grantee, pfn, access), &mfn) in plan.entries.iter().zip(&mfns) {
-            r.grants.grant(grantee, pfn, mfn, access)?;
+            r.grants
+                .grant(grantee, pfn, mfn, mem.generation(mfn), access)?;
         }
         Ok(())
     })?
@@ -1058,7 +1086,13 @@ mod tests {
             .get_mut(&granter)
             .unwrap()
             .grants
-            .grant(grantee, Pfn(0), mfn, GrantAccess::ReadWrite)
+            .grant(
+                grantee,
+                Pfn(0),
+                mfn,
+                mem.generation(mfn),
+                GrantAccess::ReadWrite,
+            )
             .unwrap();
         let mapped = grant_map(&mut regions, &mut mem, grantee, granter, gref).unwrap();
         assert_eq!(mapped, mfn);

@@ -65,9 +65,10 @@ cargo run --release --offline -p xoar-analysis --bin xoar-lint
 # hypervisor. --spec-exhaustive enumerates every small-scope op
 # sequence (plus a randomized longer sweep) and fails on any divergence
 # between the real state and the memory-ownership model;
-# --spec-selftest injects three known violations (revoked-grant
-# resurrection, backdoor clone fall-through, raw frame alias) and fails
-# unless each fires its rule with a shrunk counterexample trace.
+# --spec-selftest injects four known violations (revoked-grant
+# resurrection, backdoor clone fall-through, raw frame alias, a granted
+# frame freed and reused) and fails unless each fires its rule with a
+# shrunk counterexample trace.
 cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --spec-exhaustive
 cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --spec-selftest
 
@@ -82,6 +83,12 @@ cargo test -q --release --offline -p xoar-sim -- --ignored density_sweep_smoke -
 # table). Asserts every flow recovers through the TCP model and that
 # restart counts agree across engine, hypervisor, and audit log.
 cargo test -q --release --offline -p xoar-sim -- --ignored fronttier_smoke --nocapture
+
+# Long-running platform: 100k clone/destroy cycles on one platform must
+# hold the frame-table length, the live frames and both ring hubs at
+# their warmed-up counts (exact, gated). The cost per 10k cycles and the
+# RSS are printed for EXPERIMENTS.md, never gated.
+cargo test -q --release --offline --test long_running -- --ignored --nocapture
 
 # Style gate, only where a rustfmt toolchain is present.
 if command -v rustfmt >/dev/null 2>&1; then

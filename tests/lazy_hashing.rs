@@ -131,7 +131,7 @@ fn apply(m: &mut MemoryManager, cursors: &[u64], op: &Op) -> u64 {
             m.write(dom(d), Pfn(pfn as u64), &body).unwrap();
             0
         }
-        Op::Dedup => m.share_identical(),
+        Op::Dedup => m.share_identical(&[]),
         Op::Exclusive { dom: d, pfn } => m
             .exclusive_mfn(dom(d), Pfn(pfn as u64))
             .map(|mfn| mfn.0)
@@ -223,10 +223,10 @@ fn dedup_sees_rewritten_content_not_stale_hashes() {
     // Rewrite dom2's page to match dom1 — without materializing.
     m.write(DomId(2), Pfn(0), &[7u8; 4096]).unwrap();
     assert!(m.pending_rehash() > 0, "writes must defer hashing");
-    assert_eq!(m.share_identical(), 1, "rewritten match must dedup");
+    assert_eq!(m.share_identical(&[]), 1, "rewritten match must dedup");
     // Now diverge dom2 again; the share must break and stay broken.
     m.write(DomId(2), Pfn(0), &[8u8; 4096]).unwrap();
-    assert_eq!(m.share_identical(), 0, "diverged page must not dedup");
+    assert_eq!(m.share_identical(&[]), 0, "diverged page must not dedup");
     assert_eq!(m.read(DomId(1), Pfn(0)).unwrap().as_slice(), &[7u8; 4096]);
     assert_eq!(m.read(DomId(2), Pfn(0)).unwrap().as_slice(), &[8u8; 4096]);
 }
