@@ -143,22 +143,8 @@ impl SpecCore {
         declared: &mut bool,
     ) {
         use Hypercall::*;
+        // Failed ops must leave spec-visible state alone.
         let Ok(ret) = result else {
-            // Failed ops must leave spec-visible state alone, with one
-            // deliberate exception mirroring the real gate:
-            // `accept_transfer` consumes the table entry *before* the
-            // memory-side transfer can still fail (e.g. a duplicate
-            // offer whose frame already moved), so a failing accept may
-            // legitimately spend the offer without moving ownership.
-            if let GnttabAcceptTransfer { granter, gref } = call {
-                let real_has = hv
-                    .grant_table(*granter)
-                    .and_then(|t| t.entry(*gref))
-                    .is_some();
-                if !real_has {
-                    self.spec.grants.remove(&(*granter, gref.0));
-                }
-            }
             return;
         };
         match call {
@@ -453,11 +439,10 @@ impl SpecCore {
     }
 
     /// A frame is freed only when nothing holds it any more, so a reused
-    /// frame starts its next life clean: every live grant entry names a
-    /// live frame of the generation it recorded (owned by its granter,
-    /// unless the entry is a page-flip offer), and every frame the model
-    /// saw foreign-mapped is still live in the generation it was mapped
-    /// in.
+    /// frame starts its next life clean: every live grant entry, page-flip
+    /// offers included, names a live frame of the generation it recorded,
+    /// owned by its granter, and every frame the model saw foreign-mapped
+    /// is still live in the generation it was mapped in.
     fn check_frame_lives(&mut self, hv: &Hypervisor) {
         // The owner of `mfn` while it is live in generation `gen`.
         let owner_in = |mfn: u64, gen: u32| {
@@ -470,12 +455,7 @@ impl SpecCore {
             .spec
             .grants
             .iter()
-            .find(|(&(granter, _), f)| match owner_in(f.mfn, f.gen) {
-                // A page-flip offer is never mapped or copied through:
-                // its frame may change hands under a duplicate offer.
-                Some(_) if f.access == GrantAccess::Transfer => false,
-                owner => owner != Some(granter),
-            })
+            .find(|(&(granter, _), f)| owner_in(f.mfn, f.gen) != Some(granter))
             .map(|(&(granter, gref), f)| {
                 format!(
                     "{granter} gref {gref} ({:?} pfn {} to {}) names mfn {} of generation {}, \

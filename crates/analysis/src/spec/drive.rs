@@ -37,7 +37,7 @@ pub const OP_NAMES: [&str; ALPHABET] = [
     "B maps (A, gref1)",
     "B unmaps (A, gref0)",
     "A ends gref0",
-    "A offers transfer pfn3 -> B",
+    "A offers transfer pfn2 -> B",
     "B accepts A's transfer",
     "A snapshots itself",
     "mgr rolls A back",
@@ -181,11 +181,13 @@ pub fn apply_op(w: &mut SmallWorld, h: &SpecHandle, op: usize) {
             let _ = w.hv.hypercall(a, GnttabEndAccess { gref: GrantRef(0) });
         }
         6 => {
+            // The page op 1 grants read-only: the accept must be refused
+            // while that access grant stands.
             let _ = w.hv.hypercall(
                 a,
                 GnttabGrantTransfer {
                     grantee: b,
-                    pfn: Pfn(3),
+                    pfn: Pfn(2),
                 },
             );
         }

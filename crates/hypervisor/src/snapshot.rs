@@ -40,11 +40,10 @@ impl RecoveryBox {
 ///
 /// Page contents live in the [`MemoryManager`]'s frozen baseline (captured
 /// copy-on-write at first post-snapshot touch); the image itself carries
-/// only the policy metadata the hypervisor keeps per snapshot.
+/// only the policy metadata the hypervisor keeps per snapshot (the
+/// covered page count is [`MemoryManager::frozen_page_count`]).
 #[derive(Debug, Clone)]
 pub struct SnapshotImage {
-    /// Pages covered by the snapshot at freeze time.
-    page_count: u64,
     /// Recovery boxes excluded from rollback.
     boxes: Vec<RecoveryBox>,
     /// Simulation time at which the snapshot was taken (ns).
@@ -54,11 +53,6 @@ pub struct SnapshotImage {
 }
 
 impl SnapshotImage {
-    /// Number of pages covered by the snapshot.
-    pub fn page_count(&self) -> usize {
-        self.page_count as usize
-    }
-
     /// Whether `pfn` is shielded by a recovery box.
     pub fn in_recovery_box(&self, pfn: Pfn) -> bool {
         self.boxes.iter().any(|b| b.contains(pfn))
@@ -95,8 +89,7 @@ impl SnapshotManager {
     /// first post-snapshot write to each page — so the cost is independent
     /// of how many (clean) pages the domain holds.
     pub fn snapshot(&mut self, dom: DomId, mem: &mut MemoryManager, now_ns: u64) -> HvResult<()> {
-        let page_count = mem.freeze(dom);
-        if page_count == 0 {
+        if mem.freeze(dom) == 0 {
             mem.discard_frozen(dom);
             return Err(HvError::Snapshot(format!(
                 "{dom} has no populated memory to snapshot"
@@ -106,7 +99,6 @@ impl SnapshotManager {
         self.images.insert(
             dom,
             SnapshotImage {
-                page_count,
                 boxes,
                 taken_at_ns: now_ns,
                 rollback_count: 0,
@@ -163,9 +155,8 @@ mod tests {
         let (mut sm, mut mem, dom) = setup();
         mem.write(dom, Pfn(0), b"boot").unwrap();
         sm.snapshot(dom, &mut mem, 100).unwrap();
-        let img = sm.image(dom).unwrap();
-        assert_eq!(img.page_count(), 8);
-        assert_eq!(img.taken_at_ns, 100);
+        assert_eq!(mem.frozen_page_count(dom), Some(8));
+        assert_eq!(sm.image(dom).unwrap().taken_at_ns, 100);
     }
 
     #[test]

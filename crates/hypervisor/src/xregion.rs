@@ -530,9 +530,10 @@ pub(crate) fn grant_copy_batch(
     Ok(results)
 }
 
-/// Accepts a page-flip transfer: consumes the spent entry in the
-/// granter's table and re-points frame ownership in machine memory.
-/// Returns the accepted frame's PFN in the grantee's address space.
+/// Accepts a page-flip transfer: validates the offer in the granter's
+/// table, re-points frame ownership in machine memory, and only then
+/// spends the entry, so a refused accept changes nothing. Returns the
+/// accepted frame's PFN in the grantee's address space.
 pub(crate) fn accept_transfer(
     regions: &mut FastMap<DomId, Region>,
     mem: &mut MemoryManager,
@@ -541,8 +542,10 @@ pub(crate) fn accept_transfer(
     gref: GrantRef,
 ) -> HvResult<Pfn> {
     let op = CrossRegionOp::GrantTransfer { grantee, granter };
-    let (pfn, _mfn) = object_region_mut(regions, op, |r| r.grants.accept_transfer(grantee, gref))??;
-    mem.transfer_frame(granter, pfn, grantee)
+    let (pfn, _mfn) = object_region_mut(regions, op, |r| r.grants.transfer_offer(grantee, gref))??;
+    let new_pfn = mem.transfer_frame(granter, pfn, grantee)?;
+    object_region_mut(regions, op, |r| r.grants.end_access(gref))??;
+    Ok(new_pfn)
 }
 
 /// Builder-only (§5.6): installs a grant for `grantee` in `owner`'s

@@ -38,21 +38,8 @@ const KERNEL_PAGES: u64 = 24;
 /// density characteristics.
 ///
 /// Deduplication runs as one bulk `dedup_memory` pass after all guests
-/// have written their kernel images. [`run_incremental`] is the variant
-/// where dedup happens on every write instead.
+/// have written their kernel images.
 pub fn run(platform: &mut Platform, count: usize) -> DensityResult {
-    run_with_mode(platform, count, false)
-}
-
-/// Density run with incremental content-hash dedup: the memory manager's
-/// `dedup_on_write` mode merges each identical kernel page the moment a
-/// guest writes it, so reclaim happens continuously instead of in one
-/// stop-the-world pass. Reclaim totals match [`run`] on the same fleet.
-pub fn run_incremental(platform: &mut Platform, count: usize) -> DensityResult {
-    run_with_mode(platform, count, true)
-}
-
-fn run_with_mode(platform: &mut Platform, count: usize, incremental: bool) -> DensityResult {
     let ts = platform.services.toolstacks[0];
     let mut guests = Vec::new();
     for i in 0..count {
@@ -68,10 +55,6 @@ fn run_with_mode(platform: &mut Platform, count: usize, incremental: bool) -> De
     }
     // Identical guest images: every desktop maps the same kernel and
     // shared-library pages.
-    if incremental {
-        platform.hv.mem.set_dedup_on_write(true);
-    }
-    let freed_before = platform.hv.mem.dedup_write_freed();
     for &g in &guests {
         for page in 0..KERNEL_PAGES {
             platform
@@ -81,15 +64,7 @@ fn run_with_mode(platform: &mut Platform, count: usize, incremental: bool) -> De
                 .expect("guest frames populated");
         }
     }
-    let dedup_frames = if incremental {
-        // Every duplicate was merged as it was written; a final bulk pass
-        // only sweeps up pages that predate the writes (builder stubs).
-        let on_write = platform.hv.mem.dedup_write_freed() - freed_before;
-        platform.hv.mem.set_dedup_on_write(false);
-        on_write + platform.dedup_memory()
-    } else {
-        platform.dedup_memory()
-    };
+    let dedup_frames = platform.dedup_memory();
     let total_kernel_frames = guests.len() as u64 * KERNEL_PAGES;
     let dedup_fraction = if total_kernel_frames == 0 {
         0.0
@@ -133,29 +108,6 @@ mod tests {
         let r = run(&mut p, 10);
         // 10 copies of each kernel page collapse to 1: (n-1)/n reclaimed.
         assert!(r.dedup_fraction > 0.85, "fraction {}", r.dedup_fraction);
-    }
-
-    #[test]
-    fn incremental_dedup_reclaims_what_the_bulk_pass_does() {
-        let mut bulk = Platform::xoar(XoarConfig::default());
-        let rb = run(&mut bulk, 10);
-        let mut incr = Platform::xoar(XoarConfig::default());
-        let ri = run_incremental(&mut incr, 10);
-        assert_eq!(
-            ri.dedup_frames, rb.dedup_frames,
-            "merge-on-write reclaims exactly the bulk total"
-        );
-        assert_eq!(
-            incr.hv.mem.shared_frames(),
-            bulk.hv.mem.shared_frames(),
-            "both fleets converge to the same shared-frame census"
-        );
-        // Guests stay isolated after merge-on-write: a write by one
-        // desktop breaks the share instead of leaking.
-        let g = ri.per_guest_cpu_ns[0].0;
-        incr.hv.mem.write(g, Pfn(30), b"patched-kernel").unwrap();
-        let other = ri.per_guest_cpu_ns[1].0;
-        assert_eq!(incr.hv.mem.read(other, Pfn(30)).unwrap(), b"kernel-text-0");
     }
 
     #[test]

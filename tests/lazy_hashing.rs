@@ -2,8 +2,8 @@
 //!
 //! Content hashes feed dedup, CoW-share verification, and the
 //! analyzer's integrity audit — none of which run on the page-write hot
-//! path. The lazy scheme therefore only queues a rehash on write and
-//! materializes at the consumers. These tests pin the equivalence that
+//! path. The lazy scheme therefore only marks a frame stale on write
+//! and materializes at the consumers. These tests pin the equivalence that
 //! makes that safe: a memory manager whose hashes are materialized
 //! *eagerly after every operation* and one that materializes *only at
 //! the built-in seams* must agree on every observable — dedup results,
@@ -37,8 +37,6 @@ enum Op {
     Dedup,
     /// CoW break via the exclusive-frame path.
     Exclusive { dom: u8, pfn: u8 },
-    /// Toggle write-time dedup.
-    ToggleDedupOnWrite(bool),
     /// Freeze a domain (microreboot baseline — a materialize seam).
     Freeze { dom: u8 },
     /// Drain a domain's log-dirty cursor (migration round).
@@ -46,7 +44,7 @@ enum Op {
 }
 
 fn any_op(g: &mut Gen) -> Op {
-    match g.u8(0..12) {
+    match g.u8(0..11) {
         0 | 1 => Op::WriteSmall {
             dom: g.u8(0..3),
             pfn: g.u8(0..PAGES_PER_DOM as u8),
@@ -75,7 +73,6 @@ fn any_op(g: &mut Gen) -> Op {
             dom: g.u8(0..3),
             pfn: g.u8(0..PAGES_PER_DOM as u8),
         },
-        10 => Op::ToggleDedupOnWrite(g.bool()),
         _ => {
             if g.bool() {
                 Op::Freeze { dom: g.u8(0..3) }
@@ -136,10 +133,6 @@ fn apply(m: &mut MemoryManager, cursors: &[u64], op: &Op) -> u64 {
             .exclusive_mfn(dom(d), Pfn(pfn as u64))
             .map(|mfn| mfn.0)
             .unwrap_or(u64::MAX),
-        Op::ToggleDedupOnWrite(on) => {
-            m.set_dedup_on_write(on);
-            0
-        }
         Op::Freeze { dom: d } => m.freeze(dom(d)),
         Op::Clean { dom: d } => {
             let cursor = cursors[d as usize % DOMS.len()];
@@ -206,7 +199,7 @@ fn lazy_hashing_equals_eager_hashing_under_random_interleavings() {
         // memory yields identical `(mfn, hash)` folds regardless of when
         // each twin materialized.
         assert_eq!(lazy.verify_integrity(), eager.verify_integrity());
-        assert_eq!(lazy.pending_rehash(), 0, "verify must drain the queue");
+        assert_eq!(lazy.pending_rehash(), 0, "verify must drain the stale set");
         lazy.check_consistency().unwrap();
         eager.check_consistency().unwrap();
     });
@@ -249,7 +242,7 @@ fn analyzer_snapshot_materializes_pending_hashes() {
     assert_eq!(
         p.hv.mem.pending_rehash(),
         0,
-        "capture must materialize the rehash queue"
+        "capture must materialize the stale set"
     );
     assert!(snap.domains.contains_key(&g));
     // The audit digest is stable once materialized: a second pass finds
@@ -263,7 +256,7 @@ fn analyzer_snapshot_materializes_pending_hashes() {
 /// would poison every clone's CoW bookkeeping.
 #[test]
 fn template_seal_materializes_pending_hashes() {
-    // Hypervisor level: `template_arm`'s freeze drains the queue.
+    // Hypervisor level: `template_arm`'s freeze drains the stale set.
     let mut m = MemoryManager::new(64);
     m.populate(DomId(1), 8).unwrap();
     for pfn in 0..8 {
@@ -274,7 +267,7 @@ fn template_seal_materializes_pending_hashes() {
     assert_eq!(
         m.pending_rehash(),
         0,
-        "template seal must materialize the rehash queue"
+        "template seal must materialize the stale set"
     );
 
     // Platform level: the first clone of a captured template performs
