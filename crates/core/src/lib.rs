@@ -16,6 +16,7 @@ pub mod platform;
 pub mod restart;
 pub mod shard;
 pub mod toolstack;
+mod xs_plan;
 
 pub use audit::{AuditEvent, AuditLog};
 pub use boot::{BootPlan, BootTimes};

@@ -15,7 +15,6 @@
 //! through the same API, so every measured difference is attributable to
 //! the decomposition.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use xoar_devices::blk::{BlkFront, BlkRingHub};
@@ -32,11 +31,12 @@ use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::{
     DomId, DomainState, HvError, HvResult, Hypercall, HypercallRet, Hypervisor, PrivilegeSet,
 };
-use xoar_xenstore::XenStore;
+use xoar_xenstore::{XenStore, XsPath};
 
 use crate::audit::{AuditEvent, AuditLog};
 use crate::builder::{BuildRequest, Builder, KernelSpec};
 use crate::shard::{ConstraintTag, ShardKind, ShardSpec};
+use crate::xs_plan::XsPlan;
 
 /// Which architecture the platform is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,47 +225,9 @@ pub struct GuestTemplate {
     pub netback: Option<DomId>,
     /// Serving BlkBack for the template's vbd.
     pub blkback: Option<DomId>,
-    /// Captured `/local/domain/<id>` subtree as (relative path, value),
-    /// less the `name` node: each clone writes its own.
-    guest_nodes: Vec<(String, String)>,
-    /// Captured backend rows: (backend, kind, index, relative key, value).
-    backend_nodes: Vec<(DomId, DeviceKind, u32, String, String)>,
-}
-
-/// Rewrites captured XenStore text for one clone: the template's domain
-/// ID is retargeted wherever the xenbus conventions embed it. The ID and
-/// pattern strings are built once per clone.
-struct Retarget {
-    from: String,
-    to: String,
-    /// (template pattern, clone pattern), one per xenbus convention.
-    patterns: [(String, String); 3],
-}
-
-impl Retarget {
-    fn new(from: DomId, to: DomId) -> Self {
-        let pair = |kind: &str| (format!("/{kind}/{}/", from.0), format!("/{kind}/{}/", to.0));
-        Retarget {
-            from: from.0.to_string(),
-            to: to.0.to_string(),
-            patterns: [pair("domain"), pair("vif"), pair("vbd")],
-        }
-    }
-
-    /// `value` for the clone, byte-identical to replacing each pattern in
-    /// turn with `str::replace`; borrowed when no pattern occurs.
-    fn apply<'a>(&'a self, value: &'a str) -> Cow<'a, str> {
-        if value == self.from {
-            return Cow::Borrowed(&self.to);
-        }
-        let mut out = Cow::Borrowed(value);
-        for (pattern, replacement) in &self.patterns {
-            if out.contains(pattern.as_str()) {
-                out = Cow::Owned(out.replace(pattern.as_str(), replacement));
-            }
-        }
-        out
-    }
+    /// The template's home and per-guest backend directories, compiled
+    /// for stamping: each clone is one `create_subtree` per directory.
+    xs: XsPlan,
 }
 
 /// Software releases recorded in the audit log at link time.
@@ -883,10 +845,9 @@ impl Platform {
                 if let Some(nf) = &handle.netfront {
                     self.net_hub.destroy(nf.conn.ring);
                 }
-                let _ = self.xs.rm(
-                    toolstack,
-                    &xenbus::backend_path(nb, DeviceKind::Vif, guest, 0),
-                );
+                let _ = self
+                    .xs
+                    .rm(toolstack, &xenbus::backend_dir(nb, DeviceKind::Vif, guest));
                 self.audit
                     .append(now, AuditEvent::ShardUnlinked { guest, shard: nb });
                 self.release_tag_if_unused(nb);
@@ -904,10 +865,9 @@ impl Platform {
                 let _ = self.blkbacks[idx]
                     .images
                     .delete_image(&format!("{}-root.img", handle.name));
-                let _ = self.xs.rm(
-                    toolstack,
-                    &xenbus::backend_path(bb, DeviceKind::Vbd, guest, 0),
-                );
+                let _ = self
+                    .xs
+                    .rm(toolstack, &xenbus::backend_dir(bb, DeviceKind::Vbd, guest));
                 if let Some(bf) = &handle.blkfront {
                     self.blk_hub.destroy(bf.conn.ring);
                 }
@@ -941,9 +901,10 @@ impl Platform {
 
     /// Captures a pre-booted guest as a clone template.
     ///
-    /// The guest is paused in place; its XenStore subtree (frontend and
-    /// backend rows) is recorded so clones can be stamped without the
-    /// toolstack re-deriving any of it. The memory image is sealed lazily
+    /// The guest is paused in place; its XenStore subtrees (its home and
+    /// its rows in each backend's directory) are read with every node's
+    /// ACL and compiled, so clones can be stamped without the toolstack
+    /// re-deriving any of it. The memory image is sealed lazily
     /// by the first `DomctlCloneDomain` (frozen, refcounted frames).
     pub fn capture_template(&mut self, toolstack: DomId, guest: DomId) -> HvResult<()> {
         let handle = self
@@ -971,24 +932,22 @@ impl Platform {
             self.hv
                 .hypercall(toolstack, Hypercall::DomctlPauseDomain { target: guest })?;
         }
-        // Capture the guest's own subtree, then the backend rows that
-        // reference it (toolstacks are XenStore-privileged, so the walk
-        // sees every node).
-        let root = format!("/local/domain/{}", guest.0);
-        let mut guest_nodes = Vec::new();
-        self.walk_subtree(toolstack, &root, "", &mut guest_nodes);
-        guest_nodes.retain(|(suffix, _)| suffix != "name");
-        let mut backend_nodes = Vec::new();
+        // Read the guest's home, then each backend's per-guest directory,
+        // in one range pass each (toolstacks are XenStore-privileged, so
+        // every node is readable), and compile them for stamping.
+        let xs_err = |e| HvError::InvalidArgument(format!("xenstore: {e}"));
+        let mut roots = vec![XsPath::domain_home(guest.0).to_string()];
         for (backend, kind) in [(netback, DeviceKind::Vif), (blkback, DeviceKind::Vbd)] {
-            let Some(backend) = backend else { continue };
-            let bp = xenbus::backend_path(backend, kind, guest, 0);
-            let mut rows = Vec::new();
-            self.walk_subtree(toolstack, &bp, "", &mut rows);
-            backend_nodes.extend(
-                rows.into_iter()
-                    .map(|(suffix, value)| (backend, kind, 0u32, suffix, value)),
-            );
+            if let Some(backend) = backend {
+                roots.push(xenbus::backend_dir(backend, kind, guest));
+            }
         }
+        let mut subtrees = Vec::with_capacity(roots.len());
+        for root in roots {
+            let nodes = self.xs.read_subtree(toolstack, &root).map_err(xs_err)?;
+            subtrees.push((root, nodes));
+        }
+        let xs = XsPlan::compile(guest, subtrees);
         let memory_mib = self.hv.domain(guest)?.memory_mib;
         self.templates.insert(
             guest,
@@ -1001,42 +960,10 @@ impl Platform {
                 image: format!("{name}-root.img"),
                 netback,
                 blkback,
-                guest_nodes,
-                backend_nodes,
+                xs,
             },
         );
         Ok(())
-    }
-
-    /// Depth-first capture of a XenStore subtree as (relative path, value).
-    fn walk_subtree(
-        &mut self,
-        actor: DomId,
-        root: &str,
-        prefix: &str,
-        out: &mut Vec<(String, String)>,
-    ) {
-        let node = if prefix.is_empty() {
-            root.to_string()
-        } else {
-            format!("{root}/{prefix}")
-        };
-        if !prefix.is_empty() {
-            if let Ok(v) = self.xs.read_str(actor, &node) {
-                out.push((prefix.to_string(), v));
-            }
-        }
-        let Ok(children) = self.xs.directory(actor, &node) else {
-            return;
-        };
-        for child in children {
-            let next = if prefix.is_empty() {
-                child
-            } else {
-                format!("{prefix}/{child}")
-            };
-            self.walk_subtree(actor, root, &next, out);
-        }
     }
 
     /// Snapshot-fork fast path: stamps a new guest from a sealed template.
@@ -1044,7 +971,7 @@ impl Platform {
     /// No Builder round-trip and no page copies: the hypervisor forks the
     /// address space copy-on-write (`DomctlCloneDomain`, which also
     /// replays the template's grant entries against privatised ring
-    /// pages), then this method stamps the captured XenStore subtree,
+    /// pages), then this method stamps the compiled XenStore subtrees,
     /// binds fresh event channels, and attaches the clone to the
     /// template's backends — sharing its root image CoW.
     pub fn clone_guest(
@@ -1089,34 +1016,15 @@ impl Platform {
             },
         );
 
-        // Stamp the captured XenStore subtree under the clone's home,
-        // then the clone's own name.
+        // Stamp the template's compiled subtrees: the clone's home (with
+        // its own name) and its rows in each backend's directory, one
+        // request each.
         let xs_err = |e| HvError::InvalidArgument(format!("xenstore: {e}"));
-        self.xs
-            .create_domain_home(toolstack, clone)
-            .map_err(xs_err)?;
-        let tpl = &self.templates[&template];
-        let retarget = Retarget::new(template, clone);
-        let mut path = format!("/local/domain/{}/", clone.0);
-        let home = path.len();
-        for (suffix, value) in &tpl.guest_nodes {
-            path.truncate(home);
-            path.push_str(suffix);
+        for (root, nodes) in self.templates[&template].xs.stamp(clone, name) {
             self.xs
-                .write_str(toolstack, &path, &retarget.apply(value))
+                .create_subtree(toolstack, &root, nodes)
                 .map_err(xs_err)?;
         }
-        for (backend, kind, index, suffix, value) in &tpl.backend_nodes {
-            let mut path = xenbus::backend_path(*backend, *kind, clone, *index);
-            path.push('/');
-            path.push_str(suffix);
-            self.xs
-                .write_str(toolstack, &path, &retarget.apply(value))
-                .map_err(xs_err)?;
-        }
-        path.truncate(home);
-        path.push_str("name");
-        let _ = self.xs.write_str(toolstack, &path, name);
 
         // Wire the split devices against the grants `DomctlCloneDomain`
         // stamped: fresh event channels, same backends, no renegotiation.
@@ -1700,82 +1608,6 @@ mod tests {
 
     fn xoar() -> Platform {
         Platform::xoar(XoarConfig::default())
-    }
-
-    /// The rewrite `retarget` must stay byte-identical to: three
-    /// sequential `str::replace`s, each non-overlapping left to right.
-    fn sequential_retarget(value: &str, from: DomId, to: DomId) -> String {
-        if value == from.0.to_string() {
-            return to.0.to_string();
-        }
-        let (f, t) = (from.0, to.0);
-        value
-            .replace(&format!("/domain/{f}/"), &format!("/domain/{t}/"))
-            .replace(&format!("/vif/{f}/"), &format!("/vif/{t}/"))
-            .replace(&format!("/vbd/{f}/"), &format!("/vbd/{t}/"))
-    }
-
-    #[test]
-    fn retarget_rewrites_the_template_id_only_where_xenbus_embeds_it() {
-        let retarget = |v: &str, from: u32, to: u32| {
-            Retarget::new(DomId(from), DomId(to)).apply(v).into_owned()
-        };
-        for (value, want) in [
-            // A value that is the template id itself.
-            ("9", "42"),
-            // Both conventions in one path, and adjacent patterns that
-            // share a slash.
-            (
-                "/local/domain/9/backend/vif/9/0",
-                "/local/domain/42/backend/vif/42/0",
-            ),
-            (
-                "/local/domain/9/vbd/9/vif/9/",
-                "/local/domain/42/vbd/42/vif/42/",
-            ),
-            // One pattern twice over a shared slash: replaced once, as a
-            // non-overlapping left-to-right `replace` does.
-            ("/domain/9/domain/9/", "/domain/42/domain/9/"),
-            // Values that never mention the id come back unchanged.
-            ("", ""),
-            ("4", "4"),
-            ("xenbus-state", "xenbus-state"),
-            (
-                "/local/domain/0/backend/vif/2/0",
-                "/local/domain/0/backend/vif/2/0",
-            ),
-            ("/local/domain/9", "/local/domain/9"),
-            ("99", "99"),
-        ] {
-            assert_eq!(retarget(value, 9, 42), want, "{value}");
-        }
-        // Id-prefix collisions: template 1 must not touch domain 12 or
-        // device 19.
-        for (value, want) in [
-            ("1", "5"),
-            ("12", "12"),
-            ("/local/domain/12/device", "/local/domain/12/device"),
-            (
-                "/local/domain/1/backend/vbd/19/0",
-                "/local/domain/5/backend/vbd/19/0",
-            ),
-            ("/backend/vbd/19/0", "/backend/vbd/19/0"),
-            ("/backend/vif/1/0", "/backend/vif/5/0"),
-        ] {
-            assert_eq!(retarget(value, 1, 5), want, "{value}");
-        }
-        // And byte-identical to the sequential replaces on arbitrary
-        // mixes of the three patterns, ids and separators.
-        let pieces = ["/domain/", "/vif/", "/vbd/", "/", "1", "12", "9", "x", "0"];
-        xoar_sim::prop::Runner::cases(512).run("retarget matches sequential replaces", |g| {
-            let value: String = g.vec(0..12, |g| *g.choose(&pieces)).concat();
-            let (from, to) = (DomId(*g.choose(&[1, 9, 12])), DomId(g.u32(0..200)));
-            assert_eq!(
-                Retarget::new(from, to).apply(&value),
-                sequential_retarget(&value, from, to),
-                "{value:?} {from:?}->{to:?}"
-            );
-        });
     }
 
     #[test]

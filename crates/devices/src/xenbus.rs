@@ -91,14 +91,26 @@ pub fn frontend_path(guest: DomId, kind: DeviceKind, index: u32) -> String {
     format!("/local/domain/{}/device/{}/{}", guest.0, kind.name(), index)
 }
 
-/// The backend directory for a device.
+/// The backend directory for a device: [`backend_dir`] and the index,
+/// formatted in one allocation.
 pub fn backend_path(backend: DomId, kind: DeviceKind, guest: DomId, index: u32) -> String {
     format!(
-        "/local/domain/{}/backend/{}/{}/{}",
+        "/local/domain/{}/backend/{}/{}/{index}",
         backend.0,
         kind.name(),
-        guest.0,
-        index
+        guest.0
+    )
+}
+
+/// The per-guest directory a backend keeps for one device class: the
+/// parent of each of the guest's [`backend_path`]s, removed with the
+/// guest.
+pub fn backend_dir(backend: DomId, kind: DeviceKind, guest: DomId) -> String {
+    format!(
+        "/local/domain/{}/backend/{}/{}",
+        backend.0,
+        kind.name(),
+        guest.0
     )
 }
 

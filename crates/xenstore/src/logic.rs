@@ -17,11 +17,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xoar_hypervisor::fasthash::FastMap;
+use xoar_hypervisor::fasthash::{FastMap, FastSet};
 use xoar_hypervisor::DomId;
 
 use crate::error::{XsError, XsResult};
-use crate::path::XsPath;
+use crate::path::{is_under, XsPath};
 use crate::perm::NodePerms;
 use crate::state::{KvReply, KvRequest, NodeRecord, XenStoreState};
 use crate::watch::{WatchEvent, WatchRegistry};
@@ -38,6 +38,13 @@ pub const DEFAULT_TXN_QUOTA: usize = 10;
 
 /// Reserved State-key prefix for journaled watch registrations.
 const WATCH_JOURNAL: &str = "/@watch";
+
+/// The namespace reserved for Logic's own journal: no subtree is created
+/// or read beneath it.
+const RESERVED: &str = "/@";
+
+/// One node of a subtree request: its full key, value and permissions.
+pub type SubtreeNode = (String, Vec<u8>, NodePerms);
 
 /// An in-flight transaction.
 #[derive(Debug, Clone)]
@@ -285,9 +292,148 @@ impl XenStoreLogic {
             }
         }
         if txn.is_none() {
-            self.watches.fire(path);
+            self.watches.fire(path.as_str());
         }
         Ok(())
+    }
+
+    /// Creates a whole subtree in one request: `nodes` lists each node's
+    /// full key, value and permissions, every node after its parent, so
+    /// the root comes first.
+    ///
+    /// Every check runs before the first Put, and a refusal leaves the
+    /// store unchanged:
+    /// - the root lies outside the reserved `/@` namespace and does not
+    ///   exist; its nearest existing ancestor grants `dom` write access
+    ///   (the create rule of [`Self::write`]);
+    /// - every key is a normalised path equal to the root or beneath it,
+    ///   listed once, after its parent (the root's parent is the one
+    ///   parent not listed), so no stored node is left without its parent;
+    /// - an unprivileged caller lists only nodes it owns (the rule of
+    ///   [`Self::set_perms`]), and its quota covers them plus any missing
+    ///   ancestors of the root.
+    ///
+    /// No listed node can exist: the root does not, and every stored
+    /// node's parent is stored. Missing ancestors of the root are created
+    /// first, as `write` creates them. Each node is then one counted Put
+    /// and one watch fire with its own path. A node handed to another
+    /// owner is charged to that owner as `set_perms` charges it.
+    pub fn create_subtree(
+        &mut self,
+        state: &mut XenStoreState,
+        dom: DomId,
+        root: &XsPath,
+        nodes: Vec<SubtreeNode>,
+    ) -> XsResult<()> {
+        self.requests_this_epoch += 1;
+        let root_key = root.as_str();
+        if root_key.starts_with(RESERVED) {
+            return Err(XsError::Inval("reserved namespace".into()));
+        }
+        if root_key == "/" {
+            return Err(XsError::Exists(root_key.into()));
+        }
+        if nodes.first().is_none_or(|(key, _, _)| key != root_key) {
+            return Err(XsError::Inval(format!(
+                "subtree {root} must list its root first"
+            )));
+        }
+        let privileged = self.is_privileged(dom);
+        // Keys listed so far, less the root: a one-node request (a domain
+        // home) allocates nothing here.
+        let mut listed: FastSet<&str> = FastSet::default();
+        listed.reserve(nodes.len() - 1);
+        for (key, _, _) in &nodes[1..] {
+            if key == root_key {
+                return Err(XsError::Exists(key.clone()));
+            }
+            if !(is_under(key, root_key) && XsPath::is_normalised(key)) {
+                return Err(XsError::Inval(format!("{key} is not under {root}")));
+            }
+            if !parent_key(key).is_some_and(|parent| parent == root_key || listed.contains(parent))
+            {
+                return Err(XsError::Inval(format!("{key} listed before its parent")));
+            }
+            if !listed.insert(key) {
+                return Err(XsError::Exists(key.clone()));
+            }
+        }
+        if !privileged {
+            if let Some((key, _, _)) = nodes.iter().find(|(_, _, perms)| perms.owner != dom) {
+                return Err(XsError::Acc {
+                    caller: dom,
+                    path: key.clone(),
+                });
+            }
+        }
+        let owned = nodes
+            .iter()
+            .filter(|(_, _, perms)| perms.owner == dom)
+            .count();
+        if state.get(root_key).is_some() {
+            return Err(XsError::Exists(root.to_string()));
+        }
+        let base = self.nearest_existing(state, None, dom, root)?;
+        let ancestors = root_key[base + 1..]
+            .match_indices('/')
+            .map(|(i, _)| base + 1 + i);
+        if !privileged
+            && self.node_count(dom) + owned + ancestors.clone().count() > self.quotas.nodes
+        {
+            return Err(XsError::Quota("nodes"));
+        }
+        for end in ancestors {
+            let _ = self.charge_node(dom);
+            self.watches.fire(&root_key[..end]);
+            let rec = NodeRecord {
+                value: Vec::new(),
+                perms: NodePerms::owner_only(dom),
+                generation: 0,
+            };
+            state.serve(KvRequest::Put(root_key[..end].to_string(), rec));
+        }
+        for (key, value, perms) in nodes {
+            let _ = self.charge_node(perms.owner);
+            self.watches.fire(&key);
+            let rec = NodeRecord {
+                value,
+                perms,
+                generation: 0,
+            };
+            state.serve(KvRequest::Put(key, rec));
+        }
+        Ok(())
+    }
+
+    /// Reads a whole subtree in one range pass over State: `root` and
+    /// every node beneath it, in key order (each parent before its
+    /// children), as the nodes [`Self::create_subtree`] takes. Every node
+    /// must be readable by `dom`.
+    pub fn read_subtree(
+        &mut self,
+        state: &mut XenStoreState,
+        dom: DomId,
+        root: &XsPath,
+    ) -> XsResult<Vec<SubtreeNode>> {
+        self.requests_this_epoch += 1;
+        if root.as_str().starts_with(RESERVED) {
+            return Err(XsError::Inval("reserved namespace".into()));
+        }
+        let privileged = self.is_privileged(dom);
+        let mut out = Vec::new();
+        for (key, rec) in state.subtree(root.as_str()) {
+            if !(privileged || rec.perms.can_read(dom)) {
+                return Err(XsError::Acc {
+                    caller: dom,
+                    path: key.clone(),
+                });
+            }
+            out.push((key.clone(), rec.value.clone(), rec.perms.clone()));
+        }
+        if out.first().is_none_or(|(key, _, _)| key != root.as_str()) {
+            return Err(XsError::NoEnt(root.to_string()));
+        }
+        Ok(out)
     }
 
     /// The one upward walk of a create: from `path`'s parent to the
@@ -386,22 +532,33 @@ impl XenStoreLogic {
         if !(privileged || rec.perms.can_write(dom)) {
             return Err(acc(dom, path));
         }
+        let Some(id) = txn else {
+            // One listing, then one Delete per key; each reply carries the
+            // removed record, whose owner is uncharged.
+            if let KvReply::Keys(keys) = state.serve(KvRequest::ListSubtree(path.to_string())) {
+                for key in keys {
+                    if let KvReply::Record(Some(old)) = state.serve(KvRequest::Delete(key)) {
+                        self.uncharge_node(old.perms.owner);
+                    }
+                }
+            }
+            self.watches.fire(path.as_str());
+            return Ok(());
+        };
         // Collect subtree keys from State plus transaction overlay.
         let mut keys: BTreeSet<String> =
             match state.serve(KvRequest::ListSubtree(path.as_str().to_string())) {
                 KvReply::Keys(k) => k.into_iter().collect(),
                 _ => BTreeSet::new(),
             };
-        if let Some(id) = txn {
-            let t = self.txns.get(&id).ok_or(XsError::BadTxn(id))?;
-            for (k, v) in &t.writes {
-                let kp = XsPath::parse(k).map_err(|_| XsError::Inval(k.clone()))?;
-                if kp.starts_with(path) {
-                    if v.is_some() {
-                        keys.insert(k.clone());
-                    } else {
-                        keys.remove(k);
-                    }
+        let t = self.txns.get(&id).ok_or(XsError::BadTxn(id))?;
+        for (k, v) in &t.writes {
+            let kp = XsPath::parse(k).map_err(|_| XsError::Inval(k.clone()))?;
+            if kp.starts_with(path) {
+                if v.is_some() {
+                    keys.insert(k.clone());
+                } else {
+                    keys.remove(k);
                 }
             }
         }
@@ -411,9 +568,6 @@ impl XenStoreLogic {
                 self.uncharge_node(owner);
             }
             self.apply_write(state, txn, key, None)?;
-        }
-        if txn.is_none() {
-            self.watches.fire(path);
         }
         Ok(())
     }
@@ -510,7 +664,7 @@ impl XenStoreLogic {
             self.uncharge_node(old_owner);
             let _ = self.charge_node(new_owner);
         }
-        self.watches.fire(path);
+        self.watches.fire(path.as_str());
         Ok(())
     }
 
@@ -651,16 +805,14 @@ impl XenStoreLogic {
         }
         // Apply and fire.
         for (key, rec) in txn.writes {
+            self.watches.fire(&key);
             match rec {
                 Some(r) => {
-                    state.serve(KvRequest::Put(key.clone(), r));
+                    state.serve(KvRequest::Put(key, r));
                 }
                 None => {
-                    state.serve(KvRequest::Delete(key.clone()));
+                    state.serve(KvRequest::Delete(key));
                 }
-            }
-            if let Ok(p) = XsPath::parse(&key) {
-                self.watches.fire(&p);
             }
         }
         Ok(())
@@ -1235,6 +1387,223 @@ mod tests {
             Err(XsError::Acc { .. })
         ));
     }
+
+    /// Nodes at `root` and at each of `suffixes` beneath it, in order, all
+    /// valued `v` and owned by `owner`.
+    fn nodes(root: &str, suffixes: &[&str], owner: DomId) -> Vec<SubtreeNode> {
+        suffixes
+            .iter()
+            .map(|suffix| {
+                let perms = NodePerms::owner_only(owner);
+                (format!("{root}{suffix}"), b"v".to_vec(), perms)
+            })
+            .collect()
+    }
+
+    /// Runs a `create_subtree` that must be refused with `want`, and checks
+    /// that the store, its generation and every node count are as before.
+    fn assert_refused(
+        l: &mut XenStoreLogic,
+        s: &mut XenStoreState,
+        dom: DomId,
+        root: &str,
+        nodes: Vec<SubtreeNode>,
+        want: fn(&XsError) -> bool,
+    ) {
+        let before = (
+            s.len(),
+            s.generation(),
+            s.owner_counts().clone(),
+            l.node_counts.clone(),
+        );
+        let err = l.create_subtree(s, dom, &p(root), nodes).unwrap_err();
+        assert!(want(&err), "{root}: {err}");
+        let after = (
+            s.len(),
+            s.generation(),
+            s.owner_counts().clone(),
+            l.node_counts.clone(),
+        );
+        assert_eq!(after, before, "{root}: a refusal changes nothing");
+    }
+
+    #[test]
+    fn create_subtree_puts_each_node_once_with_its_own_acl() {
+        let (mut l, mut s, dom0, guest) = setup();
+        let backend = DomId(6);
+        let mut shared = NodePerms::owner_only(guest);
+        shared.set_entry(backend, crate::perm::PermLevel::Read);
+        let mut tree = nodes("/local/domain/7/device", &["", "/vif"], dom0);
+        tree.push((
+            "/local/domain/7/device/vif/0".into(),
+            b"".to_vec(),
+            shared.clone(),
+        ));
+        let (gen, ops) = (s.generation(), s.ops_served());
+        l.create_subtree(&mut s, dom0, &p("/local/domain/7/device"), tree)
+            .unwrap();
+        assert_eq!(s.generation(), gen + 3, "one Put per node");
+        assert_eq!(s.ops_served(), ops + 5, "and two Gets: root, parent");
+        assert_eq!(
+            s.peek("/local/domain/7/device/vif/0").unwrap().perms,
+            shared
+        );
+        assert_eq!(l.node_count(guest), 2, "home + the node handed over");
+        // The backend reads the node it was granted, the guest its own.
+        l.read(&mut s, backend, None, &p("/local/domain/7/device/vif/0"))
+            .unwrap();
+        l.read(&mut s, guest, None, &p("/local/domain/7/device/vif/0"))
+            .unwrap();
+        // Missing ancestors of the root are created first, as `write`
+        // creates them: owned by and charged to the caller.
+        l.create_subtree(
+            &mut s,
+            guest,
+            &p("/local/domain/7/a/b"),
+            nodes("/local/domain/7/a/b", &[""], guest),
+        )
+        .unwrap();
+        assert_eq!(
+            s.peek("/local/domain/7/a").unwrap().perms,
+            NodePerms::owner_only(guest)
+        );
+        assert_eq!(l.node_count(guest), 4);
+    }
+
+    #[test]
+    fn create_subtree_refuses_an_existing_root() {
+        let (mut l, mut s, dom0, guest) = setup();
+        let home = "/local/domain/7";
+        assert_refused(
+            &mut l,
+            &mut s,
+            dom0,
+            home,
+            nodes(home, &["", "/x"], guest),
+            |e| matches!(e, XsError::Exists(_)),
+        );
+        assert_refused(&mut l, &mut s, dom0, "/", nodes("/", &[""], dom0), |e| {
+            matches!(e, XsError::Exists(_))
+        });
+    }
+
+    #[test]
+    fn create_subtree_refuses_a_key_outside_the_root() {
+        let (mut l, mut s, dom0, _) = setup();
+        let mut tree = nodes("/tool/a", &["", "/x"], dom0);
+        tree.push(("/tool/ab".into(), vec![], NodePerms::owner_only(dom0)));
+        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
+            matches!(e, XsError::Inval(_))
+        });
+        let mut tree = nodes("/tool/a", &["", "/x"], dom0);
+        tree.push(("/tool/a/x/".into(), vec![], NodePerms::owner_only(dom0)));
+        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
+            matches!(e, XsError::Inval(_))
+        });
+    }
+
+    #[test]
+    fn create_subtree_refuses_a_node_listed_before_its_parent() {
+        let (mut l, mut s, dom0, _) = setup();
+        let tree = nodes("/tool/a", &["", "/x/y", "/x"], dom0);
+        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
+            matches!(e, XsError::Inval(_))
+        });
+        // The root is the first node listed, and listed once.
+        let tree = nodes("/tool/a", &["/x", ""], dom0);
+        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
+            matches!(e, XsError::Inval(_))
+        });
+        let tree = nodes("/tool/a", &["", "/x", "/x"], dom0);
+        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
+            matches!(e, XsError::Exists(_))
+        });
+        assert_refused(&mut l, &mut s, dom0, "/tool/a", vec![], |e| {
+            matches!(e, XsError::Inval(_))
+        });
+    }
+
+    #[test]
+    fn create_subtree_refuses_an_unprivileged_caller_listing_a_foreign_owner() {
+        let (mut l, mut s, dom0, guest) = setup();
+        let root = "/local/domain/7/data";
+        let mut tree = nodes(root, &["", "/mine"], guest);
+        tree.extend(nodes(root, &["/theirs"], dom0));
+        assert_refused(&mut l, &mut s, guest, root, tree, |e| {
+            matches!(e, XsError::Acc { .. })
+        });
+        // Nor may it create where its create rule denies it.
+        assert_refused(
+            &mut l,
+            &mut s,
+            guest,
+            "/tool/x",
+            nodes("/tool/x", &[""], guest),
+            |e| matches!(e, XsError::Acc { .. }),
+        );
+    }
+
+    #[test]
+    fn create_subtree_refuses_the_reserved_namespace() {
+        let (mut l, mut s, dom0, _) = setup();
+        for root in ["/@watch/evil", "/@x"] {
+            assert_refused(
+                &mut l,
+                &mut s,
+                dom0,
+                root,
+                nodes(root, &["", "/y"], dom0),
+                |e| matches!(e, XsError::Inval(_)),
+            );
+        }
+    }
+
+    #[test]
+    fn create_subtree_refuses_what_the_callers_quota_cannot_cover() {
+        let mut l = XenStoreLogic::with_quotas(Quotas {
+            nodes: 4,
+            ..Quotas::default()
+        });
+        let mut s = XenStoreState::new();
+        let (dom0, guest) = (DomId(0), DomId(7));
+        l.set_privileged(dom0, true);
+        l.create_subtree(&mut s, dom0, &p("/g"), nodes("/g", &[""], guest))
+            .unwrap();
+        // Home + a missing ancestor + three nodes is five, one too many:
+        // nothing is created, not even the nodes that would fit.
+        let root = "/g/a/b";
+        assert_refused(
+            &mut l,
+            &mut s,
+            guest,
+            root,
+            nodes(root, &["", "/c", "/d"], guest),
+            |e| matches!(e, XsError::Quota("nodes")),
+        );
+        l.create_subtree(&mut s, guest, &p(root), nodes(root, &["", "/c"], guest))
+            .unwrap();
+        assert_eq!(l.node_count(guest), 4);
+    }
+
+    #[test]
+    fn create_subtree_fires_one_watch_event_per_node() {
+        let (mut l, mut s, dom0, guest) = setup();
+        l.watch(&mut s, dom0, &p("/local/domain/7"), "home")
+            .unwrap();
+        let _ = l.poll_watch(dom0);
+        let root = "/local/domain/7/device";
+        let suffixes = ["", "/vif", "/vif/0", "/vif/0/state", "/vbd"];
+        l.create_subtree(&mut s, guest, &p(root), nodes(root, &suffixes, guest))
+            .unwrap();
+        let fired: Vec<String> = std::iter::from_fn(|| l.poll_watch(dom0))
+            .map(|e| {
+                assert_eq!(e.token, "home");
+                e.path.to_string()
+            })
+            .collect();
+        let want: Vec<String> = suffixes.iter().map(|s| format!("{root}{s}")).collect();
+        assert_eq!(fired, want);
+    }
 }
 
 #[cfg(test)]
@@ -1251,7 +1620,7 @@ mod proptests {
     #[test]
     fn restart_never_loses_committed_data() {
         Runner::cases(64).run("restart never loses committed data", |g| {
-            let ops = g.vec(1..40, |g| (g.u8(0..4), g.u32(0..8), g.u32(0..4)));
+            let ops = g.vec(1..40, |g| (g.u8(0..5), g.u32(0..8), g.u32(0..4)));
             let mut l = XenStoreLogic::new();
             let mut s = XenStoreState::new();
             let dom0 = DomId(0);
@@ -1270,8 +1639,30 @@ mod proptests {
                             l.rm(&mut s, dom0, None, &path).unwrap();
                         }
                     }
-                    _ => {
+                    3 => {
                         l.restart(&mut s);
+                    }
+                    _ => {
+                        // A subtree under its own prefix, which `rm` above
+                        // never reaches; a second one at the same root is
+                        // refused and changes nothing.
+                        let root = format!("/t{key}");
+                        let tree: Vec<SubtreeNode> = ["", "/c", "/c/d"]
+                            .iter()
+                            .map(|suffix| {
+                                let value = format!("v{val}{suffix}").into_bytes();
+                                (
+                                    format!("{root}{suffix}"),
+                                    value,
+                                    NodePerms::owner_only(dom0),
+                                )
+                            })
+                            .collect();
+                        if l.create_subtree(&mut s, dom0, &p(&root), tree.clone())
+                            .is_ok()
+                        {
+                            shadow.extend(tree.into_iter().map(|(k, v, _)| (k, v)));
+                        }
                     }
                 }
             }
@@ -1287,7 +1678,8 @@ mod proptests {
     /// finds. Checked after each step of random mixes of plain and
     /// transactional writes, mkdirs, removals and permission changes by a
     /// privileged and an unprivileged domain, with commits, aborts and
-    /// `Again` conflicts, Logic restarts, and persist → recover rounds.
+    /// `Again` conflicts, whole-subtree creates, Logic restarts, and
+    /// persist → recover rounds.
     #[test]
     fn every_stored_node_has_its_parent() {
         fn orphans(s: &XenStoreState) -> Vec<String> {
@@ -1324,7 +1716,7 @@ mod proptests {
                     Some((owner, id)) if g.bool() => (owner, Some(id)),
                     _ => (if g.bool() { dom0 } else { guest }, None),
                 };
-                match g.u8(0..20) {
+                match g.u8(0..21) {
                     0..=5 | 19 => {
                         let _ = l.write(&mut s, dom, in_txn, &path, b"v");
                     }
@@ -1350,6 +1742,18 @@ mod proptests {
                         l.restart(&s);
                         txn = None;
                     }
+                    20 => {
+                        let owner = if g.bool() { dom0 } else { guest };
+                        let root = path.as_str();
+                        let tree = ["", "/x", "/x/y", "/y"]
+                            .iter()
+                            .map(|suffix| {
+                                let perms = NodePerms::owner_only(owner);
+                                (format!("{root}{suffix}"), b"v".to_vec(), perms)
+                            })
+                            .collect();
+                        let _ = l.create_subtree(&mut s, dom, &path, tree);
+                    }
                     _ => {
                         s = XenStoreState::recover(&s.persist()).unwrap();
                         l.restart(&s);
@@ -1363,27 +1767,44 @@ mod proptests {
     }
 
     /// Quota accounting matches the real number of owned nodes after
-    /// arbitrary writes and removals (no drift).
+    /// arbitrary writes, whole-subtree creates and removals (no drift).
     #[test]
     fn quota_accounting_no_drift() {
         Runner::cases(64).run("quota accounting has no drift", |g| {
-            let keys = g.vec(1..30, |g| g.u32(0..10));
+            let keys = g.vec(1..30, |g| (g.u32(0..10), g.bool()));
             let mut l = XenStoreLogic::new();
             let mut s = XenStoreState::new();
-            let dom0 = DomId(0);
+            let (dom0, guest) = (DomId(0), DomId(7));
             l.set_privileged(dom0, true);
-            let mut present: std::collections::BTreeSet<u32> = Default::default();
-            for k in keys {
-                if present.contains(&k) {
+            // Key → whether it was created as a subtree with a child
+            // handed to the guest.
+            let mut present: std::collections::BTreeMap<u32, bool> = Default::default();
+            for (k, subtree) in keys {
+                if present.remove(&k).is_some() {
                     l.rm(&mut s, dom0, None, &p(&format!("/n{k}"))).unwrap();
-                    present.remove(&k);
+                } else if subtree {
+                    let root = format!("/n{k}");
+                    let tree = vec![
+                        (root.clone(), b"v".to_vec(), NodePerms::owner_only(dom0)),
+                        (
+                            format!("{root}/g"),
+                            b"v".to_vec(),
+                            NodePerms::owner_only(guest),
+                        ),
+                    ];
+                    l.create_subtree(&mut s, dom0, &p(&root), tree).unwrap();
+                    present.insert(k, true);
                 } else {
                     l.write(&mut s, dom0, None, &p(&format!("/n{k}")), b"v")
                         .unwrap();
-                    present.insert(k);
+                    present.insert(k, false);
                 }
             }
             assert_eq!(l.node_count(dom0), present.len());
+            assert_eq!(
+                l.node_count(guest),
+                present.values().filter(|&&handed| handed).count()
+            );
         });
     }
 }

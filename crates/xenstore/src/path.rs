@@ -25,6 +25,12 @@ impl XsPath {
     /// components, no `.` or `..`, components drawn from a conservative
     /// character set, bounded total and per-component length.
     pub fn parse(raw: &str) -> Result<Self, XsError> {
+        Ok(XsPath(Self::check(raw)?.to_string()))
+    }
+
+    /// Validates `raw` without allocating and returns its normalised
+    /// form (a borrowed prefix: only a trailing `/` is ever dropped).
+    fn check(raw: &str) -> Result<&str, XsError> {
         if raw.is_empty() || !raw.starts_with('/') {
             return Err(XsError::BadPath(raw.into()));
         }
@@ -32,7 +38,7 @@ impl XsPath {
             return Err(XsError::BadPath(format!("{}… (too long)", &raw[..32])));
         }
         if raw == "/" {
-            return Ok(XsPath("/".into()));
+            return Ok(raw);
         }
         let trimmed = raw.strip_suffix('/').unwrap_or(raw);
         for comp in trimmed[1..].split('/') {
@@ -49,7 +55,19 @@ impl XsPath {
                 return Err(XsError::BadPath(raw.into()));
             }
         }
-        Ok(XsPath(trimmed.to_string()))
+        Ok(trimmed)
+    }
+
+    /// Whether `key` is a valid path already in normalised form, so that
+    /// [`XsPath::parse`] would return it unchanged.
+    pub(crate) fn is_normalised(key: &str) -> bool {
+        Self::check(key).is_ok_and(|k| k.len() == key.len())
+    }
+
+    /// Wraps a key the caller knows to be valid and normalised (a stored
+    /// key, or the text of another `XsPath`).
+    pub(crate) fn from_normalised(key: &str) -> XsPath {
+        XsPath(key.to_string())
     }
 
     /// The path as a string slice.
@@ -90,17 +108,22 @@ impl XsPath {
 
     /// Whether `self` equals `other` or lies beneath it.
     pub fn starts_with(&self, other: &XsPath) -> bool {
-        other.0 == "/"
-            || self
-                .0
-                .strip_prefix(other.0.as_str())
-                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+        is_under(&self.0, &other.0)
     }
 
     /// The conventional per-domain home directory.
     pub fn domain_home(domid: u32) -> XsPath {
         XsPath(format!("/local/domain/{domid}"))
     }
+}
+
+/// Whether the normalised path `key` equals `root` or lies beneath it,
+/// component-wise.
+pub(crate) fn is_under(key: &str, root: &str) -> bool {
+    root == "/"
+        || key
+            .strip_prefix(root)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
 impl std::fmt::Display for XsPath {

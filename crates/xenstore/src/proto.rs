@@ -12,7 +12,7 @@
 use xoar_hypervisor::DomId;
 
 use crate::error::{XsError, XsResult};
-use crate::logic::{Quotas, XenStoreLogic};
+use crate::logic::{Quotas, SubtreeNode, XenStoreLogic};
 use crate::path::XsPath;
 use crate::perm::NodePerms;
 use crate::state::XenStoreState;
@@ -292,14 +292,35 @@ impl XenStore {
         self.logic.set_perms(&mut self.state, dom, &p, perms)
     }
 
+    /// Creates a whole subtree in one request: `nodes` lists each node's
+    /// full key, value and permissions, root first and every node after
+    /// its parent. Not a wire request; see
+    /// [`XenStoreLogic::create_subtree`] for the checks.
+    pub fn create_subtree(
+        &mut self,
+        actor: DomId,
+        root: &str,
+        nodes: Vec<SubtreeNode>,
+    ) -> XsResult<()> {
+        let p = XsPath::parse(root)?;
+        self.logic.create_subtree(&mut self.state, actor, &p, nodes)
+    }
+
+    /// Reads `root` and its whole subtree in one range pass, in key order
+    /// (see [`XenStoreLogic::read_subtree`]).
+    pub fn read_subtree(&mut self, actor: DomId, root: &str) -> XsResult<Vec<SubtreeNode>> {
+        let p = XsPath::parse(root)?;
+        self.logic.read_subtree(&mut self.state, actor, &p)
+    }
+
     /// Sets up the conventional home directory for a new domain, owned by
-    /// that domain (performed by the toolstack during VM creation).
+    /// that domain (performed by the toolstack during VM creation): a
+    /// one-node [`XenStore::create_subtree`].
     pub fn create_domain_home(&mut self, actor: DomId, domid: DomId) -> XsResult<()> {
         let home = XsPath::domain_home(domid.0);
-        self.logic.mkdir(&mut self.state, actor, None, &home)?;
-        let mut perms = NodePerms::owner_only(domid);
-        perms.owner = domid;
-        self.logic.set_perms(&mut self.state, actor, &home, perms)
+        let node = (home.to_string(), Vec::new(), NodePerms::owner_only(domid));
+        self.logic
+            .create_subtree(&mut self.state, actor, &home, vec![node])
     }
 
     /// Removes a domain's connections, watches, quotas, and home dir.
@@ -462,6 +483,22 @@ mod tests {
         assert!(xs.read_str(dom0, "/local/domain/5").is_err());
         // Idempotent.
         xs.remove_domain(dom0, guest).unwrap();
+    }
+
+    #[test]
+    fn domain_home_is_one_put_owned_by_the_domain() {
+        let (mut xs, dom0, _) = store_with_guest();
+        let guest = DomId(6);
+        let generation = xs.state().generation();
+        xs.create_domain_home(dom0, guest).unwrap();
+        assert_eq!(xs.state().generation(), generation + 1, "one Put");
+        let home = xs.state().peek("/local/domain/6").unwrap();
+        assert_eq!(home.perms, NodePerms::owner_only(guest));
+        assert_eq!(xs.logic().node_count(guest), 1);
+        assert!(matches!(
+            xs.create_domain_home(dom0, guest),
+            Err(XsError::Exists(_))
+        ));
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub enum KvRequest {
     Get(String),
     /// Insert or replace one record.
     Put(String, NodeRecord),
-    /// Remove one record.
+    /// Remove one record; the reply carries the removed record, so the
+    /// caller can uncharge its owner without a `Get` first.
     Delete(String),
     /// List keys strictly under `prefix + "/"` plus the prefix itself.
     ListSubtree(String),
@@ -60,9 +61,10 @@ pub enum KvRequest {
 /// A reply on the narrow protocol.
 #[derive(Debug, Clone)]
 pub enum KvReply {
-    /// Reply to `Get`: the record, if present.
+    /// Reply to `Get` and `Delete`: the record, if present (for a
+    /// `Delete`, the record just removed).
     Record(Option<NodeRecord>),
-    /// Reply to `Put`/`Delete`.
+    /// Reply to `Put`.
     Done,
     /// Reply to `ListSubtree`: matching keys in order.
     Keys(Vec<String>),
@@ -177,32 +179,20 @@ impl XenStoreState {
                 KvReply::Done
             }
             KvRequest::Delete(key) => {
-                if let Some(old) = self.map.remove(&key) {
+                let old = self.map.remove(&key);
+                if let Some(old) = &old {
                     self.generation += 1;
                     if !key.starts_with(RESERVED_PREFIX) {
                         self.index_remove(old.perms.owner);
                     }
                 }
-                KvReply::Done
+                KvReply::Record(old)
             }
-            KvRequest::ListSubtree(prefix) => {
-                let mut keys = Vec::new();
-                if self.map.contains_key(&prefix) {
-                    keys.push(prefix.clone());
-                }
-                let sub = if prefix == "/" {
-                    "/".to_string()
-                } else {
-                    format!("{prefix}/")
-                };
-                for key in self.map.range(sub.clone()..) {
-                    if !key.0.starts_with(&sub) {
-                        break;
-                    }
-                    keys.push(key.0.clone());
-                }
-                KvReply::Keys(keys)
-            }
+            KvRequest::ListSubtree(prefix) => KvReply::Keys(
+                subtree_range(&self.map, &prefix)
+                    .map(|(k, _)| k.clone())
+                    .collect(),
+            ),
             KvRequest::Generation => KvReply::Generation(self.generation),
         }
     }
@@ -212,6 +202,17 @@ impl XenStoreState {
     pub fn get(&mut self, key: &str) -> Option<&NodeRecord> {
         self.ops_served += 1;
         self.map.get(key)
+    }
+
+    /// The borrowed form of [`KvRequest::ListSubtree`]: one counted
+    /// protocol operation that lends the records at `root` and beneath it,
+    /// in key order, instead of cloning their keys.
+    pub fn subtree<'a>(
+        &'a mut self,
+        root: &'a str,
+    ) -> impl Iterator<Item = (&'a String, &'a NodeRecord)> + 'a {
+        self.ops_served += 1;
+        subtree_range(&self.map, root)
     }
 
     /// Number of records held.
@@ -282,6 +283,24 @@ impl XenStoreState {
         }
         Ok(state)
     }
+}
+
+/// The records at `root` and strictly beneath it, in key order, by one
+/// range scan that builds no key. Keys beneath `root` sort after it and
+/// before any sibling that extends its last component with a byte above
+/// `/`; siblings extended with `-` or `.` sort in between and are skipped.
+fn subtree_range<'a>(
+    map: &'a BTreeMap<String, NodeRecord>,
+    root: &'a str,
+) -> impl Iterator<Item = (&'a String, &'a NodeRecord)> + 'a {
+    use std::ops::Bound;
+    // The byte after the root: `/` under it, none at it. For "/" itself
+    // that is every key's first byte.
+    let cut = if root == "/" { 0 } else { root.len() };
+    let after = move |k: &String| k.as_bytes().get(cut).copied();
+    map.range::<str, _>((Bound::Included(root), Bound::Unbounded))
+        .take_while(move |(k, _)| k.starts_with(root) && after(k).is_none_or(|b| b <= b'/'))
+        .filter(move |(k, _)| after(k).is_none_or(|b| b == b'/'))
 }
 
 #[cfg(test)]
@@ -356,6 +375,43 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn subtree_scan_skips_siblings_that_sort_inside_it() {
+        let mut s = XenStoreState::new();
+        // `-` and `.` sort below `/`, so these siblings sit between "/a"
+        // and "/a/b" in key order; "/a0" sorts after the subtree.
+        for k in [
+            "/a", "/a-b", "/a.c", "/a/b", "/a/b-c", "/a/b/d", "/a0", "/b",
+        ] {
+            s.serve(KvRequest::Put(k.into(), rec("v")));
+        }
+        let want = vec!["/a", "/a/b", "/a/b-c", "/a/b/d"];
+        let ops = s.ops_served();
+        let lent: Vec<&str> = s.subtree("/a").map(|(k, _)| k.as_str()).collect();
+        assert_eq!(lent, want);
+        assert_eq!(s.ops_served(), ops + 1, "one counted operation");
+        match s.serve(KvRequest::ListSubtree("/a".into())) {
+            KvReply::Keys(keys) => assert_eq!(keys, want),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(s.subtree("/a/b/d").count(), 1, "a leaf is its own subtree");
+        assert_eq!(s.subtree("/c").count(), 0);
+    }
+
+    #[test]
+    fn delete_replies_with_the_removed_record() {
+        let mut s = XenStoreState::new();
+        s.serve(KvRequest::Put("/a".into(), rec("x")));
+        match s.serve(KvRequest::Delete("/a".into())) {
+            KvReply::Record(Some(r)) => assert_eq!(r.value, b"x"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(
+            s.serve(KvRequest::Delete("/a".into())),
+            KvReply::Record(None)
+        ));
     }
 
     #[test]

@@ -70,31 +70,43 @@ fn observe_guest(p: &mut Platform, guest: DomId, name: &str) -> String {
     let mut peers: Vec<u32> = p.hv.peers_of(guest).iter().map(|d| d.0).collect();
     peers.sort();
     out.push_str(&format!("event_peers={peers:?}\n"));
-    // XenStore view: depth-first (path, value) walk of the guest's home.
-    let root = format!("/local/domain/{}", guest.0);
-    let mut stack = vec![String::new()];
-    while let Some(prefix) = stack.pop() {
-        let node = if prefix.is_empty() {
-            root.clone()
-        } else {
-            format!("{root}/{prefix}")
-        };
-        if !prefix.is_empty() {
-            if let Ok(v) = p.xs.read_str(ts, &node) {
-                out.push_str(&format!("xs {prefix} = {v}\n"));
-            }
+    // XenStore view: a depth-first walk of the guest's home, then of its
+    // rows in each backend's directory, rendering every node's value,
+    // owner, default level and ACL entries.
+    let handle = p.guest(guest).unwrap();
+    let mut roots = vec![format!("/local/domain/{}", guest.0)];
+    for (backend, kind) in [(handle.netback, "vif"), (handle.blkback, "vbd")] {
+        if let Some(backend) = backend {
+            roots.push(format!(
+                "/local/domain/{}/backend/{kind}/{}",
+                backend.0, guest.0
+            ));
         }
-        if let Ok(mut children) = p.xs.directory(ts, &node) {
+    }
+    for root in roots {
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            let value = p.xs.read_str(ts, &node).unwrap();
+            let perms = &p.xs.state().peek(&node).unwrap().perms;
+            let entries: Vec<(u32, _)> = perms.entries.iter().map(|e| (e.dom.0, e.level)).collect();
+            out.push_str(&format!(
+                "xs {node} = {value} owner={} default={:?} entries={entries:?}\n",
+                perms.owner.0, perms.default
+            ));
+            let mut children = p.xs.directory(ts, &node).unwrap();
             children.sort();
             for child in children.into_iter().rev() {
-                stack.push(if prefix.is_empty() {
-                    child
-                } else {
-                    format!("{prefix}/{child}")
-                });
+                stack.push(format!("{node}/{child}"));
             }
         }
     }
+    // What the guest is charged for, in Logic's quota accounting and in
+    // State's owner index.
+    out.push_str(&format!(
+        "xs node_count={} owned={:?}\n",
+        p.xs.logic().node_count(guest),
+        p.xs.state().owner_counts().get(&guest)
+    ));
     // Normalise the two identities a comparison must ignore.
     out.replace(&format!("/{}/", guest.0), "/DOMID/")
         .replace(&guest.0.to_string(), "DOMID")
@@ -110,6 +122,53 @@ fn cloned_guest_is_observably_equivalent_to_built_guest() {
         a, b,
         "clone must be indistinguishable from a built guest modulo DomId"
     );
+}
+
+#[test]
+fn clone_and_its_backend_read_their_own_xenstore_rows() {
+    let (mut p, _ts, built, _tpl, clone) = cloned_world();
+    let netback = p.guest(clone).unwrap().netback.unwrap();
+    let state = format!("/local/domain/{}/device/vif/0/state", clone.0);
+    assert_eq!(p.xs.read_str(clone, &state).unwrap(), "4", "Connected");
+    let frontend = format!(
+        "/local/domain/{}/backend/vif/{}/0/frontend",
+        netback.0, clone.0
+    );
+    assert_eq!(
+        p.xs.read_str(netback, &frontend).unwrap(),
+        format!("/local/domain/{}/device/vif/0", clone.0)
+    );
+    // Another guest still reads neither.
+    assert!(p.xs.read_str(built, &state).is_err());
+    assert!(p.xs.read_str(built, &frontend).is_err());
+}
+
+/// The XenStore cost of one warm start and one teardown, as exact counts
+/// of State protocol operations (a regression here is invisible in the
+/// benchmark's noise): a clone is 27 Puts, one per node it creates, in
+/// 33 operations; a destroy is 34 operations and leaves no node behind.
+/// A guest built through the Builder leaves none behind either.
+#[test]
+fn clone_and_destroy_have_a_pinned_xenstore_cost() {
+    let (mut p, mut ts, _built, tpl, _clone) = cloned_world();
+    let nodes = p.xs.state_len();
+    let (generation, ops) = (p.xs.state().generation(), p.xs.state_ops());
+    let clone = ts.clone(&mut p, tpl, "fn-c").unwrap();
+    let puts = p.xs.state().generation() - generation;
+    assert_eq!(puts, 27, "Puts per clone");
+    assert_eq!(p.xs.state_len() - nodes, 27, "one Put per node created");
+    assert_eq!(p.xs.state_ops() - ops, 33, "State operations per clone");
+    let ops = p.xs.state_ops();
+    ts.destroy(&mut p, clone).unwrap();
+    assert_eq!(p.xs.state_ops() - ops, 34, "State operations per destroy");
+    assert_eq!(p.xs.state_len(), nodes, "destroy leaves no node behind");
+
+    let built = ts
+        .create(&mut p, GuestConfig::evaluation_guest("fn-d"))
+        .unwrap();
+    assert!(p.xs.state_len() > nodes);
+    ts.destroy(&mut p, built).unwrap();
+    assert_eq!(p.xs.state_len(), nodes, "nor does a built guest's destroy");
 }
 
 #[test]

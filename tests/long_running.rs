@@ -1,6 +1,6 @@
 //! One platform run indefinitely: clone/destroy churn must hold the
-//! machine-frame table and the device ring hubs at the size of the live
-//! state, not the platform's history.
+//! machine-frame table, the device ring hubs and the XenStore at the size
+//! of the live state, not the platform's history.
 //!
 //! The quick test runs a few thousand cycles in any build. The 100k
 //! cycle run is `#[ignore]`d and meant for release mode; it gates on the
@@ -25,12 +25,25 @@ const LIVE: usize = 8;
 const DEDUP_EVERY: u64 = 64;
 
 /// Structure that must not grow once the churn is warm.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
+#[derive(Debug, PartialEq, Eq, Clone)]
 struct Footprint {
     frame_table: usize,
     frames_in_use: u64,
     net_rings: usize,
     blk_rings: usize,
+    /// XenStore nodes held.
+    xs_nodes: usize,
+    /// XenStore nodes per owner, in State's owner index and in Logic's
+    /// quota accounting; a live clone is named by its place in the window.
+    xs_owners: Vec<(Owner, u64, usize)>,
+}
+
+/// A XenStore node owner, with live clones named by window position so
+/// that two warm points compare equal.
+#[derive(Debug, PartialEq, Eq, Clone, Copy, PartialOrd, Ord)]
+enum Owner {
+    Domain(u32),
+    LiveClone(usize),
 }
 
 /// A platform with two sealed templates and a window of live clones.
@@ -92,21 +105,38 @@ impl Churn {
 
     fn footprint(&self) -> Footprint {
         let mem = &self.p.hv.mem;
+        let mut xs_owners: Vec<(Owner, u64, usize)> = self
+            .p
+            .xs
+            .state()
+            .owner_counts()
+            .iter()
+            .map(|(&dom, &nodes)| {
+                let owner = match self.live.iter().position(|&d| d == dom) {
+                    Some(at) => Owner::LiveClone(at),
+                    None => Owner::Domain(dom.0),
+                };
+                (owner, nodes, self.p.xs.logic().node_count(dom))
+            })
+            .collect();
+        xs_owners.sort();
         Footprint {
             frame_table: mem.frame_table_len(),
             frames_in_use: mem.total_frames() - mem.free_frames(),
             net_rings: self.p.net_hub.len(),
             blk_rings: self.p.blk_hub.len(),
+            xs_nodes: self.p.xs.state_len(),
+            xs_owners,
         }
     }
 
     /// Runs `cycles` more cycles, checking at every dedup point that the
     /// footprint equals `warm`.
-    fn run_flat(&mut self, cycles: u64, warm: Footprint) {
+    fn run_flat(&mut self, cycles: u64, warm: &Footprint) {
         for _ in 0..cycles {
             self.cycle();
             if self.cycles.is_multiple_of(DEDUP_EVERY) {
-                assert_eq!(self.footprint(), warm, "after {} cycles", self.cycles);
+                assert_eq!(&self.footprint(), warm, "after {} cycles", self.cycles);
             }
         }
     }
@@ -141,7 +171,7 @@ fn rss_mib() -> Option<f64> {
 fn clone_destroy_churn_keeps_frames_and_rings_flat() {
     let mut churn = Churn::new();
     let warm = churn.warm_up();
-    churn.run_flat(3_000, warm);
+    churn.run_flat(3_000, &warm);
     churn.p.hv.mem.check_consistency().unwrap();
 }
 
@@ -154,14 +184,15 @@ fn hundred_thousand_cycles_on_one_platform() {
     let mut per_10k = Vec::new();
     while churn.cycles < 100_000 {
         let start = Instant::now();
-        churn.run_flat(10_000, warm);
+        churn.run_flat(10_000, &warm);
         let us = start.elapsed().as_secs_f64() * 1e6 / 10_000.0;
         per_10k.push(us);
         let rss = rss_mib().map_or_else(|| "n/a".to_string(), |m| format!("{m:.1} MiB"));
         println!(
-            "cycles {:>6}: {us:>8.1} us/cycle, rss {rss}, frame table {}",
+            "cycles {:>6}: {us:>8.1} us/cycle, rss {rss}, frame table {}, xenstore nodes {}",
             churn.cycles,
-            churn.p.hv.mem.frame_table_len()
+            churn.p.hv.mem.frame_table_len(),
+            churn.p.xs.state_len()
         );
     }
     println!(
