@@ -17,15 +17,15 @@
 
 use std::collections::HashMap;
 
-use xoar_devices::blk::{BlkFront, BlkRingHub};
+use xoar_devices::blk::{BlkFront, BlkRingHub, Mount};
 use xoar_devices::console::ConsoleManager;
 use xoar_devices::emu::QemuDeviceModel;
 use xoar_devices::fabric::Fabric;
 use xoar_devices::hw::{DiskModel, NicModel};
 use xoar_devices::net::{NetFront, NetRingHub, WireEndpoint};
 use xoar_devices::pci::{PciBack, PciBus, PciClass};
-use xoar_devices::xenbus::{self, DeviceKind};
-use xoar_devices::{BlkBack, NetBack};
+use xoar_devices::xenbus::{self, Connection, DeviceKind};
+use xoar_devices::{BlkBack, NetBack, RingHub, RingId};
 use xoar_hypervisor::domain::DomainRole;
 use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::{
@@ -122,6 +122,25 @@ pub struct GuestHandle {
     pub qemu: Option<DomId>,
 }
 
+impl GuestHandle {
+    /// The backend serving the guest's `kind` device, if it has one.
+    fn backend(&self, kind: DeviceKind) -> Option<DomId> {
+        match kind {
+            DeviceKind::Vif => self.netback,
+            _ => self.blkback,
+        }
+    }
+
+    /// Takes the connection of the guest's `kind` frontend, leaving the
+    /// frontend unset.
+    fn take_frontend(&mut self, kind: DeviceKind) -> Option<Connection> {
+        match kind {
+            DeviceKind::Vif => self.netfront.take().map(|f| f.conn),
+            _ => self.blkfront.take().map(|f| f.conn),
+        }
+    }
+}
+
 /// Per-guest creation parameters.
 #[derive(Debug, Clone)]
 pub struct GuestConfig {
@@ -203,36 +222,117 @@ pub struct Platform {
 /// guests without a Builder round-trip.
 ///
 /// The memory image lives in the hypervisor (frozen, refcounted frames
-/// armed by `DomctlCloneDomain`); this struct carries the platform-level
-/// remainder — the XenStore subtree, the device topology, and the root
-/// image every clone shares until its first block write.
+/// armed by `DomctlCloneDomain`), the template's own [`GuestHandle`]
+/// names its toolstack, constraint and backends, and BlkBack's mount
+/// names the root image every clone shares until its first block write.
+/// What remains is the XenStore subtree, compiled.
 #[derive(Debug)]
 pub struct GuestTemplate {
-    /// The sealed template domain.
-    pub dom: DomId,
-    /// Template guest name (clones get their own names).
-    pub name: String,
-    /// The capturing toolstack.
-    pub toolstack: DomId,
-    /// Sharing constraint inherited by clones.
-    pub constraint: ConstraintTag,
-    /// Memory reservation clones are accounted at, MiB.
-    pub memory_mib: u64,
-    /// Root disk image clones share (copy-on-write at the image level is
-    /// out of scope; clones attach read-mostly to the template's image).
-    pub image: String,
-    /// Serving NetBack for the template's vif.
-    pub netback: Option<DomId>,
-    /// Serving BlkBack for the template's vbd.
-    pub blkback: Option<DomId>,
     /// The template's home and per-guest backend directories, compiled
     /// for stamping: each clone is one `create_subtree` per directory.
     xs: XsPlan,
 }
 
-/// Software releases recorded in the audit log at link time.
-const NETBACK_RELEASE: &str = "netback-2.6.31";
-const BLKBACK_RELEASE: &str = "blkback-2.6.31";
+/// One split-device class as the platform links it.
+struct DeviceSpec {
+    kind: DeviceKind,
+    /// Guest-local PFN of the ring page, just past the magic pages the
+    /// Builder lays out (start-info, store ring, console ring, kernel).
+    ring_pfn: u64,
+    /// The backend's shard class, as the audit log names it.
+    shard: ShardKind,
+    /// Software release recorded in the audit log at link time.
+    release: &'static str,
+}
+
+/// The vif, then the vbd: the order every guest's devices are linked and
+/// unlinked in.
+const DEVICES: [DeviceSpec; 2] = [
+    DeviceSpec {
+        kind: DeviceKind::Vif,
+        ring_pfn: 4,
+        shard: ShardKind::NetBack,
+        release: "netback-2.6.31",
+    },
+    DeviceSpec {
+        kind: DeviceKind::Vbd,
+        ring_pfn: 6,
+        shard: ShardKind::BlkBack,
+        release: "blkback-2.6.31",
+    },
+];
+
+/// How [`Platform::link`] obtains a device's connection.
+#[derive(Clone, Copy)]
+enum Obtain {
+    /// The full xenbus handshake, driven by this toolstack.
+    Negotiate(DomId),
+    /// The ring grant `DomctlCloneDomain` stamped for a clone, with fresh
+    /// event channels: no renegotiation.
+    Adopt,
+}
+
+impl Obtain {
+    /// Obtains the connection of `guest`'s `dev` device to `backend`,
+    /// its ring registered with `hub`.
+    fn connect<Req, Resp>(
+        self,
+        hv: &mut Hypervisor,
+        xs: &mut XenStore,
+        hub: &mut RingHub<Req, Resp>,
+        guest: DomId,
+        backend: DomId,
+        dev: &DeviceSpec,
+    ) -> HvResult<Connection> {
+        let (kind, ring_pfn) = (dev.kind, Pfn(dev.ring_pfn));
+        match self {
+            Obtain::Negotiate(toolstack) => {
+                xenbus::negotiate(hv, xs, hub, toolstack, guest, backend, kind, 0, ring_pfn)
+                    .map_err(|e| {
+                        HvError::InvalidArgument(format!("{} negotiation: {e}", kind.name()))
+                    })
+            }
+            Obtain::Adopt => {
+                let gref = hv
+                    .grant_table(guest)
+                    .ok_or(HvError::NoSuchDomain(guest))?
+                    .granted_to(backend)
+                    .into_iter()
+                    .find(|(_, e)| e.pfn == ring_pfn)
+                    .map(|(gref, _)| gref)
+                    .ok_or_else(|| {
+                        HvError::InvalidArgument(format!("no stamped {} ring grant", kind.name()))
+                    })?;
+                let front_port = hv
+                    .hypercall(guest, Hypercall::EvtchnAllocUnbound { remote: backend })?
+                    .port()?;
+                let back_port = hv
+                    .hypercall(
+                        backend,
+                        Hypercall::EvtchnBindInterdomain {
+                            remote: guest,
+                            remote_port: front_port,
+                        },
+                    )?
+                    .port()?;
+                let ring = RingId {
+                    granter: guest,
+                    gref,
+                };
+                hub.create(ring);
+                Ok(Connection {
+                    guest,
+                    backend,
+                    kind,
+                    index: 0,
+                    ring,
+                    front_port,
+                    back_port,
+                })
+            }
+        }
+    }
+}
 
 impl Platform {
     // ================= construction =================
@@ -257,8 +357,6 @@ impl Platform {
         let mut console_mgr = ConsoleManager::new(dom0);
         console_mgr.register_guest(dom0);
 
-        let mut blkback = BlkBack::new(dom0, DiskModel::sata_7200(disk_addr));
-        let _ = &mut blkback;
         Platform {
             mode: PlatformMode::StockXen,
             services: ServiceDoms {
@@ -275,7 +373,7 @@ impl Platform {
             console_mgr,
             pciback: Some(pciback),
             netbacks: vec![NetBack::new(dom0, NicModel::gigabit(nic_addr))],
-            blkbacks: vec![blkback],
+            blkbacks: vec![BlkBack::new(dom0, DiskModel::sata_7200(disk_addr))],
             net_hub: NetRingHub::new(),
             blk_hub: BlkRingHub::new(),
             wire: WireEndpoint::new(),
@@ -658,93 +756,19 @@ impl Platform {
             },
         );
 
-        // Network device. Ring pages live at fixed guest-local PFNs just
-        // past the magic pages the Builder laid out (start-info, store
-        // ring, console ring, kernel).
-        let vif_ring_pfn = Pfn(4);
-        let net_conn = xenbus::negotiate(
-            &mut self.hv,
-            &mut self.xs,
-            &mut self.net_hub,
-            toolstack,
-            guest,
-            netback,
-            DeviceKind::Vif,
-            0,
-            vif_ring_pfn,
-        )
-        .map_err(|e| HvError::InvalidArgument(format!("vif negotiation: {e}")))?;
-        let nb_idx = self
-            .services
-            .netbacks
-            .iter()
-            .position(|d| *d == netback)
-            .unwrap();
-        self.netbacks[nb_idx].attach(net_conn);
-        self.fabric_attach(net_conn);
-        self.audit.append(
-            now,
-            AuditEvent::ShardLinked {
-                guest,
-                shard: netback,
-                kind: ShardKind::NetBack,
-                release: NETBACK_RELEASE.into(),
-            },
-        );
-
-        // Block device: provision the image through the proxy daemon, then
-        // negotiate.
+        // The root image, provisioned through BlkBack's proxy daemon.
         let image = format!("{}-root.img", cfg.name);
-        let bb_idx = self
-            .services
-            .blkbacks
-            .iter()
-            .position(|d| *d == blkback)
-            .unwrap();
-        self.blkbacks[bb_idx]
+        let bb = self
+            .backend_index(DeviceKind::Vbd, blkback)
+            .ok_or(HvError::NoSuchDomain(blkback))?;
+        self.blkbacks[bb]
             .images
             .create_image(&image, cfg.disk_bytes)
             .map_err(HvError::InvalidArgument)?;
-        let vbd_ring_pfn = Pfn(6);
-        let blk_conn = xenbus::negotiate(
-            &mut self.hv,
-            &mut self.xs,
-            &mut self.blk_hub,
-            toolstack,
-            guest,
-            blkback,
-            DeviceKind::Vbd,
-            0,
-            vbd_ring_pfn,
-        )
-        .map_err(|e| HvError::InvalidArgument(format!("vbd negotiation: {e}")))?;
-        self.blkbacks[bb_idx]
-            .attach(blk_conn, &image)
-            .map_err(HvError::InvalidArgument)?;
-        self.audit.append(
-            now,
-            AuditEvent::ShardLinked {
-                guest,
-                shard: blkback,
-                kind: ShardKind::BlkBack,
-                release: BLKBACK_RELEASE.into(),
-            },
-        );
-
-        // Console.
-        self.console_mgr.register_guest(guest);
-
-        // Device emulation for HVM guests.
-        let qemu = if cfg.hvm {
-            Some(self.spawn_device_model(guest)?)
-        } else {
-            None
-        };
 
         // Adopt constraint tags on first use.
         self.adopt_tag(netback, &cfg.constraint);
         self.adopt_tag(blkback, &cfg.constraint);
-
         self.guests.insert(
             guest,
             GuestHandle {
@@ -752,13 +776,26 @@ impl Platform {
                 name: cfg.name,
                 constraint: cfg.constraint,
                 toolstack,
-                netfront: Some(NetFront::new(net_conn)),
-                blkfront: Some(BlkFront::new(blk_conn)),
+                netfront: None,
+                blkfront: None,
                 netback: Some(netback),
                 blkback: Some(blkback),
-                qemu,
+                qemu: None,
             },
         );
+        self.link(
+            guest,
+            Obtain::Negotiate(toolstack),
+            Some(Mount::Exclusive(image)),
+            Some(now),
+        )?;
+        self.console_mgr.register_guest(guest);
+
+        // Device emulation for HVM guests.
+        if cfg.hvm {
+            let qemu = self.spawn_device_model(guest)?;
+            self.guests.get_mut(&guest).expect("inserted above").qemu = Some(qemu);
+        }
         Ok(guest)
     }
 
@@ -831,49 +868,33 @@ impl Platform {
         self.hv
             .hypercall(toolstack, Hypercall::DomctlDestroyDomain { target: guest })?;
         let now = self.hv.now_ns();
-        if let Some(handle) = self.guests.remove(&guest) {
-            if let Some(nb) = handle.netback {
-                let idx = self
-                    .services
-                    .netbacks
-                    .iter()
-                    .position(|d| *d == nb)
-                    .unwrap();
-                self.netbacks[idx].detach_guest(guest);
-                // The dead guest's ring goes with it; the hub holds only
-                // live guests' rings.
-                if let Some(nf) = &handle.netfront {
-                    self.net_hub.destroy(nf.conn.ring);
+        if let Some(mut handle) = self.guests.remove(&guest) {
+            for dev in &DEVICES {
+                let Some(backend) = handle.backend(dev.kind) else {
+                    continue;
+                };
+                self.unlink(guest, dev.kind, backend, handle.take_frontend(dev.kind));
+                // The guest's own root image is deleted with it (the
+                // toolstack proxies the request to BlkBack's daemon,
+                // §5.4); a clone only drops its copy-on-write view.
+                if let (DeviceKind::Vbd, Some(bb)) =
+                    (dev.kind, self.backend_index(dev.kind, backend))
+                {
+                    if let Some(Mount::Exclusive(image)) = self.blkbacks[bb].detach_guest(guest) {
+                        let _ = self.blkbacks[bb].images.delete_image(&image);
+                    }
                 }
                 let _ = self
                     .xs
-                    .rm(toolstack, &xenbus::backend_dir(nb, DeviceKind::Vif, guest));
-                self.audit
-                    .append(now, AuditEvent::ShardUnlinked { guest, shard: nb });
-                self.release_tag_if_unused(nb);
-            }
-            if let Some(bb) = handle.blkback {
-                let idx = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == bb)
-                    .unwrap();
-                self.blkbacks[idx].detach_guest(guest);
-                // The root image is deleted with its guest (the toolstack
-                // proxies the request to BlkBack's daemon, §5.4).
-                let _ = self.blkbacks[idx]
-                    .images
-                    .delete_image(&format!("{}-root.img", handle.name));
-                let _ = self
-                    .xs
-                    .rm(toolstack, &xenbus::backend_dir(bb, DeviceKind::Vbd, guest));
-                if let Some(bf) = &handle.blkfront {
-                    self.blk_hub.destroy(bf.conn.ring);
-                }
-                self.audit
-                    .append(now, AuditEvent::ShardUnlinked { guest, shard: bb });
-                self.release_tag_if_unused(bb);
+                    .rm(toolstack, &xenbus::backend_dir(backend, dev.kind, guest));
+                self.audit.append(
+                    now,
+                    AuditEvent::ShardUnlinked {
+                        guest,
+                        shard: backend,
+                    },
+                );
+                self.release_tag_if_unused(backend);
             }
             if let Some(q) = handle.qemu {
                 if self.mode == PlatformMode::Xoar {
@@ -922,12 +943,7 @@ impl Platform {
                 "HVM guests with device models cannot be templates".into(),
             ));
         }
-        let (name, constraint, netback, blkback) = (
-            handle.name.clone(),
-            handle.constraint.clone(),
-            handle.netback,
-            handle.blkback,
-        );
+        let (netback, blkback) = (handle.netback, handle.blkback);
         if self.hv.domain(guest)?.state == DomainState::Running {
             self.hv
                 .hypercall(toolstack, Hypercall::DomctlPauseDomain { target: guest })?;
@@ -948,21 +964,7 @@ impl Platform {
             subtrees.push((root, nodes));
         }
         let xs = XsPlan::compile(guest, subtrees);
-        let memory_mib = self.hv.domain(guest)?.memory_mib;
-        self.templates.insert(
-            guest,
-            GuestTemplate {
-                dom: guest,
-                name: name.clone(),
-                toolstack,
-                constraint,
-                memory_mib,
-                image: format!("{name}-root.img"),
-                netback,
-                blkback,
-                xs,
-            },
-        );
+        self.templates.insert(guest, GuestTemplate { xs });
         Ok(())
     }
 
@@ -981,8 +983,9 @@ impl Platform {
         name: &str,
     ) -> HvResult<DomId> {
         let tpl = self
-            .templates
+            .guests
             .get(&template)
+            .filter(|_| self.templates.contains_key(&template))
             .ok_or(HvError::NoSuchDomain(template))?;
         if tpl.toolstack != toolstack {
             return Err(HvError::PermissionDenied {
@@ -990,12 +993,20 @@ impl Platform {
                 privilege: format!("clone of template {template} captured elsewhere"),
             });
         }
-        let (constraint, image, netback, blkback) = (
-            tpl.constraint.clone(),
-            tpl.image.clone(),
-            tpl.netback,
-            tpl.blkback,
-        );
+        let (constraint, netback, blkback) = (tpl.constraint.clone(), tpl.netback, tpl.blkback);
+        // The template's root image, which its clones read copy-on-write.
+        let cow = match blkback {
+            Some(bb) => {
+                let bb = self
+                    .backend_index(DeviceKind::Vbd, bb)
+                    .ok_or(HvError::NoSuchDomain(bb))?;
+                let mount = self.blkbacks[bb].mount_of(template).ok_or_else(|| {
+                    HvError::InvalidArgument(format!("template {template} has no image"))
+                })?;
+                Some(Mount::Cow(mount.image().to_string()))
+            }
+            None => None,
+        };
         let clone = self
             .hv
             .hypercall(
@@ -1026,46 +1037,6 @@ impl Platform {
                 .map_err(xs_err)?;
         }
 
-        // Wire the split devices against the grants `DomctlCloneDomain`
-        // stamped: fresh event channels, same backends, no renegotiation.
-        let netfront = match netback {
-            Some(nb) => Some(NetFront::new(self.wire_cloned_device(
-                clone,
-                nb,
-                DeviceKind::Vif,
-                Pfn(4),
-                now,
-                ShardKind::NetBack,
-                NETBACK_RELEASE,
-            )?)),
-            None => None,
-        };
-        let blkfront = match blkback {
-            Some(bb) => {
-                let conn = self.wire_cloned_device(
-                    clone,
-                    bb,
-                    DeviceKind::Vbd,
-                    Pfn(6),
-                    now,
-                    ShardKind::BlkBack,
-                    BLKBACK_RELEASE,
-                )?;
-                let idx = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == bb)
-                    .unwrap();
-                self.blkbacks[idx]
-                    .attach_cow(conn, &image)
-                    .map_err(HvError::InvalidArgument)?;
-                Some(BlkFront::new(conn))
-            }
-            None => None,
-        };
-
-        self.console_mgr.register_guest(clone);
         self.guests.insert(
             clone,
             GuestHandle {
@@ -1073,92 +1044,120 @@ impl Platform {
                 name: name.to_string(),
                 constraint,
                 toolstack,
-                netfront,
-                blkfront,
+                netfront: None,
+                blkfront: None,
                 netback,
                 blkback,
                 qemu: None,
             },
         );
+        self.link(clone, Obtain::Adopt, cow, Some(now))?;
+        self.console_mgr.register_guest(clone);
         Ok(clone)
     }
 
-    /// Connects one split device of a freshly stamped clone: locates the
-    /// grant `DomctlCloneDomain` replayed for the ring page, binds a fresh
-    /// event-channel pair, and registers the ring with the hub.
-    #[allow(clippy::too_many_arguments)]
-    fn wire_cloned_device(
+    // ================= split-device lifecycle =================
+
+    /// `dom`'s index in the backend table for `kind` (`netbacks` for a
+    /// vif, `blkbacks` for a vbd), if it hosts one.
+    pub(crate) fn backend_index(&self, kind: DeviceKind, dom: DomId) -> Option<usize> {
+        let doms = match kind {
+            DeviceKind::Vif => &self.services.netbacks,
+            _ => &self.services.blkbacks,
+        };
+        doms.iter().position(|&d| d == dom)
+    }
+
+    /// Links each of `guest`'s split devices, vif then vbd, to the backend
+    /// its handle names: obtains the connection, attaches it to the
+    /// backend (a vbd with `vbd_mount`, or, given `None`, to the image it
+    /// still holds), gives a vif its fabric port, and sets the guest's
+    /// frontend. Given a time, each link is audited.
+    fn link(
         &mut self,
-        clone: DomId,
-        backend: DomId,
+        guest: DomId,
+        obtain: Obtain,
+        mut vbd_mount: Option<Mount>,
+        audit_at: Option<u64>,
+    ) -> HvResult<()> {
+        for dev in &DEVICES {
+            let Some(backend) = self.guests.get(&guest).and_then(|h| h.backend(dev.kind)) else {
+                continue;
+            };
+            let idx = self
+                .backend_index(dev.kind, backend)
+                .ok_or(HvError::NoSuchDomain(backend))?;
+            let (hv, xs) = (&mut self.hv, &mut self.xs);
+            let conn = match dev.kind {
+                DeviceKind::Vif => obtain.connect(hv, xs, &mut self.net_hub, guest, backend, dev),
+                _ => obtain.connect(hv, xs, &mut self.blk_hub, guest, backend, dev),
+            }?;
+            let h = self.guests.get_mut(&guest).expect("backend read above");
+            match dev.kind {
+                DeviceKind::Vif => {
+                    self.netbacks[idx].attach(conn);
+                    if let Some(fab) = self.fabric.as_mut() {
+                        fab.attach_port(conn);
+                    }
+                    h.netfront = Some(NetFront::new(conn));
+                }
+                _ => {
+                    let bb = &mut self.blkbacks[idx];
+                    match vbd_mount.take() {
+                        Some(mount) => bb.attach(conn, mount),
+                        None => bb.reconnect(conn),
+                    }
+                    .map_err(HvError::InvalidArgument)?;
+                    h.blkfront = Some(BlkFront::new(conn));
+                }
+            }
+            if let Some(now) = audit_at {
+                self.audit.append(
+                    now,
+                    AuditEvent::ShardLinked {
+                        guest,
+                        shard: backend,
+                        kind: dev.shard,
+                        release: dev.release.into(),
+                    },
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Unlinks one of `guest`'s split devices from `backend`: detaches the
+    /// connection from the backend, drops the ring of `frontend` (the
+    /// guest's connection, if it still had one), and removes a vif's
+    /// fabric port. A vbd keeps its image mounted, for a relink or for
+    /// destroy to release.
+    fn unlink(
+        &mut self,
+        guest: DomId,
         kind: DeviceKind,
-        ring_pfn: Pfn,
-        now: u64,
-        shard_kind: ShardKind,
-        release: &str,
-    ) -> HvResult<xenbus::Connection> {
-        let gref = self
-            .hv
-            .grant_table(clone)
-            .ok_or(HvError::NoSuchDomain(clone))?
-            .granted_to(backend)
-            .into_iter()
-            .find(|(_, e)| e.pfn == ring_pfn)
-            .map(|(gref, _)| gref)
-            .ok_or_else(|| {
-                HvError::InvalidArgument(format!("no stamped {} ring grant", kind.name()))
-            })?;
-        let front_port = self
-            .hv
-            .hypercall(clone, Hypercall::EvtchnAllocUnbound { remote: backend })?
-            .port()?;
-        let back_port = self
-            .hv
-            .hypercall(
-                backend,
-                Hypercall::EvtchnBindInterdomain {
-                    remote: clone,
-                    remote_port: front_port,
-                },
-            )?
-            .port()?;
-        let ring = xoar_devices::RingId {
-            granter: clone,
-            gref,
+        backend: DomId,
+        frontend: Option<Connection>,
+    ) {
+        let Some(idx) = self.backend_index(kind, backend) else {
+            return;
         };
         match kind {
-            DeviceKind::Vif => self.net_hub.create(ring),
-            _ => self.blk_hub.create(ring),
-        };
-        let conn = xenbus::Connection {
-            guest: clone,
-            backend,
-            kind,
-            index: 0,
-            ring,
-            front_port,
-            back_port,
-        };
-        if kind == DeviceKind::Vif {
-            let idx = self
-                .services
-                .netbacks
-                .iter()
-                .position(|d| *d == backend)
-                .unwrap();
-            self.netbacks[idx].attach(conn);
-            self.fabric_attach(conn);
+            DeviceKind::Vif => {
+                self.netbacks[idx].detach_guest(guest);
+                if let Some(conn) = frontend {
+                    self.net_hub.destroy(conn.ring);
+                }
+                if let Some(fab) = self.fabric.as_mut() {
+                    fab.detach_port(guest);
+                }
+            }
+            _ => {
+                self.blkbacks[idx].disconnect(guest);
+                if let Some(conn) = frontend {
+                    self.blk_hub.destroy(conn.ring);
+                }
+            }
         }
-        self.audit.append(
-            now,
-            AuditEvent::ShardLinked {
-                guest: clone,
-                shard: backend,
-                kind: shard_kind,
-                release: release.into(),
-            },
-        );
-        Ok(conn)
     }
 
     // ================= constraint groups =================
@@ -1366,16 +1365,10 @@ impl Platform {
     pub fn process_netbacks(&mut self) -> xoar_devices::net::NetBackStats {
         let mut agg = xoar_devices::net::NetBackStats::default();
         for nb in &mut self.netbacks {
-            let s = match self.fabric.as_mut() {
+            agg += match self.fabric.as_mut() {
                 Some(fab) => nb.process_with_fabric(&mut self.net_hub, fab, &mut self.wire),
                 None => nb.process(&mut self.net_hub, &mut self.wire),
             };
-            agg.tx_frames += s.tx_frames;
-            agg.tx_bytes += s.tx_bytes;
-            agg.rx_frames += s.rx_frames;
-            agg.rx_bytes += s.rx_bytes;
-            agg.dropped += s.dropped;
-            agg.service_ns += s.service_ns;
         }
         if let Some(fab) = self.fabric.as_mut() {
             fab.switch(&mut self.net_hub, &mut self.wire);
@@ -1415,15 +1408,6 @@ impl Platform {
         self.fabric = Some(fab);
     }
 
-    /// Adds `conn` as a fabric port, when the fabric is enabled.
-    fn fabric_attach(&mut self, conn: xenbus::Connection) {
-        if let Some(fab) = self.fabric.as_mut() {
-            if conn.kind == DeviceKind::Vif {
-                fab.attach_port(conn);
-            }
-        }
-    }
-
     /// Opens a fabric connection `flow: src → dst` (see
     /// [`Fabric::open_flow`]). Returns false when the fabric is disabled
     /// or NAT ports are exhausted.
@@ -1445,11 +1429,7 @@ impl Platform {
     pub fn process_blkbacks(&mut self) -> xoar_devices::blk::BlkBackStats {
         let mut agg = xoar_devices::blk::BlkBackStats::default();
         for bb in &mut self.blkbacks {
-            let s = bb.process(&mut self.blk_hub);
-            agg.completed += s.completed;
-            agg.errors += s.errors;
-            agg.bytes += s.bytes;
-            agg.service_ns += s.service_ns;
+            agg += bb.process(&mut self.blk_hub);
         }
         agg
     }
@@ -1475,45 +1455,33 @@ impl Platform {
     /// virtualization platform to be upgraded and restarted without
     /// disturbing the hosted VMs."
     ///
-    /// Persistent state (domains, their memory, privileges, XenStore)
-    /// survives; volatile state (event channels, ring mappings) is lost
-    /// and every guest's device connections are renegotiated through the
-    /// standard xenbus handshake — the same renegotiation the
-    /// microreboot machinery already relies on. Returns the number of
-    /// guests recovered.
+    /// Persistent state (domains, their memory, privileges, XenStore,
+    /// BlkBack's image mounts) survives; volatile state (event channels,
+    /// ring mappings) is lost, every guest's devices are unlinked, and
+    /// each running guest's are renegotiated through the standard xenbus
+    /// handshake — the same renegotiation the microreboot machinery
+    /// already relies on. Paused guests stay unlinked. Returns the
+    /// number of guests recovered.
     pub fn rehype_restart(&mut self) -> HvResult<u64> {
-        // 1. Gracefully tear down every device connection while the old
-        //    hypervisor's channel state is still coherent.
-        let guests: Vec<DomId> = self.guests.keys().copied().collect();
+        // 1. Gracefully tear down and unlink every device connection while
+        //    the old hypervisor's channel state is still coherent.
+        let mut guests: Vec<DomId> = self.guests.keys().copied().collect();
+        guests.sort_unstable_by_key(|g| g.0);
         for &g in &guests {
-            let (net_conn, blk_conn) = {
-                let h = self.guests.get(&g).expect("listed");
-                (
-                    h.netfront.as_ref().map(|f| f.conn),
-                    h.blkfront.as_ref().map(|f| f.conn),
-                )
-            };
-            if let Some(conn) = net_conn {
-                let _ = xenbus::teardown(&mut self.hv, &mut self.xs, &mut self.net_hub, &conn);
-                if let Some(idx) = self
-                    .services
-                    .netbacks
-                    .iter()
-                    .position(|d| *d == conn.backend)
-                {
-                    self.netbacks[idx].detach_guest(g);
+            for dev in &DEVICES {
+                let h = self.guests.get_mut(&g).expect("listed");
+                let Some(backend) = h.backend(dev.kind) else {
+                    continue;
+                };
+                let frontend = h.take_frontend(dev.kind);
+                if let Some(conn) = &frontend {
+                    let (hv, xs) = (&mut self.hv, &mut self.xs);
+                    let _ = match dev.kind {
+                        DeviceKind::Vif => xenbus::teardown(hv, xs, &mut self.net_hub, conn),
+                        _ => xenbus::teardown(hv, xs, &mut self.blk_hub, conn),
+                    };
                 }
-            }
-            if let Some(conn) = blk_conn {
-                let _ = xenbus::teardown(&mut self.hv, &mut self.xs, &mut self.blk_hub, &conn);
-                if let Some(idx) = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == conn.backend)
-                {
-                    self.blkbacks[idx].detach_guest(g);
-                }
+                self.unlink(g, dev.kind, backend, frontend);
             }
         }
 
@@ -1522,60 +1490,17 @@ impl Platform {
         self.net_hub = NetRingHub::new();
         self.blk_hub = BlkRingHub::new();
 
-        // 3. Renegotiate every guest's devices against the new hypervisor.
+        // 3. Relink every running guest's devices against the new
+        //    hypervisor; each vbd reconnects to the image it still holds.
+        //    A paused guest (a sealed template) cannot run its frontend's
+        //    half of the handshake, so it stays unlinked.
         let mut recovered = 0;
         for &g in &guests {
-            let (toolstack, name, netback, blkback) = {
-                let h = self.guests.get(&g).expect("listed");
-                (h.toolstack, h.name.clone(), h.netback, h.blkback)
-            };
-            if let Some(nb) = netback {
-                let conn = xenbus::negotiate(
-                    &mut self.hv,
-                    &mut self.xs,
-                    &mut self.net_hub,
-                    toolstack,
-                    g,
-                    nb,
-                    DeviceKind::Vif,
-                    0,
-                    Pfn(4),
-                )
-                .map_err(|e| HvError::InvalidArgument(format!("vif renegotiation: {e}")))?;
-                let idx = self
-                    .services
-                    .netbacks
-                    .iter()
-                    .position(|d| *d == nb)
-                    .unwrap();
-                self.netbacks[idx].attach(conn);
-                self.fabric_attach(conn);
-                self.guests.get_mut(&g).expect("listed").netfront = Some(NetFront::new(conn));
+            if self.hv.domain(g)?.state != DomainState::Running {
+                continue;
             }
-            if let Some(bb) = blkback {
-                let conn = xenbus::negotiate(
-                    &mut self.hv,
-                    &mut self.xs,
-                    &mut self.blk_hub,
-                    toolstack,
-                    g,
-                    bb,
-                    DeviceKind::Vbd,
-                    0,
-                    Pfn(6),
-                )
-                .map_err(|e| HvError::InvalidArgument(format!("vbd renegotiation: {e}")))?;
-                let idx = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == bb)
-                    .unwrap();
-                self.blkbacks[idx]
-                    .attach(conn, &format!("{name}-root.img"))
-                    .map_err(HvError::InvalidArgument)?;
-                self.guests.get_mut(&g).expect("listed").blkfront = Some(BlkFront::new(conn));
-            }
+            let toolstack = self.guests[&g].toolstack;
+            self.link(g, Obtain::Negotiate(toolstack), None, None)?;
             recovered += 1;
         }
         let now = self.hv.now_ns();
@@ -1885,6 +1810,41 @@ mod tests {
         assert!(exposed.contains(&g1));
         assert!(exposed.contains(&g2));
     }
+
+    #[test]
+    fn destroy_detaches_the_guest_fabric_port() {
+        let mut p = xoar();
+        p.enable_fabric();
+        let ts = p.services.toolstacks[0];
+        let a = p
+            .create_guest(ts, GuestConfig::evaluation_guest("a"))
+            .unwrap();
+        let b = p
+            .create_guest(ts, GuestConfig::evaluation_guest("b"))
+            .unwrap();
+        p.destroy_guest(ts, b).unwrap();
+        let fab = p.fabric.as_ref().unwrap();
+        assert_eq!(fab.port_of(b), None, "a dead guest keeps no port");
+        assert!(fab.port_of(a).is_some());
+        assert_eq!(fab.guest_ports(), 1);
+    }
+
+    #[test]
+    fn fabric_guest_ports_stay_flat_over_create_destroy_cycles() {
+        let mut p = xoar();
+        p.enable_fabric();
+        let ts = p.services.toolstacks[0];
+        p.create_guest(ts, GuestConfig::evaluation_guest("resident"))
+            .unwrap();
+        for i in 0..100 {
+            let g = p
+                .create_guest(ts, GuestConfig::evaluation_guest(&format!("g{i}")))
+                .unwrap();
+            assert_eq!(p.fabric.as_ref().unwrap().guest_ports(), 2, "cycle {i}");
+            p.destroy_guest(ts, g).unwrap();
+        }
+        assert_eq!(p.fabric.as_ref().unwrap().guest_ports(), 1);
+    }
 }
 
 #[cfg(test)]
@@ -1970,6 +1930,56 @@ mod rehype_tests {
             }
         )));
         assert_eq!(p.audit.verify_chain(), Ok(()));
+    }
+
+    #[test]
+    fn rehype_keeps_clones_on_the_template_image() {
+        let mut p = Platform::xoar(XoarConfig::default());
+        let ts = p.services.toolstacks[0];
+        let a = p
+            .create_guest(ts, GuestConfig::evaluation_guest("A"))
+            .unwrap();
+        let t = p
+            .create_guest(ts, GuestConfig::evaluation_guest("T"))
+            .unwrap();
+        p.capture_template(ts, t).unwrap();
+        let c = p.clone_guest(ts, t, "C").unwrap();
+
+        // The paused template is unlinked but cannot renegotiate, so only
+        // A and C count as recovered.
+        assert_eq!(p.rehype_restart().unwrap(), 2);
+        let d = p.clone_guest(ts, t, "D").unwrap();
+
+        for g in [a, c, d] {
+            p.blk_submit(g, BlkOp::Write, 0, 8).unwrap();
+            p.net_transmit(g, 1, 1500).unwrap();
+        }
+        assert_eq!(p.process_blkbacks().completed, 3);
+        assert_eq!(p.process_netbacks().tx_frames, 3);
+        // Both clones stay copy-on-write readers of the template's image.
+        let images = p.blkbacks[0].images.list();
+        assert!(images.contains(&"T-root.img".to_string()));
+        for clone_image in ["C-root.img", "D-root.img"] {
+            assert!(!images.contains(&clone_image.to_string()), "{images:?}");
+        }
+    }
+
+    #[test]
+    fn rehype_leaves_one_fabric_port_per_live_vif() {
+        let mut p = Platform::xoar(XoarConfig::default());
+        p.enable_fabric();
+        let ts = p.services.toolstacks[0];
+        let a = p
+            .create_guest(ts, GuestConfig::evaluation_guest("a"))
+            .unwrap();
+        p.create_guest(ts, GuestConfig::evaluation_guest("b"))
+            .unwrap();
+        let before = p.fabric.as_ref().unwrap().port_of(a);
+        assert_eq!(p.rehype_restart().unwrap(), 2);
+        let fab = p.fabric.as_ref().unwrap();
+        assert_eq!(fab.guest_ports(), 2, "one port per live vif guest");
+        assert!(fab.port_of(a).is_some());
+        assert_ne!(fab.port_of(a), before, "the old port went with its ring");
     }
 
     #[test]

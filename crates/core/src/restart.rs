@@ -19,6 +19,7 @@
 use std::fmt::Write as _;
 
 use xoar_devices::ring::RingId;
+use xoar_devices::xenbus::DeviceKind;
 use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::snapshot::RecoveryBox;
 use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall};
@@ -118,17 +119,11 @@ impl RestartPlan {
     /// Compiles the plan for `dom` against the platform's service tables.
     fn compile(platform: &Platform, dom: DomId) -> Self {
         let slot = platform
-            .services
-            .netbacks
-            .iter()
-            .position(|d| *d == dom)
+            .backend_index(DeviceKind::Vif, dom)
             .map(ServiceSlot::Net)
             .or_else(|| {
                 platform
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == dom)
+                    .backend_index(DeviceKind::Vbd, dom)
                     .map(ServiceSlot::Blk)
             });
         RestartPlan {

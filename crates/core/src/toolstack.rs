@@ -151,10 +151,10 @@ impl Toolstack {
         if self.running(platform) >= self.quota.max_vms {
             return Err(HvError::LimitExceeded("toolstack VM quota"));
         }
-        let mem = platform
+        platform
             .template(template)
-            .ok_or(HvError::NoSuchDomain(template))?
-            .memory_mib;
+            .ok_or(HvError::NoSuchDomain(template))?;
+        let mem = platform.hv.domain(template)?.memory_mib;
         if self.used_memory_mib.saturating_add(mem) > self.quota.max_memory_mib {
             return Err(HvError::LimitExceeded("toolstack memory quota"));
         }

@@ -211,16 +211,36 @@ impl ImageStore {
     }
 }
 
-/// One guest's attachment to BlkBack.
+/// How a guest's vbd holds its backing image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mount {
+    /// The guest's own image, mounted exclusively and deleted with it.
+    Exclusive(String),
+    /// A clone's copy-on-write view of its template's image.
+    Cow(String),
+}
+
+impl Mount {
+    /// The backing image's name.
+    pub fn image(&self) -> &str {
+        match self {
+            Mount::Exclusive(image) | Mount::Cow(image) => image,
+        }
+    }
+}
+
+/// One guest's vbd in BlkBack: its image mount, and its connection while
+/// linked.
 #[derive(Debug)]
 struct Attachment {
-    conn: Connection,
-    image: String,
+    guest: DomId,
+    /// `None` while the guest is unlinked ([`BlkBack::disconnect`]); the
+    /// image stays mounted until [`BlkBack::detach_guest`].
+    conn: Option<Connection>,
+    mount: Mount,
     sectors: u64,
     /// Last sector touched (sequential-access detection).
     last_sector: Option<u64>,
-    /// Whether this attachment is a CoW reader of a shared golden image.
-    cow: bool,
 }
 
 /// Statistics from one processing pass.
@@ -234,6 +254,15 @@ pub struct BlkBackStats {
     pub bytes: u64,
     /// Total simulated service time (ns).
     pub service_ns: u64,
+}
+
+impl std::ops::AddAssign for BlkBackStats {
+    fn add_assign(&mut self, s: Self) {
+        self.completed += s.completed;
+        self.errors += s.errors;
+        self.bytes += s.bytes;
+        self.service_ns += s.service_ns;
+    }
 }
 
 /// The block driver domain.
@@ -261,55 +290,67 @@ impl BlkBack {
         }
     }
 
-    /// Attaches a negotiated connection backed by `image`.
-    pub fn attach(&mut self, conn: Connection, image: &str) -> Result<(), String> {
-        let sectors = self.images.mount(image, conn.guest)?;
+    /// Attaches a negotiated connection to a new vbd backed by `mount`.
+    pub fn attach(&mut self, conn: Connection, mount: Mount) -> Result<(), String> {
+        let sectors = match &mount {
+            Mount::Exclusive(image) => self.images.mount(image, conn.guest)?,
+            Mount::Cow(image) => self.images.mount_cow(image)?,
+        };
         self.attachments.push(Attachment {
-            conn,
-            image: image.to_string(),
+            guest: conn.guest,
+            conn: Some(conn),
+            mount,
             sectors,
             last_sector: None,
-            cow: false,
         });
         Ok(())
     }
 
-    /// Attaches a clone as a CoW reader of a shared golden image.
-    pub fn attach_cow(&mut self, conn: Connection, image: &str) -> Result<(), String> {
-        let sectors = self.images.mount_cow(image)?;
-        self.attachments.push(Attachment {
-            conn,
-            image: image.to_string(),
-            sectors,
-            last_sector: None,
-            cow: true,
-        });
-        Ok(())
-    }
-
-    /// Detaches the connection of `guest` (device removal / restart).
-    pub fn detach_guest(&mut self, guest: DomId) -> Option<Connection> {
-        let idx = self
+    /// Connects `conn` to the vbd its guest still holds from before a
+    /// [`BlkBack::disconnect`].
+    pub fn reconnect(&mut self, conn: Connection) -> Result<(), String> {
+        let a = self
             .attachments
-            .iter()
-            .position(|a| a.conn.guest == guest)?;
-        let a = self.attachments.remove(idx);
-        if a.cow {
-            self.images.unmount_cow(&a.image);
-        } else {
-            self.images.unmount(&a.image);
-        }
-        Some(a.conn)
+            .iter_mut()
+            .find(|a| a.guest == conn.guest)
+            .ok_or_else(|| format!("guest {} holds no vbd", conn.guest))?;
+        a.conn = Some(conn);
+        Ok(())
     }
 
-    /// All current connections.
-    pub fn connections(&self) -> Vec<Connection> {
-        self.attachments.iter().map(|a| a.conn).collect()
+    /// Drops `guest`'s connection (ring teardown); its image stays
+    /// mounted for a later [`BlkBack::reconnect`].
+    pub fn disconnect(&mut self, guest: DomId) -> Option<Connection> {
+        self.attachments
+            .iter_mut()
+            .find(|a| a.guest == guest)?
+            .conn
+            .take()
+    }
+
+    /// Removes `guest`'s vbd and unmounts its image, returning how it
+    /// was mounted (device removal).
+    pub fn detach_guest(&mut self, guest: DomId) -> Option<Mount> {
+        let idx = self.attachments.iter().position(|a| a.guest == guest)?;
+        let a = self.attachments.remove(idx);
+        match &a.mount {
+            Mount::Exclusive(image) => self.images.unmount(image),
+            Mount::Cow(image) => self.images.unmount_cow(image),
+        }
+        Some(a.mount)
+    }
+
+    /// How `guest`'s vbd holds its image, if it has one.
+    pub fn mount_of(&self, guest: DomId) -> Option<&Mount> {
+        self.attachments
+            .iter()
+            .find(|a| a.guest == guest)
+            .map(|a| &a.mount)
     }
 
     /// Iterates current connections without allocating.
     pub fn conn_iter(&self) -> impl Iterator<Item = &Connection> + '_ {
-        self.attachments.iter().map(|a| &a.conn)
+        self.attachments.iter().filter_map(|a| a.conn.as_ref())
     }
 
     /// Services every attached ring: pops requests, validates them against
@@ -320,7 +361,8 @@ impl BlkBack {
     pub fn process(&mut self, hub: &mut BlkRingHub) -> BlkBackStats {
         let mut stats = BlkBackStats::default();
         for a in &mut self.attachments {
-            let ring = match hub.get_mut(a.conn.ring) {
+            let Some(conn) = a.conn else { continue };
+            let ring = match hub.get_mut(conn.ring) {
                 Ok(r) => r,
                 Err(_) => continue,
             };
@@ -337,7 +379,7 @@ impl BlkBack {
                     let t = match req.op {
                         BlkOp::Read => {
                             self.disk.record_read(bytes);
-                            resp_payload = self.images.read_page(&a.image, req.sector);
+                            resp_payload = self.images.read_page(a.mount.image(), req.sector);
                             self.disk.service_time_ns(bytes, sequential)
                         }
                         BlkOp::Write => {
@@ -346,7 +388,7 @@ impl BlkBack {
                                 // Store the shared handle — the write's
                                 // page body crosses the backend by
                                 // refcount move, not by copy.
-                                self.images.store_page(&a.image, req.sector, page);
+                                self.images.store_page(a.mount.image(), req.sector, page);
                             }
                             self.disk.service_time_ns(bytes, sequential)
                         }
@@ -373,10 +415,7 @@ impl BlkBack {
                 }
             }
         }
-        self.lifetime.completed += stats.completed;
-        self.lifetime.errors += stats.errors;
-        self.lifetime.bytes += stats.bytes;
-        self.lifetime.service_ns += stats.service_ns;
+        self.lifetime += stats;
         stats
     }
 
@@ -538,7 +577,7 @@ mod tests {
         let c = conn(5, 2, 0);
         let mut hub = BlkRingHub::new();
         hub.create(c.ring);
-        bb.attach(c, "root.img").unwrap();
+        bb.attach(c, Mount::Exclusive("root.img".into())).unwrap();
         (bb, BlkFront::new(c), hub)
     }
 
@@ -691,8 +730,8 @@ mod tests {
         assert_eq!(retry[0].sector, 0);
         assert_eq!(retry[1].sector, 64);
         // Re-attach on the backend side and replay.
-        bb.detach_guest(DomId(5));
-        bb.attach(c2, "root.img").unwrap();
+        bb.disconnect(DomId(5));
+        bb.reconnect(c2).unwrap();
         for r in retry {
             bf.submit(&mut hub, r.op, r.sector, r.count).unwrap();
         }

@@ -85,6 +85,17 @@ pub struct NetBackStats {
     pub service_ns: u64,
 }
 
+impl std::ops::AddAssign for NetBackStats {
+    fn add_assign(&mut self, s: Self) {
+        self.tx_frames += s.tx_frames;
+        self.tx_bytes += s.tx_bytes;
+        self.rx_frames += s.rx_frames;
+        self.rx_bytes += s.rx_bytes;
+        self.dropped += s.dropped;
+        self.service_ns += s.service_ns;
+    }
+}
+
 /// The far end of the physical wire: queues of packets in transit in each
 /// direction, standing in for the test client on the LAN.
 #[derive(Debug, Default)]
@@ -154,13 +165,6 @@ impl NetBack {
     /// Detaches a guest.
     pub fn detach_guest(&mut self, guest: DomId) -> Option<Connection> {
         self.attachments.remove(&guest)
-    }
-
-    /// Current connections.
-    pub fn connections(&self) -> Vec<Connection> {
-        let mut v: Vec<Connection> = self.attachments.values().copied().collect();
-        v.sort_by_key(|c| c.guest.0);
-        v
     }
 
     /// Iterates current connections without allocating, in arbitrary
@@ -236,12 +240,7 @@ impl NetBack {
         // frames on the wire and keeps the (empty) deque's capacity as next
         // pass's scratch.
         std::mem::swap(&mut wire.inbound, &mut self.rx_requeue);
-        self.lifetime.tx_frames += stats.tx_frames;
-        self.lifetime.tx_bytes += stats.tx_bytes;
-        self.lifetime.rx_frames += stats.rx_frames;
-        self.lifetime.rx_bytes += stats.rx_bytes;
-        self.lifetime.dropped += stats.dropped;
-        self.lifetime.service_ns += stats.service_ns;
+        self.lifetime += stats;
         stats
     }
 
@@ -291,12 +290,7 @@ impl NetBack {
                 fabric.enqueue_from_uplink(guest, pkt);
             }
         }
-        self.lifetime.tx_frames += stats.tx_frames;
-        self.lifetime.tx_bytes += stats.tx_bytes;
-        self.lifetime.rx_frames += stats.rx_frames;
-        self.lifetime.rx_bytes += stats.rx_bytes;
-        self.lifetime.dropped += stats.dropped;
-        self.lifetime.service_ns += stats.service_ns;
+        self.lifetime += stats;
         stats
     }
 

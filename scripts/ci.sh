@@ -16,11 +16,12 @@ cargo test -q --workspace --offline
 # crates/ cannot break the benchmark unseen.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-# Benchmark smoke: migrate_dirty and clone_churn are the only workloads
-# that drive the replication engine, the gated log-dirty drain and gated
-# dedup, so run each for two seconds and fail unless its last line
-# reports a correct run with no failed operation.
-for workload in migrate_dirty clone_churn; do
+# Benchmark smoke: every workload links its guests' split devices while
+# it sets up (create, clone, destroy), and migrate_dirty and clone_churn
+# also drive the replication engine, the gated log-dirty drain and gated
+# dedup, so run all four for two seconds each and fail unless the last
+# line reports a correct run with no failed operation.
+for workload in blk_rw fabric_fanout migrate_dirty clone_churn; do
     last="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
     if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0,'* ]]; then

@@ -97,7 +97,7 @@ fn guest_crash_releases_shard_attachments() {
         .unwrap();
     assert!(p.guest(g2).is_some());
     // NetBack serves only the new guest.
-    assert_eq!(p.netbacks[0].connections().len(), 1);
+    assert_eq!(p.netbacks[0].conn_iter().count(), 1);
 }
 
 #[test]
