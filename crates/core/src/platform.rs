@@ -1128,9 +1128,9 @@ impl Platform {
 
     /// Unlinks one of `guest`'s split devices from `backend`: detaches the
     /// connection from the backend, drops the ring of `frontend` (the
-    /// guest's connection, if it still had one), and removes a vif's
-    /// fabric port. A vbd keeps its image mounted, for a relink or for
-    /// destroy to release.
+    /// guest's connection, if it still had one) and the backend's mapping
+    /// of its grant, and removes a vif's fabric port. A vbd keeps its
+    /// image mounted, for a relink or for destroy to release.
     fn unlink(
         &mut self,
         guest: DomId,
@@ -1141,6 +1141,25 @@ impl Platform {
         let Some(idx) = self.backend_index(kind, backend) else {
             return;
         };
+        if let Some(conn) = &frontend {
+            // A negotiated ring is grant-mapped by its backend; a clone's
+            // adopted ring is not. The unmap also reaches a dead guest's
+            // table, which lives on until this last mapping goes.
+            let mapped = self
+                .hv
+                .grant_table(guest)
+                .and_then(|t| t.entry(conn.ring.gref))
+                .is_some_and(|e| e.map_count > 0);
+            if mapped {
+                let _ = self.hv.hypercall(
+                    backend,
+                    Hypercall::GnttabUnmapGrantRef {
+                        granter: guest,
+                        gref: conn.ring.gref,
+                    },
+                );
+            }
+        }
         match kind {
             DeviceKind::Vif => {
                 self.netbacks[idx].detach_guest(guest);
@@ -1529,7 +1548,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xoar_hypervisor::memory::PageRef;
+    use xoar_hypervisor::memory::{Mfn, PageRef};
 
     fn xoar() -> Platform {
         Platform::xoar(XoarConfig::default())
@@ -1640,9 +1659,67 @@ mod tests {
             .unwrap();
         let err = p.destroy_guest(ts2, g).unwrap_err();
         assert!(matches!(err, HvError::PermissionDenied { .. }));
+        // The refused destroy leaves the devices linked.
+        let h = p.guest(g).unwrap();
+        assert!(h.netfront.is_some() && h.blkfront.is_some());
+        for mfn in ring_frames(&p, g) {
+            assert_eq!(p.hv.mem.mapping_count(mfn).unwrap(), 1, "backend maps");
+        }
         p.destroy_guest(ts1, g).unwrap();
         assert_eq!(p.hv.domain(g).unwrap().state, DomainState::Dead);
         assert!(p.guest(g).is_none());
+    }
+
+    /// The MFNs behind `g`'s vif and vbd ring PFNs.
+    fn ring_frames(p: &Platform, g: DomId) -> Vec<Mfn> {
+        DEVICES
+            .iter()
+            .map(|dev| p.hv.mem.translate(g, Pfn(dev.ring_pfn)).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn destroy_frees_the_ring_frames_of_a_built_guest() {
+        let mut p = xoar();
+        let ts = p.services.toolstacks[0];
+        let g = p
+            .create_guest(ts, GuestConfig::evaluation_guest("g"))
+            .unwrap();
+        let rings: Vec<(Mfn, u32)> = ring_frames(&p, g)
+            .into_iter()
+            .map(|mfn| (mfn, p.hv.mem.generation(mfn)))
+            .collect();
+        p.destroy_guest(ts, g).unwrap();
+        for (mfn, gen) in rings {
+            assert!(p.hv.mem.owner(mfn).is_err(), "{mfn} freed");
+            assert_ne!(p.hv.mem.generation(mfn), gen);
+        }
+        assert!(
+            p.hv.grant_table(g).is_none(),
+            "no table outlives its mappings"
+        );
+    }
+
+    #[test]
+    fn create_destroy_cycles_hold_machine_frames_flat() {
+        let mut p = xoar();
+        let ts = p.services.toolstacks[0];
+        p.create_guest(ts, GuestConfig::evaluation_guest("resident"))
+            .unwrap();
+        let cycle = |p: &mut Platform, i: usize| {
+            let g = p
+                .create_guest(ts, GuestConfig::evaluation_guest(&format!("g{i}")))
+                .unwrap();
+            p.destroy_guest(ts, g).unwrap();
+        };
+        cycle(&mut p, 0); // warm-up: the store's shared directories
+        let frames = |p: &Platform| (p.hv.mem.free_frames(), p.hv.mem.frame_table_len());
+        let warm = frames(&p);
+        for i in 1..=100 {
+            cycle(&mut p, i);
+        }
+        assert_eq!(frames(&p), warm);
+        p.hv.mem.check_consistency().unwrap();
     }
 
     #[test]

@@ -149,10 +149,10 @@ fn xoar_lifecycle_cost_is_pinned() {
             cost(33, 5, 5, 3),
             cost(34, 1, 1, 3),
             cost(134, 16, 16, 3),
-            cost(34, 1, 1, 3),
+            cost(34, 3, 3, 3),
         ],
     );
-    assert_eq!(got, (13420264677774260496, 1423198959263562079));
+    assert_eq!(got, (12461380160059389328, 1423198959263562079));
 }
 
 #[test]
@@ -164,8 +164,8 @@ fn stock_xen_lifecycle_cost_is_pinned() {
             cost(33, 5, 5, 3),
             cost(34, 1, 1, 3),
             cost(134, 16, 16, 3),
-            cost(34, 1, 1, 3),
+            cost(34, 3, 3, 3),
         ],
     );
-    assert_eq!(got, (11865539360395948450, 17101591157104898375));
+    assert_eq!(got, (12973074741555335513, 17101591157104898375));
 }

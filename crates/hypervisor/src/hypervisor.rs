@@ -568,19 +568,22 @@ impl Hypervisor {
             }
             GnttabUnmapGrantRef { granter, gref } => {
                 xregion::grant_unmap(&mut self.regions, &mut self.mem, caller, granter, gref)?;
+                self.drop_unheld_region(granter);
                 Ok(HypercallRet::Ok)
             }
             GnttabMapBatch { granter, refs } => Ok(HypercallRet::GrantBatch(
                 xregion::grant_map_batch(&mut self.regions, &mut self.mem, caller, granter, &refs)?,
             )),
             GnttabUnmapBatch { granter, refs } => {
-                Ok(HypercallRet::GrantBatch(xregion::grant_unmap_batch(
+                let done = xregion::grant_unmap_batch(
                     &mut self.regions,
                     &mut self.mem,
                     caller,
                     granter,
                     &refs,
-                )?))
+                )?;
+                self.drop_unheld_region(granter);
+                Ok(HypercallRet::GrantBatch(done))
             }
             GnttabCopyBatch { granter, ops } => Ok(HypercallRet::GrantBatch(
                 xregion::grant_copy_batch(&mut self.regions, &mut self.mem, caller, granter, &ops)?,
@@ -1006,6 +1009,23 @@ impl Hypervisor {
         self.snapshots.discard(target);
         self.stamp_plans.remove(&target);
         Ok(())
+    }
+
+    /// Drops the region of `dom` once it is dead and no peer maps its
+    /// grants any more (see [`xregion::teardown`]).
+    fn drop_unheld_region(&mut self, dom: DomId) {
+        let dead = self
+            .domains
+            .get(&dom)
+            .is_none_or(|d| d.state == DomainState::Dead);
+        if dead
+            && self
+                .regions
+                .get(&dom)
+                .is_some_and(|r| r.grants.active_mappings() == 0)
+        {
+            self.regions.remove(&dom);
+        }
     }
 
     // ----- convenience wrappers used by the platform layers -----
@@ -2229,6 +2249,29 @@ mod frame_reuse_tests {
             HypercallRet::Count(1)
         );
         assert_ne!(hv.mem.translate(a, Pfn(1)).unwrap(), granted);
+    }
+
+    #[test]
+    fn mapped_grant_outlives_its_domain_until_unmapped() {
+        let (mut hv, dom0) = xen_like();
+        let (a, gref) = granted_duplicate(&mut hv, dom0);
+        let granted = hv.mem.translate(a, Pfn(1)).unwrap();
+        hv.hypercall(dom0, Hypercall::GnttabMapGrantRef { granter: a, gref })
+            .unwrap();
+        let free = hv.mem.free_frames();
+        hv.hypercall(dom0, Hypercall::DomctlDestroyDomain { target: a })
+            .unwrap();
+        // The mapping holds the frame and keeps the table that names it.
+        assert_eq!(hv.mem.owner(granted).unwrap(), a);
+        assert!(hv.grant_table(a).is_some());
+        let held = hv.mem.free_frames();
+        hv.hypercall(dom0, Hypercall::GnttabUnmapGrantRef { granter: a, gref })
+            .unwrap();
+        assert_eq!(hv.mem.free_frames(), held + 1, "freed with its mapping");
+        assert!(free < held);
+        assert!(hv.mem.owner(granted).is_err());
+        assert!(hv.grant_table(a).is_none(), "the table goes with it");
+        hv.mem.check_consistency().unwrap();
     }
 
     #[test]

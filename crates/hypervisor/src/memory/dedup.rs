@@ -1,15 +1,15 @@
-//! The content-hash index, the stale-hash sweep, and the one dedup path.
+//! The stale-hash sweep, the integrity digest, and the one dedup path.
 //!
-//! Every non-empty frame body carries an FNV-1a hash indexed
-//! `hash -> mfns`, but the hash is not recomputed on the write path: a
-//! bulk write stores the body and sets the frame's bit in the frame
-//! table's stale set, and a stale frame stays out of the index.
-//! [`MemoryManager::materialize_hashes`] drains the set in one
-//! ascending-MFN sweep at the points that consume hashes — dedup, template
-//! seal, snapshot freeze, and [`MemoryManager::verify_integrity`]. The
-//! set is indexed by MFN, not kept as a cursor on the PFN dirty logs: a
-//! pinned frame with no mappers has no PFN to log, and a PFN log would
-//! put dirty bookkeeping on every domain's write path.
+//! Every frame stores the FNV-1a hash of its body, but a bulk write does
+//! not recompute it: the write stores the body and sets the frame's bit
+//! in the frame table's stale set. [`MemoryManager::materialize_hashes`]
+//! drains the set in one ascending-MFN sweep at the points that read
+//! hashes — dedup, template seal, snapshot freeze,
+//! [`MemoryManager::verify_integrity`] and the model snapshot. The set is
+//! indexed by MFN, not kept as a cursor on the PFN dirty logs: a pinned
+//! frame with no mappers has no PFN to log, and a PFN log would put dirty
+//! bookkeeping on every domain's write path. Nothing is indexed by hash:
+//! the dedup sweep reads the stored hashes straight from the frame table.
 //!
 //! [`MemoryManager::share_identical`] — reached through the gated
 //! `SysctlDedup` — is the one dedup path. It confirms hash groups with
@@ -40,7 +40,7 @@ impl MemoryManager {
     }
 
     /// Drains the stale set in one ascending-MFN sweep: every frame
-    /// whose hash a write deferred is rehashed and re-indexed. Returns
+    /// whose hash a write deferred is rehashed. Returns
     /// the number of frames rehashed. Walks only the set's live words,
     /// so it costs next to nothing when nothing is pending — the common
     /// case at every snapshot-freeze call site.
@@ -51,9 +51,6 @@ impl MemoryManager {
             let raw = self.frames.base + i;
             if let Some(f) = self.frames.get_mut(raw) {
                 f.hash = content_hash(&f.data);
-                if !f.data.is_empty() {
-                    self.by_hash.entry(f.hash).or_default().push(raw);
-                }
                 rehashed += 1;
             }
         });
@@ -73,21 +70,6 @@ impl MemoryManager {
             digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
         }
         digest
-    }
-
-    pub(super) fn hash_index_add(&mut self, hash: u64, raw: u64) {
-        self.by_hash.entry(hash).or_default().push(raw);
-    }
-
-    pub(super) fn hash_index_remove(&mut self, hash: u64, raw: u64) {
-        if let Some(v) = self.by_hash.get_mut(&hash) {
-            if let Some(i) = v.iter().position(|&m| m == raw) {
-                v.swap_remove(i);
-            }
-            if v.is_empty() {
-                self.by_hash.remove(&hash);
-            }
-        }
     }
 
     /// Content-based page deduplication across all domains (the
@@ -214,7 +196,7 @@ impl MemoryManager {
             let mut bucket = std::mem::take(&mut self.scratch_bucket);
             bucket.clear();
             bucket.extend(run.iter().map(|&(_, raw)| raw));
-            let freed = self.merge_bucket(run[0].0, &bucket);
+            let freed = self.merge_bucket(&bucket);
             self.scratch_bucket = bucket;
             return freed;
         }
@@ -239,7 +221,7 @@ impl MemoryManager {
         let mut freed = 0u64;
         for bucket in buckets {
             if bucket.len() >= 2 {
-                freed += self.merge_bucket(run[0].0, &bucket);
+                freed += self.merge_bucket(&bucket);
             }
         }
         freed
@@ -247,10 +229,10 @@ impl MemoryManager {
 
     /// Moves every mapper of `bucket[1..]` (byte-identical duplicates
     /// of `bucket[0]`, MFN-ascending) onto `bucket[0]` and frees the
-    /// duplicates. Canonical-frame state, the mapper transfer, and the
-    /// hash-index cleanup are each paid once per bucket, not once per
-    /// duplicate — this is the inner loop of the fleet-scale sweep.
-    fn merge_bucket(&mut self, hash: u64, bucket: &[u64]) -> u64 {
+    /// duplicates. Canonical-frame state and the mapper transfer are each
+    /// paid once per bucket, not once per duplicate — this is the inner
+    /// loop of the fleet-scale sweep.
+    fn merge_bucket(&mut self, bucket: &[u64]) -> u64 {
         let canonical = bucket[0];
         // The merge is content-identical, so it marks no dirty log. A
         // frozen mapper still records the bytes it keeps seeing as its
@@ -260,14 +242,10 @@ impl MemoryManager {
         } else {
             None
         };
-        let dups = &bucket[1..];
         let mut moved = std::mem::take(&mut self.scratch_moved);
         moved.clear();
         let mut freed = 0u64;
-        for &dup in dups {
-            // Every dup passed the sweep's candidate filter (alive,
-            // non-empty, materialized hash), so it is hash-indexed and
-            // its removal below is unconditional.
+        for &dup in &bucket[1..] {
             if let Some(f) = self.frames.free(dup) {
                 moved.extend_from_slice(f.refs.as_slice());
                 self.free_count += 1;
@@ -284,10 +262,6 @@ impl MemoryManager {
         }
         if let Some(f) = self.frames.get_mut(canonical) {
             f.refs.extend_from(&moved);
-        }
-        // One hash-index pass drops every freed duplicate of this hash.
-        if let Some(v) = self.by_hash.get_mut(&hash) {
-            v.retain(|raw| !dups.contains(raw));
         }
         self.scratch_moved = moved;
         freed
@@ -582,7 +556,7 @@ mod sharing_proptests {
 
     /// Random interleavings of populate/write/transfer/dedup/release/
     /// rollback-style operations keep every derived structure (reverse
-    /// index, share accounting, content-hash index) in agreement with
+    /// index, share accounting, stale set) in agreement with
     /// the naively recomputed shadow model, and every read in agreement
     /// with a per-(dom, pfn) content shadow.
     #[test]

@@ -239,8 +239,8 @@ pub(super) struct FrameInfo {
     /// frame. Living inside the frame slot, the reverse index costs one
     /// dense-array access wherever the old side-table cost a hash probe
     /// — the difference the snapshot-fork stamp path is built around. A
-    /// live frame with no referents is legal (grant-pinned frames leaked
-    /// by a dying domain).
+    /// live frame with no referents is legal: a frame its domain released
+    /// while a grant mapping held it, freed by the last unmap.
     pub(super) refs: RefList,
 }
 

@@ -27,15 +27,17 @@
 //! - `frames`: the dense frame table (reverse index, slot generations)
 //!   and `Bitmap`, the one change-set type;
 //! - `p2m`: the per-domain `Pfn -> Mfn` maps;
-//! - `dedup`: the content-hash index, the stale-hash set's sweep, and the
+//! - `dedup`: the stale-hash set's sweep, the integrity digest, and the
 //!   one dedup path, [`MemoryManager::share_identical`];
 //! - `log`: per-consumer dirty logs and lazy CoW snapshots;
 //! - `template`: sealed templates and their fall-through clones.
 //!
-//! Only the p2m and frame tables carry state; the reverse index, the
-//! hash index and the stale set are views of them, so determinism is
-//! unaffected (the canonical frame of a dedup group is the lowest MFN,
-//! and all per-group merges commute).
+//! Only the p2m and frame tables carry state; the reverse index and the
+//! stale set are views of them, so determinism is unaffected (the
+//! canonical frame of a dedup group is the lowest MFN, and all per-group
+//! merges commute). Each frame stores its body's hash, but nothing is
+//! indexed by hash: the one reader, the dedup sweep, collects its
+//! candidates from the frame table.
 //! [`MemoryManager::check_consistency`] recomputes those views from
 //! scratch and is exercised by the interleaving property tests.
 
@@ -101,8 +103,6 @@ pub struct MemoryManager {
     frames: FrameTable,
     p2m: FastMap<DomId, P2m>,
     free_count: u64,
-    /// Content-hash index over non-empty frames: `hash -> mfns`.
-    by_hash: FastMap<u64, Vec<u64>>,
     /// Open dirty logs per domain: `(id, bitmap)`, one per consumer
     /// (snapshot, log-dirty cursor). No entry ⇔ no consumer.
     dirty: FastMap<DomId, Vec<(u64, Bitmap)>>,
@@ -130,7 +130,6 @@ impl MemoryManager {
             frames: FrameTable::new(0x1000), // Leave a hole for "firmware", as real hosts do.
             p2m: FastMap::default(),
             free_count: total_frames,
-            by_hash: FastMap::default(),
             dirty: FastMap::default(),
             next_log: 0,
             frozen: FastMap::default(),
@@ -189,8 +188,8 @@ impl MemoryManager {
         self.frames.get(raw).map_or(0, |f| f.refs.len())
     }
 
-    /// Replaces a frame's body, keeping the content-hash machinery in
-    /// sync via the lazy dirty-epoch discipline.
+    /// Replaces a frame's body, keeping its stored hash in sync via the
+    /// lazy dirty-epoch discipline.
     fn set_frame_data(&mut self, mfn: Mfn, page: PageRef) -> HvResult<()> {
         let known = classify_page(&page);
         self.set_frame_data_classified(mfn, page, known)
@@ -198,9 +197,8 @@ impl MemoryManager {
 
     /// The frame-body store: installs `page`, with `known` carrying its
     /// hash if classification produced one. A deferred (`None`) hash
-    /// puts the frame in the stale set; a stale frame is dropped from
-    /// the hash index until the next materialization sweep revalidates
-    /// it.
+    /// puts the frame in the stale set until the next materialization
+    /// sweep rehashes it.
     fn set_frame_data_classified(
         &mut self,
         mfn: Mfn,
@@ -212,20 +210,12 @@ impl MemoryManager {
         self.capture_frozen(mfn);
         let was_stale = self.frames.is_stale(mfn.0);
         let f = self.frames.get_mut(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-        let (old_hash, old_nonempty) = (f.hash, !f.data.is_empty());
-        let nonempty = !page.is_empty();
         f.data = page;
         if let Some(h) = known {
             f.hash = h;
         }
-        if old_nonempty && !was_stale {
-            self.hash_index_remove(old_hash, mfn.0);
-        }
         if known.is_none() != was_stale {
             self.frames.set_stale(mfn.0, known.is_none());
-        }
-        if let Some(h) = known.filter(|_| nonempty) {
-            self.hash_index_add(h, mfn.0);
         }
         Ok(())
     }
@@ -382,7 +372,6 @@ impl MemoryManager {
         };
         let stale = self.frames.is_stale(mfn.0);
         self.free_count -= 1;
-        let nonempty = !data.is_empty();
         let new_mfn = Mfn(self.frames.alloc(FrameInfo {
             owner: dom,
             mappings: 0,
@@ -394,9 +383,6 @@ impl MemoryManager {
         // The private copy inherits the stale mark, so the next
         // materialization covers the new frame too.
         self.frames.set_stale(new_mfn.0, stale);
-        if !stale && nonempty {
-            self.hash_index_add(hash, new_mfn.0);
-        }
         self.rmap_remove(mfn.0, dom, pfn.0);
         let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(pfn.0))?;
         p2m.insert(pfn.0, new_mfn);
@@ -489,10 +475,16 @@ impl MemoryManager {
         }
     }
 
-    /// Decrements the grant-mapping count of a frame.
+    /// Decrements the grant-mapping count of a frame. A frame its owner
+    /// released while the mapping held it (no p2m entry names it any
+    /// more) is freed with its last mapping.
     pub(crate) fn dec_grant_mapping(&mut self, mfn: Mfn) -> Result<(), MemError> {
         let f = self.frames.get_mut(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
         f.mappings = f.mappings.saturating_sub(1);
+        if f.mappings == 0 && f.refs.len() == 0 {
+            self.frames.free(mfn.0);
+            self.free_count += 1;
+        }
         Ok(())
     }
 
@@ -511,10 +503,10 @@ impl MemoryManager {
 
     /// Releases all frames owned by `dom`.
     ///
-    /// Frames with live grant mappings are leaked deliberately (as in Xen,
+    /// Frames with live grant mappings outlive the domain (as in Xen,
     /// where a domain's memory cannot be recycled until grants are
-    /// unmapped); the rest return to the frame table for reuse. Returns
-    /// the number of frames actually freed.
+    /// unmapped) and are freed by their last unmap; the rest return to
+    /// the frame table for reuse. Returns the number of frames freed now.
     pub fn release_domain(&mut self, dom: DomId) -> u64 {
         if let Some(tpl) = self.clone_of.remove(&dom) {
             if let Some(info) = self.templates.get_mut(&tpl) {
@@ -536,14 +528,8 @@ impl MemoryManager {
                 continue;
             }
             let unmapped = self.frames.get(mfn.0).is_some_and(|f| f.mappings == 0);
-            if unmapped {
-                let indexed = !self.frames.is_stale(mfn.0);
-                if let Some(f) = self.frames.free(mfn.0) {
-                    if indexed && !f.data.is_empty() {
-                        self.hash_index_remove(f.hash, mfn.0);
-                    }
-                    freed += 1;
-                }
+            if unmapped && self.frames.free(mfn.0).is_some() {
+                freed += 1;
             }
         }
         self.free_count += freed;
@@ -562,7 +548,8 @@ impl MemoryManager {
 
     /// Recomputes the shadow model from the p2m tables and asserts that
     /// every derived structure (reverse index, share accounting, free
-    /// count, content-hash index) agrees with it.
+    /// count, stale set) agrees with it, and that every materialized
+    /// hash matches its frame's body.
     ///
     /// Test support: exercised by the interleaving property tests.
     pub fn check_consistency(&self) -> Result<(), String> {
@@ -599,28 +586,15 @@ impl MemoryManager {
         if let Some((&raw, _)) = shadow.iter().next() {
             return Err(format!("shadow maps missing frame mfn {raw:#x}"));
         }
-        // Content-hash machinery under the lazy dirty-epoch discipline:
-        // the stale set names live frames only; a materialized hash
-        // matches the bytes and is indexed iff the frame is non-empty;
-        // a stale frame is never indexed.
+        // Stored hashes under the lazy dirty-epoch discipline: the stale
+        // set names live frames only, and a materialized hash matches
+        // the bytes.
         let mut stale_live = 0;
         for (raw, f) in self.frames.iter() {
             if self.frames.is_stale(raw) {
                 stale_live += 1;
-            } else {
-                if f.hash != content_hash(&f.data) {
-                    return Err(format!("wrong materialized hash for mfn {raw:#x}"));
-                }
-                let indexed = self
-                    .by_hash
-                    .get(&f.hash)
-                    .map_or(0, |v| v.iter().filter(|&&m| m == raw).count());
-                let expect = usize::from(!f.data.is_empty());
-                if indexed != expect {
-                    return Err(format!(
-                        "mfn {raw:#x} appears {indexed} times in hash index, expected {expect}"
-                    ));
-                }
+            } else if f.hash != content_hash(&f.data) {
+                return Err(format!("wrong materialized hash for mfn {raw:#x}"));
             }
         }
         if stale_live != self.pending_rehash() {
@@ -628,16 +602,6 @@ impl MemoryManager {
                 "stale set holds {} slots but only {stale_live} live frames",
                 self.pending_rehash()
             ));
-        }
-        for (&h, v) in &self.by_hash {
-            for &raw in v {
-                let ok = self.frames.get(raw).is_some_and(|f| {
-                    !self.frames.is_stale(raw) && f.hash == h && !f.data.is_empty()
-                });
-                if !ok {
-                    return Err(format!("hash index lists stale mfn {raw:#x}"));
-                }
-            }
         }
         // Frozen baselines only ever hold pre-freeze PFNs (younger PFNs
         // roll back to the empty page by construction).
@@ -794,6 +758,23 @@ mod tests {
         let mfn = m.translate(d, Pfn(0)).unwrap();
         m.inc_grant_mapping(mfn, m.generation(mfn)).unwrap();
         assert_eq!(m.release_domain(d), 2, "granted frame not reclaimed");
+    }
+
+    #[test]
+    fn last_unmap_frees_a_released_frame() {
+        let mut m = mm();
+        let d = DomId(1);
+        m.populate(d, 3).unwrap();
+        let mfn = m.translate(d, Pfn(0)).unwrap();
+        m.inc_grant_mapping(mfn, m.generation(mfn)).unwrap();
+        m.inc_grant_mapping(mfn, m.generation(mfn)).unwrap();
+        m.release_domain(d);
+        m.dec_grant_mapping(mfn).unwrap();
+        assert_eq!(m.free_frames(), 1024 - 1, "one mapping still holds it");
+        m.dec_grant_mapping(mfn).unwrap();
+        assert_eq!(m.free_frames(), 1024);
+        assert!(m.owner(mfn).is_err(), "freed with its last mapping");
+        m.check_consistency().unwrap();
     }
 
     #[test]

@@ -669,7 +669,9 @@ pub(crate) fn rollback(
 
 /// Destroys `target`'s region, reclaiming the peers' half-open ends of
 /// its interdomain channels (as when a real backend observes the
-/// frontend's death and closes its end).
+/// frontend's death and closes its end). A grant table a peer still maps
+/// outlives the domain, alone in an otherwise empty region, so that the
+/// peer can unmap it: the hypervisor drops it with the last mapping.
 pub(crate) fn teardown(regions: &mut FastMap<DomId, Region>, target: DomId) {
     let op = CrossRegionOp::Teardown { target };
     let Some(region) = regions.remove(&op.object()) else {
@@ -691,6 +693,11 @@ pub(crate) fn teardown(regions: &mut FastMap<DomId, Region>, target: DomId) {
         if let Some(pr) = regions.get_mut(&peer) {
             pr.ports.ports.remove(&pport);
         }
+    }
+    if region.grants.active_mappings() > 0 {
+        let mut held = Region::new(target);
+        held.grants = region.grants;
+        regions.insert(target, held);
     }
 }
 

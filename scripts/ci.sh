@@ -16,6 +16,11 @@ cargo test -q --workspace --offline
 # crates/ cannot break the benchmark unseen.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# perfbench's own tests: steady-state heap growth of at most 16 B per op,
+# every exact count repeating for a seed, and BENCHMARK.json matching
+# what the binary prints.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Benchmark smoke: every workload links its guests' split devices while
 # it sets up (create, clone, destroy), and migrate_dirty and clone_churn
 # also drive the replication engine, the gated log-dirty drain and gated

@@ -196,13 +196,10 @@ fn memory_is_reclaimed_after_destroy() {
         .unwrap();
     assert!(p.hv.mem.free_frames() < free_before);
     p.destroy_guest(ts, g).unwrap();
-    // Ring pages stay granted until unmapped; allow a small leak of
-    // granted frames, but the bulk must return.
+    // The backends unmap the ring pages as the devices are unlinked, so
+    // every frame returns, the rings included.
     let leaked = free_before - p.hv.mem.free_frames();
-    assert!(
-        leaked <= 4,
-        "at most the granted ring pages linger: {leaked}"
-    );
+    assert_eq!(leaked, 0, "frames left allocated after destroy");
 }
 
 #[test]
