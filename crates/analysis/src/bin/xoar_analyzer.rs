@@ -272,7 +272,7 @@ fn run_selftest(platform: &mut Platform, usage: &Usage, mut snap: ModelSnapshot)
         ok = false;
     }
     // Injections 1 and 2 also bypass the hypervisor's cross-region
-    // ledger (no `CrossRegionOp` ever declared the NetBack's blanket
+    // ledger (no gate call ever declared the NetBack's blanket
     // reach or the smuggled grant), so the region-accounting rule must
     // fire alongside the privilege rules.
     for expected in [

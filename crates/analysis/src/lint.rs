@@ -15,16 +15,16 @@
 //!   the hypercall layer where access control lives.
 //! * **`region-isolation`** — the split-borrow primitives that hold two
 //!   domains' state regions at once (`region_pair_mut`,
-//!   `object_region_mut`) may be invoked only from the typed
-//!   `CrossRegionOp` module (`xregion.rs`), and the per-domain `regions`
-//!   map may be poked only there and in `hypervisor.rs` (which owns the
-//!   field); everyone else reaches another domain's region through a
-//!   hypercall or a `Hypervisor` facade method.
-//! * **`dispatch-exhaustive`** — the `HypercallId` bookkeeping tables
-//!   (`ALL`, the JSON codec, `name()`, the privileged/unprivileged
-//!   partition) and the `Hypercall` dispatcher in `hypervisor.rs` must
-//!   cover every enum variant; adding a call without updating a table
-//!   fails the lint rather than silently weakening the model.
+//!   `object_region_mut`) may be invoked only from the cross-region
+//!   module (`xregion.rs`), and the per-domain `regions` map may be
+//!   poked only there and in `hypervisor.rs` (which owns the field);
+//!   everyone else reaches another domain's region through a hypercall
+//!   or a `Hypervisor` facade method.
+//! * **`dispatch-exhaustive`** — every `Hypercall` variant must appear
+//!   in `Hypercall::id()` and in the dispatcher in `hypervisor.rs`;
+//!   adding a call without classing and dispatching it fails the lint
+//!   rather than silently weakening the model. (The `HypercallId`
+//!   tables need no check: one macro table generates them all.)
 //!
 //! Findings a rule cannot avoid (e.g. the documented panics of the
 //! `HypercallRet` extractors) are suppressed by the committed allowlist
@@ -443,12 +443,12 @@ fn rule_boundary(file: &SourceFile, stripped: &str, out: &mut Vec<LintFinding>) 
 
 // ---------------------------------------------------------------------
 // Rule: region-isolation (per-domain state regions stay behind the
-// typed cross-region module).
+// cross-region module).
 // ---------------------------------------------------------------------
 
 /// The split-borrow primitives that hold two domains' state regions at
-/// once. Only the `CrossRegionOp` module may invoke them — every other
-/// caller must name a typed cross-region operation instead.
+/// once. Only the cross-region module may invoke them — every other
+/// caller must go through one of its operations instead.
 const REGION_PAIR_PRIMITIVES: [&str; 2] = ["region_pair_mut", "object_region_mut"];
 
 fn rule_region(file: &SourceFile, stripped: &str, out: &mut Vec<LintFinding>) {
@@ -473,7 +473,7 @@ fn rule_region(file: &SourceFile, stripped: &str, out: &mut Vec<LintFinding>) {
                 excerpt: excerpt_at(&file.content, off),
                 msg: format!(
                     "`{ident}` borrows two domains' state regions at once; only the \
-                     CrossRegionOp module (xregion.rs) may do that"
+                     cross-region module (xregion.rs) may do that"
                 ),
             });
         }
@@ -570,93 +570,6 @@ fn rule_dispatch(files: &[SourceFile], out: &mut Vec<LintFinding>) {
         return;
     };
     let stripped = strip_code(&hc.content);
-
-    // HypercallId variants vs the bookkeeping tables.
-    let id_variants = enum_variants(&stripped, "enum HypercallId");
-    // The ALL initializer sits after an `=` (the type annotation also
-    // uses brackets, so bracket-match only from the initializer on).
-    let all_region = stripped.find("ALL:").and_then(|p| {
-        let eq = p + stripped[p..].find('=')?;
-        region_after(&stripped[eq..], "=", b'[', b']').map(|(s, e)| (eq + s, eq + e))
-    });
-    let tables: [(&str, Option<(usize, usize)>); 3] = [
-        ("ALL array", all_region),
-        (
-            "impl_json_enum table",
-            region_after(&stripped, "impl_json_enum!(HypercallId", b'{', b'}'),
-        ),
-        (
-            "name() match",
-            region_after(&stripped, "fn name(", b'{', b'}'),
-        ),
-    ];
-    for (what, region) in tables {
-        let Some((s, e)) = region else {
-            out.push(dispatch_finding(
-                &hc.path,
-                1,
-                "",
-                format!("could not locate the {what} for HypercallId"),
-            ));
-            continue;
-        };
-        let text = &stripped[s..e];
-        for &(off, v) in &id_variants {
-            if !contains_token(text, v) {
-                out.push(dispatch_finding(
-                    &hc.path,
-                    line_of(&stripped, off),
-                    &excerpt_at(&hc.content, off),
-                    format!("HypercallId::{v} missing from the {what}"),
-                ));
-            }
-        }
-    }
-
-    // Partition: each ID in exactly one of all_privileged/all_unprivileged.
-    let priv_region = region_after(&stripped, "fn all_privileged", b'{', b'}');
-    let unpriv_region = region_after(&stripped, "fn all_unprivileged", b'{', b'}');
-    if let (Some((ps, pe)), Some((us, ue))) = (priv_region, unpriv_region) {
-        let p = &stripped[ps..pe];
-        let u = &stripped[us..ue];
-        for &(off, v) in &id_variants {
-            let in_p = contains_token(p, v);
-            let in_u = contains_token(u, v);
-            if in_p == in_u {
-                out.push(dispatch_finding(
-                    &hc.path,
-                    line_of(&stripped, off),
-                    &excerpt_at(&hc.content, off),
-                    format!(
-                        "HypercallId::{v} must appear in exactly one of \
-                         all_privileged/all_unprivileged (found in {})",
-                        if in_p { "both" } else { "neither" }
-                    ),
-                ));
-            }
-        }
-    }
-
-    // HYPERCALL_COUNT literal matches the variant count.
-    if let Some(pos) = stripped.find("HYPERCALL_COUNT: usize =") {
-        let tail = &stripped[pos + "HYPERCALL_COUNT: usize =".len()..];
-        let digits: String = tail
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if digits.parse::<usize>().ok() != Some(id_variants.len()) {
-            out.push(dispatch_finding(
-                &hc.path,
-                line_of(&stripped, pos),
-                &excerpt_at(&hc.content, pos),
-                format!(
-                    "HYPERCALL_COUNT = {digits} but the enum declares {} variants",
-                    id_variants.len()
-                ),
-            ));
-        }
-    }
 
     // Hypercall payload variants vs the id() map and the dispatcher.
     let call_variants = enum_variants(&stripped, "enum Hypercall ");
@@ -916,7 +829,7 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "region-isolation");
         assert!(v[0].msg.contains("region_pair_mut"), "{v:?}");
-        // The identical content under the CrossRegionOp module is fine.
+        // The identical content under the cross-region module is fine.
         let ok = file("crates/hypervisor/src/xregion.rs", body);
         assert_eq!(lint_sources(&[ok]), vec![]);
     }
@@ -946,56 +859,10 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_detects_missing_table_entry() {
-        let hc = file(
-            "crates/hypervisor/src/hypercall.rs",
-            "pub enum HypercallId {\n    Alpha,\n    Beta,\n}\n\
-             impl_json_enum!(HypercallId { Alpha => \"alpha\", Beta => \"beta\" });\n\
-             pub const HYPERCALL_COUNT: usize = 2;\n\
-             impl HypercallId { pub const ALL: [HypercallId; 2] = [HypercallId::Alpha, HypercallId::Beta];\n\
-             pub fn all_privileged() -> Vec<HypercallId> { vec![Alpha] }\n\
-             pub fn all_unprivileged() -> Vec<HypercallId> { vec![Beta] }\n\
-             pub fn name(self) -> &'static str { match self { Alpha => \"a\" } } }\n",
-        );
-        let v = lint_sources(&[hc]);
-        assert!(
-            v.iter().any(|f| f.rule == "dispatch-exhaustive"
-                && f.msg.contains("Beta")
-                && f.msg.contains("name()")),
-            "{v:?}"
-        );
-        // Alpha and the other tables are complete: no findings for Alpha.
-        assert!(v.iter().all(|f| !f.msg.contains("Alpha")), "{v:?}");
-    }
-
-    #[test]
-    fn dispatch_detects_partition_and_count_drift() {
-        let hc = file(
-            "crates/hypervisor/src/hypercall.rs",
-            "pub enum HypercallId {\n    Alpha,\n    Beta,\n}\n\
-             impl_json_enum!(HypercallId { Alpha => \"alpha\", Beta => \"beta\" });\n\
-             pub const HYPERCALL_COUNT: usize = 3;\n\
-             impl HypercallId { pub const ALL: [HypercallId; 2] = [HypercallId::Alpha, HypercallId::Beta];\n\
-             pub fn all_privileged() -> Vec<HypercallId> { vec![Alpha, Beta] }\n\
-             pub fn all_unprivileged() -> Vec<HypercallId> { vec![Beta] }\n\
-             pub fn name(self) -> &'static str { match self { Alpha => \"a\", Beta => \"b\" } } }\n",
-        );
-        let v = lint_sources(&[hc]);
-        assert!(v.iter().any(|f| f.msg.contains("exactly one")), "{v:?}");
-        assert!(v.iter().any(|f| f.msg.contains("HYPERCALL_COUNT")), "{v:?}");
-    }
-
-    #[test]
     fn dispatch_checks_dispatcher_arms_cross_file() {
         let hc = file(
             "crates/hypervisor/src/hypercall.rs",
             "pub enum HypercallId { Alpha, }\n\
-             impl_json_enum!(HypercallId { Alpha => \"alpha\" });\n\
-             pub const HYPERCALL_COUNT: usize = 1;\n\
-             impl HypercallId { pub const ALL: [HypercallId; 1] = [HypercallId::Alpha];\n\
-             pub fn all_privileged() -> Vec<HypercallId> { vec![Alpha] }\n\
-             pub fn all_unprivileged() -> Vec<HypercallId> { vec![] }\n\
-             pub fn name(self) -> &'static str { match self { Alpha => \"a\" } } }\n\
              pub enum Hypercall { DoAlpha { x: u32 }, DoGamma, }\n\
              impl Hypercall { pub fn id(&self) -> HypercallId { match self { DoAlpha{..} => Alpha, DoGamma => Alpha } } }\n",
         );

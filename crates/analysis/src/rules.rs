@@ -13,7 +13,7 @@
 //! | `guest-noninterference` | no guest reaches another guest's memory except through a grant |
 //! | `undeclared-sharing` | guests grant frames only to shards delegated to them (or their stub/toolstack), and guests alias machine frames only under hypervisor-managed CoW (dedup or frozen snapshot baselines) |
 //! | `constraint-groups` | a shared backend never serves guests from different constraint groups |
-//! | `no-undeclared-cross-region-access` | every domain×domain edge in the reachability matrix (memory paths and event channels) is covered by a declared `CrossRegionOp` kind in the hypervisor's ledger |
+//! | `no-undeclared-cross-region-access` | every domain×domain edge in the reachability matrix (memory paths and event channels) is covered by a kind in the hypervisor's declared-sharing ledger |
 
 use std::collections::BTreeMap;
 
@@ -244,13 +244,14 @@ fn undeclared_sharing(snap: &ModelSnapshot, out: &mut Vec<Violation>) {
     }
 }
 
-/// Every edge the reachability matrix derives must trace back to a
-/// declared `CrossRegionOp`: the sharded hypervisor core records a
-/// `(kind, subject, object)` ledger entry whenever two state regions
-/// are named together, so an edge with no covering declaration means
-/// some path into another domain's region bypassed the typed
-/// cross-region module — exactly the coupling the region split exists
-/// to forbid.
+/// Every edge the reachability matrix derives must trace back to the
+/// hypervisor's declared-sharing ledger: the gate records a
+/// `(kind, subject, object)` entry whenever a domain binds an event
+/// channel or installs a grant, and derives the blanket, foreign and
+/// clone-grant entries from live state. An edge with no covering
+/// declaration means some path into another domain's region bypassed
+/// the gate and the cross-region module — exactly the coupling the
+/// region split exists to forbid.
 fn no_undeclared_cross_region_access(
     snap: &ModelSnapshot,
     reach: &Reachability,
@@ -559,7 +560,7 @@ mod tests {
     fn undeclared_cross_region_edges_are_flagged() {
         // A grant edge injected behind the builders' backs (no ledger
         // entry) — as if something wrote into another domain's grant
-        // table without going through the CrossRegionOp module.
+        // table without going through the cross-region module.
         let mut snap = known_good();
         snap.grants.push(grant(11, 3, 9));
         snap.grants.sort();

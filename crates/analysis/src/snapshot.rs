@@ -119,9 +119,9 @@ pub struct ModelSnapshot {
     /// Frames mapped by more than one domain, sorted by MFN, with their
     /// CoW/frozen provenance.
     pub shared_frames: Vec<SharedFrame>,
-    /// Cross-region operations the hypervisor has declared, as
-    /// `(kind, subject, object)` — the ledger the sharded core appends
-    /// to whenever a typed `CrossRegionOp` names two regions. `"event"`
+    /// Cross-region sharing the hypervisor has declared, as
+    /// `(kind, subject, object)` — its declared-sharing ledger
+    /// ([`xoar_hypervisor::Hypervisor::declared_ops`]). `"event"`
     /// edges are normalised with subject ≤ object; `"blanket"` uses
     /// `DomId(u32::MAX)` as its object (any domain). Every edge in the
     /// reachability matrix must be covered by one of these.
@@ -151,7 +151,7 @@ impl ModelSnapshot {
     }
 
     /// Adds a grant edge to a fixture snapshot, declaring it (a live
-    /// grant can only arise from a declared `CrossRegionOp`).
+    /// grant always has a ledger entry).
     pub fn with_grant(mut self, edge: GrantEdge) -> Self {
         self.declared
             .insert(("grant".to_string(), edge.grantee, edge.granter));

@@ -76,9 +76,9 @@ fn bench_events(h: &mut Harness) {
         p.hv.hypercall(g, Hypercall::EvtchnSend { port }).unwrap();
         p.hv.poll_event(black_box(nb)).unwrap();
     });
-    // The full cross-region signalling round trip: each direction takes
-    // the typed CrossRegionOp path through the two-region split borrow,
-    // then both pending bitmaps are drained.
+    // The full cross-region signalling round trip: each direction sets
+    // a bit in the peer region's pending bitmap through the cross-region
+    // module, then both pending bitmaps are drained.
     let mut drained = Vec::new();
     h.bench_function("evtchn/cross_region_send", || {
         p.hv.hypercall(g, Hypercall::EvtchnSend { port }).unwrap();

@@ -18,337 +18,161 @@ use crate::grant::{GrantAccess, GrantCopyOp, GrantOpStatus, GrantRef};
 use crate::memory::{Mfn, PageRef, Pfn};
 use crate::privilege::{IoPortRange, MmioRange, PciAddress};
 
-/// Identifier of a hypercall class, used for privilege whitelisting.
-///
-/// Mirrors Xen's `__HYPERVISOR_*` numbers plus the domctl/sysctl
-/// sub-operations that matter for disaggregation. The paper notes that a
-/// single hypercall may carry "dozens of sub-operations"; we surface the
-/// security-relevant sub-operations as distinct IDs so least privilege can
-/// be expressed at the granularity Xoar requires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[non_exhaustive]
-pub enum HypercallId {
+/// Declares [`HypercallId`] from one table, one row per ID: its doc
+/// comment, the variant, its audit name, whether it needs whitelisting
+/// and its risk weight. Row order is the whitelist bit position, so new
+/// rows are only ever appended. The enum, its JSON codec,
+/// [`HYPERCALL_COUNT`], [`HypercallId::ALL`], `is_privileged`,
+/// `risk_weight` and `name` are all generated from the rows.
+macro_rules! hypercall_ids {
+    ($(
+        $(#[$doc:meta])*
+        $id:ident => $name:literal, privileged: $privileged:literal, risk: $risk:literal;
+    )+) => {
+        /// Identifier of a hypercall class, used for privilege whitelisting.
+        ///
+        /// Mirrors Xen's `__HYPERVISOR_*` numbers plus the domctl/sysctl
+        /// sub-operations that matter for disaggregation. The paper notes that a
+        /// single hypercall may carry "dozens of sub-operations"; we surface the
+        /// security-relevant sub-operations as distinct IDs so least privilege can
+        /// be expressed at the granularity Xoar requires.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum HypercallId {
+            $($(#[$doc])* $id,)+
+        }
+
+        xoar_codec::impl_json_enum!(HypercallId { $($id),+ });
+
+        /// Number of defined hypercall IDs — the width of the whitelist bitset.
+        pub const HYPERCALL_COUNT: usize = [$($name),+].len();
+
+        impl HypercallId {
+            /// Every ID in declaration (= `Ord`) order. The whitelist bitset
+            /// iterates this array, which keeps its JSON encoding identical to
+            /// the ordered-set encoding.
+            pub const ALL: [HypercallId; HYPERCALL_COUNT] = [$(HypercallId::$id),+];
+
+            /// Whether the call requires whitelisting.
+            pub fn is_privileged(self) -> bool {
+                match self {
+                    $(HypercallId::$id => $privileged,)+
+                }
+            }
+
+            /// A coarse weight for how dangerous holding this call is, used by the
+            /// security analysis to compare attack surfaces.
+            pub fn risk_weight(self) -> u32 {
+                match self {
+                    $(HypercallId::$id => $risk,)+
+                }
+            }
+
+            /// Short symbolic name (for audit-log records).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(HypercallId::$id => $name,)+
+                }
+            }
+        }
+    };
+}
+
+hypercall_ids! {
     // -- Unprivileged: available to every guest --
     /// Send an event-channel notification.
-    EvtchnSend,
+    EvtchnSend => "evtchn.send", privileged: false, risk: 0;
     /// Allocate an unbound event-channel port.
-    EvtchnAllocUnbound,
+    EvtchnAllocUnbound => "evtchn.alloc_unbound", privileged: false, risk: 0;
     /// Bind to a remote domain's unbound port.
-    EvtchnBindInterdomain,
+    EvtchnBindInterdomain => "evtchn.bind_interdomain", privileged: false, risk: 0;
     /// Bind a virtual IRQ.
-    EvtchnBindVirq,
+    EvtchnBindVirq => "evtchn.bind_virq", privileged: false, risk: 0;
     /// Close an event-channel port.
-    EvtchnClose,
+    EvtchnClose => "evtchn.close", privileged: false, risk: 0;
     /// Set up or update one's own grant-table entries.
-    GnttabSetup,
+    GnttabSetup => "gnttab.setup", privileged: false, risk: 0;
     /// Yield / block the current VCPU.
-    SchedOp,
+    SchedOp => "sched.op", privileged: false, risk: 0;
     /// Write to the domain's virtual console ring.
-    ConsoleIo,
+    ConsoleIo => "console.io", privileged: false, risk: 0;
     /// Query wall-clock / version info.
-    XenVersion,
+    XenVersion => "xen.version", privileged: false, risk: 0;
     /// Update one's own page tables (guest PT management).
-    MmuUpdateSelf,
+    MmuUpdateSelf => "mmu.update_self", privileged: false, risk: 0;
     /// Take a snapshot of the calling domain (Xoar: `vm_snapshot()`).
-    VmSnapshot,
+    VmSnapshot => "vm.snapshot", privileged: false, risk: 0;
 
-    // -- Privileged: whitelisted per shard in Xoar, Dom0-only in Xen --
+    // -- Privileged: whitelisted per shard in Xoar, Dom0-only in Xen
+    //    (grant mapping excepted: the granter's entry is its check) --
     /// Create a new (empty) domain.
-    DomctlCreateDomain,
+    DomctlCreateDomain => "domctl.create", privileged: true, risk: 8;
     /// Destroy a domain.
-    DomctlDestroyDomain,
+    DomctlDestroyDomain => "domctl.destroy", privileged: true, risk: 8;
     /// Pause a domain.
-    DomctlPauseDomain,
+    DomctlPauseDomain => "domctl.pause", privileged: true, risk: 4;
     /// Unpause a domain.
-    DomctlUnpauseDomain,
+    DomctlUnpauseDomain => "domctl.unpause", privileged: true, risk: 4;
     /// Set a domain's memory reservation.
-    DomctlSetMaxMem,
+    DomctlSetMaxMem => "domctl.set_max_mem", privileged: true, risk: 4;
     /// Set the number of VCPUs of a domain.
-    DomctlSetVcpus,
+    DomctlSetVcpus => "domctl.set_vcpus", privileged: true, risk: 4;
     /// Mark a domain as a shard / set its role.
-    DomctlSetRole,
+    DomctlSetRole => "domctl.set_role", privileged: true, risk: 7;
     /// Assign a PCI device to a domain.
-    DomctlAssignDevice,
+    DomctlAssignDevice => "domctl.assign_device", privileged: true, risk: 6;
     /// Grant another domain delegated management of a domain.
-    DomctlDelegate,
+    DomctlDelegate => "domctl.delegate", privileged: true, risk: 7;
     /// Set the privileged-for flag (QEMU stub domains, §5.6).
-    DomctlSetPrivilegedFor,
+    DomctlSetPrivilegedFor => "domctl.set_privileged_for", privileged: true, risk: 7;
     /// Set I/O-port access for a domain (§5.8 re-mapping of Dom0 rights).
-    DomctlIoPortPermission,
+    DomctlIoPortPermission => "domctl.ioport_permission", privileged: true, risk: 6;
     /// Set MMIO access for a domain.
-    DomctlMmioPermission,
+    DomctlMmioPermission => "domctl.mmio_permission", privileged: true, risk: 6;
     /// Route a physical IRQ to a domain.
-    DomctlIrqPermission,
+    DomctlIrqPermission => "domctl.irq_permission", privileged: true, risk: 6;
     /// Whitelist a privileged hypercall for a domain.
-    DomctlPermitHypercall,
+    DomctlPermitHypercall => "domctl.permit_hypercall", privileged: true, risk: 7;
     /// Map another domain's memory (foreign mapping).
-    MmuMapForeign,
+    MmuMapForeign => "mmu.map_foreign", privileged: true, risk: 10;
     /// Write into another domain's memory (builder: page tables,
     /// start-info page).
-    MmuWriteForeign,
+    MmuWriteForeign => "mmu.write_foreign", privileged: true, risk: 10;
     /// Populate a domain's physical memory at build time.
-    MemoryPopulate,
+    MemoryPopulate => "memory.populate", privileged: true, risk: 8;
     /// Map a grant reference from another domain.
-    GnttabMapGrantRef,
+    GnttabMapGrantRef => "gnttab.map_grant_ref", privileged: false, risk: 3;
     /// Create a grant entry *on behalf of* another domain (Builder-only:
     /// used to deprivilege XenStore and the console, §5.6).
-    GnttabForeignSetup,
+    GnttabForeignSetup => "gnttab.foreign_setup", privileged: true, risk: 8;
     /// Roll a snapshotted domain back to its image.
-    VmRollback,
+    VmRollback => "vm.rollback", privileged: true, risk: 4;
     /// Read platform/host state (sysctl: physinfo etc.).
-    SysctlPhysinfo,
+    SysctlPhysinfo => "sysctl.physinfo", privileged: true, risk: 1;
     /// Reboot or power off the host.
-    PlatformReboot,
+    PlatformReboot => "platform.reboot", privileged: true, risk: 6;
 
-    // -- Unprivileged, appended after the initial ABI to keep existing
-    //    whitelist bit positions stable --
+    // -- Appended after the initial ABI to keep existing whitelist bit
+    //    positions stable --
     /// Batch of sub-calls executed with one boundary crossing
     /// (`__HYPERVISOR_multicall`). Each sub-call is still screened
     /// against the caller's whitelist individually.
-    Multicall,
-
-    // -- Privileged, appended after the initial ABI to keep existing
-    //    whitelist bit positions stable --
+    Multicall => "multicall", privileged: false, risk: 0;
     /// Stamp a new domain out of a sealed template (snapshot-fork
     /// cloning): the clone aliases every template frame copy-on-write,
     /// so creation copies no pages and reserves no frames up front.
-    DomctlCloneDomain,
+    DomctlCloneDomain => "domctl.clone", privileged: true, risk: 8;
     /// Log-dirty control over a domain (`XEN_DOMCTL_shadow_op`): the
     /// page-tracking cursors migration and HA replicate through.
-    DomctlShadowOp,
+    DomctlShadowOp => "domctl.shadow_op", privileged: true, risk: 4;
     /// Host-wide content-based page deduplication.
-    SysctlDedup,
+    SysctlDedup => "sysctl.dedup", privileged: true, risk: 4;
 }
 
-xoar_codec::impl_json_enum!(HypercallId {
-    EvtchnSend,
-    EvtchnAllocUnbound,
-    EvtchnBindInterdomain,
-    EvtchnBindVirq,
-    EvtchnClose,
-    GnttabSetup,
-    SchedOp,
-    ConsoleIo,
-    XenVersion,
-    MmuUpdateSelf,
-    VmSnapshot,
-    DomctlCreateDomain,
-    DomctlDestroyDomain,
-    DomctlPauseDomain,
-    DomctlUnpauseDomain,
-    DomctlSetMaxMem,
-    DomctlSetVcpus,
-    DomctlSetRole,
-    DomctlAssignDevice,
-    DomctlDelegate,
-    DomctlSetPrivilegedFor,
-    DomctlIoPortPermission,
-    DomctlMmioPermission,
-    DomctlIrqPermission,
-    DomctlPermitHypercall,
-    MmuMapForeign,
-    MmuWriteForeign,
-    MemoryPopulate,
-    GnttabMapGrantRef,
-    GnttabForeignSetup,
-    VmRollback,
-    SysctlPhysinfo,
-    PlatformReboot,
-    Multicall,
-    DomctlCloneDomain,
-    DomctlShadowOp,
-    SysctlDedup,
-});
-
-/// Number of defined hypercall IDs — the width of the whitelist bitset.
-pub const HYPERCALL_COUNT: usize = 37;
-
 impl HypercallId {
-    /// Every ID in declaration (= `Ord`) order. The whitelist bitset
-    /// iterates this array, which keeps its JSON encoding identical to
-    /// the ordered-set encoding.
-    pub const ALL: [HypercallId; HYPERCALL_COUNT] = [
-        HypercallId::EvtchnSend,
-        HypercallId::EvtchnAllocUnbound,
-        HypercallId::EvtchnBindInterdomain,
-        HypercallId::EvtchnBindVirq,
-        HypercallId::EvtchnClose,
-        HypercallId::GnttabSetup,
-        HypercallId::SchedOp,
-        HypercallId::ConsoleIo,
-        HypercallId::XenVersion,
-        HypercallId::MmuUpdateSelf,
-        HypercallId::VmSnapshot,
-        HypercallId::DomctlCreateDomain,
-        HypercallId::DomctlDestroyDomain,
-        HypercallId::DomctlPauseDomain,
-        HypercallId::DomctlUnpauseDomain,
-        HypercallId::DomctlSetMaxMem,
-        HypercallId::DomctlSetVcpus,
-        HypercallId::DomctlSetRole,
-        HypercallId::DomctlAssignDevice,
-        HypercallId::DomctlDelegate,
-        HypercallId::DomctlSetPrivilegedFor,
-        HypercallId::DomctlIoPortPermission,
-        HypercallId::DomctlMmioPermission,
-        HypercallId::DomctlIrqPermission,
-        HypercallId::DomctlPermitHypercall,
-        HypercallId::MmuMapForeign,
-        HypercallId::MmuWriteForeign,
-        HypercallId::MemoryPopulate,
-        HypercallId::GnttabMapGrantRef,
-        HypercallId::GnttabForeignSetup,
-        HypercallId::VmRollback,
-        HypercallId::SysctlPhysinfo,
-        HypercallId::PlatformReboot,
-        HypercallId::Multicall,
-        HypercallId::DomctlCloneDomain,
-        HypercallId::DomctlShadowOp,
-        HypercallId::SysctlDedup,
-    ];
-
     /// Dense index of this ID (declaration order) — the bit position in
     /// the whitelist bitset.
     pub fn index(self) -> u32 {
         self as u32
-    }
-
-    /// Whether the call requires whitelisting.
-    pub fn is_privileged(self) -> bool {
-        use HypercallId::*;
-        !matches!(
-            self,
-            EvtchnSend
-                | EvtchnAllocUnbound
-                | EvtchnBindInterdomain
-                | EvtchnBindVirq
-                | EvtchnClose
-                | GnttabSetup
-                | SchedOp
-                | ConsoleIo
-                | XenVersion
-                | MmuUpdateSelf
-                | VmSnapshot
-                | GnttabMapGrantRef
-                | Multicall
-        )
-    }
-
-    /// All privileged hypercall IDs (the Dom0 whitelist).
-    pub fn all_privileged() -> Vec<HypercallId> {
-        use HypercallId::*;
-        vec![
-            DomctlCreateDomain,
-            DomctlDestroyDomain,
-            DomctlPauseDomain,
-            DomctlUnpauseDomain,
-            DomctlSetMaxMem,
-            DomctlSetVcpus,
-            DomctlSetRole,
-            DomctlAssignDevice,
-            DomctlDelegate,
-            DomctlSetPrivilegedFor,
-            DomctlIoPortPermission,
-            DomctlMmioPermission,
-            DomctlIrqPermission,
-            DomctlPermitHypercall,
-            MmuMapForeign,
-            MmuWriteForeign,
-            MemoryPopulate,
-            GnttabForeignSetup,
-            VmRollback,
-            SysctlPhysinfo,
-            PlatformReboot,
-            DomctlCloneDomain,
-            DomctlShadowOp,
-            SysctlDedup,
-        ]
-    }
-
-    /// All unprivileged hypercall IDs.
-    pub fn all_unprivileged() -> Vec<HypercallId> {
-        use HypercallId::*;
-        vec![
-            EvtchnSend,
-            EvtchnAllocUnbound,
-            EvtchnBindInterdomain,
-            EvtchnBindVirq,
-            EvtchnClose,
-            GnttabSetup,
-            GnttabMapGrantRef,
-            SchedOp,
-            ConsoleIo,
-            XenVersion,
-            MmuUpdateSelf,
-            VmSnapshot,
-            Multicall,
-        ]
-    }
-
-    /// A coarse weight for how dangerous holding this call is, used by the
-    /// security analysis to compare attack surfaces.
-    pub fn risk_weight(self) -> u32 {
-        use HypercallId::*;
-        match self {
-            MmuMapForeign | MmuWriteForeign => 10,
-            DomctlCreateDomain | DomctlDestroyDomain | DomctlCloneDomain | MemoryPopulate
-            | GnttabForeignSetup => 8,
-            DomctlPermitHypercall | DomctlDelegate | DomctlSetPrivilegedFor | DomctlSetRole => 7,
-            DomctlAssignDevice
-            | DomctlIrqPermission
-            | DomctlIoPortPermission
-            | DomctlMmioPermission => 6,
-            PlatformReboot => 6,
-            DomctlPauseDomain | DomctlUnpauseDomain | DomctlSetMaxMem | DomctlSetVcpus
-            | VmRollback | DomctlShadowOp | SysctlDedup => 4,
-            GnttabMapGrantRef => 3,
-            SysctlPhysinfo => 1,
-            _ => 0,
-        }
-    }
-
-    /// Short symbolic name (for audit-log records).
-    pub fn name(self) -> &'static str {
-        use HypercallId::*;
-        match self {
-            EvtchnSend => "evtchn.send",
-            EvtchnAllocUnbound => "evtchn.alloc_unbound",
-            EvtchnBindInterdomain => "evtchn.bind_interdomain",
-            EvtchnBindVirq => "evtchn.bind_virq",
-            EvtchnClose => "evtchn.close",
-            GnttabSetup => "gnttab.setup",
-            SchedOp => "sched.op",
-            ConsoleIo => "console.io",
-            XenVersion => "xen.version",
-            MmuUpdateSelf => "mmu.update_self",
-            VmSnapshot => "vm.snapshot",
-            DomctlCreateDomain => "domctl.create",
-            DomctlDestroyDomain => "domctl.destroy",
-            DomctlPauseDomain => "domctl.pause",
-            DomctlUnpauseDomain => "domctl.unpause",
-            DomctlSetMaxMem => "domctl.set_max_mem",
-            DomctlSetVcpus => "domctl.set_vcpus",
-            DomctlSetRole => "domctl.set_role",
-            DomctlAssignDevice => "domctl.assign_device",
-            DomctlDelegate => "domctl.delegate",
-            DomctlSetPrivilegedFor => "domctl.set_privileged_for",
-            DomctlIoPortPermission => "domctl.ioport_permission",
-            DomctlMmioPermission => "domctl.mmio_permission",
-            DomctlIrqPermission => "domctl.irq_permission",
-            DomctlPermitHypercall => "domctl.permit_hypercall",
-            MmuMapForeign => "mmu.map_foreign",
-            MmuWriteForeign => "mmu.write_foreign",
-            MemoryPopulate => "memory.populate",
-            GnttabMapGrantRef => "gnttab.map_grant_ref",
-            GnttabForeignSetup => "gnttab.foreign_setup",
-            VmRollback => "vm.rollback",
-            SysctlPhysinfo => "sysctl.physinfo",
-            PlatformReboot => "platform.reboot",
-            Multicall => "multicall",
-            DomctlCloneDomain => "domctl.clone",
-            DomctlShadowOp => "domctl.shadow_op",
-            SysctlDedup => "sysctl.dedup",
-        }
     }
 }
 
@@ -814,21 +638,85 @@ impl HypercallRet {
 mod tests {
     use super::*;
 
+    /// One line per ID, in `ALL` order: bit index, Debug name, JSON,
+    /// audit name, privileged flag, risk weight.
+    fn render_table() -> String {
+        HypercallId::ALL
+            .iter()
+            .map(|&id| {
+                format!(
+                    "{} {:?} {} {} {} {}\n",
+                    id.index(),
+                    id,
+                    xoar_codec::to_string(&id),
+                    id.name(),
+                    id.is_privileged(),
+                    id.risk_weight()
+                )
+            })
+            .collect()
+    }
+
+    /// Pins every table-derived property of every ID: bit position,
+    /// Debug and JSON spelling, audit name, privilege and risk weight.
+    #[test]
+    fn hypercall_table_is_pinned() {
+        let golden = "\
+            0 EvtchnSend \"EvtchnSend\" evtchn.send false 0\n\
+            1 EvtchnAllocUnbound \"EvtchnAllocUnbound\" evtchn.alloc_unbound false 0\n\
+            2 EvtchnBindInterdomain \"EvtchnBindInterdomain\" evtchn.bind_interdomain false 0\n\
+            3 EvtchnBindVirq \"EvtchnBindVirq\" evtchn.bind_virq false 0\n\
+            4 EvtchnClose \"EvtchnClose\" evtchn.close false 0\n\
+            5 GnttabSetup \"GnttabSetup\" gnttab.setup false 0\n\
+            6 SchedOp \"SchedOp\" sched.op false 0\n\
+            7 ConsoleIo \"ConsoleIo\" console.io false 0\n\
+            8 XenVersion \"XenVersion\" xen.version false 0\n\
+            9 MmuUpdateSelf \"MmuUpdateSelf\" mmu.update_self false 0\n\
+            10 VmSnapshot \"VmSnapshot\" vm.snapshot false 0\n\
+            11 DomctlCreateDomain \"DomctlCreateDomain\" domctl.create true 8\n\
+            12 DomctlDestroyDomain \"DomctlDestroyDomain\" domctl.destroy true 8\n\
+            13 DomctlPauseDomain \"DomctlPauseDomain\" domctl.pause true 4\n\
+            14 DomctlUnpauseDomain \"DomctlUnpauseDomain\" domctl.unpause true 4\n\
+            15 DomctlSetMaxMem \"DomctlSetMaxMem\" domctl.set_max_mem true 4\n\
+            16 DomctlSetVcpus \"DomctlSetVcpus\" domctl.set_vcpus true 4\n\
+            17 DomctlSetRole \"DomctlSetRole\" domctl.set_role true 7\n\
+            18 DomctlAssignDevice \"DomctlAssignDevice\" domctl.assign_device true 6\n\
+            19 DomctlDelegate \"DomctlDelegate\" domctl.delegate true 7\n\
+            20 DomctlSetPrivilegedFor \"DomctlSetPrivilegedFor\" domctl.set_privileged_for true 7\n\
+            21 DomctlIoPortPermission \"DomctlIoPortPermission\" domctl.ioport_permission true 6\n\
+            22 DomctlMmioPermission \"DomctlMmioPermission\" domctl.mmio_permission true 6\n\
+            23 DomctlIrqPermission \"DomctlIrqPermission\" domctl.irq_permission true 6\n\
+            24 DomctlPermitHypercall \"DomctlPermitHypercall\" domctl.permit_hypercall true 7\n\
+            25 MmuMapForeign \"MmuMapForeign\" mmu.map_foreign true 10\n\
+            26 MmuWriteForeign \"MmuWriteForeign\" mmu.write_foreign true 10\n\
+            27 MemoryPopulate \"MemoryPopulate\" memory.populate true 8\n\
+            28 GnttabMapGrantRef \"GnttabMapGrantRef\" gnttab.map_grant_ref false 3\n\
+            29 GnttabForeignSetup \"GnttabForeignSetup\" gnttab.foreign_setup true 8\n\
+            30 VmRollback \"VmRollback\" vm.rollback true 4\n\
+            31 SysctlPhysinfo \"SysctlPhysinfo\" sysctl.physinfo true 1\n\
+            32 PlatformReboot \"PlatformReboot\" platform.reboot true 6\n\
+            33 Multicall \"Multicall\" multicall false 0\n\
+            34 DomctlCloneDomain \"DomctlCloneDomain\" domctl.clone true 8\n\
+            35 DomctlShadowOp \"DomctlShadowOp\" domctl.shadow_op true 4\n\
+            36 SysctlDedup \"SysctlDedup\" sysctl.dedup true 4\n\
+";
+        assert_eq!(render_table(), golden);
+    }
+
     #[test]
     fn privileged_and_unprivileged_partition() {
-        for id in HypercallId::all_privileged() {
-            assert!(id.is_privileged(), "{id:?} should be privileged");
-        }
-        for id in HypercallId::all_unprivileged() {
-            assert!(!id.is_privileged(), "{id:?} should be unprivileged");
-        }
+        let privileged = HypercallId::ALL
+            .iter()
+            .filter(|id| id.is_privileged())
+            .count();
+        assert_eq!((privileged, HYPERCALL_COUNT - privileged), (24, 13));
     }
 
     #[test]
     fn interface_is_narrow() {
         // The paper: "around 40 hypercalls". Our model keeps the same
         // order of magnitude.
-        let n = HypercallId::all_privileged().len() + HypercallId::all_unprivileged().len();
+        let n = HypercallId::ALL.len();
         assert!(n >= 30 && n <= 45, "hypercall count {n} out of range");
     }
 
@@ -859,11 +747,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<&str> = HypercallId::all_privileged()
-            .into_iter()
-            .chain(HypercallId::all_unprivileged())
-            .map(|h| h.name())
-            .collect();
+        let mut names: Vec<&str> = HypercallId::ALL.iter().map(|h| h.name()).collect();
         let before = names.len();
         names.sort_unstable();
         names.dedup();

@@ -36,10 +36,11 @@ use crate::xregion;
 
 /// A declared cross-region sharing edge: `(kind, subject, object)`.
 ///
-/// Kinds match [`crate::xregion::CrossRegionOp::kind`] plus the
-/// privilege-derived `"blanket"` (map-foreign-any, object is
-/// `DomId(u32::MAX)` meaning "anyone"). The analyzer audits the
-/// reachability matrix against this set.
+/// Kinds: `"event"` and `"grant"`, recorded when a channel is bound or
+/// a grant installed (a clone's stamped grants are derived), plus the
+/// derived `"foreign"` (`privileged_for`) and `"blanket"`
+/// (map-foreign-any, object is `DomId(u32::MAX)` meaning "anyone"). The
+/// analyzer audits the reachability matrix against this set.
 pub type DeclaredOps = BTreeSet<(&'static str, DomId, DomId)>;
 
 /// An observer attached to the hypercall gate.
@@ -248,22 +249,11 @@ impl Hypervisor {
     /// Records a declared cross-region sharing edge. Event channels are
     /// bidirectional, so their edges are stored endpoint-normalized.
     fn declare(&mut self, kind: &'static str, subject: DomId, object: DomId) {
-        Self::declare_into(&mut self.declared, kind, subject, object);
-    }
-
-    /// [`Self::declare`] as an associated function, for call sites that
-    /// hold disjoint borrows of other hypervisor fields.
-    fn declare_into(
-        declared: &mut FastSet<(&'static str, DomId, DomId)>,
-        kind: &'static str,
-        subject: DomId,
-        object: DomId,
-    ) {
         if kind == "event" {
             let (a, b) = (subject.min(object), subject.max(object));
-            declared.insert((kind, a, b));
+            self.declared.insert((kind, a, b));
         } else {
-            declared.insert((kind, subject, object));
+            self.declared.insert((kind, subject, object));
         }
     }
 
@@ -598,7 +588,6 @@ impl Hypervisor {
                 let gref = xregion::foreign_setup(
                     &mut self.regions,
                     &mut self.mem,
-                    caller,
                     owner,
                     grantee,
                     pfn,
@@ -677,7 +666,7 @@ impl Hypervisor {
                         v.insert(xregion::stamp_plan(&self.regions, template)?)
                     }
                 };
-                xregion::clone_stamp(&mut self.regions, &mut self.mem, template, id, plan)?;
+                xregion::clone_stamp(&mut self.regions, &mut self.mem, id, plan)?;
                 // The stamped grants' declared-sharing edges are derived in
                 // `declared_ops` from the live plan, like blanket/foreign
                 // edges — no per-clone bookkeeping on this path.
@@ -816,12 +805,12 @@ impl Hypervisor {
             }
             MmuMapForeign { target, pfn } => {
                 self.check_foreign_access(caller, target)?;
-                let mfn = xregion::foreign_map(&mut self.mem, caller, target, pfn)?;
+                let mfn = xregion::foreign_map(&mut self.mem, target, pfn)?;
                 Ok(HypercallRet::Mfn(mfn))
             }
             MmuWriteForeign { target, pfn, data } => {
                 self.check_foreign_access(caller, target)?;
-                xregion::foreign_write(&mut self.mem, caller, target, pfn, data)?;
+                xregion::foreign_write(&mut self.mem, target, pfn, data)?;
                 Ok(HypercallRet::Ok)
             }
             DomctlShadowOp { target, op } => {
@@ -835,8 +824,7 @@ impl Hypervisor {
             }
             VmRollback { target } => {
                 self.check_management(caller, target)?;
-                let restored =
-                    xregion::rollback(&mut self.snapshots, &mut self.mem, caller, target)?;
+                let restored = xregion::rollback(&mut self.snapshots, &mut self.mem, target)?;
                 let d = self.domain_mut(target)?;
                 d.restart_count += 1;
                 Ok(HypercallRet::Count(restored))
@@ -1028,10 +1016,12 @@ impl Hypervisor {
         }
     }
 
-    // ----- convenience wrappers used by the platform layers -----
+    // ----- out-of-band grant (spec fault injection) -----
 
-    /// Issues `GnttabForeignSetup` semantics directly for boot-time wiring
-    /// performed by the hypervisor itself (before any builder exists).
+    /// Installs a grant in `owner`'s table with `GnttabForeignSetup`
+    /// semantics but no hypercall: no gate check, audit record or
+    /// observer. Its only caller is `--spec-selftest`'s out-of-band
+    /// re-grant injection, which must reach the table behind the gate.
     pub fn boot_grant(
         &mut self,
         owner: DomId,

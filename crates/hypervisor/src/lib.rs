@@ -24,8 +24,9 @@
 //!   copy-on-write dirty tracking and recovery boxes (§3.3);
 //! * [`region`] — per-domain state regions: each domain's grant table,
 //!   event ports, and console ring behind one owner;
-//! * [`xregion`] — the typed cross-region operations ([`xregion::CrossRegionOp`])
-//!   that are the only paths touching two regions at once;
+//! * [`xregion`] — the cross-region operations, each naming the domains
+//!   whose regions it touches: the only paths touching two regions at
+//!   once;
 //! * [`hypervisor`] — the monitor itself, tying the pieces together and
 //!   making every access-control decision.
 //!
@@ -80,4 +81,3 @@ pub use hypercall::{Hypercall, HypercallId, HypercallRet, ShadowOp};
 pub use hypervisor::{GateObserver, HostConfig, Hypervisor};
 pub use privilege::{PciAddress, PrivilegeSet};
 pub use region::Region;
-pub use xregion::CrossRegionOp;

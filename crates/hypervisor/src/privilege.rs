@@ -384,7 +384,10 @@ impl PrivilegeSet {
     pub fn dom0() -> Self {
         PrivilegeSet {
             map_foreign_any: true,
-            hypercalls: HypercallId::all_privileged().into_iter().collect(),
+            hypercalls: HypercallId::ALL
+                .into_iter()
+                .filter(|id| id.is_privileged())
+                .collect(),
             io_ports: [IoPortRange::new(0, u16::MAX)].into_iter().collect(),
             ..Default::default()
         }

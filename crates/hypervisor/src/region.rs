@@ -12,9 +12,9 @@
 //!   in your own table, writing your console) borrow exactly one region
 //!   and by construction cannot reach another domain's state;
 //! * **cross-region** operations (delivering an event, mapping a peer's
-//!   grant, accepting a page transfer) must go through the typed
-//!   [`crate::xregion::CrossRegionOp`] paths, which name both regions
-//!   and are the only code that splits borrows across two regions.
+//!   grant, accepting a page transfer) must go through [`crate::xregion`],
+//!   whose functions take the `DomId` of each region they touch and are
+//!   the only code that splits borrows across two regions.
 //!
 //! Machine memory stays global in [`crate::memory::MemoryManager`]: the
 //! frame table models physically shared RAM, and region ownership there

@@ -4,20 +4,21 @@
 //! The state-region refactor (see [`crate::region`]) gives every domain
 //! its own shard of hypervisor hot state. The paper's isolation argument
 //! then reduces to an enumeration problem: the channels between two
-//! domains are exactly the operations in this module, each named by a
-//! typed [`CrossRegionOp`] value that spells out both endpoints. The
-//! analyzer's `no-undeclared-cross-region-access` rule checks precisely
-//! that every reachability edge it derives from a platform snapshot
-//! corresponds to a cross-region kind declared here.
+//! domains are exactly the functions in this module, each taking the
+//! `DomId`s of the regions it touches. The hypercall gate runs every
+//! access check before it calls in here. The analyzer's
+//! `no-undeclared-cross-region-access` rule checks that every
+//! reachability edge it derives from a platform snapshot is covered by a
+//! kind on the hypervisor's declared-sharing ledger
+//! ([`crate::hypervisor::Hypervisor::declared_ops`]).
 //!
 //! Mechanically, [`region_pair_mut`] is the single place that splits a
 //! mutable borrow across two regions (`xoar-lint` forbids the token
 //! anywhere else in the crate), and [`object_region_mut`] is the
 //! single-sided variant for operations like grant maps whose mutation
-//! lands entirely in the *object* region while the subject is named for
-//! auditability. Operations that cross domains through globally-shared
-//! machine memory (foreign maps, CoW rollback) take the typed op too,
-//! and derive the touched domain from it.
+//! lands entirely in the *object* region. Operations that cross domains
+//! through globally-shared machine memory (foreign maps and writes, CoW
+//! rollback) take only the domain whose memory they touch.
 
 use crate::fasthash::FastMap;
 
@@ -29,167 +30,25 @@ use crate::memory::{MemoryManager, Mfn, PageRef, Pfn};
 use crate::region::Region;
 use crate::snapshot::SnapshotManager;
 
-/// A typed cross-region operation, naming both regions it touches.
-///
-/// By convention the first field is the *subject* (the domain acting)
-/// and the second the *object* (the domain whose region or memory is
-/// reached into). [`CrossRegionOp::kind`] gives the coarse channel
-/// class the analyzer audits against declared sharing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CrossRegionOp {
-    /// Event notification from `from`'s port into `to`'s pending bitmap.
-    EventSend {
-        /// Sending domain.
-        from: DomId,
-        /// Receiving domain.
-        to: DomId,
-    },
-    /// Interdomain bind handshake completing both ends of a channel.
-    EventBind {
-        /// Domain binding its new local port.
-        binder: DomId,
-        /// Domain owning the pre-allocated unbound port.
-        remote: DomId,
-    },
-    /// Close of an interdomain channel propagating to the peer's half.
-    EventClose {
-        /// Domain closing its end.
-        from: DomId,
-        /// Peer whose half-open end is reclaimed.
-        to: DomId,
-    },
-    /// Grant-table map/unmap of `granter`'s page by `grantee`.
-    GrantMap {
-        /// Mapping domain.
-        grantee: DomId,
-        /// Domain whose table holds the entry.
-        granter: DomId,
-    },
-    /// Hypervisor-mediated page copy audited against `granter`'s table.
-    GrantCopy {
-        /// Copying domain.
-        grantee: DomId,
-        /// Domain whose table holds the entry.
-        granter: DomId,
-    },
-    /// Page-flip transfer acceptance (ownership moves between regions).
-    GrantTransfer {
-        /// Accepting domain.
-        grantee: DomId,
-        /// Domain that offered the page.
-        granter: DomId,
-    },
-    /// Builder installing a grant in `owner`'s table on its behalf
-    /// (§5.6 foreign grant setup).
-    ForeignSetup {
-        /// The privileged builder.
-        builder: DomId,
-        /// Domain whose table receives the entry.
-        owner: DomId,
-    },
-    /// Blanket / privileged-for foreign mapping of `owner`'s memory.
-    ForeignMap {
-        /// Mapping domain.
-        accessor: DomId,
-        /// Domain whose frames are reached.
-        owner: DomId,
-    },
-    /// CoW snapshot rollback of `target` requested by `manager`.
-    Rollback {
-        /// Managing toolstack/builder.
-        manager: DomId,
-        /// Domain being rolled back.
-        target: DomId,
-    },
-    /// Region teardown on domain destruction (peers' half-open channel
-    /// ends are reclaimed).
-    Teardown {
-        /// Domain whose region is destroyed.
-        target: DomId,
-    },
-    /// Snapshot-fork region stamp: the clone's fresh region receives a
-    /// grant posture equivalent to the template's, re-established
-    /// against the clone's own (privatised) frames.
-    CloneStamp {
-        /// The sealed template whose grant entries are replayed.
-        template: DomId,
-        /// The new clone whose region is stamped.
-        clone: DomId,
-    },
-}
-
-impl CrossRegionOp {
-    /// The acting domain.
-    pub fn subject(self) -> DomId {
-        match self {
-            CrossRegionOp::EventSend { from, .. } => from,
-            CrossRegionOp::EventBind { binder, .. } => binder,
-            CrossRegionOp::EventClose { from, .. } => from,
-            CrossRegionOp::GrantMap { grantee, .. } => grantee,
-            CrossRegionOp::GrantCopy { grantee, .. } => grantee,
-            CrossRegionOp::GrantTransfer { grantee, .. } => grantee,
-            CrossRegionOp::ForeignSetup { builder, .. } => builder,
-            CrossRegionOp::ForeignMap { accessor, .. } => accessor,
-            CrossRegionOp::Rollback { manager, .. } => manager,
-            CrossRegionOp::Teardown { target } => target,
-            CrossRegionOp::CloneStamp { template, .. } => template,
-        }
-    }
-
-    /// The domain whose region or memory is reached into.
-    pub fn object(self) -> DomId {
-        match self {
-            CrossRegionOp::EventSend { to, .. } => to,
-            CrossRegionOp::EventBind { remote, .. } => remote,
-            CrossRegionOp::EventClose { to, .. } => to,
-            CrossRegionOp::GrantMap { granter, .. } => granter,
-            CrossRegionOp::GrantCopy { granter, .. } => granter,
-            CrossRegionOp::GrantTransfer { granter, .. } => granter,
-            CrossRegionOp::ForeignSetup { owner, .. } => owner,
-            CrossRegionOp::ForeignMap { owner, .. } => owner,
-            CrossRegionOp::Rollback { target, .. } => target,
-            CrossRegionOp::Teardown { target } => target,
-            CrossRegionOp::CloneStamp { clone, .. } => clone,
-        }
-    }
-
-    /// The coarse channel class, matching the declared-sharing kinds the
-    /// analyzer audits (`"event"`, `"grant"`, `"foreign"`, …).
-    pub fn kind(self) -> &'static str {
-        match self {
-            CrossRegionOp::EventSend { .. }
-            | CrossRegionOp::EventBind { .. }
-            | CrossRegionOp::EventClose { .. } => "event",
-            CrossRegionOp::GrantMap { .. }
-            | CrossRegionOp::GrantCopy { .. }
-            | CrossRegionOp::GrantTransfer { .. }
-            | CrossRegionOp::ForeignSetup { .. }
-            | CrossRegionOp::CloneStamp { .. } => "grant",
-            CrossRegionOp::ForeignMap { .. } => "foreign",
-            CrossRegionOp::Rollback { .. } => "rollback",
-            CrossRegionOp::Teardown { .. } => "teardown",
-        }
-    }
-}
-
-/// Splits a mutable borrow across the two regions a [`CrossRegionOp`]
-/// names, running `f(subject, object)`.
+/// Splits a mutable borrow across the regions of `a` (the subject, the
+/// domain acting) and `b` (the object, the domain reached into), running
+/// `f(a's region, b's region)`.
 ///
 /// This is the *only* split-borrow helper in the crate (`xoar-lint`
 /// enforces the confinement): it temporarily lifts the subject region
 /// out of the table so both sides are plain `&mut Region`, with no
-/// `unsafe` and no aliasing. Ops whose endpoints coincide are rejected —
-/// a same-domain operation is by definition intra-region and must not
-/// take this path.
+/// `unsafe` and no aliasing. A pair whose endpoints coincide is
+/// rejected — a same-domain operation is by definition intra-region and
+/// must not take this path.
 pub(crate) fn region_pair_mut<R>(
     regions: &mut FastMap<DomId, Region>,
-    op: CrossRegionOp,
+    a: DomId,
+    b: DomId,
     f: impl FnOnce(&mut Region, &mut Region) -> R,
 ) -> HvResult<R> {
-    let (a, b) = (op.subject(), op.object());
     if a == b {
         return Err(HvError::InvalidArgument(format!(
-            "cross-region op {op:?} names a single region"
+            "cross-region borrow names a single region ({a:?})"
         )));
     }
     let mut ra = regions.remove(&a).ok_or(HvError::NoSuchDomain(a))?;
@@ -201,17 +60,15 @@ pub(crate) fn region_pair_mut<R>(
     out
 }
 
-/// Borrows only the *object* region of `op` — for cross-region
-/// operations (grant map/copy/transfer validation) whose mutation lands
-/// entirely in the object's region while the subject is named by the op
-/// for access-control and audit.
+/// Borrows only the *object* region, that of `dom` — for cross-region
+/// operations (grant map/copy/transfer validation, foreign setup, clone
+/// stamp) whose mutation lands entirely in the object's region.
 pub(crate) fn object_region_mut<R>(
     regions: &mut FastMap<DomId, Region>,
-    op: CrossRegionOp,
+    dom: DomId,
     f: impl FnOnce(&mut Region) -> R,
 ) -> HvResult<R> {
-    let obj = op.object();
-    let r = regions.get_mut(&obj).ok_or(HvError::NoSuchDomain(obj))?;
+    let r = regions.get_mut(&dom).ok_or(HvError::NoSuchDomain(dom))?;
     Ok(f(r))
 }
 
@@ -249,15 +106,11 @@ pub(crate) fn event_send(
         return Ok(());
     }
     // Delivery is a bit set in the *receiver's* bitmap only — a
-    // cross-region op by name (the analyzer audits the "event" edge
-    // declared at bind time) but single-sided mechanically, so the hot
-    // path stays two map lookups instead of moving the sender's region
-    // through the pair borrow.
-    let op = CrossRegionOp::EventSend {
-        from: sender,
-        to: remote,
-    };
-    if let Some(receiver) = regions.get_mut(&op.object()) {
+    // cross-region op (the analyzer audits the "event" edge declared at
+    // bind time) but single-sided mechanically, so the hot path stays
+    // two map lookups instead of moving the sender's region through the
+    // pair borrow.
+    if let Some(receiver) = regions.get_mut(&remote) {
         if receiver.ports.pending.set(remote_port) {
             *delivered += 1;
         }
@@ -309,8 +162,7 @@ pub(crate) fn bind_interdomain(
     if !regions.contains_key(&binder) {
         return Err(EventError::BadRemote.into());
     }
-    let op = CrossRegionOp::EventBind { binder, remote };
-    region_pair_mut(regions, op, |b, r| -> HvResult<u32> {
+    region_pair_mut(regions, binder, remote, |b, r| -> HvResult<u32> {
         let local_port = b.ports.alloc_port()?;
         b.ports.ports.insert(
             local_port,
@@ -361,11 +213,7 @@ pub(crate) fn event_close(
         } else {
             // Like delivery, peer reclamation mutates only the object
             // region; a dead peer is simply gone.
-            let op = CrossRegionOp::EventClose {
-                from: dom,
-                to: peer,
-            };
-            if let Some(pr) = regions.get_mut(&op.object()) {
+            if let Some(pr) = regions.get_mut(&peer) {
                 pr.ports.ports.remove(&pport);
             }
         }
@@ -385,8 +233,9 @@ pub(crate) fn grant_map(
     granter: DomId,
     gref: GrantRef,
 ) -> HvResult<Mfn> {
-    let op = CrossRegionOp::GrantMap { grantee, granter };
-    match object_region_mut(regions, op, |r| map_one(&mut r.grants, mem, grantee, gref))? {
+    match object_region_mut(regions, granter, |r| {
+        map_one(&mut r.grants, mem, grantee, gref)
+    })? {
         GrantOpStatus::Done(mfn) => Ok(mfn),
         GrantOpStatus::Grant(e) => Err(e.into()),
         GrantOpStatus::Memory(e) => Err(e.into()),
@@ -425,8 +274,7 @@ pub(crate) fn grant_unmap(
     granter: DomId,
     gref: GrantRef,
 ) -> HvResult<Mfn> {
-    let op = CrossRegionOp::GrantMap { grantee, granter };
-    let mfn = object_region_mut(regions, op, |r| r.grants.unmap(grantee, gref))??;
+    let mfn = object_region_mut(regions, granter, |r| r.grants.unmap(grantee, gref))??;
     mem.dec_grant_mapping(mfn)?;
     Ok(mfn)
 }
@@ -442,11 +290,9 @@ pub(crate) fn grant_map_batch(
     granter: DomId,
     refs: &[GrantRef],
 ) -> HvResult<Vec<GrantOpStatus>> {
-    let op = CrossRegionOp::GrantMap { grantee, granter };
-    let obj = op.object();
     let table = &mut regions
-        .get_mut(&obj)
-        .ok_or(HvError::NoSuchDomain(obj))?
+        .get_mut(&granter)
+        .ok_or(HvError::NoSuchDomain(granter))?
         .grants;
     Ok(refs
         .iter()
@@ -463,11 +309,9 @@ pub(crate) fn grant_unmap_batch(
     granter: DomId,
     refs: &[GrantRef],
 ) -> HvResult<Vec<GrantOpStatus>> {
-    let op = CrossRegionOp::GrantMap { grantee, granter };
-    let obj = op.object();
     let table = &mut regions
-        .get_mut(&obj)
-        .ok_or(HvError::NoSuchDomain(obj))?
+        .get_mut(&granter)
+        .ok_or(HvError::NoSuchDomain(granter))?
         .grants;
     let mut results = Vec::with_capacity(refs.len());
     for &gref in refs {
@@ -493,8 +337,9 @@ pub(crate) fn grant_copy_batch(
     granter: DomId,
     ops: &[GrantCopyOp],
 ) -> HvResult<Vec<GrantOpStatus>> {
-    let op = CrossRegionOp::GrantCopy { grantee, granter };
-    let resolved = object_region_mut(regions, op, |r| r.grants.grant_copy_batch(grantee, ops))?;
+    let resolved = object_region_mut(regions, granter, |r| {
+        r.grants.grant_copy_batch(grantee, ops)
+    })?;
     let results = resolved
         .into_iter()
         .map(|r| {
@@ -541,10 +386,10 @@ pub(crate) fn accept_transfer(
     granter: DomId,
     gref: GrantRef,
 ) -> HvResult<Pfn> {
-    let op = CrossRegionOp::GrantTransfer { grantee, granter };
-    let (pfn, _mfn) = object_region_mut(regions, op, |r| r.grants.transfer_offer(grantee, gref))??;
+    let (pfn, _mfn) =
+        object_region_mut(regions, granter, |r| r.grants.transfer_offer(grantee, gref))??;
     let new_pfn = mem.transfer_frame(granter, pfn, grantee)?;
-    object_region_mut(regions, op, |r| r.grants.end_access(gref))??;
+    object_region_mut(regions, granter, |r| r.grants.end_access(gref))??;
     Ok(new_pfn)
 }
 
@@ -553,16 +398,14 @@ pub(crate) fn accept_transfer(
 pub(crate) fn foreign_setup(
     regions: &mut FastMap<DomId, Region>,
     mem: &mut MemoryManager,
-    builder: DomId,
     owner: DomId,
     grantee: DomId,
     pfn: Pfn,
     access: GrantAccess,
 ) -> HvResult<GrantRef> {
-    let op = CrossRegionOp::ForeignSetup { builder, owner };
-    let mfn = mem.exclusive_mfn(op.object(), pfn)?;
+    let mfn = mem.exclusive_mfn(owner, pfn)?;
     let gen = mem.generation(mfn);
-    object_region_mut(regions, op, |r| {
+    object_region_mut(regions, owner, |r| {
         r.grants.grant(grantee, pfn, mfn, gen, access)
     })?
 }
@@ -608,14 +451,12 @@ pub(crate) fn stamp_plan(regions: &FastMap<DomId, Region>, template: DomId) -> H
 pub(crate) fn clone_stamp(
     regions: &mut FastMap<DomId, Region>,
     mem: &mut MemoryManager,
-    template: DomId,
     clone: DomId,
     plan: &StampPlan,
 ) -> HvResult<()> {
-    let op = CrossRegionOp::CloneStamp { template, clone };
     let mut mfns = Vec::with_capacity(plan.pfns.len());
     mem.stamp_private_zero_batch(clone, &plan.pfns, &mut mfns)?;
-    object_region_mut(regions, op, |r| {
+    object_region_mut(regions, clone, |r| {
         for (&(grantee, pfn, access), &mfn) in plan.entries.iter().zip(&mfns) {
             r.grants
                 .grant(grantee, pfn, mfn, mem.generation(mfn), access)?;
@@ -626,43 +467,33 @@ pub(crate) fn clone_stamp(
 
 // ----- foreign memory and rollback (global machine memory) -----
 
-/// Maps a frame of the object domain's memory for the accessor (blanket
-/// or `privileged_for`-scoped), pinning it against reclaim.
-pub(crate) fn foreign_map(
-    mem: &mut MemoryManager,
-    accessor: DomId,
-    owner: DomId,
-    pfn: Pfn,
-) -> HvResult<Mfn> {
-    let op = CrossRegionOp::ForeignMap { accessor, owner };
-    let mfn = mem.exclusive_mfn(op.object(), pfn)?;
+/// Maps a frame of `owner`'s memory for a foreign accessor (blanket or
+/// `privileged_for`-scoped), pinning it against reclaim.
+pub(crate) fn foreign_map(mem: &mut MemoryManager, owner: DomId, pfn: Pfn) -> HvResult<Mfn> {
+    let mfn = mem.exclusive_mfn(owner, pfn)?;
     mem.inc_foreign_mapping(mfn)?;
     Ok(mfn)
 }
 
-/// Writes into the object domain's memory (builder populating a guest
-/// image, device-model emulation).
+/// Writes into `owner`'s memory for a foreign accessor (builder
+/// populating a guest image, device-model emulation).
 pub(crate) fn foreign_write(
     mem: &mut MemoryManager,
-    accessor: DomId,
     owner: DomId,
     pfn: Pfn,
     data: PageRef,
 ) -> HvResult<()> {
-    let op = CrossRegionOp::ForeignMap { accessor, owner };
-    mem.write_page(op.object(), pfn, data)
+    mem.write_page(owner, pfn, data)
 }
 
-/// Rolls the target domain's memory back to its snapshot image
-/// (the microreboot path), returning how many pages were restored.
+/// Rolls `target`'s memory back to its snapshot image (the
+/// microreboot path), returning how many pages were restored.
 pub(crate) fn rollback(
     snapshots: &mut SnapshotManager,
     mem: &mut MemoryManager,
-    manager: DomId,
     target: DomId,
 ) -> HvResult<u64> {
-    let op = CrossRegionOp::Rollback { manager, target };
-    snapshots.rollback(op.object(), mem)
+    snapshots.rollback(target, mem)
 }
 
 // ----- teardown -----
@@ -673,8 +504,7 @@ pub(crate) fn rollback(
 /// outlives the domain, alone in an otherwise empty region, so that the
 /// peer can unmap it: the hypervisor drops it with the last mapping.
 pub(crate) fn teardown(regions: &mut FastMap<DomId, Region>, target: DomId) {
-    let op = CrossRegionOp::Teardown { target };
-    let Some(region) = regions.remove(&op.object()) else {
+    let Some(region) = regions.remove(&target) else {
         return;
     };
     let peers: Vec<(DomId, u32)> = region
@@ -837,11 +667,7 @@ mod tests {
     fn pair_borrow_rejects_single_region() {
         let mut regions: FastMap<DomId, Region> = FastMap::default();
         regions.insert(DomId(1), Region::new(DomId(1)));
-        let op = CrossRegionOp::EventSend {
-            from: DomId(1),
-            to: DomId(1),
-        };
-        let err = region_pair_mut(&mut regions, op, |_, _| ()).unwrap_err();
+        let err = region_pair_mut(&mut regions, DomId(1), DomId(1), |_, _| ()).unwrap_err();
         assert!(matches!(err, HvError::InvalidArgument(_)));
         assert!(regions.contains_key(&DomId(1)), "region not lost");
     }
@@ -850,37 +676,12 @@ mod tests {
     fn pair_borrow_restores_subject_on_missing_object() {
         let mut regions: FastMap<DomId, Region> = FastMap::default();
         regions.insert(DomId(1), Region::new(DomId(1)));
-        let op = CrossRegionOp::EventSend {
-            from: DomId(1),
-            to: DomId(9),
-        };
-        let err = region_pair_mut(&mut regions, op, |_, _| ()).unwrap_err();
+        let err = region_pair_mut(&mut regions, DomId(1), DomId(9), |_, _| ()).unwrap_err();
         assert!(matches!(err, HvError::NoSuchDomain(DomId(9))));
         assert!(
             regions.contains_key(&DomId(1)),
             "subject region must be reinserted on failure"
         );
-    }
-
-    #[test]
-    fn op_names_both_regions() {
-        let op = CrossRegionOp::GrantMap {
-            grantee: DomId(3),
-            granter: DomId(5),
-        };
-        assert_eq!(op.subject(), DomId(3));
-        assert_eq!(op.object(), DomId(5));
-        assert_eq!(op.kind(), "grant");
-        let op = CrossRegionOp::EventBind {
-            binder: DomId(1),
-            remote: DomId(2),
-        };
-        assert_eq!(op.kind(), "event");
-        let op = CrossRegionOp::ForeignMap {
-            accessor: DomId(1),
-            owner: DomId(2),
-        };
-        assert_eq!(op.kind(), "foreign");
     }
 
     #[test]
@@ -1210,8 +1011,8 @@ mod proptests {
         });
     }
 
-    /// The pair-borrow helper never loses a region, whatever the op and
-    /// whichever endpoints exist.
+    /// The pair-borrow helper never loses a region, whichever endpoints
+    /// are named and whichever exist.
     #[test]
     fn pair_borrow_preserves_regions() {
         Runner::cases(64).run("pair borrow preserves regions", |g| {
@@ -1223,9 +1024,8 @@ mod proptests {
             }
             let a = DomId(g.u32(0..8));
             let b = DomId(g.u32(0..8));
-            let op = CrossRegionOp::EventSend { from: a, to: b };
             let before = regions.len();
-            let _ = region_pair_mut(&mut regions, op, |ra, rb| {
+            let _ = region_pair_mut(&mut regions, a, b, |ra, rb| {
                 assert_eq!(ra.owner(), a);
                 assert_eq!(rb.owner(), b);
             });

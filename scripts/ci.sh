@@ -35,34 +35,14 @@ for workload in blk_rw fabric_fanout migrate_dirty clone_churn; do
     fi
 done
 
-# Bench gate: run the deterministic harnesses and keep their
-# machine-readable tails (the harness prints one JSON document as the
-# last stdout line) as committed perf baselines at the repo root. Each
-# fresh run is compared against the committed baseline BEFORE it
-# replaces it: bench-gate fails on any hot-path entry whose median
-# regressed by more than 2x, and on any restart-path entry whose p95
-# tail exceeds 6x its own median.
-fresh_microbench="$(mktemp)"
-fresh_ablation="$(mktemp)"
-trap 'rm -f "$fresh_microbench" "$fresh_ablation"' EXIT
-cargo bench --offline -p xoar-bench --bench microbench | tail -n 1 > "$fresh_microbench"
-cargo run --release --offline -p xoar-bench --bin bench_gate -- \
-    BENCH_microbench.json "$fresh_microbench"
-mv "$fresh_microbench" BENCH_microbench.json
-cargo bench --offline -p xoar-bench --bench ablation | tail -n 1 > "$fresh_ablation"
-cargo run --release --offline -p xoar-bench --bin bench_gate -- \
-    --set=ablation BENCH_ablation.json "$fresh_ablation"
-mv "$fresh_ablation" BENCH_ablation.json
-trap - EXIT
-echo "bench baselines written: BENCH_microbench.json BENCH_ablation.json"
-
 # Analysis gate: Pass A (model-level privilege-flow audit over the
 # traced reference scenario — including the declared-cross-region-ops
 # ledger check — plus the selftest proving the rules fire on injected
-# violations) and Pass B (token-level boundary/no-panic/region-isolation/
-# dispatch lint over crates/*/src; the allowlist is empty by default and
-# any stale entry fails the lint). Each exits nonzero on any violation
-# or un-allowlisted finding.
+# violations) and Pass B (token-level boundary/no-panic/region-isolation
+# lint over crates/*/src, plus the check that every Hypercall variant is
+# classed in Hypercall::id() and dispatched in hypervisor.rs; the
+# allowlist is empty by default and any stale entry fails the lint).
+# Each exits nonzero on any violation or un-allowlisted finding.
 cargo run --release --offline -p xoar-analysis --bin xoar-analyzer
 cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --selftest
 cargo run --release --offline -p xoar-analysis --bin xoar-lint
@@ -102,5 +82,26 @@ if command -v rustfmt >/dev/null 2>&1; then
 else
     echo "rustfmt not installed; skipping format check"
 fi
+
+# Bench gate: run the deterministic harnesses and keep their
+# machine-readable tails (the harness prints one JSON document as the
+# last stdout line) as committed perf baselines at the repo root. Each
+# fresh run is compared against the committed baseline BEFORE it
+# replaces it: bench-gate fails on any hot-path entry whose median
+# regressed by more than 2x, and on any restart-path entry whose p95
+# tail exceeds 6x its own median.
+fresh_microbench="$(mktemp)"
+fresh_ablation="$(mktemp)"
+trap 'rm -f "$fresh_microbench" "$fresh_ablation"' EXIT
+cargo bench --offline -p xoar-bench --bench microbench | tail -n 1 > "$fresh_microbench"
+cargo run --release --offline -p xoar-bench --bin bench_gate -- \
+    BENCH_microbench.json "$fresh_microbench"
+mv "$fresh_microbench" BENCH_microbench.json
+cargo bench --offline -p xoar-bench --bench ablation | tail -n 1 > "$fresh_ablation"
+cargo run --release --offline -p xoar-bench --bin bench_gate -- \
+    --set=ablation BENCH_ablation.json "$fresh_ablation"
+mv "$fresh_ablation" BENCH_ablation.json
+trap - EXIT
+echo "bench baselines written: BENCH_microbench.json BENCH_ablation.json"
 
 echo "ci.sh: all checks passed"
