@@ -46,7 +46,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let snap = ModelSnapshot::capture(&mut platform);
+    let snap = ModelSnapshot::capture(&platform);
 
     if selftest {
         return run_selftest(&mut platform, &usage, snap);

@@ -174,13 +174,7 @@ impl ModelSnapshot {
     }
 
     /// Captures a running platform.
-    ///
-    /// Takes the platform mutably: memory content hashes are maintained
-    /// lazily (dirty-epoch hashing), so the capture first materializes
-    /// any pending rehashes — the snapshot must describe a fully
-    /// integrity-checkable memory state, never a half-hashed one.
-    pub fn capture(p: &mut Platform) -> Self {
-        p.hv.mem.materialize_hashes();
+    pub fn capture(p: &Platform) -> Self {
         let mut domains = BTreeMap::new();
         for id in p.hv.domain_ids() {
             let Ok(d) = p.hv.domain(id) else { continue };

@@ -18,7 +18,7 @@ fn fabric_workload_audits_clean() {
     assert!(point.switched_frames > 0, "the fabric carried the traffic");
     assert!(point.restarts > 0, "the NetBack microrebooted mid-traffic");
 
-    let snap = ModelSnapshot::capture(&mut p);
+    let snap = ModelSnapshot::capture(&p);
     assert!(
         snap.live_domains().any(|d| d.kind == "fabric"),
         "the switching plane appears under its own label"

@@ -165,7 +165,7 @@ fn bench_memory_pages(h: &mut Harness) {
             .unwrap();
     });
     // A full zero page takes the canonical zero-frame path: one
-    // word-wise scan, no buffer allocation, precomputed hash.
+    // word-wise scan, no buffer allocation.
     h.bench_function("mem/page_write_zero", || {
         p.hv.mem.write(g, Pfn(42), black_box(&[0u8; 4096])).unwrap();
     });

@@ -77,10 +77,11 @@ const ABLATION_HOT_PATHS: [&str; 10] = [
 /// switching cost is at most a third of the per-frame backend round
 /// trip, the O(batch) claim in numbers.
 ///
-/// The memory rule pins the lazy-hash claim: a guest page write defers
-/// content hashing to the dirty-epoch queue, so it must stay within 15x
-/// of a bare page-read handle lookup — if writes ever re-grow eager
-/// hashing (a 4 KiB FNV pass is ~50x a read), this inverts and CI fails.
+/// The memory rule pins the claim that a page write never hashes:
+/// content hashes are computed only where dedup compares bodies, so a
+/// guest page write must stay within 15x of a bare page-read handle
+/// lookup — if writes ever grow a hash on the write path (a 4 KiB FNV
+/// pass is ~50x a read), this inverts and CI fails.
 const MICRO_ORDERINGS: [(&str, &str, f64); 4] = [
     ("hypercall/dispatch_spec_off", "hypercall/sched_yield", 1.05),
     ("fabric/flow_lookup", "grant/map_unmap", 2.0),
@@ -115,8 +116,8 @@ const ABLATION_ORDERINGS: [(&str, &str, f64); 2] = [
 /// tail long before it moves the median. The clone paths carry it
 /// because the serverless-density argument is about the *worst* stamp
 /// in a burst, not the typical one — a one-time cost leaking back into
-/// steady state (stamp-plan rebuilds, hash materialization on the
-/// break path) appears as a tail spike first.
+/// steady state (a stamp-plan rebuild on the break path) appears as a
+/// tail spike first.
 const TAIL_PATHS: [&str; 10] = [
     "restart/per_request_logic",
     "restart/plan_execute",

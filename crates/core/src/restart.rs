@@ -40,12 +40,14 @@ pub enum RestartPath {
 }
 
 impl RestartPath {
-    /// The measured device downtime of this path (§6.1.2).
+    /// The measured device downtime of this path (§6.1.2): the sum of
+    /// its [`downtime`] components.
     pub fn downtime_ns(self) -> u64 {
-        match self {
-            RestartPath::Slow => 260 * MS,
-            RestartPath::Fast => 140 * MS,
-        }
+        let reconnect = match self {
+            RestartPath::Slow => downtime::RENEGOTIATION_NS,
+            RestartPath::Fast => downtime::RECOVERY_BOX_NS,
+        };
+        downtime::ROLLBACK_NS + downtime::DEVICE_REINIT_NS + reconnect
     }
 }
 
@@ -383,14 +385,7 @@ impl RestartEngine {
                 .hypercall(shard, Hypercall::Multicall { calls })?;
         }
 
-        let downtime_ns = match path {
-            RestartPath::Slow => {
-                downtime::ROLLBACK_NS + downtime::DEVICE_REINIT_NS + downtime::RENEGOTIATION_NS
-            }
-            RestartPath::Fast => {
-                downtime::ROLLBACK_NS + downtime::DEVICE_REINIT_NS + downtime::RECOVERY_BOX_NS
-            }
-        };
+        let downtime_ns = path.downtime_ns();
         let now = platform.now_ns();
         reg.last_restart_ns = now;
         self.total_restarts += 1;

@@ -178,29 +178,7 @@ impl NetBack {
     pub fn process(&mut self, hub: &mut NetRingHub, wire: &mut WireEndpoint) -> NetBackStats {
         let mut stats = NetBackStats::default();
         // TX: guest → wire.
-        for conn in self.attachments.values() {
-            let ring = match hub.get_mut(conn.ring) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            while let Some(pkt) = ring.pop_request() {
-                if pkt.bytes > MAX_GSO_BYTES {
-                    // Backend validation: malformed aggregate.
-                    stats.dropped += 1;
-                    let _ = ring.push_response(NetPacket::meta(pkt.flow, pkt.seq, 0));
-                    continue;
-                }
-                stats.service_ns += self.nic.tx_time_ns(pkt.bytes);
-                self.nic.record_tx(pkt.bytes);
-                stats.tx_frames += 1;
-                stats.tx_bytes += pkt.bytes as u64;
-                // Ack the slot so the frontend can reuse it (completions
-                // never carry the body — the wire takes the handle).
-                let ack = NetPacket::meta(pkt.flow, pkt.seq, pkt.bytes);
-                wire.outbound.push_back(pkt);
-                let _ = ring.push_response(ack);
-            }
-        }
+        self.drain_tx(hub, &mut stats, |_, pkt| wire.outbound.push_back(pkt));
         // RX: wire → guest. Backpressured frames collect in the persistent
         // scratch queue and are swapped back onto the wire at the end.
         debug_assert!(self.rx_requeue.is_empty());
@@ -259,26 +237,7 @@ impl NetBack {
     ) -> NetBackStats {
         let mut stats = NetBackStats::default();
         // TX: guest → fabric ingress.
-        for conn in self.attachments.values() {
-            let ring = match hub.get_mut(conn.ring) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            while let Some(pkt) = ring.pop_request() {
-                if pkt.bytes > MAX_GSO_BYTES {
-                    stats.dropped += 1;
-                    let _ = ring.push_response(NetPacket::meta(pkt.flow, pkt.seq, 0));
-                    continue;
-                }
-                stats.service_ns += self.nic.tx_time_ns(pkt.bytes);
-                self.nic.record_tx(pkt.bytes);
-                stats.tx_frames += 1;
-                stats.tx_bytes += pkt.bytes as u64;
-                let ack = NetPacket::meta(pkt.flow, pkt.seq, pkt.bytes);
-                fabric.enqueue(conn.guest, pkt);
-                let _ = ring.push_response(ack);
-            }
-        }
+        self.drain_tx(hub, &mut stats, |guest, pkt| fabric.enqueue(guest, pkt));
         // RX: wire → uplink port. Only the backend hosting the fabric
         // drains the wire, so external frames enter the switch once.
         if fabric.dom == self.dom {
@@ -292,6 +251,41 @@ impl NetBack {
         }
         self.lifetime += stats;
         stats
+    }
+
+    /// The TX half of a pass: pops every attached guest's tx requests,
+    /// drops malformed aggregates, accounts NIC time, hands each valid
+    /// frame with its sending guest to `deliver` and acks its slot.
+    fn drain_tx(
+        &mut self,
+        hub: &mut NetRingHub,
+        stats: &mut NetBackStats,
+        mut deliver: impl FnMut(DomId, NetPacket),
+    ) {
+        for conn in self.attachments.values() {
+            let ring = match hub.get_mut(conn.ring) {
+                Ok(r) => r,
+                Err(_) => continue,
+            };
+            while let Some(pkt) = ring.pop_request() {
+                if pkt.bytes > MAX_GSO_BYTES {
+                    // Backend validation: malformed aggregate.
+                    stats.dropped += 1;
+                    let _ = ring.push_response(NetPacket::meta(pkt.flow, pkt.seq, 0));
+                    continue;
+                }
+                stats.service_ns += self.nic.tx_time_ns(pkt.bytes);
+                self.nic.record_tx(pkt.bytes);
+                stats.tx_frames += 1;
+                stats.tx_bytes += pkt.bytes as u64;
+                // Ack the slot so the frontend can reuse it (completions
+                // never carry the body — the destination takes the
+                // handle).
+                let ack = NetPacket::meta(pkt.flow, pkt.seq, pkt.bytes);
+                deliver(conn.guest, pkt);
+                let _ = ring.push_response(ack);
+            }
+        }
     }
 
     /// Lifetime statistics.

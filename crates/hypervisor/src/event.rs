@@ -28,10 +28,10 @@
 //! scans only the words the selector says are live — O(words), not
 //! O(sends).
 
-use crate::fasthash::FastMap;
-
+use crate::bitmap::Bitmap;
 use crate::domain::DomId;
 use crate::error::{EventError, HvResult};
+use crate::fasthash::FastMap;
 
 /// Kinds of virtual IRQ the hypervisor can deliver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,92 +79,6 @@ pub struct PendingEvent {
     pub port: u32,
 }
 
-/// Two-level pending bitmap, the in-model analogue of Xen's 2-level
-/// event-channel ABI.
-///
-/// Level 2 is one bit per port (`words[port / 64]`); level 1 is one
-/// selector bit per nonzero level-2 word. A single selector word spans
-/// 64 × 64 = 4096 ports, exactly Xen's 2-level span; because port
-/// *numbers* are never reused (see [`crate::xregion::event_close`]) both
-/// layers grow on demand so long-lived domains that churn past 4096
-/// allocations keep working.
-#[derive(Debug, Default)]
-pub(crate) struct PendingBitmap {
-    /// Level 2: bit `port % 64` of `words[port / 64]` ⇔ port pending.
-    words: Vec<u64>,
-    /// Level 1: bit `w % 64` of `selectors[w / 64]` ⇔ `words[w] != 0`.
-    selectors: Vec<u64>,
-    /// Cached popcount over `words`.
-    count: usize,
-}
-
-impl PendingBitmap {
-    /// Sets the pending bit for `port`. Returns `true` iff the bit was
-    /// previously clear — i.e. whether this send produced a new
-    /// notification rather than coalescing into an existing one.
-    pub(crate) fn set(&mut self, port: u32) -> bool {
-        let w = (port / 64) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let bit = 1u64 << (port % 64);
-        if self.words[w] & bit != 0 {
-            return false;
-        }
-        self.words[w] |= bit;
-        let s = w / 64;
-        if s >= self.selectors.len() {
-            self.selectors.resize(s + 1, 0);
-        }
-        self.selectors[s] |= 1u64 << (w % 64);
-        self.count += 1;
-        true
-    }
-
-    /// Clears and returns the lowest pending port, if any.
-    fn take_lowest(&mut self) -> Option<u32> {
-        for (s, sel) in self.selectors.iter_mut().enumerate() {
-            if *sel == 0 {
-                continue;
-            }
-            let w = s * 64 + sel.trailing_zeros() as usize;
-            let word = self.words[w];
-            let b = word.trailing_zeros();
-            self.words[w] = word & (word - 1);
-            if self.words[w] == 0 {
-                *sel &= !(1u64 << (w % 64));
-            }
-            self.count -= 1;
-            return Some(w as u32 * 64 + b);
-        }
-        None
-    }
-
-    /// Drains every pending port in ascending order into `out`,
-    /// returning how many were drained.
-    fn drain_into(&mut self, out: &mut Vec<PendingEvent>) -> usize {
-        let mut drained = 0;
-        for (s, sel) in self.selectors.iter_mut().enumerate() {
-            while *sel != 0 {
-                let w = s * 64 + sel.trailing_zeros() as usize;
-                let mut word = self.words[w];
-                while word != 0 {
-                    let b = word.trailing_zeros();
-                    out.push(PendingEvent {
-                        port: w as u32 * 64 + b,
-                    });
-                    word &= word - 1;
-                    drained += 1;
-                }
-                self.words[w] = 0;
-                *sel &= *sel - 1;
-            }
-        }
-        self.count -= drained;
-        drained
-    }
-}
-
 /// Per-domain limit on event-channel ports (Xen's default for PV guests is
 /// 1024 with the 2-level ABI).
 pub const MAX_PORTS_PER_DOMAIN: u32 = 1024;
@@ -179,8 +93,10 @@ pub(crate) struct DomainPorts {
     pub(crate) ports: FastMap<u32, PortState>,
     /// Next port number to hand out.
     next_port: u32,
-    /// The 2-level pending bitmap.
-    pub(crate) pending: PendingBitmap,
+    /// The 2-level pending bitmap, one bit per port. Port *numbers*
+    /// are never reused (see [`crate::xregion::event_close`]), so it
+    /// grows with the highest port a long-lived domain has opened.
+    pub(crate) pending: Bitmap,
     /// While set, `poll`/`drain` return nothing (delivery is deferred,
     /// not dropped).
     masked: bool,
@@ -230,7 +146,7 @@ impl DomainPorts {
             PortState::Virq(v) if *v == virq => Some(p),
             _ => None,
         })?;
-        Some(self.pending.set(port))
+        Some(self.pending.set(port.into()))
     }
 
     /// Dequeues the lowest-numbered pending event, or `None` while
@@ -239,7 +155,9 @@ impl DomainPorts {
         if self.masked {
             return None;
         }
-        self.pending.take_lowest().map(|port| PendingEvent { port })
+        self.pending
+            .take_lowest()
+            .map(|port| PendingEvent { port: port as u32 })
     }
 
     /// Drains every pending event (ascending port order) into `out`,
@@ -248,12 +166,15 @@ impl DomainPorts {
         if self.masked {
             return 0;
         }
-        self.pending.drain_into(out)
+        let drained = self.pending.len();
+        self.pending
+            .drain_set_bits(|port| out.push(PendingEvent { port: port as u32 }));
+        drained
     }
 
     /// Number of distinct pending ports.
     pub(crate) fn pending_count(&self) -> usize {
-        self.pending.count
+        self.pending.len()
     }
 
     /// Masks or unmasks event delivery. Masking defers delivery: sends
@@ -288,41 +209,6 @@ impl DomainPorts {
 mod tests {
     use super::*;
     use crate::error::HvError;
-
-    #[test]
-    fn bitmap_sets_and_takes_in_order() {
-        let mut bm = PendingBitmap::default();
-        assert!(bm.set(70));
-        assert!(bm.set(3));
-        assert!(!bm.set(3), "second set coalesces");
-        assert_eq!(bm.count, 2);
-        assert_eq!(bm.take_lowest(), Some(3));
-        assert_eq!(bm.take_lowest(), Some(70));
-        assert_eq!(bm.take_lowest(), None);
-    }
-
-    #[test]
-    fn bitmap_drain_matches_ascending_order() {
-        let mut bm = PendingBitmap::default();
-        for p in [500u32, 1, 64, 4097] {
-            bm.set(p);
-        }
-        let mut out = Vec::new();
-        assert_eq!(bm.drain_into(&mut out), 4);
-        let ports: Vec<u32> = out.iter().map(|e| e.port).collect();
-        assert_eq!(ports, vec![1, 64, 500, 4097]);
-        assert_eq!(bm.count, 0);
-    }
-
-    #[test]
-    fn bitmap_survives_port_number_growth() {
-        // Port numbers are never reused, so a long-lived domain can push
-        // its port numbers past the 4096 a single selector word spans;
-        // the bitmap layers must grow with it.
-        let mut bm = PendingBitmap::default();
-        assert!(bm.set(5000));
-        assert_eq!(bm.take_lowest(), Some(5000));
-    }
 
     #[test]
     fn port_limit_enforced() {

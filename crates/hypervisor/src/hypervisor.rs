@@ -818,8 +818,7 @@ impl Hypervisor {
                 self.mem.shadow_op(target, op)
             }
             VmSnapshot => {
-                let now = self.now_ns;
-                self.snapshots.snapshot(caller, &mut self.mem, now)?;
+                self.snapshots.snapshot(caller, &mut self.mem)?;
                 Ok(HypercallRet::Ok)
             }
             VmRollback { target } => {

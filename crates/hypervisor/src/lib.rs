@@ -61,6 +61,7 @@
 
 #![warn(missing_docs)]
 
+mod bitmap;
 pub mod domain;
 pub mod error;
 pub mod event;

@@ -1,22 +1,18 @@
-//! The stale-hash sweep, the integrity digest, and the one dedup path.
+//! The integrity digest and the one dedup path.
 //!
-//! Every frame stores the FNV-1a hash of its body, but a bulk write does
-//! not recompute it: the write stores the body and sets the frame's bit
-//! in the frame table's stale set. [`MemoryManager::materialize_hashes`]
-//! drains the set in one ascending-MFN sweep at the points that read
-//! hashes — dedup, template seal, snapshot freeze,
-//! [`MemoryManager::verify_integrity`] and the model snapshot. The set is
-//! indexed by MFN, not kept as a cursor on the PFN dirty logs: a pinned
-//! frame with no mappers has no PFN to log, and a PFN log would put dirty
-//! bookkeeping on every domain's write path. Nothing is indexed by hash:
-//! the dedup sweep reads the stored hashes straight from the frame table.
+//! No frame stores a hash of its body, and a write never computes one.
+//! Content hashes are computed where bodies are compared: the dedup
+//! sweep hashes each candidate as it collects it, and
+//! [`MemoryManager::verify_integrity`] hashes each frame as it folds the
+//! digest. The canonical zero page is recognised by identity and carries
+//! the constant [`ZERO_PAGE_HASH`], so zero frames are never rescanned.
 //!
 //! [`MemoryManager::share_identical`] — reached through the gated
 //! `SysctlDedup` — is the one dedup path. It confirms hash groups with
 //! byte equality over a sharded sweep of the dense frame table and merges
 //! each group onto its lowest MFN.
 
-use super::page::content_hash;
+use super::page::{content_hash, PageRef, ZERO_PAGE_HASH};
 use super::{MemoryManager, Mfn, Pfn};
 use crate::domain::DomId;
 use crate::fasthash::FastMap;
@@ -32,41 +28,21 @@ use crate::fasthash::FastMap;
 const DEDUP_SHARD_BITS: u32 = 16;
 
 impl MemoryManager {
-    /// Number of live frames whose hash is stale — the pending
-    /// lazy-hash work. Zero after every materialization point (dedup,
-    /// template seal, snapshot freeze, [`Self::verify_integrity`]).
+    /// Always 0: no write defers a hash. Kept only because the
+    /// end-of-run check of the `perfbench/` benchmark
+    /// (`perfbench/src/workloads/mod.rs::check_platform`) reads it.
     pub fn pending_rehash(&self) -> usize {
-        self.frames.stale.len()
+        0
     }
 
-    /// Drains the stale set in one ascending-MFN sweep: every frame
-    /// whose hash a write deferred is rehashed. Returns
-    /// the number of frames rehashed. Walks only the set's live words,
-    /// so it costs next to nothing when nothing is pending — the common
-    /// case at every snapshot-freeze call site.
-    pub fn materialize_hashes(&mut self) -> u64 {
-        let mut stale = std::mem::take(&mut self.frames.stale);
-        let mut rehashed = 0;
-        stale.drain_set_bits(|i| {
-            let raw = self.frames.base + i;
-            if let Some(f) = self.frames.get_mut(raw) {
-                f.hash = content_hash(&f.data);
-                rehashed += 1;
-            }
-        });
-        self.frames.stale = stale; // keep the allocation for the next sweep
-        rehashed
-    }
-
-    /// Materializes every pending hash, then folds a deterministic
-    /// fleet-wide digest over `(mfn, hash)` in ascending MFN order: two
-    /// managers holding the same logical memory produce the same digest
-    /// regardless of when their hashes were materialized.
-    pub fn verify_integrity(&mut self) -> u64 {
-        self.materialize_hashes();
+    /// A deterministic fleet-wide digest folded over `(mfn, hash)` in
+    /// ascending MFN order, each hash computed from the frame's body as
+    /// the fold reaches it: two managers holding the same logical memory
+    /// produce the same digest.
+    pub fn verify_integrity(&self) -> u64 {
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         for (raw, f) in self.frames.iter() {
-            digest ^= raw.rotate_left(17) ^ f.hash;
+            digest ^= raw.rotate_left(17) ^ content_hash(&f.data);
             digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
         }
         digest
@@ -75,8 +51,9 @@ impl MemoryManager {
     /// Content-based page deduplication across all domains (the
     /// memory-density feature of the paper's introduction [21, 38]).
     ///
-    /// Pending hashes are materialized first; then **one** sweep of the
-    /// dense frame table collects candidate `(hash, mfn)` pairs, which
+    /// **One** sweep of the dense frame table collects candidate
+    /// `(hash, mfn)` pairs, hashing each candidate's body as it goes
+    /// (the canonical zero page by identity, at no cost), which
     /// a counting-sort pass partitions into shards by their top hash
     /// bits, sized so a shard holds a handful of entries (see
     /// [`DEDUP_SHARD_BITS`]). Each shard is sorted and scanned for
@@ -98,13 +75,18 @@ impl MemoryManager {
     /// reach the page it was granted, and only that page. Returns the
     /// number of frames freed.
     pub fn share_identical(&mut self, granted: &[Mfn]) -> u64 {
-        self.materialize_hashes();
         // One dense sweep collects candidates; no page bodies are
         // cloned, and no per-hash-bucket heap vectors are walked.
+        let zero = PageRef::zero_page();
         let mut cands: Vec<(u64, u64)> = Vec::with_capacity(self.frames.len());
         for (raw, f) in self.frames.iter() {
             if f.mappings == 0 && !f.data.is_empty() {
-                cands.push((f.hash, raw));
+                let hash = if PageRef::ptr_eq(&f.data, &zero) {
+                    ZERO_PAGE_HASH
+                } else {
+                    content_hash(&f.data)
+                };
+                cands.push((hash, raw));
             }
         }
         if !granted.is_empty() {
@@ -556,8 +538,8 @@ mod sharing_proptests {
 
     /// Random interleavings of populate/write/transfer/dedup/release/
     /// rollback-style operations keep every derived structure (reverse
-    /// index, share accounting, stale set) in agreement with
-    /// the naively recomputed shadow model, and every read in agreement
+    /// index, share accounting) in agreement with the naively
+    /// recomputed shadow model, and every read in agreement
     /// with a per-(dom, pfn) content shadow.
     #[test]
     fn interleaved_ops_agree_with_shadow_model() {
@@ -586,10 +568,9 @@ mod sharing_proptests {
                 match op {
                     // Write one of a few contents (guaranteeing cross-
                     // domain duplicates for the dedup sweep). Lengths
-                    // straddle the inline-hash threshold, and val 0 at
-                    // full page length is the canonical zero page — so
-                    // the interleaving exercises inline, deferred, and
-                    // constant-hash classification.
+                    // run from tiny to a full page, and val 0 at full
+                    // page length is the canonical zero page, which the
+                    // sweep recognises by identity.
                     0..=49 => {
                         if shadow.contains_key(&(dom, pfn)) {
                             let len = [6usize, 200, PAGE_SIZE][val as usize % 3];
@@ -616,8 +597,7 @@ mod sharing_proptests {
                         }
                     }
                     // Rollback-style: drain a dirty log and rewrite one
-                    // of its pages by MFN (a bulk body, so the mfn write
-                    // path defers its hash).
+                    // of its pages by MFN.
                     75..=84 => {
                         let log = m
                             .shadow_op(dom, ShadowOp::Enable)
@@ -674,149 +654,141 @@ mod sharing_proptests {
 }
 
 #[cfg(test)]
-mod lazy_hash_tests {
+mod golden_tests {
     use super::*;
-    use crate::memory::{PageRef, PAGE_SIZE, ZERO_PAGE_HASH};
+    use crate::memory::{PageRef, PAGE_SIZE};
+    use std::collections::BTreeMap;
 
-    #[test]
-    fn bulk_write_defers_hash_until_materialization() {
-        let mut m = MemoryManager::new(64);
-        let d = DomId(1);
-        m.populate(d, 2).unwrap();
-        m.write(d, Pfn(0), &[0x5a; 512]).unwrap();
-        assert_eq!(m.pending_rehash(), 1, "bulk write marked stale, not hashed");
-        let mfn = m.translate(d, Pfn(0)).unwrap();
-        assert!(m.frames.is_stale(mfn.0));
-        assert_eq!(m.materialize_hashes(), 1);
-        assert_eq!(m.pending_rehash(), 0);
-        assert!(!m.frames.is_stale(mfn.0));
-        assert_eq!(m.materialize_hashes(), 0, "the sweep emptied the set");
-        m.check_consistency().unwrap();
+    type Shadow = BTreeMap<(DomId, u64), Vec<u8>>;
+
+    fn put(m: &mut MemoryManager, shadow: &mut Shadow, dom: DomId, pfn: u64, body: &[u8]) {
+        m.write(dom, Pfn(pfn), body).unwrap();
+        shadow.insert((dom, pfn), body.to_vec());
     }
 
-    #[test]
-    fn small_writes_hash_inline() {
-        let mut m = MemoryManager::new(64);
-        let d = DomId(1);
-        m.populate(d, 1).unwrap();
-        m.write(d, Pfn(0), b"ring-slot").unwrap();
-        assert_eq!(m.pending_rehash(), 0, "tiny bodies never go stale");
-        m.check_consistency().unwrap();
+    fn put_page(m: &mut MemoryManager, shadow: &mut Shadow, dom: DomId, pfn: u64, page: &PageRef) {
+        m.write_page(dom, Pfn(pfn), page.clone()).unwrap();
+        shadow.insert((dom, pfn), page.to_vec());
     }
 
-    #[test]
-    fn zero_page_write_is_canonical_and_unhashed() {
-        let mut m = MemoryManager::new(64);
-        let d = DomId(1);
-        m.populate(d, 2).unwrap();
-        m.write(d, Pfn(0), &[0u8; PAGE_SIZE]).unwrap();
-        m.write(d, Pfn(1), &[0u8; PAGE_SIZE]).unwrap();
-        assert_eq!(m.pending_rehash(), 0, "zero pages carry a constant hash");
-        let a = m.read(d, Pfn(0)).unwrap();
-        let b = m.read(d, Pfn(1)).unwrap();
-        assert!(
-            PageRef::ptr_eq(&a, &b),
-            "both frames share the canonical zero page"
-        );
-        assert!(a.is_canonical_zero());
-        assert_eq!(a, [0u8; PAGE_SIZE], "byte-equal to a plain zero body");
-        assert_eq!(ZERO_PAGE_HASH, content_hash(&[0u8; PAGE_SIZE]));
-        // Zero frames hold real content: they are dedup candidates.
-        assert_eq!(m.share_identical(&[]), 1);
-        m.check_consistency().unwrap();
+    fn sharing(m: &MemoryManager) -> Vec<(u64, Vec<u32>)> {
+        let md = m.multi_domain_frames();
+        md.into_iter()
+            .map(|(mfn, doms)| (mfn.0, doms.iter().map(|d| d.0).collect()))
+            .collect()
     }
 
-    #[test]
-    fn repeated_bulk_writes_mark_stale_once() {
-        let mut m = MemoryManager::new(64);
-        let d = DomId(1);
-        m.populate(d, 1).unwrap();
-        for i in 0..10u8 {
-            m.write(d, Pfn(0), &vec![i + 1; 256]).unwrap();
+    fn read_back(m: &MemoryManager, shadow: &Shadow) {
+        for (&(dom, pfn), body) in shadow {
+            assert_eq!(m.read(dom, Pfn(pfn)).unwrap(), *body, "{dom} pfn {pfn}");
         }
-        assert_eq!(m.pending_rehash(), 1, "one stale bit covers every write");
-        assert_eq!(m.materialize_hashes(), 1);
-        m.check_consistency().unwrap();
-        // A write whose hash is known takes the frame out of the set.
-        m.write(d, Pfn(0), &[6u8; 300]).unwrap();
-        m.write(d, Pfn(0), b"tiny").unwrap();
-        assert_eq!(m.pending_rehash(), 0, "an inline hash revalidates");
-        m.check_consistency().unwrap();
-        assert_eq!(m.materialize_hashes(), 0);
-    }
-
-    #[test]
-    fn dedup_materializes_stale_twins() {
-        let mut m = MemoryManager::new(64);
-        let (a, b) = (DomId(1), DomId(2));
-        m.populate(a, 1).unwrap();
-        m.populate(b, 1).unwrap();
-        let body = vec![7u8; 1000];
-        m.write(a, Pfn(0), &body).unwrap();
-        m.write(b, Pfn(0), &body).unwrap();
-        assert_eq!(m.pending_rehash(), 2);
-        assert_eq!(
-            m.share_identical(&[]),
-            1,
-            "stale twins materialized and merged"
-        );
-        assert_eq!(m.pending_rehash(), 0);
         m.check_consistency().unwrap();
     }
 
+    /// One fixed sequence over every kind of write body (tiny, bulk,
+    /// all-zero, empty, shared handle) and every path that moves a page
+    /// body (rewrite between sweeps, freeze and rollback, template seal
+    /// and clone). Each sweep's freed count, the integrity digest, the
+    /// cross-domain sharing and every page's read-back are pinned, so
+    /// how and when bodies are hashed can never change what dedup merges.
     #[test]
-    fn cow_break_of_stale_frame_propagates_staleness() {
-        let mut m = MemoryManager::new(64);
-        let (a, b) = (DomId(1), DomId(2));
-        m.populate(a, 1).unwrap();
-        m.populate(b, 1).unwrap();
-        let body = vec![9u8; 700];
-        m.write(a, Pfn(0), &body).unwrap();
-        m.write(b, Pfn(0), &body).unwrap();
-        m.share_identical(&[]);
-        // Dirty the shared frame in place via the mfn path, then break.
-        let mfn = m.translate(a, Pfn(0)).unwrap();
-        m.write_mfn(mfn, &[1u8; 700]).unwrap();
-        assert_eq!(m.pending_rehash(), 1);
-        m.exclusive_mfn(b, Pfn(0)).unwrap();
-        assert_eq!(m.pending_rehash(), 2, "the private copy is stale too");
-        m.check_consistency().unwrap();
-        m.materialize_hashes();
-        m.check_consistency().unwrap();
-        assert_eq!(m.read(b, Pfn(0)).unwrap(), vec![1u8; 700]);
-    }
-
-    #[test]
-    fn verify_integrity_is_schedule_independent() {
-        let mut lazy = MemoryManager::new(256);
-        let mut eager = MemoryManager::new(256);
-        for m in [&mut lazy, &mut eager] {
-            m.populate(DomId(1), 4).unwrap();
-        }
-        for pfn in 0..4u64 {
-            let body = vec![pfn as u8 + 1; 300];
-            lazy.write(DomId(1), Pfn(pfn), &body).unwrap();
-            eager.write(DomId(1), Pfn(pfn), &body).unwrap();
-            eager.materialize_hashes(); // eager schedule
-        }
-        assert_eq!(lazy.verify_integrity(), eager.verify_integrity());
-        assert_eq!(lazy.pending_rehash(), 0);
-    }
-
-    #[test]
-    fn freeze_and_template_seal_materialize() {
+    fn dedup_and_integrity_are_pinned() {
         let mut m = MemoryManager::new(256);
-        let d = DomId(1);
-        m.populate(d, 2).unwrap();
-        m.write(d, Pfn(0), &[3u8; 400]).unwrap();
-        assert_eq!(m.pending_rehash(), 1);
-        m.freeze(d);
-        assert_eq!(m.pending_rehash(), 0, "snapshot seal drains the stale set");
-        m.discard_frozen(d);
-        m.write(d, Pfn(1), &[4u8; 400]).unwrap();
-        assert_eq!(m.pending_rehash(), 1);
-        m.template_arm(d).unwrap();
-        assert_eq!(m.pending_rehash(), 0, "template seal drains the stale set");
-        m.check_consistency().unwrap();
+        let mut shadow = Shadow::new();
+        let (a, b, tpl, clone) = (DomId(1), DomId(2), DomId(3), DomId(10));
+        for d in [a, b, tpl] {
+            m.populate(d, 8).unwrap();
+            for pfn in 0..8 {
+                shadow.insert((d, pfn), Vec::new());
+            }
+        }
+        let bulk = |tag: u8| vec![tag; PAGE_SIZE];
+        let tiny = b"kernel-text".to_vec();
+        let zero = vec![0u8; PAGE_SIZE];
+        for d in [a, b] {
+            put(&mut m, &mut shadow, d, 0, &tiny);
+            put(&mut m, &mut shadow, d, 1, &bulk(0x11));
+            put(&mut m, &mut shadow, d, 2, &zero);
+            put(&mut m, &mut shadow, d, 3, &[]);
+        }
+        let handle = PageRef::new(&bulk(0x22));
+        put_page(&mut m, &mut shadow, a, 4, &handle);
+        put_page(&mut m, &mut shadow, b, 4, &handle);
+        put(&mut m, &mut shadow, a, 5, &bulk(0x33));
+        put(&mut m, &mut shadow, b, 5, &bulk(0x44));
+        put(&mut m, &mut shadow, a, 6, &[0x5a; 300]);
+        put_page(&mut m, &mut shadow, b, 6, &PageRef::new(&[0x5a; 300]));
+        put(&mut m, &mut shadow, a, 7, b"a-only");
+        for d in [a, b] {
+            let page = m.read(d, Pfn(2)).unwrap();
+            assert!(PageRef::ptr_eq(&page, &PageRef::zero_page()), "interned");
+        }
+        let mut freed = vec![m.share_identical(&[])];
+        read_back(&m, &shadow);
+        let digest_first = m.verify_integrity();
+        let sharing_first = sharing(&m);
+
+        // Rewritten to match a peer, then to diverge from it.
+        put(&mut m, &mut shadow, b, 5, &bulk(0x33));
+        freed.push(m.share_identical(&[]));
+        put(&mut m, &mut shadow, b, 5, &bulk(0x66));
+        freed.push(m.share_identical(&[]));
+        read_back(&m, &shadow);
+
+        // Freeze, write (one write merged by a sweep while frozen), roll
+        // back, and sweep the restored pre-images.
+        m.freeze(a);
+        put(&mut m, &mut shadow, a, 1, &bulk(0x77));
+        put(&mut m, &mut shadow, a, 7, &tiny);
+        freed.push(m.share_identical(&[]));
+        let restored = m.rollback_frozen(a, |_| false).unwrap();
+        shadow.insert((a, 1), bulk(0x11));
+        shadow.insert((a, 7), b"a-only".to_vec());
+        freed.push(m.share_identical(&[]));
+        read_back(&m, &shadow);
+
+        // A sealed template and one clone reading through it.
+        put(&mut m, &mut shadow, tpl, 0, &bulk(0x11));
+        put(&mut m, &mut shadow, tpl, 1, &tiny);
+        put(&mut m, &mut shadow, tpl, 2, &zero);
+        put(&mut m, &mut shadow, tpl, 3, &bulk(0x88));
+        m.template_arm(tpl).unwrap();
+        m.clone_space(tpl, clone).unwrap();
+        for pfn in 0..8 {
+            let body = shadow[&(tpl, pfn)].clone();
+            shadow.insert((clone, pfn), body);
+        }
+        read_back(&m, &shadow);
+        put(&mut m, &mut shadow, clone, 3, &bulk(0x11));
+        put(&mut m, &mut shadow, clone, 5, &tiny);
+        freed.push(m.share_identical(&[]));
+        read_back(&m, &shadow);
+
+        assert_eq!(freed, [5, 1, 0, 1, 1, 5]);
+        assert_eq!(restored, 2);
+        assert_eq!(digest_first, 0x46fa_5d4c_3040_12d1);
+        let pair = vec![1, 2];
+        assert_eq!(
+            sharing_first,
+            [4096, 4097, 4098, 4100, 4102].map(|mfn| (mfn, pair.clone()))
+        );
+        let digest_last = m.verify_integrity();
+        assert_eq!(digest_last, 0xb6f7_3417_c0b4_ff80);
+        assert_eq!(m.verify_integrity(), digest_last, "the digest is stable");
+        let fleet = vec![1, 2, 3, 10];
+        let family = vec![3, 10];
+        assert_eq!(
+            sharing(&m),
+            [
+                (4096, fleet.clone()),
+                (4097, fleet.clone()),
+                (4098, fleet),
+                (4100, pair.clone()),
+                (4102, pair),
+                (4116, family.clone()),
+                (4118, family.clone()),
+                (4119, family),
+            ]
+        );
     }
 }

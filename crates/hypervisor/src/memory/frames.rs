@@ -1,12 +1,11 @@
-//! The frame table and the memory manager's one change-set type.
+//! The frame table.
 //!
 //! [`FrameTable`] keeps per-frame metadata ([`FrameInfo`]), including
-//! each frame's reverse index ([`RefList`]), in a dense array.
-//! [`Bitmap`] is the two-level set behind the per-consumer dirty logs and
-//! the table's two slot sets: the vacant slots, reused lowest-first, and
-//! the stale slots, whose content hash a bulk write deferred.
+//! each frame's reverse index ([`RefList`]), in a dense array. Its
+//! vacant slots, reused lowest-first, sit in a [`Bitmap`].
 
 use super::page::PageRef;
+use crate::bitmap::Bitmap;
 use crate::domain::DomId;
 
 /// How many reverse-index entries are stored inline before spilling to
@@ -123,103 +122,6 @@ impl RefList {
     }
 }
 
-/// Two-level bitmap: one bit per index plus a selector layer with one
-/// bit per nonzero word — the event-channel `PendingBitmap`
-/// construction. It is the memory manager's one change-set type: it
-/// backs the per-consumer dirty-PFN logs and the frame table's vacant
-/// and stale-hash slot sets. Draining a set walks only the words the
-/// selectors say are live, and finding the lowest member skips 4,096
-/// indices per selector word.
-///
-/// Guest PFNs and frame-table slots are dense and counted from zero, so
-/// the word vector stays proportional to the highest index ever set;
-/// clearing via [`Bitmap::drain_set_bits`] keeps the allocation for the
-/// consumer's next drain.
-#[derive(Debug, Clone, Default)]
-pub(super) struct Bitmap {
-    /// Level 2: bit `i % 64` of `words[i / 64]` ⇔ index `i` is set.
-    words: Vec<u64>,
-    /// Level 1: bit `w % 64` of `selectors[w / 64]` ⇔ `words[w] != 0`.
-    selectors: Vec<u64>,
-}
-
-impl Bitmap {
-    /// An empty bitmap with room for indices below `n` without growing.
-    pub(super) fn with_capacity(n: usize) -> Self {
-        Bitmap {
-            words: Vec::with_capacity(n / 64 + 1),
-            selectors: Vec::with_capacity(n / 4096 + 1),
-        }
-    }
-
-    /// Sets the bit for `i`.
-    pub(super) fn set(&mut self, i: u64) {
-        let w = (i / 64) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-            self.selectors.resize(w / 64 + 1, 0);
-        }
-        self.words[w] |= 1u64 << (i % 64);
-        self.selectors[w / 64] |= 1u64 << (w % 64);
-    }
-
-    /// Whether the bit for `i` is set.
-    #[inline]
-    pub(super) fn contains(&self, i: u64) -> bool {
-        self.words
-            .get((i / 64) as usize)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
-    /// Clears the bit for `i`.
-    pub(super) fn clear(&mut self, i: u64) {
-        let w = (i / 64) as usize;
-        let Some(word) = self.words.get_mut(w) else {
-            return;
-        };
-        *word &= !(1u64 << (i % 64));
-        if *word == 0 {
-            self.selectors[w / 64] &= !(1u64 << (w % 64));
-        }
-    }
-
-    /// Number of set bits.
-    pub(super) fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Clears every set bit in ascending order, invoking `f` per index.
-    /// O(set words), not O(address space).
-    pub(super) fn drain_set_bits(&mut self, mut f: impl FnMut(u64)) {
-        for s in 0..self.selectors.len() {
-            while self.selectors[s] != 0 {
-                let w = s * 64 + self.selectors[s].trailing_zeros() as usize;
-                let mut word = self.words[w];
-                while word != 0 {
-                    let b = word.trailing_zeros();
-                    f(w as u64 * 64 + b as u64);
-                    word &= word - 1;
-                }
-                self.words[w] = 0;
-                self.selectors[s] &= self.selectors[s] - 1;
-            }
-        }
-    }
-
-    /// Clears and returns the lowest set bit, if any.
-    pub(super) fn take_lowest(&mut self) -> Option<u64> {
-        let s = self.selectors.iter().position(|&sel| sel != 0)?;
-        let w = s * 64 + self.selectors[s].trailing_zeros() as usize;
-        let word = &mut self.words[w];
-        let b = word.trailing_zeros();
-        *word &= *word - 1;
-        if *word == 0 {
-            self.selectors[s] &= !(1u64 << (w % 64));
-        }
-        Some(w as u64 * 64 + u64::from(b))
-    }
-}
-
 /// Per-frame metadata.
 #[derive(Debug, Clone)]
 pub(super) struct FrameInfo {
@@ -232,9 +134,6 @@ pub(super) struct FrameInfo {
     pub(super) gen: u32,
     /// Logical contents (at most one page; empty means zero-filled).
     pub(super) data: PageRef,
-    /// FNV-1a hash of `data` — valid only while the frame is out of the
-    /// frame table's stale set.
-    pub(super) hash: u64,
     /// Reverse index: the `(dom, pfn)` p2m entries referencing this
     /// frame. Living inside the frame slot, the reverse index costs one
     /// dense-array access wherever the old side-table cost a hash probe
@@ -259,10 +158,6 @@ pub(super) struct FrameInfo {
 /// lives in the slot itself, and the vacant set exists only while some
 /// slot is vacant, so a table without vacancies holds nothing for
 /// either.
-///
-/// The stale set holds the live slots whose content hash a bulk write
-/// deferred (the lazy-hash rehash set). Freeing a slot drops its bit, so
-/// a reused slot never inherits one.
 #[derive(Debug, Clone, Default)]
 pub(super) struct FrameTable {
     /// First valid MFN (the "firmware hole" offset).
@@ -272,8 +167,6 @@ pub(super) struct FrameTable {
     live: usize,
     /// The vacant slots, by index.
     vacant: Bitmap,
-    /// The live slots whose hash is stale, by index.
-    pub(super) stale: Bitmap,
 }
 
 /// One frame-table slot. A vacant slot keeps the generation its next
@@ -341,8 +234,7 @@ impl FrameTable {
             return None;
         };
         self.live -= 1;
-        self.stale.clear(i as u64);
-        if self.vacant.words.capacity() == 0 {
+        if !self.vacant.is_allocated() {
             // One allocation per level covers the whole table.
             self.vacant = Bitmap::with_capacity(self.slots.len());
         }
@@ -360,22 +252,6 @@ impl FrameTable {
             Some(Slot::Live(f)) => f.gen,
             Some(&Slot::Vacant { gen }) => gen,
             None => 0,
-        }
-    }
-
-    /// Whether the live frame at `raw` has a stale hash.
-    #[inline]
-    pub(super) fn is_stale(&self, raw: u64) -> bool {
-        raw.checked_sub(self.base)
-            .is_some_and(|i| self.stale.contains(i))
-    }
-
-    /// Marks the frame at `raw` stale (`true`) or its hash valid.
-    pub(super) fn set_stale(&mut self, raw: u64, stale: bool) {
-        if stale {
-            self.stale.set(raw - self.base);
-        } else {
-            self.stale.clear(raw - self.base);
         }
     }
 
@@ -414,7 +290,7 @@ mod reuse_tests {
         m.p2m_entries(dom).iter().map(|&(_, mfn)| mfn.0).collect()
     }
 
-    /// A bulk body: hashed lazily, so a write leaves the frame stale.
+    /// A bulk body, one byte value over a whole page.
     pub(super) fn bulk(tag: u8) -> Vec<u8> {
         vec![tag; PAGE_SIZE]
     }
@@ -534,27 +410,6 @@ mod reuse_tests {
         assert!(m.populate(b, 1).is_err());
         assert_eq!(m.release_domain(b), 32);
         assert_eq!(m.free_frames(), 32);
-        m.check_consistency().unwrap();
-    }
-
-    #[test]
-    pub(super) fn pending_rehash_counts_a_reused_stale_frame_once() {
-        let mut m = MemoryManager::new(8);
-        let (a, b) = (DomId(1), DomId(2));
-        m.populate(a, 1).unwrap();
-        m.write(a, Pfn(0), &bulk(1)).unwrap();
-        assert_eq!(m.pending_rehash(), 1);
-        // Freed while stale: the free drops the slot's bit.
-        m.release_domain(a);
-        assert_eq!(m.pending_rehash(), 0);
-        m.populate(b, 1).unwrap();
-        assert_eq!(m.pending_rehash(), 0, "the reused slot starts fresh");
-        m.check_consistency().unwrap();
-        m.write(b, Pfn(0), &bulk(2)).unwrap();
-        assert_eq!(m.pending_rehash(), 1);
-        m.check_consistency().unwrap();
-        assert_eq!(m.materialize_hashes(), 1);
-        assert_eq!(m.pending_rehash(), 0);
         m.check_consistency().unwrap();
     }
 }

@@ -12,9 +12,9 @@
 //! [`MemoryManager::rollback_frozen`] restores the snapshot bitmap's
 //! pages.
 
-use super::frames::Bitmap;
 use super::page::PageRef;
 use super::{MemoryManager, Mfn, Pfn};
+use crate::bitmap::Bitmap;
 use crate::domain::DomId;
 use crate::error::HvResult;
 use crate::fasthash::FastMap;
@@ -175,10 +175,6 @@ impl MemoryManager {
     /// cost is independent of how many pages the domain owns or how clean
     /// they are. Freezing an already-frozen domain replaces the snapshot.
     pub fn freeze(&mut self, dom: DomId) -> u64 {
-        // Snapshot seal: materialize pending hashes so every frame the
-        // frozen image can reach carries a valid content hash. Nearly
-        // free when nothing is pending — the common microreboot case.
-        self.materialize_hashes();
         let (mut count, watermark) = self
             .p2m
             .get(&dom)

@@ -22,23 +22,22 @@
 //! - here: populate, translate, read and write, the CoW break, page-flip
 //!   transfer, release, mapping counts, and
 //!   [`MemoryManager::check_consistency`];
-//! - `page`: the page-body handle, the content hash, and the write-body
-//!   classification that decides whether a write hashes now or later;
-//! - `frames`: the dense frame table (reverse index, slot generations)
-//!   and `Bitmap`, the one change-set type;
+//! - `page`: the page-body handle, the content hash, and the interning
+//!   of the empty and all-zero bodies;
+//! - `frames`: the dense frame table (reverse index, slot generations,
+//!   the vacant set);
 //! - `p2m`: the per-domain `Pfn -> Mfn` maps;
-//! - `dedup`: the stale-hash set's sweep, the integrity digest, and the
-//!   one dedup path, [`MemoryManager::share_identical`];
+//! - `dedup`: the integrity digest and the one dedup path,
+//!   [`MemoryManager::share_identical`];
 //! - `log`: per-consumer dirty logs and lazy CoW snapshots;
 //! - `template`: sealed templates and their fall-through clones.
 //!
-//! Only the p2m and frame tables carry state; the reverse index and the
-//! stale set are views of them, so determinism is unaffected (the
-//! canonical frame of a dedup group is the lowest MFN, and all per-group
-//! merges commute). Each frame stores its body's hash, but nothing is
-//! indexed by hash: the one reader, the dedup sweep, collects its
-//! candidates from the frame table.
-//! [`MemoryManager::check_consistency`] recomputes those views from
+//! Only the p2m and frame tables carry state; the reverse index is a
+//! view of them, so determinism is unaffected (the canonical frame of a
+//! dedup group is the lowest MFN, and all per-group merges commute). No
+//! frame stores a hash: the two readers of content hashes, the dedup
+//! sweep and the integrity digest, compute them from the bodies.
+//! [`MemoryManager::check_consistency`] recomputes the views from
 //! scratch and is exercised by the interleaving property tests.
 
 mod dedup;
@@ -48,18 +47,19 @@ mod p2m;
 mod page;
 mod template;
 
-pub use page::{content_hash, PageRef, EMPTY_HASH, INLINE_HASH_MAX, ZERO_PAGE_HASH};
+pub use page::{content_hash, PageRef, ZERO_PAGE_HASH};
 
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::bitmap::Bitmap;
 use crate::domain::DomId;
 use crate::error::{HvResult, MemError};
 use crate::fasthash::FastMap;
-use frames::{Bitmap, FrameInfo, FrameTable, RefList};
+use frames::{FrameInfo, FrameTable, RefList};
 use log::FrozenImage;
 use p2m::P2m;
-use page::{classify_bytes, classify_page};
+use page::intern;
 use template::TemplateInfo;
 
 /// Size of a page in bytes.
@@ -188,35 +188,13 @@ impl MemoryManager {
         self.frames.get(raw).map_or(0, |f| f.refs.len())
     }
 
-    /// Replaces a frame's body, keeping its stored hash in sync via the
-    /// lazy dirty-epoch discipline.
+    /// The frame-body store: installs `page` as `mfn`'s body.
     fn set_frame_data(&mut self, mfn: Mfn, page: PageRef) -> HvResult<()> {
-        let known = classify_page(&page);
-        self.set_frame_data_classified(mfn, page, known)
-    }
-
-    /// The frame-body store: installs `page`, with `known` carrying its
-    /// hash if classification produced one. A deferred (`None`) hash
-    /// puts the frame in the stale set until the next materialization
-    /// sweep rehashes it.
-    fn set_frame_data_classified(
-        &mut self,
-        mfn: Mfn,
-        page: PageRef,
-        known: Option<u64>,
-    ) -> HvResult<()> {
         // Capture before replacement: the frozen pre-image is the body
         // this store is about to overwrite.
         self.capture_frozen(mfn);
-        let was_stale = self.frames.is_stale(mfn.0);
         let f = self.frames.get_mut(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
         f.data = page;
-        if let Some(h) = known {
-            f.hash = h;
-        }
-        if known.is_none() != was_stale {
-            self.frames.set_stale(mfn.0, known.is_none());
-        }
         Ok(())
     }
 
@@ -227,7 +205,6 @@ impl MemoryManager {
             mappings: 0,
             gen: 0,
             data: PageRef::empty(),
-            hash: EMPTY_HASH,
             refs: RefList::one(dom, pfn),
         }
     }
@@ -302,27 +279,12 @@ impl MemoryManager {
     /// copy-on-write, so the other domains mapping the frame are never
     /// affected. Writes longer than [`PAGE_SIZE`] are rejected.
     pub fn write(&mut self, dom: DomId, pfn: Pfn, data: &[u8]) -> HvResult<()> {
-        let (page, known) = classify_bytes(data);
-        self.write_body(dom, pfn, page, known)
+        self.write_page(dom, pfn, intern(data))
     }
 
     /// [`Self::write`] of a shared page body: the frame takes the handle
     /// itself, so shipping a page costs a refcount bump, not a copy.
     pub(crate) fn write_page(&mut self, dom: DomId, pfn: Pfn, page: PageRef) -> HvResult<()> {
-        let known = classify_page(&page);
-        self.write_body(dom, pfn, page, known)
-    }
-
-    /// The write path shared by [`Self::write`] and [`Self::write_page`]:
-    /// stores `page`, whose hash is `known` if classification produced
-    /// one.
-    fn write_body(
-        &mut self,
-        dom: DomId,
-        pfn: Pfn,
-        page: PageRef,
-        known: Option<u64>,
-    ) -> HvResult<()> {
         if page.len() > PAGE_SIZE {
             return Err(crate::error::HvError::InvalidArgument(format!(
                 "write of {} bytes exceeds page size",
@@ -338,7 +300,7 @@ impl MemoryManager {
             )));
         }
         let mfn = self.exclusive_mfn(dom, pfn)?;
-        self.set_frame_data_classified(mfn, page, known)?;
+        self.set_frame_data(mfn, page)?;
         self.mark_dirty(mfn);
         Ok(())
     }
@@ -366,23 +328,15 @@ impl MemoryManager {
         // Allocate a private copy (of the handle, not the bytes) and
         // remap this domain's PFN to it. A template frame keeps its rmap:
         // clones never appear in it.
-        let (data, hash) = {
-            let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-            (f.data.clone(), f.hash)
-        };
-        let stale = self.frames.is_stale(mfn.0);
+        let data = self.read_mfn(mfn)?;
         self.free_count -= 1;
         let new_mfn = Mfn(self.frames.alloc(FrameInfo {
             owner: dom,
             mappings: 0,
             gen: 0,
             data,
-            hash,
             refs: RefList::one(dom, pfn.0),
         }));
-        // The private copy inherits the stale mark, so the next
-        // materialization covers the new frame too.
-        self.frames.set_stale(new_mfn.0, stale);
         self.rmap_remove(mfn.0, dom, pfn.0);
         let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(pfn.0))?;
         p2m.insert(pfn.0, new_mfn);
@@ -548,8 +502,7 @@ impl MemoryManager {
 
     /// Recomputes the shadow model from the p2m tables and asserts that
     /// every derived structure (reverse index, share accounting, free
-    /// count, stale set) agrees with it, and that every materialized
-    /// hash matches its frame's body.
+    /// count) agrees with it.
     ///
     /// Test support: exercised by the interleaving property tests.
     pub fn check_consistency(&self) -> Result<(), String> {
@@ -585,23 +538,6 @@ impl MemoryManager {
         }
         if let Some((&raw, _)) = shadow.iter().next() {
             return Err(format!("shadow maps missing frame mfn {raw:#x}"));
-        }
-        // Stored hashes under the lazy dirty-epoch discipline: the stale
-        // set names live frames only, and a materialized hash matches
-        // the bytes.
-        let mut stale_live = 0;
-        for (raw, f) in self.frames.iter() {
-            if self.frames.is_stale(raw) {
-                stale_live += 1;
-            } else if f.hash != content_hash(&f.data) {
-                return Err(format!("wrong materialized hash for mfn {raw:#x}"));
-            }
-        }
-        if stale_live != self.pending_rehash() {
-            return Err(format!(
-                "stale set holds {} slots but only {stale_live} live frames",
-                self.pending_rehash()
-            ));
         }
         // Frozen baselines only ever hold pre-freeze PFNs (younger PFNs
         // roll back to the empty page by construction).

@@ -2,11 +2,10 @@
 //!
 //! A frame holds a shared, immutable page body: [`PageRef`] is an
 //! `Rc<[u8]>` handle, so `read`/`read_mfn` return clones of the handle
-//! and a CoW break copies a pointer, not a page. Every non-empty body
-//! has an FNV-1a [`content_hash`], but a write does not always compute
-//! it: [`classify_bytes`] and [`classify_page`] give the empty page and
-//! the canonical zero page their constant hashes, hash tiny bodies
-//! inline, and leave bulk bodies to the stale-hash sweep (`dedup`).
+//! and a CoW break copies a pointer, not a page. A write never hashes:
+//! [`intern`] only gives the empty page and the canonical zero page
+//! their shared allocations, and the FNV-1a [`content_hash`] of a body
+//! is computed where bodies are compared (`dedup`).
 
 use std::fmt;
 use std::ops::Deref;
@@ -16,9 +15,9 @@ use super::PAGE_SIZE;
 
 /// 64-bit FNV-1a content hash of a page body (in-tree, no dependencies).
 ///
-/// `const` so the hashes of the two canonical bodies ([`EMPTY_HASH`],
-/// [`ZERO_PAGE_HASH`]) are compile-time constants — a zero-fill write
-/// never runs this loop at all.
+/// `const` so the hash of the canonical zero page ([`ZERO_PAGE_HASH`])
+/// is a compile-time constant: the dedup sweep never runs this loop
+/// over a zero frame.
 pub const fn content_hash(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut i = 0;
@@ -30,18 +29,8 @@ pub const fn content_hash(data: &[u8]) -> u64 {
     h
 }
 
-/// Content hash of the empty (never-written, logically zero) page body.
-pub const EMPTY_HASH: u64 = content_hash(&[]);
-
 /// Content hash of the canonical all-zero page ([`PageRef::zero_page`]).
 pub const ZERO_PAGE_HASH: u64 = content_hash(&[0u8; PAGE_SIZE]);
-
-/// Bodies at most this long are hashed inline on the write path (ring
-/// slots, blk sectors, control records): the FNV loop over a few dozen
-/// bytes is cheaper than a stale-set round trip, and keeping tiny
-/// control writes out of the set keeps the materialization sweep
-/// proportional to bulk data written.
-pub const INLINE_HASH_MAX: usize = 64;
 
 /// Whether `data` is entirely zero bytes (u64-chunked, early-exit — a
 /// body with any early non-zero byte bails in the first few chunks).
@@ -79,12 +68,13 @@ impl PageRef {
     }
 
     /// The canonical all-zero page: 4 KiB of zero bytes behind one
-    /// per-thread allocation, carrying the precomputed
+    /// per-thread allocation, whose hash is the constant
     /// [`ZERO_PAGE_HASH`].
     ///
     /// Zero-filled frames are the dominant page body at density scale
     /// (guests zero pages long before they fill them), so a zero-fill
-    /// write costs a refcount bump instead of a 4 KiB hash + copy. The
+    /// write costs a refcount bump instead of a 4 KiB copy, and the
+    /// dedup sweep recognises the page by identity, not a rehash. The
     /// canonical page is byte-equal to any freshly-built zero body, so
     /// the interning is unobservable to readers and dedup.
     pub fn zero_page() -> Self {
@@ -92,12 +82,6 @@ impl PageRef {
             static ZERO: PageRef = PageRef(Rc::from(&[0u8; PAGE_SIZE][..]));
         }
         ZERO.with(|p| p.clone())
-    }
-
-    /// Whether this handle is the canonical zero page (identity, not a
-    /// byte scan).
-    pub fn is_canonical_zero(&self) -> bool {
-        PageRef::ptr_eq(self, &PageRef::zero_page())
     }
 
     /// Borrows the page bytes.
@@ -196,35 +180,15 @@ impl From<Vec<u8>> for PageRef {
     }
 }
 
-/// Classifies a write body for the lazy-hash path: canonical bodies
-/// (empty, all-zero page) intern their shared allocation and
-/// constant hash, tiny bodies hash inline, and bulk bodies defer
-/// (`None`) to the next materialization sweep.
+/// The page body a write of `data` stores: the empty and all-zero
+/// bodies intern their shared allocations, anything else is copied once.
 #[inline]
-pub(super) fn classify_bytes(data: &[u8]) -> (PageRef, Option<u64>) {
+pub(super) fn intern(data: &[u8]) -> PageRef {
     if data.is_empty() {
-        (PageRef::empty(), Some(EMPTY_HASH))
-    } else if data.len() <= INLINE_HASH_MAX {
-        (PageRef::new(data), Some(content_hash(data)))
+        PageRef::empty()
     } else if data.len() == PAGE_SIZE && is_all_zero(data) {
-        (PageRef::zero_page(), Some(ZERO_PAGE_HASH))
+        PageRef::zero_page()
     } else {
-        (PageRef::new(data), None)
-    }
-}
-
-/// [`classify_bytes`] for an already-shared page handle
-/// (rollback restore, ring payload delivery): canonical pages are
-/// recognised by identity, so re-delivering a zero page or a
-/// restored pre-image handle never scans bytes.
-pub(super) fn classify_page(page: &PageRef) -> Option<u64> {
-    if page.is_empty() {
-        Some(EMPTY_HASH)
-    } else if page.len() <= INLINE_HASH_MAX {
-        Some(content_hash(page))
-    } else if page.is_canonical_zero() {
-        Some(ZERO_PAGE_HASH)
-    } else {
-        None
+        PageRef::new(data)
     }
 }

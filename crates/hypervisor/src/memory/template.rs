@@ -27,10 +27,9 @@ impl MemoryManager {
     /// The region stamp uses this for the I/O ring pages it re-grants:
     /// ring contents are re-initialised when the backend connects, so
     /// the stamp need not pay what per-page [`Self::exclusive_mfn`]
-    /// breaks would — the fall-through translates into the template, the
-    /// page-handle clones and the content-hash inserts (an all-zero frame
-    /// is never a dedup candidate) — and the clone's p2m is resolved
-    /// once for the whole batch. It runs at clone birth, before any dirty
+    /// breaks would — the fall-through translates into the template and
+    /// the page-handle clones — and the clone's p2m is resolved once for
+    /// the whole batch. It runs at clone birth, before any dirty
     /// log can be open on the clone, so it marks none. A PFN the clone
     /// already privatised yields its existing frame. Appends one [`Mfn`]
     /// per PFN, in order, to `mfns`.
@@ -81,9 +80,6 @@ impl MemoryManager {
                 "{dom} is a clone and cannot be sealed as a template"
             )));
         }
-        // The freeze is also the template-seal materialization point:
-        // clones dedup and CoW-break against template frames, so every
-        // pending hash is drained before the seal.
         let page_count = self.freeze(dom);
         if page_count == 0 {
             self.discard_frozen(dom);

@@ -46,8 +46,6 @@ impl RecoveryBox {
 pub struct SnapshotImage {
     /// Recovery boxes excluded from rollback.
     boxes: Vec<RecoveryBox>,
-    /// Simulation time at which the snapshot was taken (ns).
-    pub taken_at_ns: u64,
     /// Number of rollbacks performed from this image.
     pub rollback_count: u64,
 }
@@ -88,7 +86,7 @@ impl SnapshotManager {
     /// No page bytes are copied here — pre-images are captured by the
     /// first post-snapshot write to each page — so the cost is independent
     /// of how many (clean) pages the domain holds.
-    pub fn snapshot(&mut self, dom: DomId, mem: &mut MemoryManager, now_ns: u64) -> HvResult<()> {
+    pub fn snapshot(&mut self, dom: DomId, mem: &mut MemoryManager) -> HvResult<()> {
         if mem.freeze(dom) == 0 {
             mem.discard_frozen(dom);
             return Err(HvError::Snapshot(format!(
@@ -100,7 +98,6 @@ impl SnapshotManager {
             dom,
             SnapshotImage {
                 boxes,
-                taken_at_ns: now_ns,
                 rollback_count: 0,
             },
         );
@@ -154,23 +151,22 @@ mod tests {
     fn snapshot_captures_all_pages() {
         let (mut sm, mut mem, dom) = setup();
         mem.write(dom, Pfn(0), b"boot").unwrap();
-        sm.snapshot(dom, &mut mem, 100).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         assert_eq!(mem.frozen_page_count(dom), Some(8));
-        assert_eq!(sm.image(dom).unwrap().taken_at_ns, 100);
     }
 
     #[test]
     fn snapshot_of_empty_domain_fails() {
         let mut sm = SnapshotManager::new();
         let mut mem = MemoryManager::new(16);
-        assert!(sm.snapshot(DomId(9), &mut mem, 0).is_err());
+        assert!(sm.snapshot(DomId(9), &mut mem).is_err());
     }
 
     #[test]
     fn rollback_restores_dirty_pages_only() {
         let (mut sm, mut mem, dom) = setup();
         mem.write(dom, Pfn(0), b"initialized").unwrap();
-        sm.snapshot(dom, &mut mem, 0).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         // Attacker scribbles over two pages.
         mem.write(dom, Pfn(0), b"pwned").unwrap();
         mem.write(dom, Pfn(3), b"implant").unwrap();
@@ -190,7 +186,7 @@ mod tests {
     fn repeated_rollbacks_restore_repeatedly() {
         let (mut sm, mut mem, dom) = setup();
         mem.write(dom, Pfn(1), b"good").unwrap();
-        sm.snapshot(dom, &mut mem, 0).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         for i in 0..5 {
             mem.write(dom, Pfn(1), format!("bad{i}").as_bytes())
                 .unwrap();
@@ -203,7 +199,7 @@ mod tests {
     #[test]
     fn second_rollback_is_cheap_when_nothing_dirtied() {
         let (mut sm, mut mem, dom) = setup();
-        sm.snapshot(dom, &mut mem, 0).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         mem.write(dom, Pfn(2), b"z").unwrap();
         assert_eq!(sm.rollback(dom, &mut mem).unwrap(), 1);
         // Nothing written since: zero pages to restore.
@@ -220,7 +216,7 @@ mod tests {
                 frames: 2,
             },
         );
-        sm.snapshot(dom, &mut mem, 0).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         // Connection state lands in the recovery box; attack state outside.
         mem.write(dom, Pfn(6), b"open-connections").unwrap();
         mem.write(dom, Pfn(1), b"attack-state").unwrap();
@@ -237,9 +233,9 @@ mod tests {
     fn new_snapshot_replaces_old() {
         let (mut sm, mut mem, dom) = setup();
         mem.write(dom, Pfn(0), b"v1").unwrap();
-        sm.snapshot(dom, &mut mem, 0).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         mem.write(dom, Pfn(0), b"v2").unwrap();
-        sm.snapshot(dom, &mut mem, 50).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         mem.write(dom, Pfn(0), b"garbage").unwrap();
         sm.rollback(dom, &mut mem).unwrap();
         assert_eq!(
@@ -256,7 +252,7 @@ mod tests {
             mem.write(dom, Pfn(pfn), format!("boot{pfn}").as_bytes())
                 .unwrap();
         }
-        sm.snapshot(dom, &mut mem, 0).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         assert_eq!(
             mem.frozen_baseline_len(dom),
             Some(0),
@@ -272,7 +268,7 @@ mod tests {
     #[test]
     fn discard_removes_image() {
         let (mut sm, mut mem, dom) = setup();
-        sm.snapshot(dom, &mut mem, 0).unwrap();
+        sm.snapshot(dom, &mut mem).unwrap();
         assert!(sm.has_snapshot(dom));
         sm.discard(dom);
         assert!(!sm.has_snapshot(dom));
@@ -301,7 +297,7 @@ mod proptests {
                 mem.write(dom, Pfn(pfn), format!("base{pfn}").as_bytes())
                     .unwrap();
             }
-            sm.snapshot(dom, &mut mem, 0).unwrap();
+            sm.snapshot(dom, &mut mem).unwrap();
             for (pfn, data) in &writes {
                 mem.write(dom, Pfn(*pfn), data).unwrap();
             }
@@ -341,7 +337,7 @@ mod proptests {
             let eager: Vec<Vec<u8>> = (0..8)
                 .map(|p| mem.read(dom, Pfn(p)).unwrap().to_vec())
                 .collect();
-            sm.snapshot(dom, &mut mem, 0).unwrap();
+            sm.snapshot(dom, &mut mem).unwrap();
             let writes = g.vec(0..24, |g| {
                 (g.u64(0..8), g.vec(0..16, |g| g.u64(0..256) as u8))
             });
@@ -377,7 +373,7 @@ mod proptests {
             let dom = DomId(1);
             mem.populate(dom, 8).unwrap();
             let mut sm = SnapshotManager::new();
-            sm.snapshot(dom, &mut mem, 0).unwrap();
+            sm.snapshot(dom, &mut mem).unwrap();
             for pfn in &pfns {
                 mem.write(dom, Pfn(*pfn), b"dirty").unwrap();
             }

@@ -99,7 +99,7 @@ pub(crate) fn event_send(
     if remote == sender {
         // A shard's self-channel: intra-region by definition.
         if let Some(r) = regions.get_mut(&sender) {
-            if r.ports.pending.set(remote_port) {
+            if r.ports.pending.set(remote_port.into()) {
                 *delivered += 1;
             }
         }
@@ -111,7 +111,7 @@ pub(crate) fn event_send(
     // two map lookups instead of moving the sender's region through the
     // pair borrow.
     if let Some(receiver) = regions.get_mut(&remote) {
-        if receiver.ports.pending.set(remote_port) {
+        if receiver.ports.pending.set(remote_port.into()) {
             *delivered += 1;
         }
     }

@@ -235,12 +235,10 @@ pub fn run_point(
     assert_eq!(platform.hv.rollback_count(netback), restarts);
     assert_eq!(platform.audit.restart_count(netback), restarts);
     assert_eq!(platform.audit.verify_chain(), Ok(()));
-    // The memory integrity audit must be clean after the restart storm:
-    // one materialization drains every ring-write's deferred hash, and a
-    // second pass folds the identical fleet digest.
+    // The memory integrity digest must be stable after the restart
+    // storm: a second pass folds the identical fleet digest.
     let digest = platform.hv.mem.verify_integrity();
     assert_eq!(platform.hv.mem.verify_integrity(), digest);
-    assert_eq!(platform.hv.mem.pending_rehash(), 0);
 
     let fab = platform.fabric.as_ref().expect("enabled");
     FrontTierPoint {

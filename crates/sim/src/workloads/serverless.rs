@@ -243,9 +243,6 @@ pub fn run(platform: &mut Platform, cfg: &ServerlessConfig, seed: u64) -> Server
     // Idle-memory harvesting: fold identical warm-state pages across the
     // surviving instances back into shared frames.
     r.dedup_frames = platform.dedup_memory();
-    // The harvest is a dirty-epoch materialization seam: after a
-    // fleet-wide sweep no frame may be left carrying a stale hash.
-    assert_eq!(platform.hv.mem.pending_rehash(), 0);
     r.frames_used = free_at_boot - platform.hv.mem.free_frames();
     // A built guest populates memory_mib frames up front; templates are
     // real builds either way, so only instances differ.

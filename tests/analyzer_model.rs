@@ -25,8 +25,8 @@ fn xoar_with_two_guests() -> (Platform, DomId, DomId) {
 
 #[test]
 fn standard_boot_platform_passes_all_rules() {
-    let (mut p, _a, _b) = xoar_with_two_guests();
-    let snap = ModelSnapshot::capture(&mut p);
+    let (p, _a, _b) = xoar_with_two_guests();
+    let snap = ModelSnapshot::capture(&p);
     let reach = Reachability::compute(&snap);
     let violations = rules::check(&snap, &reach);
     assert_eq!(violations, vec![], "known-good platform must be clean");
@@ -35,8 +35,8 @@ fn standard_boot_platform_passes_all_rules() {
 #[test]
 fn report_is_deterministic_across_boots() {
     let full_report = || {
-        let (mut p, _a, _b) = xoar_with_two_guests();
-        let snap = ModelSnapshot::capture(&mut p);
+        let (p, _a, _b) = xoar_with_two_guests();
+        let snap = ModelSnapshot::capture(&p);
         let reach = Reachability::compute(&snap);
         let violations = rules::check(&snap, &reach);
         let mut out = snap.render();
@@ -52,8 +52,8 @@ fn report_is_deterministic_across_boots() {
 
 #[test]
 fn guests_never_reach_each_other_in_the_matrix() {
-    let (mut p, a, b) = xoar_with_two_guests();
-    let snap = ModelSnapshot::capture(&mut p);
+    let (p, a, b) = xoar_with_two_guests();
+    let snap = ModelSnapshot::capture(&p);
     let reach = Reachability::compute(&snap);
     assert!(!reach.reaches_memory(a, b));
     assert!(!reach.reaches_memory(b, a));
@@ -63,8 +63,8 @@ fn guests_never_reach_each_other_in_the_matrix() {
 
 #[test]
 fn injected_overprivilege_is_caught() {
-    let (mut p, _a, _b) = xoar_with_two_guests();
-    let mut snap = ModelSnapshot::capture(&mut p);
+    let (p, _a, _b) = xoar_with_two_guests();
+    let mut snap = ModelSnapshot::capture(&p);
     let nb = snap
         .live_domains()
         .find(|d| d.kind == "netback")
@@ -84,8 +84,8 @@ fn injected_overprivilege_is_caught() {
 
 #[test]
 fn injected_undeclared_sharing_is_caught() {
-    let (mut p, a, _b) = xoar_with_two_guests();
-    let mut snap = ModelSnapshot::capture(&mut p);
+    let (p, a, _b) = xoar_with_two_guests();
+    let mut snap = ModelSnapshot::capture(&p);
     let xs_state = snap
         .live_domains()
         .find(|d| d.kind == "xenstore-state")

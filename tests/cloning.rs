@@ -218,7 +218,7 @@ fn clone_lifecycle_keeps_all_analyzer_rules_green() {
         .map(|i| ts.clone(&mut p, tpl, &format!("fn-x{i}")).unwrap())
         .collect();
     p.hv.mem.write(extra[0], Pfn(0), b"warm").unwrap();
-    let snap = ModelSnapshot::capture(&mut p);
+    let snap = ModelSnapshot::capture(&p);
     let reach = Reachability::compute(&snap);
     let violations = rules::check(&snap, &reach);
     assert_eq!(
@@ -274,7 +274,7 @@ fn thousand_clone_fleet_is_dense_and_analyzer_green() {
         "density {}x below the 10x floor",
         built_equivalent / actual.max(1)
     );
-    let snap = ModelSnapshot::capture(&mut p);
+    let snap = ModelSnapshot::capture(&p);
     let reach = Reachability::compute(&snap);
     let violations = rules::check(&snap, &reach);
     assert_eq!(violations, vec![], "1k-clone fleet must stay audit-clean");
