@@ -514,16 +514,7 @@ impl Hypervisor {
                 access,
             } => {
                 self.check_ivc(caller, grantee)?;
-                // A deduplicated frame must never be exported: break CoW
-                // sharing before granting. Installing the entry in the
-                // caller's own table is intra-region.
-                let mfn = self.mem.exclusive_mfn(caller, pfn)?;
-                let gen = self.mem.generation(mfn);
-                let gref = self
-                    .region_mut(caller)?
-                    .grants
-                    .grant(grantee, pfn, mfn, gen, access)?;
-                self.declare("grant", grantee, caller);
+                let gref = self.install_grant(caller, grantee, pfn, access)?;
                 Ok(HypercallRet::GrantRef(gref))
             }
             GnttabEndAccess { gref } => {
@@ -532,13 +523,7 @@ impl Hypervisor {
             }
             GnttabGrantTransfer { grantee, pfn } => {
                 self.check_ivc(caller, grantee)?;
-                let mfn = self.mem.exclusive_mfn(caller, pfn)?;
-                let gen = self.mem.generation(mfn);
-                let gref = self
-                    .region_mut(caller)?
-                    .grants
-                    .grant_transfer(grantee, pfn, mfn, gen)?;
-                self.declare("grant", grantee, caller);
+                let gref = self.install_grant(caller, grantee, pfn, GrantAccess::Transfer)?;
                 Ok(HypercallRet::GrantRef(gref))
             }
             GnttabAcceptTransfer { granter, gref } => {
@@ -552,26 +537,27 @@ impl Hypervisor {
                 Ok(HypercallRet::Pfn(new_pfn))
             }
             GnttabMapGrantRef { granter, gref } => {
+                let (regions, mem) = (&mut self.regions, &mut self.mem);
                 let mfn =
-                    xregion::grant_map(&mut self.regions, &mut self.mem, caller, granter, gref)?;
+                    xregion::grant_one(regions, mem, caller, granter, gref, xregion::map_one)?;
                 Ok(HypercallRet::Mfn(mfn))
             }
             GnttabUnmapGrantRef { granter, gref } => {
-                xregion::grant_unmap(&mut self.regions, &mut self.mem, caller, granter, gref)?;
+                let (regions, mem) = (&mut self.regions, &mut self.mem);
+                xregion::grant_one(regions, mem, caller, granter, gref, xregion::unmap_one)?;
                 self.drop_unheld_region(granter);
                 Ok(HypercallRet::Ok)
             }
-            GnttabMapBatch { granter, refs } => Ok(HypercallRet::GrantBatch(
-                xregion::grant_map_batch(&mut self.regions, &mut self.mem, caller, granter, &refs)?,
-            )),
+            GnttabMapBatch { granter, refs } => {
+                let (regions, mem) = (&mut self.regions, &mut self.mem);
+                let done =
+                    xregion::grant_batch(regions, mem, caller, granter, &refs, xregion::map_one)?;
+                Ok(HypercallRet::GrantBatch(done))
+            }
             GnttabUnmapBatch { granter, refs } => {
-                let done = xregion::grant_unmap_batch(
-                    &mut self.regions,
-                    &mut self.mem,
-                    caller,
-                    granter,
-                    &refs,
-                )?;
+                let (regions, mem) = (&mut self.regions, &mut self.mem);
+                let done =
+                    xregion::grant_batch(regions, mem, caller, granter, &refs, xregion::unmap_one)?;
                 self.drop_unheld_region(granter);
                 Ok(HypercallRet::GrantBatch(done))
             }
@@ -585,15 +571,7 @@ impl Hypervisor {
                 access,
             } => {
                 // Builder-only (§5.6): install a grant in `owner`'s table.
-                let gref = xregion::foreign_setup(
-                    &mut self.regions,
-                    &mut self.mem,
-                    owner,
-                    grantee,
-                    pfn,
-                    access,
-                )?;
-                self.declare("grant", grantee, owner);
+                let gref = self.install_grant(owner, grantee, pfn, access)?;
                 Ok(HypercallRet::GrantRef(gref))
             }
             DomctlCreateDomain {
@@ -1015,7 +993,30 @@ impl Hypervisor {
         }
     }
 
-    // ----- out-of-band grant (spec fault injection) -----
+    // ----- grant install -----
+
+    /// Installs a grant in `owner`'s table through the one install
+    /// routine ([`xregion::install_grant`]) and records its
+    /// declared-sharing edge. The gate's three install arms call it after
+    /// their checks.
+    fn install_grant(
+        &mut self,
+        owner: DomId,
+        grantee: DomId,
+        pfn: Pfn,
+        access: GrantAccess,
+    ) -> HvResult<GrantRef> {
+        let gref = xregion::install_grant(
+            &mut self.regions,
+            &mut self.mem,
+            owner,
+            grantee,
+            pfn,
+            access,
+        )?;
+        self.declare("grant", grantee, owner);
+        Ok(gref)
+    }
 
     /// Installs a grant in `owner`'s table with `GnttabForeignSetup`
     /// semantics but no hypercall: no gate check, audit record or
@@ -1028,14 +1029,7 @@ impl Hypervisor {
         pfn: Pfn,
         access: GrantAccess,
     ) -> HvResult<GrantRef> {
-        let mfn = self.mem.exclusive_mfn(owner, pfn)?;
-        let gen = self.mem.generation(mfn);
-        let gref = self
-            .region_mut(owner)?
-            .grants
-            .grant(grantee, pfn, mfn, gen, access)?;
-        self.declare("grant", grantee, owner);
-        Ok(gref)
+        self.install_grant(owner, grantee, pfn, access)
     }
 }
 
@@ -2189,7 +2183,7 @@ mod clone_hypercall_tests {
 mod frame_reuse_tests {
     use super::tests::{build_guest, xen_like};
     use super::*;
-    use crate::error::MemError;
+    use crate::error::{GrantError, MemError};
     use crate::grant::{GrantCopyDir, GrantCopyOp, GrantOpStatus};
     use std::rc::Rc;
 
@@ -2214,6 +2208,131 @@ mod frame_reuse_tests {
             .grant_ref()
             .unwrap();
         (a, gref)
+    }
+
+    /// Guest `a` and `early` (built first, so its frames are lower)
+    /// hold the same bytes at pfn 0, and a dedup sweep has merged them
+    /// onto `early`'s frame.
+    fn shared_pair(hv: &mut Hypervisor, dom0: DomId) -> (DomId, DomId) {
+        let early = build_guest(hv, dom0, "early");
+        let a = build_guest(hv, dom0, "a");
+        hv.mem.write(early, Pfn(0), b"shared body").unwrap();
+        hv.mem.write(a, Pfn(0), b"shared body").unwrap();
+        hv.hypercall(dom0, Hypercall::SysctlDedup).unwrap();
+        let shared = hv.mem.translate(early, Pfn(0)).unwrap();
+        assert_eq!(hv.mem.translate(a, Pfn(0)).unwrap(), shared);
+        (early, a)
+    }
+
+    /// Each way of installing a grant — the granter's access or transfer
+    /// grant, or the Builder's foreign setup — hands the grantee a frame
+    /// of `a`'s alone, never the one a dedup sweep shares with `early`:
+    /// a copy into the grant leaves `early`'s page as it was.
+    #[test]
+    fn every_install_path_grants_a_private_frame() {
+        for path in 0..3 {
+            let (mut hv, dom0) = xen_like();
+            let (early, a) = shared_pair(&mut hv, dom0);
+            let shared = hv.mem.translate(early, Pfn(0)).unwrap();
+            let (caller, call) = match path {
+                0 => (
+                    a,
+                    Hypercall::GnttabGrantAccess {
+                        grantee: dom0,
+                        pfn: Pfn(0),
+                        access: GrantAccess::ReadWrite,
+                    },
+                ),
+                1 => (
+                    a,
+                    Hypercall::GnttabGrantTransfer {
+                        grantee: dom0,
+                        pfn: Pfn(0),
+                    },
+                ),
+                _ => (
+                    dom0,
+                    Hypercall::GnttabForeignSetup {
+                        owner: a,
+                        grantee: dom0,
+                        pfn: Pfn(0),
+                        access: GrantAccess::ReadWrite,
+                    },
+                ),
+            };
+            let gref = hv.hypercall(caller, call).unwrap().grant_ref().unwrap();
+            let entry = hv.grant_table(a).unwrap().entry(gref).unwrap().clone();
+            assert_ne!(entry.mfn, shared, "install path {path}");
+            assert_eq!(hv.mem.translate(a, Pfn(0)).unwrap(), entry.mfn);
+            assert_eq!(hv.mem.owner(entry.mfn).unwrap(), a);
+
+            hv.mem.write(dom0, Pfn(0), b"dom0's bytes").unwrap();
+            let ops: Rc<[GrantCopyOp]> = Rc::from(
+                [GrantCopyOp {
+                    gref,
+                    dir: GrantCopyDir::ToGrant,
+                    local_pfn: Pfn(0),
+                }]
+                .as_slice(),
+            );
+            let copied = hv
+                .hypercall(dom0, Hypercall::GnttabCopyBatch { granter: a, ops })
+                .unwrap()
+                .grant_batch()
+                .unwrap();
+            if entry.access == GrantAccess::Transfer {
+                // An offer is accepted, never copied through.
+                assert_eq!(copied, [GrantOpStatus::Grant(GrantError::NotGranted)]);
+                let accept = Hypercall::GnttabAcceptTransfer { granter: a, gref };
+                hv.hypercall(dom0, accept).unwrap();
+                assert_eq!(hv.mem.owner(entry.mfn).unwrap(), dom0);
+            } else {
+                assert_eq!(copied, [GrantOpStatus::Done(entry.mfn)]);
+                assert_eq!(hv.mem.read(a, Pfn(0)).unwrap(), b"dom0's bytes");
+            }
+            assert_eq!(hv.mem.translate(early, Pfn(0)).unwrap(), shared);
+            assert_eq!(hv.mem.read(early, Pfn(0)).unwrap(), b"shared body");
+            hv.mem.check_consistency().unwrap();
+        }
+    }
+
+    /// A transfer offer made with `GnttabGrantAccess` and one made with
+    /// `GnttabGrantTransfer` are the same entry, accepted the same way.
+    #[test]
+    fn access_call_with_transfer_equals_transfer_call() {
+        let offer = |transfer_call: bool| {
+            let (mut hv, dom0) = xen_like();
+            let a = build_guest(&mut hv, dom0, "a");
+            hv.mem.write(a, Pfn(2), b"flipped page").unwrap();
+            let call = if transfer_call {
+                Hypercall::GnttabGrantTransfer {
+                    grantee: dom0,
+                    pfn: Pfn(2),
+                }
+            } else {
+                Hypercall::GnttabGrantAccess {
+                    grantee: dom0,
+                    pfn: Pfn(2),
+                    access: GrantAccess::Transfer,
+                }
+            };
+            let gref = hv.hypercall(a, call).unwrap().grant_ref().unwrap();
+            let entry = hv.grant_table(a).unwrap().entry(gref).cloned();
+            let map = hv.hypercall(dom0, Hypercall::GnttabMapGrantRef { granter: a, gref });
+            let accept = Hypercall::GnttabAcceptTransfer { granter: a, gref };
+            let accepted = hv.hypercall(dom0, accept.clone());
+            let read = match &accepted {
+                Ok(HypercallRet::Pfn(pfn)) => hv.mem.read(dom0, *pfn).ok(),
+                _ => None,
+            };
+            let again = hv.hypercall(dom0, accept);
+            (gref, entry, map, accepted, read, again)
+        };
+        let (via_access, via_transfer) = (offer(false), offer(true));
+        assert_eq!(via_access.1.as_ref().unwrap().access, GrantAccess::Transfer);
+        assert!(via_access.3.is_ok());
+        assert_eq!(via_access.4.as_deref(), Some(&b"flipped page"[..]));
+        assert_eq!(via_access, via_transfer);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! byte equality over a sharded sweep of the dense frame table and merges
 //! each group onto its lowest MFN.
 
+use super::frames::FrameInfo;
 use super::page::{content_hash, PageRef, ZERO_PAGE_HASH};
 use super::{MemoryManager, Mfn, Pfn};
 use crate::domain::DomId;
@@ -72,15 +73,25 @@ impl MemoryManager {
     /// mapper set onto the canonical frame. Frames in `granted`
     /// (ascending) back live grant entries and stay out of the sweep, mapped or not:
     /// a grantee may map or copy through its entry at any time and must
-    /// reach the page it was granted, and only that page. Returns the
-    /// number of frames freed.
+    /// reach the page it was granted, and only that page. A sealed
+    /// template's frames stay out too: merged onto another domain's
+    /// frame, a template page would outlive that domain on a frame the
+    /// sealed-template write check no longer covers. Returns the number
+    /// of frames freed.
     pub fn share_identical(&mut self, granted: &[Mfn]) -> u64 {
         // One dense sweep collects candidates; no page bodies are
         // cloned, and no per-hash-bucket heap vectors are walked.
         let zero = PageRef::zero_page();
+        let sealed = |f: &FrameInfo| {
+            !self.templates.is_empty()
+                && f.refs
+                    .as_slice()
+                    .iter()
+                    .any(|(dom, _)| self.templates.contains_key(dom))
+        };
         let mut cands: Vec<(u64, u64)> = Vec::with_capacity(self.frames.len());
         for (raw, f) in self.frames.iter() {
-            if f.mappings == 0 && !f.data.is_empty() {
+            if f.mappings == 0 && !f.data.is_empty() && !sealed(f) {
                 let hash = if PageRef::ptr_eq(&f.data, &zero) {
                     ZERO_PAGE_HASH
                 } else {
@@ -328,6 +339,29 @@ mod sharing_tests {
         m.write(a, Pfn(4), b"a-private").unwrap();
         m.write(b, Pfn(4), b"b-private").unwrap();
         (m, a, b)
+    }
+
+    /// A sweep never moves a sealed template's page onto another
+    /// domain's frame: once that domain is released, the frame would
+    /// still name it as owner, and the sealed-template write check,
+    /// which reads the owner, would let the template's page (and every
+    /// clone's view of it) change in place.
+    #[test]
+    fn sweep_keeps_a_sealed_templates_pages_on_its_own_frames() {
+        let mut m = MemoryManager::new(64);
+        let (peer, tpl, clone) = (DomId(1), DomId(3), DomId(10));
+        m.populate(peer, 1).unwrap();
+        m.populate(tpl, 1).unwrap();
+        m.write(peer, Pfn(0), b"same").unwrap();
+        m.write(tpl, Pfn(0), b"same").unwrap();
+        m.template_arm(tpl).unwrap();
+        m.clone_space(tpl, clone).unwrap();
+        m.share_identical(&[]);
+        m.release_domain(peer);
+        let mfn = m.translate(tpl, Pfn(0)).unwrap();
+        assert!(m.write_mfn(mfn, b"mutated").is_err());
+        assert_eq!(m.read(clone, Pfn(0)).unwrap(), b"same");
+        m.check_consistency().unwrap();
     }
 
     #[test]
@@ -764,7 +798,7 @@ mod golden_tests {
         freed.push(m.share_identical(&[]));
         read_back(&m, &shadow);
 
-        assert_eq!(freed, [5, 1, 0, 1, 1, 5]);
+        assert_eq!(freed, [5, 1, 0, 1, 1, 2]);
         assert_eq!(restored, 2);
         assert_eq!(digest_first, 0x46fa_5d4c_3040_12d1);
         let pair = vec![1, 2];
@@ -773,18 +807,23 @@ mod golden_tests {
             [4096, 4097, 4098, 4100, 4102].map(|mfn| (mfn, pair.clone()))
         );
         let digest_last = m.verify_integrity();
-        assert_eq!(digest_last, 0xb6f7_3417_c0b4_ff80);
+        assert_eq!(digest_last, 0xdee8_ee66_811a_9cde);
         assert_eq!(m.verify_integrity(), digest_last, "the digest is stable");
-        let fleet = vec![1, 2, 3, 10];
+        // The clone's private pages join the pair's frames; the sealed
+        // template's pages stay on its own frames.
+        let fleet = vec![1, 2, 10];
         let family = vec![3, 10];
         assert_eq!(
             sharing(&m),
             [
                 (4096, fleet.clone()),
-                (4097, fleet.clone()),
-                (4098, fleet),
+                (4097, fleet),
+                (4098, pair.clone()),
                 (4100, pair.clone()),
                 (4102, pair),
+                (4112, family.clone()),
+                (4113, family.clone()),
+                (4114, family.clone()),
                 (4116, family.clone()),
                 (4118, family.clone()),
                 (4119, family),

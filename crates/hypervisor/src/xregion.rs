@@ -61,7 +61,7 @@ pub(crate) fn region_pair_mut<R>(
 }
 
 /// Borrows only the *object* region, that of `dom` — for cross-region
-/// operations (grant map/copy/transfer validation, foreign setup, clone
+/// operations (grant install, map/copy/transfer validation, clone
 /// stamp) whose mutation lands entirely in the object's region.
 pub(crate) fn object_region_mut<R>(
     regions: &mut FastMap<DomId, Region>,
@@ -223,31 +223,34 @@ pub(crate) fn event_close(
 
 // ----- grant tables -----
 
-/// Validates a map of `granter`'s grant `gref` by `grantee` and records
-/// the mapping (the audit point of §4.3), pinning the frame against
-/// dedup/reclaim in the global frame table.
-pub(crate) fn grant_map(
+/// The one grant install (§4.3): grants `grantee` `access` to `owner`'s
+/// page `pfn`, in `owner`'s table. A deduplicated frame must never be
+/// exported, so CoW sharing on the page is broken first, and the entry
+/// records the now-private frame with its generation. The gate runs its
+/// checks, then calls this for `GnttabGrantAccess`, `GnttabGrantTransfer`
+/// and the Builder's `GnttabForeignSetup` (§5.6).
+pub(crate) fn install_grant(
     regions: &mut FastMap<DomId, Region>,
     mem: &mut MemoryManager,
+    owner: DomId,
     grantee: DomId,
-    granter: DomId,
-    gref: GrantRef,
-) -> HvResult<Mfn> {
-    match object_region_mut(regions, granter, |r| {
-        map_one(&mut r.grants, mem, grantee, gref)
-    })? {
-        GrantOpStatus::Done(mfn) => Ok(mfn),
-        GrantOpStatus::Grant(e) => Err(e.into()),
-        GrantOpStatus::Memory(e) => Err(e.into()),
-    }
+    pfn: Pfn,
+    access: GrantAccess,
+) -> HvResult<GrantRef> {
+    let mfn = mem.exclusive_mfn(owner, pfn)?;
+    let gen = mem.generation(mfn);
+    object_region_mut(regions, owner, |r| {
+        r.grants.grant(grantee, pfn, mfn, gen, access)
+    })?
 }
 
-/// One map through `table`: pins the granted frame — refused with
-/// `BadMfn` if the frame was freed since the grant, even if its number
-/// now names another domain's frame — and only then counts the mapping
-/// in the entry.
+/// One map through `table`: validates `grantee`'s use of `gref` (the
+/// audit point of §4.3), pins the granted frame — refused with `BadMfn`
+/// if the frame was freed since the grant, even if its number now names
+/// another domain's frame — and only then counts the mapping in the
+/// entry.
 #[inline]
-fn map_one(
+pub(crate) fn map_one(
     table: &mut GrantTable,
     mem: &mut MemoryManager,
     grantee: DomId,
@@ -266,64 +269,55 @@ fn map_one(
     }
 }
 
-/// Releases one mapping of `granter`'s grant `gref` by `grantee`.
-pub(crate) fn grant_unmap(
+/// One unmap through `table`: releases `grantee`'s mapping in the entry,
+/// then the frame's pin (a frame its owner released goes with its last
+/// mapping).
+#[inline]
+pub(crate) fn unmap_one(
+    table: &mut GrantTable,
+    mem: &mut MemoryManager,
+    grantee: DomId,
+    gref: GrantRef,
+) -> GrantOpStatus {
+    match table.unmap(grantee, gref) {
+        Ok(mfn) => match mem.dec_grant_mapping(mfn) {
+            Ok(()) => GrantOpStatus::Done(mfn),
+            Err(e) => GrantOpStatus::Memory(e),
+        },
+        Err(e) => GrantOpStatus::Grant(e),
+    }
+}
+
+/// A single map or unmap ([`map_one`] or [`unmap_one`]) of `granter`'s
+/// grant `gref` by `grantee`.
+pub(crate) fn grant_one(
     regions: &mut FastMap<DomId, Region>,
     mem: &mut MemoryManager,
     grantee: DomId,
     granter: DomId,
     gref: GrantRef,
+    op: impl FnOnce(&mut GrantTable, &mut MemoryManager, DomId, GrantRef) -> GrantOpStatus,
 ) -> HvResult<Mfn> {
-    let mfn = object_region_mut(regions, granter, |r| r.grants.unmap(grantee, gref))??;
-    mem.dec_grant_mapping(mfn)?;
-    Ok(mfn)
+    object_region_mut(regions, granter, |r| op(&mut r.grants, mem, grantee, gref))?.into_result()
 }
 
-/// Batched [`grant_map`] (GNTTABOP-style): one region lookup for the
+/// Batched [`grant_one`] (GNTTABOP-style): one region lookup for the
 /// whole (granter, grantee) pair; per-entry compact status after that,
 /// as in GNTTABOP result arrays. A bad entry never aborts the batch.
 #[inline(never)]
-pub(crate) fn grant_map_batch(
+pub(crate) fn grant_batch(
     regions: &mut FastMap<DomId, Region>,
     mem: &mut MemoryManager,
     grantee: DomId,
     granter: DomId,
     refs: &[GrantRef],
+    op: impl Fn(&mut GrantTable, &mut MemoryManager, DomId, GrantRef) -> GrantOpStatus,
 ) -> HvResult<Vec<GrantOpStatus>> {
-    let table = &mut regions
-        .get_mut(&granter)
-        .ok_or(HvError::NoSuchDomain(granter))?
-        .grants;
-    Ok(refs
-        .iter()
-        .map(|&gref| map_one(table, mem, grantee, gref))
-        .collect())
-}
-
-/// Batched [`grant_unmap`], mirroring [`grant_map_batch`].
-#[inline(never)]
-pub(crate) fn grant_unmap_batch(
-    regions: &mut FastMap<DomId, Region>,
-    mem: &mut MemoryManager,
-    grantee: DomId,
-    granter: DomId,
-    refs: &[GrantRef],
-) -> HvResult<Vec<GrantOpStatus>> {
-    let table = &mut regions
-        .get_mut(&granter)
-        .ok_or(HvError::NoSuchDomain(granter))?
-        .grants;
-    let mut results = Vec::with_capacity(refs.len());
-    for &gref in refs {
-        results.push(match table.unmap_compact(grantee, gref) {
-            Ok(mfn) => match mem.dec_grant_mapping(mfn) {
-                Ok(()) => GrantOpStatus::Done(mfn),
-                Err(e) => GrantOpStatus::Memory(e),
-            },
-            Err(e) => GrantOpStatus::Grant(e),
-        });
-    }
-    Ok(results)
+    object_region_mut(regions, granter, |r| {
+        refs.iter()
+            .map(|&gref| op(&mut r.grants, mem, grantee, gref))
+            .collect()
+    })
 }
 
 /// Batched GNTTABOP_copy: audits each op against `granter`'s table and
@@ -337,42 +331,39 @@ pub(crate) fn grant_copy_batch(
     granter: DomId,
     ops: &[GrantCopyOp],
 ) -> HvResult<Vec<GrantOpStatus>> {
-    let resolved = object_region_mut(regions, granter, |r| {
-        r.grants.grant_copy_batch(grantee, ops)
-    })?;
-    let results = resolved
-        .into_iter()
-        .map(|r| {
-            let (mfn, gen, entry) = match r {
-                Ok(resolved) => resolved,
-                Err(e) => return GrantOpStatus::Grant(e),
-            };
-            // A grant whose frame was freed reaches nothing, whoever
-            // holds the frame number now.
-            if let Err(e) = mem.check_generation(mfn, gen) {
-                return GrantOpStatus::Memory(e);
-            }
-            let copied = match entry.dir {
-                GrantCopyDir::FromGrant => mem.read_mfn(mfn).and_then(|page| {
-                    // The caller's frame may be CoW-shared;
-                    // break sharing before clobbering it.
-                    let local = mem.exclusive_mfn(grantee, entry.local_pfn)?;
-                    mem.write_mfn_page(local, page)
-                }),
-                GrantCopyDir::ToGrant => mem
-                    .read(grantee, entry.local_pfn)
-                    .and_then(|page| mem.write_mfn_page(mfn, page)),
-            };
-            match copied {
-                Ok(()) => GrantOpStatus::Done(mfn),
-                Err(HvError::Memory(e)) => GrantOpStatus::Memory(e),
-                // read/exclusive/write only surface memory faults
-                // on this path; keep the match total regardless.
-                Err(_) => GrantOpStatus::Memory(MemError::BadMfn(mfn.0)),
-            }
-        })
-        .collect();
-    Ok(results)
+    object_region_mut(regions, granter, |r| {
+        ops.iter()
+            .map(|op| {
+                let (mfn, gen) = match r.grants.copyable(grantee, op) {
+                    Ok(frame) => frame,
+                    Err(e) => return GrantOpStatus::Grant(e),
+                };
+                // A grant whose frame was freed reaches nothing, whoever
+                // holds the frame number now.
+                if let Err(e) = mem.check_generation(mfn, gen) {
+                    return GrantOpStatus::Memory(e);
+                }
+                let copied = match op.dir {
+                    GrantCopyDir::FromGrant => mem.read_mfn(mfn).and_then(|page| {
+                        // The caller's frame may be CoW-shared;
+                        // break sharing before clobbering it.
+                        let local = mem.exclusive_mfn(grantee, op.local_pfn)?;
+                        mem.write_mfn_page(local, page)
+                    }),
+                    GrantCopyDir::ToGrant => mem
+                        .read(grantee, op.local_pfn)
+                        .and_then(|page| mem.write_mfn_page(mfn, page)),
+                };
+                match copied {
+                    Ok(()) => GrantOpStatus::Done(mfn),
+                    Err(HvError::Memory(e)) => GrantOpStatus::Memory(e),
+                    // read/exclusive/write only surface memory faults
+                    // on this path; keep the match total regardless.
+                    Err(_) => GrantOpStatus::Memory(MemError::BadMfn(mfn.0)),
+                }
+            })
+            .collect()
+    })
 }
 
 /// Accepts a page-flip transfer: validates the offer in the granter's
@@ -389,25 +380,9 @@ pub(crate) fn accept_transfer(
     let (pfn, _mfn) =
         object_region_mut(regions, granter, |r| r.grants.transfer_offer(grantee, gref))??;
     let new_pfn = mem.transfer_frame(granter, pfn, grantee)?;
+    // An offer is never mapped, so revoking it cannot be refused.
     object_region_mut(regions, granter, |r| r.grants.end_access(gref))??;
     Ok(new_pfn)
-}
-
-/// Builder-only (§5.6): installs a grant for `grantee` in `owner`'s
-/// table on the owner's behalf, breaking CoW sharing on the page first.
-pub(crate) fn foreign_setup(
-    regions: &mut FastMap<DomId, Region>,
-    mem: &mut MemoryManager,
-    owner: DomId,
-    grantee: DomId,
-    pfn: Pfn,
-    access: GrantAccess,
-) -> HvResult<GrantRef> {
-    let mfn = mem.exclusive_mfn(owner, pfn)?;
-    let gen = mem.generation(mfn);
-    object_region_mut(regions, owner, |r| {
-        r.grants.grant(grantee, pfn, mfn, gen, access)
-    })?
 }
 
 /// A sealed template's precompiled stamp plan.
@@ -892,28 +867,29 @@ mod tests {
         let mut mem = MemoryManager::new(64);
         mem.populate(granter, 4).unwrap();
         mem.populate(grantee, 4).unwrap();
-        let mfn = mem.exclusive_mfn(granter, Pfn(0)).unwrap();
-        let gref = regions
-            .get_mut(&granter)
-            .unwrap()
-            .grants
-            .grant(
-                grantee,
-                Pfn(0),
-                mfn,
-                mem.generation(mfn),
-                GrantAccess::ReadWrite,
-            )
-            .unwrap();
-        let mapped = grant_map(&mut regions, &mut mem, grantee, granter, gref).unwrap();
-        assert_eq!(mapped, mfn);
-        grant_unmap(&mut regions, &mut mem, grantee, granter, gref).unwrap();
+        let gref = install_grant(
+            &mut regions,
+            &mut mem,
+            granter,
+            grantee,
+            Pfn(0),
+            GrantAccess::ReadWrite,
+        )
+        .unwrap();
+        let mfn = mem.translate(granter, Pfn(0)).unwrap();
+        let (r, m) = (&mut regions, &mut mem);
+        assert_eq!(grant_one(r, m, grantee, granter, gref, map_one), Ok(mfn));
+        assert_eq!(grant_one(r, m, grantee, granter, gref, unmap_one), Ok(mfn));
         // Batch path agrees with the single-op path.
-        let statuses = grant_map_batch(&mut regions, &mut mem, grantee, granter, &[gref]).unwrap();
-        assert_eq!(statuses[0], GrantOpStatus::Done(mfn));
-        let statuses =
-            grant_unmap_batch(&mut regions, &mut mem, grantee, granter, &[gref]).unwrap();
-        assert_eq!(statuses[0], GrantOpStatus::Done(mfn));
+        let done = [GrantOpStatus::Done(mfn)];
+        assert_eq!(
+            grant_batch(r, m, grantee, granter, &[gref], map_one),
+            Ok(done.to_vec())
+        );
+        assert_eq!(
+            grant_batch(r, m, grantee, granter, &[gref], unmap_one),
+            Ok(done.to_vec())
+        );
     }
 }
 

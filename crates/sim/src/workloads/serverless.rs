@@ -7,9 +7,9 @@
 //! Builder round-trip plus template capture — while every scale-out
 //! after that is a snapshot-fork clone stamped from the sealed template.
 //! Idle instances expire and are harvested; duplicate warm state across
-//! instances of one function is reclaimed by the content-hash dedup
-//! index, so steady-state memory grows with *written* pages, not with
-//! instance count.
+//! idle instances of one function is reclaimed by a dedup sweep once
+//! the last request completes, so steady-state memory grows with
+//! *written* pages, not with instance count.
 
 use std::time::Instant;
 
@@ -107,7 +107,8 @@ pub struct ServerlessResult {
     /// Frames the same fleet would hold had every live instance been
     /// built instead of cloned.
     pub built_equivalent_frames: u64,
-    /// Frames reclaimed by the end-of-run dedup harvest of warm state.
+    /// Frames reclaimed by the dedup harvest of idle warm state, run
+    /// once the last request completes.
     pub dedup_frames: u64,
     /// Simulated time elapsed, ns.
     pub horizon_ns: u64,
@@ -169,6 +170,7 @@ pub fn run(platform: &mut Platform, cfg: &ServerlessConfig, seed: u64) -> Server
         horizon_ns: 0,
     };
     let mut live = 0usize;
+    let mut completed = 0usize;
 
     while let Some((now, ev)) = des.next() {
         match ev {
@@ -221,6 +223,13 @@ pub fn run(platform: &mut Platform, cfg: &ServerlessConfig, seed: u64) -> Server
                 fns[f].busy -= 1;
                 fns[f].idle.push((dom, now));
                 des.schedule(now + cfg.keep_warm_ns, Ev::Expire { f, dom, since: now });
+                completed += 1;
+                if completed == cfg.invocations {
+                    // Idle-memory harvesting: fold identical warm-state
+                    // pages across the instances still kept warm back
+                    // into shared frames.
+                    r.dedup_frames = platform.dedup_memory();
+                }
             }
             Ev::Expire { f, dom, since } => {
                 // Only harvest if the instance is still idle from the same
@@ -240,9 +249,6 @@ pub fn run(platform: &mut Platform, cfg: &ServerlessConfig, seed: u64) -> Server
         r.horizon_ns = now;
     }
 
-    // Idle-memory harvesting: fold identical warm-state pages across the
-    // surviving instances back into shared frames.
-    r.dedup_frames = platform.dedup_memory();
     r.frames_used = free_at_boot - platform.hv.mem.free_frames();
     // A built guest populates memory_mib frames up front; templates are
     // real builds either way, so only instances differ.

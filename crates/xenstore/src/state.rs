@@ -134,11 +134,11 @@ impl XenStoreState {
         Self::default()
     }
 
-    fn index_add(&mut self, owner: DomId) {
+    fn owner_count_inc(&mut self, owner: DomId) {
         *self.owner_counts.entry(owner).or_insert(0) += 1;
     }
 
-    fn index_remove(&mut self, owner: DomId) {
+    fn owner_count_dec(&mut self, owner: DomId) {
         if let Some(c) = self.owner_counts.get_mut(&owner) {
             *c = c.saturating_sub(1);
             if *c == 0 {
@@ -170,11 +170,11 @@ impl XenStoreState {
                 let owner = rec.perms.owner;
                 if let Some(old) = self.map.insert(key, rec) {
                     if indexed {
-                        self.index_remove(old.perms.owner);
+                        self.owner_count_dec(old.perms.owner);
                     }
                 }
                 if indexed {
-                    self.index_add(owner);
+                    self.owner_count_inc(owner);
                 }
                 KvReply::Done
             }
@@ -183,7 +183,7 @@ impl XenStoreState {
                 if let Some(old) = &old {
                     self.generation += 1;
                     if !key.starts_with(RESERVED_PREFIX) {
-                        self.index_remove(old.perms.owner);
+                        self.owner_count_dec(old.perms.owner);
                     }
                 }
                 KvReply::Record(old)
