@@ -59,7 +59,7 @@ pub use value::{parse, Json, JsonError};
 /// Serializes any [`ToJson`] value to its canonical JSON text.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
     let mut out = String::new();
-    value.to_json().write(&mut out);
+    value.write_json(&mut out);
     out
 }
 

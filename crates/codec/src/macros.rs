@@ -43,6 +43,10 @@ macro_rules! impl_json_struct {
                     )+
                 ])
             }
+
+            fn write_json(&self, out: &mut String) {
+                $crate::__write_json_object!(out; $($field = &self.$field),+);
+            }
         }
 
         impl $crate::FromJson for $ty {
@@ -81,6 +85,10 @@ macro_rules! impl_to_json_struct {
                     )+
                 ])
             }
+
+            fn write_json(&self, out: &mut String) {
+                $crate::__write_json_object!(out; $($field = &self.$field),+);
+            }
         }
     };
 }
@@ -93,6 +101,10 @@ macro_rules! impl_json_newtype {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 $crate::ToJson::to_json(&self.0)
+            }
+
+            fn write_json(&self, out: &mut String) {
+                $crate::ToJson::write_json(&self.0, out);
             }
         }
 
@@ -122,6 +134,11 @@ macro_rules! impl_json_enum {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 $( $crate::impl_json_enum!(@to self, $ty, $variant $({ $($field),+ })?); )+
+                unreachable!("impl_json_enum! lists every variant")
+            }
+
+            fn write_json(&self, out: &mut String) {
+                $( $crate::impl_json_enum!(@write self, out, $ty, $variant $({ $($field),+ })?); )+
                 unreachable!("impl_json_enum! lists every variant")
             }
         }
@@ -156,6 +173,20 @@ macro_rules! impl_json_enum {
             )]);
         }
     };
+    (@write $self:ident, $out:ident, $ty:ident, $variant:ident) => {
+        if let $ty::$variant = $self {
+            $out.push_str(concat!("\"", stringify!($variant), "\""));
+            return;
+        }
+    };
+    (@write $self:ident, $out:ident, $ty:ident, $variant:ident { $($field:ident),+ }) => {
+        if let $ty::$variant { $($field),+ } = $self {
+            $out.push_str(concat!("{\"", stringify!($variant), "\":"));
+            $crate::__write_json_object!($out; $($field = $field),+);
+            $out.push('}');
+            return;
+        }
+    };
     (@from $value:ident, $ty:ident, $variant:ident) => {
         if $value.as_str() == Some(stringify!($variant)) {
             return Ok($ty::$variant);
@@ -171,6 +202,23 @@ macro_rules! impl_json_enum {
             });
         }
     };
+}
+
+/// Writes a JSON object whose members are named by identifiers (which
+/// never need escaping), in the order listed: the body the
+/// `write_json` of the struct and enum macros share.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __write_json_object {
+    ($out:ident; $first:ident = $first_value:expr $(, $name:ident = $value:expr)*) => {{
+        $out.push_str(concat!("{\"", stringify!($first), "\":"));
+        $crate::ToJson::write_json($first_value, $out);
+        $(
+            $out.push_str(concat!(",\"", stringify!($name), "\":"));
+            $crate::ToJson::write_json($value, $out);
+        )*
+        $out.push('}');
+    }};
 }
 
 #[cfg(test)]

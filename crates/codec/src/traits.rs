@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::value::{Json, JsonError};
+use crate::value::{write_escaped, write_f64, write_i64, write_u64, Json, JsonError};
 
 /// Types that encode to a [`Json`] value.
 ///
@@ -13,6 +13,13 @@ use crate::value::{Json, JsonError};
 pub trait ToJson {
     /// Encodes `self`.
     fn to_json(&self) -> Json;
+
+    /// Appends `self`'s canonical JSON text to `out`. The default builds
+    /// the [`Json`] tree and writes it; the std impls and the
+    /// `impl_json_*` macros write the same text directly, with no tree.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().write(out);
+    }
 }
 
 /// Types that decode from a [`Json`] value.
@@ -48,6 +55,10 @@ impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.write(out);
+    }
 }
 
 impl FromJson for Json {
@@ -59,6 +70,10 @@ impl FromJson for Json {
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -77,6 +92,10 @@ macro_rules! unsigned_json {
             impl ToJson for $ty {
                 fn to_json(&self) -> Json {
                     Json::U64(*self as u64)
+                }
+
+                fn write_json(&self, out: &mut String) {
+                    write_u64(*self as u64, out);
                 }
             }
 
@@ -107,6 +126,10 @@ impl ToJson for i64 {
             Json::I64(*self)
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_i64(*self, out);
+    }
 }
 
 impl FromJson for i64 {
@@ -123,6 +146,10 @@ impl FromJson for i64 {
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::F64(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(*self, out);
     }
 }
 
@@ -141,11 +168,19 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
 }
 
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
     }
 }
 
@@ -162,17 +197,41 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// Writes `items` as a JSON array.
+fn write_array<'a, T: ToJson + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_array(self, out);
+    }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_array(self, out);
     }
 }
 
@@ -192,6 +251,13 @@ impl<T: ToJson> ToJson for Option<T> {
             None => Json::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -207,6 +273,10 @@ impl<T: ToJson> ToJson for BTreeSet<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_array(self, out);
+    }
 }
 
 impl<T: FromJson + Ord> FromJson for BTreeSet<T> {
@@ -221,6 +291,19 @@ impl<T: FromJson + Ord> FromJson for BTreeSet<T> {
 impl<V: ToJson> ToJson for BTreeMap<String, V> {
     fn to_json(&self) -> Json {
         Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (key, value)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(key, out);
+            out.push(':');
+            value.write_json(out);
+        }
+        out.push('}');
     }
 }
 

@@ -93,20 +93,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => {
-                let mut buf = [0u8; 20];
-                out.push_str(format_u64(*n, &mut buf));
-            }
-            Json::I64(n) => {
-                if *n >= 0 {
-                    let mut buf = [0u8; 20];
-                    out.push_str(format_u64(*n as u64, &mut buf));
-                } else {
-                    out.push('-');
-                    let mut buf = [0u8; 20];
-                    out.push_str(format_u64(n.unsigned_abs(), &mut buf));
-                }
-            }
+            Json::U64(n) => write_u64(*n, out),
+            Json::I64(n) => write_i64(*n, out),
             Json::F64(x) => write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -135,8 +123,9 @@ impl Json {
     }
 }
 
-/// Formats a u64 into `buf`, returning the textual slice.
-fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
+/// Writes a u64 in decimal.
+pub(crate) fn write_u64(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
         i -= 1;
@@ -146,13 +135,21 @@ fn format_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
             break;
         }
     }
-    std::str::from_utf8(&buf[i..]).expect("ascii digits")
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+}
+
+/// Writes an i64 in decimal.
+pub(crate) fn write_i64(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_u64(n.unsigned_abs(), out);
 }
 
 /// Writes a float the way `serde_json` (ryu) does for the values the
 /// workspace produces: shortest round-trip decimal, with a trailing
 /// `.0` on integral values.
-fn write_f64(x: f64, out: &mut String) {
+pub(crate) fn write_f64(x: f64, out: &mut String) {
     if x.is_nan() || x.is_infinite() {
         // serde_json refuses these; our writer pins them to null so the
         // output stays valid JSON.
@@ -169,7 +166,7 @@ fn write_f64(x: f64, out: &mut String) {
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// Writes a JSON string literal with `serde_json`'s escaping rules.
-fn write_escaped(s: &str, out: &mut String) {
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

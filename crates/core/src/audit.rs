@@ -16,6 +16,7 @@
 
 use std::collections::BTreeSet;
 
+use xoar_codec::ToJson;
 use xoar_hypervisor::DomId;
 
 use crate::shard::ShardKind;
@@ -133,25 +134,19 @@ xoar_codec::impl_json_struct!(AuditRecord {
     hash
 });
 
-/// FNV-1a over the canonical encoding of a record's content.
-fn chain_hash(seq: u64, at_ns: u64, event: &AuditEvent, prev_hash: u64) -> u64 {
-    let payload = xoar_codec::to_string(event);
-    chain_hash_payload(seq, at_ns, payload.as_bytes(), prev_hash)
-}
-
-/// The chain hash over an already-encoded event payload. `payload` must
-/// be the canonical `xoar_codec` encoding of the event — the restart
-/// fast path composes it from a precompiled template instead of
-/// serializing per append.
-fn chain_hash_payload(seq: u64, at_ns: u64, payload: &[u8], prev_hash: u64) -> u64 {
+/// FNV-1a over the canonical encoding of a record's content. The event
+/// is written into `buf`, which the caller reuses across records.
+fn chain_hash(seq: u64, at_ns: u64, event: &AuditEvent, prev_hash: u64, buf: &mut String) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    buf.clear();
+    event.write_json(buf);
     let mut h = OFFSET;
     for chunk in [
         seq.to_le_bytes().as_slice(),
         at_ns.to_le_bytes().as_slice(),
         prev_hash.to_le_bytes().as_slice(),
-        payload,
+        buf.as_bytes(),
     ] {
         for &b in chunk {
             h ^= b as u64;
@@ -180,6 +175,8 @@ fn chain_hash_payload(seq: u64, at_ns: u64, payload: &[u8], prev_hash: u64) -> u
 #[derive(Debug, Default)]
 pub struct AuditLog {
     records: Vec<AuditRecord>,
+    /// The encoding buffer every append reuses.
+    buf: String,
 }
 
 impl AuditLog {
@@ -193,32 +190,7 @@ impl AuditLog {
     pub fn append(&mut self, at_ns: u64, event: AuditEvent) {
         let seq = self.records.len() as u64;
         let prev_hash = self.records.last().map_or(0, |r| r.hash);
-        let hash = chain_hash(seq, at_ns, &event, prev_hash);
-        self.records.push(AuditRecord {
-            seq,
-            at_ns,
-            event,
-            prev_hash,
-            hash,
-        });
-    }
-
-    /// Appends an event whose canonical JSON payload the caller composed
-    /// from a precompiled template (the microreboot fast path), skipping
-    /// the per-append serialization of [`AuditLog::append`].
-    ///
-    /// `payload` must be byte-identical to `xoar_codec::to_string(&event)`
-    /// or the chain hash would diverge from what [`AuditLog::verify_chain`]
-    /// recomputes; debug builds assert this.
-    pub fn append_composed(&mut self, at_ns: u64, event: AuditEvent, payload: &str) {
-        debug_assert_eq!(
-            payload,
-            xoar_codec::to_string(&event),
-            "composed payload must match the canonical event encoding"
-        );
-        let seq = self.records.len() as u64;
-        let prev_hash = self.records.last().map_or(0, |r| r.hash);
-        let hash = chain_hash_payload(seq, at_ns, payload.as_bytes(), prev_hash);
+        let hash = chain_hash(seq, at_ns, &event, prev_hash, &mut self.buf);
         self.records.push(AuditRecord {
             seq,
             at_ns,
@@ -232,11 +204,12 @@ impl AuditLog {
     /// the first corrupted record, or `Ok(())` for an intact log.
     pub fn verify_chain(&self) -> Result<(), u64> {
         let mut prev = 0u64;
+        let mut buf = String::new();
         for r in &self.records {
             if r.prev_hash != prev {
                 return Err(r.seq);
             }
-            let expect = chain_hash(r.seq, r.at_ns, &r.event, r.prev_hash);
+            let expect = chain_hash(r.seq, r.at_ns, &r.event, r.prev_hash, &mut buf);
             if r.hash != expect {
                 return Err(r.seq);
             }
@@ -550,37 +523,13 @@ mod chain_tests {
     }
 
     #[test]
-    fn composed_append_matches_serialized_append() {
-        // The template-composed fast path must produce the exact chain
-        // the serializing path produces, record for record.
-        let mut serialized = log_with(2);
-        let mut composed = log_with(2);
-        let event = AuditEvent::ShardRestarted {
-            shard: DomId(6),
-            pages_restored: 42,
-        };
-        serialized.append(70, event.clone());
-        composed.append_composed(
-            70,
-            event,
-            r#"{"ShardRestarted":{"shard":6,"pages_restored":42}}"#,
-        );
-        assert_eq!(
-            serialized.records()[2].hash,
-            composed.records()[2].hash,
-            "composed payload hashes identically"
-        );
-        assert_eq!(composed.verify_chain(), Ok(()));
-    }
-
-    #[test]
     fn recomputing_one_hash_is_not_enough() {
         // An attacker who fixes up a tampered record's own hash still
         // breaks the next record's prev_hash link.
         let mut log = log_with(5);
         log.records[2].event = AuditEvent::VmDestroyed { guest: DomId(99) };
         let r = &log.records[2];
-        let fixed = chain_hash(r.seq, r.at_ns, &r.event, r.prev_hash);
+        let fixed = chain_hash(r.seq, r.at_ns, &r.event, r.prev_hash, &mut String::new());
         log.records[2].hash = fixed;
         assert_eq!(
             log.verify_chain(),

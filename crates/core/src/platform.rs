@@ -960,8 +960,8 @@ impl Platform {
         }
         let mut subtrees = Vec::with_capacity(roots.len());
         for root in roots {
-            let nodes = self.xs.read_subtree(toolstack, &root).map_err(xs_err)?;
-            subtrees.push((root, nodes));
+            let (layout, nodes) = self.xs.read_subtree(toolstack, &root).map_err(xs_err)?;
+            subtrees.push((root, layout, nodes));
         }
         let xs = XsPlan::compile(guest, subtrees);
         self.templates.insert(guest, GuestTemplate { xs });
@@ -1031,9 +1031,9 @@ impl Platform {
         // its own name) and its rows in each backend's directory, one
         // request each.
         let xs_err = |e| HvError::InvalidArgument(format!("xenstore: {e}"));
-        for (root, nodes) in self.templates[&template].xs.stamp(clone, name) {
+        for (root, layout, nodes) in self.templates[&template].xs.stamp(clone, name) {
             self.xs
-                .create_subtree(toolstack, &root, nodes)
+                .create_subtree(toolstack, &root, layout, nodes)
                 .map_err(xs_err)?;
         }
 

@@ -16,8 +16,6 @@
 //! against a [`Platform`], producing the downtime windows the simulator
 //! feeds into its TCP model.
 
-use std::fmt::Write as _;
-
 use xoar_devices::ring::RingId;
 use xoar_devices::xenbus::DeviceKind;
 use xoar_hypervisor::memory::Pfn;
@@ -110,11 +108,6 @@ struct RestartPlan {
     /// Event-channel rebind scratch: the shard-local ports kicked (one
     /// batched multicall) to tell frontends their rings are back.
     ports: Vec<u32>,
-    /// Audit template: `prefix + pages_restored + "}}"` is byte-identical
-    /// to the canonical JSON of `AuditEvent::ShardRestarted`.
-    audit_prefix: String,
-    /// Reusable payload composition buffer.
-    payload: String,
 }
 
 impl RestartPlan {
@@ -132,11 +125,6 @@ impl RestartPlan {
             slot,
             rings: Vec::new(),
             ports: Vec::new(),
-            audit_prefix: format!(
-                "{{\"ShardRestarted\":{{\"shard\":{},\"pages_restored\":",
-                dom.0
-            ),
-            payload: String::new(),
         }
     }
 
@@ -163,16 +151,6 @@ impl RestartPlan {
         self.rings.sort_unstable_by_key(|r| (r.granter.0, r.gref.0));
         self.ports.sort_unstable();
         self.ports.dedup();
-    }
-
-    /// Composes the audit payload for this restart into the reusable
-    /// buffer and returns it.
-    fn compose_audit(&mut self, pages_restored: u64) -> &str {
-        self.payload.clear();
-        self.payload.push_str(&self.audit_prefix);
-        let _ = write!(self.payload, "{pages_restored}");
-        self.payload.push_str("}}");
-        &self.payload
     }
 }
 
@@ -390,16 +368,13 @@ impl RestartEngine {
         reg.last_restart_ns = now;
         self.total_restarts += 1;
 
-        // 4. Audit from the precompiled template (no per-restart JSON
-        //    serialization; byte-identical to the canonical encoding).
-        let payload = reg.plan.compose_audit(pages_restored);
-        platform.audit.append_composed(
+        // 4. Audit the restart.
+        platform.audit.append(
             now,
             AuditEvent::ShardRestarted {
                 shard,
                 pages_restored,
             },
-            payload,
         );
         Ok(RestartOutcome {
             shard,

@@ -2,19 +2,21 @@
 //!
 //! `capture_template` reads each subtree a guest owns in the store — its
 //! home and the per-guest directory each of its backends keeps — in one
-//! range pass, and compiles it here. A node's key becomes a suffix under
-//! its root, its value literal text with slots where the clone's domain
+//! range pass, as a [`SubtreeLayout`] (the keys under the root, checked
+//! once) and the nodes' values and permissions, and compiles it here. A
+//! node's value becomes literal text with slots where the clone's domain
 //! id goes, and its permissions the template's with the template id
 //! turned into slots. A clone is then one `create_subtree` request per
-//! root: no value is searched and no key is parsed per clone, and every
-//! node keeps the ACL the template's node has.
+//! root with the captured layout: no value is searched and no key is
+//! parsed or re-checked per clone, and every node keeps the ACL the
+//! template's node has.
 //!
 //! This plan is kept apart from the hypervisor's `StampPlan` (the grant
 //! entries a clone replays) and the restart engine's `RestartPlan` (ring
 //! and port scratch for a microreboot): the three share no logic.
 
 use xoar_hypervisor::DomId;
-use xoar_xenstore::{NodePerms, PermEntry, PermLevel, SubtreeNode};
+use xoar_xenstore::{NodeData, NodePerms, PermEntry, PermLevel, SubtreeLayout};
 
 /// The xenbus conventions that embed a domain id in a value, in the order
 /// the rewrite applies them.
@@ -166,21 +168,13 @@ enum Value {
     Name,
 }
 
-/// One node of a subtree: its key under the root, value and permissions.
-#[derive(Debug)]
-struct Node {
-    /// `""` for the root itself, else `/` and the path below it.
-    suffix: String,
-    value: Value,
-    perms: Perms,
-}
-
-/// One subtree: its root key, less the template id it ends in, and its
-/// nodes, root first, each after its parent.
+/// One subtree: its root key, less the template id it ends in, its
+/// layout, and each node's value and permissions in the layout's order.
 #[derive(Debug)]
 struct Subtree {
     root_prefix: String,
-    nodes: Vec<Node>,
+    layout: SubtreeLayout,
+    nodes: Vec<(Value, Perms)>,
 }
 
 /// Every XenStore subtree of a template, compiled for stamping clones.
@@ -191,61 +185,62 @@ pub(crate) struct XsPlan {
 
 impl XsPlan {
     /// Compiles the subtrees read from `template`'s store: for each, its
-    /// root key (ending in the template id) and the nodes
-    /// `read_subtree` returned, root first. The home's `name` node keeps
-    /// its permissions and takes each clone's name as its value.
-    pub(crate) fn compile(template: DomId, subtrees: Vec<(String, Vec<SubtreeNode>)>) -> Self {
+    /// root key (ending in the template id) and the layout and nodes
+    /// `read_subtree` returned. The home's `name` node keeps its
+    /// permissions and takes each clone's name as its value.
+    pub(crate) fn compile(
+        template: DomId,
+        subtrees: Vec<(String, SubtreeLayout, Vec<NodeData>)>,
+    ) -> Self {
         let id = template.0.to_string();
-        let name_key = format!("/local/domain/{id}/name");
+        let home = format!("/local/domain/{id}");
         let subtrees = subtrees
             .into_iter()
-            .map(|(root, nodes)| Subtree {
+            .map(|(root, layout, nodes)| Subtree {
                 root_prefix: root
                     .strip_suffix(id.as_str())
                     .expect("a captured subtree root ends in the template id")
                     .to_string(),
-                nodes: nodes
-                    .into_iter()
-                    .map(|(key, value, perms)| Node {
-                        suffix: key[root.len()..].to_string(),
-                        value: if key == name_key {
+                nodes: layout
+                    .suffixes()
+                    .zip(nodes)
+                    .map(|(suffix, (value, perms))| {
+                        let value = if root == home && suffix == "/name" {
                             Value::Name
                         } else {
                             Value::Text(Text::compile(&value, &id))
-                        },
-                        perms: Perms::compile(&perms, template),
+                        };
+                        (value, Perms::compile(&perms, template))
                     })
                     .collect(),
+                layout,
             })
             .collect();
         XsPlan { subtrees }
     }
 
     /// The `create_subtree` requests that stamp the plan for `clone`,
-    /// named `name`: one `(root, nodes)` per subtree.
+    /// named `name`: one `(root, layout, nodes)` per subtree.
     pub(crate) fn stamp<'a>(
         &'a self,
         clone: DomId,
         name: &'a str,
-    ) -> impl Iterator<Item = (String, Vec<SubtreeNode>)> + 'a {
+    ) -> impl Iterator<Item = (String, &'a SubtreeLayout, Vec<NodeData>)> + 'a {
         let id = clone.0.to_string();
         self.subtrees.iter().map(move |subtree| {
             let root = format!("{}{id}", subtree.root_prefix);
             let nodes = subtree
                 .nodes
                 .iter()
-                .map(|node| {
-                    let mut key = String::with_capacity(root.len() + node.suffix.len());
-                    key.push_str(&root);
-                    key.push_str(&node.suffix);
-                    let value = match &node.value {
+                .map(|(value, perms)| {
+                    let value = match value {
                         Value::Text(text) => text.render(&id),
                         Value::Name => name.as_bytes().to_vec(),
                     };
-                    (key, value, node.perms.render(clone))
+                    (value, perms.render(clone))
                 })
                 .collect();
-            (root, nodes)
+            (root, &subtree.layout, nodes)
         })
     }
 }
@@ -337,43 +332,41 @@ mod tests {
         let (tpl, clone, backend) = (DomId(9), DomId(42), DomId(6));
         let mut shared = NodePerms::owner_only(tpl);
         shared.set_entry(backend, PermLevel::Read);
+        let layout = SubtreeLayout::new([
+            "",
+            "/device",
+            "/device/vif",
+            "/device/vif/0",
+            "/device/vif/0/backend",
+            "/name",
+        ])
+        .unwrap();
+        let own = NodePerms::owner_only(tpl);
         let home = vec![
-            ("/local/domain/9".into(), vec![], NodePerms::owner_only(tpl)),
-            (
-                "/local/domain/9/name".into(),
-                b"golden".to_vec(),
-                NodePerms::owner_only(DomId(3)),
-            ),
-            (
-                "/local/domain/9/device/vif/0/backend".into(),
-                b"/local/domain/6/backend/vif/9/0".to_vec(),
-                shared,
-            ),
+            (vec![], own.clone()),
+            (vec![], own.clone()),
+            (vec![], own.clone()),
+            (vec![], shared),
+            (b"/local/domain/6/backend/vif/9/0".to_vec(), own),
+            (b"golden".to_vec(), NodePerms::owner_only(DomId(3))),
         ];
-        let plan = XsPlan::compile(tpl, vec![("/local/domain/9".into(), home)]);
+        let plan = XsPlan::compile(tpl, vec![("/local/domain/9".into(), layout.clone(), home)]);
         let stamped: Vec<_> = plan.stamp(clone, "fn-b").collect();
         let mut shared = NodePerms::owner_only(clone);
         shared.set_entry(backend, PermLevel::Read);
+        let own = NodePerms::owner_only(clone);
         assert_eq!(
             stamped,
             vec![(
                 "/local/domain/42".to_string(),
+                &layout,
                 vec![
-                    (
-                        "/local/domain/42".to_string(),
-                        vec![],
-                        NodePerms::owner_only(clone)
-                    ),
-                    (
-                        "/local/domain/42/name".to_string(),
-                        b"fn-b".to_vec(),
-                        NodePerms::owner_only(DomId(3))
-                    ),
-                    (
-                        "/local/domain/42/device/vif/0/backend".to_string(),
-                        b"/local/domain/6/backend/vif/42/0".to_vec(),
-                        shared
-                    ),
+                    (vec![], own.clone()),
+                    (vec![], own.clone()),
+                    (vec![], own.clone()),
+                    (vec![], shared),
+                    (b"/local/domain/6/backend/vif/42/0".to_vec(), own),
+                    (b"fn-b".to_vec(), NodePerms::owner_only(DomId(3))),
                 ]
             )]
         );

@@ -1,13 +1,14 @@
-//! Pins the heap cost of the snapshot-fork stamp: the allocations made
-//! by `DomctlCloneDomain` when it stamps a clone of a sealed template
-//! whose grant table holds the four ring grants of an evaluation guest
-//! (XenStore, console, vif and vbd).
+//! Pins the heap cost of a warm start: the allocations made by
+//! `DomctlCloneDomain` when it stamps a clone of a sealed template whose
+//! grant table holds the four ring grants of an evaluation guest
+//! (XenStore, console, vif and vbd), and by the whole
+//! `Platform::clone_guest` and `Platform::destroy_guest` around it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
-use xoar_hypervisor::Hypercall;
+use xoar_hypervisor::{DomId, Hypercall};
 
 /// Forwards to the system allocator and counts allocations made on the
 /// calling thread, so parallel tests never see each other's.
@@ -77,4 +78,57 @@ fn clone_stamp_allocations_are_pinned() {
     let made = allocs() - before;
 
     assert_eq!(made, 818, "allocations for {N} clone stamps");
+}
+
+/// A platform with a captured evaluation-guest template: the platform,
+/// its toolstack and the template.
+fn with_template() -> (Platform, DomId, DomId) {
+    let mut p = Platform::xoar(XoarConfig::default());
+    let ts = p.services.toolstacks[0];
+    let tpl = p
+        .create_guest(ts, GuestConfig::evaluation_guest("tpl"))
+        .unwrap();
+    p.capture_template(ts, tpl).unwrap();
+    (p, ts, tpl)
+}
+
+#[test]
+fn platform_clone_allocations_are_pinned() {
+    const N: usize = 100;
+    let (mut p, ts, tpl) = with_template();
+    let names: Vec<String> = (0..=N).map(|i| format!("c{i}")).collect();
+    // The first clone seals the template and compiles its stamp plan.
+    p.clone_guest(ts, tpl, &names[0]).unwrap();
+
+    let before = allocs();
+    for name in &names[1..] {
+        p.clone_guest(ts, tpl, name).unwrap();
+    }
+    let made = allocs() - before;
+
+    assert_eq!(
+        made, 10_539,
+        "allocations for {N} Platform::clone_guest calls"
+    );
+}
+
+#[test]
+fn platform_destroy_allocations_are_pinned() {
+    const N: usize = 100;
+    let (mut p, ts, tpl) = with_template();
+    let clones: Vec<DomId> = (0..=N)
+        .map(|i| p.clone_guest(ts, tpl, &format!("c{i}")).unwrap())
+        .collect();
+    p.destroy_guest(ts, clones[0]).unwrap();
+
+    let before = allocs();
+    for &clone in &clones[1..] {
+        p.destroy_guest(ts, clone).unwrap();
+    }
+    let made = allocs() - before;
+
+    assert_eq!(
+        made, 4_601,
+        "allocations for {N} Platform::destroy_guest calls"
+    );
 }

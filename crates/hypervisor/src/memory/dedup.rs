@@ -12,7 +12,6 @@
 //! byte equality over a sharded sweep of the dense frame table and merges
 //! each group onto its lowest MFN.
 
-use super::frames::FrameInfo;
 use super::page::{content_hash, PageRef, ZERO_PAGE_HASH};
 use super::{MemoryManager, Mfn, Pfn};
 use crate::domain::DomId;
@@ -74,24 +73,16 @@ impl MemoryManager {
     /// (ascending) back live grant entries and stay out of the sweep, mapped or not:
     /// a grantee may map or copy through its entry at any time and must
     /// reach the page it was granted, and only that page. A sealed
-    /// template's frames stay out too: merged onto another domain's
-    /// frame, a template page would outlive that domain on a frame the
-    /// sealed-template write check no longer covers. Returns the number
-    /// of frames freed.
+    /// template's frames stay out too, so a sweep never moves a template
+    /// page onto a frame another domain owns. Returns the number of
+    /// frames freed.
     pub fn share_identical(&mut self, granted: &[Mfn]) -> u64 {
         // One dense sweep collects candidates; no page bodies are
         // cloned, and no per-hash-bucket heap vectors are walked.
         let zero = PageRef::zero_page();
-        let sealed = |f: &FrameInfo| {
-            !self.templates.is_empty()
-                && f.refs
-                    .as_slice()
-                    .iter()
-                    .any(|(dom, _)| self.templates.contains_key(dom))
-        };
         let mut cands: Vec<(u64, u64)> = Vec::with_capacity(self.frames.len());
         for (raw, f) in self.frames.iter() {
-            if f.mappings == 0 && !f.data.is_empty() && !sealed(f) {
+            if f.mappings == 0 && !f.data.is_empty() && !self.maps_a_template(f) {
                 let hash = if PageRef::ptr_eq(&f.data, &zero) {
                     ZERO_PAGE_HASH
                 } else {
@@ -362,6 +353,35 @@ mod sharing_tests {
         assert!(m.write_mfn(mfn, b"mutated").is_err());
         assert_eq!(m.read(clone, Pfn(0)).unwrap(), b"same");
         m.check_consistency().unwrap();
+    }
+
+    /// A sweep that runs before a domain is sealed may merge its page
+    /// onto another domain's frame, and sealing leaves it there. Writing
+    /// that frame in place would change the template under every clone,
+    /// so `write_mfn` refuses it while the other domain lives and after
+    /// it is released.
+    #[test]
+    fn write_mfn_refuses_a_template_page_merged_before_sealing() {
+        let mut m = MemoryManager::new(64);
+        let (peer, tpl, clone) = (DomId(1), DomId(3), DomId(10));
+        m.populate(peer, 1).unwrap();
+        m.populate(tpl, 1).unwrap();
+        m.write(peer, Pfn(0), b"same").unwrap();
+        m.write(tpl, Pfn(0), b"same").unwrap();
+        m.share_identical(&[]);
+        let mfn = m.translate(tpl, Pfn(0)).unwrap();
+        assert_eq!(m.owner(mfn).unwrap(), peer, "merged onto the peer's frame");
+        m.template_arm(tpl).unwrap();
+        m.clone_space(tpl, clone).unwrap();
+        for peer_alive in [true, false] {
+            if !peer_alive {
+                m.release_domain(peer);
+            }
+            assert!(m.write_mfn(mfn, b"mutated").is_err(), "alive: {peer_alive}");
+            assert_eq!(m.read(clone, Pfn(0)).unwrap(), b"same");
+            assert_eq!(m.read(tpl, Pfn(0)).unwrap(), b"same");
+            m.check_consistency().unwrap();
+        }
     }
 
     #[test]

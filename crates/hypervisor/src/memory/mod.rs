@@ -395,16 +395,29 @@ impl MemoryManager {
     /// Writes a shared page body directly by machine frame without
     /// copying bytes (snapshot rollback, ring payload delivery).
     pub fn write_mfn_page(&mut self, mfn: Mfn, page: PageRef) -> HvResult<()> {
-        if let Some(f) = self.frames.get(mfn.0) {
-            if self.templates.contains_key(&f.owner) {
-                return Err(crate::error::HvError::InvalidArgument(format!(
-                    "{mfn} belongs to a sealed template and cannot be written",
-                )));
-            }
+        if self
+            .frames
+            .get(mfn.0)
+            .is_some_and(|f| self.maps_a_template(f))
+        {
+            return Err(crate::error::HvError::InvalidArgument(format!(
+                "{mfn} backs a sealed template and cannot be written",
+            )));
         }
         self.set_frame_data(mfn, page)?;
         self.mark_dirty(mfn);
         Ok(())
+    }
+
+    /// Whether a sealed template maps frame `f`. Its owner may be another
+    /// domain: a sweep that ran before the template was sealed can have
+    /// merged the template's page onto that domain's frame.
+    fn maps_a_template(&self, f: &FrameInfo) -> bool {
+        !self.templates.is_empty()
+            && f.refs
+                .as_slice()
+                .iter()
+                .any(|(dom, _)| self.templates.contains_key(dom))
     }
 
     /// Reads directly by machine frame as a shared handle.

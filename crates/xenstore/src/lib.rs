@@ -42,7 +42,7 @@ pub mod state;
 pub mod watch;
 
 pub use error::{XsError, XsResult};
-pub use logic::{Quotas, SubtreeNode, XenStoreLogic};
+pub use logic::{NodeData, Quotas, SubtreeLayout, XenStoreLogic};
 pub use path::XsPath;
 pub use perm::{NodePerms, PermEntry, PermLevel};
 pub use proto::{Request, Response, XenStore};

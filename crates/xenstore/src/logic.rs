@@ -21,7 +21,7 @@ use xoar_hypervisor::fasthash::{FastMap, FastSet};
 use xoar_hypervisor::DomId;
 
 use crate::error::{XsError, XsResult};
-use crate::path::{is_under, XsPath};
+use crate::path::{XsPath, PATH_MAX};
 use crate::perm::NodePerms;
 use crate::state::{KvReply, KvRequest, NodeRecord, XenStoreState};
 use crate::watch::{WatchEvent, WatchRegistry};
@@ -43,8 +43,71 @@ const WATCH_JOURNAL: &str = "/@watch";
 /// or read beneath it.
 const RESERVED: &str = "/@";
 
-/// One node of a subtree request: its full key, value and permissions.
-pub type SubtreeNode = (String, Vec<u8>, NodePerms);
+/// A node's value and permissions, as a subtree request lists them.
+pub type NodeData = (Vec<u8>, NodePerms);
+
+/// The keys of a subtree relative to its root, checked once.
+///
+/// A layout is what every request stamping the same shape of subtree
+/// shares: [`XenStoreLogic::create_subtree`] takes one with a root and a
+/// value and permissions per node, and builds each key as root + suffix.
+/// The only constructor, [`SubtreeLayout::new`], applies the per-key
+/// rules, and a layout is immutable, so a layout checked when it is
+/// captured gives every later request the decision the per-key checks
+/// would give it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubtreeLayout {
+    /// The suffix of every node but the root, each after its parent.
+    below: Vec<String>,
+    /// The longest suffix's length.
+    longest: usize,
+}
+
+impl SubtreeLayout {
+    /// Checks a list of suffixes: the root is listed first, as `""`, and
+    /// every other suffix is a normalised path (`/` and the path below
+    /// the root), listed once, after its parent. So every key the layout
+    /// names lies beneath its root, and no node is stored without its
+    /// parent.
+    pub fn new<S: Into<String>>(suffixes: impl IntoIterator<Item = S>) -> XsResult<Self> {
+        let mut suffixes = suffixes.into_iter().map(Into::into);
+        if suffixes.next().is_none_or(|root| !root.is_empty()) {
+            return Err(XsError::Inval("a subtree lists its root first".into()));
+        }
+        let below: Vec<String> = suffixes.collect();
+        let mut listed: FastSet<&str> = FastSet::default();
+        listed.reserve(below.len());
+        for suffix in &below {
+            if suffix.is_empty() {
+                return Err(XsError::Exists("the subtree's root".into()));
+            }
+            if suffix == "/" || !XsPath::is_normalised(suffix) {
+                return Err(XsError::Inval(format!(
+                    "{suffix} is not a path below the root"
+                )));
+            }
+            let parent = parent_key(suffix).unwrap_or_default();
+            if !(parent.is_empty() || listed.contains(parent)) {
+                return Err(XsError::Inval(format!("{suffix} listed before its parent")));
+            }
+            if !listed.insert(suffix) {
+                return Err(XsError::Exists(suffix.clone()));
+            }
+        }
+        let longest = below.iter().map(String::len).max().unwrap_or(0);
+        Ok(SubtreeLayout { below, longest })
+    }
+
+    /// The number of nodes, the root included.
+    fn len(&self) -> usize {
+        self.below.len() + 1
+    }
+
+    /// Every node's suffix, the root's `""` first.
+    pub fn suffixes(&self) -> impl Iterator<Item = &str> {
+        std::iter::once("").chain(self.below.iter().map(String::as_str))
+    }
+}
 
 /// An in-flight transaction.
 #[derive(Debug, Clone)]
@@ -297,18 +360,19 @@ impl XenStoreLogic {
         Ok(())
     }
 
-    /// Creates a whole subtree in one request: `nodes` lists each node's
-    /// full key, value and permissions, every node after its parent, so
-    /// the root comes first.
+    /// Creates a whole subtree in one request: the node at `root` +
+    /// suffix for each suffix of `layout`, with the value and permissions
+    /// `nodes` lists in the same order.
     ///
-    /// Every check runs before the first Put, and a refusal leaves the
-    /// store unchanged:
-    /// - the root lies outside the reserved `/@` namespace and does not
-    ///   exist; its nearest existing ancestor grants `dom` write access
-    ///   (the create rule of [`Self::write`]);
-    /// - every key is a normalised path equal to the root or beneath it,
-    ///   listed once, after its parent (the root's parent is the one
-    ///   parent not listed), so no stored node is left without its parent;
+    /// The layout was checked when it was built (see
+    /// [`SubtreeLayout::new`]), so every key lies beneath the root and
+    /// follows its parent. Every check of the request runs before the
+    /// first Put, and a refusal leaves the store unchanged:
+    /// - the root lies outside the reserved `/@` namespace, is not `/`,
+    ///   and does not exist; its nearest existing ancestor grants `dom`
+    ///   write access (the create rule of [`Self::write`]);
+    /// - `nodes` has one entry per node of the layout, and the root plus
+    ///   the layout's longest suffix fits in [`PATH_MAX`];
     /// - an unprivileged caller lists only nodes it owns (the rule of
     ///   [`Self::set_perms`]), and its quota covers them plus any missing
     ///   ancestors of the root.
@@ -323,7 +387,8 @@ impl XenStoreLogic {
         state: &mut XenStoreState,
         dom: DomId,
         root: &XsPath,
-        nodes: Vec<SubtreeNode>,
+        layout: &SubtreeLayout,
+        nodes: Vec<NodeData>,
     ) -> XsResult<()> {
         self.requests_this_epoch += 1;
         let root_key = root.as_str();
@@ -333,43 +398,30 @@ impl XenStoreLogic {
         if root_key == "/" {
             return Err(XsError::Exists(root_key.into()));
         }
-        if nodes.first().is_none_or(|(key, _, _)| key != root_key) {
+        if nodes.len() != layout.len() {
             return Err(XsError::Inval(format!(
-                "subtree {root} must list its root first"
+                "{} nodes for a layout of {}",
+                nodes.len(),
+                layout.len()
             )));
         }
-        let privileged = self.is_privileged(dom);
-        // Keys listed so far, less the root: a one-node request (a domain
-        // home) allocates nothing here.
-        let mut listed: FastSet<&str> = FastSet::default();
-        listed.reserve(nodes.len() - 1);
-        for (key, _, _) in &nodes[1..] {
-            if key == root_key {
-                return Err(XsError::Exists(key.clone()));
-            }
-            if !(is_under(key, root_key) && XsPath::is_normalised(key)) {
-                return Err(XsError::Inval(format!("{key} is not under {root}")));
-            }
-            if !parent_key(key).is_some_and(|parent| parent == root_key || listed.contains(parent))
-            {
-                return Err(XsError::Inval(format!("{key} listed before its parent")));
-            }
-            if !listed.insert(key) {
-                return Err(XsError::Exists(key.clone()));
-            }
+        if root_key.len() + layout.longest > PATH_MAX {
+            return Err(XsError::Inval(format!("a key under {root} is too long")));
         }
+        let privileged = self.is_privileged(dom);
         if !privileged {
-            if let Some((key, _, _)) = nodes.iter().find(|(_, _, perms)| perms.owner != dom) {
+            if let Some((suffix, _)) = layout
+                .suffixes()
+                .zip(&nodes)
+                .find(|(_, (_, perms))| perms.owner != dom)
+            {
                 return Err(XsError::Acc {
                     caller: dom,
-                    path: key.clone(),
+                    path: format!("{root_key}{suffix}"),
                 });
             }
         }
-        let owned = nodes
-            .iter()
-            .filter(|(_, _, perms)| perms.owner == dom)
-            .count();
+        let owned = nodes.iter().filter(|(_, perms)| perms.owner == dom).count();
         if state.get(root_key).is_some() {
             return Err(XsError::Exists(root.to_string()));
         }
@@ -392,7 +444,10 @@ impl XenStoreLogic {
             };
             state.serve(KvRequest::Put(root_key[..end].to_string(), rec));
         }
-        for (key, value, perms) in nodes {
+        for (suffix, (value, perms)) in layout.suffixes().zip(nodes) {
+            let mut key = String::with_capacity(root_key.len() + suffix.len());
+            key.push_str(root_key);
+            key.push_str(suffix);
             let _ = self.charge_node(perms.owner);
             self.watches.fire(&key);
             let rec = NodeRecord {
@@ -407,33 +462,39 @@ impl XenStoreLogic {
 
     /// Reads a whole subtree in one range pass over State: `root` and
     /// every node beneath it, in key order (each parent before its
-    /// children), as the nodes [`Self::create_subtree`] takes. Every node
-    /// must be readable by `dom`.
+    /// children), as the layout and nodes [`Self::create_subtree`] takes.
+    /// The root is not `/`, and every node must be readable by `dom`.
     pub fn read_subtree(
         &mut self,
         state: &mut XenStoreState,
         dom: DomId,
         root: &XsPath,
-    ) -> XsResult<Vec<SubtreeNode>> {
+    ) -> XsResult<(SubtreeLayout, Vec<NodeData>)> {
         self.requests_this_epoch += 1;
-        if root.as_str().starts_with(RESERVED) {
+        let root_key = root.as_str();
+        if root_key.starts_with(RESERVED) {
             return Err(XsError::Inval("reserved namespace".into()));
         }
+        if root_key == "/" {
+            return Err(XsError::Inval("the whole store is not a subtree".into()));
+        }
         let privileged = self.is_privileged(dom);
-        let mut out = Vec::new();
-        for (key, rec) in state.subtree(root.as_str()) {
+        let mut suffixes = Vec::new();
+        let mut nodes = Vec::new();
+        for (key, rec) in state.subtree(root_key) {
             if !(privileged || rec.perms.can_read(dom)) {
                 return Err(XsError::Acc {
                     caller: dom,
                     path: key.clone(),
                 });
             }
-            out.push((key.clone(), rec.value.clone(), rec.perms.clone()));
+            suffixes.push(&key[root_key.len()..]);
+            nodes.push((rec.value.clone(), rec.perms.clone()));
         }
-        if out.first().is_none_or(|(key, _, _)| key != root.as_str()) {
+        if suffixes.first() != Some(&"") {
             return Err(XsError::NoEnt(root.to_string()));
         }
-        Ok(out)
+        Ok((SubtreeLayout::new(suffixes)?, nodes))
     }
 
     /// The one upward walk of a create: from `path`'s parent to the
@@ -1388,15 +1449,17 @@ mod tests {
         ));
     }
 
-    /// Nodes at `root` and at each of `suffixes` beneath it, in order, all
-    /// valued `v` and owned by `owner`.
-    fn nodes(root: &str, suffixes: &[&str], owner: DomId) -> Vec<SubtreeNode> {
-        suffixes
-            .iter()
-            .map(|suffix| {
-                let perms = NodePerms::owner_only(owner);
-                (format!("{root}{suffix}"), b"v".to_vec(), perms)
-            })
+    /// A layout the tests know to be valid.
+    fn layout(suffixes: &[&str]) -> SubtreeLayout {
+        SubtreeLayout::new(suffixes.iter().copied()).unwrap()
+    }
+
+    /// A node for each of `layout`'s suffixes, all valued `v` and owned
+    /// by `owner`.
+    fn values(layout: &SubtreeLayout, owner: DomId) -> Vec<NodeData> {
+        layout
+            .suffixes()
+            .map(|_| (b"v".to_vec(), NodePerms::owner_only(owner)))
             .collect()
     }
 
@@ -1407,7 +1470,8 @@ mod tests {
         s: &mut XenStoreState,
         dom: DomId,
         root: &str,
-        nodes: Vec<SubtreeNode>,
+        layout: &SubtreeLayout,
+        nodes: Vec<NodeData>,
         want: fn(&XsError) -> bool,
     ) {
         let before = (
@@ -1416,7 +1480,9 @@ mod tests {
             s.owner_counts().clone(),
             l.node_counts.clone(),
         );
-        let err = l.create_subtree(s, dom, &p(root), nodes).unwrap_err();
+        let err = l
+            .create_subtree(s, dom, &p(root), layout, nodes)
+            .unwrap_err();
         assert!(want(&err), "{root}: {err}");
         let after = (
             s.len(),
@@ -1433,14 +1499,11 @@ mod tests {
         let backend = DomId(6);
         let mut shared = NodePerms::owner_only(guest);
         shared.set_entry(backend, crate::perm::PermLevel::Read);
-        let mut tree = nodes("/local/domain/7/device", &["", "/vif"], dom0);
-        tree.push((
-            "/local/domain/7/device/vif/0".into(),
-            b"".to_vec(),
-            shared.clone(),
-        ));
+        let tree = layout(&["", "/vif", "/vif/0"]);
+        let mut nodes = values(&tree, dom0);
+        nodes[2] = (b"".to_vec(), shared.clone());
         let (gen, ops) = (s.generation(), s.ops_served());
-        l.create_subtree(&mut s, dom0, &p("/local/domain/7/device"), tree)
+        l.create_subtree(&mut s, dom0, &p("/local/domain/7/device"), &tree, nodes)
             .unwrap();
         assert_eq!(s.generation(), gen + 3, "one Put per node");
         assert_eq!(s.ops_served(), ops + 5, "and two Gets: root, parent");
@@ -1456,11 +1519,13 @@ mod tests {
             .unwrap();
         // Missing ancestors of the root are created first, as `write`
         // creates them: owned by and charged to the caller.
+        let root_only = layout(&[""]);
         l.create_subtree(
             &mut s,
             guest,
             &p("/local/domain/7/a/b"),
-            nodes("/local/domain/7/a/b", &[""], guest),
+            &root_only,
+            values(&root_only, guest),
         )
         .unwrap();
         assert_eq!(
@@ -1474,71 +1539,74 @@ mod tests {
     fn create_subtree_refuses_an_existing_root() {
         let (mut l, mut s, dom0, guest) = setup();
         let home = "/local/domain/7";
+        let tree = layout(&["", "/x"]);
         assert_refused(
             &mut l,
             &mut s,
             dom0,
             home,
-            nodes(home, &["", "/x"], guest),
+            &tree,
+            values(&tree, guest),
             |e| matches!(e, XsError::Exists(_)),
         );
-        assert_refused(&mut l, &mut s, dom0, "/", nodes("/", &[""], dom0), |e| {
-            matches!(e, XsError::Exists(_))
-        });
+        let root_only = layout(&[""]);
+        assert_refused(
+            &mut l,
+            &mut s,
+            dom0,
+            "/",
+            &root_only,
+            values(&root_only, dom0),
+            |e| matches!(e, XsError::Exists(_)),
+        );
     }
 
     #[test]
     fn create_subtree_refuses_a_key_outside_the_root() {
-        let (mut l, mut s, dom0, _) = setup();
-        let mut tree = nodes("/tool/a", &["", "/x"], dom0);
-        tree.push(("/tool/ab".into(), vec![], NodePerms::owner_only(dom0)));
-        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
-            matches!(e, XsError::Inval(_))
-        });
-        let mut tree = nodes("/tool/a", &["", "/x"], dom0);
-        tree.push(("/tool/a/x/".into(), vec![], NodePerms::owner_only(dom0)));
-        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
-            matches!(e, XsError::Inval(_))
-        });
+        // `/tool/a` + `b` would be the sibling `/tool/ab`, and `/x/` is
+        // not normalised; `/` would end the root in a slash.
+        for suffixes in [&["", "/x", "b"][..], &["", "/x", "/x/"], &["", "/"]] {
+            let err = SubtreeLayout::new(suffixes.iter().copied()).unwrap_err();
+            assert!(matches!(err, XsError::Inval(_)), "{suffixes:?}: {err}");
+        }
     }
 
     #[test]
     fn create_subtree_refuses_a_node_listed_before_its_parent() {
-        let (mut l, mut s, dom0, _) = setup();
-        let tree = nodes("/tool/a", &["", "/x/y", "/x"], dom0);
-        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
-            matches!(e, XsError::Inval(_))
-        });
+        let refused = |suffixes: &[&str]| SubtreeLayout::new(suffixes.iter().copied()).unwrap_err();
+        assert!(matches!(refused(&["", "/x/y", "/x"]), XsError::Inval(_)));
         // The root is the first node listed, and listed once.
-        let tree = nodes("/tool/a", &["/x", ""], dom0);
-        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
-            matches!(e, XsError::Inval(_))
-        });
-        let tree = nodes("/tool/a", &["", "/x", "/x"], dom0);
-        assert_refused(&mut l, &mut s, dom0, "/tool/a", tree, |e| {
-            matches!(e, XsError::Exists(_))
-        });
-        assert_refused(&mut l, &mut s, dom0, "/tool/a", vec![], |e| {
-            matches!(e, XsError::Inval(_))
-        });
+        assert!(matches!(refused(&["/x", ""]), XsError::Inval(_)));
+        assert!(matches!(refused(&["", "/x", ""]), XsError::Exists(_)));
+        assert!(matches!(refused(&["", "/x", "/x"]), XsError::Exists(_)));
+        assert!(matches!(refused(&[]), XsError::Inval(_)));
     }
 
     #[test]
     fn create_subtree_refuses_an_unprivileged_caller_listing_a_foreign_owner() {
         let (mut l, mut s, dom0, guest) = setup();
         let root = "/local/domain/7/data";
-        let mut tree = nodes(root, &["", "/mine"], guest);
-        tree.extend(nodes(root, &["/theirs"], dom0));
-        assert_refused(&mut l, &mut s, guest, root, tree, |e| {
-            matches!(e, XsError::Acc { .. })
-        });
+        let tree = layout(&["", "/mine", "/theirs"]);
+        let mut nodes = values(&tree, guest);
+        nodes[2].1 = NodePerms::owner_only(dom0);
+        assert_refused(
+            &mut l,
+            &mut s,
+            guest,
+            root,
+            &tree,
+            nodes,
+            |e| matches!(e, XsError::Acc { path, .. } if path == "/local/domain/7/data/theirs"),
+        );
         // Nor may it create where its create rule denies it.
+        let root_only = layout(&[""]);
         assert_refused(
             &mut l,
             &mut s,
             guest,
             "/tool/x",
-            nodes("/tool/x", &[""], guest),
+            &root_only,
+            values(&root_only, guest),
             |e| matches!(e, XsError::Acc { .. }),
         );
     }
@@ -1546,13 +1614,15 @@ mod tests {
     #[test]
     fn create_subtree_refuses_the_reserved_namespace() {
         let (mut l, mut s, dom0, _) = setup();
+        let tree = layout(&["", "/y"]);
         for root in ["/@watch/evil", "/@x"] {
             assert_refused(
                 &mut l,
                 &mut s,
                 dom0,
                 root,
-                nodes(root, &["", "/y"], dom0),
+                &tree,
+                values(&tree, dom0),
                 |e| matches!(e, XsError::Inval(_)),
             );
         }
@@ -1567,22 +1637,136 @@ mod tests {
         let mut s = XenStoreState::new();
         let (dom0, guest) = (DomId(0), DomId(7));
         l.set_privileged(dom0, true);
-        l.create_subtree(&mut s, dom0, &p("/g"), nodes("/g", &[""], guest))
-            .unwrap();
+        let root_only = layout(&[""]);
+        l.create_subtree(
+            &mut s,
+            dom0,
+            &p("/g"),
+            &root_only,
+            values(&root_only, guest),
+        )
+        .unwrap();
         // Home + a missing ancestor + three nodes is five, one too many:
         // nothing is created, not even the nodes that would fit.
         let root = "/g/a/b";
+        let three = layout(&["", "/c", "/d"]);
         assert_refused(
             &mut l,
             &mut s,
             guest,
             root,
-            nodes(root, &["", "/c", "/d"], guest),
+            &three,
+            values(&three, guest),
             |e| matches!(e, XsError::Quota("nodes")),
         );
-        l.create_subtree(&mut s, guest, &p(root), nodes(root, &["", "/c"], guest))
+        let two = layout(&["", "/c"]);
+        l.create_subtree(&mut s, guest, &p(root), &two, values(&two, guest))
             .unwrap();
         assert_eq!(l.node_count(guest), 4);
+    }
+
+    #[test]
+    fn create_subtree_refuses_a_key_longer_than_path_max() {
+        let (mut l, mut s, dom0, _) = setup();
+        // Each component and each suffix is valid on its own; only the
+        // root and the longest suffix together pass the limit.
+        let comp = |c: char, n: usize| format!("/{}", c.to_string().repeat(n));
+        let root = format!("/tool{}", comp('a', 250).repeat(10));
+        let tree = layout(&["", &comp('b', 250), &(comp('b', 250) + &comp('c', 250))]);
+        let longest = root.len() + 2 * 251;
+        let last = PATH_MAX - longest - 1;
+        let at_max = comp('b', 250) + &comp('c', 250) + &comp('d', last);
+        let over = comp('b', 250) + &comp('c', 250) + &comp('d', last + 1);
+        let refused = layout(&[
+            "",
+            &comp('b', 250),
+            &(comp('b', 250) + &comp('c', 250)),
+            &over,
+        ]);
+        assert_refused(
+            &mut l,
+            &mut s,
+            dom0,
+            &root,
+            &refused,
+            values(&refused, dom0),
+            |e| matches!(e, XsError::Inval(_)),
+        );
+        let mut suffixes: Vec<&str> = tree.suffixes().collect();
+        suffixes.push(&at_max);
+        let fits = layout(&suffixes);
+        l.create_subtree(&mut s, dom0, &p(&root), &fits, values(&fits, dom0))
+            .unwrap();
+        assert_eq!(
+            s.peek(&format!("{root}{at_max}")).map(|r| r.value.clone()),
+            Some(b"v".to_vec())
+        );
+        assert_eq!(root.len() + at_max.len(), PATH_MAX);
+    }
+
+    #[test]
+    fn create_subtree_refuses_a_node_count_other_than_the_layouts() {
+        let (mut l, mut s, dom0, _) = setup();
+        let tree = layout(&["", "/x"]);
+        for n in [0, 1, 3] {
+            let nodes = vec![(b"v".to_vec(), NodePerms::owner_only(dom0)); n];
+            assert_refused(&mut l, &mut s, dom0, "/tool/a", &tree, nodes, |e| {
+                matches!(e, XsError::Inval(_))
+            });
+        }
+    }
+
+    #[test]
+    fn read_subtree_then_create_subtree_reproduces_values_and_acls() {
+        let (mut l, mut s, dom0, guest) = setup();
+        let backend = DomId(6);
+        for (key, value) in [
+            ("/local/domain/7/device/vif/0/state", "4"),
+            ("/local/domain/7/device/vif/0/backend", "/local/domain/6"),
+            ("/local/domain/7/device/vbd", ""),
+            ("/local/domain/7/device-model", "x"),
+        ] {
+            l.write(&mut s, guest, None, &p(key), value.as_bytes())
+                .unwrap();
+        }
+        let mut shared = NodePerms::owner_only(guest);
+        shared.set_entry(backend, crate::perm::PermLevel::Read);
+        l.set_perms(&mut s, guest, &p("/local/domain/7/device/vif/0"), shared)
+            .unwrap();
+        let (tree, nodes) = l
+            .read_subtree(&mut s, dom0, &p("/local/domain/7/device"))
+            .unwrap();
+        // `device-model` sorts inside the range but is a sibling.
+        assert_eq!(
+            tree.suffixes().collect::<Vec<_>>(),
+            [
+                "",
+                "/vbd",
+                "/vif",
+                "/vif/0",
+                "/vif/0/backend",
+                "/vif/0/state"
+            ]
+        );
+        l.create_subtree(&mut s, dom0, &p("/copy"), &tree, nodes)
+            .unwrap();
+        for suffix in tree.suffixes() {
+            let (from, to) = (
+                format!("/local/domain/7/device{suffix}"),
+                format!("/copy{suffix}"),
+            );
+            let (from, to) = (s.peek(&from).unwrap(), s.peek(&to).unwrap());
+            assert_eq!(
+                (&to.value, &to.perms),
+                (&from.value, &from.perms),
+                "{suffix}"
+            );
+        }
+        assert_eq!(s.subtree("/copy").count(), tree.len());
+        assert!(matches!(
+            l.read_subtree(&mut s, dom0, &p("/")),
+            Err(XsError::Inval(_))
+        ));
     }
 
     #[test]
@@ -1593,7 +1777,8 @@ mod tests {
         let _ = l.poll_watch(dom0);
         let root = "/local/domain/7/device";
         let suffixes = ["", "/vif", "/vif/0", "/vif/0/state", "/vbd"];
-        l.create_subtree(&mut s, guest, &p(root), nodes(root, &suffixes, guest))
+        let tree = layout(&suffixes);
+        l.create_subtree(&mut s, guest, &p(root), &tree, values(&tree, guest))
             .unwrap();
         let fired: Vec<String> = std::iter::from_fn(|| l.poll_watch(dom0))
             .map(|e| {
@@ -1647,21 +1832,23 @@ mod proptests {
                         // never reaches; a second one at the same root is
                         // refused and changes nothing.
                         let root = format!("/t{key}");
-                        let tree: Vec<SubtreeNode> = ["", "/c", "/c/d"]
-                            .iter()
+                        let layout = SubtreeLayout::new(["", "/c", "/c/d"]).unwrap();
+                        let tree: Vec<_> = layout
+                            .suffixes()
                             .map(|suffix| {
                                 let value = format!("v{val}{suffix}").into_bytes();
-                                (
-                                    format!("{root}{suffix}"),
-                                    value,
-                                    NodePerms::owner_only(dom0),
-                                )
+                                (value, NodePerms::owner_only(dom0))
                             })
                             .collect();
-                        if l.create_subtree(&mut s, dom0, &p(&root), tree.clone())
+                        if l.create_subtree(&mut s, dom0, &p(&root), &layout, tree.clone())
                             .is_ok()
                         {
-                            shadow.extend(tree.into_iter().map(|(k, v, _)| (k, v)));
+                            shadow.extend(
+                                layout
+                                    .suffixes()
+                                    .zip(tree)
+                                    .map(|(suffix, (v, _))| (format!("{root}{suffix}"), v)),
+                            );
                         }
                     }
                 }
@@ -1744,15 +1931,12 @@ mod proptests {
                     }
                     20 => {
                         let owner = if g.bool() { dom0 } else { guest };
-                        let root = path.as_str();
-                        let tree = ["", "/x", "/x/y", "/y"]
-                            .iter()
-                            .map(|suffix| {
-                                let perms = NodePerms::owner_only(owner);
-                                (format!("{root}{suffix}"), b"v".to_vec(), perms)
-                            })
+                        let layout = SubtreeLayout::new(["", "/x", "/x/y", "/y"]).unwrap();
+                        let tree = layout
+                            .suffixes()
+                            .map(|_| (b"v".to_vec(), NodePerms::owner_only(owner)))
                             .collect();
-                        let _ = l.create_subtree(&mut s, dom, &path, tree);
+                        let _ = l.create_subtree(&mut s, dom, &path, &layout, tree);
                     }
                     _ => {
                         s = XenStoreState::recover(&s.persist()).unwrap();
@@ -1784,15 +1968,13 @@ mod proptests {
                     l.rm(&mut s, dom0, None, &p(&format!("/n{k}"))).unwrap();
                 } else if subtree {
                     let root = format!("/n{k}");
+                    let layout = SubtreeLayout::new(["", "/g"]).unwrap();
                     let tree = vec![
-                        (root.clone(), b"v".to_vec(), NodePerms::owner_only(dom0)),
-                        (
-                            format!("{root}/g"),
-                            b"v".to_vec(),
-                            NodePerms::owner_only(guest),
-                        ),
+                        (b"v".to_vec(), NodePerms::owner_only(dom0)),
+                        (b"v".to_vec(), NodePerms::owner_only(guest)),
                     ];
-                    l.create_subtree(&mut s, dom0, &p(&root), tree).unwrap();
+                    l.create_subtree(&mut s, dom0, &p(&root), &layout, tree)
+                        .unwrap();
                     present.insert(k, true);
                 } else {
                     l.write(&mut s, dom0, None, &p(&format!("/n{k}")), b"v")

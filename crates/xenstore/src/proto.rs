@@ -12,7 +12,7 @@
 use xoar_hypervisor::DomId;
 
 use crate::error::{XsError, XsResult};
-use crate::logic::{Quotas, SubtreeNode, XenStoreLogic};
+use crate::logic::{NodeData, Quotas, SubtreeLayout, XenStoreLogic};
 use crate::path::XsPath;
 use crate::perm::NodePerms;
 use crate::state::XenStoreState;
@@ -292,23 +292,29 @@ impl XenStore {
         self.logic.set_perms(&mut self.state, dom, &p, perms)
     }
 
-    /// Creates a whole subtree in one request: `nodes` lists each node's
-    /// full key, value and permissions, root first and every node after
-    /// its parent. Not a wire request; see
+    /// Creates a whole subtree in one request: the node at `root` + each
+    /// suffix of `layout`, with the value and permissions `nodes` lists
+    /// in the layout's order. Not a wire request; see
     /// [`XenStoreLogic::create_subtree`] for the checks.
     pub fn create_subtree(
         &mut self,
         actor: DomId,
         root: &str,
-        nodes: Vec<SubtreeNode>,
+        layout: &SubtreeLayout,
+        nodes: Vec<NodeData>,
     ) -> XsResult<()> {
         let p = XsPath::parse(root)?;
-        self.logic.create_subtree(&mut self.state, actor, &p, nodes)
+        self.logic
+            .create_subtree(&mut self.state, actor, &p, layout, nodes)
     }
 
-    /// Reads `root` and its whole subtree in one range pass, in key order
-    /// (see [`XenStoreLogic::read_subtree`]).
-    pub fn read_subtree(&mut self, actor: DomId, root: &str) -> XsResult<Vec<SubtreeNode>> {
+    /// Reads `root` and its whole subtree in one range pass, in key order,
+    /// as a layout and its nodes (see [`XenStoreLogic::read_subtree`]).
+    pub fn read_subtree(
+        &mut self,
+        actor: DomId,
+        root: &str,
+    ) -> XsResult<(SubtreeLayout, Vec<NodeData>)> {
         let p = XsPath::parse(root)?;
         self.logic.read_subtree(&mut self.state, actor, &p)
     }
@@ -318,9 +324,14 @@ impl XenStore {
     /// one-node [`XenStore::create_subtree`].
     pub fn create_domain_home(&mut self, actor: DomId, domid: DomId) -> XsResult<()> {
         let home = XsPath::domain_home(domid.0);
-        let node = (home.to_string(), Vec::new(), NodePerms::owner_only(domid));
-        self.logic
-            .create_subtree(&mut self.state, actor, &home, vec![node])
+        let node = (Vec::new(), NodePerms::owner_only(domid));
+        self.logic.create_subtree(
+            &mut self.state,
+            actor,
+            &home,
+            &SubtreeLayout::new([""])?,
+            vec![node],
+        )
     }
 
     /// Removes a domain's connections, watches, quotas, and home dir.
