@@ -1,12 +1,9 @@
 //! `xoar-lint` — Pass B entry point.
 //!
 //! Scans every `crates/*/src/**/*.rs` file in the workspace, applies the
-//! layering rules from [`xoar_analysis::lint`], subtracts the committed
-//! allowlist (`crates/analysis/lint.allow` — absent by default: the
-//! workspace carries no suppressions), and prints the survivors in
-//! stable sorted order. Exits nonzero iff any finding survives, or if
-//! an allowlist entry suppresses nothing — stale debt must be deleted,
-//! so the list can only shrink.
+//! layering rules from [`xoar_analysis::lint`], and prints every finding
+//! in stable sorted order. Exits nonzero iff there is any finding: no
+//! suppression mechanism exists.
 //!
 //! Usage: `xoar-lint [--root <repo-root>]` — the root defaults to the
 //! workspace this binary was built from, so `cargo run -p xoar-analysis
@@ -15,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xoar_analysis::lint::{apply_allowlist, lint_sources, load_tree, Allowlist};
+use xoar_analysis::lint::{lint_sources, load_tree};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
@@ -43,29 +40,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let allow_path = root.join("crates/analysis/lint.allow");
-    let allow = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => Allowlist::parse(&text),
-        Err(_) => Allowlist::default(),
-    };
-
     let findings = lint_sources(&files);
-    let stale = allow.unused_entries(&findings);
-    let (kept, suppressed) = apply_allowlist(findings, &allow);
-    for f in &kept {
+    for f in &findings {
         println!("{}", f.render());
     }
-    for entry in &stale {
-        println!("stale allowlist entry (suppresses nothing — delete it): {entry}");
-    }
     println!(
-        "xoar-lint: {} file(s), {} finding(s), {} allowlisted, {} stale entr(ies)",
+        "xoar-lint: {} file(s), {} finding(s)",
         files.len(),
-        kept.len(),
-        suppressed.len(),
-        stale.len()
+        findings.len()
     );
-    if kept.is_empty() && stale.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -25,10 +25,6 @@
 //!   adding a call without classing and dispatching it fails the lint
 //!   rather than silently weakening the model. (The `HypercallId`
 //!   tables need no check: one macro table generates them all.)
-//!
-//! Findings a rule cannot avoid (e.g. the documented panics of the
-//! `HypercallRet` extractors) are suppressed by the committed allowlist
-//! `crates/analysis/lint.allow`.
 
 use std::fs;
 use std::io;
@@ -412,7 +408,8 @@ fn rule_boundary(file: &SourceFile, stripped: &str, out: &mut Vec<LintFinding>) 
         // `.mem.<method>` field pokes: read-side helpers only.
         if ident == "mem" && off > 0 && bytes[off - 1] == b'.' {
             if let Some(&(moff, method)) = toks.get(k + 1) {
-                let direct_follow = bytes.get(off + ident.len()) == Some(&b'.');
+                // rustfmt splits long chains as `mem\n    .method`.
+                let direct_follow = next_nonspace(bytes, off + ident.len()) == Some(b'.');
                 if direct_follow && !MEM_METHOD_ALLOW.contains(&method) {
                     out.push(LintFinding {
                         file: file.path.clone(),
@@ -602,7 +599,7 @@ fn rule_dispatch(files: &[SourceFile], out: &mut Vec<LintFinding>) {
 }
 
 // ---------------------------------------------------------------------
-// Driver + allowlist.
+// Driver.
 // ---------------------------------------------------------------------
 
 /// Lints a set of in-memory sources; findings are sorted and deduped.
@@ -660,75 +657,6 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> io::Result<
         }
     }
     Ok(())
-}
-
-/// The committed suppression list.
-///
-/// Format, one entry per line: `path|rule|needle` — a finding is
-/// suppressed when its file equals `path`, its rule equals `rule`, and
-/// its source excerpt contains `needle`. `#` starts a comment.
-#[derive(Debug, Clone, Default)]
-pub struct Allowlist {
-    entries: Vec<(String, String, String)>,
-}
-
-impl Allowlist {
-    /// Parses the allowlist text.
-    pub fn parse(text: &str) -> Self {
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.splitn(3, '|');
-            if let (Some(p), Some(r), Some(n)) = (parts.next(), parts.next(), parts.next()) {
-                entries.push((p.trim().to_string(), r.trim().to_string(), n.to_string()));
-            }
-        }
-        Allowlist { entries }
-    }
-
-    /// Whether a finding is suppressed.
-    pub fn permits(&self, f: &LintFinding) -> bool {
-        self.entries
-            .iter()
-            .any(|(p, r, n)| p == &f.file && r == f.rule && f.excerpt.contains(n))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Entries that suppress none of `findings`, rendered back in the
-    /// committed `path|rule|needle` form. A stale entry is debt that
-    /// outlived its finding: the lint treats it as a failure so the
-    /// list can only shrink toward its default — empty.
-    pub fn unused_entries(&self, findings: &[LintFinding]) -> Vec<String> {
-        self.entries
-            .iter()
-            .filter(|(p, r, n)| {
-                !findings
-                    .iter()
-                    .any(|f| p == &f.file && r == &f.rule && f.excerpt.contains(n.as_str()))
-            })
-            .map(|(p, r, n)| format!("{p}|{r}|{n}"))
-            .collect()
-    }
-}
-
-/// Splits findings into `(kept, suppressed)` under an allowlist.
-pub fn apply_allowlist(
-    findings: Vec<LintFinding>,
-    allow: &Allowlist,
-) -> (Vec<LintFinding>, Vec<LintFinding>) {
-    findings.into_iter().partition(|f| !allow.permits(f))
 }
 
 #[cfg(test)]
@@ -822,6 +750,18 @@ mod tests {
     }
 
     #[test]
+    fn boundary_flags_mem_mutators_split_across_lines() {
+        let bad = file(
+            "crates/core/src/x.rs",
+            "fn f(p: &mut P) {\n    p\n        .hv\n        .mem\n        .write(g, Pfn(1), b\"x\");\n}\n",
+        );
+        let v = lint_sources(&[bad]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains(".mem.write"), "{v:?}");
+        assert_eq!(v[0].line, 5, "reported at the method's line");
+    }
+
+    #[test]
     fn region_isolation_flags_split_borrows_outside_xregion() {
         let body = "fn f(hv: &mut Hypervisor) { let (a, b) = region_pair_mut(hv, x, y); }";
         let bad = file("crates/hypervisor/src/event.rs", body);
@@ -877,42 +817,6 @@ mod tests {
             "{v:?}"
         );
         assert!(v.iter().all(|f| !f.msg.contains("DoAlpha")), "{v:?}");
-    }
-
-    #[test]
-    fn allowlist_suppresses_by_needle() {
-        let bad = file(
-            "crates/hypervisor/src/x.rs",
-            "fn f() { y.unwrap(); }\nfn g() { z.unwrap(); }",
-        );
-        let v = lint_sources(&[bad]);
-        assert_eq!(v.len(), 2);
-        let allow = Allowlist::parse("# comment\ncrates/hypervisor/src/x.rs|no-panic|y.unwrap()\n");
-        assert_eq!(allow.len(), 1);
-        let (kept, suppressed) = apply_allowlist(v, &allow);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(suppressed.len(), 1);
-        assert!(kept[0].excerpt.contains("z.unwrap"));
-    }
-
-    #[test]
-    fn stale_allowlist_entries_are_reported() {
-        let bad = file("crates/hypervisor/src/x.rs", "fn f() { y.unwrap(); }");
-        let v = lint_sources(&[bad]);
-        let allow = Allowlist::parse(
-            "crates/hypervisor/src/x.rs|no-panic|y.unwrap()\n\
-             crates/hypervisor/src/x.rs|no-panic|gone.unwrap()\n\
-             crates/hypervisor/src/other.rs|no-panic|y.unwrap()\n",
-        );
-        let stale = allow.unused_entries(&v);
-        assert_eq!(
-            stale,
-            vec![
-                "crates/hypervisor/src/x.rs|no-panic|gone.unwrap()".to_string(),
-                "crates/hypervisor/src/other.rs|no-panic|y.unwrap()".to_string(),
-            ]
-        );
-        assert!(Allowlist::default().unused_entries(&v).is_empty());
     }
 
     #[test]

@@ -176,7 +176,7 @@ pub fn traced_scenario() -> HvResult<(Platform, Usage)> {
     // Driver microreboot: the shard snapshots itself, the Builder rolls
     // it back (the §3.3 restart pair).
     let nb = p.services.netbacks[0];
-    p.hv.hypercall(nb, Hypercall::VmSnapshot)?;
+    p.hv.hypercall(nb, Hypercall::VmSnapshot { recovery_box: None })?;
     let builder = p.services.builder;
     p.hv.hypercall(builder, Hypercall::VmRollback { target: nb })?;
 

@@ -278,7 +278,7 @@ impl SpecCore {
             | GnttabUnmapGrantRef { .. }
             | GnttabMapBatch { .. }
             | GnttabUnmapBatch { .. }
-            | VmSnapshot
+            | VmSnapshot { .. }
             | SysctlPhysinfo
             | SchedYield
             | ConsoleWrite { .. } => {}
@@ -758,7 +758,7 @@ fn call_name(call: &Hypercall) -> String {
         DomctlCreateDomain { name, .. } => format!("CreateDomain({name:?})"),
         DomctlCloneDomain { template, name } => format!("CloneDomain({template} -> {name:?})"),
         DomctlDestroyDomain { target } => format!("DestroyDomain({target})"),
-        VmSnapshot => "VmSnapshot".to_string(),
+        VmSnapshot { .. } => "VmSnapshot".to_string(),
         VmRollback { target } => format!("VmRollback({target})"),
         MemoryPopulate { target, frames } => format!("MemoryPopulate({target}, {frames})"),
         MmuMapForeign { target, pfn } => format!("MapForeign({target} pfn {})", pfn.0),

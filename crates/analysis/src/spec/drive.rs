@@ -204,7 +204,7 @@ pub fn apply_op(w: &mut SmallWorld, h: &SpecHandle, op: usize) {
             let _ = w.hv.hypercall(b, GnttabAcceptTransfer { granter: a, gref });
         }
         8 => {
-            let _ = w.hv.hypercall(a, VmSnapshot);
+            let _ = w.hv.hypercall(a, VmSnapshot { recovery_box: None });
         }
         9 => {
             let _ = w.hv.hypercall(mgr, VmRollback { target: a });

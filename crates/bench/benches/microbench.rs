@@ -362,7 +362,8 @@ fn bench_xenstore(h: &mut Harness) {
 fn bench_snapshot(h: &mut Harness) {
     let (mut p, _g) = platform_with_guest();
     let nb = p.services.netbacks[0];
-    p.hv.hypercall(nb, Hypercall::VmSnapshot).unwrap();
+    p.hv.hypercall(nb, Hypercall::VmSnapshot { recovery_box: None })
+        .unwrap();
     let builder = p.services.builder;
     h.bench_function("snapshot/rollback_one_dirty_page", || {
         p.hv.mem.write(nb, Pfn(1), b"dirty").unwrap();
@@ -372,7 +373,7 @@ fn bench_snapshot(h: &mut Harness) {
     // Taking a fresh snapshot of a populated shard: CoW freeze, so the
     // cost must not scale with the number of clean pages.
     h.bench_function("snapshot/cow_snapshot", || {
-        p.hv.hypercall(black_box(nb), Hypercall::VmSnapshot)
+        p.hv.hypercall(black_box(nb), Hypercall::VmSnapshot { recovery_box: None })
             .unwrap();
     });
 }

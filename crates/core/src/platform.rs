@@ -657,11 +657,6 @@ impl Platform {
         self.guests.get(&dom)
     }
 
-    /// Mutable guest handle (workload drivers).
-    pub fn guest_mut(&mut self, dom: DomId) -> Option<&mut GuestHandle> {
-        self.guests.get_mut(&dom)
-    }
-
     /// Total platform memory consumed by service components, MiB.
     ///
     /// For stock Xen this is Dom0's reservation; for Xoar the sum of live
@@ -1236,39 +1231,6 @@ impl Platform {
         nf.transmit(&mut self.net_hub, flow, bytes)
     }
 
-    /// Transmits a batch of aggregates on `flow` from `guest`'s vif: one
-    /// ring operation for all frames, then a single trailing notify to the
-    /// backend carried in one [`Hypercall::Multicall`]. N frames cost one
-    /// ring push and one hypercall boundary crossing instead of N each.
-    /// All-or-nothing: a ring without room for the whole batch queues
-    /// nothing and returns `Full`.
-    pub fn net_transmit_batch(
-        &mut self,
-        guest: DomId,
-        flow: u64,
-        sizes: &[usize],
-    ) -> Result<u64, xoar_devices::ring::RingError> {
-        let h = self
-            .guests
-            .get_mut(&guest)
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let nf = h
-            .netfront
-            .as_mut()
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let first = nf.transmit_many(&mut self.net_hub, flow, sizes)?;
-        let port = nf.conn.front_port;
-        // Best-effort notify, as in real frontends; repeated notifies
-        // coalesce into one pending bit on the backend side.
-        let _ = self.hv.hypercall(
-            guest,
-            Hypercall::Multicall {
-                calls: vec![Hypercall::EvtchnSend { port }],
-            },
-        );
-        Ok(first)
-    }
-
     /// Transmits the page at `guest`'s `pfn` on `flow` as a shared handle:
     /// the body is read out of machine memory once and then moves through
     /// the ring, the backend, and onto the wire by refcount — zero copies.
@@ -1434,13 +1396,6 @@ impl Platform {
         self.fabric
             .as_mut()
             .is_some_and(|f| f.open_flow(flow, src, dst).is_some())
-    }
-
-    /// Closes a fabric connection, releasing its NAT port if any.
-    pub fn fabric_close_flow(&mut self, flow: u64, src: DomId, dst: DomId) -> bool {
-        self.fabric
-            .as_mut()
-            .is_some_and(|f| f.close_flow(flow, src, dst))
     }
 
     /// Runs one processing pass of every BlkBack, returning aggregate

@@ -19,8 +19,7 @@
 use xoar_devices::ring::RingId;
 use xoar_devices::xenbus::DeviceKind;
 use xoar_hypervisor::memory::Pfn;
-use xoar_hypervisor::snapshot::RecoveryBox;
-use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall};
+use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall, RecoveryBox};
 
 use crate::audit::AuditEvent;
 use crate::platform::Platform;
@@ -208,8 +207,8 @@ impl RestartEngine {
     }
 
     /// Registers a shard for policy-driven restarts. Takes the post-boot
-    /// snapshot (the `vm_snapshot()` of §3.3) and, for the fast path,
-    /// registers a recovery box first.
+    /// snapshot (the `vm_snapshot()` of §3.3), naming a recovery box for
+    /// the fast path.
     pub fn register(
         &mut self,
         platform: &mut Platform,
@@ -217,20 +216,17 @@ impl RestartEngine {
         policy: RestartPolicy,
         path: RestartPath,
     ) -> HvResult<()> {
-        if path == RestartPath::Fast {
-            // Negotiated ring/event configuration is kept in a dedicated
-            // recovery-box page range.
-            platform.hv.register_recovery_box(
-                dom,
-                RecoveryBox {
-                    start: Pfn(0),
-                    frames: 2,
-                },
-            )?;
-        }
+        // Negotiated ring/event configuration is kept in a dedicated
+        // recovery-box page range on the fast path.
+        let recovery_box = (path == RestartPath::Fast).then_some(RecoveryBox {
+            start: Pfn(0),
+            frames: 2,
+        });
         // The shard snapshots itself once initialised, before serving
         // external interfaces.
-        platform.hv.hypercall(dom, Hypercall::VmSnapshot)?;
+        platform
+            .hv
+            .hypercall(dom, Hypercall::VmSnapshot { recovery_box })?;
         let now = platform.now_ns();
         let plan = RestartPlan::compile(platform, dom);
         self.registrations.push(Registration {
@@ -515,6 +511,21 @@ mod tests {
         assert_eq!(eng.total_restarts(), 5);
         assert_eq!(p.hv.rollback_count(nb), 5);
         assert_eq!(p.audit.restart_count(nb), 5);
+    }
+
+    #[test]
+    fn restart_counters_agree() {
+        let (mut p, _g, nb) = xoar_with_guest();
+        let mut eng = RestartEngine::new();
+        eng.register(&mut p, nb, RestartPolicy::Never, RestartPath::Fast)
+            .unwrap();
+        for n in 1..=4u64 {
+            p.hv.mem.write(nb, Pfn(3), b"scribble").unwrap();
+            eng.restart(&mut p, nb).unwrap();
+            assert_eq!(p.hv.rollback_count(nb), n);
+            assert_eq!(p.audit.restart_count(nb), n);
+            assert_eq!(p.hv.domain(nb).unwrap().restart_count, n);
+        }
     }
 
     #[test]

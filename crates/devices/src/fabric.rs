@@ -12,10 +12,10 @@
 //!
 //! * a **port table**: one port per attached vif plus the uplink port to
 //!   the [`WireEndpoint`];
-//! * **learning tables** mapping MAC and DomId to ports. Attach seeds
-//!   them (the gratuitous ARP a real vif emits on link-up); ingress
-//!   traffic re-learns, so a re-attached or migrated vif repoints its
-//!   entry with its first frame;
+//! * a **learning table** mapping DomId to ports. Attach seeds it (the
+//!   gratuitous ARP a real vif emits on link-up) and detach flushes it;
+//!   nothing else writes it, so a re-attached vif is found at its new
+//!   port from the moment it attaches;
 //! * a **per-flow connection table** keyed by `(flow, src_dom, dst_dom)`
 //!   on an [`InlineFastMap`]: the handful of flows active in one batch
 //!   sit in inline slots probed without hashing, the other ~100k
@@ -58,18 +58,6 @@ const ROUTE_DROP: u16 = u16::MAX;
 
 /// Route sentinel: the frame leaves through the uplink port.
 const ROUTE_UPLINK: u16 = u16::MAX - 1;
-
-/// The locally-administered MAC the fabric assigns to a vif, derived
-/// from its domain id (as Xen derives `00:16:3e:…` vif MACs).
-pub fn mac_of(dom: DomId) -> [u8; 6] {
-    let d = dom.0.to_be_bytes();
-    [0x02, 0x5e, d[0], d[1], d[2], d[3]]
-}
-
-/// A MAC as a learning-table key (one u64 word: one hash step).
-fn mac_key(mac: [u8; 6]) -> u64 {
-    u64::from_be_bytes([0, 0, mac[0], mac[1], mac[2], mac[3], mac[4], mac[5]])
-}
 
 /// A connection-table key: one flow between two endpoints, directional.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,9 +186,7 @@ pub struct Fabric {
     /// hypercalls are the event-channel notifies the caller batches).
     pub dom: DomId,
     ports: Vec<PortBinding>,
-    /// MAC → port, learned (seeded at attach, refreshed by ingress).
-    mac_table: FastMap<u64, u16>,
-    /// DomId → port, learned alongside the MAC table.
+    /// DomId → port: seeded at attach, flushed at detach.
     dom_table: FastMap<DomId, u16>,
     /// The per-flow connection table, keyed by `(flow, src)` — each
     /// direction of a connection resolves to exactly one destination, so
@@ -240,7 +226,6 @@ impl Fabric {
         Fabric {
             dom,
             ports: vec![PortBinding::Uplink],
-            mac_table: FastMap::default(),
             dom_table: FastMap::default(),
             flows: InlineFastMap::new(),
             resolve: FastMap::default(),
@@ -256,41 +241,29 @@ impl Fabric {
 
     // ================= ports and learning =================
 
-    /// Attaches a vif to a fresh port and seeds the learning tables for
+    /// Attaches a vif to a fresh port and seeds the learning table for
     /// it (the gratuitous ARP of link-up). Returns the port number.
     pub fn attach_port(&mut self, conn: Connection) -> u16 {
         let port = self.ports.len() as u16;
         self.ports.push(PortBinding::Guest(conn));
-        self.learn(conn.guest, port);
+        self.dom_table.insert(conn.guest, port);
         port
     }
 
-    /// Detaches `guest`'s vif: the port empties and the learning entries
-    /// are flushed (frames toward it now flood to the uplink).
+    /// Detaches `guest`'s vif: the port empties and the learning entry
+    /// is flushed (frames toward it now flood to the uplink).
     pub fn detach_port(&mut self, guest: DomId) -> bool {
         let Some(&port) = self.dom_table.get(&guest) else {
             return false;
         };
         self.ports[port as usize] = PortBinding::Uplink;
         self.dom_table.remove(&guest);
-        self.mac_table.remove(&mac_key(mac_of(guest)));
         true
-    }
-
-    /// Records `dom` behind `port` in both learning tables.
-    fn learn(&mut self, dom: DomId, port: u16) {
-        self.dom_table.insert(dom, port);
-        self.mac_table.insert(mac_key(mac_of(dom)), port);
     }
 
     /// The port currently learned for `dom`, if any.
     pub fn port_of(&self, dom: DomId) -> Option<u16> {
         self.dom_table.get(&dom).copied()
-    }
-
-    /// The port learned for a MAC address, if any.
-    pub fn port_of_mac(&self, mac: [u8; 6]) -> Option<u16> {
-        self.mac_table.get(&mac_key(mac)).copied()
     }
 
     /// Number of attached guest ports.
@@ -380,11 +353,6 @@ impl Fabric {
     /// NAT ports currently held.
     pub fn nat_in_use(&self) -> usize {
         self.nat.in_use()
-    }
-
-    /// Direct access to the NAT allocator (tests, benches).
-    pub fn nat_mut(&mut self) -> &mut NatAlloc {
-        &mut self.nat
     }
 
     // ================= switching =================
@@ -687,7 +655,6 @@ mod tests {
         assert_eq!(fab.guest_ports(), 2);
         assert_eq!(fab.port_of(DomId(5)), Some(1));
         assert_eq!(fab.port_of(DomId(6)), Some(2));
-        assert_eq!(fab.port_of_mac(mac_of(DomId(5))), Some(1));
         assert_eq!(fab.port_of(DomId(7)), None);
     }
 

@@ -43,9 +43,9 @@ impl fmt::Display for DomId {
 
 /// Lifecycle state of a domain.
 ///
-/// Mirrors Xen's domain states; `Snapshotted` is Xoar's addition for
-/// components that have taken a [`crate::snapshot`] image and may be rolled
-/// back.
+/// Mirrors Xen's domain states. A snapshot is no state of its own: a
+/// domain keeps running after `VmSnapshot`, and its frozen image lives in
+/// the memory manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainState {
     /// Memory image being constructed by the builder; not yet runnable.
@@ -54,21 +54,15 @@ pub enum DomainState {
     Running,
     /// Explicitly paused by a toolstack.
     Paused,
-    /// In the process of being torn down; resources being reclaimed.
-    Dying,
     /// Fully destroyed; the ID may linger until the last reference drops.
     Dead,
-    /// Suspended at the point of a consistent snapshot.
-    Snapshotted,
 }
 
 xoar_codec::impl_json_enum!(DomainState {
     Building,
     Running,
     Paused,
-    Dying,
     Dead,
-    Snapshotted,
 });
 
 impl DomainState {
@@ -90,24 +84,14 @@ pub struct Vcpu {
     pub id: u32,
     /// Whether the VCPU is online (brought up by the guest).
     pub online: bool,
-    /// Accumulated scheduled time in nanoseconds (simulation time).
-    pub cpu_time_ns: u64,
 }
 
-xoar_codec::impl_json_struct!(Vcpu {
-    id,
-    online,
-    cpu_time_ns
-});
+xoar_codec::impl_json_struct!(Vcpu { id, online });
 
 impl Vcpu {
     /// Creates a new offline VCPU.
     pub fn new(id: u32) -> Self {
-        Vcpu {
-            id,
-            online: false,
-            cpu_time_ns: 0,
-        }
+        Vcpu { id, online: false }
     }
 }
 
@@ -162,7 +146,8 @@ pub struct Domain {
     pub constraint_group: Option<String>,
     /// Simulated boot epoch (nanoseconds); used by the audit log.
     pub created_at_ns: u64,
-    /// Number of times this domain has been microrebooted.
+    /// Number of times this domain has been microrebooted: its
+    /// successful `VmRollback`s, the one rollback counter.
     pub restart_count: u64,
 }
 
@@ -291,6 +276,6 @@ mod tests {
     #[test]
     fn terminal_state() {
         assert!(DomainState::Dead.is_terminal());
-        assert!(!DomainState::Dying.is_terminal());
+        assert!(!DomainState::Running.is_terminal());
     }
 }

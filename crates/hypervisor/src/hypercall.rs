@@ -15,7 +15,7 @@ use crate::domain::DomId;
 use crate::error::{HvError, HvResult};
 use crate::event::VirqKind;
 use crate::grant::{GrantAccess, GrantCopyOp, GrantOpStatus, GrantRef};
-use crate::memory::{Mfn, PageRef, Pfn};
+use crate::memory::{Mfn, PageRef, Pfn, RecoveryBox};
 use crate::privilege::{IoPortRange, MmioRange, PciAddress};
 
 /// Declares [`HypercallId`] from one table, one row per ID: its doc
@@ -413,8 +413,12 @@ pub enum Hypercall {
         /// Payload (at most one page), installed as a shared handle.
         data: PageRef,
     },
-    /// Snapshot the calling domain (returns nothing; image kept hypervisor-side).
-    VmSnapshot,
+    /// Snapshot the calling domain: freeze its memory as the image every
+    /// later rollback restores, replacing any earlier snapshot.
+    VmSnapshot {
+        /// The PFN range rollbacks of this snapshot leave in place.
+        recovery_box: Option<RecoveryBox>,
+    },
     /// Roll `target` back to its snapshot image.
     VmRollback {
         /// Target (must have a snapshot).
@@ -498,7 +502,7 @@ impl Hypercall {
             MemoryPopulate { .. } => HypercallId::MemoryPopulate,
             MmuMapForeign { .. } => HypercallId::MmuMapForeign,
             MmuWriteForeign { .. } => HypercallId::MmuWriteForeign,
-            VmSnapshot => HypercallId::VmSnapshot,
+            VmSnapshot { .. } => HypercallId::VmSnapshot,
             VmRollback { .. } => HypercallId::VmRollback,
             SysctlPhysinfo => HypercallId::SysctlPhysinfo,
             SysctlDedup => HypercallId::SysctlDedup,
@@ -774,9 +778,20 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_payload_does_not_grow_the_call() {
+        // The 24-byte optional recovery box fits beside the largest
+        // payloads (`DomctlCreateDomain`'s name and sizes).
+        assert_eq!(std::mem::size_of::<Option<RecoveryBox>>(), 24);
+        assert!(std::mem::size_of::<Hypercall>() <= 40);
+    }
+
+    #[test]
     fn multicall_is_unprivileged_and_batches_map_to_gnttab() {
         let mc = Hypercall::Multicall {
-            calls: vec![Hypercall::SchedYield, Hypercall::VmSnapshot],
+            calls: vec![
+                Hypercall::SchedYield,
+                Hypercall::VmSnapshot { recovery_box: None },
+            ],
         };
         assert_eq!(mc.id(), HypercallId::Multicall);
         assert!(!mc.id().is_privileged());

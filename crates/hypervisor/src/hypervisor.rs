@@ -1,11 +1,12 @@
 //! The hypervisor proper: domain table, dispatch, and access control.
 //!
-//! [`Hypervisor`] owns machine memory, the scheduler, snapshot images, and
-//! — since the state-region refactor — one [`Region`] per domain holding
-//! that domain's grant table, event ports, and console ring. It exposes
-//! exactly one entry point for guest-initiated action:
-//! [`Hypervisor::hypercall`]. All access-control decisions are made there,
-//! which is what lets Xoar express both platforms with one mechanism:
+//! [`Hypervisor`] owns machine memory (each domain's snapshot image
+//! included), the scheduler, and — since the state-region refactor — one
+//! [`Region`] per domain holding that domain's grant table, event ports,
+//! and console ring. It exposes exactly one entry point for
+//! guest-initiated action: [`Hypervisor::hypercall`]. All access-control
+//! decisions are made there, which is what lets Xoar express both
+//! platforms with one mechanism:
 //!
 //! * **stock Xen**: Dom0 is created with [`PrivilegeSet::dom0`] (every
 //!   privileged call whitelisted, blanket foreign mapping);
@@ -31,7 +32,6 @@ use crate::memory::{MemoryManager, Mfn, Pfn};
 use crate::privilege::PrivilegeSet;
 use crate::region::Region;
 use crate::sched::CreditScheduler;
-use crate::snapshot::{RecoveryBox, SnapshotManager};
 use crate::xregion;
 
 /// A declared cross-region sharing edge: `(kind, subject, object)`.
@@ -108,7 +108,6 @@ pub struct Hypervisor {
     /// the grant posture a clone must be stamped with, compiled on the
     /// first clone of each sealed template and replayed thereafter.
     stamp_plans: FastMap<DomId, xregion::StampPlan>,
-    snapshots: SnapshotManager,
     /// Gate observers, in attach order. Empty on every bench and
     /// production path: the gate pays one branch for the check.
     observers: Vec<Box<dyn GateObserver>>,
@@ -132,7 +131,6 @@ impl Hypervisor {
             delivered: 0,
             declared: FastSet::default(),
             stamp_plans: FastMap::default(),
-            snapshots: SnapshotManager::new(),
             observers: Vec::new(),
             now_ns: 0,
             dom0_failure_is_fatal: true,
@@ -609,7 +607,7 @@ impl Hypervisor {
                 // Seal the template: a running guest is paused in place, a
                 // half-built one cannot be forked.
                 match state {
-                    DomainState::Paused | DomainState::Snapshotted => {}
+                    DomainState::Paused => {}
                     DomainState::Running => {
                         self.domain_mut(template)?.state = DomainState::Paused;
                         self.sched.set_runnable(template, false);
@@ -617,7 +615,7 @@ impl Hypervisor {
                     _ => {
                         return Err(HvError::InvalidDomainState {
                             dom: template,
-                            expected: "Running|Paused|Snapshotted",
+                            expected: "Running|Paused",
                         })
                     }
                 }
@@ -673,14 +671,14 @@ impl Hypervisor {
                 self.check_management(caller, target)?;
                 let d = self.domain_mut(target)?;
                 match d.state {
-                    DomainState::Building | DomainState::Paused | DomainState::Snapshotted => {
+                    DomainState::Building | DomainState::Paused => {
                         d.unpause();
                         self.sched.set_runnable(target, true);
                         Ok(HypercallRet::Ok)
                     }
                     _ => Err(HvError::InvalidDomainState {
                         dom: target,
-                        expected: "Building|Paused|Snapshotted",
+                        expected: "Building|Paused",
                     }),
                 }
             }
@@ -795,15 +793,14 @@ impl Hypervisor {
                 self.check_management(caller, target)?;
                 self.mem.shadow_op(target, op)
             }
-            VmSnapshot => {
-                self.snapshots.snapshot(caller, &mut self.mem)?;
+            VmSnapshot { recovery_box } => {
+                self.mem.freeze(caller, recovery_box)?;
                 Ok(HypercallRet::Ok)
             }
             VmRollback { target } => {
                 self.check_management(caller, target)?;
-                let restored = xregion::rollback(&mut self.snapshots, &mut self.mem, target)?;
-                let d = self.domain_mut(target)?;
-                d.restart_count += 1;
+                let restored = self.mem.rollback_frozen(target)?;
+                self.domain_mut(target)?.restart_count += 1;
                 Ok(HypercallRet::Count(restored))
             }
             SysctlDedup => {
@@ -863,22 +860,10 @@ impl Hypervisor {
 
     // ----- non-hypercall services -----
 
-    /// Registers a recovery box for `dom` (issued by the domain itself
-    /// during initialisation, before `vm_snapshot()`).
-    pub fn register_recovery_box(&mut self, dom: DomId, rbox: RecoveryBox) -> HvResult<()> {
-        self.domain(dom)?;
-        self.snapshots.register_recovery_box(dom, rbox);
-        Ok(())
-    }
-
-    /// Whether `dom` holds a snapshot image.
-    pub fn has_snapshot(&self, dom: DomId) -> bool {
-        self.snapshots.has_snapshot(dom)
-    }
-
-    /// Rollback count of `dom`'s image (0 if none).
+    /// Successful rollbacks of `dom` (its [`Domain::restart_count`]; 0
+    /// for an unknown domain).
     pub fn rollback_count(&self, dom: DomId) -> u64 {
-        self.snapshots.image(dom).map_or(0, |i| i.rollback_count)
+        self.domain(dom).map_or(0, |d| d.restart_count)
     }
 
     /// Drains a domain's console output (used by the console service).
@@ -971,7 +956,6 @@ impl Hypervisor {
         self.sched.remove_domain(target);
         xregion::teardown(&mut self.regions, target);
         self.mem.release_domain(target);
-        self.snapshots.discard(target);
         self.stamp_plans.remove(&target);
         Ok(())
     }
@@ -1037,7 +1021,7 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::hypercall::ShadowOp;
-    use crate::memory::{PageRef, PAGE_SIZE};
+    use crate::memory::{PageRef, RecoveryBox, PAGE_SIZE};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1438,13 +1422,62 @@ mod tests {
         let (mut hv, dom0) = xen_like();
         let g = build_guest(&mut hv, dom0, "netback");
         hv.mem.write(g, Pfn(0), b"initialized").unwrap();
-        hv.hypercall(g, Hypercall::VmSnapshot).unwrap();
+        hv.hypercall(g, Hypercall::VmSnapshot { recovery_box: None })
+            .unwrap();
         hv.mem.write(g, Pfn(0), b"compromised").unwrap();
         hv.hypercall(dom0, Hypercall::VmRollback { target: g })
             .unwrap();
         assert_eq!(hv.mem.read(g, Pfn(0)).unwrap(), b"initialized");
         assert_eq!(hv.domain(g).unwrap().restart_count, 1);
         assert_eq!(hv.rollback_count(g), 1);
+    }
+
+    #[test]
+    fn repeated_rollbacks_count_once_each() {
+        let (mut hv, dom0) = xen_like();
+        let g = build_guest(&mut hv, dom0, "netback");
+        hv.mem.write(g, Pfn(1), b"good").unwrap();
+        hv.hypercall(g, Hypercall::VmSnapshot { recovery_box: None })
+            .unwrap();
+        for i in 0..5 {
+            hv.mem
+                .write(g, Pfn(1), format!("bad{i}").as_bytes())
+                .unwrap();
+            hv.hypercall(dom0, Hypercall::VmRollback { target: g })
+                .unwrap();
+            assert_eq!(hv.mem.read(g, Pfn(1)).unwrap(), b"good");
+        }
+        assert_eq!(hv.rollback_count(g), 5);
+        assert_eq!(hv.domain(g).unwrap().restart_count, 5);
+        // A refused rollback counts nothing.
+        let other = build_guest(&mut hv, dom0, "never-snapshotted");
+        assert!(hv
+            .hypercall(dom0, Hypercall::VmRollback { target: other })
+            .is_err());
+        assert_eq!(hv.rollback_count(other), 0);
+    }
+
+    #[test]
+    fn second_snapshot_replaces_the_recovery_box() {
+        let (mut hv, dom0) = xen_like();
+        let g = build_guest(&mut hv, dom0, "netback");
+        let recovery_box = Some(RecoveryBox {
+            start: Pfn(0),
+            frames: 2,
+        });
+        hv.hypercall(g, Hypercall::VmSnapshot { recovery_box })
+            .unwrap();
+        hv.mem.write(g, Pfn(1), b"ring-config").unwrap();
+        hv.hypercall(dom0, Hypercall::VmRollback { target: g })
+            .unwrap();
+        assert_eq!(hv.mem.read(g, Pfn(1)).unwrap(), b"ring-config", "boxed");
+        // The second snapshot names no box: its rollbacks restore pfn 1.
+        hv.hypercall(g, Hypercall::VmSnapshot { recovery_box: None })
+            .unwrap();
+        hv.mem.write(g, Pfn(1), b"ring-config-v2").unwrap();
+        hv.hypercall(dom0, Hypercall::VmRollback { target: g })
+            .unwrap();
+        assert_eq!(hv.mem.read(g, Pfn(1)).unwrap(), b"ring-config");
     }
 
     #[test]
@@ -2102,6 +2135,52 @@ mod clone_hypercall_tests {
             &hv.mem.read(g, Pfn(0)).unwrap().as_slice()[..10],
             b"boot-state"
         );
+    }
+
+    #[test]
+    fn rollback_of_a_sealed_template_is_refused() {
+        let (mut hv, dom0) = xen_like();
+        let g = template_guest(&mut hv, dom0);
+        hv.hypercall(
+            dom0,
+            Hypercall::DomctlCloneDomain {
+                template: g,
+                name: "fn-0".into(),
+            },
+        )
+        .unwrap();
+        assert!(hv.mem.is_template(g));
+        let err = hv
+            .hypercall(dom0, Hypercall::VmRollback { target: g })
+            .unwrap_err();
+        assert!(matches!(err, HvError::Snapshot(_)), "{err:?}");
+        assert_eq!(hv.rollback_count(g), 0);
+        assert_eq!(hv.domain(g).unwrap().restart_count, 0);
+        assert_eq!(
+            &hv.mem.read(g, Pfn(0)).unwrap().as_slice()[..10],
+            b"boot-state"
+        );
+    }
+
+    #[test]
+    fn sealed_template_refuses_rollback_even_after_its_own_snapshot() {
+        let (mut hv, dom0) = xen_like();
+        let g = template_guest(&mut hv, dom0);
+        hv.hypercall(g, Hypercall::VmSnapshot { recovery_box: None })
+            .unwrap();
+        hv.hypercall(
+            dom0,
+            Hypercall::DomctlCloneDomain {
+                template: g,
+                name: "fn-0".into(),
+            },
+        )
+        .unwrap();
+        let err = hv
+            .hypercall(dom0, Hypercall::VmRollback { target: g })
+            .unwrap_err();
+        assert!(matches!(err, HvError::Snapshot(_)), "{err:?}");
+        assert_eq!(hv.rollback_count(g), 0);
     }
 
     #[test]

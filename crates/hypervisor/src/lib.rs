@@ -10,8 +10,9 @@
 //!
 //! * [`domain`] — domains, lifecycle, roles, and the parent-toolstack /
 //!   delegation flags of §5.6;
-//! * [`memory`] — machine frames, ownership, pseudo-physical maps, and
-//!   dirty tracking;
+//! * [`memory`] — machine frames, ownership, pseudo-physical maps, dirty
+//!   tracking, and the copy-on-write snapshot/rollback microreboot
+//!   mechanism with its recovery boxes (§3.3);
 //! * [`grant`] — grant tables: capability-style page sharing (§4.3);
 //! * [`event`] — event channels and VIRQs (§4.2);
 //! * [`hypercall`] — the ~40-call interface with privileged/unprivileged
@@ -20,8 +21,6 @@
 //!   (`assign_pci_device`, `permit_hypercall`, `allow_delegation`);
 //! * [`sched`] — a credit-scheduler model for simulated time accounting,
 //!   plus per-pcpu runqueues with work stealing;
-//! * [`snapshot`] — the snapshot/rollback microreboot mechanism with
-//!   copy-on-write dirty tracking and recovery boxes (§3.3);
 //! * [`region`] — per-domain state regions: each domain's grant table,
 //!   event ports, and console ring behind one owner;
 //! * [`xregion`] — the cross-region operations, each naming the domains
@@ -73,12 +72,12 @@ pub mod memory;
 pub mod privilege;
 pub mod region;
 pub mod sched;
-pub mod snapshot;
 pub mod xregion;
 
 pub use domain::{DomId, Domain, DomainRole, DomainState};
 pub use error::{HvError, HvResult};
 pub use hypercall::{Hypercall, HypercallId, HypercallRet, ShadowOp};
 pub use hypervisor::{GateObserver, HostConfig, Hypervisor};
+pub use memory::RecoveryBox;
 pub use privilege::{PciAddress, PrivilegeSet};
 pub use region::Region;

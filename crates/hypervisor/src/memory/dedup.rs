@@ -791,11 +791,11 @@ mod golden_tests {
 
         // Freeze, write (one write merged by a sweep while frozen), roll
         // back, and sweep the restored pre-images.
-        m.freeze(a);
+        m.freeze(a, None).unwrap();
         put(&mut m, &mut shadow, a, 1, &bulk(0x77));
         put(&mut m, &mut shadow, a, 7, &tiny);
         freed.push(m.share_identical(&[]));
-        let restored = m.rollback_frozen(a, |_| false).unwrap();
+        let restored = m.rollback_frozen(a).unwrap();
         shadow.insert((a, 1), bulk(0x11));
         shadow.insert((a, 7), b"a-only".to_vec());
         freed.push(m.share_identical(&[]));

@@ -1,4 +1,5 @@
-//! Dirty logs and lazy CoW snapshots.
+//! Dirty logs and lazy CoW snapshots: microreboots without full
+//! reboots (§3.3).
 //!
 //! Each open dirty-page consumer of a domain — its snapshot
 //! ([`MemoryManager::freeze`]) or a log-dirty cursor of migration or HA
@@ -10,15 +11,38 @@
 //! nothing: the first post-freeze mutation of a page records its
 //! pre-image handle in the domain's [`FrozenImage`], and
 //! [`MemoryManager::rollback_frozen`] restores the snapshot bitmap's
-//! pages.
+//! pages, so both the snapshot and the microreboot cost are proportional
+//! to the pages touched, never to the size of the VM.
+//!
+//! A domain's snapshot is this one record. A shard takes it with
+//! `VmSnapshot` once initialised, before serving any external interface,
+//! and the same call names its [`RecoveryBox`] [Baker & Sullivan '92]:
+//! the PFN range whose side-effectful state (the negotiated ring details
+//! of the fast restart path, Figure 6.3) every rollback leaves in place.
 
 use super::page::PageRef;
 use super::{MemoryManager, Mfn, Pfn};
 use crate::bitmap::Bitmap;
 use crate::domain::DomId;
-use crate::error::HvResult;
+use crate::error::{HvError, HvResult};
 use crate::fasthash::FastMap;
 use crate::hypercall::{HypercallRet, ShadowOp};
+
+/// A contiguous PFN range excluded from rollback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryBox {
+    /// First PFN of the box.
+    pub start: Pfn,
+    /// Number of frames.
+    pub frames: u64,
+}
+
+impl RecoveryBox {
+    /// Whether `pfn` lies within the box.
+    pub fn contains(&self, pfn: Pfn) -> bool {
+        pfn.0 >= self.start.0 && pfn.0 < self.start.0 + self.frames
+    }
+}
 
 /// The lazily-captured snapshot baseline of a frozen domain.
 ///
@@ -41,6 +65,8 @@ pub(super) struct FrozenImage {
     pub(super) watermark: u64,
     /// Pages covered at freeze time (for a template: pages sealed).
     pub(super) page_count: u64,
+    /// The range every rollback leaves in place, named at freeze time.
+    pub(super) recovery_box: Option<RecoveryBox>,
 }
 
 /// The id of a frozen domain's own dirty log (the PFNs its rollback
@@ -118,9 +144,7 @@ impl MemoryManager {
             }
             _ => None,
         };
-        done.ok_or_else(|| {
-            crate::error::HvError::InvalidArgument(format!("{op:?} on {dom}: no such dirty log"))
-        })
+        done.ok_or_else(|| HvError::InvalidArgument(format!("{op:?} on {dom}: no such dirty log")))
     }
 
     /// Opens dirty log `id` on `dom`: every later change to one of its
@@ -165,16 +189,19 @@ impl MemoryManager {
         closed
     }
 
-    /// Freezes `dom`'s memory as a lazy copy-on-write snapshot and
-    /// returns the number of pages covered.
+    /// Freezes `dom`'s memory as a lazy copy-on-write snapshot whose
+    /// rollbacks leave `recovery_box` in place, and returns the number of
+    /// pages covered. A domain with no pages has nothing to snapshot and
+    /// is refused, unchanged.
     ///
     /// Nothing is copied here: the call records the address-space
     /// watermark, opens (or drains) the snapshot's own dirty log — the
     /// new snapshot epoch — and empties the baseline. Pre-images are
     /// captured by the first post-freeze mutation of each page, so the
     /// cost is independent of how many pages the domain owns or how clean
-    /// they are. Freezing an already-frozen domain replaces the snapshot.
-    pub fn freeze(&mut self, dom: DomId) -> u64 {
+    /// they are. Freezing an already-frozen domain replaces the snapshot,
+    /// its recovery box included.
+    pub fn freeze(&mut self, dom: DomId, recovery_box: Option<RecoveryBox>) -> HvResult<u64> {
         let (mut count, watermark) = self
             .p2m
             .get(&dom)
@@ -185,16 +212,22 @@ impl MemoryManager {
         if let Some(&tpl) = self.clone_of.get(&dom) {
             count += self.seal(tpl).1 - self.clone_broken_pages(dom);
         }
+        if count == 0 {
+            return Err(HvError::Snapshot(format!(
+                "{dom} has no populated memory to snapshot"
+            )));
+        }
         let img = self.frozen.entry(dom).or_default();
         img.baseline.clear();
         img.watermark = watermark;
         img.page_count = count;
+        img.recovery_box = recovery_box;
         // Open the new epoch: pre-freeze writes must not be restored.
         match self.log_mut(dom, SNAPSHOT_LOG) {
             Some(bits) => bits.drain_set_bits(|_| {}),
             None => self.open_log(dom, SNAPSHOT_LOG),
         }
-        count
+        Ok(count)
     }
 
     /// Whether `dom` currently holds a frozen CoW snapshot.
@@ -214,35 +247,29 @@ impl MemoryManager {
         self.frozen.get(&dom).map(|i| i.baseline.len())
     }
 
-    /// Drops `dom`'s frozen snapshot (and its dirty log) without
-    /// restoring anything.
-    pub fn discard_frozen(&mut self, dom: DomId) {
-        if self.frozen.remove(&dom).is_some() {
-            self.close_log(dom, SNAPSHOT_LOG);
-        }
-    }
-
     /// Rolls `dom` back to its frozen snapshot: every page in the
     /// snapshot's dirty log is restored to its captured pre-image (or the
-    /// empty page for PFNs younger than the freeze), except pages for
-    /// which `in_box` returns true (recovery boxes, §3.3). Returns the
-    /// number of pages restored.
+    /// empty page for PFNs younger than the freeze), except pages in the
+    /// snapshot's recovery box. Returns the number of pages restored.
     ///
     /// The snapshot stays armed: the baseline persists so repeated
-    /// rollbacks to the same freeze point keep working.
-    pub fn rollback_frozen(
-        &mut self,
-        dom: DomId,
-        mut in_box: impl FnMut(Pfn) -> bool,
-    ) -> HvResult<u64> {
-        if !self.frozen.contains_key(&dom) {
-            return Err(crate::error::HvError::Snapshot(format!(
-                "{dom} has no frozen snapshot to roll back to"
+    /// rollbacks to the same freeze point keep working. A sealed
+    /// template is refused: its image is the seal its clones read
+    /// through, not a microreboot point.
+    pub fn rollback_frozen(&mut self, dom: DomId) -> HvResult<u64> {
+        if self.templates.contains_key(&dom) {
+            return Err(HvError::Snapshot(format!(
+                "{dom} is a sealed template and cannot be rolled back"
             )));
         }
+        let Some(rbox) = self.frozen.get(&dom).map(|i| i.recovery_box) else {
+            return Err(HvError::Snapshot(format!(
+                "{dom} has no frozen snapshot to roll back to"
+            )));
+        };
         let mut restored = 0u64;
         for pfn in self.drain_log(dom, SNAPSHOT_LOG).unwrap_or_default() {
-            if in_box(pfn) {
+            if rbox.is_some_and(|b| b.contains(pfn)) {
                 continue;
             }
             // Pinning the restored body as the baseline (first touch wins)
@@ -319,11 +346,277 @@ mod tests {
         let mut m = mm();
         let d = DomId(1);
         m.populate(d, 2).unwrap();
-        m.freeze(d);
+        m.freeze(d, None).unwrap();
         m.write(d, Pfn(0), b"x").unwrap();
         assert!(m.shadow_op(d, ShadowOp::Clean(SNAPSHOT_LOG)).is_err());
         assert!(m.shadow_op(d, ShadowOp::Off(SNAPSHOT_LOG)).is_err());
-        assert_eq!(m.rollback_frozen(d, |_| false).unwrap(), 1);
+        assert_eq!(m.rollback_frozen(d).unwrap(), 1);
         assert_eq!(m.read(d, Pfn(0)).unwrap(), b"");
+    }
+}
+
+#[cfg(test)]
+mod snapshot_tests {
+    use super::*;
+
+    fn setup() -> (MemoryManager, DomId) {
+        let mut mem = MemoryManager::new(1024);
+        let dom = DomId(7);
+        mem.populate(dom, 8).unwrap();
+        (mem, dom)
+    }
+
+    #[test]
+    fn snapshot_captures_all_pages() {
+        let (mut mem, dom) = setup();
+        mem.write(dom, Pfn(0), b"boot").unwrap();
+        assert_eq!(mem.freeze(dom, None).unwrap(), 8);
+        assert_eq!(mem.frozen_page_count(dom), Some(8));
+    }
+
+    #[test]
+    fn snapshot_of_empty_domain_fails() {
+        let mut mem = MemoryManager::new(16);
+        assert!(mem.freeze(DomId(9), None).is_err());
+        assert!(!mem.is_frozen(DomId(9)), "a refused freeze leaves no image");
+    }
+
+    #[test]
+    fn rollback_restores_dirty_pages_only() {
+        let (mut mem, dom) = setup();
+        mem.write(dom, Pfn(0), b"initialized").unwrap();
+        mem.freeze(dom, None).unwrap();
+        // Attacker scribbles over two pages.
+        mem.write(dom, Pfn(0), b"pwned").unwrap();
+        mem.write(dom, Pfn(3), b"implant").unwrap();
+        let restored = mem.rollback_frozen(dom).unwrap();
+        assert_eq!(restored, 2, "only the dirty pages are copied back");
+        assert_eq!(mem.read(dom, Pfn(0)).unwrap(), b"initialized");
+        assert_eq!(mem.read(dom, Pfn(3)).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn rollback_without_snapshot_fails() {
+        let (mut mem, dom) = setup();
+        assert!(mem.rollback_frozen(dom).is_err());
+    }
+
+    #[test]
+    fn repeated_rollbacks_restore_repeatedly() {
+        let (mut mem, dom) = setup();
+        mem.write(dom, Pfn(1), b"good").unwrap();
+        mem.freeze(dom, None).unwrap();
+        for i in 0..5 {
+            mem.write(dom, Pfn(1), format!("bad{i}").as_bytes())
+                .unwrap();
+            mem.rollback_frozen(dom).unwrap();
+            assert_eq!(mem.read(dom, Pfn(1)).unwrap(), b"good");
+        }
+    }
+
+    #[test]
+    fn second_rollback_is_cheap_when_nothing_dirtied() {
+        let (mut mem, dom) = setup();
+        mem.freeze(dom, None).unwrap();
+        mem.write(dom, Pfn(2), b"z").unwrap();
+        assert_eq!(mem.rollback_frozen(dom).unwrap(), 1);
+        // Nothing written since: zero pages to restore.
+        assert_eq!(mem.rollback_frozen(dom).unwrap(), 0);
+    }
+
+    #[test]
+    fn recovery_box_survives_rollback() {
+        let (mut mem, dom) = setup();
+        let rbox = RecoveryBox {
+            start: Pfn(6),
+            frames: 2,
+        };
+        mem.freeze(dom, Some(rbox)).unwrap();
+        // Connection state lands in the recovery box; attack state outside.
+        mem.write(dom, Pfn(6), b"open-connections").unwrap();
+        mem.write(dom, Pfn(1), b"attack-state").unwrap();
+        mem.rollback_frozen(dom).unwrap();
+        assert_eq!(
+            mem.read(dom, Pfn(6)).unwrap(),
+            b"open-connections",
+            "recovery box persists across rollback"
+        );
+        assert_eq!(mem.read(dom, Pfn(1)).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn new_snapshot_replaces_old() {
+        let (mut mem, dom) = setup();
+        mem.write(dom, Pfn(0), b"v1").unwrap();
+        mem.freeze(dom, None).unwrap();
+        mem.write(dom, Pfn(0), b"v2").unwrap();
+        mem.freeze(dom, None).unwrap();
+        mem.write(dom, Pfn(0), b"garbage").unwrap();
+        mem.rollback_frozen(dom).unwrap();
+        assert_eq!(
+            mem.read(dom, Pfn(0)).unwrap(),
+            b"v2",
+            "rolls back to latest image"
+        );
+    }
+
+    #[test]
+    fn new_snapshot_replaces_the_recovery_box() {
+        let (mut mem, dom) = setup();
+        let rbox = RecoveryBox {
+            start: Pfn(6),
+            frames: 2,
+        };
+        mem.freeze(dom, Some(rbox)).unwrap();
+        mem.freeze(dom, None).unwrap();
+        mem.write(dom, Pfn(6), b"was-boxed").unwrap();
+        assert_eq!(mem.rollback_frozen(dom).unwrap(), 1);
+        assert_eq!(mem.read(dom, Pfn(6)).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn snapshot_of_clean_domain_copies_zero_page_bytes() {
+        let (mut mem, dom) = setup();
+        for pfn in 0..8u64 {
+            mem.write(dom, Pfn(pfn), format!("boot{pfn}").as_bytes())
+                .unwrap();
+        }
+        mem.freeze(dom, None).unwrap();
+        assert_eq!(
+            mem.frozen_baseline_len(dom),
+            Some(0),
+            "freezing a clean domain captures no pre-images at all"
+        );
+        assert_eq!(mem.frozen_page_count(dom), Some(8));
+        // A write to one page captures exactly one pre-image — the CoW
+        // fault — and leaves the other seven untouched.
+        mem.write(dom, Pfn(3), b"touched").unwrap();
+        assert_eq!(mem.frozen_baseline_len(dom), Some(1));
+    }
+
+    #[test]
+    fn discard_removes_image() {
+        let (mut mem, dom) = setup();
+        mem.freeze(dom, None).unwrap();
+        assert!(mem.is_frozen(dom));
+        mem.release_domain(dom);
+        assert!(!mem.is_frozen(dom));
+    }
+
+    #[test]
+    fn sealed_template_refuses_rollback() {
+        let (mut mem, dom) = setup();
+        mem.write(dom, Pfn(0), b"tpl").unwrap();
+        mem.template_arm(dom).unwrap();
+        assert!(mem.is_frozen(dom), "the seal is a frozen image");
+        assert!(mem.rollback_frozen(dom).is_err());
+        assert_eq!(mem.read(dom, Pfn(0)).unwrap(), b"tpl");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use xoar_sim::prop::Runner;
+
+    /// After any sequence of writes followed by a rollback, every page
+    /// outside recovery boxes equals its snapshot-time contents.
+    #[test]
+    fn rollback_restores_baseline() {
+        Runner::cases(48).run("rollback restores baseline", |g| {
+            let writes = g.vec(0..20, |g| {
+                (g.u64(0..8), g.vec(0..32, |g| g.u64(0..256) as u8))
+            });
+            let mut mem = MemoryManager::new(64);
+            let dom = DomId(1);
+            mem.populate(dom, 8).unwrap();
+            // Baseline contents.
+            for pfn in 0..8u64 {
+                mem.write(dom, Pfn(pfn), format!("base{pfn}").as_bytes())
+                    .unwrap();
+            }
+            mem.freeze(dom, None).unwrap();
+            for (pfn, data) in &writes {
+                mem.write(dom, Pfn(*pfn), data).unwrap();
+            }
+            mem.rollback_frozen(dom).unwrap();
+            for pfn in 0..8u64 {
+                assert_eq!(
+                    mem.read(dom, Pfn(pfn)).unwrap(),
+                    format!("base{pfn}").into_bytes()
+                );
+            }
+        });
+    }
+
+    /// Differential test against the retired eager-copy implementation:
+    /// snapshot-time contents are copied into a shadow model up front, an
+    /// arbitrary write sequence runs, and after rollback every page
+    /// outside recovery boxes must equal the shadow while box pages keep
+    /// their post-write contents.
+    #[test]
+    fn cow_rollback_matches_eager_copy_semantics() {
+        Runner::cases(64).run("CoW rollback ≡ eager copy", |g| {
+            let mut mem = MemoryManager::new(64);
+            let dom = DomId(1);
+            mem.populate(dom, 8).unwrap();
+            let rbox = RecoveryBox {
+                start: Pfn(g.u64(0..8)),
+                frames: g.u64(0..3),
+            };
+            for pfn in 0..8u64 {
+                mem.write(dom, Pfn(pfn), format!("init{pfn}").as_bytes())
+                    .unwrap();
+            }
+            // Shadow of the old implementation: eagerly copy every page
+            // at snapshot time.
+            let eager: Vec<Vec<u8>> = (0..8)
+                .map(|p| mem.read(dom, Pfn(p)).unwrap().to_vec())
+                .collect();
+            mem.freeze(dom, Some(rbox)).unwrap();
+            let writes = g.vec(0..24, |g| {
+                (g.u64(0..8), g.vec(0..16, |g| g.u64(0..256) as u8))
+            });
+            for (pfn, data) in &writes {
+                mem.write(dom, Pfn(*pfn), data).unwrap();
+            }
+            let post: Vec<Vec<u8>> = (0..8)
+                .map(|p| mem.read(dom, Pfn(p)).unwrap().to_vec())
+                .collect();
+            mem.rollback_frozen(dom).unwrap();
+            for pfn in 0..8u64 {
+                let expect = if rbox.contains(Pfn(pfn)) {
+                    &post[pfn as usize]
+                } else {
+                    &eager[pfn as usize]
+                };
+                assert_eq!(
+                    &mem.read(dom, Pfn(pfn)).unwrap().to_vec(),
+                    expect,
+                    "pfn {pfn} diverges from the eager-copy shadow"
+                );
+            }
+        });
+    }
+
+    /// The number of restored frames never exceeds the number of
+    /// distinct pages written (CoW proportionality).
+    #[test]
+    fn rollback_cost_proportional_to_dirty() {
+        Runner::cases(64).run("rollback cost proportional to dirty pages", |g| {
+            let pfns = g.vec(0..30, |g| g.u64(0..8));
+            let mut mem = MemoryManager::new(64);
+            let dom = DomId(1);
+            mem.populate(dom, 8).unwrap();
+            mem.freeze(dom, None).unwrap();
+            for pfn in &pfns {
+                mem.write(dom, Pfn(*pfn), b"dirty").unwrap();
+            }
+            let mut distinct = pfns.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let restored = mem.rollback_frozen(dom).unwrap();
+            assert_eq!(restored, distinct.len() as u64);
+        });
     }
 }

@@ -29,7 +29,8 @@
 //! - `p2m`: the per-domain `Pfn -> Mfn` maps;
 //! - `dedup`: the integrity digest and the one dedup path,
 //!   [`MemoryManager::share_identical`];
-//! - `log`: per-consumer dirty logs and lazy CoW snapshots;
+//! - `log`: per-consumer dirty logs and lazy CoW snapshots, each
+//!   domain's one snapshot record with its recovery box;
 //! - `template`: sealed templates and their fall-through clones.
 //!
 //! Only the p2m and frame tables carry state; the reverse index is a
@@ -47,6 +48,7 @@ mod p2m;
 mod page;
 mod template;
 
+pub use log::RecoveryBox;
 pub use page::{content_hash, PageRef, ZERO_PAGE_HASH};
 
 use std::collections::HashMap;

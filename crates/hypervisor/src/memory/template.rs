@@ -80,13 +80,7 @@ impl MemoryManager {
                 "{dom} is a clone and cannot be sealed as a template"
             )));
         }
-        let page_count = self.freeze(dom);
-        if page_count == 0 {
-            self.discard_frozen(dom);
-            return Err(crate::error::HvError::InvalidArgument(format!(
-                "{dom} has no populated memory to seal as a template"
-            )));
-        }
+        let page_count = self.freeze(dom, None)?;
         self.templates.insert(dom, TemplateInfo { clones: 0 });
         Ok(page_count)
     }
@@ -324,9 +318,9 @@ mod clone_tests {
         let c = DomId(20);
         m.clone_space(t, c).unwrap();
         // Freeze the (unwritten) clone: it covers the template's pages.
-        assert_eq!(m.freeze(c), 8);
+        assert_eq!(m.freeze(c, None).unwrap(), 8);
         m.write(c, Pfn(4), b"scribble").unwrap();
-        let restored = m.rollback_frozen(c, |_| false).unwrap();
+        let restored = m.rollback_frozen(c).unwrap();
         assert_eq!(restored, 1);
         assert_eq!(
             m.read(c, Pfn(4)).unwrap(),

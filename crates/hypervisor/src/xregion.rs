@@ -17,8 +17,8 @@
 //! anywhere else in the crate), and [`object_region_mut`] is the
 //! single-sided variant for operations like grant maps whose mutation
 //! lands entirely in the *object* region. Operations that cross domains
-//! through globally-shared machine memory (foreign maps and writes, CoW
-//! rollback) take only the domain whose memory they touch.
+//! through globally-shared machine memory (foreign maps and writes) take
+//! only the domain whose memory they touch.
 
 use crate::fasthash::FastMap;
 
@@ -28,7 +28,6 @@ use crate::event::{PendingEvent, PortState};
 use crate::grant::{GrantAccess, GrantCopyDir, GrantCopyOp, GrantOpStatus, GrantRef, GrantTable};
 use crate::memory::{MemoryManager, Mfn, PageRef, Pfn};
 use crate::region::Region;
-use crate::snapshot::SnapshotManager;
 
 /// Splits a mutable borrow across the regions of `a` (the subject, the
 /// domain acting) and `b` (the object, the domain reached into), running
@@ -440,7 +439,7 @@ pub(crate) fn clone_stamp(
     })?
 }
 
-// ----- foreign memory and rollback (global machine memory) -----
+// ----- foreign memory (global machine memory) -----
 
 /// Maps a frame of `owner`'s memory for a foreign accessor (blanket or
 /// `privileged_for`-scoped), pinning it against reclaim.
@@ -459,16 +458,6 @@ pub(crate) fn foreign_write(
     data: PageRef,
 ) -> HvResult<()> {
     mem.write_page(owner, pfn, data)
-}
-
-/// Rolls `target`'s memory back to its snapshot image (the
-/// microreboot path), returning how many pages were restored.
-pub(crate) fn rollback(
-    snapshots: &mut SnapshotManager,
-    mem: &mut MemoryManager,
-    target: DomId,
-) -> HvResult<u64> {
-    snapshots.rollback(target, mem)
 }
 
 // ----- teardown -----

@@ -40,9 +40,8 @@ done
 # ledger check — plus the selftest proving the rules fire on injected
 # violations) and Pass B (token-level boundary/no-panic/region-isolation
 # lint over crates/*/src, plus the check that every Hypercall variant is
-# classed in Hypercall::id() and dispatched in hypervisor.rs; the
-# allowlist is empty by default and any stale entry fails the lint).
-# Each exits nonzero on any violation or un-allowlisted finding.
+# classed in Hypercall::id() and dispatched in hypervisor.rs).
+# Each exits nonzero on any violation or finding.
 cargo run --release --offline -p xoar-analysis --bin xoar-analyzer
 cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --selftest
 cargo run --release --offline -p xoar-analysis --bin xoar-lint

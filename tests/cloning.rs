@@ -191,7 +191,8 @@ fn clone_write_then_rollback_restores_template_state() {
     let (mut p, _ts, _built, tpl, clone) = cloned_world();
     let golden = p.hv.mem.read(tpl, Pfn(3)).unwrap().to_vec();
     // PR-5 snapshot taken by the clone itself, then a divergent write.
-    p.hv.hypercall(clone, Hypercall::VmSnapshot).unwrap();
+    p.hv.hypercall(clone, Hypercall::VmSnapshot { recovery_box: None })
+        .unwrap();
     p.hv.mem.write(clone, Pfn(3), b"diverged-state").unwrap();
     assert_eq!(
         &p.hv.mem.read(clone, Pfn(3)).unwrap().as_slice()[..14],
@@ -291,7 +292,8 @@ fn rollback_does_not_resurrect_grants_revoked_after_snapshot() {
     let (mut p, _ts, _built, _tpl, clone) = cloned_world();
     let backend = p.services.netbacks[0];
     let h = xoar_analysis::spec::SpecHandle::attach(&mut p.hv);
-    p.hv.hypercall(clone, Hypercall::VmSnapshot).unwrap();
+    p.hv.hypercall(clone, Hypercall::VmSnapshot { recovery_box: None })
+        .unwrap();
     let gref =
         p.hv.hypercall(
             clone,

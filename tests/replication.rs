@@ -10,7 +10,7 @@ use xoar_core::ha::HaSession;
 use xoar_core::migration::{migrate, MigrationConfig};
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_hypervisor::memory::Pfn;
-use xoar_hypervisor::DomId;
+use xoar_hypervisor::{DomId, Hypercall, HypercallRet};
 
 fn host() -> (Platform, DomId) {
     let p = Platform::xoar(XoarConfig::default());
@@ -64,10 +64,15 @@ fn ha_checkpoint_on_a_frozen_guest_keeps_the_rollback_set() {
         .unwrap();
     p.hv.mem.write(g, Pfn(40), b"before").unwrap();
     let mut ha = HaSession::protect(&mut p, &mut backup, g, ts_backup).unwrap();
-    p.hv.mem.freeze(g);
+    p.hv.hypercall(g, Hypercall::VmSnapshot { recovery_box: None })
+        .unwrap();
     p.hv.mem.write(g, Pfn(40), b"after").unwrap();
     assert_eq!(ha.checkpoint(&mut p, &mut backup).unwrap(), 1);
-    let restored = p.hv.mem.rollback_frozen(g, |_| false).unwrap();
+    let rollback = Hypercall::VmRollback { target: g };
+    let HypercallRet::Count(restored) = p.hv.hypercall(p.services.builder, rollback).unwrap()
+    else {
+        panic!("a rollback returns the pages it restored");
+    };
     assert_eq!(restored, 1, "the checkpoint left the snapshot's log alone");
     assert_eq!(p.hv.mem.read(g, Pfn(40)).unwrap(), b"before");
     // The shadow saw the write the rollback then undid, and the undo

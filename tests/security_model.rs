@@ -145,7 +145,8 @@ fn microreboot_evicts_attacker_state() {
     let nb = p.services.netbacks[0];
     let builder = p.services.builder;
     // The shard snapshots itself post-boot.
-    p.hv.hypercall(nb, Hypercall::VmSnapshot).unwrap();
+    p.hv.hypercall(nb, Hypercall::VmSnapshot { recovery_box: None })
+        .unwrap();
     // Attacker compromises NetBack and plants persistence.
     p.hv.mem.write(nb, Pfn(5), b"rootkit").unwrap();
     p.hv.mem.write(nb, Pfn(9), b"exfil-buffer").unwrap();
