@@ -385,12 +385,18 @@ fn rule_boundary(file: &SourceFile, stripped: &str, out: &mut Vec<LintFinding>) 
         if in_spans(&spans, off) {
             continue;
         }
-        // `memory::X` / `grant::X` module paths: X must be a data type.
+        // `memory::X` / `grant::X` module paths: X must be a data type,
+        // and so must every name of a `memory::{X, Y}` brace group.
         if (ident == "memory" || ident == "grant")
             && bytes.get(off + ident.len()) == Some(&b':')
             && bytes.get(off + ident.len() + 1) == Some(&b':')
         {
-            if let Some(&(_, next)) = toks.get(k + 1) {
+            let path_end = off + ident.len() + 2;
+            let named = match next_nonspace(bytes, path_end) {
+                Some(b'{') => brace_group_names(&toks[k + 1..], bytes, path_end),
+                _ => toks.get(k + 1).map(|&(_, next)| next).into_iter().collect(),
+            };
+            for next in named {
                 if !BOUNDARY_TYPE_ALLOW.contains(&next) {
                     out.push(LintFinding {
                         file: file.path.clone(),
@@ -436,6 +442,38 @@ fn rule_boundary(file: &SourceFile, stripped: &str, out: &mut Vec<LintFinding>) 
             });
         }
     }
+}
+
+/// The names a `use` brace group imports, the group opening at `from`
+/// after any whitespace: every identifier up to its matching `}`,
+/// nested groups included, except an `as` and the alias after it.
+/// `toks` starts at the group's first identifier.
+fn brace_group_names<'a>(toks: &[(usize, &'a str)], bytes: &[u8], from: usize) -> Vec<&'a str> {
+    let mut depth = 0usize;
+    let mut end = from;
+    while end < bytes.len() {
+        match bytes[end] {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            _ => {}
+        }
+        end += 1;
+    }
+    let mut names = Vec::new();
+    let mut alias = false;
+    for &(_, name) in toks.iter().take_while(|&&(off, _)| off < end) {
+        match name {
+            "as" => alias = true,
+            _ if alias => alias = false,
+            _ => names.push(name),
+        }
+    }
+    names
 }
 
 // ---------------------------------------------------------------------
@@ -725,6 +763,22 @@ mod tests {
         assert!(msgs.iter().any(|m| m.contains("MemoryManager")));
         assert!(msgs.iter().any(|m| m.contains(".mem.populate")));
         assert!(msgs.iter().any(|m| m.contains("grant-table")));
+    }
+
+    #[test]
+    fn boundary_checks_every_name_of_a_brace_group() {
+        let ok = file(
+            "crates/core/src/x.rs",
+            "use xoar_hypervisor::memory::{Pfn, PAGE_SIZE as PS};\nuse xoar_hypervisor::grant::{GrantAccess, GrantRef};",
+        );
+        assert_eq!(lint_sources(&[ok]), vec![]);
+        let bad = file(
+            "crates/core/src/x.rs",
+            "use xoar_hypervisor::memory::{Pfn, MemoryManager};",
+        );
+        let v = lint_sources(&[bad]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].msg.contains("memory::MemoryManager"), "{v:?}");
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! through the same API, so every measured difference is attributable to
 //! the decomposition.
 
-use std::collections::HashMap;
-
 use xoar_devices::blk::{BlkFront, BlkRingHub, Mount};
 use xoar_devices::console::ConsoleManager;
 use xoar_devices::emu::QemuDeviceModel;
@@ -27,6 +25,7 @@ use xoar_devices::pci::{PciBack, PciBus, PciClass};
 use xoar_devices::xenbus::{self, Connection, DeviceKind};
 use xoar_devices::{BlkBack, NetBack, RingHub, RingId};
 use xoar_hypervisor::domain::DomainRole;
+use xoar_hypervisor::fasthash::FastMap;
 use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::{
     DomId, DomainState, HvError, HvResult, Hypercall, HypercallRet, Hypervisor, PrivilegeSet,
@@ -207,15 +206,15 @@ pub struct Platform {
     /// The audit log.
     pub audit: AuditLog,
     /// Per-guest QEMU device models, keyed by guest.
-    pub qemus: HashMap<DomId, QemuDeviceModel>,
+    pub qemus: FastMap<DomId, QemuDeviceModel>,
     /// The Xoar configuration this platform booted with (None for the
     /// stock baseline).
     pub xoar_config: Option<XoarConfig>,
     /// Constraint tags currently adopted by shard instances.
-    shard_tags: HashMap<DomId, ConstraintTag>,
-    guests: HashMap<DomId, GuestHandle>,
+    shard_tags: FastMap<DomId, ConstraintTag>,
+    guests: FastMap<DomId, GuestHandle>,
     /// Sealed clone templates, keyed by the template domain.
-    templates: HashMap<DomId, GuestTemplate>,
+    templates: FastMap<DomId, GuestTemplate>,
 }
 
 /// A sealed snapshot-fork template: everything needed to stamp out new
@@ -379,11 +378,11 @@ impl Platform {
             wire: WireEndpoint::new(),
             fabric: None,
             audit: AuditLog::new(),
-            qemus: HashMap::new(),
+            qemus: FastMap::default(),
             xoar_config: None,
-            shard_tags: HashMap::new(),
-            guests: HashMap::new(),
-            templates: HashMap::new(),
+            shard_tags: FastMap::default(),
+            guests: FastMap::default(),
+            templates: FastMap::default(),
             hv,
             xs,
         }
@@ -565,11 +564,11 @@ impl Platform {
             wire: WireEndpoint::new(),
             fabric: None,
             audit: AuditLog::new(),
-            qemus: HashMap::new(),
+            qemus: FastMap::default(),
             xoar_config: Some(cfg),
-            shard_tags: HashMap::new(),
-            guests: HashMap::new(),
-            templates: HashMap::new(),
+            shard_tags: FastMap::default(),
+            guests: FastMap::default(),
+            templates: FastMap::default(),
             hv,
             xs,
         }
@@ -1337,6 +1336,18 @@ impl Platform {
     pub fn blk_poll(&mut self, guest: DomId) -> Option<xoar_devices::blk::BlkResponse> {
         let h = self.guests.get_mut(&guest)?;
         h.blkfront.as_mut()?.poll(&mut self.blk_hub)
+    }
+
+    /// Resubmits `guest`'s in-flight block requests, in id order, after
+    /// its ring was recreated under the same connection (a BlkBack
+    /// microreboot dropped them): "virtual machine protocols … are
+    /// designed to cache and retransmit failed requests" (§3.3).
+    pub(crate) fn blk_retransmit(&mut self, guest: DomId) {
+        let h = self.guests.get_mut(&guest);
+        if let Some(bf) = h.and_then(|h| h.blkfront.as_mut()) {
+            let retry = bf.reconnect(bf.conn);
+            bf.retransmit(&mut self.blk_hub, retry);
+        }
     }
 
     /// Runs one processing pass of every NetBack, returning aggregate

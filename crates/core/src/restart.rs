@@ -293,9 +293,9 @@ impl RestartEngine {
     /// The rollback is performed with a real `VmRollback` hypercall issued
     /// by the Builder; the plan's ring list is refreshed from the live
     /// attachment table, every ring is detached (dropping in-flight
-    /// requests, which frontends retransmit) and recreated, and the
-    /// frontends are re-notified with one batched multicall of event
-    /// kicks. For the slow path the connections are fully renegotiated,
+    /// requests) and recreated, the frontends are re-notified with one
+    /// batched multicall of event kicks, and each block frontend
+    /// retransmits the requests it still has in flight. For the slow path the connections are fully renegotiated,
     /// for the fast path they are re-established from persisted
     /// configuration — the wall-clock difference is carried in
     /// `downtime_ns`.
@@ -359,12 +359,20 @@ impl RestartEngine {
                 .hypercall(shard, Hypercall::Multicall { calls })?;
         }
 
+        // 4. Kicked, each block frontend retransmits the requests the
+        //    detach dropped, in id order, on its recreated ring.
+        if let Some(ServiceSlot::Blk(_)) = reg.plan.slot {
+            for ring in &reg.plan.rings {
+                platform.blk_retransmit(ring.granter);
+            }
+        }
+
         let downtime_ns = path.downtime_ns();
         let now = platform.now_ns();
         reg.last_restart_ns = now;
         self.total_restarts += 1;
 
-        // 4. Audit the restart.
+        // 5. Audit the restart.
         platform.audit.append(
             now,
             AuditEvent::ShardRestarted {
@@ -460,6 +468,30 @@ mod tests {
         p.net_transmit(g, 1, 1500).unwrap();
         let stats = p.process_netbacks();
         assert_eq!(stats.tx_frames, 1);
+    }
+
+    #[test]
+    fn blkback_restart_retransmits_dropped_requests() {
+        use xoar_devices::blk::{BlkOp, BlkStatus};
+        let (mut p, g, _nb) = xoar_with_guest();
+        let bb = p.services.blkbacks[0];
+        let mut eng = RestartEngine::new();
+        eng.register(&mut p, bb, RestartPolicy::Never, RestartPath::Fast)
+            .unwrap();
+        let in_flight = |p: &Platform| p.guest(g).unwrap().blkfront.as_ref().unwrap().outstanding();
+        for _ in 0..6 {
+            let ids = p.blk_submit_batch(g, &[(BlkOp::Read, 0, 8); 3]).unwrap();
+            let outcome = eng.restart(&mut p, bb).unwrap();
+            assert_eq!(outcome.requests_lost, 3);
+            assert_eq!(in_flight(&p), 3);
+            assert_eq!(p.process_blkbacks().completed, 3);
+            // Retransmitted under their original ids, in order.
+            for want in ids {
+                let resp = p.blk_poll(g).expect("retransmitted read completes");
+                assert_eq!((resp.id, resp.status), (want, BlkStatus::Ok));
+            }
+            assert_eq!(in_flight(&p), 0);
+        }
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! "resource usage quotas enforced by the virtualization platform"), and
 //! proxied disk-image administration via BlkBack's daemon (§5.4).
 
-use std::collections::HashMap;
-
 use xoar_hypervisor::domain::Domain;
+use xoar_hypervisor::fasthash::FastMap;
 use xoar_hypervisor::{DomId, DomainState, HvError, HvResult, Hypercall};
 
 use crate::platform::{GuestConfig, GuestHandle, Platform};
@@ -82,7 +81,7 @@ pub struct Toolstack {
     /// What each live guest was actually charged at creation time
     /// (memory MiB, disk bytes), so destroy releases exactly that —
     /// clones charge zero disk, and resizes keep the books straight.
-    reservations: HashMap<DomId, (u64, u64)>,
+    reservations: FastMap<DomId, (u64, u64)>,
 }
 
 impl Toolstack {
@@ -97,7 +96,7 @@ impl Toolstack {
             quota: ResourceQuota::unlimited(),
             used_memory_mib: 0,
             used_disk_bytes: 0,
-            reservations: HashMap::new(),
+            reservations: FastMap::default(),
         }
     }
 

@@ -18,6 +18,7 @@ use crate::hw::DiskModel;
 use crate::ring::{RingError, RingHub};
 use crate::xenbus::Connection;
 
+use xoar_hypervisor::fasthash::FastMap;
 use xoar_hypervisor::memory::PageRef;
 use xoar_hypervisor::DomId;
 
@@ -102,6 +103,12 @@ pub struct DiskImage {
     pages: HashMap<u64, PageRef>,
 }
 
+/// Names an image's slot in its [`ImageStore`]. A vbd resolves its
+/// image's name to this once, at attach, so the request path indexes a
+/// slot instead of hashing a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ImageId(usize);
+
 /// The image store: BlkBack's proxy daemon for toolstack requests (§5.4).
 ///
 /// "After splitting BlkBack and the Toolstack, the disk images need to be
@@ -109,7 +116,13 @@ pub struct DiskImage {
 /// acts as a proxy for requests of the Toolstacks."
 #[derive(Debug, Default)]
 pub struct ImageStore {
-    images: HashMap<String, DiskImage>,
+    /// Image name → slot. A tenant's toolstack chooses the names, so
+    /// this map keeps the keyed (SipHash) hasher.
+    ids: HashMap<String, ImageId>,
+    /// The images; a deleted image's slot is `None` until reused.
+    slots: Vec<Option<DiskImage>>,
+    /// Vacated slots, reused before the slot table grows.
+    free: Vec<usize>,
 }
 
 impl ImageStore {
@@ -120,92 +133,121 @@ impl ImageStore {
 
     /// Toolstack proxy request: create a backing image.
     pub fn create_image(&mut self, name: &str, bytes: u64) -> Result<(), String> {
-        if self.images.contains_key(name) {
+        if self.ids.contains_key(name) {
             return Err(format!("image {name} exists"));
         }
-        self.images.insert(
-            name.to_string(),
-            DiskImage {
-                name: name.to_string(),
-                sectors: bytes.div_ceil(SECTOR_SIZE),
-                mounted_by: None,
-                cow_mounts: 0,
-                pages: HashMap::new(),
-            },
-        );
+        let image = DiskImage {
+            name: name.to_string(),
+            sectors: bytes.div_ceil(SECTOR_SIZE),
+            mounted_by: None,
+            cow_mounts: 0,
+            pages: HashMap::new(),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(image);
+                slot
+            }
+            None => {
+                self.slots.push(Some(image));
+                self.slots.len() - 1
+            }
+        };
+        self.ids.insert(name.to_string(), ImageId(slot));
         Ok(())
     }
 
     /// Toolstack proxy request: delete an image (must be unmounted).
     pub fn delete_image(&mut self, name: &str) -> Result<(), String> {
-        match self.images.get(name) {
-            None => Err(format!("no image {name}")),
-            Some(img) if img.mounted_by.is_some() => Err(format!("image {name} is mounted")),
-            Some(img) if img.cow_mounts > 0 => Err(format!("image {name} has CoW readers")),
-            Some(_) => {
-                self.images.remove(name);
-                Ok(())
-            }
+        let Some(&id) = self.ids.get(name) else {
+            return Err(format!("no image {name}"));
+        };
+        let img = self.image(id);
+        if img.mounted_by.is_some() {
+            return Err(format!("image {name} is mounted"));
         }
+        if img.cow_mounts > 0 {
+            return Err(format!("image {name} has CoW readers"));
+        }
+        self.ids.remove(name);
+        self.slots[id.0] = None;
+        self.free.push(id.0);
+        Ok(())
+    }
+
+    /// Resolves an image's name to its slot.
+    fn id(&self, name: &str) -> Result<ImageId, String> {
+        self.ids
+            .get(name)
+            .copied()
+            .ok_or(format!("no image {name}"))
+    }
+
+    /// The image in slot `id`. Only a mounted image's slot is held
+    /// (by its vbd), and a mounted image cannot be deleted.
+    fn image(&self, id: ImageId) -> &DiskImage {
+        self.slots[id.0].as_ref().expect("a resolved image is live")
+    }
+
+    fn image_mut(&mut self, id: ImageId) -> &mut DiskImage {
+        self.slots[id.0].as_mut().expect("a resolved image is live")
     }
 
     /// Mounts an image for a guest (at connection time).
     pub fn mount(&mut self, name: &str, guest: DomId) -> Result<u64, String> {
-        let img = self
-            .images
-            .get_mut(name)
-            .ok_or(format!("no image {name}"))?;
+        let id = self.id(name)?;
+        self.mount_exclusive(id, guest)
+    }
+
+    /// Unmounts an image.
+    pub fn unmount(&mut self, name: &str) {
+        if let Some(&id) = self.ids.get(name) {
+            self.image_mut(id).mounted_by = None;
+        }
+    }
+
+    /// Mounts image `id` for `guest` alone, returning its size in sectors.
+    fn mount_exclusive(&mut self, id: ImageId, guest: DomId) -> Result<u64, String> {
+        let img = self.image_mut(id);
         if let Some(d) = img.mounted_by {
-            return Err(format!("image {name} already mounted by {d}"));
+            return Err(format!("image {} already mounted by {d}", img.name));
         }
         img.mounted_by = Some(guest);
         Ok(img.sectors)
     }
 
-    /// Unmounts an image.
-    pub fn unmount(&mut self, name: &str) {
-        if let Some(img) = self.images.get_mut(name) {
-            img.mounted_by = None;
-        }
-    }
-
-    /// Mounts an image copy-on-write for a clone: the exclusive mount
+    /// Mounts image `id` copy-on-write for a clone: the exclusive mount
     /// (the template's) stays in place and any number of CoW readers
-    /// share the golden bytes until their first block write.
-    pub fn mount_cow(&mut self, name: &str) -> Result<u64, String> {
-        let img = self
-            .images
-            .get_mut(name)
-            .ok_or(format!("no image {name}"))?;
+    /// share the golden bytes until their first block write. Returns the
+    /// image's size in sectors.
+    fn mount_cow(&mut self, id: ImageId) -> u64 {
+        let img = self.image_mut(id);
         img.cow_mounts += 1;
-        Ok(img.sectors)
+        img.sectors
     }
 
     /// Drops one CoW reader of an image.
     pub fn unmount_cow(&mut self, name: &str) {
-        if let Some(img) = self.images.get_mut(name) {
+        if let Some(&id) = self.ids.get(name) {
+            let img = self.image_mut(id);
             img.cow_mounts = img.cow_mounts.saturating_sub(1);
         }
     }
 
-    /// Stores a written page body at `sector` of image `name`. The handle
+    /// Stores a written page body at `sector` of image `id`. The handle
     /// is moved in; no bytes are copied.
-    pub fn store_page(&mut self, name: &str, sector: u64, page: PageRef) {
-        if let Some(img) = self.images.get_mut(name) {
-            img.pages.insert(sector, page);
-        }
+    fn store_page(&mut self, id: ImageId, sector: u64, page: PageRef) {
+        self.image_mut(id).pages.insert(sector, page);
     }
 
-    /// Returns the shared handle stored at `sector` of image `name`.
-    pub fn read_page(&self, name: &str, sector: u64) -> Option<PageRef> {
-        self.images
-            .get(name)
-            .and_then(|i| i.pages.get(&sector).cloned())
+    /// Returns the shared handle stored at `sector` of image `id`.
+    fn read_page(&self, id: ImageId, sector: u64) -> Option<PageRef> {
+        self.image(id).pages.get(&sector).cloned()
     }
 
     /// Lists image names.
     pub fn list(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.images.keys().cloned().collect();
+        let mut v: Vec<String> = self.ids.keys().cloned().collect();
         v.sort();
         v
     }
@@ -238,6 +280,8 @@ struct Attachment {
     /// image stays mounted until [`BlkBack::detach_guest`].
     conn: Option<Connection>,
     mount: Mount,
+    /// The mounted image's slot, resolved from its name at attach.
+    image: ImageId,
     sectors: u64,
     /// Last sector touched (sequential-access detection).
     last_sector: Option<u64>,
@@ -292,14 +336,16 @@ impl BlkBack {
 
     /// Attaches a negotiated connection to a new vbd backed by `mount`.
     pub fn attach(&mut self, conn: Connection, mount: Mount) -> Result<(), String> {
+        let image = self.images.id(mount.image())?;
         let sectors = match &mount {
-            Mount::Exclusive(image) => self.images.mount(image, conn.guest)?,
-            Mount::Cow(image) => self.images.mount_cow(image)?,
+            Mount::Exclusive(_) => self.images.mount_exclusive(image, conn.guest)?,
+            Mount::Cow(_) => self.images.mount_cow(image),
         };
         self.attachments.push(Attachment {
             guest: conn.guest,
             conn: Some(conn),
             mount,
+            image,
             sectors,
             last_sector: None,
         });
@@ -307,7 +353,9 @@ impl BlkBack {
     }
 
     /// Connects `conn` to the vbd its guest still holds from before a
-    /// [`BlkBack::disconnect`].
+    /// [`BlkBack::disconnect`]. The vbd keeps the image slot it resolved
+    /// at attach: its image stayed mounted, so it cannot have been
+    /// deleted.
     pub fn reconnect(&mut self, conn: Connection) -> Result<(), String> {
         let a = self
             .attachments
@@ -354,7 +402,9 @@ impl BlkBack {
     }
 
     /// Services every attached ring: pops requests, validates them against
-    /// the mounted image bounds, charges disk time, pushes responses.
+    /// the mounted image bounds, charges disk time, pushes responses. Each
+    /// vbd reaches its image through the slot it resolved at attach, so no
+    /// request hashes an image name.
     ///
     /// Returns the statistics of this pass; the caller (simulator) decides
     /// how to advance time and when to signal event channels.
@@ -379,7 +429,7 @@ impl BlkBack {
                     let t = match req.op {
                         BlkOp::Read => {
                             self.disk.record_read(bytes);
-                            resp_payload = self.images.read_page(a.mount.image(), req.sector);
+                            resp_payload = self.images.read_page(a.image, req.sector);
                             self.disk.service_time_ns(bytes, sequential)
                         }
                         BlkOp::Write => {
@@ -388,7 +438,7 @@ impl BlkBack {
                                 // Store the shared handle — the write's
                                 // page body crosses the backend by
                                 // refcount move, not by copy.
-                                self.images.store_page(a.mount.image(), req.sector, page);
+                                self.images.store_page(a.image, req.sector, page);
                             }
                             self.disk.service_time_ns(bytes, sequential)
                         }
@@ -431,7 +481,8 @@ pub struct BlkFront {
     /// The negotiated connection.
     pub conn: Connection,
     next_id: u64,
-    outstanding: HashMap<u64, BlkRequest>,
+    /// Requests in flight, keyed by the ids this frontend assigns.
+    outstanding: FastMap<u64, BlkRequest>,
 }
 
 impl BlkFront {
@@ -440,7 +491,10 @@ impl BlkFront {
         BlkFront {
             conn,
             next_id: 1,
-            outstanding: HashMap::with_capacity(crate::ring::DEFAULT_RING_SLOTS),
+            outstanding: FastMap::with_capacity_and_hasher(
+                crate::ring::DEFAULT_RING_SLOTS,
+                Default::default(),
+            ),
         }
     }
 
@@ -480,25 +534,20 @@ impl BlkFront {
         ops: &[(BlkOp, u64, u64)],
     ) -> Result<Vec<u64>, RingError> {
         let first = self.next_id;
-        let reqs: Vec<BlkRequest> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, &(op, sector, count))| BlkRequest {
-                id: first + i as u64,
-                op,
-                sector,
-                count,
-                payload: None,
-            })
-            .collect();
-        hub.get_mut(self.conn.ring)?.push_requests(reqs.clone())?;
-        self.next_id += ops.len() as u64;
-        let mut ids = Vec::with_capacity(ops.len());
-        for req in reqs {
-            ids.push(req.id);
-            self.outstanding.insert(req.id, req);
+        let request = |i: usize, &(op, sector, count): &(BlkOp, u64, u64)| BlkRequest {
+            id: first + i as u64,
+            op,
+            sector,
+            count,
+            payload: None,
+        };
+        hub.get_mut(self.conn.ring)?
+            .push_requests(ops.iter().enumerate().map(|(i, o)| request(i, o)))?;
+        for (i, o) in ops.iter().enumerate() {
+            self.outstanding.insert(first + i as u64, request(i, o));
         }
-        Ok(ids)
+        self.next_id += ops.len() as u64;
+        Ok((first..self.next_id).collect())
     }
 
     fn submit_with(
@@ -544,6 +593,20 @@ impl BlkFront {
         retry.sort_by_key(|r| r.id);
         self.outstanding.clear();
         retry
+    }
+
+    /// Resubmits requests [`Self::reconnect`] returned, in the order
+    /// given and under their original ids, so a caller's correlation
+    /// survives the backend's restart. Every request is in flight again;
+    /// one the ring has no room for stays unsent until the next
+    /// reconnect.
+    pub fn retransmit(&mut self, hub: &mut BlkRingHub, retry: Vec<BlkRequest>) {
+        for req in retry {
+            if let Ok(ring) = hub.get_mut(self.conn.ring) {
+                let _ = ring.push_request(req.clone());
+            }
+            self.outstanding.insert(req.id, req);
+        }
     }
 }
 

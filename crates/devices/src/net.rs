@@ -322,27 +322,6 @@ impl NetFront {
         Ok(seq)
     }
 
-    /// Transmits a batch of aggregates on `flow` in one ring operation.
-    /// All-or-nothing: if the ring lacks room for every frame, nothing is
-    /// queued and `RingError::Full` is returned. Returns the sequence
-    /// number of the first frame; the batch occupies `seq..seq + n`.
-    pub fn transmit_many(
-        &mut self,
-        hub: &mut NetRingHub,
-        flow: u64,
-        sizes: &[usize],
-    ) -> Result<u64, RingError> {
-        let first = self.next_seq;
-        let reqs: Vec<NetPacket> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &bytes)| NetPacket::meta(flow, first + i as u64, bytes))
-            .collect();
-        hub.get_mut(self.conn.ring)?.push_requests(reqs)?;
-        self.next_seq += sizes.len() as u64;
-        Ok(first)
-    }
-
     /// Transmits a page-carrying aggregate on `flow`. The page body moves
     /// through the ring and the backend to the wire as a shared handle —
     /// the zero-copy data path the density experiments rely on.
@@ -488,26 +467,6 @@ mod tests {
         let got = nf.receive(&mut hub).unwrap();
         assert!(PageRef::ptr_eq(&page, got.payload.as_ref().unwrap()));
         assert_eq!(got.bytes, 2048);
-    }
-
-    #[test]
-    fn transmit_many_is_all_or_nothing_and_numbers_contiguously() {
-        let (mut nb, mut nf, mut hub, mut wire) = setup();
-        let first = nf.transmit_many(&mut hub, 7, &[100, 200, 300]).unwrap();
-        assert_eq!(first, 0);
-        // Overfill: the ring has DEFAULT_RING_SLOTS slots, 3 used.
-        let too_many = vec![64; crate::ring::DEFAULT_RING_SLOTS];
-        assert_eq!(
-            nf.transmit_many(&mut hub, 7, &too_many),
-            Err(RingError::Full)
-        );
-        // Failed batch consumed no sequence numbers.
-        assert_eq!(nf.transmit(&mut hub, 7, 400).unwrap(), 3);
-        let stats = nb.process(&mut hub, &mut wire);
-        assert_eq!(stats.tx_frames, 4);
-        let out = wire.take_outbound();
-        let seqs: Vec<u64> = out.iter().map(|p| p.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 
     #[test]

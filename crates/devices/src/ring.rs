@@ -145,12 +145,18 @@ impl<Req, Resp> Ring<Req, Resp> {
     /// Frontend: push a whole batch of requests, or none of them.
     ///
     /// Validate-then-apply: if the batch exceeds the free slots the ring
-    /// is left untouched and [`RingError::Full`] is returned, so callers
-    /// never have to unpick a half-submitted batch.
-    pub fn push_requests(&mut self, reqs: Vec<Req>) -> Result<usize, RingError> {
+    /// is left untouched, the batch is not iterated, and
+    /// [`RingError::Full`] is returned, so callers never have to unpick a
+    /// half-submitted batch.
+    pub fn push_requests<I>(&mut self, reqs: I) -> Result<usize, RingError>
+    where
+        I: IntoIterator<Item = Req>,
+        I::IntoIter: ExactSizeIterator,
+    {
         if !self.attached {
             return Err(RingError::Detached);
         }
+        let reqs = reqs.into_iter();
         if reqs.len() > self.free_slots() {
             return Err(RingError::Full);
         }
@@ -372,7 +378,7 @@ mod tests {
     #[test]
     fn batch_pop_and_respond_round_trip() {
         let mut ring: Ring<u32, u32> = Ring::new(8);
-        ring.push_requests((0..6).collect()).unwrap();
+        ring.push_requests(0..6).unwrap();
         let mut got = Vec::new();
         assert_eq!(ring.pop_requests_into(&mut got), 6);
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);

@@ -1,13 +1,19 @@
-//! A fixed-seed multiply-xor hasher for the hypervisor's hot lookup
+//! A fixed-seed multiply-xor hasher for the platform's hot lookup
 //! tables (frame table, grant entries, domain maps, event ports).
 //!
-//! The standard `HashMap` hasher (SipHash with a per-instance random
-//! seed) is built to resist collision flooding from untrusted string
-//! keys. Every hot table in this crate is keyed by small integers the
-//! hypervisor itself allocates (MFNs, grant refs, domain IDs, ports),
-//! so that defence buys nothing here and costs ~20 ns per probe — which
-//! dominates the batched grant path, where one multicall touches the
-//! frame table and the grant table once per array entry.
+//! **The hashing rule.** [`FastMap`] is for keys the platform allocates:
+//! domain ids, event ports, grant refs, ring ids and the request ids a
+//! frontend assigns. SipHash (the std `HashMap` hasher, randomly seeded
+//! per map) is for keys a guest or tenant chooses, such as sectors and
+//! image names. The fixed-seed Fx hash multiplies by one constant, so
+//! keys that share their low bits land in the same buckets, and anyone
+//! who knows the constant can choose a key set that collides: one
+//! tenant's keys would slow every lookup on a backend it shares.
+//! Platform-allocated keys cannot be chosen, so for them that defence
+//! buys nothing and costs ~20 ns per probe — which dominates the batched
+//! grant path, where one multicall touches the frame table and the
+//! grant table once per array entry, and the block path, where every
+//! request probes the guest table and the frontend's in-flight table.
 //!
 //! `FastHasher` is the rustc-style Fx construction: rotate, xor,
 //! multiply by a golden-ratio-derived odd constant. It is deterministic
