@@ -37,9 +37,15 @@
 //! clone fall-through is justified; no frame is cross-domain
 //! read-visible without a declared edge). Divergences carry a minimal
 //! reproducing op trace shrunk by the in-tree property harness.
+//!
+//! [`eval`] is the paper's §6.2 security evaluation — containment
+//! verdicts, guest TCB and attack surface — read off the same snapshot
+//! and reachability matrix as Pass A, so the analyzer and the
+//! evaluation share one definition of reach.
 
 #![warn(missing_docs)]
 
+pub mod eval;
 pub mod lint;
 pub mod overpriv;
 pub mod reach;

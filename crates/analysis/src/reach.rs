@@ -127,6 +127,14 @@ impl Reachability {
             .unwrap_or(&[])
     }
 
+    /// `accessor`'s row of the matrix: each owner it reaches, with the
+    /// paths, in owner order.
+    pub fn row(&self, accessor: DomId) -> impl Iterator<Item = (DomId, &[MemPath])> {
+        self.mem
+            .range((accessor, DomId(0))..=(accessor, DomId(u32::MAX)))
+            .map(|(&(_, owner), paths)| (owner, paths.as_slice()))
+    }
+
     /// Whether `accessor` reaches `owner`'s memory by any means.
     pub fn reaches_memory(&self, accessor: DomId, owner: DomId) -> bool {
         !self.mem_paths(accessor, owner).is_empty()

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xoar_core::platform::Platform;
+use xoar_core::platform::{Platform, PlatformMode};
 use xoar_hypervisor::domain::{DomainRole, DomainState};
 use xoar_hypervisor::grant::GrantAccess;
 use xoar_hypervisor::{DomId, PrivilegeSet};
@@ -126,6 +126,11 @@ pub struct ModelSnapshot {
     /// `DomId(u32::MAX)` as its object (any domain). Every edge in the
     /// reachability matrix must be covered by one of these.
     pub declared: BTreeSet<(String, DomId, DomId)>,
+    /// The platform's architecture; `None` on hand-built fixtures.
+    pub mode: Option<PlatformMode>,
+    /// Whether a Dom0 failure takes the host down
+    /// ([`xoar_hypervisor::Hypervisor::dom0_failure_is_fatal`]).
+    pub dom0_failure_is_fatal: bool,
 }
 
 impl ModelSnapshot {
@@ -247,6 +252,8 @@ impl ModelSnapshot {
             xenstore_privileged: p.xs.logic().privileged_domains(),
             shared_frames,
             declared,
+            mode: Some(p.mode),
+            dom0_failure_is_fatal: p.hv.dom0_failure_is_fatal,
         }
     }
 
@@ -254,7 +261,10 @@ impl ModelSnapshot {
     /// service-identity table rather than the free-form domain name.
     fn kind_label(p: &Platform, id: DomId, role: DomainRole) -> String {
         let s = &p.services;
-        let label = if id == s.xenstore {
+        let label = if id == s.xenstore && id == s.builder {
+            // Stock Xen: one Dom0 holds every service.
+            "dom0"
+        } else if id == s.xenstore {
             "xenstore-logic"
         } else if id == s.xenstore_state {
             "xenstore-state"
@@ -330,5 +340,25 @@ impl ModelSnapshot {
             self.shared_frames.iter().filter(|f| f.frozen).count(),
         ));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xoar_core::platform::GuestConfig;
+
+    #[test]
+    fn stock_dom0_is_labelled_dom0() {
+        let mut p = Platform::stock_xen();
+        let ts = p.services.toolstacks[0];
+        let g = p
+            .create_guest(ts, GuestConfig::evaluation_guest("g"))
+            .unwrap();
+        let snap = ModelSnapshot::capture(&p);
+        assert_eq!(snap.domains[&DomId::DOM0].kind, "dom0");
+        assert_eq!(snap.domains[&g].kind, "guest");
+        assert_eq!(snap.mode, Some(PlatformMode::StockXen));
+        assert!(snap.dom0_failure_is_fatal);
     }
 }

@@ -3,12 +3,10 @@
 //! Prints the §2.2.1 vulnerability census, replays the §6.2.1 attack set
 //! against both platforms, and reports the guest TCB on each.
 
+use xoar_analysis::eval::{census, corpus, evaluate, freshness, tcb_of_guest, Verdict};
 use xoar_bench::header;
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_hypervisor::DomId;
-use xoar_security::containment::Verdict;
-use xoar_security::freshness;
-use xoar_security::{census, corpus, evaluate, tcb_of_guest};
 
 fn hvm_guest(p: &mut Platform, name: &str) -> DomId {
     let ts = p.services.toolstacks[0];

@@ -180,7 +180,7 @@ impl ImageStore {
         self.ids
             .get(name)
             .copied()
-            .ok_or(format!("no image {name}"))
+            .ok_or_else(|| format!("no image {name}"))
     }
 
     /// The image in slot `id`. Only a mounted image's slot is held

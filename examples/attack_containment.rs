@@ -9,10 +9,9 @@
 //! guest on stock Xen and on Xoar, and prints what the attacker actually
 //! gets in each case.
 
+use xoar_analysis::eval::{blast_radius, landing_domain, AttackVector};
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_hypervisor::DomId;
-use xoar_security::containment::{blast_radius, landing_domain};
-use xoar_security::corpus::AttackVector;
 
 fn hvm(p: &mut Platform, name: &str) -> DomId {
     let ts = p.services.toolstacks[0];

@@ -46,6 +46,12 @@ cargo run --release --offline -p xoar-analysis --bin xoar-analyzer
 cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --selftest
 cargo run --release --offline -p xoar-analysis --bin xoar-lint
 
+# Evaluation golden: the §6.2 census, containment verdicts, TCB figures
+# and temporal-exposure table security_eval prints are deterministic;
+# any byte of difference from the committed golden fails the gate.
+cargo run -q --release --offline -p xoar-bench --bin security_eval \
+    | diff -u crates/bench/golden/security_eval.txt -
+
 # Spec gate: the executable isolation spec run in lockstep with the
 # hypervisor. --spec-exhaustive enumerates every small-scope op
 # sequence (plus a randomized longer sweep) and fails on any divergence

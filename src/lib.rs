@@ -12,7 +12,9 @@
 //! * [`platform`] — the assembled platforms, shards, builder, restarts,
 //!   audit, migration (re-export of `xoar_core`);
 //! * [`sim`] — deterministic workloads reproducing Chapter 6;
-//! * [`security`] — the §6.2 census, containment, and TCB analyses.
+//! * [`analysis`] — the privilege-flow analyzer, the isolation spec,
+//!   and the §6.2 census, containment, TCB and surface evaluation read
+//!   off the analyzer's model.
 //!
 //! # Examples
 //!
@@ -29,10 +31,10 @@
 
 #![warn(missing_docs)]
 
+pub use xoar_analysis as analysis;
 pub use xoar_codec as codec;
 pub use xoar_core as platform;
 pub use xoar_devices as devices;
 pub use xoar_hypervisor as hypervisor;
-pub use xoar_security as security;
 pub use xoar_sim as sim;
 pub use xoar_xenstore as xenstore;

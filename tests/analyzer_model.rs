@@ -4,8 +4,10 @@
 //! The analyzer must (a) find nothing on the known-good platform, (b)
 //! produce byte-identical reports across fresh boots, and (c) fire when
 //! over-privilege or undeclared sharing is injected into the snapshot.
+//! The §6.2 containment analysis must agree with the same matrix.
 
-use xoar_analysis::reach::Reachability;
+use xoar_analysis::eval::blast_radius;
+use xoar_analysis::reach::{MemPath, Reachability};
 use xoar_analysis::rules;
 use xoar_analysis::snapshot::{GrantEdge, ModelSnapshot};
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
@@ -105,4 +107,48 @@ fn injected_undeclared_sharing_is_caught() {
         violations.iter().any(|v| v.rule == "undeclared-sharing"),
         "{violations:?}"
     );
+}
+
+#[test]
+fn blast_radius_agrees_with_the_reach_matrix() {
+    for mut p in [Platform::xoar(XoarConfig::default()), Platform::stock_xen()] {
+        let ts = p.services.toolstacks[0];
+        let mut hvm = GuestConfig::evaluation_guest("hvm");
+        hvm.hvm = true;
+        p.create_guest(ts, hvm).unwrap();
+        p.create_guest(ts, GuestConfig::evaluation_guest("pv"))
+            .unwrap();
+        let snap = ModelSnapshot::capture(&p);
+        let reach = Reachability::compute(&snap);
+        for d in snap.live_domains() {
+            let radius = blast_radius(&p, d.id);
+            let mut memory_of = std::collections::BTreeSet::new();
+            for (owner, paths) in reach.row(d.id) {
+                if paths
+                    .iter()
+                    .any(|path| matches!(path, MemPath::BlanketForeign | MemPath::PrivilegedFor))
+                {
+                    memory_of.insert(owner);
+                }
+                if paths
+                    .iter()
+                    .any(|path| matches!(path, MemPath::Grant { .. }))
+                {
+                    assert!(
+                        radius.traffic_of.contains(&owner),
+                        "{:?} {} ({}) holds a grant from {owner} outside traffic_of {:?}",
+                        p.mode,
+                        d.id,
+                        d.kind,
+                        radius.traffic_of
+                    );
+                }
+            }
+            assert_eq!(
+                radius.memory_of, memory_of,
+                "{:?} {} ({})",
+                p.mode, d.id, d.kind
+            );
+        }
+    }
 }

@@ -2,6 +2,7 @@
 //! (introduction: efficient resource utilisation, live migration, memory
 //! sharing, dense packing), exercised together across crates.
 
+use xoar_analysis::eval::survey;
 use xoar_core::migration::{migrate, MigrationConfig};
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_core::toolstack::{ResourceQuota, Toolstack};
@@ -9,7 +10,6 @@ use xoar_devices::blk::BlkOp;
 use xoar_devices::sriov::{sharing_analysis, SrIovNic};
 use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::PciAddress;
-use xoar_security::survey;
 
 #[test]
 fn consolidation_lifecycle_with_all_features() {

@@ -134,9 +134,9 @@ fn figure_6_5_apache_shape() {
 
 #[test]
 fn security_headline_claims() {
-    use xoar_security::containment::Verdict;
-    let all = xoar_security::corpus();
-    assert_eq!(xoar_security::census(&all).total, 44);
+    use xoar_analysis::eval::Verdict;
+    let all = xoar_analysis::eval::corpus();
+    assert_eq!(xoar_analysis::eval::census(&all).total, 44);
 
     let mut p = Platform::xoar(XoarConfig::default());
     let ts = p.services.toolstacks[0];
@@ -144,11 +144,11 @@ fn security_headline_claims() {
     cfg.hvm = true;
     let a = p.create_guest(ts, cfg).unwrap();
     let _v = guest_on(&mut p, "victim");
-    let rep = xoar_security::evaluate(&p, a, &all);
+    let rep = xoar_analysis::eval::evaluate(&p, a, &all);
     assert_eq!(rep.count(Verdict::ContainedToComponent), 7);
     assert_eq!(rep.count(Verdict::LimitedToSharers), 7);
     assert_eq!(rep.count(Verdict::NotProtected), 1);
 
-    let tcb = xoar_security::tcb_of_guest(&p, _v);
+    let tcb = xoar_analysis::eval::tcb_of_guest(&p, _v);
     assert_eq!(tcb.above_hypervisor_source(), 13_000);
 }

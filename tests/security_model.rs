@@ -2,13 +2,12 @@
 //! promises, checked against the live platform with the security crate's
 //! analysis tooling.
 
+use xoar_analysis::eval::{blast_radius, corpus, evaluate, tcb_of_guest, Verdict};
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_core::shard::ConstraintTag;
 use xoar_hypervisor::grant::GrantAccess;
 use xoar_hypervisor::memory::{PageRef, Pfn};
 use xoar_hypervisor::{DomId, HvError, Hypercall, HypercallId};
-use xoar_security::containment::{blast_radius, Verdict};
-use xoar_security::{corpus, evaluate, tcb_of_guest};
 
 fn xoar_with_two_guests() -> (Platform, DomId, DomId, DomId) {
     let mut p = Platform::xoar(XoarConfig::default());
@@ -102,8 +101,9 @@ fn whole_corpus_side_by_side() {
     let a1 = xoar.create_guest(ts, cfg).unwrap();
     let xoar_rep = evaluate(&xoar, a1, &all);
 
-    let total =
-        |r: &xoar_security::ContainmentReport| -> usize { r.counts.iter().map(|(_, c)| c).sum() };
+    let total = |r: &xoar_analysis::eval::ContainmentReport| -> usize {
+        r.counts.iter().map(|(_, c)| c).sum()
+    };
     assert_eq!(total(&stock_rep), 19);
     assert_eq!(total(&xoar_rep), 19);
     // Xoar strictly dominates: nothing gets worse, full compromises go
