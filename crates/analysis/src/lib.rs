@@ -1,8 +1,8 @@
 //! # xoar-analysis
 //!
-//! Static privilege-flow audit and source-boundary linter for the Xoar
-//! workspace — the tooling counterpart to the paper's §3.1 claim that
-//! every component runs with the least privilege its function needs.
+//! Static privilege-flow audit for the Xoar workspace — the tooling
+//! counterpart to the paper's §3.1 claim that every component runs with
+//! the least privilege its function needs.
 //!
 //! Two independent passes:
 //!
@@ -17,17 +17,18 @@
 //!   *static* whitelist against the hypercalls it *actually* issued in a
 //!   recorded simulation trace.
 //!
-//! * **Pass B — token-level source boundaries** (`xoar-lint` binary):
-//!   [`lint`] scans `crates/*/src` with a comment/string-aware token
-//!   scanner (no rustc, no external parser) and enforces the workspace's
-//!   layering rules: no `unwrap`/`expect`/`panic!` in non-test
-//!   hypervisor code, devices/core reach memory and grant internals only
-//!   through the hypercall layer, and the `HypercallId` bookkeeping
-//!   tables stay exhaustive.
+//! * **Pass B — source boundaries, held by the compiler and clippy** (no
+//!   code in this crate): split-borrow primitives and memory mutators
+//!   are private to the hypervisor crate; `crates/core/clippy.toml` and
+//!   `crates/devices/clippy.toml` deny the remaining memory and grant
+//!   internals and the ungated `Hypervisor` mutators; the hypervisor
+//!   crate denies panics in non-test code and wildcard arms in
+//!   `Hypercall::id` and the dispatcher. `scripts/ci.sh` runs the
+//!   clippy step.
 //!
 //! Every report is deterministic: all collections are ordered
-//! (`BTreeMap` / sorted `Vec`s) so two runs over the same platform or
-//! tree produce byte-identical output.
+//! (`BTreeMap` / sorted `Vec`s) so two runs over the same platform
+//! produce byte-identical output.
 //!
 //! A third, *dynamic* pass complements the static rules: [`spec`] is an
 //! executable isolation specification — a small memory-ownership model
@@ -46,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod eval;
-pub mod lint;
 pub mod overpriv;
 pub mod reach;
 pub mod rules;

@@ -528,6 +528,10 @@ impl Platform {
         // dynamic provisioning (hotplug / SR-IOV, §5.3), in which case it
         // stays live and unsealed. The Bootstrapper self-destructs either
         // way.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "boot destroys PCIBack behind the gate (ROADMAP item 9)"
+        )]
         let pciback_opt = if cfg.keep_pciback {
             Some(pciback)
         } else {
@@ -535,7 +539,11 @@ impl Platform {
             hv.crash_domain(pciback_dom).expect("pciback destroyed");
             None
         };
-        hv.crash_domain(bootstrapper).expect("bootstrapper exits");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the Bootstrapper is destroyed behind the gate (ROADMAP item 9)"
+        )]
+        let () = hv.crash_domain(bootstrapper).expect("bootstrapper exits");
 
         let mut console_mgr = ConsoleManager::new(console.unwrap_or(builder_dom));
         if let Some(c) = console {
@@ -575,6 +583,10 @@ impl Platform {
     }
 
     /// Boots one shard with the least privilege of its class.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sets map_foreign_any behind the gate (ROADMAP item 4)"
+    )]
     fn boot_shard(
         hv: &mut Hypervisor,
         xs: &mut XenStore,
@@ -730,6 +742,10 @@ impl Platform {
         )?;
         let guest = built.guest;
         {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sets constraint_group and delegated_shards behind the gate (ROADMAP item 4)"
+            )]
             let d = self.hv.domain_mut(guest)?;
             d.constraint_group = cfg.constraint.group.clone();
             d.delegated_shards.insert(self.services.xenstore);

@@ -17,9 +17,10 @@
 //!   nothing else writes it, so a re-attached vif is found at its new
 //!   port from the moment it attaches;
 //! * a **per-flow connection table** keyed by `(flow, src_dom, dst_dom)`
-//!   on an [`InlineFastMap`]: the handful of flows active in one batch
-//!   sit in inline slots probed without hashing, the other ~100k
-//!   concurrent connections live in the `FastMap` spill;
+//!   on an [`InlineFastMap`]: the first few flows ever opened sit in
+//!   inline slots probed without hashing until they close, and every
+//!   other connection (up to ~100k concurrent) lives in the `FastMap`
+//!   spill, reached after a scan of the inline slots;
 //! * a **NAT allocator** for guest ↔ external flows: each such
 //!   connection holds an external port from the ephemeral range for its
 //!   lifetime, released (and recycled) when the flow closes;
@@ -49,7 +50,8 @@ pub const NAT_PORT_BASE: u16 = 0xC000;
 /// Size of the NAT ephemeral range (49152..=65535).
 pub const NAT_PORT_SPAN: u16 = u16::MAX - NAT_PORT_BASE + 1;
 
-/// Inline slots of the flow table: the flows of one switching batch.
+/// Inline slots of the flow table. They hold the first flows opened,
+/// until those close, not the flows a batch is switching.
 const INLINE_FLOWS: usize = 4;
 
 /// Route sentinel: the frame is dropped (oversize, NAT exhaustion,

@@ -34,12 +34,14 @@ pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 /// live in a fixed array probed linearly (no hashing, no heap), and only
 /// entries beyond that spill into the hash map.
 ///
-/// This is the small-entry fast path the hot device tables want: a
-/// steady-state data path touches a handful of keys (the active flows of
-/// one batch, the rings of one backend) and a linear scan over a few
-/// inline pairs beats a hash probe while staying allocation-free. The
-/// same shape as the frame table's two-entry inline reverse index (see
-/// DESIGN.md "Reverse index folded into the frame table"), generalised.
+/// This is the small-entry fast path for tables that hold only a handful
+/// of keys: a linear scan over a few inline pairs beats a hash probe
+/// while staying allocation-free. The slots go to the first keys
+/// inserted, and a key keeps its slot until it is removed, whether or
+/// not it is still hot; in a large table every other key pays the inline
+/// scan before its hash probe. The same shape as the frame table's
+/// two-entry inline reverse index (see DESIGN.md "Reverse index folded
+/// into the frame table"), generalised.
 ///
 /// Lookups check the inline slots first, so an entry never exists in
 /// both stores. Removing an inline entry backfills from the spill only

@@ -120,7 +120,7 @@ hypercall_ids! {
     DomctlSetRole => "domctl.set_role", privileged: true, risk: 7;
     /// Assign a PCI device to a domain.
     DomctlAssignDevice => "domctl.assign_device", privileged: true, risk: 6;
-    /// Grant another domain delegated management of a domain.
+    /// Delegate a shard's use, or hand over a guest's management.
     DomctlDelegate => "domctl.delegate", privileged: true, risk: 7;
     /// Set the privileged-for flag (QEMU stub domains, §5.6).
     DomctlSetPrivilegedFor => "domctl.set_privileged_for", privileged: true, risk: 7;
@@ -339,11 +339,12 @@ pub enum Hypercall {
         /// Device address.
         device: PciAddress,
     },
-    /// Delegate management of `target` to `manager`.
+    /// Delegate `target` to `manager`: a shard's use, or, for a guest,
+    /// its management (the parent-toolstack flag moves to `manager`).
     DomctlDelegate {
-        /// Shard or guest whose management is delegated.
+        /// Shard or guest being delegated.
         target: DomId,
-        /// The domain receiving management rights.
+        /// The domain receiving the delegation.
         manager: DomId,
     },
     /// Set a domain's role (promote a freshly built VM to a shard).
@@ -466,7 +467,13 @@ pub enum Hypercall {
 }
 
 impl Hypercall {
-    /// The whitelist class of this call.
+    /// The whitelist class of this call. No wildcard arm: a new variant
+    /// fails to compile until it is classed here.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    #[deny(unreachable_patterns)]
     pub fn id(&self) -> HypercallId {
         use Hypercall::*;
         match self {

@@ -380,14 +380,13 @@ impl Hypervisor {
     }
 
     /// Management check of §5.6: privileged VM-management hypercalls are
-    /// audited against the parent-toolstack flag (or explicit delegation).
+    /// audited against the parent-toolstack flag. Delegation (`delegated_to`)
+    /// grants use of a shard, not its management: a toolstack that may
+    /// place its guests on a shared backend may not pause or destroy it.
     fn check_management(&self, caller: DomId, target: DomId) -> HvResult<()> {
         let t = self.domain(target)?;
         let c = self.domain(caller)?;
-        if t.parent_toolstack == Some(caller)
-            || t.privileges.delegated_to.contains(&caller)
-            || c.privileges.map_foreign_any
-        {
+        if t.parent_toolstack == Some(caller) || c.privileges.map_foreign_any {
             Ok(())
         } else {
             Err(HvError::PermissionDenied {
@@ -476,6 +475,13 @@ impl Hypervisor {
         std::mem::take(&mut self.observers)
     }
 
+    // No wildcard arm: a new `Hypercall` variant fails to compile until
+    // it is dispatched here.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    #[deny(unreachable_patterns)]
     fn dispatch(&mut self, caller: DomId, call: Hypercall) -> HvResult<HypercallRet> {
         use Hypercall::*;
         match call {
@@ -612,7 +618,7 @@ impl Hypervisor {
                         self.domain_mut(template)?.state = DomainState::Paused;
                         self.sched.set_runnable(template, false);
                     }
-                    _ => {
+                    DomainState::Building | DomainState::Dead => {
                         return Err(HvError::InvalidDomainState {
                             dom: template,
                             expected: "Running|Paused",
@@ -676,7 +682,7 @@ impl Hypervisor {
                         self.sched.set_runnable(target, true);
                         Ok(HypercallRet::Ok)
                     }
-                    _ => Err(HvError::InvalidDomainState {
+                    DomainState::Running | DomainState::Dead => Err(HvError::InvalidDomainState {
                         dom: target,
                         expected: "Building|Paused",
                     }),
@@ -715,7 +721,11 @@ impl Hypervisor {
                 self.domain(manager)?;
                 let t = self.domain_mut(target)?;
                 t.privileges.allow_delegation(manager);
-                if t.parent_toolstack.is_none() || t.parent_toolstack == Some(caller) {
+                // Management moves with a guest's hand-over, never with a
+                // shard's: a shard serves every toolstack it is delegated to.
+                if !t.is_shard()
+                    && (t.parent_toolstack.is_none() || t.parent_toolstack == Some(caller))
+                {
                     t.parent_toolstack = Some(manager);
                 }
                 Ok(HypercallRet::Ok)

@@ -59,6 +59,19 @@
 //! ```
 
 #![warn(missing_docs)]
+// The hypervisor is the trusted computing base: non-test code returns a
+// typed `HvError` and never panics. Enforced by `cargo clippy`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod bitmap;
 pub mod domain;

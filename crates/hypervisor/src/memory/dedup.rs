@@ -350,7 +350,7 @@ mod sharing_tests {
         m.share_identical(&[]);
         m.release_domain(peer);
         let mfn = m.translate(tpl, Pfn(0)).unwrap();
-        assert!(m.write_mfn(mfn, b"mutated").is_err());
+        assert!(m.write_mfn_page(mfn, PageRef::new(b"mutated")).is_err());
         assert_eq!(m.read(clone, Pfn(0)).unwrap(), b"same");
         m.check_consistency().unwrap();
     }
@@ -358,8 +358,8 @@ mod sharing_tests {
     /// A sweep that runs before a domain is sealed may merge its page
     /// onto another domain's frame, and sealing leaves it there. Writing
     /// that frame in place would change the template under every clone,
-    /// so `write_mfn` refuses it while the other domain lives and after
-    /// it is released.
+    /// so `write_mfn_page` refuses it while the other domain lives and
+    /// after it is released.
     #[test]
     fn write_mfn_refuses_a_template_page_merged_before_sealing() {
         let mut m = MemoryManager::new(64);
@@ -377,7 +377,10 @@ mod sharing_tests {
             if !peer_alive {
                 m.release_domain(peer);
             }
-            assert!(m.write_mfn(mfn, b"mutated").is_err(), "alive: {peer_alive}");
+            assert!(
+                m.write_mfn_page(mfn, PageRef::new(b"mutated")).is_err(),
+                "alive: {peer_alive}"
+            );
             assert_eq!(m.read(clone, Pfn(0)).unwrap(), b"same");
             assert_eq!(m.read(tpl, Pfn(0)).unwrap(), b"same");
             m.check_consistency().unwrap();
@@ -671,8 +674,8 @@ mod sharing_proptests {
                         if let Some(&dpfn) = dirty.first() {
                             let mfn = m.translate(dom, dpfn).unwrap();
                             let body = vec![val ^ 0x5a; 120];
-                            m.write_mfn(mfn, &body).unwrap();
-                            // write_mfn edits the frame in place: every
+                            m.write_mfn_page(mfn, PageRef::new(&body)).unwrap();
+                            // write_mfn_page edits the frame in place: every
                             // mapper of that MFN sees the new bytes.
                             for (d, p) in m.mappers(mfn) {
                                 shadow.insert((d, p.0), body.clone());

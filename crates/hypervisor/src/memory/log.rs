@@ -129,7 +129,7 @@ impl MemoryManager {
     /// cursor owns its own bitmap, so migration, HA and the snapshot
     /// never drain each other's; cursor ids start at 1, and the
     /// snapshot's log (`SNAPSHOT_LOG`) is out of their reach.
-    pub fn shadow_op(&mut self, dom: DomId, op: ShadowOp) -> HvResult<HypercallRet> {
+    pub(crate) fn shadow_op(&mut self, dom: DomId, op: ShadowOp) -> HvResult<HypercallRet> {
         let done = match op {
             ShadowOp::Enable if self.p2m.contains_key(&dom) => {
                 self.next_log += 1;
@@ -201,7 +201,11 @@ impl MemoryManager {
     /// cost is independent of how many pages the domain owns or how clean
     /// they are. Freezing an already-frozen domain replaces the snapshot,
     /// its recovery box included.
-    pub fn freeze(&mut self, dom: DomId, recovery_box: Option<RecoveryBox>) -> HvResult<u64> {
+    pub(crate) fn freeze(
+        &mut self,
+        dom: DomId,
+        recovery_box: Option<RecoveryBox>,
+    ) -> HvResult<u64> {
         let (mut count, watermark) = self
             .p2m
             .get(&dom)
@@ -242,7 +246,7 @@ impl MemoryManager {
 
     /// Number of pre-images the frozen snapshot has captured so far
     /// (`None` if not frozen). Zero on a domain that has not been
-    /// written since [`Self::freeze`] — the zero-copy invariant.
+    /// written since the freeze — the zero-copy invariant.
     pub fn frozen_baseline_len(&self, dom: DomId) -> Option<usize> {
         self.frozen.get(&dom).map(|i| i.baseline.len())
     }
@@ -256,7 +260,7 @@ impl MemoryManager {
     /// rollbacks to the same freeze point keep working. A sealed
     /// template is refused: its image is the seal its clones read
     /// through, not a microreboot point.
-    pub fn rollback_frozen(&mut self, dom: DomId) -> HvResult<u64> {
+    pub(crate) fn rollback_frozen(&mut self, dom: DomId) -> HvResult<u64> {
         if self.templates.contains_key(&dom) {
             return Err(HvError::Snapshot(format!(
                 "{dom} is a sealed template and cannot be rolled back"

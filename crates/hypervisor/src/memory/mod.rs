@@ -314,7 +314,7 @@ impl MemoryManager {
     /// guest writes, grant installation, and foreign mapping — a shared
     /// frame must never be granted or foreign-mapped, or the grantee
     /// would reach other domains' memory.
-    pub fn exclusive_mfn(&mut self, dom: DomId, pfn: Pfn) -> HvResult<Mfn> {
+    pub(crate) fn exclusive_mfn(&mut self, dom: DomId, pfn: Pfn) -> HvResult<Mfn> {
         let mfn = self.translate(dom, pfn)?;
         // A clone PFN still backed by the template must be privatised —
         // and must never take the rmap-length fast path: the template's
@@ -351,7 +351,7 @@ impl MemoryManager {
     /// frame receives in `to`'s space.
     ///
     /// Shared or mapped frames cannot be transferred.
-    pub fn transfer_frame(&mut self, from: DomId, pfn: Pfn, to: DomId) -> HvResult<Pfn> {
+    pub(crate) fn transfer_frame(&mut self, from: DomId, pfn: Pfn, to: DomId) -> HvResult<Pfn> {
         let mfn = self.translate(from, pfn)?;
         if self.templates.contains_key(&from) || !self.own_mapping(from, pfn) {
             // Template frames back live clones and a clone's
@@ -389,14 +389,9 @@ impl MemoryManager {
         self.read_mfn(mfn)
     }
 
-    /// Writes directly by machine frame (hypervisor-internal paths).
-    pub fn write_mfn(&mut self, mfn: Mfn, data: &[u8]) -> HvResult<()> {
-        self.write_mfn_page(mfn, PageRef::new(data))
-    }
-
     /// Writes a shared page body directly by machine frame without
     /// copying bytes (snapshot rollback, ring payload delivery).
-    pub fn write_mfn_page(&mut self, mfn: Mfn, page: PageRef) -> HvResult<()> {
+    pub(crate) fn write_mfn_page(&mut self, mfn: Mfn, page: PageRef) -> HvResult<()> {
         if self
             .frames
             .get(mfn.0)
@@ -476,7 +471,7 @@ impl MemoryManager {
     /// where a domain's memory cannot be recycled until grants are
     /// unmapped) and are freed by their last unmap; the rest return to
     /// the frame table for reuse. Returns the number of frames freed now.
-    pub fn release_domain(&mut self, dom: DomId) -> u64 {
+    pub(crate) fn release_domain(&mut self, dom: DomId) -> u64 {
         if let Some(tpl) = self.clone_of.remove(&dom) {
             if let Some(info) = self.templates.get_mut(&tpl) {
                 info.clones = info.clones.saturating_sub(1);

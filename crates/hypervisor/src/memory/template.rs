@@ -33,7 +33,7 @@ impl MemoryManager {
     /// log can be open on the clone, so it marks none. A PFN the clone
     /// already privatised yields its existing frame. Appends one [`Mfn`]
     /// per PFN, in order, to `mfns`.
-    pub fn stamp_private_zero_batch(
+    pub(crate) fn stamp_private_zero_batch(
         &mut self,
         dom: DomId,
         pfns: &[Pfn],
@@ -232,7 +232,7 @@ mod clone_tests {
         m.clone_space(t, c).unwrap();
         assert!(m.write(t, Pfn(0), b"mutate").is_err());
         let mfn = m.translate(t, Pfn(0)).unwrap();
-        assert!(m.write_mfn(mfn, b"mutate").is_err());
+        assert!(m.write_mfn_page(mfn, PageRef::new(b"mutate")).is_err());
         assert!(m.transfer_frame(t, Pfn(0), DomId(30)).is_err());
         // A clone cannot give away a template-backed (unbroken) page
         // either; once broken the page is private and transferable.

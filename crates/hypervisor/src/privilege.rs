@@ -6,9 +6,11 @@
 //! 1. `assign_pci_device(PCI domain, bus, slot)` — direct hardware access;
 //! 2. `permit_hypercall(hypercall id)` — whitelisting individual privileged
 //!    hypercalls beyond the default unprivileged set;
-//! 3. `allow_delegation(guest id)` — delegating the shard's administrative
-//!    control to another VM (used for per-user toolstacks in private
-//!    clouds, §3.4.2).
+//! 3. `allow_delegation(guest id)` — delegating the shard to another VM,
+//!    a toolstack that may then place its guests on it (used for per-user
+//!    toolstacks in private clouds, §3.4.2). A shard shared by several
+//!    toolstacks is managed by none of them: the hypervisor's management
+//!    check reads the parent-toolstack flag, not this set.
 //!
 //! The [`PrivilegeSet`] records exactly these assignments plus the handful
 //! of hardware privileges (I/O ports, MMIO ranges, IRQ lines) that §5.8
@@ -356,7 +358,8 @@ pub struct PrivilegeSet {
     /// Privileged hypercalls this domain may issue beyond the unprivileged
     /// default set.
     pub hypercalls: HypercallSet,
-    /// Domains to which this shard's administration is delegated.
+    /// Toolstacks this shard is delegated to: each may use it for its
+    /// guests. Delegation gives use, not management.
     pub delegated_to: BTreeSet<DomId>,
     /// I/O port ranges this domain may access.
     pub io_ports: IoPortSet,

@@ -13,12 +13,13 @@
 //! ([`crate::hypervisor::Hypervisor::declared_ops`]).
 //!
 //! Mechanically, [`region_pair_mut`] is the single place that splits a
-//! mutable borrow across two regions (`xoar-lint` forbids the token
-//! anywhere else in the crate), and [`object_region_mut`] is the
-//! single-sided variant for operations like grant maps whose mutation
-//! lands entirely in the *object* region. Operations that cross domains
-//! through globally-shared machine memory (foreign maps and writes) take
-//! only the domain whose memory they touch.
+//! mutable borrow across two regions (it is private to this module, so
+//! the compiler rejects a call from anywhere else), and
+//! [`object_region_mut`] is the single-sided variant for operations like
+//! grant maps whose mutation lands entirely in the *object* region.
+//! Operations that cross domains through globally-shared machine memory
+//! (foreign maps and writes) take only the domain whose memory they
+//! touch.
 
 use crate::fasthash::FastMap;
 
@@ -33,13 +34,13 @@ use crate::region::Region;
 /// domain acting) and `b` (the object, the domain reached into), running
 /// `f(a's region, b's region)`.
 ///
-/// This is the *only* split-borrow helper in the crate (`xoar-lint`
-/// enforces the confinement): it temporarily lifts the subject region
-/// out of the table so both sides are plain `&mut Region`, with no
+/// This is the *only* split-borrow helper in the crate (private, so the
+/// compiler enforces the confinement): it temporarily lifts the subject
+/// region out of the table so both sides are plain `&mut Region`, with no
 /// `unsafe` and no aliasing. A pair whose endpoints coincide is
 /// rejected — a same-domain operation is by definition intra-region and
 /// must not take this path.
-pub(crate) fn region_pair_mut<R>(
+fn region_pair_mut<R>(
     regions: &mut FastMap<DomId, Region>,
     a: DomId,
     b: DomId,
@@ -62,7 +63,7 @@ pub(crate) fn region_pair_mut<R>(
 /// Borrows only the *object* region, that of `dom` — for cross-region
 /// operations (grant install, map/copy/transfer validation, clone
 /// stamp) whose mutation lands entirely in the object's region.
-pub(crate) fn object_region_mut<R>(
+fn object_region_mut<R>(
     regions: &mut FastMap<DomId, Region>,
     dom: DomId,
     f: impl FnOnce(&mut Region) -> R,

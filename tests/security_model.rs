@@ -208,6 +208,34 @@ fn compromised_toolstack_cannot_escalate_to_builder_powers() {
 }
 
 #[test]
+fn delegating_a_shared_backend_grants_use_not_management() {
+    // Boot delegates every NetBack to every toolstack, so each may place
+    // its guests on it. Neither may pause it: that would take down the
+    // other toolstack's guests' I/O.
+    let mut p = Platform::xoar(XoarConfig {
+        toolstacks: 2,
+        ..Default::default()
+    });
+    let netback = p.services.netbacks[0];
+    for ts in p.services.toolstacks.clone() {
+        let g = p
+            .create_guest(ts, GuestConfig::evaluation_guest(&format!("g{}", ts.0)))
+            .unwrap();
+        assert!(
+            matches!(
+                p.hv.hypercall(ts, Hypercall::DomctlPauseDomain { target: netback }),
+                Err(HvError::PermissionDenied { .. })
+            ),
+            "toolstack {ts} paused the shared NetBack"
+        );
+        p.hv.hypercall(ts, Hypercall::DomctlPauseDomain { target: g })
+            .unwrap();
+        p.hv.hypercall(ts, Hypercall::DomctlUnpauseDomain { target: g })
+            .unwrap();
+    }
+}
+
+#[test]
 fn dos_against_xenstore_is_quota_bounded() {
     let (mut p, _ts, a, b) = xoar_with_two_guests();
     // Guest a floods its own subtree until the node quota stops it.
