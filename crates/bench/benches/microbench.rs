@@ -409,10 +409,12 @@ fn bench_restart(h: &mut Harness) {
 /// cost the fabric's O(batch) claim rests on), and NAT port turnover.
 fn bench_fabric(h: &mut Harness) {
     use xoar_devices::fabric::{Fabric, FlowKey, NatAlloc};
-    use xoar_devices::net::{NetPacket, NetRingHub, WireEndpoint};
+    use xoar_devices::hw::NicModel;
+    use xoar_devices::net::{NetBack, NetPacket, NetRingHub, WireEndpoint};
     use xoar_devices::ring::RingId;
     use xoar_devices::xenbus::{Connection, DeviceKind};
     use xoar_hypervisor::grant::GrantRef;
+    use xoar_hypervisor::PciAddress;
 
     let vif = |guest: u32, gref: u32| Connection {
         guest: DomId(guest),
@@ -428,15 +430,9 @@ fn bench_fabric(h: &mut Harness) {
     };
 
     // Lookup: a fleet-scale connection table. The probed keys rotate
-    // through the whole population, so most probes miss the inline slots
-    // and pay the FastMap spill — the honest steady-state cost.
+    // through the whole population, so no hot subset stays in the CPU
+    // cache — the honest steady-state cost of one hash probe.
     let mut fab = Fabric::new(DomId(2));
-    let mut hub = NetRingHub::new();
-    for i in 0..8u32 {
-        let c = vif(10 + i, i);
-        hub.create(c.ring);
-        fab.attach_port(c);
-    }
     const POP: u64 = 100_000;
     let key_of = |f: u64| FlowKey {
         flow: f,
@@ -455,15 +451,18 @@ fn bench_fabric(h: &mut Harness) {
     });
 
     // Switching: one ring's worth of frames across the four flows of a
-    // batch — all inline-slot hits — delivered guest→guest and drained.
+    // batch, one hash probe each, delivered guest→guest through the vif
+    // NetBack attached, and drained.
     let mut fab = Fabric::new(DomId(2));
+    let mut nb = NetBack::new(DomId(2), NicModel::gigabit(PciAddress::new(0, 2, 0)));
     let mut hub = NetRingHub::new();
     let src = vif(5, 0);
     let dst = vif(6, 1);
     for c in [src, dst] {
         hub.create(c.ring);
-        fab.attach_port(c);
+        nb.attach(c);
     }
+    let nbs = [nb];
     for f in 0..4u64 {
         fab.open_flow(f, DomId(5), DomId(6)).unwrap();
     }
@@ -477,7 +476,7 @@ fn bench_fabric(h: &mut Harness) {
             DomId(5),
             (0..32u64).map(|i| NetPacket::meta(i % 4, base + i, 1500)),
         );
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         debug_assert_eq!(stats.to_guests, 32);
         let ring = hub.get_mut(dst.ring).unwrap();
         ring.pop_responses_into(&mut rx);

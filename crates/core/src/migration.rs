@@ -23,7 +23,6 @@
 use xoar_hypervisor::memory::{Pfn, PAGE_SIZE};
 use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall, HypercallRet, ShadowOp};
 
-use crate::audit::AuditEvent;
 use crate::platform::{GuestConfig, Platform};
 
 /// Migration tuning knobs.
@@ -226,19 +225,11 @@ pub fn migrate(
     };
     rep.shadow(src, ShadowOp::Off(rep.cursor))?;
     let downtime_ns = transfer_ns(pages_final, cfg.wire_bps) + 2_000_000; // + handover.
-    let name = format!("{} (migrated in)", src.guest(guest).map_or("", |h| &h.name));
+
+    // Each host's log already holds the move: `destroy_guest` records the
+    // source's `VmDestroyed`, and the shell's `create_guest` recorded the
+    // destination's `VmCreated` under the guest's own name.
     src.destroy_guest(rep.toolstack, guest)?;
-    let now_src = src.now_ns();
-    src.audit.append(now_src, AuditEvent::VmDestroyed { guest });
-    let now_dst = dst.now_ns();
-    dst.audit.append(
-        now_dst,
-        AuditEvent::VmCreated {
-            guest: rep.shell,
-            name,
-            toolstack: dst_toolstack,
-        },
-    );
     Ok(MigrationReport {
         new_dom: rep.shell,
         rounds,
@@ -288,6 +279,45 @@ mod tests {
         assert_eq!(report.rounds, 0);
         assert!(report.pages_final <= 8);
         assert!(report.downtime_ns < 10_000_000, "{} ns", report.downtime_ns);
+    }
+
+    #[test]
+    fn migration_records_each_event_once() {
+        use crate::audit::AuditEvent;
+        let (mut src, mut dst, ts_src, ts_dst) = two_hosts();
+        let g = src
+            .create_guest(ts_src, GuestConfig::evaluation_guest("mover"))
+            .unwrap();
+        let report = migrate(
+            &mut src,
+            &mut dst,
+            g,
+            ts_dst,
+            MigrationConfig::default(),
+            |_, _| {},
+        )
+        .unwrap();
+        let destroyed = src
+            .audit
+            .records()
+            .iter()
+            .filter(|r| r.event == AuditEvent::VmDestroyed { guest: g })
+            .count();
+        assert_eq!(destroyed, 1, "the source records the guest's end once");
+        let created: Vec<&str> = dst
+            .audit
+            .records()
+            .iter()
+            .filter_map(|r| match &r.event {
+                AuditEvent::VmCreated { guest, name, .. } if *guest == report.new_dom => {
+                    Some(name.as_str())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(created, ["mover"], "the destination records the shell once");
+        assert_eq!(src.audit.verify_chain(), Ok(()));
+        assert_eq!(dst.audit.verify_chain(), Ok(()));
     }
 
     #[test]

@@ -1081,8 +1081,8 @@ impl Platform {
     /// Links each of `guest`'s split devices, vif then vbd, to the backend
     /// its handle names: obtains the connection, attaches it to the
     /// backend (a vbd with `vbd_mount`, or, given `None`, to the image it
-    /// still holds), gives a vif its fabric port, and sets the guest's
-    /// frontend. Given a time, each link is audited.
+    /// still holds), and sets the guest's frontend. Given a time, each
+    /// link is audited.
     fn link(
         &mut self,
         guest: DomId,
@@ -1106,9 +1106,6 @@ impl Platform {
             match dev.kind {
                 DeviceKind::Vif => {
                     self.netbacks[idx].attach(conn);
-                    if let Some(fab) = self.fabric.as_mut() {
-                        fab.attach_port(conn);
-                    }
                     h.netfront = Some(NetFront::new(conn));
                 }
                 _ => {
@@ -1139,8 +1136,8 @@ impl Platform {
     /// Unlinks one of `guest`'s split devices from `backend`: detaches the
     /// connection from the backend, drops the ring of `frontend` (the
     /// guest's connection, if it still had one) and the backend's mapping
-    /// of its grant, and removes a vif's fabric port. A vbd keeps its
-    /// image mounted, for a relink or for destroy to release.
+    /// of its grant. A vbd keeps its image mounted, for a relink or for
+    /// destroy to release.
     fn unlink(
         &mut self,
         guest: DomId,
@@ -1175,9 +1172,6 @@ impl Platform {
                 self.netbacks[idx].detach_guest(guest);
                 if let Some(conn) = frontend {
                     self.net_hub.destroy(conn.ring);
-                }
-                if let Some(fab) = self.fabric.as_mut() {
-                    fab.detach_port(guest);
                 }
             }
             _ => {
@@ -1321,8 +1315,8 @@ impl Platform {
     }
 
     /// Submits a batch of block requests from `guest`'s vbd: one ring
-    /// operation for the whole batch, then a single trailing notify in one
-    /// [`Hypercall::Multicall`]. Returns the contiguous correlation IDs.
+    /// operation for the whole batch, then a single trailing
+    /// [`Hypercall::EvtchnSend`]. Returns the contiguous correlation IDs.
     /// All-or-nothing: a ring without room queues nothing (`Full`).
     pub fn blk_submit_batch(
         &mut self,
@@ -1339,12 +1333,7 @@ impl Platform {
             .ok_or(xoar_devices::ring::RingError::NotFound)?;
         let ids = bf.submit_batch(&mut self.blk_hub, ops)?;
         let port = bf.conn.front_port;
-        let _ = self.hv.hypercall(
-            guest,
-            Hypercall::Multicall {
-                calls: vec![Hypercall::EvtchnSend { port }],
-            },
-        );
+        let _ = self.hv.hypercall(guest, Hypercall::EvtchnSend { port });
         Ok(ids)
     }
 
@@ -1369,7 +1358,7 @@ impl Platform {
     /// Runs one processing pass of every NetBack, returning aggregate
     /// statistics. With the fabric enabled, backends terminate into the
     /// switch, a switching pass delivers the batch, and each destination
-    /// backend is notified exactly once through the multicall path.
+    /// backend is notified exactly once.
     pub fn process_netbacks(&mut self) -> xoar_devices::net::NetBackStats {
         let mut agg = xoar_devices::net::NetBackStats::default();
         for nb in &mut self.netbacks {
@@ -1379,16 +1368,11 @@ impl Platform {
             };
         }
         if let Some(fab) = self.fabric.as_mut() {
-            fab.switch(&mut self.net_hub, &mut self.wire);
-            // One EvtchnSend per destination backend, batched: the
-            // backend signals its frontends' rx work on its own port.
+            fab.switch(&self.netbacks, &mut self.net_hub, &mut self.wire);
+            // One EvtchnSend per destination backend: the backend
+            // signals its frontends' rx work on its own port.
             for &(backend, port) in fab.notify_targets() {
-                let _ = self.hv.hypercall(
-                    backend,
-                    Hypercall::Multicall {
-                        calls: vec![Hypercall::EvtchnSend { port }],
-                    },
-                );
+                let _ = self.hv.hypercall(backend, Hypercall::EvtchnSend { port });
             }
         }
         agg
@@ -1397,23 +1381,14 @@ impl Platform {
     // ================= virtual network fabric =================
 
     /// Enables the virtual network fabric, hosted by the first NetBack
-    /// shard. Every existing vif attachment becomes a switch port;
-    /// subsequent attaches (guest creation, cloning, renegotiation) are
-    /// added automatically. Idempotent; appends nothing to the audit log
-    /// (the fabric is a data-path reconfiguration inside the NetBack
-    /// shard, not a new trust link).
+    /// shard. The switch reads its ports from the NetBacks' vif
+    /// attachments, so every vif, attached before or after, is a port.
+    /// Idempotent; appends nothing to the audit log (the fabric is a
+    /// data-path reconfiguration inside the NetBack shard, not a new
+    /// trust link).
     pub fn enable_fabric(&mut self) {
-        if self.fabric.is_some() {
-            return;
-        }
         let host = self.services.netbacks[0];
-        let mut fab = Fabric::new(host);
-        for nb in &self.netbacks {
-            for conn in nb.conn_iter() {
-                fab.attach_port(*conn);
-            }
-        }
-        self.fabric = Some(fab);
+        self.fabric.get_or_insert_with(|| Fabric::new(host));
     }
 
     /// Opens a fabric connection `flow: src → dst` (see
@@ -1871,7 +1846,7 @@ mod tests {
     }
 
     #[test]
-    fn destroy_detaches_the_guest_fabric_port() {
+    fn fabric_drops_frames_to_a_destroyed_guest() {
         let mut p = xoar();
         p.enable_fabric();
         let ts = p.services.toolstacks[0];
@@ -1881,28 +1856,45 @@ mod tests {
         let b = p
             .create_guest(ts, GuestConfig::evaluation_guest("b"))
             .unwrap();
+        assert!(p.fabric_open_flow(1, a, b));
         p.destroy_guest(ts, b).unwrap();
-        let fab = p.fabric.as_ref().unwrap();
-        assert_eq!(fab.port_of(b), None, "a dead guest keeps no port");
-        assert!(fab.port_of(a).is_some());
-        assert_eq!(fab.guest_ports(), 1);
+        p.net_transmit(a, 1, 1500).unwrap();
+        p.process_netbacks();
+        let stats = p.fabric.as_ref().unwrap().lifetime_stats();
+        assert_eq!(
+            (stats.dropped, stats.to_guests),
+            (1, 0),
+            "pushed to no ring"
+        );
+        // The sender's ring holds only its tx completion.
+        assert_eq!(p.net_receive(a).map(|f| f.flow), Some(1));
+        assert!(p.net_receive(a).is_none());
     }
 
     #[test]
-    fn fabric_guest_ports_stay_flat_over_create_destroy_cycles() {
+    fn fabric_reaches_the_resident_over_create_destroy_cycles() {
         let mut p = xoar();
         p.enable_fabric();
         let ts = p.services.toolstacks[0];
-        p.create_guest(ts, GuestConfig::evaluation_guest("resident"))
+        let r = p
+            .create_guest(ts, GuestConfig::evaluation_guest("resident"))
             .unwrap();
         for i in 0..100 {
             let g = p
                 .create_guest(ts, GuestConfig::evaluation_guest(&format!("g{i}")))
                 .unwrap();
-            assert_eq!(p.fabric.as_ref().unwrap().guest_ports(), 2, "cycle {i}");
             p.destroy_guest(ts, g).unwrap();
         }
-        assert_eq!(p.fabric.as_ref().unwrap().guest_ports(), 1);
+        let s = p
+            .create_guest(ts, GuestConfig::evaluation_guest("sender"))
+            .unwrap();
+        assert!(p.fabric_open_flow(7, s, r));
+        p.net_transmit(s, 7, 1500).unwrap();
+        p.process_netbacks();
+        let stats = p.fabric.as_ref().unwrap().lifetime_stats();
+        assert_eq!((stats.to_guests, stats.dropped), (1, 0));
+        let got = p.net_receive(r).expect("the frame reached the resident");
+        assert_eq!((got.flow, got.bytes), (7, 1500));
     }
 }
 
@@ -2024,21 +2016,28 @@ mod rehype_tests {
     }
 
     #[test]
-    fn rehype_leaves_one_fabric_port_per_live_vif() {
+    fn rehype_fabric_delivers_into_the_renegotiated_ring() {
         let mut p = Platform::xoar(XoarConfig::default());
         p.enable_fabric();
         let ts = p.services.toolstacks[0];
         let a = p
             .create_guest(ts, GuestConfig::evaluation_guest("a"))
             .unwrap();
-        p.create_guest(ts, GuestConfig::evaluation_guest("b"))
+        let b = p
+            .create_guest(ts, GuestConfig::evaluation_guest("b"))
             .unwrap();
-        let before = p.fabric.as_ref().unwrap().port_of(a);
+        let ring_of = |p: &Platform| p.guest(a).unwrap().netfront.as_ref().unwrap().conn.ring;
+        let before = ring_of(&p);
         assert_eq!(p.rehype_restart().unwrap(), 2);
-        let fab = p.fabric.as_ref().unwrap();
-        assert_eq!(fab.guest_ports(), 2, "one port per live vif guest");
-        assert!(fab.port_of(a).is_some());
-        assert_ne!(fab.port_of(a), before, "the old port went with its ring");
+        let after = ring_of(&p);
+        assert_ne!(after, before, "renegotiation granted a new ring");
+        assert!(p.fabric_open_flow(3, b, a));
+        p.net_transmit(b, 3, 1500).unwrap();
+        p.process_netbacks();
+        assert_eq!(p.fabric.as_ref().unwrap().lifetime_stats().to_guests, 1);
+        assert!(p.net_hub.get(before).is_err(), "the old ring is gone");
+        let got = p.net_hub.get_mut(after).unwrap().pop_response();
+        assert_eq!(got.map(|f| f.flow), Some(3));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Pins the heap cost of the block data path once it is warm: a page
-//! write, a backend pass and a completion poll allocate nothing, and a
-//! batched submit allocates only the returned id list and the
-//! multicall's call list and results.
+//! Pins the heap cost of the data paths once they are warm. Block: a
+//! page write, a backend pass and a completion poll allocate nothing,
+//! and a batched submit allocates only the returned id list. Network
+//! over the fabric: a transmit and a NetBack pass (tx drain, switch and
+//! notify) allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -110,8 +111,7 @@ fn block_data_path_allocations_are_pinned() {
     }
 
     // Per call, warm: a page write, a BlkBack pass and a poll make
-    // none; a batched submit makes the returned ids, the multicall's
-    // call list and its results.
+    // none; a batched submit makes only the returned ids.
     let per_call = |made: u64, calls: u64| made as f64 / calls as f64;
     assert_eq!(
         [
@@ -120,7 +120,48 @@ fn block_data_path_allocations_are_pinned() {
             per_call(poll, ROUNDS * (READS + WRITES)),
             per_call(submit, ROUNDS),
         ],
-        [0.0, 0.0, 0.0, 3.0],
+        [0.0, 0.0, 0.0, 1.0],
         "allocations per blk_write_page, process_blkbacks, blk_poll and blk_submit_batch"
+    );
+}
+
+/// Per-call allocation totals of a warm fabric pass: one guest sends a
+/// frame to another over the switch, NetBack drains it into the fabric,
+/// the switch delivers it and notifies the destination backend.
+#[test]
+fn fabric_data_path_allocations_are_pinned() {
+    const ROUNDS: u64 = 64;
+    const WARMUP: u64 = 4;
+    let mut p = Platform::xoar(XoarConfig::default());
+    let ts = p.services.toolstacks[0];
+    let a = p
+        .create_guest(ts, GuestConfig::evaluation_guest("a"))
+        .unwrap();
+    let b = p
+        .create_guest(ts, GuestConfig::evaluation_guest("b"))
+        .unwrap();
+    p.enable_fabric();
+    assert!(p.fabric_open_flow(1, a, b));
+
+    let (mut transmit, mut process) = (0, 0);
+    for round in 0..WARMUP + ROUNDS {
+        let (n_transmit, seq) = counted(|| p.net_transmit(a, 1, 1500));
+        seq.unwrap();
+        let (n_process, stats) = counted(|| p.process_netbacks());
+        assert_eq!(stats.tx_frames, 1);
+        // Drain the sender's completion and the receiver's frame.
+        assert!(p.net_receive(a).is_some());
+        assert_eq!(p.net_receive(b).map(|f| f.flow), Some(1));
+        if round >= WARMUP {
+            transmit += n_transmit;
+            process += n_process;
+        }
+    }
+    let switched = p.fabric.as_ref().unwrap().lifetime_stats();
+    assert_eq!(switched.to_guests, WARMUP + ROUNDS);
+    assert_eq!(
+        [transmit, process],
+        [0, 0],
+        "allocations over {ROUNDS} warm net_transmit and process_netbacks calls"
     );
 }

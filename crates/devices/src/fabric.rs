@@ -10,32 +10,31 @@
 //!
 //! Structure (the krata vbridge/NAT design, collapsed into one model):
 //!
-//! * a **port table**: one port per attached vif plus the uplink port to
-//!   the [`WireEndpoint`];
-//! * a **learning table** mapping DomId to ports. Attach seeds it (the
-//!   gratuitous ARP a real vif emits on link-up) and detach flushes it;
-//!   nothing else writes it, so a re-attached vif is found at its new
-//!   port from the moment it attaches;
-//! * a **per-flow connection table** keyed by `(flow, src_dom, dst_dom)`
-//!   on an [`InlineFastMap`]: the first few flows ever opened sit in
-//!   inline slots probed without hashing until they close, and every
-//!   other connection (up to ~100k concurrent) lives in the `FastMap`
-//!   spill, reached after a scan of the inline slots;
+//! * **no port table of its own**: the fabric is the bridge inside the
+//!   NetBack driver domain, and its ports are the NetBacks' vif
+//!   attachments. [`Fabric::switch`] reads a destination's connection
+//!   from them ([`NetBack::connection`]), so a vif is reachable from the
+//!   moment its NetBack attaches it, at the ring it attached, and a
+//!   detached vif's frames are dropped; the uplink to the
+//!   [`WireEndpoint`] is the one port that is not a vif;
+//! * a **per-flow connection table** keyed by `(flow, src)` on a
+//!   [`FastMap`], each entry holding its direction's destination and
+//!   statistics (up to ~100k concurrent connections);
 //! * a **NAT allocator** for guest ↔ external flows: each such
 //!   connection holds an external port from the ephemeral range for its
 //!   lifetime, released (and recycled) when the flow closes;
 //! * **batched switching**: one [`Fabric::switch`] pass drains the whole
 //!   ingress queue, delivers each frame, and records *one* notify target
-//!   per destination backend — the caller wraps those in a single
-//!   multicall, the same batched-notify discipline as the tx path.
+//!   per destination backend — the caller issues each as one
+//!   `EvtchnSend`, the same batched-notify discipline as the tx path.
 //!
 //! [`PageRef`]: xoar_hypervisor::memory::PageRef
 
-use crate::net::{NetPacket, NetRingHub, WireEndpoint, MAX_GSO_BYTES};
+use crate::net::{NetBack, NetPacket, NetRingHub, WireEndpoint, MAX_GSO_BYTES};
 use crate::ring::DEFAULT_RING_SLOTS;
 use crate::xenbus::Connection;
 
-use xoar_hypervisor::fasthash::{FastMap, InlineFastMap};
+use xoar_hypervisor::fasthash::FastMap;
 use xoar_hypervisor::DomId;
 
 /// The pseudo-domain standing for "beyond the uplink": flows whose far
@@ -49,17 +48,6 @@ pub const NAT_PORT_BASE: u16 = 0xC000;
 
 /// Size of the NAT ephemeral range (49152..=65535).
 pub const NAT_PORT_SPAN: u16 = u16::MAX - NAT_PORT_BASE + 1;
-
-/// Inline slots of the flow table. They hold the first flows opened,
-/// until those close, not the flows a batch is switching.
-const INLINE_FLOWS: usize = 4;
-
-/// Route sentinel: the frame is dropped (oversize, NAT exhaustion,
-/// unknown or detached destination).
-const ROUTE_DROP: u16 = u16::MAX;
-
-/// Route sentinel: the frame leaves through the uplink port.
-const ROUTE_UPLINK: u16 = u16::MAX - 1;
 
 /// A connection-table key: one flow between two endpoints, directional.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,16 +129,6 @@ impl NatAlloc {
     }
 }
 
-/// What a fabric port is wired to.
-#[derive(Debug, Clone, Copy)]
-enum PortBinding {
-    /// The uplink to the [`WireEndpoint`] hardware model.
-    Uplink,
-    /// An attached guest vif (the negotiated connection carries the ring
-    /// and event-channel rendezvous the switch delivers through).
-    Guest(Connection),
-}
-
 /// Per-pass / lifetime switching statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchStats {
@@ -184,17 +162,15 @@ struct RouteEntry {
 pub struct Fabric {
     /// The shard domain hosting the switching plane (a NetBack: the
     /// fabric holds no privilege of its own — its only reach into guests
-    /// is the grant-mapped rings of the port table, and its only
-    /// hypercalls are the event-channel notifies the caller batches).
+    /// is the grant-mapped rings of the vifs its NetBacks attached, and
+    /// its only hypercalls are the event-channel notifies the caller
+    /// issues).
     pub dom: DomId,
-    ports: Vec<PortBinding>,
-    /// DomId → port: seeded at attach, flushed at detach.
-    dom_table: FastMap<DomId, u16>,
     /// The per-flow connection table, keyed by `(flow, src)` — each
     /// direction of a connection resolves to exactly one destination, so
     /// the key's `dst` leg lives inside the [`RouteEntry`] and one probe
     /// yields both the route and the statistics slot.
-    flows: InlineFastMap<(u64, DomId), RouteEntry, INLINE_FLOWS>,
+    flows: FastMap<(u64, DomId), RouteEntry>,
     /// Cold pre-learned resolutions: `(flow, src)` → dst for directions
     /// that have not carried traffic yet (the reverse leg written by
     /// [`Fabric::open_flow`], uplink ingress conn-track). Consulted only
@@ -211,11 +187,12 @@ pub struct Fabric {
     /// end of each pass, so the switch path never allocates in steady
     /// state — the same discipline as NetBack's rx requeue).
     requeue: Vec<(DomId, NetPacket)>,
-    /// Persistent per-frame route scratch of the current pass: two bytes
-    /// per frame (a port number or sentinel) written while routing, read
-    /// back as run boundaries while delivering. Frames themselves never
-    /// move until they drain straight into their destination ring.
-    routes: Vec<u16>,
+    /// Persistent per-frame route scratch of the current pass: each
+    /// frame's destination endpoint (`None` for a drop) written while
+    /// routing, read back as run boundaries while delivering. Frames
+    /// themselves never move until they drain straight into their
+    /// destination ring.
+    routes: Vec<Option<DomId>>,
     /// Notify targets of the last pass: one `(backend, back_port)` per
     /// destination backend, deduplicated.
     notify: Vec<(DomId, u32)>,
@@ -223,13 +200,11 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a fabric hosted by `dom` with only the uplink port.
+    /// Creates a fabric hosted by `dom`, with no connection open.
     pub fn new(dom: DomId) -> Self {
         Fabric {
             dom,
-            ports: vec![PortBinding::Uplink],
-            dom_table: FastMap::default(),
-            flows: InlineFastMap::new(),
+            flows: FastMap::default(),
             resolve: FastMap::default(),
             nat: NatAlloc::new(),
             nat_back: FastMap::default(),
@@ -239,41 +214,6 @@ impl Fabric {
             notify: Vec::new(),
             lifetime: SwitchStats::default(),
         }
-    }
-
-    // ================= ports and learning =================
-
-    /// Attaches a vif to a fresh port and seeds the learning table for
-    /// it (the gratuitous ARP of link-up). Returns the port number.
-    pub fn attach_port(&mut self, conn: Connection) -> u16 {
-        let port = self.ports.len() as u16;
-        self.ports.push(PortBinding::Guest(conn));
-        self.dom_table.insert(conn.guest, port);
-        port
-    }
-
-    /// Detaches `guest`'s vif: the port empties and the learning entry
-    /// is flushed (frames toward it now flood to the uplink).
-    pub fn detach_port(&mut self, guest: DomId) -> bool {
-        let Some(&port) = self.dom_table.get(&guest) else {
-            return false;
-        };
-        self.ports[port as usize] = PortBinding::Uplink;
-        self.dom_table.remove(&guest);
-        true
-    }
-
-    /// The port currently learned for `dom`, if any.
-    pub fn port_of(&self, dom: DomId) -> Option<u16> {
-        self.dom_table.get(&dom).copied()
-    }
-
-    /// Number of attached guest ports.
-    pub fn guest_ports(&self) -> usize {
-        self.ports
-            .iter()
-            .filter(|p| matches!(p, PortBinding::Guest(_)))
-            .count()
     }
 
     // ================= connection table =================
@@ -332,8 +272,7 @@ impl Fabric {
         true
     }
 
-    /// Connection-table lookup — the gated hot path. Inline slots are
-    /// probed before the spill map hashes.
+    /// Connection-table lookup — the gated hot path: one hash probe.
     #[inline]
     pub fn lookup(&self, key: &FlowKey) -> Option<&FlowEntry> {
         match self.flows.get(&(key.flow, key.src)) {
@@ -342,7 +281,7 @@ impl Fabric {
         }
     }
 
-    /// Live connection count (both tiers of the table).
+    /// Live connection count.
     pub fn flow_count(&self) -> usize {
         self.flows.len()
     }
@@ -391,13 +330,21 @@ impl Fabric {
     ///
     /// Each frame is resolved through the connection table (conn-track
     /// creates entries for flows first seen mid-stream; unresolvable
-    /// flows flood to the uplink, as a switch floods unknown unicast),
-    /// its payload handle moves into the destination ring or onto the
-    /// wire without copying, and the destination's backend is recorded
-    /// in [`Self::notify_targets`] exactly once per pass. Frames whose
-    /// destination ring is saturated are requeued onto the (persistent)
-    /// scratch queue and re-enter the next pass.
-    pub fn switch(&mut self, hub: &mut NetRingHub, wire: &mut WireEndpoint) -> SwitchStats {
+    /// flows flood to the uplink, as a switch floods unknown unicast).
+    /// Each run of frames toward one guest finds that guest's vif in the
+    /// `netbacks`' attachment tables, one probe per NetBack at most, and
+    /// is dropped if no NetBack serves the guest. Payload handles move
+    /// into the destination ring or onto the wire without copying, and
+    /// the destination's backend is recorded in [`Self::notify_targets`]
+    /// exactly once per pass. Frames whose destination ring is saturated
+    /// are requeued onto the (persistent) scratch queue and re-enter the
+    /// next pass.
+    pub fn switch(
+        &mut self,
+        netbacks: &[NetBack],
+        hub: &mut NetRingHub,
+        wire: &mut WireEndpoint,
+    ) -> SwitchStats {
         let mut stats = SwitchStats::default();
         debug_assert!(self.requeue.is_empty());
         self.notify.clear();
@@ -410,20 +357,18 @@ impl Fabric {
         routes.clear();
         routes.reserve(ingress.len());
 
-        // Phase 1 — route: one connection-table probe per frame, two
-        // bytes of route written per frame, and the frames untouched in
-        // place. A one-entry destination cache turns the port resolution
-        // of a run into a single compare.
-        let mut last: (DomId, u16) = (UPLINK, ROUTE_UPLINK);
+        // Phase 1 — route: one connection-table probe per frame, its
+        // destination written to the route scratch, and the frames
+        // untouched in place.
         for (src, pkt) in ingress.iter() {
-            routes.push(self.route_frame(*src, pkt, &mut last, &mut stats));
+            routes.push(self.route_frame(*src, pkt, &mut stats));
         }
 
-        // Phase 2 — deliver: each maximal run of equal routes drains
-        // straight from the ingress buffer into its destination in one
-        // bulk push (one ring lookup, one room check, one notify record
-        // per run); each payload handle moves exactly once, drain slot →
-        // destination ring.
+        // Phase 2 — deliver: each maximal run of equal routes resolves
+        // its vif once and drains straight from the ingress buffer into
+        // its destination in one bulk push (one ring lookup, one room
+        // check, one notify record per run); each payload handle moves
+        // exactly once, drain slot → destination ring.
         let mut frames = ingress.drain(..);
         let mut i = 0;
         while i < routes.len() {
@@ -434,26 +379,24 @@ impl Fabric {
             }
             let len = j - i;
             match route {
-                ROUTE_DROP => {
-                    stats.dropped += len as u64;
-                    frames.by_ref().take(len).for_each(drop);
-                }
-                ROUTE_UPLINK => {
+                Some(UPLINK) => {
                     // Guest→external: out the uplink, translated through
                     // the connection's held NAT port.
                     wire.outbound
                         .extend(frames.by_ref().take(len).map(|(_, p)| p));
                     stats.to_uplink += len as u64;
                 }
-                port => match self.ports.get(port as usize) {
-                    Some(&PortBinding::Guest(c)) => {
-                        self.deliver_run(hub, &c, &mut frames, len, &mut stats);
-                    }
-                    _ => {
+                Some(dst) => match netbacks.iter().find_map(|nb| nb.connection(dst)) {
+                    Some(conn) => self.deliver_run(hub, conn, &mut frames, len, &mut stats),
+                    None => {
                         stats.dropped += len as u64;
                         frames.by_ref().take(len).for_each(drop);
                     }
                 },
+                None => {
+                    stats.dropped += len as u64;
+                    frames.by_ref().take(len).for_each(drop);
+                }
             }
             i = j;
         }
@@ -512,19 +455,17 @@ impl Fabric {
 
     /// Routes one frame: resolves its destination through the connection
     /// table (updating the flow statistics in the same probe) and
-    /// returns the destination port — or a sentinel for uplink/drop.
-    /// `last` caches the previous frame's `(dst, route)` so a run
-    /// resolves its port once.
+    /// returns it ([`UPLINK`] for guest→external), or `None` to drop the
+    /// frame.
     #[inline]
     fn route_frame(
         &mut self,
         src: DomId,
         pkt: &NetPacket,
-        last: &mut (DomId, u16),
         stats: &mut SwitchStats,
-    ) -> u16 {
+    ) -> Option<DomId> {
         if pkt.bytes > MAX_GSO_BYTES {
-            return ROUTE_DROP;
+            return None;
         }
         let dst = match self.flows.get_mut(&(pkt.flow, src)) {
             Some(re) => {
@@ -533,25 +474,11 @@ impl Fabric {
                 re.entry.last_seq = pkt.seq;
                 re.dst
             }
-            None => match self.conn_track(src, pkt, stats) {
-                Some(d) => d,
-                None => return ROUTE_DROP, // NAT exhaustion.
-            },
+            // `None` on NAT exhaustion.
+            None => self.conn_track(src, pkt, stats)?,
         };
         stats.bytes += pkt.bytes as u64;
-        if dst == last.0 {
-            return last.1;
-        }
-        let route = if dst == UPLINK {
-            ROUTE_UPLINK
-        } else {
-            match self.dom_table.get(&dst) {
-                Some(&port) if matches!(self.ports[port as usize], PortBinding::Guest(_)) => port,
-                _ => ROUTE_DROP,
-            }
-        };
-        *last = (dst, route);
-        route
+        Some(dst)
     }
 
     /// Delivers the next `len` frames of the drain into `conn`'s ring:
@@ -597,7 +524,7 @@ impl Fabric {
 
     /// The notify targets of the last [`Self::switch`] pass: one
     /// `(backend, back_port)` per destination backend. The caller issues
-    /// them as `EvtchnSend`s in one multicall.
+    /// each as one `EvtchnSend`.
     pub fn notify_targets(&self) -> &[(DomId, u32)] {
         &self.notify
     }
@@ -611,10 +538,12 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hw::NicModel;
     use crate::ring::RingId;
     use crate::xenbus::DeviceKind;
     use xoar_hypervisor::grant::GrantRef;
     use xoar_hypervisor::memory::PageRef;
+    use xoar_hypervisor::PciAddress;
 
     fn conn(guest: u32, backend: u32, gref: u32, back_port: u32) -> Connection {
         Connection {
@@ -631,15 +560,21 @@ mod tests {
         }
     }
 
-    fn fabric_with(guests: &[u32]) -> (Fabric, NetRingHub, WireEndpoint) {
-        let mut fab = Fabric::new(DomId(2));
+    fn netback(dom: u32) -> NetBack {
+        NetBack::new(DomId(dom), NicModel::gigabit(PciAddress::new(0, 2, 0)))
+    }
+
+    /// A fabric hosted by NetBack 2, which has attached a vif for each
+    /// of `guests`.
+    fn fabric_with(guests: &[u32]) -> (Fabric, [NetBack; 1], NetRingHub, WireEndpoint) {
+        let mut nb = netback(2);
         let mut hub = NetRingHub::new();
         for (i, &g) in guests.iter().enumerate() {
             let c = conn(g, 2, i as u32, 10 + i as u32);
             hub.create(c.ring);
-            fab.attach_port(c);
+            nb.attach(c);
         }
-        (fab, hub, WireEndpoint::new())
+        (Fabric::new(DomId(2)), [nb], hub, WireEndpoint::new())
     }
 
     fn ring_pop(hub: &mut NetRingHub, guest: u32, gref: u32) -> Option<NetPacket> {
@@ -652,21 +587,24 @@ mod tests {
     }
 
     #[test]
-    fn attach_seeds_learning_tables() {
-        let (fab, _, _) = fabric_with(&[5, 6]);
-        assert_eq!(fab.guest_ports(), 2);
-        assert_eq!(fab.port_of(DomId(5)), Some(1));
-        assert_eq!(fab.port_of(DomId(6)), Some(2));
-        assert_eq!(fab.port_of(DomId(7)), None);
+    fn switch_reaches_exactly_the_attached_vifs() {
+        let (mut fab, nbs, mut hub, mut wire) = fabric_with(&[5, 6]);
+        for (flow, dst) in [(1, 6), (2, 7)] {
+            fab.open_flow(flow, DomId(5), DomId(dst)).unwrap();
+            fab.enqueue(DomId(5), NetPacket::meta(flow, 0, 100));
+        }
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
+        assert_eq!((stats.to_guests, stats.dropped), (1, 1), "no vif for 7");
+        assert_eq!(ring_pop(&mut hub, 6, 1).map(|p| p.flow), Some(1));
     }
 
     #[test]
     fn guest_to_guest_switches_by_handle() {
-        let (mut fab, mut hub, mut wire) = fabric_with(&[5, 6]);
+        let (mut fab, nbs, mut hub, mut wire) = fabric_with(&[5, 6]);
         fab.open_flow(1, DomId(5), DomId(6)).unwrap();
         let page = PageRef::new(&[7u8; 4096]);
         fab.enqueue(DomId(5), NetPacket::with_payload(1, 0, page.clone()));
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_guests, 1);
         assert_eq!(stats.to_uplink, 0);
         let got = ring_pop(&mut hub, 6, 1).unwrap();
@@ -681,13 +619,13 @@ mod tests {
 
     #[test]
     fn reverse_direction_conn_tracks() {
-        let (mut fab, mut hub, mut wire) = fabric_with(&[5, 6]);
+        let (mut fab, nbs, mut hub, mut wire) = fabric_with(&[5, 6]);
         fab.open_flow(1, DomId(5), DomId(6)).unwrap();
         fab.enqueue(DomId(5), NetPacket::meta(1, 0, 1500));
-        fab.switch(&mut hub, &mut wire);
+        fab.switch(&nbs, &mut hub, &mut wire);
         // The reply resolves through the reverse entry open_flow seeded.
         fab.enqueue(DomId(6), NetPacket::meta(1, 0, 500));
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_guests, 1);
         assert!(ring_pop(&mut hub, 5, 0).is_some());
         let fwd = fab
@@ -710,9 +648,9 @@ mod tests {
 
     #[test]
     fn unknown_flow_floods_to_uplink_with_nat() {
-        let (mut fab, mut hub, mut wire) = fabric_with(&[5]);
+        let (mut fab, nbs, mut hub, mut wire) = fabric_with(&[5]);
         fab.enqueue(DomId(5), NetPacket::meta(99, 0, 1500));
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_uplink, 1);
         assert_eq!(stats.flows_learned, 1);
         assert_eq!(wire.outbound.len(), 1);
@@ -730,22 +668,22 @@ mod tests {
 
     #[test]
     fn uplink_ingress_reaches_guest() {
-        let (mut fab, mut hub, mut wire) = fabric_with(&[5]);
+        let (mut fab, nbs, mut hub, mut wire) = fabric_with(&[5]);
         let page = PageRef::new(&[9u8; 2048]);
         fab.enqueue_from_uplink(DomId(5), NetPacket::with_payload(4, 0, page.clone()));
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_guests, 1);
         let got = ring_pop(&mut hub, 5, 0).unwrap();
         assert!(PageRef::ptr_eq(&page, got.payload.as_ref().unwrap()));
         // Conn-track seeded the reply direction too.
         fab.enqueue(DomId(5), NetPacket::meta(4, 1, 100));
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_uplink, 1);
     }
 
     #[test]
     fn close_flow_recycles_nat_port() {
-        let (mut fab, _, _) = fabric_with(&[5]);
+        let mut fab = Fabric::new(DomId(2));
         let k = fab.open_flow(7, DomId(5), UPLINK).unwrap();
         let p1 = fab.lookup(&k).unwrap().nat_port.unwrap();
         assert!(fab.close_flow(7, DomId(5), UPLINK));
@@ -762,32 +700,32 @@ mod tests {
 
     #[test]
     fn oversize_and_unknown_destination_drop() {
-        let (mut fab, mut hub, mut wire) = fabric_with(&[5, 6]);
+        let (mut fab, mut nbs, mut hub, mut wire) = fabric_with(&[5, 6]);
         fab.open_flow(1, DomId(5), DomId(6)).unwrap();
         fab.enqueue(DomId(5), NetPacket::meta(1, 0, MAX_GSO_BYTES + 1));
         // Destination detached between open and switch.
         fab.open_flow(2, DomId(5), DomId(6)).unwrap();
-        fab.detach_port(DomId(6));
+        nbs[0].detach_guest(DomId(6)).unwrap();
         fab.enqueue(DomId(5), NetPacket::meta(2, 0, 1000));
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.to_guests, 0);
     }
 
     #[test]
     fn backpressure_requeues_onto_persistent_scratch() {
-        let (mut fab, mut hub, mut wire) = fabric_with(&[5, 6]);
+        let (mut fab, nbs, mut hub, mut wire) = fabric_with(&[5, 6]);
         fab.open_flow(1, DomId(5), DomId(6)).unwrap();
         for i in 0..200 {
             fab.enqueue(DomId(5), NetPacket::meta(1, i, 1000));
         }
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_guests as usize, 4 * DEFAULT_RING_SLOTS);
         assert_eq!(stats.requeued as usize, 200 - 4 * DEFAULT_RING_SLOTS);
         assert_eq!(fab.ingress_len(), 200 - 4 * DEFAULT_RING_SLOTS);
         // Drain the destination and the leftovers deliver next pass.
         while ring_pop(&mut hub, 6, 1).is_some() {}
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_guests as usize, 200 - 4 * DEFAULT_RING_SLOTS);
         assert_eq!(fab.ingress_len(), 0);
     }
@@ -796,11 +734,12 @@ mod tests {
     fn one_notify_per_destination_backend() {
         // Guests 5,6 behind backend 2; guest 7 behind backend 3.
         let mut fab = Fabric::new(DomId(2));
+        let mut nbs = [netback(2), netback(3)];
         let mut hub = NetRingHub::new();
         for (i, (g, b)) in [(5u32, 2u32), (6, 2), (7, 3)].iter().enumerate() {
             let c = conn(*g, *b, i as u32, 10 + i as u32);
             hub.create(c.ring);
-            fab.attach_port(c);
+            nbs[*b as usize - 2].attach(c);
         }
         let mut wire = WireEndpoint::new();
         fab.open_flow(1, DomId(5), DomId(6)).unwrap();
@@ -808,7 +747,7 @@ mod tests {
         for i in 0..8 {
             fab.enqueue(DomId(5), NetPacket::meta(1 + (i % 2), i, 100));
         }
-        let stats = fab.switch(&mut hub, &mut wire);
+        let stats = fab.switch(&nbs, &mut hub, &mut wire);
         assert_eq!(stats.to_guests, 8);
         let notifies = fab.notify_targets();
         assert_eq!(notifies.len(), 2, "one notify per destination backend");
@@ -818,7 +757,7 @@ mod tests {
 
     #[test]
     fn hundred_k_concurrent_flows_in_table() {
-        let (mut fab, _, _) = fabric_with(&[5, 6]);
+        let mut fab = Fabric::new(DomId(2));
         for f in 0..100_000u64 {
             fab.open_flow(f, DomId(5), DomId(6)).unwrap();
         }
@@ -898,8 +837,11 @@ mod proptests {
     fn flow_table_consistent_under_churn() {
         Runner::cases(64).run("flow table consistent under churn", |g| {
             let ops = g.vec(1..120, |g| (g.u8(0..3), g.u64(0..12)));
-            let (mut fab, mut hub, mut wire) = {
-                let mut fab = Fabric::new(DomId(2));
+            let (mut fab, nbs, mut hub, mut wire) = {
+                let mut nb = NetBack::new(
+                    DomId(2),
+                    crate::hw::NicModel::gigabit(xoar_hypervisor::PciAddress::new(0, 2, 0)),
+                );
                 let mut hub = NetRingHub::new();
                 for (i, gd) in [5u32, 6].iter().enumerate() {
                     let c = Connection {
@@ -915,9 +857,9 @@ mod proptests {
                         back_port: 10 + i as u32,
                     };
                     hub.create(c.ring);
-                    fab.attach_port(c);
+                    nb.attach(c);
                 }
-                (fab, hub, WireEndpoint::new())
+                (Fabric::new(DomId(2)), [nb], hub, WireEndpoint::new())
             };
             let mut open: Vec<u64> = Vec::new();
             for (op, flow) in ops {
@@ -935,7 +877,7 @@ mod proptests {
                     }
                     _ => {
                         fab.enqueue(DomId(5), NetPacket::meta(flow, 0, 100));
-                        fab.switch(&mut hub, &mut wire);
+                        fab.switch(&nbs, &mut hub, &mut wire);
                         // Switching an unopened flow conn-tracks it as
                         // guest→external.
                         if !open.contains(&flow) {

@@ -10,9 +10,9 @@
 //!   7200 RPM disk, UART) substituting for the paper's testbed silicon;
 //! * [`net`] / [`blk`] — the NetBack/NetFront and BlkBack/BlkFront split
 //!   drivers, including BlkBack's image-store proxy daemon;
-//! * [`fabric`] — the virtual network fabric: a learning switch with a
-//!   per-flow connection table and NAT port allocation, giving guests an
-//!   inter-guest network beside the physical uplink;
+//! * [`fabric`] — the virtual network fabric: a switch over NetBack's
+//!   vifs with a per-flow connection table and NAT port allocation,
+//!   giving guests an inter-guest network beside the physical uplink;
 //! * [`console`] — the Console Manager (xenconsoled) virtual console
 //!   service;
 //! * [`pci`] — the PCI bus, configuration space, and PCIBack multiplexer

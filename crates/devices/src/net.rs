@@ -167,6 +167,13 @@ impl NetBack {
         self.attachments.remove(&guest)
     }
 
+    /// The vif connection attached for `guest`, if any: the port the
+    /// fabric switches that guest's frames to.
+    #[inline]
+    pub fn connection(&self, guest: DomId) -> Option<&Connection> {
+        self.attachments.get(&guest)
+    }
+
     /// Iterates current connections without allocating, in arbitrary
     /// order (the restart fast path sorts into its own scratch).
     pub fn conn_iter(&self) -> impl Iterator<Item = &Connection> + '_ {

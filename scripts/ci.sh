@@ -110,23 +110,21 @@ fi
 
 # Bench gate: run the deterministic harnesses and keep their
 # machine-readable tails (the harness prints one JSON document as the
-# last stdout line) as committed perf baselines at the repo root. Each
-# fresh run is compared against the committed baseline BEFORE it
-# replaces it: bench-gate fails on any hot-path entry whose median
-# regressed by more than 2x, and on any restart-path entry whose p95
-# tail exceeds 6x its own median.
-fresh_microbench="$(mktemp)"
-fresh_ablation="$(mktemp)"
-trap 'rm -f "$fresh_microbench" "$fresh_ablation"' EXIT
+# last stdout line) under target/bench/, which git ignores. Each fresh
+# run is compared against the committed baseline at the repo root:
+# bench-gate fails on any hot-path entry whose median regressed by more
+# than 2x, and on any restart-path entry whose p95 tail exceeds 6x its
+# own median. The committed baselines are never rewritten here, so a
+# run on a slow machine cannot loosen the gate for later runs.
+mkdir -p target/bench
+fresh_microbench=target/bench/BENCH_microbench.json
+fresh_ablation=target/bench/BENCH_ablation.json
 cargo bench --offline -p xoar-bench --bench microbench | tail -n 1 > "$fresh_microbench"
 cargo run --release --offline -p xoar-bench --bin bench_gate -- \
     BENCH_microbench.json "$fresh_microbench"
-mv "$fresh_microbench" BENCH_microbench.json
 cargo bench --offline -p xoar-bench --bench ablation | tail -n 1 > "$fresh_ablation"
 cargo run --release --offline -p xoar-bench --bin bench_gate -- \
     --set=ablation BENCH_ablation.json "$fresh_ablation"
-mv "$fresh_ablation" BENCH_ablation.json
-trap - EXIT
-echo "bench baselines written: BENCH_microbench.json BENCH_ablation.json"
+echo "fresh bench results kept in: $fresh_microbench $fresh_ablation"
 
 echo "ci.sh: all checks passed"
