@@ -76,9 +76,6 @@ pub enum RestartPolicy {
         /// Interval between restarts.
         interval_ns: u64,
     },
-    /// Restarted after every request ("restarted on each request" —
-    /// XenStore-Logic in Figure 5.1).
-    PerRequest,
 }
 
 /// Which service table a registered shard lives in, resolved once at
@@ -242,8 +239,11 @@ impl RestartEngine {
     /// Builds an engine from the platform's boot configuration: if
     /// `XoarConfig::restart_interval_s` was set, every restartable driver
     /// shard (NetBack, BlkBack) is registered on that timer with the fast
-    /// (recovery-box) path, and XenStore-Logic is put on the per-request
-    /// policy of Figure 5.1.
+    /// (recovery-box) path, and XenStore is put on the per-request
+    /// policy of Figure 5.1. That policy restarts Logic before each wire
+    /// request served through `XenStore::handle` only; the platform's
+    /// own reads and writes go through the direct API and restart
+    /// nothing.
     pub fn for_platform(platform: &mut Platform) -> HvResult<Self> {
         let mut engine = RestartEngine::new();
         let Some(interval_s) = platform

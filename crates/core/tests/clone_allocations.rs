@@ -128,7 +128,7 @@ fn platform_destroy_allocations_are_pinned() {
     let made = allocs() - before;
 
     assert_eq!(
-        made, 4_601,
+        made, 2_001,
         "allocations for {N} Platform::destroy_guest calls"
     );
 }

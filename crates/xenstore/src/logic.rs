@@ -39,8 +39,8 @@ pub const DEFAULT_TXN_QUOTA: usize = 10;
 /// Reserved State-key prefix for journaled watch registrations.
 const WATCH_JOURNAL: &str = "/@watch";
 
-/// The namespace reserved for Logic's own journal: no subtree is created
-/// or read beneath it.
+/// The namespace reserved for Logic's own journal: no request writes,
+/// removes or re-owns a node beneath it, or reads a subtree there.
 const RESERVED: &str = "/@";
 
 /// A node's value and permissions, as a subtree request lists them.
@@ -317,9 +317,7 @@ impl XenStoreLogic {
     ) -> XsResult<()> {
         self.requests_this_epoch += 1;
         let key = path.as_str();
-        if key.starts_with(WATCH_JOURNAL) {
-            return Err(XsError::Inval("reserved namespace".into()));
-        }
+        refuse_reserved(key)?;
         let privileged = self.is_privileged(dom);
         if let Some(rec) = Self::txn_read(&mut self.txns, state, txn, key)? {
             if !(privileged || rec.perms.can_write(dom)) {
@@ -392,9 +390,7 @@ impl XenStoreLogic {
     ) -> XsResult<()> {
         self.requests_this_epoch += 1;
         let root_key = root.as_str();
-        if root_key.starts_with(RESERVED) {
-            return Err(XsError::Inval("reserved namespace".into()));
-        }
+        refuse_reserved(root_key)?;
         if root_key == "/" {
             return Err(XsError::Exists(root_key.into()));
         }
@@ -472,9 +468,7 @@ impl XenStoreLogic {
     ) -> XsResult<(SubtreeLayout, Vec<NodeData>)> {
         self.requests_this_epoch += 1;
         let root_key = root.as_str();
-        if root_key.starts_with(RESERVED) {
-            return Err(XsError::Inval("reserved namespace".into()));
-        }
+        refuse_reserved(root_key)?;
         if root_key == "/" {
             return Err(XsError::Inval("the whole store is not a subtree".into()));
         }
@@ -587,6 +581,7 @@ impl XenStoreLogic {
         path: &XsPath,
     ) -> XsResult<()> {
         self.requests_this_epoch += 1;
+        refuse_reserved(path.as_str())?;
         let privileged = self.is_privileged(dom);
         let rec = Self::txn_read(&mut self.txns, state, txn, path.as_str())?
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
@@ -594,15 +589,8 @@ impl XenStoreLogic {
             return Err(acc(dom, path));
         }
         let Some(id) = txn else {
-            // One listing, then one Delete per key; each reply carries the
-            // removed record, whose owner is uncharged.
-            if let KvReply::Keys(keys) = state.serve(KvRequest::ListSubtree(path.to_string())) {
-                for key in keys {
-                    if let KvReply::Record(Some(old)) = state.serve(KvRequest::Delete(key)) {
-                        self.uncharge_node(old.perms.owner);
-                    }
-                }
-            }
+            // One range pass; each removed record's owner is uncharged.
+            state.remove_subtree(path.as_str(), |old| self.uncharge_node(old.perms.owner));
             self.watches.fire(path.as_str());
             return Ok(());
         };
@@ -706,6 +694,7 @@ impl XenStoreLogic {
         path: &XsPath,
         perms: NodePerms,
     ) -> XsResult<()> {
+        refuse_reserved(path.as_str())?;
         let privileged = self.is_privileged(dom);
         let rec = state
             .get(path.as_str())
@@ -894,13 +883,7 @@ impl XenStoreLogic {
         self.watches.remove_domain(dom);
         self.txns.retain(|_, t| t.dom != dom);
         self.node_counts.remove(&dom);
-        if let KvReply::Keys(keys) =
-            state.serve(KvRequest::ListSubtree(format!("{WATCH_JOURNAL}/{}", dom.0)))
-        {
-            for key in keys {
-                state.serve(KvRequest::Delete(key));
-            }
-        }
+        state.remove_subtree(&format!("{WATCH_JOURNAL}/{}", dom.0), |_| {});
     }
 
     /// Current node count charged to `dom`.
@@ -921,6 +904,16 @@ fn acc(dom: DomId, path: &XsPath) -> XsError {
         caller: dom,
         path: path.to_string(),
     }
+}
+
+/// Refuses a key in the reserved `/@` namespace. Its records are Logic's
+/// journal and charged to no one, so removing one or moving its owner
+/// would uncharge a node never charged, and drop a registered watch.
+fn refuse_reserved(key: &str) -> XsResult<()> {
+    if key.starts_with(RESERVED) {
+        return Err(XsError::Inval("reserved namespace".into()));
+    }
+    Ok(())
 }
 
 /// The parent of a stored key, or `None` under the root.
@@ -1430,6 +1423,145 @@ mod tests {
             l.write(&mut s, dom0, None, &p("/@watch/evil"), b"x"),
             Err(XsError::Inval(_))
         ));
+    }
+
+    #[test]
+    fn reserved_namespace_cannot_be_removed_or_reowned() {
+        // The watch journal is charged to no one: removing a record of it
+        // must not uncharge its owner, or a watch / rm / unwatch cycle
+        // frees quota without freeing a node and loses the watch.
+        let (mut l, mut s, dom0, guest) = setup();
+        l.watch(&mut s, guest, &p("/local/domain/7"), "cyc")
+            .unwrap();
+        let charged = l.node_count(guest);
+        for (who, path) in [
+            (guest, "/@watch/7/cyc"),
+            (guest, "/@watch/7"),
+            (dom0, "/@watch"),
+        ] {
+            let txn = l.txn_start(&mut s, who).unwrap();
+            for txn in [None, Some(txn)] {
+                assert!(
+                    matches!(l.rm(&mut s, who, txn, &p(path)), Err(XsError::Inval(_))),
+                    "rm {path} in {txn:?}"
+                );
+            }
+        }
+        assert!(matches!(
+            l.set_perms(
+                &mut s,
+                guest,
+                &p("/@watch/7/cyc"),
+                NodePerms::owner_only(dom0)
+            ),
+            Err(XsError::Inval(_))
+        ));
+        assert_eq!(l.node_count(guest), charged);
+        assert!(s.peek("/@watch/7/cyc").is_some());
+        // The journal still brings the watch back after a restart.
+        l.restart(&s);
+        while l.poll_watch(guest).is_some() {}
+        l.write(&mut s, guest, None, &p("/local/domain/7/x"), b"v")
+            .unwrap();
+        assert_eq!(l.poll_watch(guest).unwrap().token, "cyc");
+    }
+
+    /// `rm`'s non-transaction branch as one listing and one `Delete` per
+    /// key, each removed record's owner uncharged.
+    fn rm_by_key(l: &mut XenStoreLogic, s: &mut XenStoreState, root: &str) {
+        if let KvReply::Keys(keys) = s.serve(KvRequest::ListSubtree(root.to_string())) {
+            for key in keys {
+                if let KvReply::Record(Some(old)) = s.serve(KvRequest::Delete(key)) {
+                    l.uncharge_node(old.perms.owner);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remove_subtree_matches_a_listing_and_a_delete_per_key() {
+        use xoar_sim::prop::{Gen, Runner};
+        // Components whose siblings sort inside a subtree (`-`, `.`) and
+        // just past it (`0`).
+        const PARTS: [&str; 6] = ["a", "a-b", "a.b", "a0", "b", "0"];
+        const ROOTS: [&str; 13] = [
+            "/",
+            "/a",
+            "/a/a",
+            "/a-b",
+            "/a.b/a0",
+            "/a0",
+            "/0",
+            "/@watch",
+            "/@watch/1",
+            "/@watch/1/t",
+            "/@watch/10",
+            "/zz",
+            "/a/zz",
+        ];
+        fn any_key(g: &mut Gen) -> String {
+            if g.u8(0..4) == 0 {
+                let dom = g.choose(&[1, 10, 2]);
+                let token = g.choose(&["t", "t-x", "u"]);
+                return format!("/@watch/{dom}/{token}");
+            }
+            g.vec(1..4, |g| *g.choose(&PARTS))
+                .iter()
+                .map(|part| format!("/{part}"))
+                .collect()
+        }
+        Runner::cases(256).run("remove_subtree = ListSubtree + Delete", |g| {
+            let dom0 = DomId(0);
+            let mut records = g.vec(0..40, |g| (any_key(g), DomId(g.u32(0..4))));
+            if g.bool() {
+                records.push(("/".to_string(), dom0));
+            }
+            let root = if g.bool() {
+                g.choose(&ROOTS).to_string()
+            } else {
+                any_key(g)
+            };
+            let build = || {
+                let mut s = XenStoreState::new();
+                for (key, owner) in &records {
+                    s.serve(KvRequest::Put(
+                        key.clone(),
+                        NodeRecord {
+                            value: key.as_bytes().to_vec(),
+                            perms: NodePerms::owner_only(*owner),
+                            generation: 0,
+                        },
+                    ));
+                }
+                let mut l = XenStoreLogic::new();
+                l.set_privileged(dom0, true);
+                l.recover(&s);
+                (l, s)
+            };
+            let (mut want_l, mut want_s) = build();
+            let (mut l, mut s) = build();
+            if !root.starts_with(RESERVED) && s.peek(&root).is_some() {
+                // `rm` reads the root's record first, as it always has.
+                want_s.get(&root);
+                l.rm(&mut s, dom0, None, &p(&root)).unwrap();
+            } else {
+                s.remove_subtree(&root, |old| l.uncharge_node(old.perms.owner));
+            }
+            rm_by_key(&mut want_l, &mut want_s, &root);
+            assert_eq!(
+                s.persist(),
+                want_s.persist(),
+                "map, generation, ops ({root})"
+            );
+            assert_eq!(
+                s.owner_counts(),
+                want_s.owner_counts(),
+                "owner index ({root})"
+            );
+            for dom in 0..4 {
+                assert_eq!(l.node_count(DomId(dom)), want_l.node_count(DomId(dom)));
+            }
+        });
     }
 
     #[test]

@@ -144,7 +144,9 @@ impl XenStore {
     /// Enables or disables the per-request restart policy (Figure 5.1:
     /// XenStore-Logic "restarted on each request"). An attacker that
     /// compromises Logic mid-request loses its foothold before the next
-    /// request is even parsed.
+    /// request is even parsed. Only wire requests served through
+    /// [`XenStore::handle`] restart Logic; the direct convenience API
+    /// below does not.
     pub fn set_per_request_restart(&mut self, on: bool) {
         self.per_request_restart = on;
     }
@@ -545,6 +547,51 @@ mod tests {
         );
         assert!(matches!(resp, Response::Ok));
         assert_eq!(xs.poll_watch(dom0).unwrap().token, "tok");
+    }
+
+    #[test]
+    fn a_watch_rm_unwatch_cycle_frees_no_node_quota() {
+        let mut xs = XenStore::with_quotas(Quotas {
+            nodes: 4,
+            ..Quotas::default()
+        });
+        let dom0 = DomId(0);
+        let guest = DomId(5);
+        xs.set_privileged(dom0, true);
+        xs.create_domain_home(dom0, guest).unwrap();
+        let mut written = 0;
+        for i in 0..8 {
+            let path = "/local/domain/5".to_string();
+            let token = "cyc".to_string();
+            let watch = Request::Watch {
+                path: path.clone(),
+                token: token.clone(),
+            };
+            assert!(matches!(xs.handle(guest, watch), Response::Ok));
+            let rm = Request::Rm {
+                txn: None,
+                path: "/@watch/5/cyc".into(),
+            };
+            assert!(
+                matches!(xs.handle(guest, rm), Response::Err(_)),
+                "cycle {i}"
+            );
+            assert!(matches!(
+                xs.handle(guest, Request::Unwatch { path, token }),
+                Response::Ok
+            ));
+            let write = Request::Write {
+                txn: None,
+                path: format!("/local/domain/5/k{i}"),
+                value: vec![],
+            };
+            if matches!(xs.handle(guest, write), Response::Ok) {
+                written += 1;
+            }
+        }
+        assert_eq!(written, 3, "the home and three nodes fill a quota of 4");
+        assert_eq!(xs.logic().node_count(guest), 4);
+        assert_eq!(xs.state().owner_counts().get(&guest), Some(&4));
     }
 
     #[test]

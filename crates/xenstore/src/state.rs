@@ -138,15 +138,6 @@ impl XenStoreState {
         *self.owner_counts.entry(owner).or_insert(0) += 1;
     }
 
-    fn owner_count_dec(&mut self, owner: DomId) {
-        if let Some(c) = self.owner_counts.get_mut(&owner) {
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                self.owner_counts.remove(&owner);
-            }
-        }
-    }
-
     /// Recomputes the owner index from the map (blob recovery only; the
     /// serving path maintains it incrementally).
     fn rebuild_owner_index(&mut self) {
@@ -170,7 +161,7 @@ impl XenStoreState {
                 let owner = rec.perms.owner;
                 if let Some(old) = self.map.insert(key, rec) {
                     if indexed {
-                        self.owner_count_dec(old.perms.owner);
+                        owner_count_dec(&mut self.owner_counts, old.perms.owner);
                     }
                 }
                 if indexed {
@@ -183,7 +174,7 @@ impl XenStoreState {
                 if let Some(old) = &old {
                     self.generation += 1;
                     if !key.starts_with(RESERVED_PREFIX) {
-                        self.owner_count_dec(old.perms.owner);
+                        owner_count_dec(&mut self.owner_counts, old.perms.owner);
                     }
                 }
                 KvReply::Record(old)
@@ -213,6 +204,35 @@ impl XenStoreState {
     ) -> impl Iterator<Item = (&'a String, &'a NodeRecord)> + 'a {
         self.ops_served += 1;
         subtree_range(&self.map, root)
+    }
+
+    /// The borrowed form of [`KvRequest::ListSubtree`] followed by one
+    /// [`KvRequest::Delete`] per listed key: removes the records at `root`
+    /// and beneath it (`/` is the whole store) in one range pass, handing
+    /// each removed record to `on_removed` in key order. Counted as what
+    /// it replaces: `1 + removed` protocol operations and `removed`
+    /// generation bumps.
+    pub fn remove_subtree(&mut self, root: &str, mut on_removed: impl FnMut(&NodeRecord)) {
+        use std::ops::Bound;
+        // Keys beneath `root` sort before `root` + "0" ('0' is the byte
+        // after '/'); for "/" that bound is "0" itself. The map's range
+        // takes `String` bounds.
+        let hi = format!("{}0", if root == "/" { "" } else { root });
+        let range = (Bound::Included(root.to_string()), Bound::Excluded(hi));
+        // The byte after the root: `/` under it, none at it.
+        let cut = if root == "/" { 0 } else { root.len() };
+        let beneath =
+            |k: &String, _: &mut NodeRecord| k.as_bytes().get(cut).is_none_or(|&b| b == b'/');
+        let mut removed = 0;
+        for (key, rec) in self.map.extract_if(range, beneath) {
+            if !key.starts_with(RESERVED_PREFIX) {
+                owner_count_dec(&mut self.owner_counts, rec.perms.owner);
+            }
+            on_removed(&rec);
+            removed += 1;
+        }
+        self.ops_served += 1 + removed;
+        self.generation += removed;
     }
 
     /// Number of records held.
@@ -282,6 +302,16 @@ impl XenStoreState {
             }
         }
         Ok(state)
+    }
+}
+
+/// Takes one node off `owner`'s count; an owner at zero leaves the index.
+fn owner_count_dec(owner_counts: &mut BTreeMap<DomId, u64>, owner: DomId) {
+    if let Some(c) = owner_counts.get_mut(&owner) {
+        *c = c.saturating_sub(1);
+        if *c == 0 {
+            owner_counts.remove(&owner);
+        }
     }
 }
 

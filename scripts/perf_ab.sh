@@ -14,12 +14,18 @@
 # the base first, pair 2 the change first, and so on, so neither side
 # always runs in the other's wake.
 #
+# After a workload's pairs, runs each side once more at --trace 1 and
+# keeps its count metrics (allocations and calls per call, op or set-up,
+# and event counts), op_samples aside: that one counts latency samples,
+# so it follows the machine's speed.
+#
 # Prints each run's four end-to-end metrics, then for each workload and
 # pair the change/base ratio of each metric, and for each metric the
 # number of pairs the change won (higher ops_per_s, lower everything
-# else) and the median ratio. A run that is not correct or has a failed
-# operation stops the script. Nothing is written in the repository; the
-# temporary directory is removed on exit.
+# else) and the median ratio, and then every count metric whose traced
+# value differs between base and change. A run that is not correct or
+# has a failed operation stops the script. Nothing is written in the
+# repository; the temporary directory is removed on exit.
 set -euo pipefail
 
 if [[ $# -ne 5 ]]; then
@@ -48,17 +54,24 @@ done
 
 metrics=(ops_per_s op_p50_us setup_s peak_heap_mib)
 
+# Runs one side of $workload at trace level $3 into $out; stops the
+# script unless the run is correct with no failed operation.
+bench() {
+    local label="$1" side="$2" trace="$3" last
+    out="$("$tmp/$side/perfbench/target/release/perfbench" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace")"
+    last="$(tail -n 1 <<<"$out")"
+    if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0,'* ]]; then
+        echo "$workload $label $side: $last" >&2
+        exit 1
+    fi
+}
+
 # Runs one side of $workload and appends "<pair> <side> <four metric
 # values>" to $results.
 run() {
-    local pair="$1" side="$2" out last
-    out="$("$tmp/$side/perfbench/target/release/perfbench" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)"
-    last="$(tail -n 1 <<<"$out")"
-    if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0,'* ]]; then
-        echo "$workload pair $pair $side: $last" >&2
-        exit 1
-    fi
+    local pair="$1" side="$2" out
+    bench "pair $pair" "$side" 0
     local values=()
     for m in "${metrics[@]}"; do
         values+=("$(awk -v k="$workload/$m" '$1 == k { print $2 }' <<<"$out")")
@@ -71,7 +84,20 @@ run() {
     printf '\n'
 }
 
-# Prints the per-pair ratios and per-metric summary of $results.
+# Runs each side of $workload once at --trace 1 and writes its count
+# metrics, "<metric> <value>" a line, to $counts.<side>.
+trace_counts() {
+    local side out
+    for side in base change; do
+        bench traced "$side" 1
+        awk -v w="$workload/" '$3 == "count" && $1 != w "op_samples" {
+            print substr($1, length(w) + 1), $2
+        }' <<<"$out" >"$counts.$side"
+    done
+}
+
+# Prints the per-pair ratios and per-metric summary of $results, then the
+# count metrics of $counts that differ.
 summarize() {
     echo "change/base per pair ($workload, seed $seed, ${seconds}s runs):"
     awk -v names="${metrics[*]}" '
@@ -97,10 +123,14 @@ summarize() {
                 printf "%s: change won %d/%d pairs, median ratio %.4f\n", name[i], won[i], pairs, med
             }
         }' "$results"
+    echo "count metrics that differ ($workload, seed $seed, one ${seconds}s run per side at --trace 1):"
+    awk 'NR == FNR { base[$1] = $2; next }
+        base[$1] != $2 { printf "  %s %s -> %s\n", $1, base[$1], $2; n++ }
+        END { if (!n) print "  none" }' "$counts.base" "$counts.change"
 }
 
 for workload in "${workloads[@]}"; do
-    results="$tmp/results.$workload"
+    results="$tmp/results.$workload" counts="$tmp/counts.$workload"
     for ((pair = 1; pair <= pairs; pair++)); do
         if ((pair % 2)); then
             run "$pair" base
@@ -110,8 +140,9 @@ for workload in "${workloads[@]}"; do
             run "$pair" base
         fi
     done
+    trace_counts
 done
 for workload in "${workloads[@]}"; do
-    results="$tmp/results.$workload"
+    results="$tmp/results.$workload" counts="$tmp/counts.$workload"
     summarize
 done
