@@ -762,7 +762,9 @@ fn call_name(call: &Hypercall) -> String {
         VmRollback { target } => format!("VmRollback({target})"),
         MemoryPopulate { target, frames } => format!("MemoryPopulate({target}, {frames})"),
         MmuMapForeign { target, pfn } => format!("MapForeign({target} pfn {})", pfn.0),
-        MmuWriteForeign { target, pfn, .. } => format!("WriteForeign({target} pfn {})", pfn.0),
+        MmuWriteForeign { target, pages } => {
+            format!("WriteForeign({target}, {} pages)", pages.len())
+        }
         SchedYield => "SchedYield".to_string(),
         Multicall { calls } => format!("Multicall({} calls)", calls.len()),
         other => format!("{:?}", other.id()),

@@ -13,7 +13,7 @@
 //! kernel from within the guest VM."
 
 use xoar_hypervisor::grant::GrantAccess;
-use xoar_hypervisor::memory::Pfn;
+use xoar_hypervisor::memory::{PageRef, Pfn};
 use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall, Hypervisor};
 use xoar_xenstore::XenStore;
 
@@ -180,25 +180,23 @@ impl Builder {
         let xenstore_ring_pfn = Pfn(1);
         let console_ring_pfn = Pfn(2);
         let kernel_pfn = Pfn(3);
+        let kernel = format!("kernel:{}", image.name);
         hv.hypercall(
             self.dom,
             Hypercall::MmuWriteForeign {
                 target: guest,
-                pfn: kernel_pfn,
-                data: format!("kernel:{}", image.name).into_bytes().into(),
+                pages: vec![(kernel_pfn, PageRef::new(kernel.as_bytes()))],
             },
         )?;
+        let start_info = format!(
+            "start-info: nr_pages={frames} store_pfn={} console_pfn={}",
+            xenstore_ring_pfn.0, console_ring_pfn.0
+        );
         hv.hypercall(
             self.dom,
             Hypercall::MmuWriteForeign {
                 target: guest,
-                pfn: start_info_pfn,
-                data: format!(
-                    "start-info: nr_pages={frames} store_pfn={} console_pfn={}",
-                    xenstore_ring_pfn.0, console_ring_pfn.0
-                )
-                .into_bytes()
-                .into(),
+                pages: vec![(start_info_pfn, PageRef::new(start_info.as_bytes()))],
             },
         )?;
         // §5.6: "The Builder adds a step to the regular VM creation code —

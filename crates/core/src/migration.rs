@@ -11,7 +11,9 @@
 //! `Replica` is the one engine: a guest shell on the destination (built
 //! by its Builder, devices negotiated), a log-dirty cursor of its own on
 //! the source (`DomctlShadowOp` through the gate, issued by the guest's
-//! toolstack), and pages shipped as `MmuWriteForeign` page handles.
+//! toolstack), and pages shipped as page handles in `MmuWriteForeign`
+//! batches of up to 256, so a shipped set of n pages crosses the
+//! destination's gate ⌈n/256⌉ times, each crossing checked whole.
 //! [`migrate`] drives it through the pre-copy algorithm of Clark et al.
 //! \[12\]: (1) round 0 copies every page; (2) pre-copy rounds ship what
 //! the still-running guest dirtied since the previous round; (3) when the
@@ -62,11 +64,18 @@ pub struct MigrationReport {
     pub downtime_ns: u64,
 }
 
+/// Pages per `MmuWriteForeign` batch. A batch of 256 `(Pfn, PageRef)`
+/// pairs is 6 KiB: one gate crossing and one lookup of the shell's
+/// memory maps amortised over 256 pages, while the batch stays small
+/// beside the guest's own memory (the model's heap high-water mark does
+/// not move). Not a tuning knob: nothing depends on it but the crossings.
+const BATCH_PAGES: usize = 256;
+
 fn transfer_ns(pages: u64, wire_bps: u64) -> u64 {
     (pages as u128 * PAGE_SIZE as u128 * 1_000_000_000 / wire_bps.max(1) as u128) as u64
 }
 
-/// A guest replicated page by page into a shell on another host.
+/// A guest replicated into a shell on another host.
 #[derive(Debug)]
 pub(crate) struct Replica {
     /// The guest, and its toolstack (which drives the cursor), on the
@@ -144,6 +153,14 @@ impl Replica {
     /// Ships `pfns` to the shell, skipping never-written pages if
     /// `skip_empty` (a fresh shell reads them empty already). Returns the
     /// pages shipped.
+    ///
+    /// The one copy loop of migration and HA: it reads up to
+    /// [`BATCH_PAGES`] pages and ships them as one `MmuWriteForeign`
+    /// from the destination's Builder, so the gate checks the Builder
+    /// once per batch and the hypervisor looks the shell's memory up
+    /// once per batch, not per page. The first page that fails to read
+    /// or install ends the shipment with its error; the pages installed
+    /// before it stay on the shell.
     pub(crate) fn ship(
         &self,
         src: &Platform,
@@ -152,16 +169,27 @@ impl Replica {
         skip_empty: bool,
     ) -> HvResult<u64> {
         let (builder, target) = (dst.services.builder, self.shell);
+        let mut pfns = pfns.into_iter();
         let mut shipped = 0;
-        for pfn in pfns {
-            let data = src.hv.mem.read(self.guest, pfn)?;
-            if !(skip_empty && data.is_empty()) {
-                let write = Hypercall::MmuWriteForeign { target, pfn, data };
-                dst.hv.hypercall(builder, write)?;
-                shipped += 1;
+        loop {
+            let mut pages = Vec::with_capacity(pfns.size_hint().0.min(BATCH_PAGES));
+            for pfn in pfns.by_ref() {
+                let data = src.hv.mem.read(self.guest, pfn)?;
+                if !(skip_empty && data.is_empty()) {
+                    pages.push((pfn, data));
+                    if pages.len() == BATCH_PAGES {
+                        break;
+                    }
+                }
             }
+            if pages.is_empty() {
+                return Ok(shipped);
+            }
+            let batch = pages.len() as u64;
+            dst.hv
+                .hypercall(builder, Hypercall::MmuWriteForeign { target, pages })?;
+            shipped += batch;
         }
-        Ok(shipped)
     }
 }
 
@@ -452,6 +480,50 @@ mod tests {
         );
         assert_eq!(dst.hv.domain_ids(), domains, "the shell is destroyed");
         // The one cursor the attempt opened is closed: draining it fails.
+        let drain = Hypercall::DomctlShadowOp {
+            target: g,
+            op: ShadowOp::Clean(1),
+        };
+        assert!(src.hv.hypercall(ts_src, drain).is_err(), "cursor left open");
+        assert_eq!(src.hv.domain(g).unwrap().state, DomainState::Running);
+    }
+
+    #[test]
+    fn failed_pre_copy_destroys_the_shell_and_closes_the_cursor() {
+        use xoar_hypervisor::error::MemError;
+        let (mut src, mut dst, ts_src, ts_dst) = two_hosts();
+        let g = src
+            .create_guest(ts_src, GuestConfig::evaluation_guest("grower"))
+            .unwrap();
+        let domains = dst.hv.domain_ids();
+        // Round 0 ships fine. Then the guest dirties a full batch and
+        // grows eight frames past the shell's size: the first pre-copy
+        // batch lands, the second has no PFN for its page.
+        let mut beyond = None;
+        let err = migrate(
+            &mut src,
+            &mut dst,
+            g,
+            ts_dst,
+            MigrationConfig::default(),
+            |p, g| {
+                if beyond.is_none() {
+                    for i in 0..256u64 {
+                        p.hv.mem.write(g, Pfn(16 + i), b"dirty").unwrap();
+                    }
+                    let pfn = p.hv.mem.populate(g, 8).unwrap();
+                    p.hv.mem.write(g, pfn, b"past the end").unwrap();
+                    beyond = Some(pfn);
+                }
+            },
+        )
+        .unwrap_err();
+        let beyond = beyond.expect("the guest grew during pre-copy");
+        assert!(
+            matches!(err, HvError::Memory(MemError::BadPfn(p)) if p == beyond.0),
+            "{err:?}"
+        );
+        assert_eq!(dst.hv.domain_ids(), domains, "the shell is destroyed");
         let drain = Hypercall::DomctlShadowOp {
             target: g,
             op: ShadowOp::Clean(1),

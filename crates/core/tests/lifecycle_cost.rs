@@ -152,7 +152,7 @@ fn xoar_lifecycle_cost_is_pinned() {
             cost(34, 3, 3, 3),
         ],
     );
-    assert_eq!(got, (12461380160059389328, 1423198959263562079));
+    assert_eq!(got, (6339892766364807174, 1423198959263562079));
 }
 
 #[test]
@@ -167,5 +167,5 @@ fn stock_xen_lifecycle_cost_is_pinned() {
             cost(34, 3, 3, 3),
         ],
     );
-    assert_eq!(got, (12973074741555335513, 17101591157104898375));
+    assert_eq!(got, (7768588926791706833, 17101591157104898375));
 }

@@ -145,8 +145,7 @@ impl QemuDeviceModel {
             self.host_dom,
             Hypercall::MmuWriteForeign {
                 target: self.guest,
-                pfn,
-                data: PageRef::new(data),
+                pages: vec![(pfn, PageRef::new(data))],
             },
         )?;
         self.stats.dma_ops += 1;

@@ -404,15 +404,18 @@ pub enum Hypercall {
         /// Target-local frame.
         pfn: Pfn,
     },
-    /// Write a page body into a foreign domain's frame (builder path,
-    /// page replication).
+    /// Write a batch of page bodies into a foreign domain's frames
+    /// (builder path, page replication), as Xen's `mmu_update` takes an
+    /// array. The whitelist and the foreign-access check run once per
+    /// call, not per page. Every body is size-checked before any is
+    /// written; after that the pages go in order and the call stops at
+    /// its first failing page, leaving the pages before it written.
     MmuWriteForeign {
         /// Domain whose memory is written.
         target: DomId,
-        /// Target-local frame.
-        pfn: Pfn,
-        /// Payload (at most one page), installed as a shared handle.
-        data: PageRef,
+        /// Target-local frames and their payloads (at most one page
+        /// each), installed as shared handles.
+        pages: Vec<(Pfn, PageRef)>,
     },
     /// Snapshot the calling domain: freeze its memory as the image every
     /// later rollback restores, replacing any earlier snapshot.

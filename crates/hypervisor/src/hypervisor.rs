@@ -794,9 +794,9 @@ impl Hypervisor {
                 let mfn = xregion::foreign_map(&mut self.mem, target, pfn)?;
                 Ok(HypercallRet::Mfn(mfn))
             }
-            MmuWriteForeign { target, pfn, data } => {
+            MmuWriteForeign { target, pages } => {
                 self.check_foreign_access(caller, target)?;
-                xregion::foreign_write(&mut self.mem, target, pfn, data)?;
+                xregion::foreign_write(&mut self.mem, target, &pages)?;
                 Ok(HypercallRet::Ok)
             }
             DomctlShadowOp { target, op } => {
@@ -1171,8 +1171,7 @@ mod tests {
             dom0,
             Hypercall::MmuWriteForeign {
                 target: g,
-                pfn: Pfn(0),
-                data: PageRef::new(b"start-info"),
+                pages: vec![(Pfn(0), PageRef::new(b"start-info"))],
             },
         )
         .unwrap();
@@ -1570,8 +1569,7 @@ mod tests {
                 dom0,
                 Hypercall::MmuWriteForeign {
                     target: g,
-                    pfn: Pfn(0),
-                    data: vec![0; PAGE_SIZE + 1].into(),
+                    pages: vec![(Pfn(0), vec![0; PAGE_SIZE + 1].into())],
                 },
             )
             .unwrap_err();

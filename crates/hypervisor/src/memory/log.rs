@@ -69,6 +69,17 @@ pub(super) struct FrozenImage {
     pub(super) recovery_box: Option<RecoveryBox>,
 }
 
+impl FrozenImage {
+    /// Records `data` as the pre-image of `pfn` if the PFN existed at
+    /// freeze time and no earlier mutation captured it (first touch
+    /// wins: it holds the freeze-time contents).
+    pub(super) fn capture(&mut self, pfn: u64, data: &PageRef) {
+        if pfn < self.watermark && !self.baseline.contains_key(&pfn) {
+            self.baseline.insert(pfn, data.clone());
+        }
+    }
+}
+
 /// The id of a frozen domain's own dirty log (the PFNs its rollback
 /// restores); log-dirty cursors never get it.
 const SNAPSHOT_LOG: u64 = 0;
@@ -99,9 +110,7 @@ impl MemoryManager {
     /// freeze-time contents).
     pub(super) fn capture_frozen_one(&mut self, dom: DomId, pfn: u64, data: &PageRef) {
         if let Some(img) = self.frozen.get_mut(&dom) {
-            if pfn < img.watermark && !img.baseline.contains_key(&pfn) {
-                img.baseline.insert(pfn, data.clone());
-            }
+            img.capture(pfn, data);
         }
     }
 

@@ -287,7 +287,21 @@ impl MemoryManager {
     /// [`Self::write`] of a shared page body: the frame takes the handle
     /// itself, so shipping a page costs a refcount bump, not a copy.
     pub(crate) fn write_page(&mut self, dom: DomId, pfn: Pfn, page: PageRef) -> HvResult<()> {
-        if page.len() > PAGE_SIZE {
+        self.write_pages(dom, std::slice::from_ref(&(pfn, page)))
+    }
+
+    /// Installs `pages` into `dom`'s frames, in order: the one install
+    /// path of every page write.
+    ///
+    /// Every body's size is checked, and a sealed template refused,
+    /// before anything is written. A frame `dom` maps alone then costs
+    /// only the frame work ([`Self::install_exclusive`]); a shared frame,
+    /// or a page a clone still reads through its template, first takes
+    /// the copy-on-write break of [`Self::exclusive_mfn`]. The batch stops
+    /// at its first failing page and the pages before it stay written,
+    /// as Xen's `mmu_update` reports how many entries it did.
+    pub(crate) fn write_pages(&mut self, dom: DomId, pages: &[(Pfn, PageRef)]) -> HvResult<()> {
+        if let Some((_, page)) = pages.iter().find(|(_, p)| p.len() > PAGE_SIZE) {
             return Err(crate::error::HvError::InvalidArgument(format!(
                 "write of {} bytes exceeds page size",
                 page.len()
@@ -301,10 +315,45 @@ impl MemoryManager {
                 "{dom} is a sealed template and cannot be written"
             )));
         }
-        let mfn = self.exclusive_mfn(dom, pfn)?;
-        self.set_frame_data(mfn, page)?;
-        self.mark_dirty(mfn);
+        let mut next = 0;
+        while next < pages.len() {
+            next += self.install_exclusive(dom, &pages[next..]);
+            if let Some((pfn, page)) = pages.get(next) {
+                let mfn = self.exclusive_mfn(dom, *pfn)?;
+                self.set_frame_data(mfn, page.clone())?;
+                self.mark_dirty(mfn);
+                next += 1;
+            }
+        }
         Ok(())
+    }
+
+    /// Installs the leading run of `pages` whose frames `dom` maps alone
+    /// through its own p2m, and returns its length. The p2m, the frozen
+    /// image and the dirty logs are looked up once for the run; per page
+    /// this captures the pre-image, installs the body and sets the dirty
+    /// bits, exactly as `set_frame_data` and `mark_dirty` would for a
+    /// frame whose one mapper is (`dom`, `pfn`).
+    fn install_exclusive(&mut self, dom: DomId, pages: &[(Pfn, PageRef)]) -> usize {
+        let Some(p2m) = self.p2m.get(&dom) else {
+            return 0;
+        };
+        let mut frozen = self.frozen.get_mut(&dom);
+        let mut logs = self.dirty.get_mut(&dom);
+        for (done, (pfn, page)) in pages.iter().enumerate() {
+            let frame = p2m.get(pfn.0).and_then(|mfn| self.frames.get_mut(mfn.0));
+            let Some(f) = frame.filter(|f| f.refs.len() <= 1) else {
+                return done;
+            };
+            let old = std::mem::replace(&mut f.data, page.clone());
+            if let Some(img) = frozen.as_deref_mut() {
+                img.capture(pfn.0, &old);
+            }
+            for (_, bits) in logs.iter_mut().flat_map(|l| l.iter_mut()) {
+                bits.set(pfn.0);
+            }
+        }
+        pages.len()
     }
 
     /// Resolves (`dom`, `pfn`) to a frame exclusively owned by `dom`,

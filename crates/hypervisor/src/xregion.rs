@@ -450,15 +450,15 @@ pub(crate) fn foreign_map(mem: &mut MemoryManager, owner: DomId, pfn: Pfn) -> Hv
     Ok(mfn)
 }
 
-/// Writes into `owner`'s memory for a foreign accessor (builder
-/// populating a guest image, device-model emulation).
+/// Writes a batch of pages into `owner`'s memory for a foreign accessor
+/// (builder populating a guest image, page replication, device-model
+/// emulation), stopping at the first page that fails.
 pub(crate) fn foreign_write(
     mem: &mut MemoryManager,
     owner: DomId,
-    pfn: Pfn,
-    data: PageRef,
+    pages: &[(Pfn, PageRef)],
 ) -> HvResult<()> {
-    mem.write_page(owner, pfn, data)
+    mem.write_pages(owner, pages)
 }
 
 // ----- teardown -----

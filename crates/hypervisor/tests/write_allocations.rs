@@ -1,12 +1,14 @@
 //! Pins the heap cost of the page-write path: a write of a small body
-//! into a populated frame allocates the body and nothing else. A write
-//! never hashes the body, and no index keyed by hash is kept.
+//! into a populated frame allocates the body and nothing else, and a
+//! batch of bodies crossing the gate allocates nothing beyond the
+//! caller's batch. A write never hashes the body, and no index keyed by
+//! hash is kept.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use xoar_hypervisor::memory::{MemoryManager, Pfn};
-use xoar_hypervisor::DomId;
+use xoar_hypervisor::memory::{MemoryManager, PageRef, Pfn};
+use xoar_hypervisor::{DomId, DomainRole, Hypercall, Hypervisor, PrivilegeSet, ShadowOp};
 
 /// Forwards to the system allocator and counts allocations made on the
 /// calling thread, so parallel tests never see each other's.
@@ -66,4 +68,44 @@ fn small_writes_allocate_one_body_each() {
 
     assert_eq!(made, N, "one allocation per written body");
     mem.check_consistency().unwrap();
+}
+
+#[test]
+fn a_warm_batch_allocates_only_the_callers_vec() {
+    const N: u64 = 256;
+    let mut hv = Hypervisor::with_default_host();
+    let dom0 = hv
+        .create_boot_domain("dom0", DomainRole::ControlVm, 512, PrivilegeSet::dom0())
+        .unwrap();
+    let create = Hypercall::DomctlCreateDomain {
+        name: "g".into(),
+        memory_mib: 64,
+        vcpus: 1,
+    };
+    let g = hv.hypercall(dom0, create).unwrap().dom_id().unwrap();
+    let populate = Hypercall::MemoryPopulate {
+        target: g,
+        frames: N,
+    };
+    hv.hypercall(dom0, populate).unwrap();
+    let op = ShadowOp::Enable;
+    hv.hypercall(dom0, Hypercall::DomctlShadowOp { target: g, op })
+        .unwrap();
+    let bodies: Vec<PageRef> = (0..N)
+        .map(|i| PageRef::new(format!("small body {i:04}").as_bytes()))
+        .collect();
+    let batch = || {
+        let pages = bodies.iter().enumerate();
+        let pages = pages.map(|(pfn, b)| (Pfn(pfn as u64), b.clone())).collect();
+        Hypercall::MmuWriteForeign { target: g, pages }
+    };
+    // Warm: the first batch sets every bit the cursor will hold.
+    hv.hypercall(dom0, batch()).unwrap();
+
+    let before = allocs();
+    hv.hypercall(dom0, batch()).unwrap();
+    let made = allocs() - before;
+
+    assert_eq!(made, 1, "the caller's batch and nothing inside the gate");
+    hv.mem.check_consistency().unwrap();
 }

@@ -179,8 +179,7 @@ fn compromised_toolstack_cannot_escalate_to_builder_powers() {
             ts,
             Hypercall::MmuWriteForeign {
                 target: a,
-                pfn: Pfn(0),
-                data: PageRef::new(b"x")
+                pages: vec![(Pfn(0), PageRef::new(b"x"))]
             }
         )
         .is_err());
