@@ -274,6 +274,19 @@ fn bench_batched_paths(h: &mut Harness) {
     });
 }
 
+/// The frame table's run paths: 1,024 frames populated into a fresh
+/// domain, reusing the slots the previous iteration freed, then
+/// released, beside a resident domain as Dom0 would be.
+fn bench_populate_release(h: &mut Harness) {
+    let mut m = MemoryManager::new(4096);
+    m.populate(DomId(0), 256).unwrap();
+    let dom = DomId(1);
+    h.bench_function("mem/populate_release_1024", || {
+        m.populate(dom, 1024).unwrap();
+        black_box(m.release_domain(dom));
+    });
+}
+
 /// Four domains, `frames / 4` pages each; page `i` of every domain holds
 /// the same content, so every page body appears four times.
 fn dedup_fleet(frames: u64) -> MemoryManager {
@@ -504,6 +517,7 @@ fn main() {
     bench_batched_paths(&mut h);
     bench_fabric(&mut h);
     bench_memory_pages(&mut h);
+    bench_populate_release(&mut h);
     bench_dedup_scale(&mut h);
     bench_xenstore(&mut h);
     bench_snapshot(&mut h);

@@ -20,9 +20,9 @@ use std::process::ExitCode;
 use xoar_codec::{parse, Json};
 
 /// Entries the microbench gate enforces: the per-op and batched
-/// data-path costs the perf argument rests on, plus the microreboot
-/// fast paths.
-const MICRO_HOT_PATHS: [&str; 20] = [
+/// data-path costs the perf argument rests on, the frame table's
+/// populate and release runs, plus the microreboot fast paths.
+const MICRO_HOT_PATHS: [&str; 21] = [
     "hypercall/sched_yield",
     "hypercall/dispatch_spec_off",
     "evtchn/send_poll",
@@ -37,6 +37,7 @@ const MICRO_HOT_PATHS: [&str; 20] = [
     "blk/submit_batch",
     "snapshot/cow_snapshot",
     "mem/page_write",
+    "mem/populate_release_1024",
     "mem/dedup_scale/50k",
     "restart/per_request_logic",
     "restart/plan_execute",

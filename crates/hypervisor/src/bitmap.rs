@@ -84,6 +84,73 @@ impl Bitmap {
         self.count = 0;
     }
 
+    /// Whether the bit for `i` is set.
+    pub(crate) fn contains(&self, i: u64) -> bool {
+        self.words
+            .get((i / 64) as usize)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Clears the lowest `n` set bits, or every set bit if fewer are set,
+    /// in ascending order, invoking `f` per index, and returns how many
+    /// it cleared. One selector scan serves the whole run, and each word
+    /// is read and written once: taken whole, or cut below the `n`-th
+    /// bit.
+    pub(crate) fn take_lowest_run(&mut self, n: usize, mut f: impl FnMut(u64)) -> usize {
+        let mut taken = 0;
+        let mut s = 0;
+        while taken < n && s < self.selectors.len() {
+            let sel = self.selectors[s];
+            if sel == 0 {
+                s += 1;
+                continue;
+            }
+            let w = s * 64 + sel.trailing_zeros() as usize;
+            let word = self.words[w];
+            let mut keep = word;
+            for _ in 0..(n - taken).min(word.count_ones() as usize) {
+                keep &= keep - 1;
+            }
+            let mut take = word & !keep;
+            while take != 0 {
+                f(w as u64 * 64 + u64::from(take.trailing_zeros()));
+                take &= take - 1;
+                taken += 1;
+            }
+            self.words[w] = keep;
+            if keep == 0 {
+                // `w` is the lowest live word of this selector.
+                self.selectors[s] = sel & (sel - 1);
+            }
+        }
+        self.count -= taken;
+        taken
+    }
+
+    /// Checks the derived layers against the bits: each selector bit is
+    /// set exactly for a nonzero word, and the count is the number of
+    /// set bits.
+    pub(crate) fn check_layers(&self) -> Result<(), String> {
+        let mut count = 0;
+        for w in 0..self.selectors.len().max(self.words.len().div_ceil(64)) * 64 {
+            let word = self.words.get(w).copied().unwrap_or(0);
+            let selected = self
+                .selectors
+                .get(w / 64)
+                .is_some_and(|sel| sel >> (w % 64) & 1 == 1);
+            if selected != (word != 0) {
+                return Err(format!(
+                    "selector bit of word {w} is {selected} for word {word:#x}"
+                ));
+            }
+            count += word.count_ones() as usize;
+        }
+        if count != self.count {
+            return Err(format!("count {} but {count} bits set", self.count));
+        }
+        Ok(())
+    }
+
     /// Clears and returns the lowest set bit, if any.
     pub(crate) fn take_lowest(&mut self) -> Option<u64> {
         let s = self.selectors.iter().position(|&sel| sel != 0)?;
@@ -127,6 +194,40 @@ mod tests {
         assert_eq!(out, vec![1, 64, 500, 4097]);
         assert_eq!(bm.len(), 0);
         assert_eq!(bm.take_lowest(), None);
+    }
+
+    #[test]
+    fn runs_take_what_single_takes_would() {
+        // Vacancies across three selector words, one word cut mid-run.
+        let members: Vec<u64> = (0..9000).filter(|i| i % 7 != 3 && i % 130 < 90).collect();
+        let all = members.len();
+        for n in [0, 1, 5, 63, 64, 65, 200, 4100, all, all + 9] {
+            let (mut run, mut single) = (Bitmap::default(), Bitmap::default());
+            for &i in &members {
+                run.set(i);
+                single.set(i);
+            }
+            let mut got = Vec::new();
+            assert_eq!(run.take_lowest_run(n, |i| got.push(i)), got.len());
+            let want: Vec<u64> = (0..n).map_while(|_| single.take_lowest()).collect();
+            assert_eq!(got, want, "run of {n}");
+            assert_eq!(run.len(), single.len());
+            run.check_layers().unwrap();
+            let (mut rest_run, mut rest_single) = (Vec::new(), Vec::new());
+            run.drain_set_bits(|i| rest_run.push(i));
+            single.drain_set_bits(|i| rest_single.push(i));
+            assert_eq!(rest_run, rest_single);
+        }
+    }
+
+    #[test]
+    fn check_layers_catches_a_lost_selector_bit() {
+        let mut bm = Bitmap::default();
+        bm.set(5000);
+        bm.set(7);
+        bm.check_layers().unwrap();
+        bm.selectors[1] = 0;
+        assert!(bm.check_layers().is_err());
     }
 
     #[test]

@@ -230,8 +230,11 @@ impl MemoryManager {
         moved.clear();
         let mut freed = 0u64;
         for &dup in &bucket[1..] {
-            if let Some(f) = self.frames.free(dup) {
+            let released = self.frames.release(dup, |f| {
                 moved.extend_from_slice(f.refs.as_slice());
+                true
+            });
+            if released == Ok(true) {
                 self.free_count += 1;
                 freed += 1;
             }

@@ -2,11 +2,17 @@
 //!
 //! [`FrameTable`] keeps per-frame metadata ([`FrameInfo`]), including
 //! each frame's reverse index ([`RefList`]), in a dense array. Its
-//! vacant slots, reused lowest-first, sit in a [`Bitmap`].
+//! vacant slots, reused lowest-first, sit in a [`Bitmap`]. Frames are
+//! allocated in runs ([`FrameTable::alloc_run`]), which take the vacant
+//! set a bitmap word at a time, and freed through one routine
+//! ([`FrameTable::release`]) that edits a frame and frees its slot in
+//! one access.
 
 use super::page::PageRef;
+use super::Mfn;
 use crate::bitmap::Bitmap;
 use crate::domain::DomId;
+use crate::error::MemError;
 
 /// How many reverse-index entries are stored inline before spilling to
 /// the heap. Almost every frame is mapped exactly once; deduplicated
@@ -95,6 +101,7 @@ impl RefList {
 
     /// Removes the first occurrence of `(dom, pfn)`, preserving the
     /// order of the remaining entries (deterministic).
+    #[inline]
     pub(super) fn remove(&mut self, dom: DomId, pfn: u64) -> bool {
         match self {
             RefList::Inline { len, slots } => {
@@ -148,10 +155,11 @@ pub(super) struct FrameInfo {
 /// bounds-checked array index — the per-entry cost the batched grant
 /// path pays, with no hashing.
 ///
-/// Freed slots are recycled lowest-first: [`FrameTable::alloc`] fills
-/// the lowest vacant slot before it grows the table, so the table's
-/// length tracks the peak of live frames rather than their history, and
-/// frame numbering stays a deterministic function of the op sequence.
+/// Freed slots are recycled lowest-first: [`FrameTable::alloc_run`]
+/// fills the lowest vacant slots before it grows the table, so the
+/// table's length tracks the peak of live frames rather than their
+/// history, and frame numbering stays a deterministic function of the op
+/// sequence.
 /// Each slot has a *generation*, bumped whenever its frame is freed: a
 /// holder that recorded `(mfn, generation)` — a grant entry — can tell
 /// its frame from a later tenant of the same number. The generation
@@ -203,35 +211,72 @@ impl FrameTable {
         }
     }
 
-    /// Stores `f` in the lowest vacant slot, or a new one past the end,
-    /// under that slot's generation, and returns its MFN.
-    pub(super) fn alloc(&mut self, mut f: FrameInfo) -> u64 {
-        self.live += 1;
-        let Some(i) = self.vacant.take_lowest() else {
-            f.gen = 0;
-            self.slots.push(Slot::Live(f));
-            return self.base + self.slots.len() as u64 - 1;
+    /// Stores a run of `n` fresh frames, each owned by `owner` and mapped
+    /// once, in the lowest vacant slots in ascending order and then in new
+    /// slots past the end: the slots `n` lowest-first allocations of one
+    /// frame each would take, in the same order. The vacant set is taken
+    /// a bitmap word at a time. `next(mfn)` names the PFN and body of the
+    /// frame placed at `mfn`, and each slot is written once, under its
+    /// stored generation (0 for a new slot).
+    pub(super) fn alloc_run(
+        &mut self,
+        owner: DomId,
+        n: usize,
+        mut next: impl FnMut(Mfn) -> (u64, PageRef),
+    ) {
+        let fresh = |gen, (pfn, data)| {
+            Slot::Live(FrameInfo {
+                owner,
+                mappings: 0,
+                gen,
+                data,
+                refs: RefList::one(owner, pfn),
+            })
         };
-        let slot = &mut self.slots[i as usize];
-        if let Slot::Vacant { gen } = *slot {
-            f.gen = gen;
+        let (base, slots) = (self.base, &mut self.slots);
+        let reused = self.vacant.take_lowest_run(n, |i| {
+            let slot = &mut slots[i as usize];
+            let gen = match *slot {
+                Slot::Vacant { gen } => gen,
+                Slot::Live(ref f) => f.gen,
+            };
+            *slot = fresh(gen, next(Mfn(base + i)));
+        });
+        for _ in reused..n {
+            let mfn = Mfn(base + slots.len() as u64);
+            slots.push(fresh(0, next(mfn)));
         }
-        *slot = Slot::Live(f);
-        if self.live == self.slots.len() {
+        self.live += n;
+        if reused > 0 && self.live == self.slots.len() {
             // The last vacancy is filled: a table without vacancies holds
             // no free-set memory.
             self.vacant = Bitmap::default();
         }
-        self.base + i
     }
 
-    /// Frees the frame at `raw`, making its slot the next candidate for
-    /// reuse under the next generation.
-    pub(super) fn free(&mut self, raw: u64) -> Option<FrameInfo> {
-        let i = raw.checked_sub(self.base)? as usize;
-        let gen = self.get(raw)?.gen.wrapping_add(1);
-        let Slot::Live(f) = std::mem::replace(&mut self.slots[i], Slot::Vacant { gen }) else {
-            return None;
+    /// The one free path. Edits the live frame at `raw` in place with
+    /// `edit` and, if `edit` returns `true`, frees it: its slot becomes
+    /// vacant under the next generation, the next candidate for reuse.
+    /// One slot access covers both, and the frame is dropped where it
+    /// lies. Returns whether the frame was freed, or
+    /// [`MemError::BadMfn`] if `raw` names no live frame.
+    pub(super) fn release(
+        &mut self,
+        raw: u64,
+        edit: impl FnOnce(&mut FrameInfo) -> bool,
+    ) -> Result<bool, MemError> {
+        let i = raw.wrapping_sub(self.base) as usize;
+        let Some(slot) = self.slots.get_mut(i) else {
+            return Err(MemError::BadMfn(raw));
+        };
+        let Slot::Live(f) = slot else {
+            return Err(MemError::BadMfn(raw));
+        };
+        if !edit(f) {
+            return Ok(false);
+        }
+        *slot = Slot::Vacant {
+            gen: f.gen.wrapping_add(1),
         };
         self.live -= 1;
         if !self.vacant.is_allocated() {
@@ -239,7 +284,46 @@ impl FrameTable {
             self.vacant = Bitmap::with_capacity(self.slots.len());
         }
         self.vacant.set(i as u64);
-        Some(f)
+        Ok(true)
+    }
+
+    /// Checks the table's derived state against its slots: the live
+    /// count, and the vacant set, which must hold exactly the vacant
+    /// slots in its bits, its selector layer and its count, and no memory
+    /// while no slot is vacant.
+    pub(super) fn check(&self) -> Result<(), String> {
+        let mut live = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let vacant = matches!(slot, Slot::Vacant { .. });
+            live += usize::from(!vacant);
+            if self.vacant.contains(i as u64) != vacant {
+                return Err(format!(
+                    "mfn {:#x}: vacant is {vacant} but its vacant-set bit is {}",
+                    self.base + i as u64,
+                    !vacant
+                ));
+            }
+        }
+        if live != self.live {
+            return Err(format!(
+                "{live} live slots but the table counts {}",
+                self.live
+            ));
+        }
+        self.vacant
+            .check_layers()
+            .map_err(|e| format!("vacant set: {e}"))?;
+        let vacancies = self.slots.len() - live;
+        if self.vacant.len() != vacancies {
+            return Err(format!(
+                "vacant set holds {} bits for {vacancies} vacant slots",
+                self.vacant.len()
+            ));
+        }
+        if vacancies == 0 && self.vacant.is_allocated() {
+            return Err("a table without vacancies holds free-set memory".into());
+        }
+        Ok(())
     }
 
     /// The generation of the slot behind `raw`: its live frame's, or the

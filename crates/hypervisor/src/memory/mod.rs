@@ -20,12 +20,14 @@
 //! they keep, one concern per module:
 //!
 //! - here: populate, translate, read and write, the CoW break, page-flip
-//!   transfer, release, mapping counts, and
+//!   transfer, release, mapping counts (the last grant unmap frees),
+//!   and
 //!   [`MemoryManager::check_consistency`];
 //! - `page`: the page-body handle, the content hash, and the interning
 //!   of the empty and all-zero bodies;
 //! - `frames`: the dense frame table (reverse index, slot generations,
-//!   the vacant set);
+//!   the vacant set), its one allocation routine, which takes frames in
+//!   runs, and its one free routine;
 //! - `p2m`: the per-domain `Pfn -> Mfn` maps;
 //! - `dedup`: the integrity digest and the one dedup path,
 //!   [`MemoryManager::share_identical`];
@@ -200,33 +202,29 @@ impl MemoryManager {
         Ok(())
     }
 
-    /// A fresh, never-written frame mapped once, at (`dom`, `pfn`).
-    fn blank_frame(dom: DomId, pfn: u64) -> FrameInfo {
-        FrameInfo {
-            owner: dom,
-            mappings: 0,
-            gen: 0,
-            data: PageRef::empty(),
-            refs: RefList::one(dom, pfn),
-        }
-    }
-
     /// Allocates `count` frames to `dom`, extending its pseudo-physical
     /// space contiguously. Returns the first new [`Pfn`].
+    ///
+    /// The frames are one run of the frame table
+    /// ([`FrameTable::alloc_run`]), each a clone of one empty-page
+    /// handle, and the p2m's dense window grows once for the run. A
+    /// refusal changes nothing.
     pub fn populate(&mut self, dom: DomId, count: u64) -> HvResult<Pfn> {
         if count > self.free_count {
             return Err(MemError::OutOfFrames.into());
         }
         let p2m = self.p2m.entry(dom).or_default();
-        let first = Pfn(p2m.next_pfn);
-        for _ in 0..count {
+        let first = p2m.next_pfn;
+        p2m.reserve(first, count as usize);
+        let empty = PageRef::empty();
+        self.frames.alloc_run(dom, count as usize, |mfn| {
             let pfn = p2m.next_pfn;
-            let mfn = self.frames.alloc(Self::blank_frame(dom, pfn));
-            p2m.insert(pfn, Mfn(mfn));
+            p2m.insert(pfn, mfn);
             p2m.next_pfn += 1;
-        }
+            (pfn, empty.clone())
+        });
         self.free_count -= count;
-        Ok(first)
+        Ok(Pfn(first))
     }
 
     /// Translates a domain-local [`Pfn`] to its machine frame.
@@ -376,18 +374,16 @@ impl MemoryManager {
         if self.free_count == 0 {
             return Err(MemError::OutOfFrames.into());
         }
-        // Allocate a private copy (of the handle, not the bytes) and
-        // remap this domain's PFN to it. A template frame keeps its rmap:
-        // clones never appear in it.
+        // Allocate a private copy (of the handle, not the bytes), a run of
+        // one, and remap this domain's PFN to it. A template frame keeps
+        // its rmap: clones never appear in it.
         let data = self.read_mfn(mfn)?;
         self.free_count -= 1;
-        let new_mfn = Mfn(self.frames.alloc(FrameInfo {
-            owner: dom,
-            mappings: 0,
-            gen: 0,
-            data,
-            refs: RefList::one(dom, pfn.0),
-        }));
+        let mut new_mfn = mfn;
+        self.frames.alloc_run(dom, 1, |m| {
+            new_mfn = m;
+            (pfn.0, data.clone())
+        });
         self.rmap_remove(mfn.0, dom, pfn.0);
         let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(pfn.0))?;
         p2m.insert(pfn.0, new_mfn);
@@ -492,10 +488,11 @@ impl MemoryManager {
     /// released while the mapping held it (no p2m entry names it any
     /// more) is freed with its last mapping.
     pub(crate) fn dec_grant_mapping(&mut self, mfn: Mfn) -> Result<(), MemError> {
-        let f = self.frames.get_mut(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-        f.mappings = f.mappings.saturating_sub(1);
-        if f.mappings == 0 && f.refs.len() == 0 {
-            self.frames.free(mfn.0);
+        let freed = self.frames.release(mfn.0, |f| {
+            f.mappings = f.mappings.saturating_sub(1);
+            f.mappings == 0 && f.refs.len() == 0
+        })?;
+        if freed {
             self.free_count += 1;
         }
         Ok(())
@@ -519,8 +516,11 @@ impl MemoryManager {
     /// Frames with live grant mappings outlive the domain (as in Xen,
     /// where a domain's memory cannot be recycled until grants are
     /// unmapped) and are freed by their last unmap; the rest return to
-    /// the frame table for reuse. Returns the number of frames freed now.
-    pub(crate) fn release_domain(&mut self, dom: DomId) -> u64 {
+    /// the frame table for reuse. Each frame costs one slot access
+    /// ([`FrameTable::release`]), which drops this domain's mapping and,
+    /// if nothing else holds the frame, frees it. Returns the number of
+    /// frames freed now.
+    pub fn release_domain(&mut self, dom: DomId) -> u64 {
         if let Some(tpl) = self.clone_of.remove(&dom) {
             if let Some(info) = self.templates.get_mut(&tpl) {
                 info.clones = info.clones.saturating_sub(1);
@@ -534,14 +534,13 @@ impl MemoryManager {
         self.frozen.remove(&dom);
         let mut freed = 0;
         for (pfn, mfn) in p2m.entries() {
-            self.rmap_remove(mfn.0, dom, pfn);
-            if self.rmap_len(mfn.0) > 0 {
-                // A deduplicated frame survives; only this mapping goes
-                // away.
-                continue;
-            }
-            let unmapped = self.frames.get(mfn.0).is_some_and(|f| f.mappings == 0);
-            if unmapped && self.frames.free(mfn.0).is_some() {
+            // A deduplicated frame survives with its other mappers, and
+            // a granted one until its last unmap; only this mapping goes.
+            let released = self.frames.release(mfn.0, |f| {
+                f.refs.remove(dom, pfn);
+                f.refs.len() == 0 && f.mappings == 0
+            });
+            if released == Ok(true) {
                 freed += 1;
             }
         }
@@ -561,10 +560,12 @@ impl MemoryManager {
 
     /// Recomputes the shadow model from the p2m tables and asserts that
     /// every derived structure (reverse index, share accounting, free
-    /// count) agrees with it.
+    /// count) agrees with it, and that the frame table's own live count
+    /// and vacant set agree with its slots.
     ///
     /// Test support: exercised by the interleaving property tests.
     pub fn check_consistency(&self) -> Result<(), String> {
+        self.frames.check()?;
         // Free accounting: every live frame was debited exactly once.
         if self.free_count != self.total_frames - self.frames.len() as u64 {
             return Err(format!(

@@ -49,6 +49,14 @@ impl P2m {
         }
     }
 
+    /// Makes room for `n` mappings appended from `pfn` on: a run that
+    /// extends the dense window grows it once instead of by doubling.
+    pub(super) fn reserve(&mut self, pfn: u64, n: usize) {
+        if pfn as usize == self.dense.len() {
+            self.dense.reserve(n);
+        }
+    }
+
     /// Inserts or replaces the mapping for `pfn`.
     pub(super) fn insert(&mut self, pfn: u64, mfn: Mfn) {
         let i = pfn as usize;

@@ -1,7 +1,7 @@
 //! Sealed templates and their snapshot-fork clones.
 
 use super::p2m::P2m;
-use super::{MemoryManager, Mfn, Pfn};
+use super::{MemoryManager, Mfn, PageRef, Pfn};
 use crate::domain::DomId;
 use crate::error::{HvResult, MemError};
 
@@ -31,8 +31,9 @@ impl MemoryManager {
     /// the page-handle clones — and the clone's p2m is resolved once for
     /// the whole batch. It runs at clone birth, before any dirty
     /// log can be open on the clone, so it marks none. A PFN the clone
-    /// already privatised yields its existing frame. Appends one [`Mfn`]
-    /// per PFN, in order, to `mfns`.
+    /// already privatised yields its existing frame. The fresh frames are
+    /// one run of the frame table, taken whole or, on `OutOfFrames`, not
+    /// at all. Appends one [`Mfn`] per PFN, in order, to `mfns`.
     pub(crate) fn stamp_private_zero_batch(
         &mut self,
         dom: DomId,
@@ -44,23 +45,36 @@ impl MemoryManager {
                 "{dom} is not a clone"
             )));
         }
-        mfns.reserve(pfns.len());
         let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(0))?;
-        for &pfn in pfns {
-            // One probe decides hit-or-stamp (the hot path stamps: a
-            // fresh clone's own p2m starts empty).
-            if let Some(mfn) = p2m.get(pfn.0) {
-                mfns.push(mfn);
-                continue;
-            }
-            if self.free_count == 0 {
-                return Err(MemError::OutOfFrames.into());
-            }
-            self.free_count -= 1;
-            let new_mfn = Mfn(self.frames.alloc(Self::blank_frame(dom, pfn.0)));
-            p2m.insert(pfn.0, new_mfn);
-            mfns.push(new_mfn);
+        // The PFNs to stamp, a repeated one counted once (the hot path
+        // stamps them all: a fresh clone's own p2m starts empty).
+        let missing = pfns
+            .iter()
+            .enumerate()
+            .filter(|&(i, pfn)| p2m.get(pfn.0).is_none() && !pfns[..i].contains(pfn))
+            .count();
+        if missing as u64 > self.free_count {
+            return Err(MemError::OutOfFrames.into());
         }
+        self.free_count -= missing as u64;
+        mfns.reserve(pfns.len());
+        let empty = PageRef::empty();
+        let mut rest = pfns.iter();
+        self.frames.alloc_run(dom, missing, |mfn| {
+            // The hits before the next PFN to stamp, then that PFN.
+            for pfn in rest.by_ref() {
+                if let Some(hit) = p2m.get(pfn.0) {
+                    mfns.push(hit);
+                } else {
+                    p2m.insert(pfn.0, mfn);
+                    mfns.push(mfn);
+                    return (pfn.0, empty.clone());
+                }
+            }
+            // Unreachable: `missing` counts exactly the PFNs to stamp.
+            (0, empty.clone())
+        });
+        mfns.extend(rest.filter_map(|pfn| p2m.get(pfn.0)));
         Ok(())
     }
 

@@ -2,7 +2,8 @@
 //! into a populated frame allocates the body and nothing else, and a
 //! batch of bodies crossing the gate allocates nothing beyond the
 //! caller's batch. A write never hashes the body, and no index keyed by
-//! hash is kept.
+//! hash is kept. A warm populate of 1,024 frames allocates only its p2m
+//! window, once, and their release at most the frame table's vacant set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -108,4 +109,39 @@ fn a_warm_batch_allocates_only_the_callers_vec() {
 
     assert_eq!(made, 1, "the caller's batch and nothing inside the gate");
     hv.mem.check_consistency().unwrap();
+}
+
+#[test]
+fn a_warm_populate_and_its_release_allocate_a_fixed_count() {
+    const N: u64 = 1024;
+    let (warm, guest, other) = (DomId(1), DomId(2), DomId(3));
+    let mut mem = MemoryManager::new(4096);
+    // Warm: the table holds N vacant slots.
+    mem.populate(warm, N).unwrap();
+    mem.release_domain(warm);
+
+    let before = allocs();
+    mem.populate(guest, N).unwrap();
+    let populate = allocs() - before;
+    assert_eq!(populate, 1, "the p2m window, grown once for the run");
+
+    // The run filled every vacancy: releasing into a table without
+    // vacancies allocates the vacant set, one vector per level.
+    let before = allocs();
+    assert_eq!(mem.release_domain(guest), N);
+    let release = allocs() - before;
+    assert_eq!(release, 2, "the vacant set's two levels");
+
+    // Into a table that has vacancies, a release allocates nothing.
+    mem.populate(guest, N).unwrap();
+    mem.populate(other, 16).unwrap();
+    mem.release_domain(other);
+    let before = allocs();
+    assert_eq!(mem.release_domain(guest), N);
+    assert_eq!(
+        allocs() - before,
+        0,
+        "the vacant set already covers the table"
+    );
+    mem.check_consistency().unwrap();
 }
