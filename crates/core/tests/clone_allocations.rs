@@ -107,7 +107,7 @@ fn platform_clone_allocations_are_pinned() {
     let made = allocs() - before;
 
     assert_eq!(
-        made, 10_339,
+        made, 10_336,
         "allocations for {N} Platform::clone_guest calls"
     );
 }

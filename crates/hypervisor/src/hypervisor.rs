@@ -641,14 +641,12 @@ impl Hypervisor {
                 // rather than waiting on a builder handshake.
                 dom.unpause();
                 self.register(dom)?;
-                self.mem.clone_space(template, id)?;
-                let plan = match self.stamp_plans.entry(template) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(xregion::stamp_plan(&self.regions, template)?)
-                    }
-                };
-                xregion::clone_stamp(&mut self.regions, &mut self.mem, id, plan)?;
+                // A step refused after `register` tears the clone down
+                // again: no orphan stays live or holds the template.
+                if let Err(e) = self.stamp_clone(template, id) {
+                    let _ = self.destroy(id);
+                    return Err(e);
+                }
                 // The stamped grants' declared-sharing edges are derived in
                 // `declared_ops` from the live plan, like blanket/foreign
                 // edges — no per-clone bookkeeping on this path.
@@ -944,6 +942,19 @@ impl Hypervisor {
             self.destroy(dom)?;
         }
         Ok(())
+    }
+
+    /// Gives clone `id` its template's address space and stamps its
+    /// region from the template's cached stamp plan.
+    fn stamp_clone(&mut self, template: DomId, id: DomId) -> HvResult<()> {
+        self.mem.clone_space(template, id)?;
+        let plan = match self.stamp_plans.entry(template) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(xregion::stamp_plan(&self.regions, template)?)
+            }
+        };
+        xregion::clone_stamp(&mut self.regions, &mut self.mem, id, plan)
     }
 
     fn destroy(&mut self, target: DomId) -> HvResult<()> {

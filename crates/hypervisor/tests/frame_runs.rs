@@ -232,26 +232,33 @@ impl Model {
         }
     }
 
-    fn clone_of(&mut self, tpl: DomId, id: DomId) -> bool {
+    /// Seals `tpl` for a clone and returns the PFNs the clone's stamp
+    /// takes, or `None` if the clone is refused: `tpl` has nothing to
+    /// fork, or too few frames are free for the stamp.
+    fn admit_clone(&mut self, tpl: DomId) -> Option<Vec<u64>> {
         if self.p2m.get(&tpl).is_none_or(|m| m.is_empty()) {
-            return false;
+            return None;
         }
         let clones = match self.live[&tpl] {
             Kind::Template(n) => n,
             _ => 0,
         };
-        self.live.insert(tpl, Kind::Template(clones + 1));
-        self.live.insert(id, Kind::Clone(tpl));
-        self.p2m.insert(id, BTreeMap::new());
+        self.live.insert(tpl, Kind::Template(clones));
         let table = self.grants.get(&tpl).map_or(&[][..], |t| t.as_slice());
         let plan: Vec<u64> = table.iter().map(|g| g.pfn).collect();
         let plan = self.plans.entry(tpl).or_insert(plan).clone();
         let missing: BTreeSet<u64> = plan.iter().copied().collect();
-        if missing.len() as u64 > self.free {
-            return false;
+        (missing.len() as u64 <= self.free).then_some(plan)
+    }
+
+    fn clone_of(&mut self, tpl: DomId, id: DomId, plan: &[u64]) {
+        if let Some(Kind::Template(n)) = self.live.get_mut(&tpl) {
+            *n += 1;
         }
+        self.live.insert(id, Kind::Clone(tpl));
+        self.p2m.insert(id, BTreeMap::new());
         // Stamped in plan order, a repeated PFN once.
-        for &pfn in &plan {
+        for &pfn in plan {
             let slot = match self.p2m[&id].get(&pfn) {
                 Some(&slot) => slot,
                 None => {
@@ -269,7 +276,6 @@ impl Model {
                 maps: 0,
             });
         }
-        true
     }
 
     fn destroy(&mut self, dom: DomId) -> bool {
@@ -450,14 +456,25 @@ impl Case {
             template,
             name: "clone".into(),
         };
+        let live = self.hv.domain_ids();
+        let clones = self.hv.mem.template_clones(template).unwrap_or(0);
         let done = self.call(clone).and_then(|r| r.dom_id());
-        // A refused stamp leaves the clone registered, its space empty.
-        let id = match done {
-            Ok(id) => id,
-            Err(_) => self.hv.domain_ids().into_iter().max().unwrap(),
-        };
-        let stamped = self.model.clone_of(template, id);
-        assert_eq!(done.is_ok(), stamped, "clone of {template}: {done:?}");
+        let plan = self.model.admit_clone(template);
+        assert_eq!(
+            done.is_ok(),
+            plan.is_some(),
+            "clone of {template}: {done:?}"
+        );
+        match (done, plan) {
+            (Ok(id), Some(plan)) => self.model.clone_of(template, id, &plan),
+            // A refused clone is torn down again: no domain is left live
+            // and the template counts the clones it had.
+            _ => {
+                assert_eq!(self.hv.domain_ids(), live, "refused clone of {template}");
+                let now = self.hv.mem.template_clones(template).unwrap_or(0);
+                assert_eq!(now, clones, "clone count of {template}");
+            }
+        }
     }
 
     fn dedup(&mut self) {
@@ -666,4 +683,12 @@ fn a_refused_run_changes_nothing() {
     case.clone_of(tpl);
     case.compare("stamp");
     case.compare_frames();
+    // Only the stamped clone holds the template: once it is gone, the
+    // template can be destroyed.
+    let clone = *case.hv.domain_ids().last().unwrap();
+    assert_eq!(case.model.live[&clone], Kind::Clone(tpl));
+    case.destroy(clone);
+    case.destroy(tpl);
+    assert!(!case.hv.domain_ids().contains(&tpl));
+    case.compare("template destroyed");
 }

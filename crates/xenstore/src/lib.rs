@@ -31,6 +31,17 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every request comes from a guest or a ring: non-test code returns an
+// `XsError` and never panics. Enforced by `cargo clippy`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod error;
 pub mod logic;

@@ -149,7 +149,6 @@ pub struct XenStoreLogic {
     next_txn: u32,
     privileged: BTreeSet<DomId>,
     quotas: Quotas,
-    node_counts: FastMap<DomId, usize>,
     /// Count of requests processed since the last restart.
     requests_this_epoch: u64,
     /// Number of times this Logic has been restarted.
@@ -165,7 +164,6 @@ impl XenStoreLogic {
             next_txn: 1,
             privileged: BTreeSet::new(),
             quotas: Quotas::default(),
-            node_counts: FastMap::default(),
             requests_this_epoch: 0,
             restarts: 0,
         }
@@ -212,22 +210,17 @@ impl XenStoreLogic {
         self.watches.clear();
         self.txns.clear();
         self.next_txn = 1;
-        self.node_counts.clear();
         self.requests_this_epoch = 0;
         self.restarts += 1;
         self.recover(state);
     }
 
-    /// Rebuilds watch registrations and quota accounting from State.
-    ///
-    /// Quota accounting is copied straight out of State's per-owner node
-    /// index — O(owners), not O(store) — and journaled watches are read
-    /// by reference from the `/@watch/...` range, so recovery performs no
-    /// per-key protocol round trips and clones no record values.
+    /// Rebuilds watch registrations from State, the only thing Logic
+    /// keeps between requests: node quotas are read from State's owner
+    /// index when checked. Journaled watches are read by reference from
+    /// the `/@watch/...` range, so recovery performs no per-key protocol
+    /// round trips and clones no record values.
     pub fn recover(&mut self, state: &XenStoreState) {
-        for (&owner, &count) in state.owner_counts() {
-            self.node_counts.insert(owner, count as usize);
-        }
         // Registered without the synthetic initial fire — the watcher
         // already received it when it registered.
         for (_key, rec) in state.entries_under(WATCH_JOURNAL) {
@@ -263,24 +256,20 @@ impl XenStoreLogic {
         Ok(state.get(key))
     }
 
-    /// Charges one node to `owner`'s quota.
-    fn charge_node(&mut self, owner: DomId) -> XsResult<()> {
-        let count = self.node_counts.entry(owner).or_insert(0);
-        if self.privileged.contains(&owner) {
-            *count += 1;
+    /// Refuses `more` nodes for `dom` past its node quota, counting the
+    /// nodes it owns in the view of `txn` (see [`owned_nodes`]).
+    /// Privileged connections have no node quota.
+    fn check_node_quota(
+        &self,
+        state: &XenStoreState,
+        txn: Option<&Txn>,
+        dom: DomId,
+        more: usize,
+    ) -> XsResult<()> {
+        if self.is_privileged(dom) || owned_nodes(state, txn, dom) + more <= self.quotas.nodes {
             return Ok(());
         }
-        if *count >= self.quotas.nodes {
-            return Err(XsError::Quota("nodes"));
-        }
-        *count += 1;
-        Ok(())
-    }
-
-    fn uncharge_node(&mut self, owner: DomId) {
-        if let Some(c) = self.node_counts.get_mut(&owner) {
-            *c = c.saturating_sub(1);
-        }
+        Err(XsError::Quota("nodes"))
     }
 
     // ----- the wire operations -----
@@ -331,15 +320,16 @@ impl XenStoreLogic {
             self.apply_write(state, txn, key.to_string(), Some(rec))?;
         } else {
             // Everything below the nearest existing ancestor is missing:
-            // create it root-first, then the node, each owned by and
-            // charged to the writer.
+            // create it root-first, then the node, each owned by the
+            // writer and checked against its quota as it is created.
             let base = self.nearest_existing(state, txn, dom, path)?;
             let ends = key[base + 1..]
                 .match_indices('/')
                 .map(|(i, _)| base + 1 + i)
                 .chain([key.len()]);
             for end in ends {
-                self.charge_node(dom)?;
+                let open = txn.and_then(|id| self.txns.get(&id));
+                self.check_node_quota(state, open, dom, 1)?;
                 let rec = NodeRecord {
                     value: if end == key.len() {
                         value.to_vec()
@@ -379,7 +369,7 @@ impl XenStoreLogic {
     /// node's parent is stored. Missing ancestors of the root are created
     /// first, as `write` creates them. Each node is then one counted Put
     /// and one watch fire with its own path. A node handed to another
-    /// owner is charged to that owner as `set_perms` charges it.
+    /// owner counts toward that owner's quota, as after `set_perms`.
     pub fn create_subtree(
         &mut self,
         state: &mut XenStoreState,
@@ -425,13 +415,8 @@ impl XenStoreLogic {
         let ancestors = root_key[base + 1..]
             .match_indices('/')
             .map(|(i, _)| base + 1 + i);
-        if !privileged
-            && self.node_count(dom) + owned + ancestors.clone().count() > self.quotas.nodes
-        {
-            return Err(XsError::Quota("nodes"));
-        }
+        self.check_node_quota(state, None, dom, owned + ancestors.clone().count())?;
         for end in ancestors {
-            let _ = self.charge_node(dom);
             self.watches.fire(&root_key[..end]);
             let rec = NodeRecord {
                 value: Vec::new(),
@@ -444,7 +429,6 @@ impl XenStoreLogic {
             let mut key = String::with_capacity(root_key.len() + suffix.len());
             key.push_str(root_key);
             key.push_str(suffix);
-            let _ = self.charge_node(perms.owner);
             self.watches.fire(&key);
             let rec = NodeRecord {
                 value,
@@ -589,8 +573,7 @@ impl XenStoreLogic {
             return Err(acc(dom, path));
         }
         let Some(id) = txn else {
-            // One range pass; each removed record's owner is uncharged.
-            state.remove_subtree(path.as_str(), |old| self.uncharge_node(old.perms.owner));
+            state.remove_subtree(path.as_str());
             self.watches.fire(path.as_str());
             return Ok(());
         };
@@ -612,10 +595,6 @@ impl XenStoreLogic {
             }
         }
         for key in keys {
-            let owner = Self::txn_read(&mut self.txns, state, txn, &key)?.map(|r| r.perms.owner);
-            if let Some(owner) = owner {
-                self.uncharge_node(owner);
-            }
             self.apply_write(state, txn, key, None)?;
         }
         Ok(())
@@ -699,21 +678,15 @@ impl XenStoreLogic {
         let rec = state
             .get(path.as_str())
             .ok_or_else(|| XsError::NoEnt(path.to_string()))?;
-        let old_owner = rec.perms.owner;
-        if old_owner != dom && !privileged {
+        if rec.perms.owner != dom && !privileged {
             return Err(acc(dom, path));
         }
-        let new_owner = perms.owner;
         let rec = NodeRecord {
             value: rec.value.clone(),
             perms,
             generation: rec.generation,
         };
         state.serve(KvRequest::Put(path.as_str().to_string(), rec));
-        if old_owner != new_owner {
-            self.uncharge_node(old_owner);
-            let _ = self.charge_node(new_owner);
-        }
         self.watches.fire(path.as_str());
         Ok(())
     }
@@ -853,6 +826,9 @@ impl XenStoreLogic {
                 return Err(XsError::Again);
             }
         }
+        // The quota again, against State as the commit finds it: nodes
+        // written outside the transaction since it started count too.
+        self.check_node_quota(state, Some(&txn), dom, 0)?;
         // Apply and fire.
         for (key, rec) in txn.writes {
             self.watches.fire(&key);
@@ -878,17 +854,11 @@ impl XenStoreLogic {
         self.requests_this_epoch
     }
 
-    /// Drops every watch, pending event, and quota record of a domain.
+    /// Drops every watch, pending event, and open transaction of a domain.
     pub fn remove_domain(&mut self, state: &mut XenStoreState, dom: DomId) {
         self.watches.remove_domain(dom);
         self.txns.retain(|_, t| t.dom != dom);
-        self.node_counts.remove(&dom);
-        state.remove_subtree(&format!("{WATCH_JOURNAL}/{}", dom.0), |_| {});
-    }
-
-    /// Current node count charged to `dom`.
-    pub fn node_count(&self, dom: DomId) -> usize {
-        self.node_counts.get(&dom).copied().unwrap_or(0)
+        state.remove_subtree(&format!("{WATCH_JOURNAL}/{}", dom.0));
     }
 }
 
@@ -907,13 +877,29 @@ fn acc(dom: DomId, path: &XsPath) -> XsError {
 }
 
 /// Refuses a key in the reserved `/@` namespace. Its records are Logic's
-/// journal and charged to no one, so removing one or moving its owner
-/// would uncharge a node never charged, and drop a registered watch.
+/// journal and count toward no quota, so removing one would drop a
+/// registered watch.
 fn refuse_reserved(key: &str) -> XsResult<()> {
     if key.starts_with(RESERVED) {
         return Err(XsError::Inval("reserved namespace".into()));
     }
     Ok(())
+}
+
+/// The nodes `dom` owns in the view of `txn`: State's owner index, plus
+/// each node the overlay gives `dom`, less each one it takes away. The
+/// overlay is compared with State as it is now, so at commit this is the
+/// count the commit would leave.
+fn owned_nodes(state: &XenStoreState, txn: Option<&Txn>, dom: DomId) -> usize {
+    let stored = state.owner_counts().get(&dom).map_or(0, |&n| n as usize);
+    let owns = |rec: Option<&NodeRecord>| usize::from(rec.is_some_and(|r| r.perms.owner == dom));
+    txn.map_or(stored, |t| {
+        (t.writes.iter())
+            .filter(|(key, _)| !key.starts_with(RESERVED))
+            .fold(stored, |n, (key, overlay)| {
+                n + owns(overlay.as_ref()) - owns(state.peek(key))
+            })
+    })
 }
 
 /// The parent of a stored key, or `None` under the root.
@@ -944,6 +930,11 @@ mod tests {
 
     fn p(s: &str) -> XsPath {
         XsPath::parse(s).unwrap()
+    }
+
+    /// The nodes `dom` owns, by State's owner index.
+    fn owned(s: &XenStoreState, dom: DomId) -> usize {
+        s.owner_counts().get(&dom).map_or(0, |&n| n as usize)
     }
 
     /// A Logic with dom0 privileged and a guest dom7, plus a State.
@@ -1037,7 +1028,7 @@ mod tests {
             .unwrap();
         assert_eq!(perms.owner, guest);
         // 4 new nodes: device, vif, 0, mac.
-        assert_eq!(l.node_count(guest), 1 + 4, "home dir + four created nodes");
+        assert_eq!(owned(&s, guest), 1 + 4, "home dir + four created nodes");
     }
 
     fn generation_of(s: &XenStoreState, key: &str) -> u64 {
@@ -1051,7 +1042,7 @@ mod tests {
             .unwrap();
         let home_gen = generation_of(&s, "/local/domain/7");
         let device_gen = generation_of(&s, "/local/domain/7/device");
-        let (count, gen) = (l.node_count(guest), s.generation());
+        let (count, gen) = (owned(&s, guest), s.generation());
         let leaf = "/local/domain/7/device/vif/0/backend/state";
         l.write(&mut s, guest, None, &p(leaf), b"4").unwrap();
         // Existing ancestors are untouched: no Put, same generation.
@@ -1073,7 +1064,7 @@ mod tests {
             assert_eq!(rec.value, want);
         }
         assert_eq!(s.generation(), gen + 4, "one Put per created node");
-        assert_eq!(l.node_count(guest), count + 4);
+        assert_eq!(owned(&s, guest), count + 4);
     }
 
     #[test]
@@ -1126,7 +1117,7 @@ mod tests {
         l.write(&mut s, dom0, None, &p("/g"), b"").unwrap();
         l.set_perms(&mut s, dom0, &p("/g"), NodePerms::owner_only(guest))
             .unwrap();
-        assert_eq!(l.node_count(guest), 1);
+        assert_eq!(owned(&s, guest), 1);
         // Home + two ancestors fill the quota; the third charge fails
         // after the first two were created, as node-by-node charging has
         // always done.
@@ -1136,11 +1127,11 @@ mod tests {
         ));
         assert!(s.peek("/g/a").is_some() && s.peek("/g/a/b").is_some());
         assert!(s.peek("/g/a/b/c").is_none());
-        assert_eq!(l.node_count(guest), 3);
+        assert_eq!(owned(&s, guest), 3);
     }
 
     #[test]
-    fn rm_removes_subtree_and_uncharges() {
+    fn rm_removes_subtree_and_its_owned_nodes() {
         let (mut l, mut s, _dom0, guest) = setup();
         l.write(
             &mut s,
@@ -1150,10 +1141,10 @@ mod tests {
             b"m",
         )
         .unwrap();
-        let before = l.node_count(guest);
+        let before = owned(&s, guest);
         l.rm(&mut s, guest, None, &p("/local/domain/7/device"))
             .unwrap();
-        assert_eq!(l.node_count(guest), before - 4);
+        assert_eq!(owned(&s, guest), before - 4);
         assert!(matches!(
             l.read(&mut s, guest, None, &p("/local/domain/7/device/vif/0/mac")),
             Err(XsError::NoEnt(_))
@@ -1204,6 +1195,95 @@ mod tests {
         // Privileged connections are exempt (dom0 hosts the toolstack).
         l.write(&mut s, dom0, None, &p("/t/a/b/c/d/e/f"), b"v")
             .unwrap();
+    }
+
+    /// A Logic with a node quota of 4 and dom0 privileged, over a State
+    /// holding only dom7's home `/g`.
+    fn quota_of_four() -> (XenStoreLogic, XenStoreState, DomId) {
+        let mut l = XenStoreLogic::with_quotas(Quotas {
+            nodes: 4,
+            ..Quotas::default()
+        });
+        let mut s = XenStoreState::new();
+        let (dom0, guest) = (DomId(0), DomId(7));
+        l.set_privileged(dom0, true);
+        l.write(&mut s, dom0, None, &p("/g"), b"").unwrap();
+        l.set_perms(&mut s, dom0, &p("/g"), NodePerms::owner_only(guest))
+            .unwrap();
+        (l, s, guest)
+    }
+
+    #[test]
+    fn an_aborted_transactional_rm_frees_no_quota() {
+        let (mut l, mut s, guest) = quota_of_four();
+        let mut written = 0;
+        for i in 0..20 {
+            if l.write(&mut s, guest, None, &p(&format!("/g/k{i}")), b"v")
+                .is_ok()
+            {
+                written += 1;
+            }
+            let t = l.txn_start(&mut s, guest).unwrap();
+            l.rm(&mut s, guest, Some(t), &p("/g")).unwrap();
+            l.txn_end(&mut s, guest, t, false).unwrap();
+        }
+        assert_eq!(written, 3, "the home and three nodes fill a quota of 4");
+        assert_eq!(owned(&s, guest), 4);
+    }
+
+    #[test]
+    fn an_aborted_transactional_write_holds_no_quota() {
+        let (mut l, mut s, guest) = quota_of_four();
+        for i in 0..3 {
+            let t = l.txn_start(&mut s, guest).unwrap();
+            l.write(&mut s, guest, Some(t), &p(&format!("/g/t{i}")), b"v")
+                .unwrap();
+            l.txn_end(&mut s, guest, t, false).unwrap();
+        }
+        for i in 0..3 {
+            l.write(&mut s, guest, None, &p(&format!("/g/k{i}")), b"v")
+                .unwrap();
+        }
+        assert!(matches!(
+            l.write(&mut s, guest, None, &p("/g/k3"), b"v"),
+            Err(XsError::Quota("nodes"))
+        ));
+    }
+
+    #[test]
+    fn a_commit_is_checked_against_the_quota_as_state_is_then() {
+        let (mut l, mut s, guest) = quota_of_four();
+        let t = l.txn_start(&mut s, guest).unwrap();
+        l.write(&mut s, guest, Some(t), &p("/g/a/b"), b"v").unwrap();
+        // Outside the transaction only State counts: two more fit.
+        for key in ["/g/x", "/g/y"] {
+            l.write(&mut s, guest, None, &p(key), b"v").unwrap();
+        }
+        let (gen, len) = (s.generation(), s.len());
+        assert!(matches!(
+            l.txn_end(&mut s, guest, t, true),
+            Err(XsError::Quota("nodes"))
+        ));
+        assert_eq!((s.generation(), s.len()), (gen, len), "State unchanged");
+        assert!(s.peek("/g/a").is_none());
+        assert!(matches!(
+            l.txn_end(&mut s, guest, t, false),
+            Err(XsError::BadTxn(_))
+        ));
+        // Inside a transaction, a node it removes makes room for one it
+        // creates.
+        let t = l.txn_start(&mut s, guest).unwrap();
+        l.rm(&mut s, guest, Some(t), &p("/g/x")).unwrap();
+        for key in ["/g/a", "/g/b"] {
+            l.write(&mut s, guest, Some(t), &p(key), b"v").unwrap();
+        }
+        assert!(matches!(
+            l.write(&mut s, guest, Some(t), &p("/g/c"), b"v"),
+            Err(XsError::Quota("nodes"))
+        ));
+        l.txn_end(&mut s, guest, t, true).unwrap();
+        assert!(s.peek("/g/b").is_some() && s.peek("/g/x").is_none());
+        assert_eq!(owned(&s, guest), 4);
     }
 
     #[test]
@@ -1374,7 +1454,7 @@ mod tests {
             .unwrap();
 
         // Microreboot Logic.
-        l.restart(&mut s);
+        l.restart(&s);
 
         // Durable data survives.
         assert_eq!(
@@ -1396,9 +1476,9 @@ mod tests {
             l.read(&mut s, dom0, None, &p("/tool/pending")),
             Err(XsError::NoEnt(_))
         ));
-        // Quota accounting was rebuilt: home + name (pre-restart) + state
+        // The owner index counts home + name (pre-restart) + state
         // (written just above).
-        assert_eq!(l.node_count(guest), 3);
+        assert_eq!(owned(&s, guest), 3);
         assert_eq!(l.restarts, 1);
     }
 
@@ -1407,10 +1487,10 @@ mod tests {
         let (mut l, mut s, _dom0, guest) = setup();
         l.watch(&mut s, guest, &p("/local/domain/7"), "t").unwrap();
         l.remove_domain(&mut s, guest);
-        assert_eq!(l.node_count(guest), 0);
+        assert!(s.entries_under("/@watch/7/").next().is_none());
         assert!(l.poll_watch(guest).is_none());
         // Journal cleaned: restart does not resurrect the watch.
-        l.restart(&mut s);
+        l.restart(&s);
         l.write(&mut s, DomId(0), None, &p("/local/domain/7/x"), b"v")
             .unwrap();
         assert!(l.poll_watch(guest).is_none());
@@ -1427,13 +1507,13 @@ mod tests {
 
     #[test]
     fn reserved_namespace_cannot_be_removed_or_reowned() {
-        // The watch journal is charged to no one: removing a record of it
-        // must not uncharge its owner, or a watch / rm / unwatch cycle
-        // frees quota without freeing a node and loses the watch.
+        // The watch journal counts toward no quota: removing a record of
+        // it would lose the watch, and moving its owner would move a
+        // node into the owner index.
         let (mut l, mut s, dom0, guest) = setup();
         l.watch(&mut s, guest, &p("/local/domain/7"), "cyc")
             .unwrap();
-        let charged = l.node_count(guest);
+        let charged = owned(&s, guest);
         for (who, path) in [
             (guest, "/@watch/7/cyc"),
             (guest, "/@watch/7"),
@@ -1456,7 +1536,7 @@ mod tests {
             ),
             Err(XsError::Inval(_))
         ));
-        assert_eq!(l.node_count(guest), charged);
+        assert_eq!(owned(&s, guest), charged);
         assert!(s.peek("/@watch/7/cyc").is_some());
         // The journal still brings the watch back after a restart.
         l.restart(&s);
@@ -1467,13 +1547,11 @@ mod tests {
     }
 
     /// `rm`'s non-transaction branch as one listing and one `Delete` per
-    /// key, each removed record's owner uncharged.
-    fn rm_by_key(l: &mut XenStoreLogic, s: &mut XenStoreState, root: &str) {
+    /// key.
+    fn rm_by_key(s: &mut XenStoreState, root: &str) {
         if let KvReply::Keys(keys) = s.serve(KvRequest::ListSubtree(root.to_string())) {
             for key in keys {
-                if let KvReply::Record(Some(old)) = s.serve(KvRequest::Delete(key)) {
-                    l.uncharge_node(old.perms.owner);
-                }
+                s.serve(KvRequest::Delete(key));
             }
         }
     }
@@ -1533,21 +1611,20 @@ mod tests {
                         },
                     ));
                 }
-                let mut l = XenStoreLogic::new();
-                l.set_privileged(dom0, true);
-                l.recover(&s);
-                (l, s)
+                s
             };
-            let (mut want_l, mut want_s) = build();
-            let (mut l, mut s) = build();
+            let mut want_s = build();
+            let mut s = build();
             if !root.starts_with(RESERVED) && s.peek(&root).is_some() {
                 // `rm` reads the root's record first, as it always has.
                 want_s.get(&root);
+                let mut l = XenStoreLogic::new();
+                l.set_privileged(dom0, true);
                 l.rm(&mut s, dom0, None, &p(&root)).unwrap();
             } else {
-                s.remove_subtree(&root, |old| l.uncharge_node(old.perms.owner));
+                s.remove_subtree(&root);
             }
-            rm_by_key(&mut want_l, &mut want_s, &root);
+            rm_by_key(&mut want_s, &root);
             assert_eq!(
                 s.persist(),
                 want_s.persist(),
@@ -1558,9 +1635,6 @@ mod tests {
                 want_s.owner_counts(),
                 "owner index ({root})"
             );
-            for dom in 0..4 {
-                assert_eq!(l.node_count(DomId(dom)), want_l.node_count(DomId(dom)));
-            }
         });
     }
 
@@ -1596,7 +1670,7 @@ mod tests {
     }
 
     /// Runs a `create_subtree` that must be refused with `want`, and checks
-    /// that the store, its generation and every node count are as before.
+    /// that the store, its generation and the owner index are as before.
     fn assert_refused(
         l: &mut XenStoreLogic,
         s: &mut XenStoreState,
@@ -1606,22 +1680,12 @@ mod tests {
         nodes: Vec<NodeData>,
         want: fn(&XsError) -> bool,
     ) {
-        let before = (
-            s.len(),
-            s.generation(),
-            s.owner_counts().clone(),
-            l.node_counts.clone(),
-        );
+        let before = (s.len(), s.generation(), s.owner_counts().clone());
         let err = l
             .create_subtree(s, dom, &p(root), layout, nodes)
             .unwrap_err();
         assert!(want(&err), "{root}: {err}");
-        let after = (
-            s.len(),
-            s.generation(),
-            s.owner_counts().clone(),
-            l.node_counts.clone(),
-        );
+        let after = (s.len(), s.generation(), s.owner_counts().clone());
         assert_eq!(after, before, "{root}: a refusal changes nothing");
     }
 
@@ -1643,7 +1707,7 @@ mod tests {
             s.peek("/local/domain/7/device/vif/0").unwrap().perms,
             shared
         );
-        assert_eq!(l.node_count(guest), 2, "home + the node handed over");
+        assert_eq!(owned(&s, guest), 2, "home + the node handed over");
         // The backend reads the node it was granted, the guest its own.
         l.read(&mut s, backend, None, &p("/local/domain/7/device/vif/0"))
             .unwrap();
@@ -1664,7 +1728,7 @@ mod tests {
             s.peek("/local/domain/7/a").unwrap().perms,
             NodePerms::owner_only(guest)
         );
-        assert_eq!(l.node_count(guest), 4);
+        assert_eq!(owned(&s, guest), 4);
     }
 
     #[test]
@@ -1794,7 +1858,7 @@ mod tests {
         let two = layout(&["", "/c"]);
         l.create_subtree(&mut s, guest, &p(root), &two, values(&two, guest))
             .unwrap();
-        assert_eq!(l.node_count(guest), 4);
+        assert_eq!(owned(&s, guest), 4);
     }
 
     #[test]
@@ -1957,7 +2021,7 @@ mod proptests {
                         }
                     }
                     3 => {
-                        l.restart(&mut s);
+                        l.restart(&s);
                     }
                     _ => {
                         // A subtree under its own prefix, which `rm` above
@@ -1985,7 +2049,7 @@ mod proptests {
                     }
                 }
             }
-            l.restart(&mut s);
+            l.restart(&s);
             for (key, value) in shadow {
                 assert_eq!(l.read(&mut s, dom0, None, &p(&key)).unwrap(), value);
             }
@@ -2082,43 +2146,296 @@ mod proptests {
         });
     }
 
-    /// Quota accounting matches the real number of owned nodes after
-    /// arbitrary writes, whole-subtree creates and removals (no drift).
-    #[test]
-    fn quota_accounting_no_drift() {
-        Runner::cases(64).run("quota accounting has no drift", |g| {
-            let keys = g.vec(1..30, |g| (g.u32(0..10), g.bool()));
-            let mut l = XenStoreLogic::new();
-            let mut s = XenStoreState::new();
-            let (dom0, guest) = (DomId(0), DomId(7));
-            l.set_privileged(dom0, true);
-            // Key → whether it was created as a subtree with a child
-            // handed to the guest.
-            let mut present: std::collections::BTreeMap<u32, bool> = Default::default();
-            for (k, subtree) in keys {
-                if present.remove(&k).is_some() {
-                    l.rm(&mut s, dom0, None, &p(&format!("/n{k}"))).unwrap();
-                } else if subtree {
-                    let root = format!("/n{k}");
-                    let layout = SubtreeLayout::new(["", "/g"]).unwrap();
-                    let tree = vec![
-                        (b"v".to_vec(), NodePerms::owner_only(dom0)),
-                        (b"v".to_vec(), NodePerms::owner_only(guest)),
-                    ];
-                    l.create_subtree(&mut s, dom0, &p(&root), &layout, tree)
-                        .unwrap();
-                    present.insert(k, true);
-                } else {
-                    l.write(&mut s, dom0, None, &p(&format!("/n{k}")), b"v")
-                        .unwrap();
-                    present.insert(k, false);
+    /// The errno a refusal carries on the wire.
+    fn errno(e: &XsError) -> String {
+        e.to_string()
+            .split(':')
+            .next()
+            .unwrap_or_default()
+            .to_string()
+    }
+
+    /// Who owns each node: in State, and in the open transaction's
+    /// overlay (`None`: removed there). The reference the quota property
+    /// checks the owner index against.
+    #[derive(Default)]
+    struct Owners {
+        store: BTreeMap<String, DomId>,
+        overlay: Option<BTreeMap<String, Option<DomId>>>,
+    }
+
+    impl Owners {
+        /// The owner of `key` in the transaction's view, or in State's.
+        fn owner(&self, key: &str, txn: bool) -> Option<DomId> {
+            match self
+                .overlay
+                .as_ref()
+                .filter(|_| txn)
+                .and_then(|o| o.get(key))
+            {
+                Some(&entry) => entry,
+                None => self.store.get(key).copied(),
+            }
+        }
+
+        fn set(&mut self, key: &str, owner: Option<DomId>, txn: bool) {
+            match (self.overlay.as_mut().filter(|_| txn), owner) {
+                (Some(o), _) => {
+                    o.insert(key.to_string(), owner);
+                }
+                (None, Some(dom)) => {
+                    self.store.insert(key.to_string(), dom);
+                }
+                (None, None) => {
+                    self.store.remove(key);
                 }
             }
-            assert_eq!(l.node_count(dom0), present.len());
-            assert_eq!(
-                l.node_count(guest),
-                present.values().filter(|&&handed| handed).count()
-            );
+        }
+
+        /// Every key in the view: State's and the overlay's.
+        fn keys(&self, txn: bool) -> BTreeSet<String> {
+            let mut keys: BTreeSet<String> = self.store.keys().cloned().collect();
+            if let Some(o) = self.overlay.as_ref().filter(|_| txn) {
+                keys.extend(o.keys().cloned());
+            }
+            keys.retain(|k| self.owner(k, txn).is_some());
+            keys
+        }
+
+        fn owned(&self, dom: DomId, txn: bool) -> usize {
+            let keys = self.keys(txn);
+            keys.iter()
+                .filter(|k| self.owner(k, txn) == Some(dom))
+                .count()
+        }
+
+        /// The node count per owner, as State's owner index holds it.
+        fn index(&self) -> BTreeMap<DomId, u64> {
+            let mut index = BTreeMap::new();
+            for &owner in self.store.values() {
+                *index.entry(owner).or_insert(0) += 1;
+            }
+            index
+        }
+
+        /// What `write` answers and leaves: a node written in place keeps
+        /// its owner; otherwise the create rule, then each missing node
+        /// root-first, each checked against the quota.
+        fn write(
+            &mut self,
+            dom: DomId,
+            privileged: bool,
+            path: &str,
+            txn: bool,
+        ) -> Result<(), String> {
+            let may = |owner: Option<DomId>| privileged || owner == Some(dom);
+            if let Some(owner) = self.owner(path, txn) {
+                if !may(Some(owner)) {
+                    return Err("EACCES".into());
+                }
+                self.set(path, Some(owner), txn);
+                return Ok(());
+            }
+            let slashes: Vec<usize> = path
+                .match_indices('/')
+                .map(|(i, _)| i)
+                .filter(|&i| i > 0)
+                .collect();
+            let base = slashes
+                .iter()
+                .rev()
+                .copied()
+                .find(|&i| self.owner(&path[..i], txn).is_some());
+            if !base.map_or(privileged, |i| may(self.owner(&path[..i], txn))) {
+                return Err("EACCES".into());
+            }
+            let from = base.unwrap_or(0);
+            for end in slashes
+                .into_iter()
+                .filter(|&i| i > from)
+                .chain([path.len()])
+            {
+                if !privileged && self.owned(dom, txn) >= QUOTA {
+                    return Err("E2BIG".into());
+                }
+                self.set(&path[..end], Some(dom), txn);
+            }
+            Ok(())
+        }
+
+        /// What `rm` answers and leaves: the node and everything beneath.
+        fn rm(
+            &mut self,
+            dom: DomId,
+            privileged: bool,
+            path: &str,
+            txn: bool,
+        ) -> Result<(), String> {
+            match self.owner(path, txn) {
+                None => Err("ENOENT".into()),
+                Some(owner) if !privileged && owner != dom => Err("EACCES".into()),
+                Some(_) => {
+                    let beneath = format!("{path}/");
+                    for key in self.keys(txn) {
+                        if key == path || key.starts_with(&beneath) {
+                            self.set(&key, None, txn);
+                        }
+                    }
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    const QUOTA: usize = 4;
+
+    /// State's owner index matches a model of who owns each node after
+    /// every step of random plain and transactional writes and removals
+    /// by a quota-bound guest and a privileged domain, whole-subtree
+    /// creates handing nodes to a third domain, ownership changes,
+    /// commits, aborts, `Again` forced by a conflicting write, and Logic
+    /// restarts; and no unprivileged domain ever owns more nodes than its
+    /// quota.
+    #[test]
+    fn quota_accounting_no_drift() {
+        Runner::cases(256).run("quota accounting has no drift", |g| {
+            let mut l = XenStoreLogic::with_quotas(Quotas {
+                nodes: QUOTA,
+                ..Quotas::default()
+            });
+            let mut s = XenStoreState::new();
+            let (dom0, guest, other) = (DomId(0), DomId(7), DomId(8));
+            l.set_privileged(dom0, true);
+            let home = SubtreeLayout::new([""]).unwrap();
+            let tree = vec![(Vec::new(), NodePerms::owner_only(guest))];
+            l.create_subtree(&mut s, dom0, &p("/g"), &home, tree)
+                .unwrap();
+            let mut model = Owners::default();
+            model.store.insert("/g".into(), guest);
+            // The open transaction, and a key it wrote that a write
+            // outside it then touched.
+            let mut txn: Option<(u32, Option<String>)> = None;
+            for _ in 0..g.usize(1..80) {
+                // The home itself one time in five.
+                let depth = g.usize(0..5).div_ceil(2);
+                let guest_path: String = [
+                    "/g",
+                    *g.choose(&["/a", "/b", "/c"]),
+                    *g.choose(&["/x", "/y"]),
+                ][..depth + 1]
+                    .concat();
+                let in_txn = txn.is_some() && g.bool();
+                let id = txn.as_ref().filter(|_| in_txn).map(|&(id, _)| id);
+                match g.u8(0..16) {
+                    0..=6 => {
+                        let got = l.write(&mut s, guest, id, &p(&guest_path), b"v");
+                        let want = model.write(guest, false, &guest_path, in_txn);
+                        assert_eq!(got.map_err(|e| errno(&e)), want, "write {guest_path}");
+                    }
+                    7..=9 => {
+                        let got = l.rm(&mut s, guest, id, &p(&guest_path));
+                        let want = model.rm(guest, false, &guest_path, in_txn);
+                        assert_eq!(got.map_err(|e| errno(&e)), want, "rm {guest_path}");
+                    }
+                    10 => {
+                        // A plain write to a key the transaction wrote.
+                        let written: Vec<String> = model
+                            .overlay
+                            .iter()
+                            .flatten()
+                            .map(|(k, _)| k.clone())
+                            .collect();
+                        if let Some((_, conflict)) = txn.as_mut().filter(|_| !written.is_empty()) {
+                            let key = g.choose(&written).clone();
+                            l.write(&mut s, dom0, None, &p(&key), b"w").unwrap();
+                            model.write(dom0, true, &key, false).unwrap();
+                            *conflict = Some(key);
+                        }
+                    }
+                    11 => {
+                        let path = if g.bool() {
+                            guest_path
+                        } else {
+                            format!("/n{}", g.u8(0..3))
+                        };
+                        let got = l.rm(&mut s, dom0, None, &p(&path));
+                        let want = model.rm(dom0, true, &path, false);
+                        assert_eq!(got.map_err(|e| errno(&e)), want, "rm {path}");
+                    }
+                    12 => {
+                        let root = format!("/n{}", g.u8(0..3));
+                        let layout = SubtreeLayout::new(["", "/c"]).unwrap();
+                        let tree = vec![
+                            (b"v".to_vec(), NodePerms::owner_only(dom0)),
+                            (b"v".to_vec(), NodePerms::owner_only(other)),
+                        ];
+                        let got = l.create_subtree(&mut s, dom0, &p(&root), &layout, tree);
+                        assert_eq!(got.is_ok(), !model.store.contains_key(&root), "{root}");
+                        if got.is_ok() {
+                            model.store.insert(root.clone(), dom0);
+                            model.store.insert(format!("{root}/c"), other);
+                        }
+                    }
+                    13 => {
+                        // The toolstack hands the home back to the guest.
+                        let perms = NodePerms::owner_only(guest);
+                        if model.store.contains_key("/g") {
+                            l.set_perms(&mut s, dom0, &p("/g"), perms).unwrap();
+                        } else {
+                            l.create_subtree(
+                                &mut s,
+                                dom0,
+                                &p("/g"),
+                                &home,
+                                vec![(Vec::new(), perms)],
+                            )
+                            .unwrap();
+                        }
+                        model.store.insert("/g".into(), guest);
+                    }
+                    14 => match txn.take() {
+                        None => {
+                            txn = Some((l.txn_start(&mut s, guest).unwrap(), None));
+                            model.overlay = Some(BTreeMap::new());
+                        }
+                        Some((id, conflict)) => {
+                            // Removed since, the key conflicts no more.
+                            let conflicted = conflict.is_some_and(|k| model.store.contains_key(&k));
+                            let commit = g.bool();
+                            let overlay = model.overlay.take().unwrap_or_default();
+                            let mut after = Owners {
+                                store: model.store.clone(),
+                                overlay: None,
+                            };
+                            for (key, owner) in &overlay {
+                                after.set(key, *owner, false);
+                            }
+                            match l.txn_end(&mut s, guest, id, commit) {
+                                Ok(()) if commit => {
+                                    assert!(!conflicted, "a conflicting write forces Again");
+                                    model = after;
+                                }
+                                Ok(()) => {}
+                                Err(XsError::Again) => assert!(commit),
+                                Err(XsError::Quota("nodes")) => {
+                                    assert!(commit && !conflicted);
+                                    assert!(after.owned(guest, false) > QUOTA);
+                                }
+                                Err(e) => panic!("end of transaction {id}: {e}"),
+                            }
+                        }
+                    },
+                    _ => {
+                        l.restart(&s);
+                        txn = None;
+                        model.overlay = None;
+                    }
+                }
+                assert_eq!(s.owner_counts(), &model.index(), "owner index");
+                for dom in [guest, other] {
+                    assert!(model.owned(dom, false) <= QUOTA, "{dom} past its quota");
+                }
+            }
         });
     }
 }

@@ -158,7 +158,7 @@ impl XenStore {
 
     /// Microreboots the Logic half; State survives.
     pub fn restart_logic(&mut self) {
-        self.logic.restart(&mut self.state);
+        self.logic.restart(&self.state);
     }
 
     /// Number of Logic restarts so far.
@@ -169,7 +169,7 @@ impl XenStore {
     /// Handles one framed request from `dom`.
     pub fn handle(&mut self, dom: DomId, req: Request) -> Response {
         if self.per_request_restart {
-            self.logic.restart(&mut self.state);
+            self.logic.restart(&self.state);
         }
         match self.dispatch(dom, req) {
             Ok(resp) => resp,
@@ -336,7 +336,7 @@ impl XenStore {
         )
     }
 
-    /// Removes a domain's connections, watches, quotas, and home dir.
+    /// Removes a domain's watches, open transactions, and home dir.
     pub fn remove_domain(&mut self, actor: DomId, domid: DomId) -> XsResult<()> {
         let home = XsPath::domain_home(domid.0);
         self.logic.remove_domain(&mut self.state, domid);
@@ -507,7 +507,7 @@ mod tests {
         assert_eq!(xs.state().generation(), generation + 1, "one Put");
         let home = xs.state().peek("/local/domain/6").unwrap();
         assert_eq!(home.perms, NodePerms::owner_only(guest));
-        assert_eq!(xs.logic().node_count(guest), 1);
+        assert_eq!(xs.state().owner_counts().get(&guest), Some(&1));
         assert!(matches!(
             xs.create_domain_home(dom0, guest),
             Err(XsError::Exists(_))
@@ -590,8 +590,84 @@ mod tests {
             }
         }
         assert_eq!(written, 3, "the home and three nodes fill a quota of 4");
-        assert_eq!(xs.logic().node_count(guest), 4);
         assert_eq!(xs.state().owner_counts().get(&guest), Some(&4));
+    }
+
+    /// A store with a node quota of 4 and guest dom5's home, as wire
+    /// requests see it.
+    fn quota_of_four() -> (XenStore, DomId) {
+        let mut xs = XenStore::with_quotas(Quotas {
+            nodes: 4,
+            ..Quotas::default()
+        });
+        let (dom0, guest) = (DomId(0), DomId(5));
+        xs.set_privileged(dom0, true);
+        xs.create_domain_home(dom0, guest).unwrap();
+        (xs, guest)
+    }
+
+    /// Opens a transaction over the wire.
+    fn txn_start(xs: &mut XenStore, dom: DomId) -> u32 {
+        match xs.handle(dom, Request::TxnStart) {
+            Response::Txn(t) => t,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn write(txn: Option<u32>, path: String) -> Request {
+        Request::Write {
+            txn,
+            path,
+            value: b"v".to_vec(),
+        }
+    }
+
+    #[test]
+    fn an_aborted_wire_rm_frees_no_quota() {
+        let (mut xs, guest) = quota_of_four();
+        let mut written = 0;
+        for i in 0..20 {
+            let resp = xs.handle(guest, write(None, format!("/local/domain/5/k{i}")));
+            if matches!(resp, Response::Ok) {
+                written += 1;
+            }
+            let t = txn_start(&mut xs, guest);
+            let rm = Request::Rm {
+                txn: Some(t),
+                path: "/local/domain/5".into(),
+            };
+            assert!(matches!(xs.handle(guest, rm), Response::Ok));
+            let abort = Request::TxnEnd {
+                txn: t,
+                commit: false,
+            };
+            assert!(matches!(xs.handle(guest, abort), Response::Ok));
+        }
+        assert_eq!(written, 3, "the home and three nodes fill a quota of 4");
+        assert_eq!(xs.state().owner_counts().get(&guest), Some(&4));
+    }
+
+    #[test]
+    fn an_aborted_wire_write_holds_no_quota() {
+        let (mut xs, guest) = quota_of_four();
+        for i in 0..3 {
+            let t = txn_start(&mut xs, guest);
+            let resp = xs.handle(guest, write(Some(t), format!("/local/domain/5/t{i}")));
+            assert!(matches!(resp, Response::Ok));
+            let abort = Request::TxnEnd {
+                txn: t,
+                commit: false,
+            };
+            assert!(matches!(xs.handle(guest, abort), Response::Ok));
+        }
+        for i in 0..3 {
+            let resp = xs.handle(guest, write(None, format!("/local/domain/5/k{i}")));
+            assert!(matches!(resp, Response::Ok), "write {i}: {resp:?}");
+        }
+        match xs.handle(guest, write(None, "/local/domain/5/k3".into())) {
+            Response::Err(e) => assert!(e.starts_with("E2BIG"), "got {e}"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -105,11 +105,10 @@ impl XsRingTransport {
     /// store, in domain order (round-robin across connections per pass,
     /// bounded work per ring so one chatty guest cannot starve others).
     pub fn service(&mut self, store: &mut XenStore) -> u64 {
-        let mut doms: Vec<DomId> = self.rings.keys().copied().collect();
-        doms.sort_unstable();
+        let mut rings: Vec<_> = self.rings.iter_mut().collect();
+        rings.sort_unstable_by_key(|&(&dom, _)| dom);
         let mut handled = 0;
-        for dom in doms {
-            let ring = self.rings.get_mut(&dom).expect("listed");
+        for (&dom, ring) in rings {
             // Bounded per pass: fairness under flood.
             for _ in 0..RING_CAPACITY {
                 let Some((id, req)) = ring.requests.pop_front() else {

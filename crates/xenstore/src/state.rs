@@ -49,8 +49,7 @@ pub enum KvRequest {
     Get(String),
     /// Insert or replace one record.
     Put(String, NodeRecord),
-    /// Remove one record; the reply carries the removed record, so the
-    /// caller can uncharge its owner without a `Get` first.
+    /// Remove one record; the reply carries the removed record.
     Delete(String),
     /// List keys strictly under `prefix + "/"` plus the prefix itself.
     ListSubtree(String),
@@ -85,10 +84,10 @@ pub struct XenStoreState {
     /// recovery so pre-counter persisted blobs still load.
     ops_served: u64,
     /// Incrementally-maintained per-owner live node counts, excluding the
-    /// reserved `/@...` namespace. This is the index a restarting Logic
-    /// rebuilds its quota accounting from in O(owners) instead of
-    /// re-scanning (and re-cloning) every record in the store. Derived
-    /// state: never serialised, rebuilt on [`XenStoreState::recover`].
+    /// reserved `/@...` namespace. This is the one record of node quota
+    /// use: Logic keeps no count of its own and reads this index when it
+    /// checks a create or a commit. Derived state: never serialised,
+    /// rebuilt on [`XenStoreState::recover`].
     owner_counts: BTreeMap<DomId, u64>,
 }
 
@@ -208,11 +207,10 @@ impl XenStoreState {
 
     /// The borrowed form of [`KvRequest::ListSubtree`] followed by one
     /// [`KvRequest::Delete`] per listed key: removes the records at `root`
-    /// and beneath it (`/` is the whole store) in one range pass, handing
-    /// each removed record to `on_removed` in key order. Counted as what
-    /// it replaces: `1 + removed` protocol operations and `removed`
-    /// generation bumps.
-    pub fn remove_subtree(&mut self, root: &str, mut on_removed: impl FnMut(&NodeRecord)) {
+    /// and beneath it (`/` is the whole store) in one range pass, taking
+    /// each off the owner index. Counted as what it replaces: `1 +
+    /// removed` protocol operations and `removed` generation bumps.
+    pub fn remove_subtree(&mut self, root: &str) {
         use std::ops::Bound;
         // Keys beneath `root` sort before `root` + "0" ('0' is the byte
         // after '/'); for "/" that bound is "0" itself. The map's range
@@ -228,7 +226,6 @@ impl XenStoreState {
             if !key.starts_with(RESERVED_PREFIX) {
                 owner_count_dec(&mut self.owner_counts, rec.perms.owner);
             }
-            on_removed(&rec);
             removed += 1;
         }
         self.ops_served += 1 + removed;
@@ -255,14 +252,17 @@ impl XenStoreState {
         self.generation
     }
 
-    /// Direct record access for assertions in tests and audit tooling.
+    /// Direct record access, uncounted: assertions in tests, audit
+    /// tooling, and Logic's quota check, which compares a transaction's
+    /// overlay with the records it replaces.
     pub fn peek(&self, key: &str) -> Option<&NodeRecord> {
         self.map.get(key)
     }
 
     /// The incrementally-maintained per-owner node-count index (reserved
-    /// `/@...` entries excluded). A restarting Logic copies its quota
-    /// accounting straight out of this instead of scanning the store.
+    /// `/@...` entries excluded), read by reference and uncounted. Logic
+    /// checks node quotas against it, so a restarted Logic has no count
+    /// to rebuild.
     pub fn owner_counts(&self) -> &BTreeMap<DomId, u64> {
         &self.owner_counts
     }
@@ -585,7 +585,7 @@ mod persistence_tests {
         let mut state = XenStoreState::recover(&blob).unwrap();
         let mut logic = XenStoreLogic::new();
         logic.set_privileged(dom0, true);
-        logic.recover(&mut state);
+        logic.recover(&state);
         assert_eq!(
             logic
                 .read(&mut state, dom0, None, &XsPath::parse("/tool/cfg").unwrap())

@@ -47,13 +47,14 @@ cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --selftest
 # deny the memory and grant internals and the ungated Hypervisor
 # mutators (aliases, UFCS calls and split chains included); the
 # hypervisor crate itself denies panics in non-test code and wildcard
-# arms in Hypercall::id and the dispatcher. Every known ungated site
-# carries an #[expect] with its reason, and an expectation that no
-# longer fires fails the step, so fixing a site forces removing its
-# attribute. Clippy only warns when a configured path does not resolve,
+# arms in Hypercall::id and the dispatcher, and the xenstore crate
+# denies panics, unwraps and unchecked indexing in non-test code. Every
+# known ungated site carries an #[expect] with its reason, and an
+# expectation that no longer fires fails the step, so fixing a site
+# forces removing its attribute. Clippy only warns when a configured path does not resolve,
 # so that warning fails the step too. No skip branch: clippy ships with
 # the toolchain, and a missing clippy fails here.
-if ! clippy_out="$(cargo clippy --offline --lib -p xoar-hypervisor -p xoar-core -p xoar-devices \
+if ! clippy_out="$(cargo clippy --offline --lib -p xoar-hypervisor -p xoar-core -p xoar-devices -p xoar-xenstore \
     -- -D clippy::disallowed_methods -D clippy::disallowed_types \
     -D unfulfilled_lint_expectations 2>&1)"; then
     printf '%s\n' "$clippy_out" >&2

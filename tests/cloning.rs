@@ -100,11 +100,9 @@ fn observe_guest(p: &mut Platform, guest: DomId, name: &str) -> String {
             }
         }
     }
-    // What the guest is charged for, in Logic's quota accounting and in
-    // State's owner index.
+    // What counts toward the guest's node quota: State's owner index.
     out.push_str(&format!(
-        "xs node_count={} owned={:?}\n",
-        p.xs.logic().node_count(guest),
+        "xs owned={:?}\n",
         p.xs.state().owner_counts().get(&guest)
     ));
     // Normalise the two identities a comparison must ignore.

@@ -33,9 +33,9 @@ struct Footprint {
     blk_rings: usize,
     /// XenStore nodes held.
     xs_nodes: usize,
-    /// XenStore nodes per owner, in State's owner index and in Logic's
-    /// quota accounting; a live clone is named by its place in the window.
-    xs_owners: Vec<(Owner, u64, usize)>,
+    /// XenStore nodes per owner, in State's owner index; a live clone is
+    /// named by its place in the window.
+    xs_owners: Vec<(Owner, u64)>,
 }
 
 /// A XenStore node owner, with live clones named by window position so
@@ -105,7 +105,7 @@ impl Churn {
 
     fn footprint(&self) -> Footprint {
         let mem = &self.p.hv.mem;
-        let mut xs_owners: Vec<(Owner, u64, usize)> = self
+        let mut xs_owners: Vec<(Owner, u64)> = self
             .p
             .xs
             .state()
@@ -116,7 +116,7 @@ impl Churn {
                     Some(at) => Owner::LiveClone(at),
                     None => Owner::Domain(dom.0),
                 };
-                (owner, nodes, self.p.xs.logic().node_count(dom))
+                (owner, nodes)
             })
             .collect();
         xs_owners.sort();
