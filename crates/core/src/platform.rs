@@ -266,6 +266,9 @@ const DEVICES: [DeviceSpec; 2] = [
 enum Obtain {
     /// The full xenbus handshake, driven by this toolstack.
     Negotiate(DomId),
+    /// The handshake without the toolstack's step, over the directories
+    /// an earlier link left in place ([`xenbus::reconnect`]).
+    Reconnect,
     /// The ring grant `DomctlCloneDomain` stamped for a clone, with fresh
     /// event channels: no renegotiation.
     Adopt,
@@ -284,12 +287,14 @@ impl Obtain {
         dev: &DeviceSpec,
     ) -> HvResult<Connection> {
         let (kind, ring_pfn) = (dev.kind, Pfn(dev.ring_pfn));
+        let failed = |e| HvError::InvalidArgument(format!("{} negotiation: {e}", kind.name()));
         match self {
             Obtain::Negotiate(toolstack) => {
                 xenbus::negotiate(hv, xs, hub, toolstack, guest, backend, kind, 0, ring_pfn)
-                    .map_err(|e| {
-                        HvError::InvalidArgument(format!("{} negotiation: {e}", kind.name()))
-                    })
+                    .map_err(failed)
+            }
+            Obtain::Reconnect => {
+                xenbus::reconnect(hv, xs, hub, guest, backend, kind, 0, ring_pfn).map_err(failed)
             }
             Obtain::Adopt => {
                 let gref = hv
@@ -1436,8 +1441,10 @@ impl Platform {
     /// ring mappings) is lost, every guest's devices are unlinked, and
     /// each running guest's are renegotiated through the standard xenbus
     /// handshake — the same renegotiation the microreboot machinery
-    /// already relies on. Paused guests stay unlinked. Returns the
-    /// number of guests recovered.
+    /// already relies on. The teardown leaves each device's XenStore
+    /// directories in place, so the toolstack writes nothing again: the
+    /// frontend and backend reconnect over them. Paused guests stay
+    /// unlinked. Returns the number of guests recovered.
     pub fn rehype_restart(&mut self) -> HvResult<u64> {
         // 1. Gracefully tear down and unlink every device connection while
         //    the old hypervisor's channel state is still coherent.
@@ -1475,8 +1482,7 @@ impl Platform {
             if self.hv.domain(g)?.state != DomainState::Running {
                 continue;
             }
-            let toolstack = self.guests[&g].toolstack;
-            self.link(g, Obtain::Negotiate(toolstack), None, None)?;
+            self.link(g, Obtain::Reconnect, None, None)?;
             recovered += 1;
         }
         let now = self.hv.now_ns();
@@ -2038,6 +2044,46 @@ mod rehype_tests {
         assert!(p.net_hub.get(before).is_err(), "the old ring is gone");
         let got = p.net_hub.get_mut(after).unwrap().pop_response();
         assert_eq!(got.map(|f| f.flow), Some(3));
+    }
+
+    /// A restart reconnects over the directories the first link wrote:
+    /// afterwards the store holds the same keys with the same ACLs, and
+    /// each device's two `state` keys read Connected.
+    #[test]
+    fn rehype_relinks_without_rewriting_the_store() {
+        let mut p = Platform::xoar(XoarConfig::default());
+        let ts = p.services.toolstacks[0];
+        let built = p
+            .create_guest(ts, GuestConfig::evaluation_guest("b"))
+            .unwrap();
+        let tpl = p
+            .create_guest(ts, GuestConfig::evaluation_guest("t"))
+            .unwrap();
+        p.capture_template(ts, tpl).unwrap();
+        let clone = p.clone_guest(ts, tpl, "c").unwrap();
+        let acls = |p: &Platform| -> Vec<(String, xoar_xenstore::NodePerms)> {
+            (p.xs.state().entries_under("/"))
+                .map(|(k, r)| (k.clone(), r.perms.clone()))
+                .collect()
+        };
+        let before = acls(&p);
+
+        assert_eq!(p.rehype_restart().unwrap(), 2);
+
+        assert_eq!(acls(&p), before);
+        for g in [built, clone] {
+            let h = p.guest(g).unwrap();
+            for (kind, backend) in [(DeviceKind::Vif, h.netback), (DeviceKind::Vbd, h.blkback)] {
+                let backend = backend.unwrap();
+                for dir in [
+                    xenbus::frontend_path(g, kind, 0),
+                    xenbus::backend_path(backend, kind, g, 0),
+                ] {
+                    let state = p.xs.read_str(ts, &format!("{dir}/state")).unwrap();
+                    assert_eq!(state, "4", "{dir} Connected");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! `DomctlCloneDomain` when it stamps a clone of a sealed template whose
 //! grant table holds the four ring grants of an evaluation guest
 //! (XenStore, console, vif and vbd), and by the whole
-//! `Platform::clone_guest` and `Platform::destroy_guest` around it.
+//! `Platform::clone_guest` and `Platform::destroy_guest` around it. Beside
+//! them, the heap cost of a built guest: one `Platform::create_guest` and
+//! its `destroy_guest` on a warm platform.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -130,5 +132,29 @@ fn platform_destroy_allocations_are_pinned() {
     assert_eq!(
         made, 2_001,
         "allocations for {N} Platform::destroy_guest calls"
+    );
+}
+
+#[test]
+fn built_guest_allocations_are_pinned() {
+    let mut p = Platform::xoar(XoarConfig::default());
+    let ts = p.services.toolstacks[0];
+    // The first guest makes the store's shared directories and warms
+    // every table a guest touches.
+    let warm = p
+        .create_guest(ts, GuestConfig::evaluation_guest("warm"))
+        .unwrap();
+    p.destroy_guest(ts, warm).unwrap();
+    // The config is made before counting; the call takes it by move.
+    let cfg = GuestConfig::evaluation_guest("b");
+
+    let before = allocs();
+    let guest = p.create_guest(ts, cfg).unwrap();
+    p.destroy_guest(ts, guest).unwrap();
+    let made = allocs() - before;
+
+    assert_eq!(
+        made, 179,
+        "allocations for one create_guest and destroy_guest"
     );
 }

@@ -145,10 +145,10 @@ fn xoar_lifecycle_cost_is_pinned() {
     let got = run(
         Platform::xoar(XoarConfig::default()),
         [
-            cost(142, 16, 16, 3),
+            cost(90, 16, 16, 3),
             cost(33, 5, 5, 3),
             cost(34, 1, 1, 3),
-            cost(134, 16, 16, 3),
+            cost(82, 16, 16, 3),
             cost(34, 3, 3, 3),
         ],
     );
@@ -160,10 +160,10 @@ fn stock_xen_lifecycle_cost_is_pinned() {
     let got = run(
         Platform::stock_xen(),
         [
-            cost(145, 16, 16, 3),
+            cost(93, 16, 16, 3),
             cost(33, 5, 5, 3),
             cost(34, 1, 1, 3),
-            cost(134, 16, 16, 3),
+            cost(82, 16, 16, 3),
             cost(34, 3, 3, 3),
         ],
     );

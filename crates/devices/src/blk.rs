@@ -143,16 +143,13 @@ impl ImageStore {
             cow_mounts: 0,
             pages: HashMap::new(),
         };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(image);
-                slot
-            }
-            None => {
-                self.slots.push(Some(image));
-                self.slots.len() - 1
-            }
-        };
+        let slot = (self.free.pop())
+            .filter(|&slot| slot < self.slots.len())
+            .unwrap_or(self.slots.len());
+        match self.slots.get_mut(slot) {
+            Some(free) => *free = Some(image),
+            None => self.slots.push(Some(image)),
+        }
         self.ids.insert(name.to_string(), ImageId(slot));
         Ok(())
     }
@@ -162,7 +159,7 @@ impl ImageStore {
         let Some(&id) = self.ids.get(name) else {
             return Err(format!("no image {name}"));
         };
-        let img = self.image(id);
+        let img = self.image(id).ok_or_else(|| format!("no image {name}"))?;
         if img.mounted_by.is_some() {
             return Err(format!("image {name} is mounted"));
         }
@@ -170,7 +167,9 @@ impl ImageStore {
             return Err(format!("image {name} has CoW readers"));
         }
         self.ids.remove(name);
-        self.slots[id.0] = None;
+        if let Some(slot) = self.slots.get_mut(id.0) {
+            *slot = None;
+        }
         self.free.push(id.0);
         Ok(())
     }
@@ -184,13 +183,20 @@ impl ImageStore {
     }
 
     /// The image in slot `id`. Only a mounted image's slot is held
-    /// (by its vbd), and a mounted image cannot be deleted.
-    fn image(&self, id: ImageId) -> &DiskImage {
-        self.slots[id.0].as_ref().expect("a resolved image is live")
+    /// (by its vbd), and a mounted image cannot be deleted, so a slot
+    /// resolved from a live name or held by a vbd is live.
+    fn image(&self, id: ImageId) -> Option<&DiskImage> {
+        self.slots.get(id.0).and_then(Option::as_ref)
     }
 
-    fn image_mut(&mut self, id: ImageId) -> &mut DiskImage {
-        self.slots[id.0].as_mut().expect("a resolved image is live")
+    fn image_mut(&mut self, id: ImageId) -> Option<&mut DiskImage> {
+        self.slots.get_mut(id.0).and_then(Option::as_mut)
+    }
+
+    /// The image in slot `id`, or the error naming the dead slot.
+    fn live_mut(&mut self, id: ImageId) -> Result<&mut DiskImage, String> {
+        self.image_mut(id)
+            .ok_or_else(|| format!("image slot {} is empty", id.0))
     }
 
     /// Mounts an image for a guest (at connection time).
@@ -202,13 +208,15 @@ impl ImageStore {
     /// Unmounts an image.
     pub fn unmount(&mut self, name: &str) {
         if let Some(&id) = self.ids.get(name) {
-            self.image_mut(id).mounted_by = None;
+            if let Some(img) = self.image_mut(id) {
+                img.mounted_by = None;
+            }
         }
     }
 
     /// Mounts image `id` for `guest` alone, returning its size in sectors.
     fn mount_exclusive(&mut self, id: ImageId, guest: DomId) -> Result<u64, String> {
-        let img = self.image_mut(id);
+        let img = self.live_mut(id)?;
         if let Some(d) = img.mounted_by {
             return Err(format!("image {} already mounted by {d}", img.name));
         }
@@ -220,29 +228,33 @@ impl ImageStore {
     /// (the template's) stays in place and any number of CoW readers
     /// share the golden bytes until their first block write. Returns the
     /// image's size in sectors.
-    fn mount_cow(&mut self, id: ImageId) -> u64 {
-        let img = self.image_mut(id);
+    fn mount_cow(&mut self, id: ImageId) -> Result<u64, String> {
+        let img = self.live_mut(id)?;
         img.cow_mounts += 1;
-        img.sectors
+        Ok(img.sectors)
     }
 
     /// Drops one CoW reader of an image.
     pub fn unmount_cow(&mut self, name: &str) {
         if let Some(&id) = self.ids.get(name) {
-            let img = self.image_mut(id);
-            img.cow_mounts = img.cow_mounts.saturating_sub(1);
+            if let Some(img) = self.image_mut(id) {
+                img.cow_mounts = img.cow_mounts.saturating_sub(1);
+            }
         }
     }
 
-    /// Stores a written page body at `sector` of image `id`. The handle
-    /// is moved in; no bytes are copied.
+    /// Stores a written page body at `sector` of image `id`, which the
+    /// caller checked is live. The handle is moved in; no bytes are
+    /// copied.
     fn store_page(&mut self, id: ImageId, sector: u64, page: PageRef) {
-        self.image_mut(id).pages.insert(sector, page);
+        if let Some(img) = self.image_mut(id) {
+            img.pages.insert(sector, page);
+        }
     }
 
     /// Returns the shared handle stored at `sector` of image `id`.
     fn read_page(&self, id: ImageId, sector: u64) -> Option<PageRef> {
-        self.image(id).pages.get(&sector).cloned()
+        self.image(id)?.pages.get(&sector).cloned()
     }
 
     /// Lists image names.
@@ -339,7 +351,7 @@ impl BlkBack {
         let image = self.images.id(mount.image())?;
         let sectors = match &mount {
             Mount::Exclusive(_) => self.images.mount_exclusive(image, conn.guest)?,
-            Mount::Cow(_) => self.images.mount_cow(image),
+            Mount::Cow(_) => self.images.mount_cow(image)?,
         };
         self.attachments.push(Attachment {
             guest: conn.guest,
@@ -416,12 +428,16 @@ impl BlkBack {
                 Ok(r) => r,
                 Err(_) => continue,
             };
+            // A mounted image cannot be deleted, so this holds; were its
+            // slot empty, every request would fail rather than be lost.
+            let live = self.images.image(a.image).is_some();
             while let Some(req) = ring.pop_request() {
                 let end = req.sector.saturating_add(req.count);
-                let valid = match req.op {
-                    BlkOp::Flush => req.count == 0,
-                    _ => req.count > 0 && req.bytes() <= MAX_SEGMENTS_BYTES && end <= a.sectors,
-                };
+                let valid = live
+                    && match req.op {
+                        BlkOp::Flush => req.count == 0,
+                        _ => req.count > 0 && req.bytes() <= MAX_SEGMENTS_BYTES && end <= a.sectors,
+                    };
                 let mut resp_payload = None;
                 let status = if valid {
                     let sequential = a.last_sector == Some(req.sector);

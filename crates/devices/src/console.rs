@@ -67,9 +67,8 @@ impl ConsoleManager {
     /// serial time consumed (only Dom0/boot output goes to the physical
     /// port; guest output just lands in logs).
     pub fn process(&mut self, hv: &mut Hypervisor) -> u64 {
-        let guests: Vec<DomId> = self.consoles.keys().copied().collect();
         let mut serial_ns = 0;
-        for g in guests {
+        for (&g, console) in &mut self.consoles {
             let data = hv.console_take(g);
             if data.is_empty() {
                 continue;
@@ -78,11 +77,7 @@ impl ConsoleManager {
                 serial_ns += self.serial.tx_time_ns(data.len());
                 self.physical_bytes += data.len() as u64;
             }
-            self.consoles
-                .get_mut(&g)
-                .expect("registered")
-                .output
-                .extend(data);
+            console.output.extend(data);
         }
         serial_ns
     }

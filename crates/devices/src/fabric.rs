@@ -255,7 +255,9 @@ impl Fabric {
         if !self.flows.get(&(flow, src)).is_some_and(|re| re.dst == dst) {
             return false;
         }
-        let re = self.flows.remove(&(flow, src)).expect("checked above");
+        let Some(re) = self.flows.remove(&(flow, src)) else {
+            return false;
+        };
         if self
             .flows
             .get(&(flow, dst))
@@ -370,14 +372,10 @@ impl Fabric {
         // check, one notify record per run); each payload handle moves
         // exactly once, drain slot → destination ring.
         let mut frames = ingress.drain(..);
-        let mut i = 0;
-        while i < routes.len() {
-            let route = routes[i];
-            let mut j = i + 1;
-            while j < routes.len() && routes[j] == route {
-                j += 1;
-            }
-            let len = j - i;
+        for run in routes.chunk_by(|a, b| a == b) {
+            let (Some(&route), len) = (run.first(), run.len()) else {
+                continue;
+            };
             match route {
                 Some(UPLINK) => {
                     // Guest→external: out the uplink, translated through
@@ -398,7 +396,6 @@ impl Fabric {
                     frames.by_ref().take(len).for_each(drop);
                 }
             }
-            i = j;
         }
         debug_assert!(frames.next().is_none(), "every routed frame consumed");
         drop(frames);
@@ -446,7 +443,8 @@ impl Fabric {
             }
         };
         stats.flows_learned += 1;
-        let re = self.flows.get_mut(&(pkt.flow, src)).expect("just inserted");
+        // Both arms above inserted the entry.
+        let re = self.flows.get_mut(&(pkt.flow, src))?;
         re.entry.packets += 1;
         re.entry.bytes += pkt.bytes as u64;
         re.entry.last_seq = pkt.seq;

@@ -22,6 +22,17 @@
 //! * [`sriov`] — SR-IOV virtual functions and the §5.3 sharing analysis.
 
 #![warn(missing_docs)]
+// Backends parse what guests put on their rings and in the store: non-test
+// code returns an error and never panics. Enforced by `cargo clippy`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod blk;
 pub mod console;

@@ -126,7 +126,7 @@ impl SrIovNic {
         // Interrupt routing through the (shared) configuration space.
         let irq = 48 + idx as u32;
         pciback.config_write(pciback.dom, self.pf, 0x180 + idx as u16, irq)?;
-        let vf = &mut self.vfs[idx];
+        let vf = self.vfs.get_mut(idx).ok_or(SrIovError::NoFreeVfs)?;
         vf.assigned_to = Some(guest);
         vf.irq = Some(irq);
         Ok(vf.addr)

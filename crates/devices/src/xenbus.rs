@@ -12,11 +12,32 @@
 //! wiring, grant passing, event-channel binding, and the
 //! renegotiation-after-microreboot of Figure 6.3 — is exercised end to
 //! end.
+//!
+//! How a built device is linked ([`negotiate`]):
+//! 1. [`toolstack_link`] writes the frontend and the backend directory,
+//!    each as one `create_subtree` request in which every node gets its
+//!    final ACL. Both layouts are built once per process.
+//! 2. [`frontend_init`] grants the ring, allocates an event channel and
+//!    publishes both.
+//! 3. [`backend_accept`] maps the grant, binds the channel and moves both
+//!    `state` keys to Connected.
+//!
+//! Steps 2 and 3 parse the device's directory path once and make each
+//! key as an [`XsPath::child`] of it. Their writes to keys that exist
+//! already update State's record in place (`XenStoreState::update`, the
+//! borrowed form of a Put, counted as one).
+//!
+//! [`teardown`] leaves both directories in place. So after a hypervisor
+//! restart, [`reconnect`] runs steps 2 and 3 alone. Step 1 could not run
+//! again, since `create_subtree` refuses a directory that exists, and it
+//! need not: the keys and ACLs it wrote are still there.
+
+use std::sync::LazyLock;
 
 use xoar_hypervisor::grant::{GrantAccess, GrantRef};
 use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::{DomId, Hypercall, Hypervisor};
-use xoar_xenstore::XenStore;
+use xoar_xenstore::{NodeData, NodePerms, PermLevel, SubtreeLayout, XenStore, XsPath};
 
 use crate::ring::{RingHub, RingId};
 
@@ -56,8 +77,16 @@ impl XenbusState {
     }
 
     /// The decimal wire encoding.
-    pub fn encode(self) -> String {
-        (self as u8).to_string()
+    pub fn encode(self) -> &'static str {
+        match self {
+            XenbusState::Unknown => "0",
+            XenbusState::Initialising => "1",
+            XenbusState::InitWait => "2",
+            XenbusState::Initialised => "3",
+            XenbusState::Connected => "4",
+            XenbusState::Closing => "5",
+            XenbusState::Closed => "6",
+        }
     }
 }
 
@@ -171,9 +200,48 @@ impl From<xoar_xenstore::XsError> for XenbusError {
 /// Result alias for xenbus operations.
 pub type XbResult<T> = Result<T, XenbusError>;
 
+/// The frontend directory the toolstack writes: the directory, then its
+/// `backend`, `backend-id` and `state` keys.
+#[expect(
+    clippy::expect_used,
+    reason = "a constant layout, checked by tests::link_layouts_are_valid"
+)]
+static FRONTEND_DIR: LazyLock<SubtreeLayout> = LazyLock::new(|| {
+    SubtreeLayout::new(["", "/backend", "/backend-id", "/state"]).expect("a valid layout")
+});
+
+/// The backend directory the toolstack writes: the directory, then its
+/// `frontend`, `frontend-id` and `state` keys.
+#[expect(
+    clippy::expect_used,
+    reason = "a constant layout, checked by tests::link_layouts_are_valid"
+)]
+static BACKEND_DIR: LazyLock<SubtreeLayout> = LazyLock::new(|| {
+    SubtreeLayout::new(["", "/frontend", "/frontend-id", "/state"]).expect("a valid layout")
+});
+
+/// One directory's nodes in its layout's order: the empty directory,
+/// then the three keys' values, each node with `perms`.
+fn link_nodes(peer: String, peer_id: DomId, state: XenbusState, perms: NodePerms) -> Vec<NodeData> {
+    vec![
+        (Vec::new(), perms.clone()),
+        (peer.into_bytes(), perms.clone()),
+        (peer_id.0.to_string().into_bytes(), perms.clone()),
+        (state.encode().as_bytes().to_vec(), perms),
+    ]
+}
+
 /// Step 1 — toolstack wiring (§5.4): "During VM creation, the Toolstack
 /// links a guest VM to the selected driver domain by writing the
 /// appropriate frontend and backend XenStore entries."
+///
+/// Each directory is one [`XenStore::create_subtree`] request, so every
+/// node is stored once, with its final ACL: the frontend directory is
+/// the guest's and readable by the backend, the backend directory the
+/// backend's and readable by the guest, and so the drivers negotiate
+/// without privileged connections. Neither directory may exist yet; a
+/// link that survives a lost connection is renegotiated by
+/// [`reconnect`] instead.
 pub fn toolstack_link(
     xs: &mut XenStore,
     actor: DomId,
@@ -184,42 +252,14 @@ pub fn toolstack_link(
 ) -> XbResult<()> {
     let fp = frontend_path(guest, kind, index);
     let bp = backend_path(backend, kind, guest, index);
-    xs.write_str(actor, &format!("{fp}/backend"), &bp)?;
-    xs.write_str(actor, &format!("{fp}/backend-id"), &backend.0.to_string())?;
-    xs.write_str(
-        actor,
-        &format!("{fp}/state"),
-        &XenbusState::Initialising.encode(),
-    )?;
-    xs.write_str(actor, &format!("{bp}/frontend"), &fp)?;
-    xs.write_str(actor, &format!("{bp}/frontend-id"), &guest.0.to_string())?;
-    xs.write_str(
-        actor,
-        &format!("{bp}/state"),
-        &XenbusState::InitWait.encode(),
-    )?;
-    // Hand the directories (and the keys just written) to their owners so
-    // the drivers can negotiate without privileged connections.
-    let mut fperms = xoar_xenstore::NodePerms::owner_only(guest);
-    fperms.set_entry(backend, xoar_xenstore::PermLevel::Read);
-    for node in [
-        fp.clone(),
-        format!("{fp}/backend"),
-        format!("{fp}/backend-id"),
-        format!("{fp}/state"),
-    ] {
-        xs.set_perms(actor, &node, fperms.clone())?;
-    }
-    let mut bperms = xoar_xenstore::NodePerms::owner_only(backend);
-    bperms.set_entry(guest, xoar_xenstore::PermLevel::Read);
-    for node in [
-        bp.clone(),
-        format!("{bp}/frontend"),
-        format!("{bp}/frontend-id"),
-        format!("{bp}/state"),
-    ] {
-        xs.set_perms(actor, &node, bperms.clone())?;
-    }
+    let mut fperms = NodePerms::owner_only(guest);
+    fperms.set_entry(backend, PermLevel::Read);
+    let front = link_nodes(bp.clone(), backend, XenbusState::Initialising, fperms);
+    xs.create_subtree(actor, &fp, &FRONTEND_DIR, front)?;
+    let mut bperms = NodePerms::owner_only(backend);
+    bperms.set_entry(guest, PermLevel::Read);
+    let back = link_nodes(fp, guest, XenbusState::InitWait, bperms);
+    xs.create_subtree(actor, &bp, &BACKEND_DIR, back)?;
     Ok(())
 }
 
@@ -235,9 +275,9 @@ pub fn frontend_init<Req, Resp>(
     index: u32,
     ring_pfn: Pfn,
 ) -> XbResult<(GrantRef, u32)> {
-    let fp = frontend_path(guest, kind, index);
+    let fp = XsPath::parse(&frontend_path(guest, kind, index))?;
     let backend_id: u32 = xs
-        .read_str(guest, &format!("{fp}/backend-id"))?
+        .read_str(guest, &fp.child("backend-id")?)?
         .parse()
         .map_err(|_| XenbusError::Protocol("bad backend-id".into()))?;
     let backend = DomId(backend_id);
@@ -258,19 +298,20 @@ pub fn frontend_init<Req, Resp>(
         granter: guest,
         gref,
     });
-    xs.write_str(guest, &format!("{fp}/ring-ref"), &gref.0.to_string())?;
-    xs.write_str(guest, &format!("{fp}/event-channel"), &port.to_string())?;
+    let ring_ref = fp.child("ring-ref")?;
+    let event_channel = fp.child("event-channel")?;
+    xs.write_str(guest, &ring_ref, &gref.0.to_string())?;
+    xs.write_str(guest, &event_channel, &port.to_string())?;
     xs.write_str(
         guest,
-        &format!("{fp}/state"),
-        &XenbusState::Initialised.encode(),
+        &fp.child("state")?,
+        XenbusState::Initialised.encode(),
     )?;
     // The backend must be able to read the published rendezvous details.
-    let mut perms = xoar_xenstore::NodePerms::owner_only(guest);
-    perms.set_entry(backend, xoar_xenstore::PermLevel::Read);
-    for node in [format!("{fp}/ring-ref"), format!("{fp}/event-channel")] {
-        xs.set_perms(guest, &node, perms.clone())?;
-    }
+    let mut perms = NodePerms::owner_only(guest);
+    perms.set_entry(backend, PermLevel::Read);
+    xs.set_perms(guest, &ring_ref, perms.clone())?;
+    xs.set_perms(guest, &event_channel, perms)?;
     Ok((gref, port))
 }
 
@@ -284,21 +325,23 @@ pub fn backend_accept(
     guest: DomId,
     index: u32,
 ) -> XbResult<Connection> {
-    let bp = backend_path(backend, kind, guest, index);
-    let fp = xs.read_str(backend, &format!("{bp}/frontend"))?;
-    let state = xs.read_str(backend, &format!("{fp}/state"))?;
+    let bp = XsPath::parse(&backend_path(backend, kind, guest, index))?;
+    // The frontend's path is store content, so it is parsed as read.
+    let fp = XsPath::parse(&xs.read_str(backend, &bp.child("frontend")?)?)?;
+    let front_state = fp.child("state")?;
+    let state = xs.read_str(backend, &front_state)?;
     if XenbusState::parse(&state) != Some(XenbusState::Initialised) {
         return Err(XenbusError::Protocol(format!(
             "frontend not initialised (state {state})"
         )));
     }
     let gref = GrantRef(
-        xs.read_str(backend, &format!("{fp}/ring-ref"))?
+        xs.read_str(backend, &fp.child("ring-ref")?)?
             .parse()
             .map_err(|_| XenbusError::Protocol("bad ring-ref".into()))?,
     );
     let front_port: u32 = xs
-        .read_str(backend, &format!("{fp}/event-channel"))?
+        .read_str(backend, &fp.child("event-channel")?)?
         .parse()
         .map_err(|_| XenbusError::Protocol("bad event-channel".into()))?;
     // Map the grant — this is the audited capability use.
@@ -320,15 +363,11 @@ pub fn backend_accept(
         .port()?;
     xs.write_str(
         backend,
-        &format!("{bp}/state"),
-        &XenbusState::Connected.encode(),
+        &bp.child("state")?,
+        XenbusState::Connected.encode(),
     )?;
     // Frontend observes Connected and follows.
-    xs.write_str(
-        guest,
-        &format!("{fp}/state"),
-        &XenbusState::Connected.encode(),
-    )?;
+    xs.write_str(guest, &front_state, XenbusState::Connected.encode())?;
     Ok(Connection {
         guest,
         backend,
@@ -341,6 +380,24 @@ pub fn backend_accept(
         front_port,
         back_port,
     })
+}
+
+/// Renegotiates a link whose directories are in place: the frontend
+/// publishes a fresh ring and event channel, and the backend accepts
+/// them (steps 2 and 3). After [`teardown`], which leaves both
+/// directories, this is what brings a device back.
+pub fn reconnect<Req, Resp>(
+    hv: &mut Hypervisor,
+    xs: &mut XenStore,
+    hub: &mut RingHub<Req, Resp>,
+    guest: DomId,
+    backend: DomId,
+    kind: DeviceKind,
+    index: u32,
+    ring_pfn: Pfn,
+) -> XbResult<Connection> {
+    frontend_init(hv, xs, hub, guest, kind, index, ring_pfn)?;
+    backend_accept(hv, xs, backend, kind, guest, index)
 }
 
 /// Performs the complete three-step negotiation.
@@ -356,13 +413,12 @@ pub fn negotiate<Req, Resp>(
     ring_pfn: Pfn,
 ) -> XbResult<Connection> {
     toolstack_link(xs, actor, guest, backend, kind, index)?;
-    frontend_init(hv, xs, hub, guest, kind, index, ring_pfn)?;
-    backend_accept(hv, xs, backend, kind, guest, index)
+    reconnect(hv, xs, hub, guest, backend, kind, index, ring_pfn)
 }
 
 /// Tears down a connection (backend restart or device removal): detaches
 /// the ring, closes the ports, and resets the xenbus states so a fresh
-/// negotiation can run.
+/// negotiation can run. Both directories stay, for [`reconnect`].
 pub fn teardown<Req, Resp>(
     hv: &mut Hypervisor,
     xs: &mut XenStore,
@@ -391,12 +447,12 @@ pub fn teardown<Req, Resp>(
     let _ = xs.write_str(
         conn.guest,
         &format!("{fp}/state"),
-        &XenbusState::Closed.encode(),
+        XenbusState::Closed.encode(),
     );
     let _ = xs.write_str(
         conn.backend,
         &format!("{bp}/state"),
-        &XenbusState::InitWait.encode(),
+        XenbusState::InitWait.encode(),
     );
     Ok(lost)
 }
@@ -560,6 +616,107 @@ mod tests {
     }
 
     #[test]
+    fn link_layouts_are_valid() {
+        let front: Vec<&str> = FRONTEND_DIR.suffixes().collect();
+        assert_eq!(front, ["", "/backend", "/backend-id", "/state"]);
+        let back: Vec<&str> = BACKEND_DIR.suffixes().collect();
+        assert_eq!(back, ["", "/frontend", "/frontend-id", "/state"]);
+    }
+
+    /// The toolstack's step as a write per key and then an ACL per node:
+    /// the reference [`toolstack_link`] is held to.
+    fn link_key_by_key(
+        xs: &mut XenStore,
+        actor: DomId,
+        guest: DomId,
+        backend: DomId,
+        kind: DeviceKind,
+        index: u32,
+    ) {
+        let fp = frontend_path(guest, kind, index);
+        let bp = backend_path(backend, kind, guest, index);
+        for (key, value) in [
+            (format!("{fp}/backend"), bp.clone()),
+            (format!("{fp}/backend-id"), backend.0.to_string()),
+            (
+                format!("{fp}/state"),
+                XenbusState::Initialising.encode().into(),
+            ),
+            (format!("{bp}/frontend"), fp.clone()),
+            (format!("{bp}/frontend-id"), guest.0.to_string()),
+            (format!("{bp}/state"), XenbusState::InitWait.encode().into()),
+        ] {
+            xs.write_str(actor, &key, &value).unwrap();
+        }
+        for (dir, keys, owner, reader) in [
+            (
+                &fp,
+                ["", "/backend", "/backend-id", "/state"],
+                guest,
+                backend,
+            ),
+            (
+                &bp,
+                ["", "/frontend", "/frontend-id", "/state"],
+                backend,
+                guest,
+            ),
+        ] {
+            let mut perms = NodePerms::owner_only(owner);
+            perms.set_entry(reader, PermLevel::Read);
+            for key in keys {
+                xs.set_perms(actor, &format!("{dir}{key}"), perms.clone())
+                    .unwrap();
+            }
+        }
+    }
+
+    /// Every stored node's key, value and ACL.
+    fn nodes(xs: &XenStore) -> Vec<(String, Vec<u8>, NodePerms)> {
+        (xs.state().entries_under("/"))
+            .map(|(k, r)| (k.clone(), r.value.clone(), r.perms.clone()))
+            .collect()
+    }
+
+    /// `toolstack_link` leaves the store a write per key and an ACL per
+    /// node leave: for a vif and then a vbd (whose `device` directory
+    /// exists by then), on Xoar, where the toolstack is not the backend,
+    /// and on stock Xen, where dom0 is both.
+    #[test]
+    fn toolstack_link_matches_a_write_per_key() {
+        let (toolstack, dom0, guest, backend) = (DomId(1), DomId(0), DomId(7), DomId(3));
+        for (actor, backend) in [(toolstack, backend), (dom0, dom0)] {
+            let mut stores = [XenStore::new(), XenStore::new()];
+            for xs in &mut stores {
+                xs.set_privileged(actor, true);
+                xs.create_domain_home(actor, guest).unwrap();
+                if backend != actor {
+                    xs.create_domain_home(actor, backend).unwrap();
+                }
+            }
+            let [by_key, linked] = &mut stores;
+            for kind in [DeviceKind::Vif, DeviceKind::Vbd] {
+                link_key_by_key(by_key, actor, guest, backend, kind, 0);
+                toolstack_link(linked, actor, guest, backend, kind, 0).unwrap();
+                assert_eq!(nodes(linked), nodes(by_key), "{kind:?} via {actor}");
+            }
+        }
+    }
+
+    #[test]
+    fn toolstack_link_refuses_an_existing_directory() {
+        let (_hv, mut xs, _hub, dom0, backend, guest) = setup();
+        toolstack_link(&mut xs, dom0, guest, backend, DeviceKind::Vif, 0).unwrap();
+        let before = nodes(&xs);
+        let again = toolstack_link(&mut xs, dom0, guest, backend, DeviceKind::Vif, 0);
+        assert!(matches!(
+            again,
+            Err(XenbusError::Xs(xoar_xenstore::XsError::Exists(_)))
+        ));
+        assert_eq!(nodes(&xs), before, "a refused link writes nothing");
+    }
+
+    #[test]
     fn state_round_trip() {
         for s in [
             XenbusState::Unknown,
@@ -570,7 +727,7 @@ mod tests {
             XenbusState::Closing,
             XenbusState::Closed,
         ] {
-            assert_eq!(XenbusState::parse(&s.encode()), Some(s));
+            assert_eq!(XenbusState::parse(s.encode()), Some(s));
         }
         assert_eq!(XenbusState::parse("7"), None);
         assert_eq!(XenbusState::parse("x"), None);

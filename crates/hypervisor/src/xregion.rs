@@ -25,7 +25,7 @@ use crate::fasthash::FastMap;
 
 use crate::domain::DomId;
 use crate::error::{EventError, HvError, HvResult, MemError};
-use crate::event::{PendingEvent, PortState};
+use crate::event::{DomainPorts, PendingEvent, PortState};
 use crate::grant::{GrantAccess, GrantCopyDir, GrantCopyOp, GrantOpStatus, GrantRef, GrantTable};
 use crate::memory::{MemoryManager, Mfn, PageRef, Pfn};
 use crate::region::Region;
@@ -469,7 +469,7 @@ pub(crate) fn foreign_write(
 /// outlives the domain, alone in an otherwise empty region, so that the
 /// peer can unmap it: the hypervisor drops it with the last mapping.
 pub(crate) fn teardown(regions: &mut FastMap<DomId, Region>, target: DomId) {
-    let Some(region) = regions.remove(&target) else {
+    let Some(mut region) = regions.remove(&target) else {
         return;
     };
     let peers: Vec<(DomId, u32)> = region
@@ -490,9 +490,12 @@ pub(crate) fn teardown(regions: &mut FastMap<DomId, Region>, target: DomId) {
         }
     }
     if region.grants.active_mappings() > 0 {
-        let mut held = Region::new(target);
-        held.grants = region.grants;
-        regions.insert(target, held);
+        // Only the grant table outlives the domain, until its last unmap.
+        // The region is emptied in place: a fresh one would build a grant
+        // table only to drop it.
+        region.ports = DomainPorts::default();
+        region.console = Vec::new();
+        regions.insert(target, region);
     }
 }
 

@@ -54,7 +54,7 @@ pub mod watch;
 
 pub use error::{XsError, XsResult};
 pub use logic::{NodeData, Quotas, SubtreeLayout, XenStoreLogic};
-pub use path::XsPath;
+pub use path::{XsPath, XsPathArg};
 pub use perm::{NodePerms, PermEntry, PermLevel};
 pub use proto::{Request, Response, XenStore};
 pub use ring::{XsRingError, XsRingTransport};

@@ -116,8 +116,20 @@ struct Txn {
     base_generation: u64,
     /// Overlay writes: `None` means deleted within the transaction.
     writes: BTreeMap<String, Option<NodeRecord>>,
-    /// Keys read (for conflict detection).
-    reads: BTreeSet<String>,
+    /// Every key the transaction read or wrote, with the generation State
+    /// held for it when the transaction first touched it (`None`:
+    /// absent). A commit conflicts if any of them has changed since.
+    seen: BTreeMap<String, Option<u64>>,
+}
+
+impl Txn {
+    /// Records the generation State holds for `key` now, unless the
+    /// transaction touched it before.
+    fn see(&mut self, key: &str, generation: Option<u64>) {
+        if !self.seen.contains_key(key) {
+            self.seen.insert(key.to_string(), generation);
+        }
+    }
 }
 
 /// Quota configuration.
@@ -237,23 +249,26 @@ impl XenStoreLogic {
     // ----- helpers -----
 
     /// Resolves `key` in the view of transaction `txn` (its overlay over
-    /// State, or State alone outside one), recording the read for
-    /// conflict detection. State answers through the counted narrow
-    /// protocol and lends the record: nothing is cloned.
+    /// State, or State alone outside one), recording the generation State
+    /// answered with for conflict detection. A key in the overlay was
+    /// recorded when it was written. State answers through the counted
+    /// narrow protocol and lends the record: nothing is cloned.
     fn txn_read<'a>(
         txns: &'a mut FastMap<u32, Txn>,
         state: &'a mut XenStoreState,
         txn: Option<u32>,
         key: &str,
     ) -> XsResult<Option<&'a NodeRecord>> {
-        if let Some(id) = txn {
-            let t = txns.get_mut(&id).ok_or(XsError::BadTxn(id))?;
-            t.reads.insert(key.to_string());
-            if let Some(overlay) = t.writes.get(key) {
-                return Ok(overlay.as_ref());
-            }
+        let Some(id) = txn else {
+            return Ok(state.get(key));
+        };
+        let t = txns.get_mut(&id).ok_or(XsError::BadTxn(id))?;
+        if t.writes.contains_key(key) {
+            return Ok(t.writes.get(key).and_then(Option::as_ref));
         }
-        Ok(state.get(key))
+        let rec = state.get(key);
+        t.see(key, rec.map(|r| r.generation));
+        Ok(rec)
     }
 
     /// Refuses `more` nodes for `dom` past its node quota, counting the
@@ -312,12 +327,19 @@ impl XenStoreLogic {
             if !(privileged || rec.perms.can_write(dom)) {
                 return Err(acc(dom, path));
             }
-            let rec = NodeRecord {
-                value: value.to_vec(),
-                perms: rec.perms.clone(),
-                generation: rec.generation,
-            };
-            self.apply_write(state, txn, key.to_string(), Some(rec))?;
+            if txn.is_some() {
+                let rec = NodeRecord {
+                    value: value.to_vec(),
+                    perms: rec.perms.clone(),
+                    generation: rec.generation,
+                };
+                self.apply_write(state, txn, key.to_string(), Some(rec))?;
+            } else {
+                state.update(key, |rec| {
+                    rec.value.clear();
+                    rec.value.extend_from_slice(value);
+                });
+            }
         } else {
             // Everything below the nearest existing ancestor is missing:
             // create it root-first, then the node, each owned by the
@@ -503,7 +525,8 @@ impl XenStoreLogic {
                 // which it never needed to look up.
                 if let Some(t) = txn.and_then(|id| self.txns.get_mut(&id)) {
                     for (j, _) in key[1..i].match_indices('/') {
-                        t.reads.insert(key[..j + 1].to_string());
+                        let above = &key[..j + 1];
+                        t.see(above, state.peek(above).map(|r| r.generation));
                     }
                 }
                 return Ok(i);
@@ -526,6 +549,7 @@ impl XenStoreLogic {
     ) -> XsResult<()> {
         if let Some(id) = txn {
             let t = self.txns.get_mut(&id).ok_or(XsError::BadTxn(id))?;
+            t.see(&key, state.peek(&key).map(|r| r.generation));
             t.writes.insert(key, rec);
         } else {
             match rec {
@@ -681,12 +705,7 @@ impl XenStoreLogic {
         if rec.perms.owner != dom && !privileged {
             return Err(acc(dom, path));
         }
-        let rec = NodeRecord {
-            value: rec.value.clone(),
-            perms,
-            generation: rec.generation,
-        };
-        state.serve(KvRequest::Put(path.as_str().to_string(), rec));
+        state.update(path.as_str(), |rec| rec.perms = perms);
         self.watches.fire(path.as_str());
         Ok(())
     }
@@ -762,7 +781,7 @@ impl XenStoreLogic {
                 dom,
                 base_generation: base,
                 writes: BTreeMap::new(),
-                reads: BTreeSet::new(),
+                seen: BTreeMap::new(),
             },
         );
         Ok(id)
@@ -771,8 +790,9 @@ impl XenStoreLogic {
     /// Ends a transaction. With `commit == false` the overlay is simply
     /// discarded; with `commit == true` the overlay is applied atomically
     /// unless any key read or written has changed since the transaction
-    /// started, in which case [`XsError::Again`] is returned and the
-    /// caller retries (the classic XenStore EAGAIN loop).
+    /// started (written, created or removed), in which case
+    /// [`XsError::Again`] is returned and the caller retries (the classic
+    /// XenStore EAGAIN loop).
     pub fn txn_end(
         &mut self,
         state: &mut XenStoreState,
@@ -791,20 +811,18 @@ impl XenStoreLogic {
         if !commit {
             return Ok(());
         }
-        // Conflict detection: any touched key mutated after base?
-        let touched: BTreeSet<&String> = txn.reads.iter().chain(txn.writes.keys()).collect();
-        for key in touched {
-            if state
-                .get(key)
-                .is_some_and(|rec| rec.generation > txn.base_generation)
-            {
+        // Conflict detection: a touched key mutated after the base, or
+        // created or removed since the transaction first touched it.
+        for (key, &seen) in &txn.seen {
+            let now = state.get(key).map(|rec| rec.generation);
+            if now != seen || now.is_some_and(|g| g > txn.base_generation) {
                 return Err(XsError::Again);
             }
         }
-        // A removal leaves no generation behind, so the check above cannot
-        // see a parent removed, or a child created under a node this
-        // transaction removes, since it started. Either would leave a
-        // stored node without its parent: retry instead.
+        // The check above sees only the keys the transaction touched, so
+        // not a child created under a node this transaction removes since
+        // it started. That would leave a stored node without its parent:
+        // retry instead. A parent removed since is checked here too.
         for (key, rec) in &txn.writes {
             let deleted_in_txn = |k: &str| matches!(txn.writes.get(k), Some(None));
             let orphans = match (rec, parent_key(key)) {
@@ -1406,6 +1424,31 @@ mod tests {
         l.rm(&mut s, dom0, Some(t), &p("/tool/b")).unwrap();
         l.txn_end(&mut s, dom0, t, true).unwrap();
         assert!(s.peek("/tool/b").is_none() && s.peek("/tool/b/z").is_none());
+    }
+
+    #[test]
+    fn a_key_removed_outside_since_the_transaction_wrote_it_gets_eagain() {
+        let (mut l, mut s, dom0, _) = setup();
+        l.write(&mut s, dom0, None, &p("/t/a"), b"old").unwrap();
+        let t = l.txn_start(&mut s, dom0).unwrap();
+        l.write(&mut s, dom0, Some(t), &p("/t/a"), b"new").unwrap();
+        l.rm(&mut s, dom0, None, &p("/t/a")).unwrap();
+        assert!(matches!(
+            l.txn_end(&mut s, dom0, t, true),
+            Err(XsError::Again)
+        ));
+        assert!(s.peek("/t/a").is_none(), "the commit re-created nothing");
+        // A key the transaction read while it existed conflicts the same.
+        l.write(&mut s, dom0, None, &p("/t/b"), b"x").unwrap();
+        let t = l.txn_start(&mut s, dom0).unwrap();
+        l.read(&mut s, dom0, Some(t), &p("/t/b")).unwrap();
+        l.write(&mut s, dom0, Some(t), &p("/t/c"), b"y").unwrap();
+        l.rm(&mut s, dom0, None, &p("/t/b")).unwrap();
+        assert!(matches!(
+            l.txn_end(&mut s, dom0, t, true),
+            Err(XsError::Again)
+        ));
+        assert!(s.peek("/t/c").is_none());
     }
 
     #[test]
@@ -2157,14 +2200,25 @@ mod proptests {
 
     /// Who owns each node: in State, and in the open transaction's
     /// overlay (`None`: removed there). The reference the quota property
-    /// checks the owner index against.
+    /// checks the owner index against. `seen` holds, for each key the
+    /// transaction read or wrote, whether State held it then.
     #[derive(Default)]
     struct Owners {
         store: BTreeMap<String, DomId>,
         overlay: Option<BTreeMap<String, Option<DomId>>>,
+        seen: BTreeMap<String, bool>,
     }
 
     impl Owners {
+        /// Records whether State holds `key`, if the transaction touches
+        /// it for the first time.
+        fn touch(&mut self, key: &str, txn: bool) {
+            if txn && self.overlay.is_some() && !self.seen.contains_key(key) {
+                let held = self.store.contains_key(key);
+                self.seen.insert(key.to_string(), held);
+            }
+        }
+
         /// The owner of `key` in the transaction's view, or in State's.
         fn owner(&self, key: &str, txn: bool) -> Option<DomId> {
             match self
@@ -2229,6 +2283,7 @@ mod proptests {
             txn: bool,
         ) -> Result<(), String> {
             let may = |owner: Option<DomId>| privileged || owner == Some(dom);
+            self.touch(path, txn);
             if let Some(owner) = self.owner(path, txn) {
                 if !may(Some(owner)) {
                     return Err("EACCES".into());
@@ -2241,15 +2296,22 @@ mod proptests {
                 .map(|(i, _)| i)
                 .filter(|&i| i > 0)
                 .collect();
-            let base = slashes
-                .iter()
-                .rev()
-                .copied()
-                .find(|&i| self.owner(&path[..i], txn).is_some());
+            // The walk up from the parent to the nearest existing node.
+            let mut base = None;
+            for &i in slashes.iter().rev() {
+                self.touch(&path[..i], txn);
+                if self.owner(&path[..i], txn).is_some() {
+                    base = Some(i);
+                    break;
+                }
+            }
             if !base.map_or(privileged, |i| may(self.owner(&path[..i], txn))) {
                 return Err("EACCES".into());
             }
             let from = base.unwrap_or(0);
+            for &i in slashes.iter().filter(|&&i| i < from) {
+                self.touch(&path[..i], txn);
+            }
             for end in slashes
                 .into_iter()
                 .filter(|&i| i > from)
@@ -2271,6 +2333,7 @@ mod proptests {
             path: &str,
             txn: bool,
         ) -> Result<(), String> {
+            self.touch(path, txn);
             match self.owner(path, txn) {
                 None => Err("ENOENT".into()),
                 Some(owner) if !privileged && owner != dom => Err("EACCES".into()),
@@ -2278,6 +2341,7 @@ mod proptests {
                     let beneath = format!("{path}/");
                     for key in self.keys(txn) {
                         if key == path || key.starts_with(&beneath) {
+                            self.touch(&key, txn);
                             self.set(&key, None, txn);
                         }
                     }
@@ -2293,12 +2357,13 @@ mod proptests {
     /// every step of random plain and transactional writes and removals
     /// by a quota-bound guest and a privileged domain, whole-subtree
     /// creates handing nodes to a third domain, ownership changes,
-    /// commits, aborts, `Again` forced by a conflicting write, and Logic
+    /// commits, aborts, `Again` forced by a conflicting write (also one
+    /// removed again before the commit), and Logic
     /// restarts; and no unprivileged domain ever owns more nodes than its
     /// quota.
     #[test]
     fn quota_accounting_no_drift() {
-        Runner::cases(256).run("quota accounting has no drift", |g| {
+        Runner::cases(1024).run("quota accounting has no drift", |g| {
             let mut l = XenStoreLogic::with_quotas(Quotas {
                 nodes: QUOTA,
                 ..Quotas::default()
@@ -2397,15 +2462,20 @@ mod proptests {
                         None => {
                             txn = Some((l.txn_start(&mut s, guest).unwrap(), None));
                             model.overlay = Some(BTreeMap::new());
+                            model.seen.clear();
                         }
                         Some((id, conflict)) => {
-                            // Removed since, the key conflicts no more.
-                            let conflicted = conflict.is_some_and(|k| model.store.contains_key(&k));
+                            // Written outside since, the key conflicts if
+                            // State holds it now or held it when the
+                            // transaction first touched it.
+                            let conflicted = conflict.is_some_and(|k| {
+                                model.store.contains_key(&k) || model.seen.get(&k) == Some(&true)
+                            });
                             let commit = g.bool();
                             let overlay = model.overlay.take().unwrap_or_default();
                             let mut after = Owners {
                                 store: model.store.clone(),
-                                overlay: None,
+                                ..Owners::default()
                             };
                             for (key, owner) in &overlay {
                                 after.set(key, *owner, false);

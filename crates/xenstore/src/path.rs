@@ -5,6 +5,8 @@
 //! normalises them and provides the conventional locations used by the
 //! toolstack and split drivers.
 
+use std::borrow::Cow;
+
 use crate::error::XsError;
 
 /// Maximum length of a XenStore path in bytes (matches the C
@@ -35,27 +37,16 @@ impl XsPath {
             return Err(XsError::BadPath(raw.into()));
         }
         if raw.len() > PATH_MAX {
-            return Err(XsError::BadPath(format!("{}… (too long)", &raw[..32])));
+            return Err(too_long(raw));
         }
         if raw == "/" {
             return Ok(raw);
         }
         let trimmed = raw.strip_suffix('/').unwrap_or(raw);
-        for comp in trimmed[1..].split('/') {
-            if comp.is_empty() || comp == "." || comp == ".." {
-                return Err(XsError::BadPath(raw.into()));
-            }
-            if comp.len() > COMPONENT_MAX {
-                return Err(XsError::BadPath(raw.into()));
-            }
-            if !comp
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'@' | b':' | b'.'))
-            {
-                return Err(XsError::BadPath(raw.into()));
-            }
+        match trimmed.strip_prefix('/') {
+            Some(rest) if components_ok(rest) => Ok(trimmed),
+            _ => Err(XsError::BadPath(raw.into())),
         }
-        Ok(trimmed)
     }
 
     /// Whether `key` is a valid path already in normalised form, so that
@@ -96,14 +87,28 @@ impl XsPath {
         }
     }
 
-    /// Appends a single component.
+    /// Appends a single component, checking only what it appends: the
+    /// answer is [`XsPath::parse`]'s for `self` + `/` + `comp`, without
+    /// re-reading `self`.
     pub fn child(&self, comp: &str) -> Result<XsPath, XsError> {
-        let joined = if self.0 == "/" {
-            format!("/{comp}")
-        } else {
-            format!("{}/{comp}", self.0)
-        };
-        XsPath::parse(&joined)
+        let base = if self.0 == "/" { "" } else { self.0.as_str() };
+        let joined = || format!("{base}/{comp}");
+        if base.len() + 1 + comp.len() > PATH_MAX {
+            return Err(too_long(&joined()));
+        }
+        // A trailing `/` is dropped, so an empty component names `self`.
+        if comp.is_empty() {
+            return Ok(self.clone());
+        }
+        let comp = comp.strip_suffix('/').unwrap_or(comp);
+        if !components_ok(comp) {
+            return Err(XsError::BadPath(joined()));
+        }
+        let mut path = String::with_capacity(base.len() + 1 + comp.len());
+        path.push_str(base);
+        path.push('/');
+        path.push_str(comp);
+        Ok(XsPath(path))
     }
 
     /// Whether `self` equals `other` or lies beneath it.
@@ -115,6 +120,59 @@ impl XsPath {
     pub fn domain_home(domid: u32) -> XsPath {
         XsPath(format!("/local/domain/{domid}"))
     }
+}
+
+/// A path argument to the [`crate::XenStore`] facade's calls: text,
+/// parsed on each call, or an already-parsed [`XsPath`], used as it is.
+/// A caller that makes several requests under one directory parses the
+/// directory once and passes each key as an [`XsPath::child`] of it.
+pub trait XsPathArg {
+    /// The parsed path, borrowed when it is one already.
+    fn xs_path(&self) -> Result<Cow<'_, XsPath>, XsError>;
+}
+
+impl XsPathArg for str {
+    fn xs_path(&self) -> Result<Cow<'_, XsPath>, XsError> {
+        XsPath::parse(self).map(Cow::Owned)
+    }
+}
+
+impl XsPathArg for String {
+    fn xs_path(&self) -> Result<Cow<'_, XsPath>, XsError> {
+        self.as_str().xs_path()
+    }
+}
+
+impl XsPathArg for XsPath {
+    fn xs_path(&self) -> Result<Cow<'_, XsPath>, XsError> {
+        Ok(Cow::Borrowed(self))
+    }
+}
+
+/// Whether every `/`-separated component of `rest` is valid: not empty,
+/// `.` or `..`, at most [`COMPONENT_MAX`] bytes, and drawn from a
+/// conservative character set.
+fn components_ok(rest: &str) -> bool {
+    rest.split('/').all(|comp| {
+        !(comp.is_empty() || comp == "." || comp == "..")
+            && comp.len() <= COMPONENT_MAX
+            && comp
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'@' | b':' | b'.'))
+    })
+}
+
+/// The error for a path longer than [`PATH_MAX`], naming its first 32
+/// bytes (fewer if a character straddles that cut).
+fn too_long(raw: &str) -> XsError {
+    let mut cut = 32.min(raw.len());
+    while !raw.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    XsError::BadPath(format!(
+        "{}… (too long)",
+        raw.get(..cut).unwrap_or_default()
+    ))
 }
 
 /// Whether the normalised path `key` equals `root` or lies beneath it,
@@ -199,6 +257,52 @@ mod tests {
         assert!(p.child("bad comp").is_err());
         let root = XsPath::parse("/").unwrap();
         assert_eq!(root.child("tool").unwrap().as_str(), "/tool");
+    }
+
+    /// `child` answers as a parse of the joined path does: the same
+    /// refusals, and the same path when both accept. Components mix
+    /// valid and invalid bytes, `/`, `.` and `..`, empty and overlong
+    /// ones, under bases from the root to one just below `PATH_MAX`.
+    #[test]
+    fn child_matches_a_parse_of_the_joined_path() {
+        use xoar_sim::prop::Runner;
+        Runner::cases(2048).run("child is a parse of the joined path", |g| {
+            let base = match g.u8(0..4) {
+                0 => "/".to_string(),
+                1 => "/local/domain/5".to_string(),
+                2 => format!("/{}", "a".repeat(g.usize(1..COMPONENT_MAX + 2))),
+                _ => {
+                    let long = "/x".repeat(PATH_MAX / 2 - g.usize(0..4));
+                    long[..long.len().min(PATH_MAX - g.usize(0..3))].to_string()
+                }
+            };
+            let Ok(base) = XsPath::parse(&base) else {
+                return;
+            };
+            let pieces = [
+                "a", "vif", "0", "-", ".", "..", "/", "@:_", " ", "\u{e9}", "Z9",
+            ];
+            let mut comp: String = g.vec(0..5, |g| g.choose(&pieces).to_string()).concat();
+            if g.u8(0..8) == 0 {
+                comp.push_str(&"b".repeat(COMPONENT_MAX - 1 + g.usize(0..3)));
+            }
+            let joined = if base.as_str() == "/" {
+                format!("/{comp}")
+            } else {
+                format!("{base}/{comp}")
+            };
+            match (base.child(&comp), XsPath::parse(&joined)) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{base} + {comp:?}"),
+                (Err(_), Err(_)) => {}
+                (got, want) => panic!("{base} + {comp:?}: child {got:?}, parse {want:?}"),
+            }
+        });
+    }
+
+    #[test]
+    fn an_overlong_path_with_a_wide_character_is_refused() {
+        let raw = format!("/{}\u{e9}{}", "a".repeat(30), "b".repeat(PATH_MAX));
+        assert!(matches!(XsPath::parse(&raw), Err(XsError::BadPath(_))));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use xoar_hypervisor::DomId;
 
 use crate::error::{XsError, XsResult};
 use crate::logic::{NodeData, Quotas, SubtreeLayout, XenStoreLogic};
-use crate::path::XsPath;
+use crate::path::{XsPath, XsPathArg};
 use crate::perm::NodePerms;
 use crate::state::XenStoreState;
 use crate::watch::WatchEvent;
@@ -245,16 +245,22 @@ impl XenStore {
 
     // ----- direct convenience API (used by the platform crates) -----
 
-    /// Reads a node as a UTF-8 string.
-    pub fn read_str(&mut self, dom: DomId, path: &str) -> XsResult<String> {
-        let p = XsPath::parse(path)?;
+    /// Reads a node as a UTF-8 string. The path is text or an
+    /// [`XsPath`] (see [`XsPathArg`]).
+    pub fn read_str<P: XsPathArg + ?Sized>(&mut self, dom: DomId, path: &P) -> XsResult<String> {
+        let p = path.xs_path()?;
         let v = self.logic.read(&mut self.state, dom, None, &p)?;
         String::from_utf8(v).map_err(|_| XsError::Inval("non-utf8 value".into()))
     }
 
-    /// Writes a string value.
-    pub fn write_str(&mut self, dom: DomId, path: &str, value: &str) -> XsResult<()> {
-        let p = XsPath::parse(path)?;
+    /// Writes a string value. The path is text or an [`XsPath`].
+    pub fn write_str<P: XsPathArg + ?Sized>(
+        &mut self,
+        dom: DomId,
+        path: &P,
+        value: &str,
+    ) -> XsResult<()> {
+        let p = path.xs_path()?;
         self.logic
             .write(&mut self.state, dom, None, &p, value.as_bytes())
     }
@@ -288,9 +294,14 @@ impl XenStore {
         self.logic.poll_watch(dom)
     }
 
-    /// Sets node permissions.
-    pub fn set_perms(&mut self, dom: DomId, path: &str, perms: NodePerms) -> XsResult<()> {
-        let p = XsPath::parse(path)?;
+    /// Sets node permissions. The path is text or an [`XsPath`].
+    pub fn set_perms<P: XsPathArg + ?Sized>(
+        &mut self,
+        dom: DomId,
+        path: &P,
+        perms: NodePerms,
+    ) -> XsResult<()> {
+        let p = path.xs_path()?;
         self.logic.set_perms(&mut self.state, dom, &p, perms)
     }
 

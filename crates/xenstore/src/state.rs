@@ -194,6 +194,29 @@ impl XenStoreState {
         self.map.get(key)
     }
 
+    /// The borrowed form of a [`KvRequest::Put`] that replaces an existing
+    /// record: `f` edits the record in place, so nothing is cloned, not
+    /// the key, the value or the ACL. Counted as the one Put it replaces,
+    /// it bumps the generation as a Put does and, if `f` changes the
+    /// owner, moves the node in the owner index. Returns `false` if `key`
+    /// holds no record; the operation is still counted, as a Get of a
+    /// missing key is.
+    pub fn update(&mut self, key: &str, f: impl FnOnce(&mut NodeRecord)) -> bool {
+        self.ops_served += 1;
+        let Some(rec) = self.map.get_mut(key) else {
+            return false;
+        };
+        let owner = rec.perms.owner;
+        f(rec);
+        self.generation += 1;
+        rec.generation = self.generation;
+        if rec.perms.owner != owner && !key.starts_with(RESERVED_PREFIX) {
+            owner_count_dec(&mut self.owner_counts, owner);
+            *self.owner_counts.entry(rec.perms.owner).or_insert(0) += 1;
+        }
+        true
+    }
+
     /// The borrowed form of [`KvRequest::ListSubtree`]: one counted
     /// protocol operation that lends the records at `root` and beneath it,
     /// in key order, instead of cloning their keys.
@@ -475,6 +498,43 @@ mod tests {
         s.serve(KvRequest::Delete("/n1".into()));
         s.serve(KvRequest::Delete("/n2".into()));
         assert!(s.owner_counts().is_empty());
+    }
+
+    /// `update` leaves what a Put of the edited record would, counted
+    /// the same, and changes no record for a missing key.
+    #[test]
+    fn update_matches_a_put_of_the_edited_record() {
+        let (a, b) = (DomId(1), DomId(2));
+        let mut put = XenStoreState::new();
+        for k in ["/n", "/@watch/1/t"] {
+            let mut r = rec("x");
+            r.perms = NodePerms::owner_only(a);
+            put.serve(KvRequest::Put(k.into(), r));
+        }
+        let mut upd = put.clone();
+        for k in ["/n", "/@watch/1/t"] {
+            let mut r = put.peek(k).unwrap().clone();
+            r.value = b"yy".to_vec();
+            r.perms = NodePerms::owner_only(b);
+            put.serve(KvRequest::Put(k.into(), r));
+            assert!(upd.update(k, |r| {
+                r.value.clear();
+                r.value.extend_from_slice(b"yy");
+                r.perms.owner = b;
+            }));
+        }
+        assert_eq!(upd.peek("/n"), put.peek("/n"));
+        assert_eq!(upd.peek("/@watch/1/t"), put.peek("/@watch/1/t"));
+        assert_eq!(upd.owner_counts(), put.owner_counts());
+        assert_eq!(upd.owner_counts().get(&b), Some(&1));
+        assert_eq!(
+            (upd.generation(), upd.ops_served()),
+            (put.generation(), put.ops_served())
+        );
+        let gen = upd.generation();
+        assert!(!upd.update("/missing", |r| r.value.clear()));
+        assert_eq!(upd.generation(), gen, "nothing changed");
+        assert!(upd.peek("/missing").is_none());
     }
 
     #[test]

@@ -47,8 +47,8 @@ cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --selftest
 # deny the memory and grant internals and the ungated Hypervisor
 # mutators (aliases, UFCS calls and split chains included); the
 # hypervisor crate itself denies panics in non-test code and wildcard
-# arms in Hypercall::id and the dispatcher, and the xenstore crate
-# denies panics, unwraps and unchecked indexing in non-test code. Every
+# arms in Hypercall::id and the dispatcher, and the xenstore and devices
+# crates deny panics, unwraps and unchecked indexing in non-test code. Every
 # known ungated site carries an #[expect] with its reason, and an
 # expectation that no longer fires fails the step, so fixing a site
 # forces removing its attribute. Clippy only warns when a configured path does not resolve,
