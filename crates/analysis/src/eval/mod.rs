@@ -32,11 +32,6 @@ pub mod freshness;
 pub use corpus::{census, corpus, AttackVector, Vulnerability};
 pub use freshness::{exposure, TemporalExposure};
 
-/// Whether `path` lets its holder map any frame of the owner.
-fn maps_at_will(path: &MemPath) -> bool {
-    matches!(path, MemPath::BlanketForeign | MemPath::PrivilegedFor)
-}
-
 /// The live guests `toolstack` manages.
 fn managed(snap: &ModelSnapshot, toolstack: DomId) -> impl Iterator<Item = DomId> + '_ {
     snap.live_domains()
@@ -125,7 +120,7 @@ fn radius(snap: &ModelSnapshot, reach: &Reachability, dom: DomId) -> BlastRadius
         || !d.privileges.delegated_to.is_empty() && d.kind == "toolstack";
     let mut memory_of = BTreeSet::new();
     for (owner, paths) in reach.row(dom) {
-        if paths.iter().any(maps_at_will) {
+        if paths.iter().any(|p| p.maps_at_will()) {
             memory_of.insert(owner);
         }
         if paths.iter().any(|p| matches!(p, MemPath::Grant { .. })) {
@@ -302,7 +297,7 @@ pub fn tcb_of_guest(platform: &Platform, guest: DomId) -> TcbReport {
         loc: sizes::XEN,
     }];
     for d in snap.live_domains() {
-        if reach.mem_paths(d.id, guest).iter().any(maps_at_will) {
+        if reach.maps_at_will(d.id, guest) {
             components.push(Component {
                 name: d.name.clone(),
                 loc,

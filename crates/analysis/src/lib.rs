@@ -31,12 +31,14 @@
 //! produce byte-identical output.
 //!
 //! A third, *dynamic* pass complements the static rules: [`spec`] is an
-//! executable isolation specification — a small memory-ownership model
-//! advanced in lockstep with the real hypervisor on every hypercall via
-//! the dispatch hook, asserting after each step that the implementation
-//! refines the model (every mapping, grant, CoW alias, and
-//! clone fall-through is justified; no frame is cross-domain
-//! read-visible without a declared edge). Divergences carry a minimal
+//! executable isolation specification whose abstract machine is the
+//! [`reach`] matrix itself, recomputed after every hypercall the gate
+//! observer sees, plus the concrete facts reach cannot express (grant
+//! facts, revocations, foreign maps, clone links, the ledger and the
+//! per-frame owner map). After each step it asserts that the
+//! implementation refines the model (every mapping, grant, CoW alias,
+//! and clone fall-through is justified; no frame is raw-aliased between
+//! domains with no memory path between them). Divergences carry a minimal
 //! reproducing op trace shrunk by the in-tree property harness.
 //!
 //! [`eval`] is the paper's §6.2 security evaluation — containment

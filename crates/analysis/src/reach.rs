@@ -12,7 +12,20 @@
 //! * [`MemPath::Grant`] — an explicit grant-table entry from the owner.
 //!
 //! The rules in [`crate::rules`] are all statements about which paths
-//! may exist between which shard classes.
+//! may exist between which shard classes. The same matrix is the
+//! abstract machine of the executable isolation spec ([`crate::spec`]),
+//! which recomputes it after every checked hypercall: this is the one
+//! definition of who may see whose memory.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,6 +56,12 @@ impl MemPath {
             MemPath::Grant { writable: true } => "grant-rw",
             MemPath::Grant { writable: false } => "grant-ro",
         }
+    }
+
+    /// Whether the path lets its holder map any frame of the owner (a
+    /// blanket or `privileged_for` path), not only granted pages.
+    pub fn maps_at_will(self) -> bool {
+        matches!(self, MemPath::BlanketForeign | MemPath::PrivilegedFor)
     }
 }
 
@@ -140,6 +159,19 @@ impl Reachability {
         !self.mem_paths(accessor, owner).is_empty()
     }
 
+    /// Whether `accessor` may map any frame of `owner` at will.
+    pub fn maps_at_will(&self, accessor: DomId, owner: DomId) -> bool {
+        self.mem_paths(accessor, owner)
+            .iter()
+            .any(|p| p.maps_at_will())
+    }
+
+    /// Whether `a` and `b` may share memory: either reaches the other's.
+    /// This is what justifies two domains aliasing one raw frame.
+    pub fn shares_memory(&self, a: DomId, b: DomId) -> bool {
+        self.reaches_memory(a, b) || self.reaches_memory(b, a)
+    }
+
     /// Deterministic rendering of the full matrix (the analyzer report
     /// body): one line per memory edge, one per signal edge.
     pub fn render(&self, snap: &ModelSnapshot) -> String {
@@ -160,5 +192,54 @@ impl Reachability {
             out.push_str(&format!("sig {}({}) <-> {}({})\n", a, kind(a), b, kind(b)));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::{DomainInfo, GrantEdge};
+    use xoar_hypervisor::DomainRole;
+
+    fn d(n: u32) -> DomId {
+        DomId(n)
+    }
+
+    #[test]
+    fn grant_reach_is_directional_and_sharing_is_not() {
+        let snap = ModelSnapshot::fixture()
+            .with_domain(DomainInfo::fixture(d(1), "guest", DomainRole::Guest))
+            .with_domain(DomainInfo::fixture(d(2), "netback", DomainRole::Shard))
+            .with_domain(DomainInfo::fixture(d(3), "guest", DomainRole::Guest))
+            .with_grant(GrantEdge {
+                granter: d(1),
+                grantee: d(2),
+                gref: 0,
+                pfn: 4,
+                writable: true,
+            });
+        let reach = Reachability::compute(&snap);
+        assert!(reach.reaches_memory(d(2), d(1)), "grantee reaches granter");
+        assert!(!reach.reaches_memory(d(1), d(2)), "granter gains nothing");
+        assert!(!reach.maps_at_will(d(2), d(1)), "a grant is not a mapping");
+        assert!(reach.shares_memory(d(1), d(2)) && reach.shares_memory(d(2), d(1)));
+        assert!(!reach.shares_memory(d(1), d(3)));
+    }
+
+    #[test]
+    fn blanket_and_privileged_for_map_at_will() {
+        let mut builder = DomainInfo::fixture(d(0), "builder", DomainRole::Shard);
+        builder.privileges.map_foreign_any = true;
+        let mut qemu = DomainInfo::fixture(d(1), "qemu", DomainRole::Shard);
+        qemu.privileged_for.insert(d(2));
+        let snap = ModelSnapshot::fixture()
+            .with_domain(builder)
+            .with_domain(qemu)
+            .with_domain(DomainInfo::fixture(d(2), "guest", DomainRole::Guest));
+        let reach = Reachability::compute(&snap);
+        assert!(reach.maps_at_will(d(0), d(2)));
+        assert!(reach.maps_at_will(d(1), d(2)));
+        assert!(!reach.maps_at_will(d(2), d(1)));
+        assert!(!reach.reaches_memory(d(0), d(0)), "no path to oneself");
     }
 }

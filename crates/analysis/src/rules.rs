@@ -68,7 +68,7 @@ pub fn check(snap: &ModelSnapshot, reach: &Reachability) -> Vec<Violation> {
     only_builder_blanket(snap, &mut out);
     backend_grant_only(snap, reach, &mut out);
     guest_noninterference(snap, reach, &mut out);
-    undeclared_sharing(snap, &mut out);
+    undeclared_sharing(snap, reach, &mut out);
     constraint_groups(snap, &mut out);
     no_undeclared_cross_region_access(snap, reach, &mut out);
     out.sort();
@@ -178,7 +178,7 @@ fn guest_noninterference(snap: &ModelSnapshot, reach: &Reachability, out: &mut V
     }
 }
 
-fn undeclared_sharing(snap: &ModelSnapshot, out: &mut Vec<Violation>) {
+fn undeclared_sharing(snap: &ModelSnapshot, reach: &Reachability, out: &mut Vec<Violation>) {
     for g in &snap.grants {
         let Some(granter) = snap.domains.get(&g.granter) else {
             continue;
@@ -207,7 +207,8 @@ fn undeclared_sharing(snap: &ModelSnapshot, out: &mut Vec<Violation>) {
     // Cross-domain frame aliasing: benign when the hypervisor manages it
     // as copy-on-write (content dedup — a write breaks the share) or as
     // a frozen microreboot snapshot baseline. A *raw* share between two
-    // live guests is a covert channel unless one granted to the other.
+    // live guests is a covert channel unless one reaches the other's
+    // memory (between guests, that means a grant).
     for f in &snap.shared_frames {
         if f.cow || f.frozen {
             continue;
@@ -224,10 +225,7 @@ fn undeclared_sharing(snap: &ModelSnapshot, out: &mut Vec<Violation>) {
             .collect();
         for (i, &a) in guests.iter().enumerate() {
             for &b in &guests[i + 1..] {
-                let granted = snap.grants.iter().any(|g| {
-                    (g.granter == a && g.grantee == b) || (g.granter == b && g.grantee == a)
-                });
-                if !granted {
+                if !reach.shares_memory(a, b) {
                     out.push(Violation::new(
                         "undeclared-sharing",
                         a,
@@ -257,12 +255,6 @@ fn no_undeclared_cross_region_access(
     reach: &Reachability,
     out: &mut Vec<Violation>,
 ) {
-    use std::collections::BTreeSet;
-    let declared: BTreeSet<(&str, DomId, DomId)> = snap
-        .declared
-        .iter()
-        .map(|(k, s, o)| (k.as_str(), *s, *o))
-        .collect();
     for (&(accessor, owner), paths) in &reach.mem {
         for p in paths {
             let (kind, object) = match p {
@@ -270,7 +262,7 @@ fn no_undeclared_cross_region_access(
                 MemPath::BlanketForeign => ("blanket", DomId(u32::MAX)),
                 MemPath::PrivilegedFor => ("foreign", owner),
             };
-            if !declared.contains(&(kind, accessor, object)) {
+            if !snap.declared.contains(&(kind, accessor, object)) {
                 out.push(Violation::new(
                     "no-undeclared-cross-region-access",
                     accessor,
@@ -287,7 +279,7 @@ fn no_undeclared_cross_region_access(
     }
     for &(a, b) in &reach.signals {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        if !declared.contains(&("event", lo, hi)) {
+        if !snap.declared.contains(&("event", lo, hi)) {
             out.push(Violation::new(
                 "no-undeclared-cross-region-access",
                 lo,

@@ -1,9 +1,12 @@
 //! Freezing a running platform into an analysable model.
 //!
-//! [`ModelSnapshot::capture`] walks a [`Platform`] and records everything
-//! the privilege-flow rules need: per-domain privilege sets and flags,
-//! the live grant-table entries, the event-channel topology, and the
-//! XenStore privileged-connection list. The snapshot is a plain value —
+//! [`ModelSnapshot::of_hypervisor`] walks a [`Hypervisor`] and records
+//! everything the privilege-flow rules and the reachability matrix
+//! need: per-domain privilege sets and flags, the live grant-table
+//! entries, the event-channel topology, multi-domain frames and the
+//! declared-sharing ledger. [`ModelSnapshot::capture`] adds what only a
+//! [`Platform`] knows: shard-class labels, the XenStore
+//! privileged-connection list and the mode. The snapshot is a plain value —
 //! tests hand-build snapshots directly to exercise the rules on
 //! known-good and deliberately broken configurations without booting a
 //! platform.
@@ -13,7 +16,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use xoar_core::platform::{Platform, PlatformMode};
 use xoar_hypervisor::domain::{DomainRole, DomainState};
 use xoar_hypervisor::grant::GrantAccess;
-use xoar_hypervisor::{DomId, PrivilegeSet};
+use xoar_hypervisor::{DomId, Hypervisor, PrivilegeSet};
+
+/// A declared cross-region sharing edge, as recorded by the
+/// hypervisor's ledger: `(kind, subject, object)` with kind one of
+/// `"grant"`, `"event"`, `"foreign"`, `"blanket"`.
+pub type Edge = (&'static str, DomId, DomId);
 
 /// Everything the rules need to know about one domain.
 #[derive(Debug, Clone)]
@@ -125,7 +133,7 @@ pub struct ModelSnapshot {
     /// edges are normalised with subject ≤ object; `"blanket"` uses
     /// `DomId(u32::MAX)` as its object (any domain). Every edge in the
     /// reachability matrix must be covered by one of these.
-    pub declared: BTreeSet<(String, DomId, DomId)>,
+    pub declared: BTreeSet<Edge>,
     /// The platform's architecture; `None` on hand-built fixtures.
     pub mode: Option<PlatformMode>,
     /// Whether a Dom0 failure takes the host down
@@ -144,12 +152,10 @@ impl ModelSnapshot {
     /// hypervisor derives for blanket and stub-domain access).
     pub fn with_domain(mut self, info: DomainInfo) -> Self {
         if info.privileges.map_foreign_any {
-            self.declared
-                .insert(("blanket".to_string(), info.id, DomId(u32::MAX)));
+            self.declared.insert(("blanket", info.id, DomId(u32::MAX)));
         }
         for &owner in &info.privileged_for {
-            self.declared
-                .insert(("foreign".to_string(), info.id, owner));
+            self.declared.insert(("foreign", info.id, owner));
         }
         self.domains.insert(info.id, info);
         self
@@ -158,16 +164,15 @@ impl ModelSnapshot {
     /// Adds a grant edge to a fixture snapshot, declaring it (a live
     /// grant always has a ledger entry).
     pub fn with_grant(mut self, edge: GrantEdge) -> Self {
-        self.declared
-            .insert(("grant".to_string(), edge.grantee, edge.granter));
+        self.declared.insert(("grant", edge.grantee, edge.granter));
         self.grants.push(edge);
         self.grants.sort();
         self
     }
 
     /// Declares a cross-region operation kind on a fixture snapshot.
-    pub fn with_declared(mut self, kind: &str, subject: DomId, object: DomId) -> Self {
-        self.declared.insert((kind.to_string(), subject, object));
+    pub fn with_declared(mut self, kind: &'static str, subject: DomId, object: DomId) -> Self {
+        self.declared.insert((kind, subject, object));
         self
     }
 
@@ -178,17 +183,31 @@ impl ModelSnapshot {
         self
     }
 
-    /// Captures a running platform.
-    pub fn capture(p: &Platform) -> Self {
+    /// Captures what the hypervisor alone records: every domain it still
+    /// tracks (labelled `"unknown"`), the live grant entries, the
+    /// event-channel topology, the multi-domain frames and the
+    /// declared-sharing ledger. The isolation spec takes one after each
+    /// checked hypercall, so this walk runs inside the gate observer and
+    /// must not panic.
+    #[cfg_attr(
+        not(test),
+        deny(
+            clippy::unwrap_used,
+            clippy::expect_used,
+            clippy::panic,
+            clippy::indexing_slicing
+        )
+    )]
+    pub fn of_hypervisor(hv: &Hypervisor) -> Self {
         let mut domains = BTreeMap::new();
-        for id in p.hv.domain_ids() {
-            let Ok(d) = p.hv.domain(id) else { continue };
+        for id in hv.domain_ids() {
+            let Ok(d) = hv.domain(id) else { continue };
             domains.insert(
                 id,
                 DomainInfo {
                     id,
                     name: d.name.clone(),
-                    kind: Self::kind_label(p, id, d.role),
+                    kind: "unknown".to_string(),
                     state: d.state,
                     role: d.role,
                     privileges: d.privileges.clone(),
@@ -200,8 +219,8 @@ impl ModelSnapshot {
             );
         }
         let mut grants = Vec::new();
-        for (&granter, _) in domains.iter() {
-            if let Some(table) = p.hv.grant_table(granter) {
+        for &granter in domains.keys() {
+            if let Some(table) = hv.grant_table(granter) {
                 for (gref, entry) in table.entries_sorted() {
                     grants.push(GrantEdge {
                         granter,
@@ -216,7 +235,7 @@ impl ModelSnapshot {
         grants.sort();
         let mut channels: Vec<(DomId, DomId)> = Vec::new();
         for &a in domains.keys() {
-            for b in p.hv.peers_of(a) {
+            for b in hv.peers_of(a) {
                 channels.push(if a < b { (a, b) } else { (b, a) });
             }
         }
@@ -229,32 +248,40 @@ impl ModelSnapshot {
         // `frozen` bit additionally records whether a mapper holds a
         // live microreboot snapshot. Hand-built fixtures can assert raw
         // (non-CoW) shares to exercise the rule.
-        let shared_frames =
-            p.hv.mem
-                .multi_domain_frames()
-                .into_iter()
-                .map(|(mfn, mappers)| SharedFrame {
-                    mfn: mfn.0,
-                    frozen: mappers.iter().any(|&d| p.hv.mem.is_frozen(d)),
-                    mappers,
-                    cow: true,
-                })
-                .collect();
-        let declared =
-            p.hv.declared_ops()
-                .into_iter()
-                .map(|(kind, subject, object)| (kind.to_string(), subject, object))
-                .collect();
+        let shared_frames = hv
+            .mem
+            .multi_domain_frames()
+            .into_iter()
+            .map(|(mfn, mappers)| SharedFrame {
+                mfn: mfn.0,
+                frozen: mappers.iter().any(|&d| hv.mem.is_frozen(d)),
+                mappers,
+                cow: true,
+            })
+            .collect();
         ModelSnapshot {
             domains,
             grants,
             channels,
-            xenstore_privileged: p.xs.logic().privileged_domains(),
+            xenstore_privileged: Vec::new(),
             shared_frames,
-            declared,
-            mode: Some(p.mode),
-            dom0_failure_is_fatal: p.hv.dom0_failure_is_fatal,
+            declared: hv.declared_ops().into_iter().collect(),
+            mode: None,
+            dom0_failure_is_fatal: hv.dom0_failure_is_fatal,
         }
+    }
+
+    /// Captures a running platform: the hypervisor's view
+    /// ([`ModelSnapshot::of_hypervisor`]) plus the platform's shard-class
+    /// labels, its privileged XenStore connections and its mode.
+    pub fn capture(p: &Platform) -> Self {
+        let mut snap = Self::of_hypervisor(&p.hv);
+        for d in snap.domains.values_mut() {
+            d.kind = Self::kind_label(p, d.id, d.role);
+        }
+        snap.xenstore_privileged = p.xs.logic().privileged_domains();
+        snap.mode = Some(p.mode);
+        snap
     }
 
     /// The shard-class label for a domain, derived from the platform's

@@ -9,6 +9,12 @@
 //! recorded sticky with the op trace that produced it, never panicking
 //! (observers run inside the hypervisor's no-panic gate).
 //!
+//! The advance asks the abstract machine — the pre-state reachability
+//! matrix — one question: a foreign map or write is justified only by a
+//! blanket or `privileged_for` path from the caller to the target
+//! (`foreign-map-unjustified`); a domain needs no path to its own
+//! memory. Every other rule diffs a concrete fact.
+//!
 //! Checked refinement obligations, in order:
 //!
 //! 1. **Grant tables** — each live domain's table must equal the
@@ -21,22 +27,36 @@
 //!    of the generation it recorded, owned by its granter (page-flip
 //!    offers excepted), and every foreign-mapped frame stays live
 //!    (`frame-reused-while-held`).
-//! 3. **Frame ownership** — owner changes are confined to the op's
-//!    write footprint (exact per-mfn diff in small scopes, per-domain
-//!    counts beyond [`super::model::EXACT_OWNER_LIMIT`]).
+//! 3. **Frame ownership** — owner changes, diffed per MFN against the
+//!    model's exact owner map, are confined to the op's write footprint.
 //! 4. **Cross-domain visibility** — every multi-domain frame alias
 //!    must be justified: refs-backed CoW shares (dedup, snapshot
 //!    baselines) are break-on-write and exempt, clone fall-through
 //!    pairs require a model-side clone link, and injected raw aliases
-//!    require a declared edge.
+//!    require a memory path in either direction in the post-state
+//!    reachability matrix — the query the analyzer's
+//!    `undeclared-sharing` rule asks of a raw share.
 //! 5. **Declared-edge ledger** — ops with no declaration footprint must
 //!    leave the ledger byte-identical to the model's copy.
+//!
+//! The post-state matrix the visibility check read becomes the next
+//! op's pre-state.
 //!
 //! Direct guest writes to a domain's own memory are not hypercalls;
 //! drivers announce them with [`SpecHandle::note_write`] so the CoW
 //! breaks they cause are justified at the next check. Unannounced
 //! out-of-band mutation — the attack model — is what the checker
 //! exists to catch.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -48,7 +68,9 @@ use xoar_hypervisor::hypercall::{Hypercall, HypercallRet};
 use xoar_hypervisor::memory::Mfn;
 use xoar_hypervisor::{DomId, GateObserver, HvResult, Hypervisor};
 
-use super::model::{GrantFact, SpecState};
+use super::model::{owner_map, GrantFact, SpecState};
+use crate::reach::Reachability;
+use crate::snapshot::{Edge, ModelSnapshot, SharedFrame};
 
 /// A refinement violation: the real hypervisor did something the model
 /// does not justify.
@@ -198,14 +220,12 @@ impl SpecCore {
                 writes.insert(*granter);
             }
             MmuMapForeign { target, .. } | MmuWriteForeign { target, .. } => {
-                if !self.spec.blanket.contains(&caller)
-                    && !self.spec.priv_for.contains(&(caller, *target))
-                {
+                if caller != *target && !self.spec.reach.maps_at_will(caller, *target) {
                     self.diverge(
                         "foreign-map-unjustified",
                         format!(
-                            "{caller} mapped {target}'s memory without blanket or \
-                             privileged-for justification in the model"
+                            "{caller} mapped {target}'s memory with no blanket or \
+                             privileged-for path in the reachability matrix"
                         ),
                     );
                 }
@@ -225,7 +245,6 @@ impl SpecCore {
             DomctlCreateDomain { .. } => {
                 if let HypercallRet::DomId(d) = ret {
                     self.spec.live.insert(*d);
-                    self.spec.owned.insert(*d, 0);
                     *declared = true;
                 }
             }
@@ -282,9 +301,14 @@ impl SpecCore {
             | SysctlPhysinfo
             | SchedYield
             | ConsoleWrite { .. } => {}
-            // Ownership-neutral: a log-dirty cursor only records writes,
-            // and a dedup merge keeps every mapping's bytes and owner.
-            DomctlShadowOp { .. } | SysctlDedup => {}
+            // Ownership-neutral: a log-dirty cursor only records writes.
+            DomctlShadowOp { .. } => {}
+            SysctlDedup => {
+                // A merge frees each duplicate frame and remaps its
+                // mappers onto a copy another domain may own, so any
+                // live domain's frames may move.
+                writes.extend(self.spec.live.iter().copied());
+            }
             VmRollback { .. } => {
                 // The spec of rollback: page *contents* revert, nothing
                 // else. No ownership delta, no grant-table delta — a
@@ -348,7 +372,6 @@ impl SpecCore {
         }
         for d in died {
             self.spec.live.remove(&d);
-            self.spec.owned.remove(&d);
             self.spec.clone_of.remove(&d);
             self.spec.grants.retain(|&(granter, _), _| granter != d);
             writes.insert(d);
@@ -360,6 +383,8 @@ impl SpecCore {
         if self.divergence.is_some() {
             return;
         }
+        let snap = ModelSnapshot::of_hypervisor(hv);
+        let reach = Reachability::compute(&snap);
         self.check_grant_tables(hv);
         if self.divergence.is_none() {
             self.check_frame_lives(hv);
@@ -368,15 +393,15 @@ impl SpecCore {
             self.check_ownership(hv, writes);
         }
         if self.divergence.is_none() {
-            self.check_visibility(hv);
+            self.check_visibility(hv, &snap.shared_frames, &reach);
         }
         if self.divergence.is_none() {
-            self.check_declared(hv, declared);
+            self.check_declared(snap.declared, declared);
         }
-        // Privilege relation is an input to the next step's
-        // justification; refresh it once this step checked out.
+        // The post-state matrix is the next step's pre-state; adopt it
+        // once this step checked out.
         if self.divergence.is_none() {
-            self.spec.sync_privileges(hv);
+            self.spec.reach = reach;
         }
     }
 
@@ -489,73 +514,49 @@ impl SpecCore {
         // A domain writing its own space may break CoW against its
         // template; the template side never changes, so the closure of
         // the footprint is the writers plus nothing else.
-        let allowed = |d: DomId, writes: &BTreeSet<DomId>| writes.contains(&d);
-        if self.spec.owner_exact {
-            let mut real: std::collections::BTreeMap<u64, DomId> =
-                std::collections::BTreeMap::new();
-            for &d in &self.spec.live {
-                for (_, mfn) in hv.mem.p2m_entries(d) {
-                    if let Ok(o) = hv.mem.owner(mfn) {
-                        real.insert(mfn.0, o);
+        let real = owner_map(hv, &self.spec.live);
+        let appeared_or_moved =
+            real.iter()
+                .find_map(|(&mfn, &owner)| match self.spec.owner.get(&mfn) {
+                    None if !writes.contains(&owner) => Some(format!(
+                        "frame {mfn} appeared owned by {owner} outside the op footprint"
+                    )),
+                    Some(&prev)
+                        if prev != owner
+                            && !(writes.contains(&prev) && writes.contains(&owner)) =>
+                    {
+                        Some(format!(
+                            "frame {mfn} changed owner {prev} → {owner} outside the op footprint"
+                        ))
                     }
-                }
-            }
-            for (&mfn, &owner) in &real {
-                match self.spec.owner.get(&mfn) {
-                    None if !allowed(owner, writes) => {
-                        self.diverge(
-                            "unjustified-ownership-change",
-                            format!(
-                                "frame {mfn} appeared owned by {owner} outside the op footprint"
-                            ),
-                        );
-                        return;
-                    }
-                    Some(&prev) if prev != owner => {
-                        if !allowed(prev, writes) || !allowed(owner, writes) {
-                            self.diverge(
-                                "unjustified-ownership-change",
-                                format!(
-                                    "frame {mfn} changed owner {prev} → {owner} outside \
-                                     the op footprint"
-                                ),
-                            );
-                            return;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            for (&mfn, &prev) in &self.spec.owner {
-                if !real.contains_key(&mfn) && !allowed(prev, writes) {
-                    self.diverge(
-                        "unjustified-ownership-change",
-                        format!("frame {mfn} owned by {prev} vanished outside the op footprint"),
-                    );
-                    return;
-                }
-            }
-        } else {
-            for &d in &self.spec.live {
-                let now = hv.mem.owned_frames(d);
-                let before = self.spec.owned.get(&d).copied().unwrap_or(0);
-                if now != before && !allowed(d, writes) {
-                    self.diverge(
-                        "unjustified-ownership-change",
-                        format!("{d}'s owned-frame count moved {before} → {now} outside the op footprint"),
-                    );
-                    return;
-                }
-            }
+                    _ => None,
+                });
+        let vanished = || {
+            self.spec
+                .owner
+                .iter()
+                .find(|&(mfn, prev)| !real.contains_key(mfn) && !writes.contains(prev))
+                .map(|(mfn, prev)| {
+                    format!("frame {mfn} owned by {prev} vanished outside the op footprint")
+                })
+        };
+        match appeared_or_moved.or_else(vanished) {
+            Some(detail) => self.diverge("unjustified-ownership-change", detail),
+            None => self.spec.owner = real,
         }
-        self.spec.sync_owner_views(hv);
     }
 
-    fn check_visibility(&mut self, hv: &Hypervisor) {
-        let shared = hv.mem.multi_domain_frames();
-        for (mfn, doms) in &shared {
-            let mappers: BTreeSet<DomId> =
-                hv.mem.mappers(*mfn).into_iter().map(|(d, _)| d).collect();
+    fn check_visibility(&mut self, hv: &Hypervisor, shared: &[SharedFrame], reach: &Reachability) {
+        for SharedFrame {
+            mfn, mappers: doms, ..
+        } in shared
+        {
+            let mappers: BTreeSet<DomId> = hv
+                .mem
+                .mappers(Mfn(*mfn))
+                .into_iter()
+                .map(|(d, _)| d)
+                .collect();
             for (i, &a) in doms.iter().enumerate() {
                 for &b in doms.iter().skip(i + 1) {
                     if mappers.contains(&a) && mappers.contains(&b) {
@@ -581,36 +582,32 @@ impl SpecCore {
                     self.diverge(
                         "undeclared-clone-fanthrough",
                         format!(
-                            "frame {} is read-visible to both {a} and {b} by clone \
-                             fall-through, but the model records no clone link",
-                            mfn.0
+                            "frame {mfn} is read-visible to both {a} and {b} by clone \
+                             fall-through, but the model records no clone link"
                         ),
                     );
                     return;
                 }
             }
         }
-        for (mfn, doms) in &self.injected_frames.clone() {
-            for (i, &a) in doms.iter().enumerate() {
-                for &b in doms.iter().skip(i + 1) {
-                    if self.spec.declares_sharing(a, b) || self.spec.clone_linked(a, b) {
-                        continue;
-                    }
-                    self.diverge(
-                        "raw-alias-undeclared",
-                        format!(
-                            "frame {mfn} is raw-aliased between {a} and {b} with no \
-                             declared sharing edge"
-                        ),
-                    );
-                    return;
-                }
-            }
+        let raw_alias = self.injected_frames.iter().find_map(|(mfn, doms)| {
+            doms.iter().enumerate().find_map(|(i, &a)| {
+                let b = doms
+                    .iter()
+                    .skip(i + 1)
+                    .find(|&&b| !reach.shares_memory(a, b))?;
+                Some(format!(
+                    "frame {mfn} is raw-aliased between {a} and {b} with no memory path \
+                     between them"
+                ))
+            })
+        });
+        if let Some(detail) = raw_alias {
+            self.diverge("raw-alias-undeclared", detail);
         }
     }
 
-    fn check_declared(&mut self, hv: &Hypervisor, footprint: bool) {
-        let real: BTreeSet<(&'static str, DomId, DomId)> = hv.declared_ops().into_iter().collect();
+    fn check_declared(&mut self, real: BTreeSet<Edge>, footprint: bool) {
         if footprint {
             // The op legitimately reshapes the ledger (new grants,
             // privilege surgery, domain lifecycle): adopt it.

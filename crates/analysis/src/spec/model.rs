@@ -1,34 +1,43 @@
-//! The high-level memory-ownership model.
+//! The spec's state: the abstract machine plus the concrete facts it
+//! cannot express.
 //!
-//! [`SpecState`] is the executable isolation spec: a deliberately tiny
-//! abstraction of machine memory — per-frame `owner`, the set of
-//! declared sharing edges, and the privilege relation — in the style of
-//! hvisor-pt's `mappings + permissions` state machine. The checker
-//! ([`super::checker`]) advances it in lockstep with the real
-//! hypervisor and asserts after every hypercall that the implementation
-//! *refines* it: every concrete mapping, grant entry, CoW alias, and
-//! clone fall-through must be justified by the model, and no frame may
-//! become cross-domain read-visible without a declared edge.
+//! [`SpecState`] is the executable isolation spec, split in the
+//! hvisor-pt style into two layers:
 //!
-//! The model is also a query interface: tests express noninterference
-//! claims (`can_see`, `sharing_justification`) against the spec rather
-//! than against implementation internals.
+//! * **The abstract machine** is the analyzer's reachability matrix
+//!   ([`Reachability`]), computed by [`Reachability::compute`] over
+//!   [`ModelSnapshot::of_hypervisor`] — the same function the
+//!   privilege-flow rules and the §6.2 evaluation read. It answers
+//!   "who may see whose memory, and by which path". The checker keeps
+//!   the pre-state matrix and recomputes it after every checked step.
+//! * **The concrete machine** keeps only what reach cannot express:
+//!   grant facts with the `mfn`/generation they resolved to, revoked
+//!   capabilities, foreign-mapped frames, `clone → template` links,
+//!   the declared-sharing ledger and the exact per-MFN owner map.
+//!
+//! The checker ([`super::checker`]) advances both in lockstep with the
+//! real hypervisor and asserts after every hypercall that the
+//! implementation *refines* them. Tests state noninterference claims as
+//! queries against [`SpecState::reach`] rather than against
+//! implementation internals.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use xoar_hypervisor::grant::{GrantAccess, GrantEntry};
 use xoar_hypervisor::{DomId, Hypervisor};
 
-/// A declared cross-region sharing edge, as recorded by the
-/// hypervisor's ledger: `(kind, subject, object)` with kind one of
-/// `"grant"`, `"event"`, `"foreign"`, `"blanket"`.
-pub type Edge = (&'static str, DomId, DomId);
-
-/// Above this many owned frames (summed over live domains) the checker
-/// stops maintaining the exact per-frame owner map and falls back to
-/// per-domain frame counts. The small-scope driver stays far below it;
-/// full platforms get the scaled check.
-pub const EXACT_OWNER_LIMIT: u64 = 16_384;
+use crate::reach::Reachability;
+use crate::snapshot::{Edge, ModelSnapshot};
 
 /// One grant fact: the granter's table says `grantee` may reach the
 /// page at (`pfn` → `mfn`, generation `gen`) with `access`.
@@ -68,18 +77,17 @@ impl GrantFact {
     }
 }
 
-/// The abstract machine-memory state the hypervisor must refine.
+/// The state the hypervisor must refine.
 #[derive(Debug, Clone, Default)]
 pub struct SpecState {
     /// Live (non-dead) domains the model tracks.
     pub live: BTreeSet<DomId>,
-    /// Exact frame ownership, `mfn → owner`. Maintained only while
-    /// `owner_exact` holds (small scopes); empty otherwise.
+    /// The abstract machine: every memory path between live domains as
+    /// of the last checked step (the next op's pre-state).
+    pub reach: Reachability,
+    /// Exact frame ownership, `mfn → owner`, of every frame a live
+    /// domain maps.
     pub owner: BTreeMap<u64, DomId>,
-    /// Whether [`SpecState::owner`] is being maintained exactly.
-    pub owner_exact: bool,
-    /// Per-domain mapped-frame counts (the scaled ownership view).
-    pub owned: BTreeMap<DomId, u64>,
     /// Live grant facts, keyed by `(granter, gref)`.
     pub grants: BTreeMap<(DomId, u32), GrantFact>,
     /// Facts revoked by `GnttabEndAccess` and never legitimately
@@ -90,10 +98,6 @@ pub struct SpecState {
     pub revoked: Vec<(DomId, GrantFact)>,
     /// Declared sharing edges (the model's copy of the ledger).
     pub declared: BTreeSet<Edge>,
-    /// Domains holding blanket `map_foreign_any`.
-    pub blanket: BTreeSet<DomId>,
-    /// `(subject, object)` pairs of the `privileged_for` relation.
-    pub priv_for: BTreeSet<(DomId, DomId)>,
     /// Frames foreign-mapped through the gate, as `(mfn, generation)`.
     /// A foreign mapping pins its frame for good, so each must stay
     /// live in the generation it was mapped in.
@@ -113,71 +117,29 @@ impl SpecState {
     /// retroactively justify history); from then on the checker only
     /// accepts changes its advance rules permit.
     pub fn capture(hv: &Hypervisor) -> SpecState {
-        let mut s = SpecState::default();
-        let mut total_owned = 0u64;
-        for id in hv.domain_ids() {
-            let Ok(d) = hv.domain(id) else { continue };
-            if d.state == xoar_hypervisor::DomainState::Dead {
-                continue;
-            }
-            s.live.insert(id);
-            total_owned += hv.mem.owned_frames(id);
-            if let Some(tpl) = hv.mem.template_of(id) {
-                s.clone_of.insert(id, tpl);
-            }
-        }
-        s.owner_exact = total_owned <= EXACT_OWNER_LIMIT;
-        s.sync_owner_views(hv);
-        s.sync_privileges(hv);
-        s.declared = hv.declared_ops().into_iter().collect();
-        for &granter in &s.live {
+        let snap = ModelSnapshot::of_hypervisor(hv);
+        let live: BTreeSet<DomId> = snap.live_domains().map(|d| d.id).collect();
+        let clone_of = live
+            .iter()
+            .filter_map(|&id| Some((id, hv.mem.template_of(id)?)))
+            .collect();
+        let mut grants = BTreeMap::new();
+        for &granter in &live {
             let Some(table) = hv.grant_table(granter) else {
                 continue;
             };
             for (gref, e) in table.entries_sorted() {
-                s.grants.insert((granter, gref.0), GrantFact::of(e));
+                grants.insert((granter, gref.0), GrantFact::of(e));
             }
         }
-        s
-    }
-
-    /// Rebuilds the ownership views (exact map and per-domain counts)
-    /// from the real state. Used at capture and after the checker has
-    /// verified an ownership delta is justified.
-    pub(crate) fn sync_owner_views(&mut self, hv: &Hypervisor) {
-        self.owned = self
-            .live
-            .iter()
-            .map(|&d| (d, hv.mem.owned_frames(d)))
-            .collect();
-        self.owner.clear();
-        if !self.owner_exact {
-            return;
-        }
-        for &d in &self.live {
-            for (_, mfn) in hv.mem.p2m_entries(d) {
-                if let Ok(o) = hv.mem.owner(mfn) {
-                    self.owner.insert(mfn.0, o);
-                }
-            }
-        }
-    }
-
-    /// Refreshes the privilege relation (blanket / privileged-for) from
-    /// live domains. These are *inputs* to justification; drift in the
-    /// visible sharing they imply is audited through the declared-edge
-    /// ledger, which derives `"blanket"`/`"foreign"` edges from them.
-    pub(crate) fn sync_privileges(&mut self, hv: &Hypervisor) {
-        self.blanket.clear();
-        self.priv_for.clear();
-        for &id in &self.live {
-            let Ok(d) = hv.domain(id) else { continue };
-            if d.privileges.map_foreign_any {
-                self.blanket.insert(id);
-            }
-            for &obj in &d.privileged_for {
-                self.priv_for.insert((id, obj));
-            }
+        SpecState {
+            owner: owner_map(hv, &live),
+            reach: Reachability::compute(&snap),
+            declared: snap.declared,
+            live,
+            grants,
+            clone_of,
+            ..SpecState::default()
         }
     }
 
@@ -194,61 +156,6 @@ impl SpecState {
             )
     }
 
-    /// Whether a sharing edge between `a` and `b` is declared: a grant,
-    /// event, or foreign edge naming both (either orientation), or a
-    /// blanket privilege on either side.
-    pub fn declares_sharing(&self, a: DomId, b: DomId) -> bool {
-        if self.blanket.contains(&a) || self.blanket.contains(&b) {
-            return true;
-        }
-        self.declared
-            .iter()
-            .any(|&(_, s, o)| (s == a && o == b) || (s == b && o == a))
-    }
-
-    /// Model-level read-visibility: can `a` observe `b`'s memory?
-    ///
-    /// True only along the three enforced paths (blanket mapping,
-    /// `privileged_for`, a grant from `b` to `a`) or a clone/template
-    /// link. This is the query satellite noninterference tests assert
-    /// against in place of hand-rolled implementation probes.
-    pub fn can_see(&self, a: DomId, b: DomId) -> bool {
-        if a == b {
-            return true;
-        }
-        if self.blanket.contains(&a) || self.priv_for.contains(&(a, b)) {
-            return true;
-        }
-        if self.clone_linked(a, b) {
-            return true;
-        }
-        self.grants
-            .iter()
-            .any(|(&(granter, _), f)| granter == b && f.grantee == a)
-    }
-
-    /// Why (if at all) the model justifies `a` and `b` sharing memory:
-    /// `"blanket"`, `"privileged-for"`, `"grant"`, `"clone-template"`,
-    /// or `None`.
-    pub fn sharing_justification(&self, a: DomId, b: DomId) -> Option<&'static str> {
-        if self.blanket.contains(&a) || self.blanket.contains(&b) {
-            return Some("blanket");
-        }
-        if self.priv_for.contains(&(a, b)) || self.priv_for.contains(&(b, a)) {
-            return Some("privileged-for");
-        }
-        if self.clone_linked(a, b) {
-            return Some("clone-template");
-        }
-        let granted = self.grants.iter().any(|(&(granter, _), f)| {
-            (granter == b && f.grantee == a) || (granter == a && f.grantee == b)
-        });
-        if granted {
-            return Some("grant");
-        }
-        None
-    }
-
     /// Grant facts exported by `granter`, in ref order.
     pub fn grants_by(&self, granter: DomId) -> Vec<(u32, GrantFact)> {
         self.grants
@@ -256,6 +163,19 @@ impl SpecState {
             .map(|(&(_, gref), &f)| (gref, f))
             .collect()
     }
+}
+
+/// The real owner of every frame the `live` domains map, `mfn → owner`.
+pub(crate) fn owner_map(hv: &Hypervisor, live: &BTreeSet<DomId>) -> BTreeMap<u64, DomId> {
+    let mut owner = BTreeMap::new();
+    for &d in live {
+        for (_, mfn) in hv.mem.p2m_entries(d) {
+            if let Ok(o) = hv.mem.owner(mfn) {
+                owner.insert(mfn.0, o);
+            }
+        }
+    }
+    owner
 }
 
 #[cfg(test)]
@@ -281,36 +201,6 @@ mod tests {
         assert!(s.clone_linked(d(0), d(2)));
         assert!(s.clone_linked(d(1), d(2)), "siblings share a template");
         assert!(!s.clone_linked(d(1), d(3)));
-    }
-
-    #[test]
-    fn can_see_is_directional_for_grants() {
-        let mut s = base();
-        s.grants.insert(
-            (d(1), 0),
-            GrantFact {
-                grantee: d(2),
-                pfn: 4,
-                mfn: 40,
-                gen: 0,
-                access: GrantAccess::ReadWrite,
-            },
-        );
-        assert!(s.can_see(d(2), d(1)), "grantee sees granter's page");
-        assert!(!s.can_see(d(1), d(2)), "granter gains nothing back");
-        assert_eq!(s.sharing_justification(d(1), d(2)), Some("grant"));
-        assert_eq!(s.sharing_justification(d(0), d(2)), None);
-    }
-
-    #[test]
-    fn blanket_and_priv_for_dominate() {
-        let mut s = base();
-        s.blanket.insert(d(0));
-        s.priv_for.insert((d(1), d(2)));
-        assert!(s.can_see(d(0), d(2)));
-        assert!(s.can_see(d(1), d(2)));
-        assert!(!s.can_see(d(2), d(1)));
-        assert_eq!(s.sharing_justification(d(1), d(2)), Some("privileged-for"));
     }
 
     #[test]

@@ -145,11 +145,6 @@ impl MemoryManager {
         self.templates.get(&dom).map(|i| i.clones)
     }
 
-    /// Pages sealed into template `dom` (`None` if not a template).
-    pub fn template_page_count(&self, dom: DomId) -> Option<u64> {
-        self.is_template(dom).then(|| self.seal(dom).1)
-    }
-
     /// Number of pages `clone` has privatised away from its template.
     pub fn clone_broken_pages(&self, clone: DomId) -> u64 {
         let Some(&tpl) = self.clone_of.get(&clone) else {

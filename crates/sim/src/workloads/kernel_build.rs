@@ -125,31 +125,6 @@ pub fn run(platform: &mut Platform, guest: DomId, source: BuildSource) -> BuildR
     }
 }
 
-/// The figure's five configurations.
-pub fn figure_6_4_cases() -> Vec<(&'static str, BuildSource)> {
-    vec![
-        ("local", BuildSource::LocalExt3),
-        (
-            "nfs",
-            BuildSource::Nfs {
-                restart_interval_s: None,
-            },
-        ),
-        (
-            "nfs+restarts(10s)",
-            BuildSource::Nfs {
-                restart_interval_s: Some(10),
-            },
-        ),
-        (
-            "nfs+restarts(5s)",
-            BuildSource::Nfs {
-                restart_interval_s: Some(5),
-            },
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,18 +90,6 @@ pub fn run_point(
     }
 }
 
-/// The full Figure 6.3 sweep: intervals 1–10 s, both paths.
-pub fn figure_6_3(platform_factory: impl Fn() -> (Platform, DomId), bytes: u64) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for path in [RestartPath::Slow, RestartPath::Fast] {
-        for interval_s in 1..=10 {
-            let (mut platform, guest) = platform_factory();
-            points.push(run_point(&mut platform, guest, bytes, interval_s, path));
-        }
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

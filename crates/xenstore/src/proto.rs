@@ -372,11 +372,6 @@ impl XenStore {
         &self.logic
     }
 
-    /// Direct access to Logic (tests, restart policies).
-    pub fn logic_mut(&mut self) -> &mut XenStoreLogic {
-        &mut self.logic
-    }
-
     /// Direct access to State (tests, audit tooling).
     pub fn state(&self) -> &XenStoreState {
         &self.state

@@ -48,13 +48,16 @@ cargo run --release --offline -p xoar-analysis --bin xoar-analyzer -- --selftest
 # mutators (aliases, UFCS calls and split chains included); the
 # hypervisor crate itself denies panics in non-test code and wildcard
 # arms in Hypercall::id and the dispatcher, and the xenstore and devices
-# crates deny panics, unwraps and unchecked indexing in non-test code. Every
+# crates deny panics, unwraps and unchecked indexing in non-test code, as
+# does the analysis code that runs inside the gate observer (the spec
+# checker and model, the reachability matrix and the hypervisor walk of
+# the snapshot). Every
 # known ungated site carries an #[expect] with its reason, and an
 # expectation that no longer fires fails the step, so fixing a site
 # forces removing its attribute. Clippy only warns when a configured path does not resolve,
 # so that warning fails the step too. No skip branch: clippy ships with
 # the toolchain, and a missing clippy fails here.
-if ! clippy_out="$(cargo clippy --offline --lib -p xoar-hypervisor -p xoar-core -p xoar-devices -p xoar-xenstore \
+if ! clippy_out="$(cargo clippy --offline --lib -p xoar-hypervisor -p xoar-core -p xoar-devices -p xoar-xenstore -p xoar-analysis \
     -- -D clippy::disallowed_methods -D clippy::disallowed_types \
     -D unfulfilled_lint_expectations 2>&1)"; then
     printf '%s\n' "$clippy_out" >&2

@@ -3,6 +3,7 @@
 //! analysis tooling.
 
 use xoar_analysis::eval::{blast_radius, corpus, evaluate, tcb_of_guest, Verdict};
+use xoar_analysis::reach::MemPath;
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_core::shard::ConstraintTag;
 use xoar_hypervisor::grant::GrantAccess;
@@ -284,9 +285,15 @@ fn spec_model_shows_guests_mutually_invisible() {
         },
     );
     let s = h.state();
-    assert!(!s.can_see(a, b), "guest a must not observe guest b");
-    assert!(!s.can_see(b, a), "guest b must not observe guest a");
-    assert_eq!(s.sharing_justification(a, b), None);
+    assert!(
+        !s.reach.reaches_memory(a, b),
+        "guest a must not observe guest b"
+    );
+    assert!(
+        !s.reach.reaches_memory(b, a),
+        "guest b must not observe guest a"
+    );
+    assert!(!s.reach.shares_memory(a, b) && !s.clone_linked(a, b));
     assert!(
         h.divergence().is_none(),
         "spec diverged:\n{}",
@@ -314,10 +321,16 @@ fn spec_model_justifies_backend_reach_by_grant_only() {
     let s = h.state();
     // The backend reaches a's page through the grant and nothing wider:
     // no blanket privilege, no privileged-for edge.
-    assert!(s.can_see(backend, a));
-    assert_eq!(s.sharing_justification(backend, a), Some("grant"));
-    assert!(!s.blanket.contains(&backend), "backend holds no blanket");
-    assert!(!s.priv_for.contains(&(backend, a)));
+    assert!(s.reach.reaches_memory(backend, a));
+    assert!(s
+        .reach
+        .mem_paths(backend, a)
+        .iter()
+        .all(|p| matches!(p, MemPath::Grant { .. })));
+    assert!(
+        !s.reach.maps_at_will(backend, a),
+        "no blanket, no privileged-for"
+    );
     // The grant names exactly one page, and b stays out of the picture.
     let facts = s.grants_by(a);
     assert!(facts
@@ -325,10 +338,12 @@ fn spec_model_justifies_backend_reach_by_grant_only() {
         .any(|&(g, f)| g == gref.0 && f.grantee == backend && f.pfn == 7));
     // Whatever reach the backend has into b (its boot-time ring grants)
     // is grant-shaped too — never blanket or privileged-for.
-    if s.can_see(backend, b) {
-        assert_eq!(s.sharing_justification(backend, b), Some("grant"));
-    }
-    assert!(!s.can_see(b, a));
+    assert!(s
+        .reach
+        .mem_paths(backend, b)
+        .iter()
+        .all(|p| matches!(p, MemPath::Grant { .. })));
+    assert!(!s.reach.reaches_memory(b, a));
     // Revocation withdraws the visibility in the model too.
     drop(s);
     p.hv.hypercall(a, Hypercall::GnttabEndAccess { gref })
@@ -367,13 +382,16 @@ fn spec_model_isolates_clone_template_sharing() {
     // names that justification precisely.
     assert!(s.clone_linked(c1, tpl));
     assert!(s.clone_linked(c1, c2), "siblings share a template");
-    assert_eq!(s.sharing_justification(c1, tpl), Some("clone-template"));
+    assert!(
+        !s.reach.shares_memory(c1, tpl),
+        "justified by the clone link alone"
+    );
     // The fan-out stops at the family boundary: a bystander guest gains
     // no visibility into the clones, nor they into it.
     assert!(!s.clone_linked(c1, bystander));
-    assert!(!s.can_see(c1, bystander));
-    assert!(!s.can_see(bystander, c1));
-    assert_eq!(s.sharing_justification(c2, bystander), None);
+    assert!(!s.reach.reaches_memory(c1, bystander));
+    assert!(!s.reach.reaches_memory(bystander, c1));
+    assert!(!s.reach.shares_memory(c2, bystander) && !s.clone_linked(c2, bystander));
     assert!(
         h.divergence().is_none(),
         "spec diverged:\n{}",
